@@ -5,7 +5,8 @@ estimate (exponent at a fixed rate and weight), hardest (worst-case rate
 and weight search), sweep (weight-grid exponent curves as CSV), and
 selftest (quick end-to-end checks).
 
-Exit codes: 0 success, 2 usage or input error, 3 search budget exhausted.
+Exit codes: 0 success, 2 usage or input error (including an infeasible
+estimate or a solve whose lists outgrow --cap), 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import estimator
+from .cmsd import CmsdInfeasibleError
 from .estimator import CodeParams, HardestResult, WorkFactors
 from .isd import IsdParams, SdInstance, generate_instance, isd_solve, verify_solution
+from .merge import MergeOverflowError
 from .weights import WeightFunction, sphere_count_exact, sphere_exponent
 
 CSV_FIELDS = (
@@ -47,20 +50,15 @@ class UsageError(Exception):
 
 
 def _load_weight(q: int, spec: str) -> WeightFunction:
-    if spec == "lee":
-        return WeightFunction.lee(q)
-    if spec == "hamming":
-        return WeightFunction.hamming(q)
+    if spec in ("lee", "hamming"):
+        return WeightFunction.from_spec(q, spec)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            wf = WeightFunction.from_json(fh.read())
+            return WeightFunction.from_spec(q, json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read weight table {spec!r}: {exc}") from exc
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"bad weight table {spec!r}: {exc}") from exc
-    if wf.q != q:
-        raise UsageError(f"weight table is for q={wf.q}, got --q {q}")
-    return wf
 
 
 def _emit(doc, out: str | None) -> None:
@@ -200,10 +198,7 @@ def cmd_solve(args) -> int:
         max_outer_loops=args.max_loops,
         rng_seed=args.seed,
     )
-    try:
-        report = isd_solve(inst, params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = isd_solve(inst, params)
     doc = report.to_dict()
     if report.found:
         doc["verified"] = verify_solution(inst, report.solution)
@@ -214,10 +209,7 @@ def cmd_solve(args) -> int:
 def cmd_estimate(args) -> int:
     wf = _load_weight(args.q, args.weight)
     cp = CodeParams(wf, args.R, args.omega)
-    try:
-        fac = estimator.optimize_point(cp, args.model, args.alg, args.a_max)
-    except estimator.InfeasibleParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    fac = estimator.optimize_point(cp, args.model, args.alg, args.a_max)
     doc = {
         "q": args.q,
         "weight": wf.name,
@@ -368,10 +360,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+    except (
+        UsageError,
+        ValueError,
+        TypeError,
+        MergeOverflowError,
+        CmsdInfeasibleError,
+        estimator.InfeasibleParameterError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

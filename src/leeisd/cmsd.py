@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -519,14 +519,13 @@ def cmsd_wagner_v2_build(
         )
         return _Node(lst=merged, sup=(lhs.sup[0], rhs.sup[1]), children=(lhs, rhs))
 
-    # S_j = fully merged left sibling of the lazy chain at level j
+    # S_j = fully merged left sibling of the lazy chain at level j, its list
+    # sorted on J_j (backrefs still point into the unsorted child lists)
     side: list[_Node] = []
-    side_sorted: list[IndexedList] = []
     nb = 1 << a
     for j in range(1, a + 1):
         node = build(nb - (1 << j), 1 << (j - 1))
-        side.append(node)
-        side_sorted.append(node.lst.sort_on(tuple(j_groups[j - 1])))
+        side.append(replace(node, lst=node.lst.sort_on(tuple(j_groups[j - 1]))))
 
     cnt = last.enum.count
     if cnt > list_size_cap:
@@ -550,25 +549,25 @@ def cmsd_wagner_v2_build(
             J = j_groups[j - 1]
             need = (chain_targets[j - 1][J] - acc[J]) % q
             key = _encode_keys(need[None, :], q)[0]
-            lo_i, hi_i = side_sorted[j - 1].match_range(key)
+            node = side[j - 1]
+            lo_i, hi_i = node.lst.match_range(key)
             if lo_i == hi_i:
                 return zero.copy()
             best_pos, best_key = -1, None
-            node = side[j - 1]
             for pos in range(lo_i, hi_i):
                 scratch[node.sup[0] : node.sup[1]] = 0
-                _resolve_sorted(node, side_sorted[j - 1], pos, scratch)
+                node.resolve(pos, scratch)
                 cand = tuple(int(x) for x in scratch[node.sup[0] : node.sup[1]])
                 if best_key is None or cand < best_key:
                     best_key, best_pos = cand, pos
             picks.append(best_pos)
-            acc = (acc + side_sorted[j - 1].syndromes[best_pos]) % q
+            acc = (acc + node.lst.syndromes[best_pos]) % q
         if (acc != s2).any():  # targets telescope to s''; this must hold
             return zero.copy()
         out = np.zeros(n, dtype=np.int64)
         out[last.offset : last.offset + last.length] = b_last
-        for j, pos in enumerate(picks, start=1):
-            _resolve_sorted(side[j - 1], side_sorted[j - 1], pos, out)
+        for node, pos in zip(side, picks):
+            node.resolve(pos, out)
         return out
 
     base_sizes = [len(nd.lst) for nd in materialized] + [y]
@@ -593,14 +592,3 @@ def cmsd_wagner_v2_build(
         _eval=evaluate,
     )
 
-
-def _resolve_sorted(node: _Node, sorted_lst: IndexedList, pos: int, out: np.ndarray):
-    """Resolve entry pos of the sorted view of node's list."""
-    if node.block is not None:
-        rank = sorted_lst.backrefs[pos]
-        b = node.block.enum.unrank(rank)
-        out[node.block.offset : node.block.offset + node.block.length] = b
-    else:
-        i, j = sorted_lst.backrefs[pos]
-        node.children[0].resolve(i, out)
-        node.children[1].resolve(j, out)

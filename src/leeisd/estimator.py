@@ -19,13 +19,11 @@ searches the candidate domain in y/2.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightFunction, sphere_exponent_many
+from .weights import WeightFunction, entropy_crossings, sphere_exponent_many
 
 MODELS = ("classical", "quantum")
 ALGORITHMS = ("prange", "dumer", "wagner")
@@ -81,10 +79,10 @@ class WorkFactors:
     point: AlgoPoint
 
 
-def _feasible_P_range(cp: CodeParams, L: float) -> tuple[float, float]:
+def _feasible_P_range(cp: CodeParams, L):
     wmax = float(cp.wf.max_weight)
-    lo = max(0.0, cp.omega - (1.0 - cp.rate - L) * wmax)
-    hi = min(cp.omega, (cp.rate + L) * wmax)
+    lo = np.maximum(0.0, cp.omega - (1.0 - cp.rate - L) * wmax)
+    hi = np.minimum(cp.omega, (cp.rate + L) * wmax)
     return lo, hi
 
 
@@ -96,165 +94,90 @@ def _check_point(cp: CodeParams, L: float, P: float) -> None:
         raise InfeasibleParameterError(f"P={P} outside [{lo}, {hi}] at L={L}")
 
 
+def _s(cp: CodeParams) -> float:
+    """Entropy exponent at the problem's own weight, shared by every point."""
+    return float(sphere_exponent_many(cp.wf, [cp.omega])[0])
+
+
+def _factors(cp: CodeParams, model: str, L, P, a, s_omega: float) -> dict:
+    """Every exponent of the merge-tree attack at feasible points (L, P).
+
+    The classical model uses the merge tree over 2^a blocks, the quantum
+    model the checkable-function tree over 2^a + 1 units.  L, P and a
+    broadcast together, so a column of level counts against rows of
+    points costs no more entropy work than one level count; s_omega is
+    the entropy exponent at cp.omega.
+    """
+    R = cp.rate
+    out_len = 1.0 - R - L
+    s_out = sphere_exponent_many(cp.wf, (cp.omega - P) / np.maximum(out_len, _EPS))
+    num = np.where(out_len > _EPS, out_len * s_out, 0.0)
+    pi1 = np.minimum(0.0, num - np.maximum(0.0, np.minimum(s_omega - L, out_len)))
+    np_rel = R + L  # N' = R + L, the bottom part's relative length
+    m0 = L / np_rel
+    s0 = sphere_exponent_many(cp.wf, P / np_rel)
+    quantum = model == "quantum"
+    u = np.minimum(s0 / (2**a + quantum), m0 / a)
+    x = m0 - (a - 1) * u
+    zeta = np_rel * ((2 + quantum) * u - x)
+    tau = np_rel * u
+    y = (1 + quantum) * tau
+    root = 1 + quantum  # the quantum model square-roots restarts and search
+    total = np.maximum(0.0, -pi1 - zeta) / root + np.maximum(tau, y / root)
+    return {"pi1": pi1, "zeta": zeta, "tau": tau, "y": y, "u": u, "x": x,
+            "s_omega0": s0, "total": total}
+
+
+def _at_point(cp: CodeParams, model: str, point: AlgoPoint, s_omega: float) -> dict:
+    _check_point(cp, point.L, point.P)
+    fac = _factors(cp, model, point.L, point.P, point.a, s_omega)
+    return {k: v.item() for k, v in fac.items()}
+
+
 def p1_exponent(cp: CodeParams, L: float, P: float) -> float:
     """log_q of the probability that a candidate's top part has weight w - p."""
-    _check_point(cp, L, P)
-    s_omega = float(sphere_exponent_many(cp.wf, [cp.omega])[0])
-    return _p1_from_s(cp, L, P, s_omega)
+    return _at_point(cp, "classical", AlgoPoint(L, P, 1), _s(cp))["pi1"]
 
 
-def _p1_from_s(cp: CodeParams, L: float, P: float, s_omega: float) -> float:
-    out_len = 1.0 - cp.rate - L
-    if out_len <= _EPS:
-        num = 0.0
-    else:
-        num = out_len * float(sphere_exponent_many(cp.wf, [(cp.omega - P) / out_len])[0])
-    den = max(0.0, min(s_omega - L, 1.0 - cp.rate - L))
-    return min(0.0, num - den)
-
-
-def _s_omega0(cp: CodeParams, point: AlgoPoint) -> tuple[float, float, float]:
-    """(N' = R+L, m0, s at omega0) shared by both merge-tree variants."""
-    np_rel = cp.rate + point.L
-    m0 = point.L / np_rel if np_rel > _EPS else 0.0
-    omega0 = point.P / np_rel if np_rel > _EPS else 0.0
-    s0 = float(sphere_exponent_many(cp.wf, [omega0])[0])
-    return np_rel, m0, s0
+def _tree_factors(cp: CodeParams, point: AlgoPoint, model: str) -> dict:
+    fac = _at_point(cp, model, point, _s(cp))
+    return {k: fac[k] for k in ("u", "x", "zeta", "tau", "y", "s_omega0")}
 
 
 def wagner1_factors(cp: CodeParams, point: AlgoPoint) -> dict:
     """List-size exponents of the classical merge tree at this point."""
-    _check_point(cp, point.L, point.P)
-    np_rel, m0, s0 = _s_omega0(cp, point)
-    a = point.a
-    u = min(s0 / 2**a, m0 / a)
-    x = m0 - (a - 1) * u
-    return {
-        "u": u,
-        "x": x,
-        "zeta": np_rel * (2 * u - x),
-        "tau": np_rel * u,
-        "y": np_rel * u,
-        "s_omega0": s0,
-    }
+    return _tree_factors(cp, point, "classical")
 
 
 def wagner2_factors(cp: CodeParams, point: AlgoPoint) -> dict:
     """List-size exponents of the checkable-function merge tree."""
-    _check_point(cp, point.L, point.P)
-    np_rel, m0, s0 = _s_omega0(cp, point)
-    a = point.a
-    u = min(s0 / (2**a + 1), m0 / a)
-    x = m0 - (a - 1) * u
-    return {
-        "u": u,
-        "x": x,
-        "zeta": np_rel * (3 * u - x),
-        "tau": np_rel * u,
-        "y": 2 * np_rel * u,
-        "s_omega0": s0,
-    }
+    return _tree_factors(cp, point, "quantum")
 
 
-def _assemble(cp: CodeParams, point: AlgoPoint, pi1: float, fac: dict, model: str) -> WorkFactors:
-    if model == "classical":
-        total = max(0.0, -pi1 - fac["zeta"]) + max(fac["tau"], fac["y"])
-    else:
-        total = 0.5 * max(0.0, -pi1 - fac["zeta"]) + max(fac["tau"], fac["y"] / 2)
-    return WorkFactors(
-        pi1=pi1,
-        zeta=fac["zeta"],
-        tau=fac["tau"],
-        y=fac["y"],
-        u=fac["u"],
-        x=fac["x"],
-        s_omega0=fac["s_omega0"],
-        total_q=total,
-        total_bin=total * math.log2(cp.q),
-        point=point,
-    )
+def _work_factors(cp: CodeParams, model: str, point: AlgoPoint, s_omega: float) -> WorkFactors:
+    fac = _at_point(cp, model, point, s_omega)
+    total = fac.pop("total")
+    return WorkFactors(**fac, total_q=total, total_bin=total * math.log2(cp.q), point=point)
 
 
 def classical_exponent(cp: CodeParams, point: AlgoPoint) -> WorkFactors:
     """Restart count times per-restart work, classical model."""
-    s_omega = float(sphere_exponent_many(cp.wf, [cp.omega])[0])
-    pi1 = _p1_from_s(cp, point.L, point.P, s_omega)
-    return _assemble(cp, point, pi1, wagner1_factors(cp, point), "classical")
+    return _work_factors(cp, "classical", point, _s(cp))
 
 
 def quantum_exponent(cp: CodeParams, point: AlgoPoint) -> WorkFactors:
     """Square-root restarts and square-root candidate search, quantum model."""
-    s_omega = float(sphere_exponent_many(cp.wf, [cp.omega])[0])
-    pi1 = _p1_from_s(cp, point.L, point.P, s_omega)
-    return _assemble(cp, point, pi1, wagner2_factors(cp, point), "quantum")
+    return _work_factors(cp, "quantum", point, _s(cp))
 
 
 # -- optimization over (L, P, a) --------------------------------------------
 
 
-def _totals_grid(
-    cp: CodeParams, model: str, a_values, n_grid: int = 64
-) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """Vectorized exponent evaluation on an n_grid x n_grid feasible grid."""
-    wf, R, omega = cp.wf, cp.rate, cp.omega
-    wmax = float(wf.max_weight)
-    s_omega = float(sphere_exponent_many(wf, [omega])[0])
-    fL = np.linspace(0.0, 1.0, n_grid)
-    fP = np.linspace(0.0, 1.0, n_grid)
-    L = np.repeat(fL * (1.0 - R), n_grid)
-    Plo = np.maximum(0.0, omega - (1.0 - R - L) * wmax)
-    Phi = np.minimum(omega, (R + L) * wmax)
-    P = Plo + np.tile(fP, n_grid) * (Phi - Plo)
-
-    out_len = 1.0 - R - L
-    safe = np.maximum(out_len, _EPS)
-    s_out = sphere_exponent_many(wf, (omega - P) / safe)
-    num = np.where(out_len > _EPS, out_len * s_out, 0.0)
-    den = np.maximum(0.0, np.minimum(s_omega - L, out_len))
-    pi1 = np.minimum(0.0, num - den)
-
-    np_rel = R + L
-    m0 = L / np_rel
-    s0 = sphere_exponent_many(wf, P / np_rel)
-    totals: dict[int, np.ndarray] = {}
-    for a in a_values:
-        if model == "classical":
-            u = np.minimum(s0 / 2**a, m0 / a)
-            x = m0 - (a - 1) * u
-            zeta = np_rel * (2 * u - x)
-            work = np_rel * u
-            tot = np.maximum(0.0, -pi1 - zeta) + work
-        else:
-            u = np.minimum(s0 / (2**a + 1), m0 / a)
-            x = m0 - (a - 1) * u
-            zeta = np_rel * (3 * u - x)
-            work = np_rel * u
-            tot = 0.5 * np.maximum(0.0, -pi1 - zeta) + work
-        totals[a] = tot
-    return L, P, totals
-
-
-def _totals_at(
-    cp: CodeParams, model: str, a: int, L: np.ndarray, P: np.ndarray, s_omega: float
-) -> np.ndarray:
-    """Vectorized exponent at explicit (already feasible) points."""
-    wf, R, omega = cp.wf, cp.rate, cp.omega
-    out_len = 1.0 - R - L
-    safe = np.maximum(out_len, _EPS)
-    s_out = sphere_exponent_many(wf, (omega - P) / safe)
-    num = np.where(out_len > _EPS, out_len * s_out, 0.0)
-    den = np.maximum(0.0, np.minimum(s_omega - L, out_len))
-    pi1 = np.minimum(0.0, num - den)
-    np_rel = R + L
-    m0 = L / np_rel
-    s0 = sphere_exponent_many(wf, P / np_rel)
-    if model == "classical":
-        u = np.minimum(s0 / 2**a, m0 / a)
-        x = m0 - (a - 1) * u
-        return np.maximum(0.0, -pi1 - np_rel * (2 * u - x)) + np_rel * u
-    u = np.minimum(s0 / (2**a + 1), m0 / a)
-    x = m0 - (a - 1) * u
-    return 0.5 * np.maximum(0.0, -pi1 - np_rel * (3 * u - x)) + np_rel * u
+def _unit_to_LP(cp: CodeParams, fl, fp):
+    """Map unit-box coordinates onto the feasible (L, P) region."""
+    L = fl * (1.0 - cp.rate)
+    lo, hi = _feasible_P_range(cp, L)
+    return L, lo + fp * (hi - lo)
 
 
 def _pattern_search(
@@ -267,21 +190,15 @@ def _pattern_search(
     tol: float = 1e-5,
 ) -> tuple[float, float, float]:
     """Compass search in unit-box coordinates, step halved when stuck."""
-    R, omega = cp.rate, cp.omega
-    wmax = float(cp.wf.max_weight)
+    R = cp.rate
 
-    def to_LP(fl: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        L = fl * (1.0 - R)
-        lo = np.maximum(0.0, omega - (1.0 - R - L) * wmax)
-        hi = np.minimum(omega, (R + L) * wmax)
-        return L, lo + fp * (hi - lo)
+    def totals(fl, fp):
+        return _factors(cp, model, *_unit_to_LP(cp, fl, fp), a, s_omega)["total"]
 
     fl = min(max(L0 / (1.0 - R), 0.0), 1.0)
-    L = fl * (1.0 - R)
-    lo, hi = _feasible_P_range(cp, L)
+    lo, hi = _feasible_P_range(cp, fl * (1.0 - R))
     fp = 0.0 if hi - lo < _EPS else min(max((P0 - lo) / (hi - lo), 0.0), 1.0)
-    Ls, Ps = to_LP(np.array([fl]), np.array([fp]))
-    cur = float(_totals_at(cp, model, a, Ls, Ps, s_omega)[0])
+    cur = float(totals(np.array([fl]), np.array([fp]))[0])
     step = 1.0 / 63
     polls = 0
     while step > tol and polls < 400:
@@ -293,15 +210,14 @@ def _pattern_search(
             0.0,
             1.0,
         )
-        Ls, Ps = to_LP(cand_f[:, 0], cand_f[:, 1])
-        vals = _totals_at(cp, model, a, Ls, Ps, s_omega)
+        vals = totals(cand_f[:, 0], cand_f[:, 1])
         i = int(np.argmin(vals))
         if vals[i] < cur - 1e-14:
             cur = float(vals[i])
             fl, fp = float(cand_f[i, 0]), float(cand_f[i, 1])
         else:
             step *= 0.5
-    Ls, Ps = to_LP(np.array([fl]), np.array([fp]))
+    Ls, Ps = _unit_to_LP(cp, np.array([fl]), np.array([fp]))
     return cur, float(Ls[0]), float(Ps[0])
 
 
@@ -318,28 +234,25 @@ def optimize_point(
         raise ValueError(f"model must be one of {MODELS}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    exponent = classical_exponent if model == "classical" else quantum_exponent
+    s_omega = _s(cp)
+    if cp.omega <= _EPS or algorithm == "prange":  # (0, 0) is infeasible at large weight
+        return _work_factors(cp, model, AlgoPoint(0.0, 0.0, 1), s_omega)
 
-    if cp.omega <= _EPS:
-        return exponent(cp, AlgoPoint(0.0, 0.0, 1))
-    if algorithm == "prange":
-        _check_point(cp, 0.0, 0.0)  # infeasible at large weight
-        return exponent(cp, AlgoPoint(0.0, 0.0, 1))
-
-    a_values = (1,) if algorithm == "dumer" else tuple(range(1, a_max + 1))
-    s_omega = float(sphere_exponent_many(cp.wf, [cp.omega])[0])
-    L, P, totals = _totals_grid(cp, model, a_values)
+    a_values = np.arange(1, 2 if algorithm == "dumer" else a_max + 1)
+    unit = np.linspace(0.0, 1.0, 64)
+    L, P = _unit_to_LP(cp, np.repeat(unit, 64), np.tile(unit, 64))
+    totals = _factors(cp, model, L, P, a_values[:, None], s_omega)["total"]
     seeds = []
-    for a in a_values:
-        i = int(np.argmin(totals[a]))
-        seeds.append((float(totals[a][i]), a, float(L[i]), float(P[i])))
+    for a, tot in zip(a_values, totals):
+        i = int(np.argmin(tot))
+        seeds.append((float(tot[i]), int(a), float(L[i]), float(P[i])))
     seeds.sort()
     best: tuple[float, AlgoPoint] | None = None
     for _, a, L0, P0 in seeds[:3]:
         v, Lr, Pr = _pattern_search(cp, model, a, L0, P0, s_omega)
         if best is None or v < best[0] - 1e-13:
             best = (v, AlgoPoint(Lr, Pr, a))
-    return exponent(cp, best[1])
+    return _work_factors(cp, model, best[1], s_omega)
 
 
 # -- weight landscape and hardest instances ----------------------------------
@@ -355,45 +268,7 @@ def local_maxima_weights(wf: WeightFunction, rate: float) -> tuple[float, float]
     """
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0, 1)")
-    target = 1.0 - rate
-    uniq, mult = wf.weight_classes()
-    lnq = math.log(wf.q)
-
-    def state(beta: float) -> tuple[float, float]:
-        z = -beta * uniq * lnq + np.log(mult)
-        z -= z.max()
-        e = np.exp(z)
-        lam = e / e.sum()
-        mean = float((lam * uniq).sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = -float(
-                np.where(lam > 0, lam * (np.log(lam) - np.log(mult)), 0.0).sum()
-            ) / lnq
-        return ent, mean
-
-    lo, hi = 0.0, 120.0  # s decreases in beta on the low-weight branch
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s, _ = state(mid)
-        if s > target:
-            lo = mid
-        else:
-            hi = mid
-    omega_minus = state(0.5 * (lo + hi))[1]
-
-    if state(-120.0)[0] > target:
-        omega_plus = float(wf.max_weight)
-    else:
-        lo, hi = -120.0, 0.0  # s increases in beta on the high-weight branch
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            s, _ = state(mid)
-            if s < target:
-                lo = mid
-            else:
-                hi = mid
-        omega_plus = state(0.5 * (lo + hi))[1]
-    return omega_minus, omega_plus
+    return entropy_crossings(wf, 1.0 - rate)
 
 
 @dataclass(frozen=True)
@@ -484,21 +359,6 @@ class SweepRow:
     factors: WorkFactors | None  # None when the algorithm is infeasible there
 
 
-def _sweep_cell(args) -> SweepRow:
-    wf, rate, omega, model, algorithm, a_max = args
-    if omega <= _EPS:
-        cp = CodeParams(wf, rate, 0.0)
-        fac = optimize_point(cp, model, "wagner", 1)
-        return SweepRow(omega, 0.0, model, algorithm, fac)
-    try:
-        fac = optimize_point(CodeParams(wf, rate, omega), model, algorithm, a_max)
-    except InfeasibleParameterError:
-        fac = None
-    return SweepRow(
-        omega, omega / float(wf.max_weight), model, algorithm, fac
-    )
-
-
 def sweep(
     wf: WeightFunction,
     rate: float,
@@ -506,18 +366,14 @@ def sweep(
     columns=SWEEP_COLUMNS,
     a_max: int = 10,
 ) -> list[SweepRow]:
-    """Exponent curves over a weight grid, one row per (omega, model, algorithm).
-
-    Cells are independent; ISD_THREADS > 1 evaluates them in a thread pool
-    with a deterministic result order.
-    """
-    tasks = [
-        (wf, rate, float(om), model, algorithm, a_max)
-        for om in omegas
-        for model, algorithm in columns
-    ]
-    threads = int(os.environ.get("ISD_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_sweep_cell, tasks))
-    return [_sweep_cell(t) for t in tasks]
+    """Exponent curves over a weight grid, one row per (omega, model, algorithm)."""
+    wmax = float(wf.max_weight)
+    rows = []
+    for om in map(float, omegas):
+        for model, algorithm in columns:
+            try:
+                fac = optimize_point(CodeParams(wf, rate, om), model, algorithm, a_max)
+            except InfeasibleParameterError:
+                fac = None
+            rows.append(SweepRow(om, om / wmax, model, algorithm, fac))
+    return rows

@@ -30,7 +30,13 @@ from .fieldlin import (
     random_full_rank_matrix,
 )
 from .merge import DEFAULT_LIST_CAP
-from .weights import WeightFunction, sample_uniform_weight_w, sphere_count_exact, vector_weight
+from .weights import (
+    WeightFunction,
+    _to_fraction,
+    sample_uniform_weight_w,
+    sphere_count_exact,
+    vector_weight,
+)
 
 VARIANTS = ("prange", "dumer", "wagner1", "wagner2")
 
@@ -83,12 +89,12 @@ class SdInstance:
     @classmethod
     def from_dict(cls, doc: dict) -> "SdInstance":
         q = int(doc["q"])
-        wf = _weight_in(q, doc["weight"])
+        wf = WeightFunction.from_spec(q, doc["weight"])
         inst = cls(
             q=q,
             n=int(doc["n"]),
             k=int(doc["k"]),
-            w=_weight_parse(doc["w"]),
+            w=_to_fraction(doc["w"]),
             wf=wf,
             h=FqMatrix(q, np.asarray(doc["H"], dtype=np.int64)),
             s=FqVector(q, np.asarray(doc["s"], dtype=np.int64)),
@@ -100,23 +106,6 @@ class SdInstance:
 
 def _weight_out(w: Fraction):
     return w.numerator if w.denominator == 1 else str(w)
-
-
-def _weight_parse(x) -> Fraction:
-    return Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10**9)
-
-
-def _weight_in(q: int, spec) -> WeightFunction:
-    if spec == "lee":
-        return WeightFunction.lee(q)
-    if spec == "hamming":
-        return WeightFunction.hamming(q)
-    if isinstance(spec, dict):
-        wf = WeightFunction.from_json(spec)
-        if wf.q != q:
-            raise ValueError("custom weight table modulus differs from instance modulus")
-        return wf
-    raise ValueError(f"unknown weight spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +163,7 @@ def generate_instance(
     q: int, n: int, k: int, w, wf: WeightFunction, rng: random.Random
 ) -> SdInstance:
     """Draw (H, s = He) with H uniform of full rank and e uniform of weight w."""
-    w = _weight_parse(w)
+    w = _to_fraction(w)
     if sphere_count_exact(wf, n, w) == 0:
         raise ValueError(f"empty sphere: no vectors of weight {w} in F_{q}^{n}")
     h = random_full_rank_matrix(q, n - k, n, rng)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .fieldlin import FqVector, validate_modulus
 
-_BETA_BRACKET = 50.0
 _WEIGHT_TOL = 1e-12
 
 
@@ -82,6 +81,18 @@ class WeightFunction:
             raise ValueError('weight JSON must be an object with "q" and "table"')
         return cls(int(doc["q"]), tuple(doc["table"]), name=str(doc.get("name", "custom")))
 
+    @classmethod
+    def from_spec(cls, q: int, spec) -> "WeightFunction":
+        """"lee", "hamming", or a custom table document {"q": q, "table": [...]}."""
+        if spec in ("lee", "hamming"):
+            return getattr(cls, spec)(q)
+        if not isinstance(spec, dict):
+            raise ValueError(f"unknown weight spec {spec!r}")
+        wf = cls.from_json(spec)
+        if wf.q != q:
+            raise ValueError(f"weight table is for q={wf.q}, not q={q}")
+        return wf
+
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -114,7 +125,8 @@ class WeightFunction:
 
     def weight_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct weights as floats, multiplicities) for entropy solves."""
-        return _classes(self)
+        d = _dual(self)
+        return d.w, d.mult
 
     def scaled(self, w) -> int | None:
         """Weight value in integer-scaled units, or None if not representable."""
@@ -130,16 +142,6 @@ def _scaled(wf: WeightFunction) -> tuple[int, tuple[int, ...]]:
     for x in wf.table:
         den = den * x.denominator // math.gcd(den, x.denominator)
     return den, tuple(int(x * den) for x in wf.table)
-
-
-@lru_cache(maxsize=64)
-def _classes(wf: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
-    tab = np.asarray([float(x) for x in wf.table])
-    uniq, inv = np.unique(tab, return_inverse=True)
-    mult = np.bincount(inv).astype(float)
-    uniq.setflags(write=False)
-    mult.setflags(write=False)
-    return uniq, mult
 
 
 def vector_weight(v: FqVector, wf: WeightFunction) -> Fraction:
@@ -343,16 +345,89 @@ class EntropyProfile:
         object.__setattr__(self, "lam", arr)
 
 
-def _class_state(uniq: np.ndarray, mult: np.ndarray, beta: float, lnq: float):
-    z = -beta * uniq * lnq + np.log(mult)
-    z = z - z.max()
-    e = np.exp(z)
-    lam = e / e.sum()
-    mean = float((lam * uniq).sum())
-    per = lam / mult
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -float(np.where(lam > 0, lam * np.log(per), 0.0).sum()) / lnq
-    return lam, mean, ent
+@dataclass(frozen=True, eq=False)
+class _Dual:
+    """Lagrangian dual of the maximum-entropy problem for one weight table.
+
+    Class frequencies are proportional to mult * q^(-beta * wt): the mean
+    weight falls strictly in beta, and the entropy peaks at beta = 0, so
+    every query is a bisection on beta inside [-beta_max, beta_max].
+    """
+
+    w: np.ndarray  # distinct weights, ascending
+    mult: np.ndarray  # symbols per distinct weight
+    lnq: float
+    beta_max: float
+
+    def gibbs(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unnormalized class weights mult * q^(-beta * wt) and their logs.
+
+        One row per multiplier; each row is scaled by its largest weight so
+        that nothing overflows.
+        """
+        z = np.log(self.mult) - np.multiply.outer(beta * self.lnq, self.w)
+        z -= z.max(axis=-1, keepdims=True)
+        return np.exp(z), z
+
+    def state(self, beta: np.ndarray):
+        """(class frequencies, mean weight, entropy in log_q units) at each beta."""
+        e, z = self.gibbs(beta)
+        tot = e.sum(axis=-1, keepdims=True)
+        lam = e / tot
+        ent = -(lam * (z - np.log(tot) - np.log(self.mult))).sum(axis=-1) / self.lnq
+        return lam, lam @ self.w, ent
+
+
+@lru_cache(maxsize=64)
+def _dual(wf: WeightFunction) -> _Dual:
+    """Weight classes of wf and the bracket of its entropy solver.
+
+    At beta = +-beta_max the class next to an extreme weight carries at
+    most e^-60 times its multiplicity ratio of the extreme class's mass, so
+    the bracket holds every mean-weight target that is not within about
+    that fraction of either end.  It follows the table's own scale:
+    multiplying every weight by c divides beta_max by c.
+    """
+    tab = np.asarray([float(x) for x in wf.table])
+    uniq, inv = np.unique(tab, return_inverse=True)
+    mult = np.bincount(inv).astype(float)
+    uniq.setflags(write=False)
+    mult.setflags(write=False)
+    lnq = math.log(wf.q)
+    end_gap = min(uniq[1] - uniq[0], uniq[-1] - uniq[-2]) if len(uniq) > 1 else 1.0
+    return _Dual(uniq, mult, lnq, 60.0 / (float(end_gap) * lnq))
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, root_above) -> np.ndarray:
+    """Elementwise bisection; root_above(mid) is True where the root exceeds mid."""
+    for _ in range(72):
+        mid = 0.5 * (lo + hi)
+        up = root_above(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _solve_dual(wf: WeightFunction, omegas):
+    """(class frequencies, entropy, beta) of the max-entropy law at each mean weight.
+
+    Targets are clipped to [0, max weight]; at the two ends the entropy and
+    beta are the exact limits (uniform over the extreme-weight symbols).
+    """
+    d = _dual(wf)
+    om = np.clip(np.atleast_1d(np.asarray(omegas, dtype=float)), 0.0, d.w[-1])
+
+    def root_above(beta):
+        e, _ = d.gibbs(beta)
+        return e @ d.w > om * e.sum(axis=-1)
+
+    beta = _bisect(np.full(om.shape, -d.beta_max), np.full(om.shape, d.beta_max), root_above)
+    lam, _, ent = d.state(beta)
+    at_lo, at_hi = om <= 0.0, om >= d.w[-1]
+    ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, np.clip(ent, 0.0, 1.0))
+    ent = np.where(at_hi, math.log(d.mult[-1]) / d.lnq, ent)
+    beta = np.where(at_lo, math.inf, np.where(at_hi, -math.inf, beta))
+    return lam, ent, beta
 
 
 def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
@@ -364,78 +439,43 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
     is unique.  Boundary targets (omega = 0 or omega = max weight)
     concentrate exactly on the extreme-weight symbols.
     """
-    uniq, mult = wf.weight_classes()
-    wmax = float(uniq[-1])
-    lnq = math.log(wf.q)
-    tab = np.asarray([float(x) for x in wf.table])
+    d = _dual(wf)
+    wmax = float(d.w[-1])
     if not -_WEIGHT_TOL <= omega <= wmax + _WEIGHT_TOL:
         raise ValueError(f"target weight {omega} outside [0, {wmax}]")
     if omega <= _WEIGHT_TOL:
-        lam = np.where(tab == 0, 1.0, 0.0)
-        lam /= lam.sum()
-        return EntropyProfile(lam, math.log(lam.max() ** -1, wf.q) if lam.max() < 1 else 0.0, math.inf)
-    if omega >= wmax - _WEIGHT_TOL:
-        lam = np.where(tab == wmax, 1.0, 0.0)
-        k = lam.sum()
-        return EntropyProfile(lam / k, math.log(k) / lnq, -math.inf)
-
-    lo, hi = -_BETA_BRACKET, _BETA_BRACKET
-    # widen if the target is outside the bracketed mean range (extreme tables)
-    for _ in range(8):
-        if _class_state(uniq, mult, lo, lnq)[1] >= omega >= _class_state(uniq, mult, hi, lnq)[1]:
-            break
-        lo *= 2.0
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        _, mean, _ = _class_state(uniq, mult, mid, lnq)
-        if abs(mean - omega) <= _WEIGHT_TOL and hi - lo < 1e-9:
-            break
-        if mean > omega:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    lam_c, _, ent = _class_state(uniq, mult, beta, lnq)
-    lam = (lam_c / mult)[np.searchsorted(uniq, tab)]
-    return EntropyProfile(lam, min(max(ent, 0.0), 1.0), beta)
+        omega = 0.0
+    elif omega >= wmax - _WEIGHT_TOL:
+        omega = wmax
+    lam, s, beta = _solve_dual(wf, [omega])
+    tab = np.asarray([float(x) for x in wf.table])
+    return EntropyProfile((lam[0] / d.mult)[np.searchsorted(d.w, tab)], float(s[0]), float(beta[0]))
 
 
-def sphere_exponent_many(wf: WeightFunction, omegas, iters: int = 72) -> np.ndarray:
+def sphere_exponent_many(wf: WeightFunction, omegas) -> np.ndarray:
     """Vectorized entropy exponents for an array of mean-weight targets."""
-    uniq, mult = wf.weight_classes()
-    wmax = float(uniq[-1])
-    lnq = math.log(wf.q)
-    om = np.clip(np.atleast_1d(np.asarray(omegas, dtype=float)), 0.0, wmax)
-    w_row = uniq[None, :]
-    logm = np.log(mult)[None, :]
-    lo = np.full(om.shape, -2.0 * _BETA_BRACKET)
-    hi = np.full(om.shape, 2.0 * _BETA_BRACKET)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        z = -mid[:, None] * w_row * lnq + logm
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        lam = e / e.sum(axis=1, keepdims=True)
-        mean = (lam * w_row).sum(axis=1)
-        gt = mean > om
-        lo = np.where(gt, mid, lo)
-        hi = np.where(gt, hi, mid)
-    mid = 0.5 * (lo + hi)
-    z = -mid[:, None] * w_row * lnq + logm
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    lam = e / e.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per = np.log(lam) - logm
-        ent = -np.where(lam > 0, lam * per, 0.0).sum(axis=1) / lnq
-    ent = np.clip(ent, 0.0, 1.0)
-    # exact values at the weight boundaries (uniform over extreme symbols)
-    s_lo = math.log(float(mult[0])) / lnq
-    s_hi = math.log(float(mult[-1])) / lnq
-    ent = np.where(om <= 0.0, s_lo, ent)
-    ent = np.where(om >= wmax, s_hi, ent)
-    return ent
+    return _solve_dual(wf, omegas)[1]
+
+
+def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
+    """Mean weights below and above the average where the sphere exponent is s.
+
+    The entropy falls with beta on the low-weight branch (beta > 0) and
+    rises with it on the high-weight branch, so both crossings come from
+    one two-element bisection.  When even the maximal weight has entropy
+    above s, the upper branch has no crossing and returns the top weight.
+    """
+    d = _dual(wf)
+    side = np.array([1.0, -1.0])
+    beta = _bisect(
+        np.array([0.0, -d.beta_max]),
+        np.array([d.beta_max, 0.0]),
+        lambda b: side * (d.state(b)[2] - s) > 0,
+    )
+    lo, hi = d.state(beta)[1]
+    if math.log(d.mult[-1]) / d.lnq > s:
+        hi = d.w[-1]
+    return float(lo), float(hi)
 
 
 def typical_pattern(wf: WeightFunction, omega: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import time
+import zlib
 from collections import Counter
 from fractions import Fraction
 
@@ -156,7 +157,7 @@ def test_decoder_soundness():
         for metric in ("hamming", "lee"):
             wf = getattr(WeightFunction, metric)(shape["q"])
             found = 0
-            rng = random.Random(hash((label, metric)) & 0xFFFF)
+            rng = random.Random(zlib.crc32(f"{label}:{metric}".encode()))
             for t in range(trials):
                 inst = generate_instance(shape["q"], shape["n"], shape["k"], shape["w"], wf, rng)
                 params = IsdParams(

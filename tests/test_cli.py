@@ -115,6 +115,36 @@ def test_solve_malformed_instance(tmp_path, capsys):
     assert code == 2
 
 
+def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli(
+        capsys,
+        "gen", "--q", "3", "--n", "24", "--k", "8", "--w", "6",
+        "--weight", "lee", "--seed", "7", "--out", str(inst),
+    )
+    # a base list of 160 entries against a cap of 10: MergeOverflowError
+    code, _, err = run_cli(
+        capsys, "solve", str(inst), "--alg", "dumer", "--ell", "4", "--p", "3", "--cap", "10"
+    )
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # a one-symbol lee block cannot carry weight 2: CmsdInfeasibleError
+    small = tmp_path / "small.json"
+    run_cli(
+        capsys,
+        "gen", "--q", "3", "--n", "10", "--k", "3", "--w", "8",
+        "--weight", "lee", "--seed", "1", "--out", str(small),
+    )
+    code, _, err = run_cli(
+        capsys, "solve", str(small), "--alg", "wagner1", "--ell", "1", "--p", "6", "--a", "2"
+    )
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # no feasible prange point at this weight: InfeasibleParameterError
+    code, _, err = run_cli(
+        capsys, "estimate", "--q", "3", "--R", "0.5", "--omega", "0.9", "--alg", "prange"
+    )
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_corrupt_weight_table_rejected(tmp_path, capsys):
     table = tmp_path / "w.json"
     table.write_text(json.dumps({"q": 5, "table": [1, 1, 2, 2, 1]}))

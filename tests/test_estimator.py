@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from leeisd.estimator import (
     wagner1_factors,
     wagner2_factors,
 )
-from leeisd.weights import WeightFunction, sphere_exponent
+from leeisd.weights import WeightFunction, sphere_exponent, sphere_exponent_many
 
 
 def s_of(wf, omega):
@@ -205,3 +206,29 @@ def test_sweep_rows_and_zero_endpoint():
     top = {(r.model, r.algorithm): r for r in rows if r.omega == 2.0}
     assert top[("classical", "prange")].factors is None
     assert top[("classical", "wagner")].factors is not None
+
+
+@pytest.mark.parametrize(
+    "base, omegas",
+    [(WeightFunction(3, (0, 1, 1)), (0.1, 0.5, 0.9)), (WeightFunction.lee(5), (0.1, 1.0, 1.9))],
+)
+def test_table_scale_invariance(base, omegas):
+    # multiplying every weight and omega by c changes no exponent
+    ref = None
+    for c in (Fraction(1, 1000), Fraction(1), Fraction(1000)):
+        wf = WeightFunction(base.q, tuple(c * x for x in base.table))
+        k = float(c)
+        s = [sphere_exponent(wf, om * k).s for om in omegas]
+        s_many = sphere_exponent_many(wf, np.array(omegas) * k)
+        crossings = [w / k for w in local_maxima_weights(wf, 0.5)]
+        totals = [
+            optimize_point(CodeParams(wf, 0.5, om * k), model, "wagner", a_max=4).total_q
+            for om in omegas
+            for model in ("classical", "quantum")
+        ]
+        assert s_many == pytest.approx(s, abs=1e-9)
+        if ref is None:
+            ref = (s, crossings, totals)
+        assert s == pytest.approx(ref[0], abs=1e-9)
+        assert crossings == pytest.approx(ref[1], rel=1e-9)
+        assert totals == pytest.approx(ref[2], abs=1e-9)
