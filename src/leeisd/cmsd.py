@@ -3,8 +3,8 @@
 Given the bottom block (H'', s'') produced by partial Gaussian elimination,
 each builder returns a compact description of a function f over a domain
 of Y indices whose nonzero values are vectors e'' with H'' e'' = s'' and
-weight exactly p.  The outer loop enumerates f and tests each candidate
-against the remaining weight budget.
+weight exactly p.  The outer loop evaluates f on blocks of indices and
+tests each candidate against the remaining weight budget.
 
 Back ends:
   * prange: the trivial description (p = 0, no bottom block).
@@ -14,10 +14,14 @@ Back ends:
     fixed balanced per-block weight, with random intermediate targets that
     telescope to s''.
   * wagner_v2_build: the checkable-function variant; the quadratically
-    larger rightmost list is never materialized, and f(k) lazily resolves
-    the k-th element of that list through the sorted left-hand structures.
+    larger rightmost list is never materialized.  f(k) unranks the k-th
+    element of the last base list and then looks up, level by level, its
+    partner in a per-key table built once from the materialized left-hand
+    lists.
 
-Support blocks and per-block weight budgets are balanced to within one
+Materialized lists form merge trees whose leaves keep their vectors, so a
+batch of indices resolves to candidate rows by index gathering.  Support
+blocks and per-block weight budgets are balanced to within one
 unit (deterministic left-to-right) when exact divisibility fails.  Weights
 are tracked in integer-rescaled units throughout.
 """
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +41,7 @@ from .weights import (
     SphereEnumerator,
     WeightFunction,
     sphere_exponent_many,
-    vector_weight,
+    vector_weight,  # unused here; bench/tracer.py wraps cmsd.vector_weight by name
 )
 
 
@@ -55,31 +59,30 @@ class _Block:
 
 @dataclass(eq=False)
 class _Node:
-    """Merge-tree node; leaves unrank sphere elements, inner nodes recurse."""
+    """Merge-tree node over support columns sup; leaves hold their vectors."""
 
     lst: IndexedList
     sup: tuple[int, int]
-    block: _Block | None = None
+    vecs: np.ndarray | None = None
     children: tuple["_Node", "_Node"] | None = None
 
-    def resolve(self, pos: int, out: np.ndarray) -> None:
-        if self.block is not None:
-            rank = self.lst.backrefs[pos]
-            b = self.block.enum.unrank(rank)
-            out[self.block.offset : self.block.offset + self.block.length] = b
-        else:
-            i, j = self.lst.backrefs[pos]
-            self.children[0].resolve(i, out)
-            self.children[1].resolve(j, out)
+    def gather(self, pos: np.ndarray) -> np.ndarray:
+        """(len(pos), width) support parts of the entries at positions pos."""
+        refs = self.lst.backrefs[pos]
+        if self.children is None:
+            return self.vecs[refs]
+        lhs, rhs = self.children
+        return np.concatenate([lhs.gather(refs[:, 0]), rhs.gather(refs[:, 1])], axis=1)
 
 
 @dataclass(eq=False)
 class CmsdDescription:
     """Evaluable function f over [y) plus the data needed to compute it.
 
-    evaluate(i) returns a candidate vector of the stated length, or the
-    zero vector when index i resolves to no solution.  Every nonzero value
-    satisfies the syndrome and weight constraints by construction.
+    evaluate_many(idx) returns one candidate row of the stated length per
+    index, the zero vector where an index resolves to no solution;
+    evaluate(i) is its one-index view.  Every nonzero value satisfies the
+    syndrome and weight constraints by construction.
     """
 
     q: int
@@ -91,17 +94,24 @@ class CmsdDescription:
     s_second: FqVector
     wf: WeightFunction
     meta: dict
-    _eval: object = field(repr=False)
+    _eval: object = field(repr=False)  # int64 index array -> candidate rows
+
+    def evaluate_many(self, idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= self.y)]
+        if bad.size:
+            raise IndexError(f"index {bad[0]} outside [0, {self.y})")
+        return self._eval(idx)
 
     def evaluate(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.y:
-            raise IndexError(f"index {i} outside [0, {self.y})")
-        return self._eval(i)
+        return self.evaluate_many([i])[0]
 
-    def is_solution(self, v: np.ndarray) -> bool:
-        if (self.h_second.values @ v % self.q != self.s_second.values).any():
-            return False
-        return vector_weight(FqVector(self.q, v % self.q), self.wf) == self.weight
+    def is_solution(self, v: np.ndarray) -> np.ndarray:
+        """Per row of v (or for the one vector v): H'' v = s'' and weight exactly p."""
+        v = v % self.q
+        syn_ok = ((v @ self.h_second.values.T) % self.q == self.s_second.values).all(axis=-1)
+        weights = self.wf.int_table_array()[v].sum(axis=-1)
+        return syn_ok & (weights == self.wf.scaled(self.weight))
 
 
 @dataclass(eq=False)
@@ -112,14 +122,9 @@ class CmsdEnumeration:
 
 def enumerate_f(desc: CmsdDescription) -> CmsdEnumeration:
     """All values of f that satisfy the solution predicate, with distinct count."""
-    sols = []
-    seen = set()
-    for i in range(desc.y):
-        v = desc.evaluate(i)
-        if desc.is_solution(v):
-            sols.append(v)
-            seen.add(v.tobytes())
-    return CmsdEnumeration(solutions=sols, observed_z=len(seen))
+    vals = desc.evaluate_many(np.arange(desc.y))
+    sols = list(vals[desc.is_solution(vals)])
+    return CmsdEnumeration(solutions=sols, observed_z=len({v.tobytes() for v in sols}))
 
 
 # -- block layout helpers ---------------------------------------------------
@@ -162,19 +167,14 @@ def _leaf_list(
         if rng is None:
             raise ValueError("subsampling a base list requires an rng")
         ranks = sorted(_sample_ranks(cnt, size_limit, rng))
+        vecs = np.stack([block.enum.unrank(r) for r in ranks])
     else:
         if cnt > cap:
             raise MergeOverflowError(f"base list of size {cnt} exceeds cap {cap}")
-        ranks = list(range(cnt))
-    vecs = (
-        np.stack([block.enum.unrank(r) for r in ranks])
-        if size_limit is not None and cnt > size_limit
-        else block.enum.all_vectors()
-    )
-    sub = h2[:, block.offset : block.offset + block.length]
-    syn = (vecs @ sub.T) % q
-    lst = IndexedList(q, syn, ranks)
-    return _Node(lst=lst, sup=(block.offset, block.offset + block.length), block=block)
+        vecs = block.enum.all_vectors()
+    sup = (block.offset, block.offset + block.length)
+    syn = (vecs @ h2[:, sup[0] : sup[1]].T) % q
+    return _Node(IndexedList(q, syn, np.arange(len(vecs))), sup, vecs=vecs)
 
 
 def _sample_ranks(count: int, k: int, rng: random.Random) -> list[int]:
@@ -242,6 +242,49 @@ def _draw_targets(
     return targets
 
 
+def _gather_chunks(chunks: list[_Node], n: int):
+    """Evaluator over the concatenated root lists of merge trees spanning [0, n)."""
+    offsets = np.cumsum([0] + [len(nd.lst) for nd in chunks])
+
+    def evaluate(idx: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(idx), n), dtype=np.int64)
+        c = np.searchsorted(offsets, idx, side="right") - 1
+        for k in np.unique(c[idx < offsets[-1]]):
+            sel = c == k
+            out[sel] = chunks[k].gather(idx[sel] - offsets[k])
+        return out
+
+    return evaluate
+
+
+@dataclass(frozen=True, eq=False)
+class _Partners:
+    """One side list reduced to its chosen partner per J-key (keys ascending)."""
+
+    keys: np.ndarray
+    syn: np.ndarray
+    part: np.ndarray  # support parts, columns sup[0]..sup[1]
+    sup: tuple[int, int]
+
+
+def _partner_table(node: _Node, J: list[int], q: int) -> _Partners:
+    """Per J-key, the entry with the lexicographically smallest support part.
+
+    Ties go to the earlier entry.  Equal support parts have equal
+    syndromes, so this is also the first of them in the list sorted on J.
+    """
+    syn = node.lst.syndromes
+    part = node.gather(np.arange(len(syn)))
+    order = np.lexsort(
+        [np.arange(len(syn))]
+        + [part[:, c] for c in reversed(range(part.shape[1]))]
+        + [syn[:, c] for c in reversed(J)]
+    )
+    keys, first = np.unique(_encode_keys(syn[order][:, J], q), return_index=True)
+    pick = order[first]
+    return _Partners(keys, syn[pick], part[pick], node.sup)
+
+
 def _expected_solutions(base_sizes: list[int], j_groups: list[list[int]], q: int) -> float:
     """Average-case count of entries surviving the whole merge tree."""
     a = len(j_groups)
@@ -262,8 +305,6 @@ def cmsd_prange(
     if Fraction(p) != 0:
         raise ValueError("prange back end requires weight budget p = 0")
     k = h_second.cols
-    zero = np.zeros(k, dtype=np.int64)
-
     return CmsdDescription(
         q=h_second.q,
         length=k,
@@ -274,7 +315,7 @@ def cmsd_prange(
         s_second=s_second,
         wf=wf if wf is not None else WeightFunction.hamming(h_second.q),
         meta={"variant": "prange", "expected_solutions": 1.0},
-        _eval=lambda i: zero.copy(),
+        _eval=lambda idx: np.zeros((len(idx), k), dtype=np.int64),
     )
 
 
@@ -300,7 +341,7 @@ def _build_two_list(
     h2 = h_second.values
     s2 = s_second.values
     J = tuple(range(ell))
-    chunks = []  # (merged_list, left_node, right_node)
+    chunks = []  # one merge tree per populated weight split
     total = 0
     pair_products = 0.0
     if p_scaled is not None and p_scaled >= 0:
@@ -316,24 +357,10 @@ def _build_two_list(
             pair_products += float(len(left.lst)) * float(len(right.lst))
             merged = merge(left.lst, right.lst, J, s2, cap)
             if len(merged):
-                chunks.append((merged, left, right))
+                chunks.append(_Node(merged, (0, n), children=(left, right)))
                 total += len(merged)
                 if total > cap:
                     raise MergeOverflowError(f"merged output exceeds cap {cap}")
-    offsets = np.cumsum([0] + [len(c[0]) for c in chunks])
-    zero = np.zeros(n, dtype=np.int64)
-
-    def evaluate(i: int) -> np.ndarray:
-        if total == 0:
-            return zero.copy()
-        c = int(np.searchsorted(offsets, i, side="right")) - 1
-        merged, left, right = chunks[c]
-        pos = i - int(offsets[c])
-        out = np.zeros(n, dtype=np.int64)
-        li, ri = merged.backrefs[pos]
-        left.resolve(li, out)
-        right.resolve(ri, out)
-        return out
 
     # merged entries are exactly the solutions here, so the realized total
     # is the best prediction; fall back to the average-case ratio if empty
@@ -352,7 +379,7 @@ def _build_two_list(
             "splits": len(chunks),
             "expected_solutions": max(expected, 1e-300),
         },
-        _eval=evaluate,
+        _eval=_gather_chunks(chunks, n),
     )
 
 
@@ -430,22 +457,12 @@ def cmsd_wagner_v1(
         nodes = nxt
         level_sizes.append([len(nd.lst) for nd in nodes])
     root = nodes[0]
-    total = len(root.lst)
-    zero = np.zeros(n, dtype=np.int64)
-
-    def evaluate(i: int) -> np.ndarray:
-        if total == 0:
-            return zero.copy()
-        out = np.zeros(n, dtype=np.int64)
-        root.resolve(i, out)
-        return out
-
     return CmsdDescription(
         q=q,
         length=n,
         m=ell,
         weight=p_frac,
-        y=max(total, 1),
+        y=max(len(root.lst), 1),
         h_second=h_second,
         s_second=s_second,
         wf=wf,
@@ -458,7 +475,7 @@ def cmsd_wagner_v1(
                 _expected_solutions(base_sizes, j_groups, q), 1e-300
             ),
         },
-        _eval=evaluate,
+        _eval=_gather_chunks([root], n),
     )
 
 
@@ -474,11 +491,12 @@ def cmsd_wagner_v2_build(
     """Checkable-function construction over 2^a + 1 balanced support units.
 
     The rightmost list (two units wide, double weight share) is only
-    described: evaluate(k) unranks its k-th element and then walks the
-    sorted left-hand lists level by level, choosing at each level the
-    first matching partner (ties resolved by the lexicographic order of
-    the resolved candidate block), returning the assembled candidate or
-    the zero vector when some level has no partner.
+    described: f(k) unranks its k-th element and then, level by level,
+    takes from the fully merged left sibling the matching partner with the
+    lexicographically smallest support part (the first one on ties),
+    returning the assembled candidate or the zero vector when some level
+    has no partner.  The partner per key is tabled once per build, so a
+    batch of indices costs one lookup per level.
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
@@ -519,13 +537,12 @@ def cmsd_wagner_v2_build(
         )
         return _Node(lst=merged, sup=(lhs.sup[0], rhs.sup[1]), children=(lhs, rhs))
 
-    # S_j = fully merged left sibling of the lazy chain at level j, its list
-    # sorted on J_j (backrefs still point into the unsorted child lists)
-    side: list[_Node] = []
+    # partners from S_j, the fully merged left sibling of the lazy chain at level j
     nb = 1 << a
-    for j in range(1, a + 1):
-        node = build(nb - (1 << j), 1 << (j - 1))
-        side.append(replace(node, lst=node.lst.sort_on(tuple(j_groups[j - 1]))))
+    partners = [
+        _partner_table(build(nb - (1 << j), 1 << (j - 1)), j_groups[j - 1], q)
+        for j in range(1, a + 1)
+    ]
 
     cnt = last.enum.count
     if cnt > list_size_cap:
@@ -536,38 +553,26 @@ def cmsd_wagner_v2_build(
         y = cnt
     sub_last = h2[:, last.offset : last.offset + last.length]
     s2 = s_second.values
-    zero = np.zeros(n, dtype=np.int64)
     chain_targets = [targets[j][(1 << (a - j)) - 1] for j in range(1, a + 1)]
+    every_side_populated = all(len(pt.keys) for pt in partners)
 
-    def evaluate(kidx: int) -> np.ndarray:
-        r = ranks[kidx] if ranks is not None else kidx
-        b_last = last.enum.unrank(r)
-        acc = (sub_last @ b_last) % q
-        picks: list[int] = []
-        scratch = np.zeros(n, dtype=np.int64)
-        for j in range(1, a + 1):
-            J = j_groups[j - 1]
-            need = (chain_targets[j - 1][J] - acc[J]) % q
-            key = _encode_keys(need[None, :], q)[0]
-            node = side[j - 1]
-            lo_i, hi_i = node.lst.match_range(key)
-            if lo_i == hi_i:
-                return zero.copy()
-            best_pos, best_key = -1, None
-            for pos in range(lo_i, hi_i):
-                scratch[node.sup[0] : node.sup[1]] = 0
-                node.resolve(pos, scratch)
-                cand = tuple(int(x) for x in scratch[node.sup[0] : node.sup[1]])
-                if best_key is None or cand < best_key:
-                    best_key, best_pos = cand, pos
-            picks.append(best_pos)
-            acc = (acc + node.lst.syndromes[best_pos]) % q
-        if (acc != s2).any():  # targets telescope to s''; this must hold
-            return zero.copy()
-        out = np.zeros(n, dtype=np.int64)
-        out[last.offset : last.offset + last.length] = b_last
-        for node, pos in zip(side, picks):
-            node.resolve(pos, out)
+    def evaluate(idx: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(idx), n), dtype=np.int64)
+        if not every_side_populated:
+            return out
+        rs = idx.tolist() if ranks is None else [ranks[k] for k in idx]
+        tail = out[:, last.offset : last.offset + last.length]  # a view into out
+        tail[:] = np.reshape([last.enum.unrank(r) for r in rs], tail.shape)
+        acc = (tail @ sub_last.T) % q
+        ok = np.ones(len(idx), dtype=bool)
+        for pt, J, t in zip(partners, j_groups, chain_targets):
+            keys = _encode_keys((t[J] - acc[:, J]) % q, q)
+            u = np.minimum(np.searchsorted(pt.keys, keys), len(pt.keys) - 1)
+            ok &= pt.keys[u] == keys
+            acc = (acc + pt.syn[u]) % q
+            out[:, pt.sup[0] : pt.sup[1]] = pt.part[u]
+        ok &= (acc == s2).all(axis=1)  # targets telescope to s''; this must hold
+        out[~ok] = 0
         return out
 
     base_sizes = [len(nd.lst) for nd in materialized] + [y]

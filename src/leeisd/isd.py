@@ -40,6 +40,9 @@ from .weights import (
 
 VARIANTS = ("prange", "dumer", "wagner1", "wagner2")
 
+# candidates evaluated and tested per batch: bounds memory, never changes a result
+CANDIDATE_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class SdInstance:
@@ -230,25 +233,47 @@ def _check_params(inst: SdInstance, params: IsdParams) -> None:
         raise ValueError("prange requires ell = 0 and p = 0")
 
 
+def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
+    """(first candidate of desc that completes to a solution, candidates tested).
+
+    Candidates go in index order, CANDIDATE_BLOCK at a time; e' = s' - H' e''
+    must carry the remaining scaled weight w_rem.  The count runs up to and
+    including the hit, or over all of desc when there is none.
+    """
+    q = inst.q
+    h1, s1 = ech.h_prime.values, ech.s_prime.values
+    tab = inst.wf.int_table_array()
+    for lo in range(0, desc.y, CANDIDATE_BLOCK):
+        e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
+        e1 = (s1 - e2 @ h1.T) % q
+        for i in np.flatnonzero(desc.is_solution(e2) & (tab[e1].sum(axis=1) == w_rem)):
+            e_perm = FqVector(q, np.concatenate([e1[i], e2[i]]))
+            e = apply_permutation(e_perm, perm.inverse())
+            if verify_solution(inst, e):  # soundness guard; never expected to fail
+                return e, lo + int(i) + 1
+    return None, desc.y
+
+
 def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
     """Run the permute / reduce / merge / test loop until a hit or budget end."""
     _check_params(inst, params)
     rng = random.Random(params.rng_seed)
     t0 = time.monotonic()
-    n, q = inst.n, inst.q
     p1 = _exact_p1(inst, params.ell, params.p)
     # an empty outer sphere means no permutation can ever succeed
     budget = params.max_outer_loops if p1 > 0.0 else 0
+    w_rem = inst.wf.scaled(inst.w - params.p)
     singular_retries = 0
     cmsd_calls = 0
     tested = 0
     loops = 0
-    while loops < budget:
+    solution = None
+    while solution is None and loops < budget:
         loops += 1
         perm = None
         ech = None
         for _ in range(256):  # singular leading blocks are constant-probability events
-            perm = Permutation.random(n, rng)
+            perm = Permutation.random(inst.n, rng)
             try:
                 ech = partial_gaussian_elim(
                     apply_permutation(inst.h, perm), params.ell, inst.s
@@ -265,38 +290,10 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
             if p1 > 0.0:
                 predicted = 10.0 * math.ceil(1.0 / max(p1 * z_hat, 1e-12))
                 budget = max(1, min(params.max_outer_loops, int(predicted)))
-        h1 = ech.h_prime.values
-        s1 = ech.s_prime.values
-        s2 = ech.s_second.values
-        h2 = ech.h_second.values
-        w_rem = inst.w - params.p
-        for i in range(desc.y):
-            e2 = desc.evaluate(i)
-            tested += 1
-            if ((h2 @ e2) % q != s2).any():
-                continue
-            if vector_weight(FqVector(q, e2), inst.wf) != params.p:
-                continue
-            e1 = (s1 - h1 @ e2) % q
-            if vector_weight(FqVector(q, e1), inst.wf) != w_rem:
-                continue
-            e_perm = FqVector(q, np.concatenate([e1, e2]))
-            e = apply_permutation(e_perm, perm.inverse())
-            if not verify_solution(inst, e):  # soundness guard; never expected
-                continue
-            return SolveReport(
-                solution=e,
-                outer_loops=loops,
-                cmsd_calls=cmsd_calls,
-                tested_candidates=tested,
-                wall_stats={
-                    "elapsed_s": time.monotonic() - t0,
-                    "singular_retries": singular_retries,
-                    "loop_budget": budget,
-                },
-            )
+        solution, n_tested = _first_hit(inst, desc, ech, perm, w_rem)
+        tested += n_tested
     return SolveReport(
-        solution=None,
+        solution=solution,
         outer_loops=loops,
         cmsd_calls=cmsd_calls,
         tested_candidates=tested,

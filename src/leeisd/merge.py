@@ -64,12 +64,13 @@ class IndexedList:
 
     q: int
     syndromes: np.ndarray
-    backrefs: list
+    backrefs: np.ndarray
     sorted_on: tuple[int, ...] | None = None
     _keys: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.syndromes = np.ascontiguousarray(self.syndromes, dtype=np.int64)
+        self.backrefs = np.asarray(self.backrefs)
         if self.syndromes.ndim != 2:
             raise ValueError("syndromes must be a 2-D array")
         if len(self.backrefs) != self.syndromes.shape[0]:
@@ -101,7 +102,7 @@ class IndexedList:
         out = IndexedList(
             q=self.q,
             syndromes=self.syndromes[order],
-            backrefs=[self.backrefs[i] for i in order],
+            backrefs=self.backrefs[order],
             sorted_on=J,
         )
         out._keys = _encode_keys(out.syndromes[:, list(J)], self.q)
@@ -136,9 +137,9 @@ def merge(
 ) -> IndexedList:
     """All sums x + y with x in L1, y in L2 and (x + y)|J = t|J.
 
-    Returns a new IndexedList whose backrefs are (i, j) index pairs into
-    the input lists as given.  Raises MergeOverflowError if the output
-    would exceed cap entries.
+    Returns a new IndexedList whose backrefs are the (N, 2) int64 array of
+    (i, j) index pairs into the input lists as given.  Raises
+    MergeOverflowError if the output would exceed cap entries.
     """
     if L1.q != L2.q:
         raise ValueError("modulus mismatch between lists")
@@ -169,16 +170,9 @@ def merge(
     total = int(counts.sum())
     if total > cap:
         raise MergeOverflowError(f"merge would produce {total} > cap {cap} entries")
-    if total == 0:
-        return IndexedList(q, np.zeros((0, L1.width), dtype=np.int64), [])
 
+    # output entry o of L2 row j pairs with sorted1 row lo[j] + (o - first output of j)
     j_idx = np.repeat(np.arange(len(L2), dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-    )
-    pos1 = starts + offsets
+    pos1 = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     syn = (sorted1.syndromes[pos1] + L2.syndromes[j_idx]) % q
-    i_orig = order_map[pos1]
-    backrefs = list(zip(i_orig.tolist(), j_idx.tolist()))
-    return IndexedList(q, syn, backrefs)
+    return IndexedList(q, syn, np.stack([order_map[pos1], j_idx], axis=1))

@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import math
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,7 +45,9 @@ class WeightFunction:
 
     The table fixes the metric: lee uses min(x, q - x), hamming charges 1
     for every nonzero symbol, and custom tables may hold any nonnegative
-    rationals.
+    rationals, at least one of them positive.  Derived views (the scaled
+    integer table, the entropy solver's weight classes) are computed once
+    per instance.
     """
 
     q: int
@@ -62,6 +63,8 @@ class WeightFunction:
             raise ValueError("weight of the zero symbol must be 0")
         if any(x < 0 for x in tab):
             raise ValueError("weights must be nonnegative")
+        if not any(x > 0 for x in tab):
+            raise ValueError("at least one symbol must have positive weight")
         object.__setattr__(self, "table", tab)
 
     @classmethod
@@ -102,17 +105,24 @@ class WeightFunction:
 
     # -- derived integer-scaled view -------------------------------------
 
-    @property
+    @cached_property
     def denominator(self) -> int:
         """Common denominator used to rescale the table to integers."""
-        return _scaled(self)[0]
+        return math.lcm(*(x.denominator for x in self.table))
 
-    @property
+    @cached_property
     def int_table(self) -> tuple[int, ...]:
-        return _scaled(self)[1]
+        return tuple(int(x * self.denominator) for x in self.table)
+
+    @cached_property
+    def _int_array(self) -> np.ndarray:
+        arr = np.asarray(self.int_table, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
 
     def int_table_array(self) -> np.ndarray:
-        return np.asarray(self.int_table, dtype=np.int64)
+        """The scaled table as a read-only int64 array, shared by every caller."""
+        return self._int_array
 
     @property
     def max_weight(self) -> Fraction:
@@ -125,7 +135,7 @@ class WeightFunction:
 
     def weight_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct weights as floats, multiplicities) for entropy solves."""
-        d = _dual(self)
+        d = self._dual_solver
         return d.w, d.mult
 
     def scaled(self, w) -> int | None:
@@ -135,13 +145,23 @@ class WeightFunction:
             return None
         return int(f)
 
+    @cached_property
+    def _dual_solver(self) -> "_Dual":
+        """Weight classes of the table and the bracket of its entropy solver.
 
-@lru_cache(maxsize=64)
-def _scaled(wf: WeightFunction) -> tuple[int, tuple[int, ...]]:
-    den = 1
-    for x in wf.table:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return den, tuple(int(x * den) for x in wf.table)
+        At beta = +-beta_max the class next to an extreme weight carries at
+        most e^-60 times its multiplicity ratio of the extreme class's mass,
+        so the bracket holds every mean-weight target that is not within
+        about that fraction of either end.  It follows the table's own
+        scale: multiplying every weight by c divides beta_max by c.
+        """
+        uniq, inv = np.unique([float(x) for x in self.table], return_inverse=True)
+        mult = np.bincount(inv).astype(float)
+        uniq.setflags(write=False)
+        mult.setflags(write=False)
+        lnq = math.log(self.q)
+        end_gap = min(uniq[1] - uniq[0], uniq[-1] - uniq[-2])
+        return _Dual(uniq, mult, lnq, 60.0 / (float(end_gap) * lnq))
 
 
 def vector_weight(v: FqVector, wf: WeightFunction) -> Fraction:
@@ -205,17 +225,10 @@ def sphere_count_exact(wf: WeightFunction, n: int, w) -> int:
 
 # -- sphere enumeration, ranking and sampling ------------------------------
 
-_dp_lock = threading.Lock()
-_dp_cache: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
 
-
-def _dp_rows(int_table: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _dp_rows(int_table: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n of the suffix-count table: row[i][j] = #length-i vectors of weight j."""
-    key = (int_table, n)
-    with _dp_lock:
-        cached = _dp_cache.get(key)
-    if cached is not None:
-        return cached
     maxw = max(int_table) if int_table else 0
     hist: dict[int, int] = {}
     for w in int_table:
@@ -229,9 +242,7 @@ def _dp_rows(int_table: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
                 if v:
                     cur[j + w] += c * v
         rows.append(tuple(cur))
-    with _dp_lock:
-        _dp_cache[key] = rows
-    return rows
+    return tuple(rows)
 
 
 class SphereEnumerator:
@@ -378,26 +389,6 @@ class _Dual:
         return lam, lam @ self.w, ent
 
 
-@lru_cache(maxsize=64)
-def _dual(wf: WeightFunction) -> _Dual:
-    """Weight classes of wf and the bracket of its entropy solver.
-
-    At beta = +-beta_max the class next to an extreme weight carries at
-    most e^-60 times its multiplicity ratio of the extreme class's mass, so
-    the bracket holds every mean-weight target that is not within about
-    that fraction of either end.  It follows the table's own scale:
-    multiplying every weight by c divides beta_max by c.
-    """
-    tab = np.asarray([float(x) for x in wf.table])
-    uniq, inv = np.unique(tab, return_inverse=True)
-    mult = np.bincount(inv).astype(float)
-    uniq.setflags(write=False)
-    mult.setflags(write=False)
-    lnq = math.log(wf.q)
-    end_gap = min(uniq[1] - uniq[0], uniq[-1] - uniq[-2]) if len(uniq) > 1 else 1.0
-    return _Dual(uniq, mult, lnq, 60.0 / (float(end_gap) * lnq))
-
-
 def _bisect(lo: np.ndarray, hi: np.ndarray, root_above) -> np.ndarray:
     """Elementwise bisection; root_above(mid) is True where the root exceeds mid."""
     for _ in range(72):
@@ -414,7 +405,7 @@ def _solve_dual(wf: WeightFunction, omegas):
     Targets are clipped to [0, max weight]; at the two ends the entropy and
     beta are the exact limits (uniform over the extreme-weight symbols).
     """
-    d = _dual(wf)
+    d = wf._dual_solver
     om = np.clip(np.atleast_1d(np.asarray(omegas, dtype=float)), 0.0, d.w[-1])
 
     def root_above(beta):
@@ -439,7 +430,7 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
     is unique.  Boundary targets (omega = 0 or omega = max weight)
     concentrate exactly on the extreme-weight symbols.
     """
-    d = _dual(wf)
+    d = wf._dual_solver
     wmax = float(d.w[-1])
     if not -_WEIGHT_TOL <= omega <= wmax + _WEIGHT_TOL:
         raise ValueError(f"target weight {omega} outside [0, {wmax}]")
@@ -465,7 +456,7 @@ def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
     one two-element bisection.  When even the maximal weight has entropy
     above s, the upper branch has no crossing and returns the top weight.
     """
-    d = _dual(wf)
+    d = wf._dual_solver
     side = np.array([1.0, -1.0])
     beta = _bisect(
         np.array([0.0, -d.beta_max]),

@@ -152,6 +152,16 @@ def test_corrupt_weight_table_rejected(tmp_path, capsys):
         capsys, "sphere", "--q", "5", "--weight", str(table), "--omega", "1.0"
     )
     assert code == 2 and "error" in err
+    # an all-zero table has no positive weight: rejected up front, not a traceback
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"q": 3, "table": [0, 0, 0]}))
+    for cmd, *rest in (
+        ("sphere", "--omega", "0"),
+        ("estimate", "--R", "0.5", "--omega", "0"),
+        ("sweep", "--R", "0.5", "--points", "3"),
+    ):
+        code, _, err = run_cli(capsys, cmd, "--q", "3", "--weight", str(zero), *rest)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, cmd
 
 
 def test_custom_weight_table_accepted(tmp_path, capsys):

@@ -12,10 +12,15 @@ from leeisd.cmsd import (
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
     enumerate_f,
+    _draw_targets,
+    _j_partition,
+    _make_blocks,
+    _sample_ranks,
     _split_lengths,
     _split_weight,
 )
 from leeisd.fieldlin import FqMatrix, FqVector, random_full_rank_matrix
+from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, _encode_keys, merge
 from leeisd.weights import SphereEnumerator, WeightFunction, vector_weight
 
 
@@ -256,3 +261,98 @@ def test_observed_z_slope_matches_prediction():
         log_z.append(math.log(sum(zs) / len(zs), q))
     slope = np.polyfit(sizes, log_z, 1)[0]
     assert abs(slope - zeta_per_n) <= 0.15
+
+
+def wagner2_reference(h2, s2, wf, p, a, cap, seed):
+    """f over its whole domain by the per-index walk, rebuilt from the build steps.
+
+    For each last-list element and each level, the candidates are the
+    match_range of the needed key in the side list sorted on J_j; the one
+    with the lexicographically smallest resolved block wins, the first
+    position on ties.  A level without a match, or a sum missing s'', gives
+    the zero row.
+    """
+    rng = random.Random(seed)
+    q, (ell, n) = h2.q, h2.values.shape
+    p_scaled = wf.scaled(p)
+    units = (1 << a) + 1
+    lengths, wsplit = _split_lengths(n, units), _split_weight(p_scaled, units)
+    blocks = _make_blocks(
+        wf, lengths[:-2] + [lengths[-2] + lengths[-1]], wsplit[:-2] + [wsplit[-2] + wsplit[-1]]
+    )
+    last = blocks[-1]
+    j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=units)
+    targets = _draw_targets(s2.values, j_groups, a, q, rng)
+
+    def build(lo, size):
+        """(list, part) where part(backref) resolves one entry's support block."""
+        if size == 1:
+            b = blocks[lo]
+            vecs = b.enum.all_vectors()
+            syn = vecs @ h2.values[:, b.offset : b.offset + b.length].T % q
+            return IndexedList(q, syn, np.arange(len(vecs))), lambda ref: vecs[ref]
+        half = size // 2
+        (l1, part1), (l2, part2) = build(lo, half), build(lo + half, half)
+        level = size.bit_length() - 1
+        merged = merge(l1, l2, tuple(j_groups[level - 1]), targets[level][lo // size], cap)
+        return merged, lambda ref: np.concatenate(
+            [part1(l1.backrefs[ref[0]]), part2(l2.backrefs[ref[1]])]
+        )
+
+    nb = 1 << a
+    sides = []
+    for j in range(1, a + 1):
+        lst, part = build(nb - (1 << j), 1 << (j - 1))
+        sides.append((lst.sort_on(tuple(j_groups[j - 1])), part, blocks[nb - (1 << j)].offset))
+    cnt = last.enum.count
+    ranks = sorted(_sample_ranks(cnt, cap, rng)) if cnt > cap else range(cnt)
+    rows = []
+    for r in ranks:
+        out = np.zeros(n, dtype=np.int64)
+        out[last.offset :] = last.enum.unrank(r)
+        acc = h2.values[:, last.offset :] @ out[last.offset :] % q
+        for j, (lst, part, off) in enumerate(sides, 1):
+            J = j_groups[j - 1]
+            need = (targets[j][(1 << (a - j)) - 1][J] - acc[J]) % q
+            lo, hi = lst.match_range(_encode_keys(need[None, :], q)[0])
+            if lo == hi:
+                out[:] = 0
+                break
+            best = min(range(lo, hi), key=lambda pos: tuple(part(lst.backrefs[pos]).tolist()))
+            blk = part(lst.backrefs[best])
+            out[off : off + len(blk)] = blk
+            acc = (acc + lst.syndromes[best]) % q
+        if (acc != s2.values).any():
+            out[:] = 0
+        rows.append(out)
+    return np.array(rows)
+
+
+def test_wagner2_partner_tables_match_per_index_walk():
+    rng = random.Random(2718)
+    cases = (  # (weight, ell, n, p, a, cap): a = 1..3, sampled last lists, wide keys
+        (WeightFunction.lee(3), 3, 12, 3, 1, DEFAULT_LIST_CAP),
+        (WeightFunction.lee(3), 3, 15, 3, 1, 50),
+        (WeightFunction.hamming(3), 4, 15, 5, 2, DEFAULT_LIST_CAP),
+        (WeightFunction.lee(5), 4, 20, 5, 2, 60),
+        (WeightFunction.lee(3), 6, 27, 9, 3, DEFAULT_LIST_CAP),
+        (WeightFunction.lee(331), 8, 9, 3, 1, DEFAULT_LIST_CAP),  # q^|J| >= 2^62
+    )
+    nonzero = 0
+    for wf, ell, n, p, a, cap in cases:
+        q = wf.q
+        for seed in range(3):
+            # plant a solution whose unit weights follow the balanced split
+            units = (1 << a) + 1
+            planted = []
+            for ln, w in zip(_split_lengths(n, units), _split_weight(wf.scaled(p), units)):
+                enum = SphereEnumerator(wf, ln, w)
+                planted.append(enum.unrank(rng.randrange(enum.count)))
+            h2 = random_full_rank_matrix(q, ell, n, rng)
+            s2 = FqVector(q, (h2.values @ np.concatenate(planted)) % q)
+            desc = cmsd_wagner_v2_build(h2, s2, wf, p, a=a, list_size_cap=cap, rng=random.Random(seed))
+            got = desc.evaluate_many(np.arange(desc.y))
+            want = wagner2_reference(h2, s2, wf, p, a, cap, seed)
+            assert np.array_equal(got, want), (q, ell, n, p, a, cap, seed)
+            nonzero += int(want.any(axis=1).sum())
+    assert nonzero > 0

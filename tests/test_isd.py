@@ -195,3 +195,36 @@ def test_report_serialization():
     assert doc["found"] is True
     assert doc["solution"] == report.solution.tolist()
     json.dumps(doc)  # must be JSON-serializable as-is
+
+
+# (variant, metric, n, k, w, ell, p, a, instance seed, solver seed) ->
+# (outer_loops, tested_candidates, solution) of seeded q=3 solves: the order
+# in which candidates are tried, and the count up to the hit, stay fixed
+PINNED_SOLVES = (
+    (
+        ("prange", "hamming", 20, 10, 5, 0, 0, 1, 101, 5),
+        (4, 4, [0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 2, 0]),
+    ),
+    (
+        ("dumer", "lee", 30, 15, 7, 3, 2, 1, 106, 6),
+        (2, 19, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]),
+    ),
+    (
+        ("wagner1", "lee", 28, 14, 7, 4, 4, 2, 103, 7),
+        (14, 141, [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 1]),
+    ),
+    (
+        ("wagner2", "hamming", 28, 14, 8, 4, 3, 2, 104, 8),
+        (12, 681, [0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 2, 0, 2, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0]),
+    ),
+)
+
+
+@pytest.mark.parametrize("case,expected", PINNED_SOLVES, ids=[c[0][0] for c in PINNED_SOLVES])
+def test_solve_reports_pinned(case, expected):
+    variant, metric, n, k, w, ell, p, a, inst_seed, solver_seed = case
+    wf = getattr(WeightFunction, metric)(3)
+    inst = generate_instance(3, n, k, w, wf, random.Random(inst_seed))
+    rep = isd_solve(inst, IsdParams(variant=variant, ell=ell, p=p, a=a, rng_seed=solver_seed))
+    assert (rep.outer_loops, rep.tested_candidates, rep.solution.tolist()) == expected
+    assert rep.cmsd_calls == rep.outer_loops

@@ -28,7 +28,7 @@ def test_hand_example():
     out = merge(L1, L2, (0,), np.array([0, 0]))
     assert len(out) == 1
     assert out.syndromes[0].tolist() == [0, 0]
-    assert out.backrefs[0] == (1, 0)  # (1,2) + (2,1)
+    assert out.backrefs[0].tolist() == [1, 0]  # (1,2) + (2,1)
 
 
 def test_empty_right_list():
@@ -123,6 +123,6 @@ def test_deterministic_tie_order():
     q = 3
     syn = np.array([[1, 2], [1, 0], [1, 0]], dtype=np.int64)
     lst = IndexedList(q, syn, ["x", "y", "z"]).sort_on((0,))
-    assert lst.backrefs == ["y", "z", "x"]
+    assert lst.backrefs.tolist() == ["y", "z", "x"]
     lo, hi = lst.match_range(1)
     assert (lo, hi) == (0, 3)

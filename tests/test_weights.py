@@ -41,6 +41,8 @@ def test_table_construction():
         WeightFunction(3, (0, -1, 1))
     with pytest.raises(ValueError):
         WeightFunction(3, (0, 1))  # wrong length
+    with pytest.raises(ValueError):
+        WeightFunction(3, (0, 0, 0))  # no positive weight
 
 
 def test_custom_table_json_roundtrip():
@@ -50,6 +52,10 @@ def test_custom_table_json_roundtrip():
     back = WeightFunction.from_json(rational.to_json())
     assert back.table == rational.table
     assert rational.denominator == 2 and rational.int_table == (0, 1, 3)
+    arr = rational.int_table_array()
+    assert arr.tolist() == [0, 1, 3] and arr is rational.int_table_array()
+    with pytest.raises(ValueError):
+        arr[0] = 5  # one shared copy per table, so it is read-only
 
 
 def test_vector_weight_examples():
