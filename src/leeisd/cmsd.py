@@ -20,7 +20,10 @@ Back ends:
     lists.
 
 Materialized lists form merge trees whose leaves keep their vectors, so a
-batch of indices resolves to candidate rows by index gathering.  Support
+batch of indices resolves to candidate rows by index gathering.  Neither
+a leaf sphere nor the J partition depends on H: each sphere is built once
+per (table, length, weight) and each partition once per layout, and only
+their syndromes, the targets and the merges are computed per build.  Support
 blocks and per-block weight budgets are balanced to within one
 unit (deterministic left-to-right) when exact divisibility fails.  Weights
 are tracked in integer-rescaled units throughout.
@@ -32,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,8 +170,7 @@ def _leaf_list(
     if size_limit is not None and cnt > size_limit:
         if rng is None:
             raise ValueError("subsampling a base list requires an rng")
-        ranks = sorted(_sample_ranks(cnt, size_limit, rng))
-        vecs = np.stack([block.enum.unrank(r) for r in ranks])
+        vecs = block.enum.unrank_many(sorted(_sample_ranks(cnt, size_limit, rng)))
     else:
         if cnt > cap:
             raise MergeOverflowError(f"base list of size {cnt} exceeds cap {cap}")
@@ -193,8 +196,16 @@ def _j_partition(
 
     The first a-1 groups take round(N*u) coordinates each, following the
     list-size balancing rule with u = min(s(omega0)/branches, m0/a); the
-    last group absorbs the remainder.
+    last group absorbs the remainder.  Computed once per argument tuple;
+    every call gets fresh lists.
     """
+    return [list(g) for g in _j_groups(wf, n_support, ell, p_scaled, a, branch_count)]
+
+
+@lru_cache(maxsize=64)
+def _j_groups(
+    wf: WeightFunction, n_support: int, ell: int, p_scaled: int, a: int, branch_count: int
+) -> tuple[tuple[int, ...], ...]:
     if a == 1 or ell == 0 or n_support == 0:
         sizes = [0] * (a - 1) + [ell]
     else:
@@ -212,9 +223,9 @@ def _j_partition(
     groups = []
     at = 0
     for sz in sizes:
-        groups.append(list(range(at, at + sz)))
+        groups.append(tuple(range(at, at + sz)))
         at += sz
-    return groups
+    return tuple(groups)
 
 
 def _draw_targets(
@@ -546,7 +557,7 @@ def cmsd_wagner_v2_build(
 
     cnt = last.enum.count
     if cnt > list_size_cap:
-        ranks = sorted(_sample_ranks(cnt, list_size_cap, rng))
+        ranks = np.asarray(sorted(_sample_ranks(cnt, list_size_cap, rng)))
         y = list_size_cap
     else:
         ranks = None
@@ -560,9 +571,8 @@ def cmsd_wagner_v2_build(
         out = np.zeros((len(idx), n), dtype=np.int64)
         if not every_side_populated:
             return out
-        rs = idx.tolist() if ranks is None else [ranks[k] for k in idx]
-        tail = out[:, last.offset : last.offset + last.length]  # a view into out
-        tail[:] = np.reshape([last.enum.unrank(r) for r in rs], tail.shape)
+        tail = last.enum.unrank_many(idx if ranks is None else ranks[idx])
+        out[:, last.offset : last.offset + last.length] = tail
         acc = (tail @ sub_last.T) % q
         ok = np.ones(len(idx), dtype=bool)
         for pt, J, t in zip(partners, j_groups, chain_targets):

@@ -229,6 +229,11 @@ def _check_params(inst: SdInstance, params: IsdParams) -> None:
         raise ValueError(f"ell must lie in [0, {inst.n - inst.k}]")
     if params.p < 0 or params.p > inst.w:
         raise ValueError("weight budget p must lie in [0, w]")
+    if inst.wf.scaled(params.p) is None:
+        raise ValueError(
+            f"weight budget p={params.p} is not a multiple of the table unit"
+            f" 1/{inst.wf.denominator}"
+        )
     if params.variant == "prange" and (params.ell != 0 or params.p != 0):
         raise ValueError("prange requires ell = 0 and p = 0")
 

@@ -298,32 +298,81 @@ class SphereEnumerator:
             budget -= self._tab[int(v[i])]
         return r
 
+    def unrank_many(self, ranks) -> np.ndarray:
+        """(len(ranks), n) array whose row k is unrank(ranks[k])."""
+        r = np.asarray(ranks).reshape(-1)
+        if r.size == 0:
+            return np.zeros((0, self.n), dtype=np.int64)
+        if r.min() < 0 or r.max() >= self.count:
+            raise IndexError(f"ranks outside [0, {self.count}) for this sphere")
+        return _unrank_rows(self._tab, self.n, self.w_scaled, r)
+
     def __iter__(self):
         for r in range(self.count):
             yield self.unrank(r)
 
     def all_vectors(self) -> np.ndarray:
-        """Dense (count, n) array of every sphere element, in rank order."""
-        cnt = self.count
-        out = np.zeros((cnt, self.n), dtype=np.int64)
-        if cnt == 0:
-            return out
-        self._fill(out, 0, cnt, 0, self.w_scaled)
-        return out
+        """Read-only dense (count, n) array of every sphere element, in rank order.
 
-    def _fill(self, out, lo, hi, pos, budget):
-        if pos == self.n:
-            return
-        rem = self.n - pos - 1
-        row = self._rows[rem]
-        at = lo
-        for x in range(self.wf.q):
-            left = budget - self._tab[x]
-            c = row[left] if 0 <= left < len(row) else 0
-            if c:
-                out[at : at + c, pos] = x
-                self._fill(out, at, at + c, pos + 1, left)
-                at += c
+        Built once per (scaled table, n, w) and shared by every enumerator.
+        """
+        return _sphere_vectors(self._tab, self.n, self.w_scaled)
+
+
+@lru_cache(maxsize=64)
+def _suffix_table(int_table: tuple[int, ...], n: int, w_scaled: int) -> np.ndarray:
+    """(n+1, 2*w_scaled+1) array: [i, w_scaled + j] = #length-i vectors of weight j.
+
+    The entries for weights j in [-w_scaled, w_scaled] are all an unrank at
+    weight w_scaled reads (negative weights count 0).  The array is int64
+    when they fit and holds Python ints (dtype object) otherwise; the full
+    _dp_rows may overflow int64 even when this slice does not.
+    """
+    cells = [
+        [0] * w_scaled + [row[j] if j < len(row) else 0 for j in range(w_scaled + 1)]
+        for row in _dp_rows(int_table, n)
+    ]
+    fits = max(map(max, cells)) < 2**63
+    arr = np.array(cells, dtype=np.int64 if fits else object)
+    arr.setflags(write=False)
+    return arr
+
+
+def _unrank_rows(
+    int_table: tuple[int, ...], n: int, w_scaled: int, ranks: np.ndarray
+) -> np.ndarray:
+    """The scalar unrank walk, one numpy step per position and symbol over all ranks."""
+    table = _suffix_table(int_table, n, w_scaled)
+    symbols = [(x, t) for x, t in enumerate(int_table) if t <= w_scaled]
+    r = ranks.astype(table.dtype)
+    budget = np.full(len(r), w_scaled, dtype=np.int64)
+    out = np.zeros((len(r), n), dtype=np.int64)
+    for i in range(n):
+        row = table[n - i - 1]
+        col = out[:, i]  # a view into out
+        open_ = np.ones(len(r), dtype=bool)
+        for x, cost in symbols:
+            c = row[budget - cost + w_scaled]
+            take = open_ & (r < c)
+            col += x * take
+            budget -= cost * take
+            open_ ^= take
+            r -= c * open_
+            if not open_.any():
+                break
+    return out
+
+
+@lru_cache(maxsize=64)
+def _sphere_vectors(int_table: tuple[int, ...], n: int, w_scaled: int) -> np.ndarray:
+    rows = _dp_rows(int_table, n)
+    count = rows[n][w_scaled] if 0 <= w_scaled < len(rows[n]) else 0
+    if count:
+        out = _unrank_rows(int_table, n, w_scaled, np.arange(count))
+    else:
+        out = np.zeros((0, n), dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def sample_uniform_weight_w(wf: WeightFunction, n: int, w, rng: random.Random) -> FqVector:

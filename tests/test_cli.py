@@ -138,6 +138,11 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
         capsys, "solve", str(small), "--alg", "wagner1", "--ell", "1", "--p", "6", "--a", "2"
     )
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # a budget that is not a multiple of the table unit: rejected before any loop
+    code, _, err = run_cli(
+        capsys, "solve", str(small), "--alg", "dumer", "--ell", "4", "--p", "1/2"
+    )
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     # no feasible prange point at this weight: InfeasibleParameterError
     code, _, err = run_cli(
         capsys, "estimate", "--q", "3", "--R", "0.5", "--omega", "0.9", "--alg", "prange"

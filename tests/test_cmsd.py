@@ -49,6 +49,12 @@ def test_split_helpers():
     assert _split_lengths(8, 4) == [2, 2, 2, 2]
     assert _split_weight(6, 4) == [1, 2, 1, 2]
     assert sum(_split_weight(7, 3)) == 7
+    # the partition is cached; a caller mutating its copy leaves the next call intact
+    groups = _j_partition(WeightFunction.lee(3), 27, 6, 9, 3, branch_count=9)
+    groups[0].append(5)
+    groups.pop()
+    again = _j_partition(WeightFunction.lee(3), 27, 6, 9, 3, branch_count=9)
+    assert again == [[0, 1], [2, 3], [4, 5]]
 
 
 def test_prange_description():

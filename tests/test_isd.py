@@ -182,6 +182,8 @@ def test_param_validation():
         isd_solve(inst, IsdParams(variant="dumer", ell=9, p=1))
     with pytest.raises(ValueError):
         isd_solve(inst, IsdParams(variant="dumer", ell=2, p=5))
+    with pytest.raises(ValueError):  # p is not a multiple of the lee table unit
+        isd_solve(inst, IsdParams(variant="dumer", ell=2, p=Fraction(1, 2)))
     with pytest.raises(ValueError):
         IsdParams(variant="nope")
 

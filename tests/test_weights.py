@@ -220,6 +220,39 @@ def test_enumerator_rank_roundtrip():
     assert dense.shape == (enum.count, 4)
     for r in range(enum.count):
         assert np.array_equal(dense[r], enum.unrank(r))
+    # built once per (scaled table, n, w), shared and read-only
+    assert not dense.flags.writeable
+    assert SphereEnumerator(WeightFunction.lee(5), 4, 3).all_vectors() is dense
+    with pytest.raises(ValueError):
+        dense[0, 0] = 1
+
+
+def test_unrank_many_matches_scalar_unrank():
+    rational = WeightFunction(5, (0, 0, Fraction(1, 2), Fraction(3, 2), 1))
+    cases = (  # (table, n, w)
+        (WeightFunction.lee(3), 9, 5),
+        (WeightFunction.lee(5), 5, 4),
+        (WeightFunction.hamming(7), 4, 2),
+        (rational, 5, Fraction(5, 2)),
+        # count 200, but the full DP rows overflow int64
+        (WeightFunction.lee(331), 10, 2),
+        # count >= 2^63: ranks and counts stay Python ints
+        (WeightFunction.hamming(331), 10, 10),
+    )
+    rng = random.Random(31)
+    for wf, n, w in cases:
+        enum = SphereEnumerator(wf, n, w)
+        if enum.count <= 2000:
+            ranks = list(range(enum.count))
+        else:
+            ranks = sorted(rng.randrange(enum.count) for _ in range(200)) + [0, enum.count - 1]
+        got = enum.unrank_many(ranks)
+        assert got.shape == (len(ranks), n) and got.dtype == np.int64
+        assert np.array_equal(got, np.array([enum.unrank(r) for r in ranks])), (wf, n, w)
+        assert enum.unrank_many([]).shape == (0, n)
+        with pytest.raises(IndexError):
+            enum.unrank_many([0, enum.count])
+    assert SphereEnumerator(WeightFunction.hamming(331), 10, 10).count >= 2**63
 
 
 def test_sampling_weight_zero_and_postcondition():
