@@ -25,8 +25,8 @@ import numpy as np
 from . import estimator
 from .cmsd import CmsdInfeasibleError
 from .estimator import CodeParams, HardestResult, WorkFactors
-from .isd import IsdParams, SdInstance, generate_instance, isd_solve, verify_solution
-from .merge import MergeOverflowError
+from .isd import VARIANTS, IsdParams, SdInstance, generate_instance, isd_solve, verify_solution
+from .merge import DEFAULT_LIST_CAP, MergeOverflowError
 from .weights import WeightFunction, sphere_count_exact, sphere_exponent
 
 CSV_FIELDS = (
@@ -74,7 +74,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _factors_doc(q: int, fac: WorkFactors) -> dict:
+def _factors_doc(fac: WorkFactors) -> dict:
     return {
         "a": fac.point.a,
         "L": fac.point.L,
@@ -91,17 +91,15 @@ def _factors_doc(q: int, fac: WorkFactors) -> dict:
     }
 
 
-def _csv_row(
-    q: int, weight: str, rate: float, model: str, algorithm: str, omega: float, fac
-) -> dict:
+def _csv_row(wf: WeightFunction, rate: float, model: str, alg: str, omega: float, fac) -> dict:
     row = {
-        "q": q,
-        "weight": weight,
+        "q": wf.q,
+        "weight": wf.name,
         "R": _fmt(rate),
         "omega": _fmt(omega),
-        "omega_normalized": "",
+        "omega_normalized": _fmt(omega / float(wf.max_weight)),
         "model": model,
-        "algorithm": algorithm,
+        "algorithm": alg,
         "a": "",
         "L": "",
         "P": "",
@@ -219,7 +217,7 @@ def cmd_estimate(args) -> int:
         "model": args.model,
         "algorithm": args.alg,
     }
-    doc.update(_factors_doc(args.q, fac))
+    doc.update(_factors_doc(fac))
     _emit(doc, args.out)
     return 0
 
@@ -238,10 +236,9 @@ def cmd_hardest(args) -> int:
         "alpha": res.alpha,
         "alpha_hat": res.alpha_hat,
     }
-    doc.update({"point": _factors_doc(args.q, res.factors)})
+    doc.update({"point": _factors_doc(res.factors)})
     if args.out:
-        row = _csv_row(args.q, wf.name, res.rate, args.model, args.alg, res.omega, res.factors)
-        row["omega_normalized"] = _fmt(res.omega / float(wf.max_weight))
+        row = _csv_row(wf, res.rate, args.model, args.alg, res.omega, res.factors)
         _write_csv([row], args.out)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -249,21 +246,12 @@ def cmd_hardest(args) -> int:
 
 def cmd_sweep(args) -> int:
     wf = _load_weight(args.q, args.weight)
-    wmax = float(wf.max_weight)
-    omegas = np.linspace(0.0, wmax, args.points)
-    if args.model == "classical":
-        columns = [("classical", "prange"), ("classical", "dumer"), ("classical", "wagner")]
-    elif args.model == "quantum":
-        columns = [("quantum", "wagner")]
-    else:
-        columns = list(estimator.SWEEP_COLUMNS)
+    omegas = np.linspace(0.0, float(wf.max_weight), args.points)
+    columns = [c for c in estimator.SWEEP_COLUMNS if args.model in ("all", c[0])]
     rows = estimator.sweep(wf, args.R, omegas, columns=columns, a_max=args.a_max)
-    out_rows = []
-    for r in rows:
-        row = _csv_row(args.q, wf.name, args.R, r.model, r.algorithm, r.omega, r.factors)
-        row["omega_normalized"] = _fmt(r.omega_normalized)
-        out_rows.append(row)
-    _write_csv(out_rows, args.out)
+    _write_csv(
+        [_csv_row(wf, args.R, r.model, r.algorithm, r.omega, r.factors) for r in rows], args.out
+    )
     return 0
 
 
@@ -309,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance JSON file")
     p.add_argument("instance", help="instance JSON path")
-    p.add_argument("--alg", default="prange", choices=("prange", "dumer", "wagner1", "wagner2"))
+    p.add_argument("--alg", default="prange", choices=VARIANTS)
     p.add_argument("--ell", type=int, default=0)
     p.add_argument("--p", default="0", help="bottom-part weight budget (integer or a/b)")
     p.add_argument("--a", type=int, default=1, help="merge-tree levels")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-loops", type=int, default=10_000)
-    p.add_argument("--cap", type=int, default=1 << 26, help="list size cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_LIST_CAP, help="list size cap")
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(func=cmd_solve)
 

@@ -19,14 +19,16 @@ Back ends:
     partner in a per-key table built once from the materialized left-hand
     lists.
 
-Materialized lists form merge trees whose leaves keep their vectors, so a
-batch of indices resolves to candidate rows by index gathering.  Neither
-a leaf sphere nor the J partition depends on H: each sphere is built once
-per (table, length, weight) and each partition once per layout, and only
-their syndromes, the targets and the merges are computed per build.  Support
-blocks and per-block weight budgets are balanced to within one
-unit (deterministic left-to-right) when exact divisibility fails.  Weights
-are tracked in integer-rescaled units throughout.
+One level-wise merge tree (_merge_levels) serves dumer (a = 1, per weight
+split), wagner_v1 and the materialized leaves of wagner_v2_build.  Its
+leaves keep their vectors, so a batch of indices resolves to candidate
+rows by index gathering.  Neither a leaf sphere nor the J partition
+depends on H: each sphere is built once per (table, length, weight) and
+each partition once per layout, and only their syndromes, the targets and
+the merges are computed per build.  Support blocks and per-block weight
+budgets are balanced to within one unit (deterministic left-to-right)
+when exact divisibility fails.  Weights are tracked in integer-rescaled
+units throughout.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class CmsdInfeasibleError(Exception):
 class _Block:
     offset: int
     length: int
-    w_scaled: int
     enum: SphereEnumerator
 
 
@@ -86,12 +87,10 @@ class CmsdDescription:
     evaluate_many(idx) returns one candidate row of the stated length per
     index, the zero vector where an index resolves to no solution;
     evaluate(i) is its one-index view.  Every nonzero value satisfies the
-    syndrome and weight constraints by construction.
+    syndrome and weight constraints by construction.  A domain is never
+    empty: y is at least 1.
     """
 
-    q: int
-    length: int
-    m: int
     weight: Fraction
     y: int
     h_second: FqMatrix
@@ -99,6 +98,13 @@ class CmsdDescription:
     wf: WeightFunction
     meta: dict
     _eval: object = field(repr=False)  # int64 index array -> candidate rows
+
+    def __post_init__(self):
+        self.y = max(self.y, 1)
+
+    @property
+    def q(self) -> int:
+        return self.h_second.q
 
     def evaluate_many(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
@@ -153,7 +159,7 @@ def _make_blocks(wf: WeightFunction, lengths: list[int], weights: list[int]) -> 
             raise CmsdInfeasibleError(
                 f"no vectors of scaled weight {w} on a block of length {ln}"
             )
-        blocks.append(_Block(off, ln, w, enum))
+        blocks.append(_Block(off, ln, enum))
         off += ln
     return blocks
 
@@ -168,8 +174,6 @@ def _leaf_list(
 ) -> _Node:
     cnt = block.enum.count
     if size_limit is not None and cnt > size_limit:
-        if rng is None:
-            raise ValueError("subsampling a base list requires an rng")
         vecs = block.enum.unrank_many(sorted(_sample_ranks(cnt, size_limit, rng)))
     else:
         if cnt > cap:
@@ -232,23 +236,12 @@ def _draw_targets(
     s2: np.ndarray, j_groups: list[list[int]], a: int, q: int, rng: random.Random
 ) -> list[list[np.ndarray]]:
     """Level targets t_j^i with sum_i t_j^i = s'' on J_j (last one fixed)."""
-    ell = s2.shape[0]
     targets: list[list[np.ndarray]] = [[]]  # 1-based level index
-    for j in range(1, a + 1):
-        J = j_groups[j - 1]
-        n_merges = 1 << (a - j)
-        level = []
-        acc = np.zeros(ell, dtype=np.int64)
-        for _ in range(n_merges - 1):
-            t = np.zeros(ell, dtype=np.int64)
-            for c in J:
-                t[c] = rng.randrange(q)
-            acc = (acc + t) % q
-            level.append(t)
-        last = np.zeros(ell, dtype=np.int64)
-        for c in J:
-            last[c] = (s2[c] - acc[c]) % q
-        level.append(last)
+    for j, J in enumerate(j_groups, 1):
+        level = [np.zeros(len(s2), dtype=np.int64) for _ in range(1 << (a - j))]
+        for t in level[:-1]:
+            t[J] = [rng.randrange(q) for _ in J]
+        level[-1][J] = (s2[J] - sum(t[J] for t in level[:-1])) % q
         targets.append(level)
     return targets
 
@@ -296,15 +289,69 @@ def _partner_table(node: _Node, J: list[int], q: int) -> _Partners:
     return _Partners(keys, syn[pick], part[pick], node.sup)
 
 
-def _expected_solutions(base_sizes: list[int], j_groups: list[list[int]], q: int) -> float:
-    """Average-case count of entries surviving the whole merge tree."""
+def _tree_meta(
+    variant: str,
+    levels: list[list[_Node]],
+    j_groups: list[list[int]],
+    base_sizes: list[int],
+    q: int,
+) -> dict:
+    """Level and list sizes of a merge tree and its average-case output size.
+
+    base_sizes also counts a list that is described but not materialized.
+    """
     a = len(j_groups)
     log_num = sum(math.log(max(s, 1)) for s in base_sizes)
-    constrained = sum((1 << (a - j)) * len(j_groups[j - 1]) for j in range(1, a + 1))
-    return math.exp(min(log_num - constrained * math.log(q), 700.0))
+    constrained = sum((1 << (a - j)) * len(J) for j, J in enumerate(j_groups, 1))
+    expected = math.exp(min(log_num - constrained * math.log(q), 700.0))
+    return {
+        "variant": variant,
+        "levels": a,
+        "j_sizes": [len(g) for g in j_groups],
+        "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
+        "expected_solutions": max(expected, 1e-300),
+    }
 
 
 # -- back ends ---------------------------------------------------------------
+
+
+def _merge_levels(
+    nodes: list[_Node],
+    j_groups: list[list[int]],
+    targets: list[list[np.ndarray]],
+    cap: int,
+) -> list[list[_Node]]:
+    """Wagner's k-tree, level by level; the one place that calls merge.
+
+    levels[0] is nodes.  Level j merges adjacent pairs of level j-1 on J_j,
+    pair i against targets[j][i]; an odd last node stays unmerged.
+    """
+    levels = [nodes]
+    for j, J in enumerate(j_groups, 1):
+        prev, nxt = levels[-1], []
+        for i in range(len(prev) // 2):
+            lhs, rhs = prev[2 * i], prev[2 * i + 1]
+            merged = merge(lhs.lst, rhs.lst, J, targets[j][i], cap)
+            nxt.append(_Node(merged, (lhs.sup[0], rhs.sup[1]), children=(lhs, rhs)))
+        levels.append(nxt)
+    return levels
+
+
+def _to_weight(p) -> Fraction:
+    f = p if isinstance(p, Fraction) else Fraction(p)
+    if f < 0:
+        raise ValueError("weight budget must be nonnegative")
+    return f
+
+
+def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
+    """The weight budget p and its scaled value, which must be a table multiple."""
+    p_frac = _to_weight(p)
+    p_scaled = wf.scaled(p_frac)
+    if p_scaled is None:
+        raise CmsdInfeasibleError(f"weight {p_frac} is not a multiple of the table unit")
+    return p_frac, p_scaled
 
 
 def cmsd_prange(
@@ -317,9 +364,6 @@ def cmsd_prange(
         raise ValueError("prange back end requires weight budget p = 0")
     k = h_second.cols
     return CmsdDescription(
-        q=h_second.q,
-        length=k,
-        m=0,
         weight=Fraction(0),
         y=1,
         h_second=h_second,
@@ -341,35 +385,35 @@ def _build_two_list(
 ) -> CmsdDescription:
     """One merge over two support halves, all weight splits enumerated.
 
-    Enumerating every split (w1, p - w1) makes the image of f exactly the
-    full solution set of the subproblem; the number of splits is linear in
-    the rescaled weight, so the asymptotics are unchanged.
+    Each split (w1, p - w1) is the a = 1 merge tree on J = all ell
+    coordinates with target s''.  Enumerating every split makes the image
+    of f exactly the full solution set of the subproblem; the number of
+    splits is linear in the rescaled weight, so the asymptotics are
+    unchanged.
     """
     q = h_second.q
     ell, n = h_second.rows, h_second.cols
     p_frac = _to_weight(p)
     p_scaled = wf.scaled(p_frac)
     h2 = h_second.values
-    s2 = s_second.values
-    J = tuple(range(ell))
+    j_groups = [list(range(ell))]
+    targets = [[], [s_second.values]]
     chunks = []  # one merge tree per populated weight split
     total = 0
     pair_products = 0.0
-    if p_scaled is not None and p_scaled >= 0:
-        len1, len2 = _split_lengths(n, 2)
+    if p_scaled is not None:
+        lengths = _split_lengths(n, 2)
         for w1 in range(p_scaled + 1):
-            w2 = p_scaled - w1
             try:
-                blocks = _make_blocks(wf, [len1, len2], [w1, w2])
+                blocks = _make_blocks(wf, lengths, [w1, p_scaled - w1])
             except CmsdInfeasibleError:
                 continue
-            left = _leaf_list(h2, q, blocks[0], cap, rng, base_list_size)
-            right = _leaf_list(h2, q, blocks[1], cap, rng, base_list_size)
-            pair_products += float(len(left.lst)) * float(len(right.lst))
-            merged = merge(left.lst, right.lst, J, s2, cap)
-            if len(merged):
-                chunks.append(_Node(merged, (0, n), children=(left, right)))
-                total += len(merged)
+            leaves = [_leaf_list(h2, q, b, cap, rng, base_list_size) for b in blocks]
+            pair_products += float(len(leaves[0].lst)) * float(len(leaves[1].lst))
+            root = _merge_levels(leaves, j_groups, targets, cap)[1][0]
+            if len(root.lst):
+                chunks.append(root)
+                total += len(root.lst)
                 if total > cap:
                     raise MergeOverflowError(f"merged output exceeds cap {cap}")
 
@@ -377,11 +421,8 @@ def _build_two_list(
     # is the best prediction; fall back to the average-case ratio if empty
     expected = float(total) if total else pair_products / float(q) ** ell
     return CmsdDescription(
-        q=q,
-        length=n,
-        m=ell,
         weight=p_frac,
-        y=max(total, 1),
+        y=total,
         h_second=h_second,
         s_second=s_second,
         wf=wf,
@@ -405,13 +446,6 @@ def cmsd_dumer(
     return _build_two_list(h_second, s_second, wf, p, list_size_cap)
 
 
-def _to_weight(p) -> Fraction:
-    f = p if isinstance(p, Fraction) else Fraction(p)
-    if f < 0:
-        raise ValueError("weight budget must be nonnegative")
-    return f
-
-
 def cmsd_wagner_v1(
     h_second: FqMatrix,
     s_second: FqVector,
@@ -428,22 +462,20 @@ def cmsd_wagner_v1(
     each block carries a fixed balanced share of the weight budget and the
     intermediate merges use fresh random targets that telescope to s''.
     base_list_size, when given, subsamples every base list to that size
-    (uniformly, without replacement), matching the asymptotic sizing rule.
+    (uniformly, without replacement, drawing from rng, default Random(0)),
+    matching the asymptotic sizing rule.
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
+    if rng is None:
+        rng = random.Random(0)
     if a == 1:
         return _build_two_list(
             h_second, s_second, wf, p, list_size_cap, rng, base_list_size
         )
-    if rng is None:
-        rng = random.Random(0)
     q = h_second.q
     ell, n = h_second.rows, h_second.cols
-    p_frac = _to_weight(p)
-    p_scaled = wf.scaled(p_frac)
-    if p_scaled is None:
-        raise CmsdInfeasibleError(f"weight {p_frac} is not a multiple of the table unit")
+    p_frac, p_scaled = _budget(wf, p)
     nb = 1 << a
     blocks = _make_blocks(wf, _split_lengths(n, nb), _split_weight(p_scaled, nb))
     j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=nb)
@@ -452,40 +484,15 @@ def cmsd_wagner_v1(
     leaves = [
         _leaf_list(h2, q, b, list_size_cap, rng, base_list_size) for b in blocks
     ]
-    base_sizes = [len(nd.lst) for nd in leaves]
-
-    nodes = leaves
-    level_sizes = [base_sizes]
-    for j in range(1, a + 1):
-        J = tuple(j_groups[j - 1])
-        nxt = []
-        for i in range(0, len(nodes), 2):
-            lhs, rhs = nodes[i], nodes[i + 1]
-            merged = merge(lhs.lst, rhs.lst, J, targets[j][i // 2], list_size_cap)
-            nxt.append(
-                _Node(lst=merged, sup=(lhs.sup[0], rhs.sup[1]), children=(lhs, rhs))
-            )
-        nodes = nxt
-        level_sizes.append([len(nd.lst) for nd in nodes])
-    root = nodes[0]
+    levels = _merge_levels(leaves, j_groups, targets, list_size_cap)
+    root = levels[a][0]
     return CmsdDescription(
-        q=q,
-        length=n,
-        m=ell,
         weight=p_frac,
-        y=max(len(root.lst), 1),
+        y=len(root.lst),
         h_second=h_second,
         s_second=s_second,
         wf=wf,
-        meta={
-            "variant": "wagner1",
-            "levels": a,
-            "j_sizes": [len(g) for g in j_groups],
-            "level_sizes": level_sizes,
-            "expected_solutions": max(
-                _expected_solutions(base_sizes, j_groups, q), 1e-300
-            ),
-        },
+        meta=_tree_meta("wagner1", levels, j_groups, [len(nd.lst) for nd in leaves], q),
         _eval=_gather_chunks([root], n),
     )
 
@@ -515,10 +522,7 @@ def cmsd_wagner_v2_build(
         rng = random.Random(0)
     q = h_second.q
     ell, n = h_second.rows, h_second.cols
-    p_frac = _to_weight(p)
-    p_scaled = wf.scaled(p_frac)
-    if p_scaled is None:
-        raise CmsdInfeasibleError(f"weight {p_frac} is not a multiple of the table unit")
+    p_frac, p_scaled = _budget(wf, p)
     units = (1 << a) + 1
     lengths = _split_lengths(n, units)
     wsplit = _split_weight(p_scaled, units)
@@ -531,28 +535,12 @@ def cmsd_wagner_v2_build(
     targets = _draw_targets(s_second.values, j_groups, a, q, rng)
     h2 = h_second.values
 
-    materialized = [
-        _leaf_list(h2, q, b, list_size_cap) for b in blocks[:-1]
-    ]
-
-    def build(lo: int, size: int) -> _Node:
-        if size == 1:
-            return materialized[lo]
-        half = size // 2
-        lhs = build(lo, half)
-        rhs = build(lo + half, half)
-        level = size.bit_length() - 1
-        t = targets[level][lo // size]
-        merged = merge(
-            lhs.lst, rhs.lst, tuple(j_groups[level - 1]), t, list_size_cap
-        )
-        return _Node(lst=merged, sup=(lhs.sup[0], rhs.sup[1]), children=(lhs, rhs))
-
-    # partners from S_j, the fully merged left sibling of the lazy chain at level j
-    nb = 1 << a
+    materialized = [_leaf_list(h2, q, b, list_size_cap) for b in blocks[:-1]]
+    levels = _merge_levels(materialized, j_groups, targets, list_size_cap)
+    # S_j, the fully merged left sibling of the lazy chain at level j, is the
+    # odd node that level j - 1 leaves unmerged
     partners = [
-        _partner_table(build(nb - (1 << j), 1 << (j - 1)), j_groups[j - 1], q)
-        for j in range(1, a + 1)
+        _partner_table(levels[j - 1][-1], j_groups[j - 1], q) for j in range(1, a + 1)
     ]
 
     cnt = last.enum.count
@@ -585,25 +573,14 @@ def cmsd_wagner_v2_build(
         out[~ok] = 0
         return out
 
-    base_sizes = [len(nd.lst) for nd in materialized] + [y]
     return CmsdDescription(
-        q=q,
-        length=n,
-        m=ell,
         weight=p_frac,
-        y=max(y, 1),
+        y=y,
         h_second=h_second,
         s_second=s_second,
         wf=wf,
-        meta={
-            "variant": "wagner2",
-            "levels": a,
-            "j_sizes": [len(g) for g in j_groups],
-            "side_sizes": [len(nd.lst) for nd in materialized],
-            "expected_solutions": max(
-                _expected_solutions(base_sizes, j_groups, q), 1e-300
-            ),
-        },
+        meta=_tree_meta(
+            "wagner2", levels, j_groups, [len(nd.lst) for nd in materialized] + [y], q
+        ),
         _eval=evaluate,
     )
-

@@ -29,6 +29,8 @@ MODELS = ("classical", "quantum")
 ALGORITHMS = ("prange", "dumer", "wagner")
 
 _EPS = 1e-15
+_PATTERN_TOL = 1e-5  # compass search stops once its step falls below this
+_COARSE_STEP = 0.05  # rate grid of the hardest-instance scan
 
 
 class InfeasibleParameterError(Exception):
@@ -187,7 +189,6 @@ def _pattern_search(
     L0: float,
     P0: float,
     s_omega: float,
-    tol: float = 1e-5,
 ) -> tuple[float, float, float]:
     """Compass search in unit-box coordinates, step halved when stuck."""
     R = cp.rate
@@ -201,7 +202,7 @@ def _pattern_search(
     cur = float(totals(np.array([fl]), np.array([fp]))[0])
     step = 1.0 / 63
     polls = 0
-    while step > tol and polls < 400:
+    while step > _PATTERN_TOL and polls < 400:
         polls += 1
         cand_f = np.clip(
             np.array(
@@ -230,6 +231,8 @@ def optimize_point(
     down to 1e-5) for the most promising level counts.  For "prange" the
     point is pinned to (0, 0); "dumer" fixes a = 1.
     """
+    if a_max < 1:
+        raise ValueError("a_max must be >= 1")
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     if algorithm not in ALGORITHMS:
@@ -299,14 +302,13 @@ def hardest_instance(
     model: str = "classical",
     algorithm: str = "wagner",
     a_max: int = 10,
-    coarse_step: float = 0.05,
 ) -> HardestResult:
     """Rate and weight maximizing the optimized exponent.
 
     Only the two candidate weights from local_maxima_weights are evaluated
     per rate; the rate search is a coarse scan refined by golden-section.
     """
-    rates = np.arange(0.10, 0.90 + 1e-9, coarse_step)
+    rates = np.arange(0.10, 0.90 + 1e-9, _COARSE_STEP)
     scored = []
     for r in rates:
         try:
@@ -317,7 +319,7 @@ def hardest_instance(
         raise InfeasibleParameterError("algorithm infeasible across the whole rate range")
     (best_f, best_omega), best_r = max(scored, key=lambda t: t[0][0].total_q)
 
-    a, b = max(0.01, best_r - coarse_step), min(0.99, best_r + coarse_step)
+    a, b = max(0.01, best_r - _COARSE_STEP), min(0.99, best_r + _COARSE_STEP)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc = _hardness_at(wf, c, model, algorithm, a_max)

@@ -222,14 +222,6 @@ def mat_vec_mul(m: FqMatrix, v: FqVector) -> FqVector:
     return FqVector(m.q, (m.values @ v.values) % m.q)
 
 
-def mat_mat_mul(a: FqMatrix, b: FqMatrix) -> FqMatrix:
-    if a.q != b.q:
-        raise ValueError(f"modulus mismatch: {a.q} vs {b.q}")
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    return FqMatrix(a.q, (a.values @ b.values) % a.q)
-
-
 def rank(m: FqMatrix) -> int:
     """Rank over F_q via full Gaussian elimination."""
     a = np.array(m.values, dtype=np.int64)

@@ -127,7 +127,6 @@ class IsdParams:
     list_size_cap: int = DEFAULT_LIST_CAP
     max_outer_loops: int = 10_000
     rng_seed: int = 0
-    base_list_size: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -202,25 +201,9 @@ def _build_cmsd(inst: SdInstance, params: IsdParams, ech, rng: random.Random):
         return cmsd.cmsd_dumer(
             ech.h_second, ech.s_second, inst.wf, params.p, params.list_size_cap
         )
-    if params.variant == "wagner1":
-        return cmsd.cmsd_wagner_v1(
-            ech.h_second,
-            ech.s_second,
-            inst.wf,
-            params.p,
-            params.a,
-            params.list_size_cap,
-            rng,
-            params.base_list_size,
-        )
-    return cmsd.cmsd_wagner_v2_build(
-        ech.h_second,
-        ech.s_second,
-        inst.wf,
-        params.p,
-        params.a,
-        params.list_size_cap,
-        rng,
+    build = cmsd.cmsd_wagner_v1 if params.variant == "wagner1" else cmsd.cmsd_wagner_v2_build
+    return build(
+        ech.h_second, ech.s_second, inst.wf, params.p, params.a, params.list_size_cap, rng
     )
 
 

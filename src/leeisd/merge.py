@@ -149,30 +149,19 @@ def merge(
     J = _check_J(J, L1.width)
     tJ = _target_on_J(t, J, L1.width, q)
 
-    if L1.sorted_on == J and L1._keys is not None:
-        sorted1 = L1
-        order_map = np.arange(len(L1), dtype=np.int64)
-    else:
-        order_map = L1.sort_order(J)
-        sorted1 = IndexedList(
-            q=q,
-            syndromes=L1.syndromes[order_map],
-            backrefs=L1.backrefs,  # unused below; original indices come from order_map
-            sorted_on=J,
-        )
-        sorted1._keys = _encode_keys(sorted1.syndromes[:, list(J)], q)
-
-    need = (tJ[None, :] - L2.syndromes[:, list(J)]) % q
-    need_keys = _encode_keys(need, q)
-    lo = np.searchsorted(sorted1._keys, need_keys, side="left")
-    hi = np.searchsorted(sorted1._keys, need_keys, side="right")
+    order = L1.sort_order(J)
+    syn1 = L1.syndromes[order]
+    keys1 = _encode_keys(syn1[:, list(J)], q)
+    need_keys = _encode_keys((tJ[None, :] - L2.syndromes[:, list(J)]) % q, q)
+    lo = np.searchsorted(keys1, need_keys, side="left")
+    hi = np.searchsorted(keys1, need_keys, side="right")
     counts = (hi - lo).astype(np.int64)
     total = int(counts.sum())
     if total > cap:
         raise MergeOverflowError(f"merge would produce {total} > cap {cap} entries")
 
-    # output entry o of L2 row j pairs with sorted1 row lo[j] + (o - first output of j)
+    # output entry o of L2 row j pairs with sorted L1 row lo[j] + (o - first output of j)
     j_idx = np.repeat(np.arange(len(L2), dtype=np.int64), counts)
     pos1 = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    syn = (sorted1.syndromes[pos1] + L2.syndromes[j_idx]) % q
-    return IndexedList(q, syn, np.stack([order_map[pos1], j_idx], axis=1))
+    syn = (syn1[pos1] + L2.syndromes[j_idx]) % q
+    return IndexedList(q, syn, np.stack([order[pos1], j_idx], axis=1))

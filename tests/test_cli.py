@@ -148,6 +148,12 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
         capsys, "estimate", "--q", "3", "--R", "0.5", "--omega", "0.9", "--alg", "prange"
     )
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # no level count to optimize over: a ValueError naming the option
+    code, _, err = run_cli(
+        capsys, "estimate", "--q", "3", "--R", "0.4", "--omega", "0.8", "--a-max", "0"
+    )
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "a_max" in err
 
 
 def test_corrupt_weight_table_rejected(tmp_path, capsys):
@@ -213,6 +219,19 @@ def test_sweep_csv_roundtrip_and_determinism(tmp_path, capsys):
     with open(out1) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5 * 4
+    # one model keeps its own columns of the full sweep, row for row
+    for model, ncols in (("classical", 3), ("quantum", 1)):
+        path = tmp_path / f"{model}.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--q", "3", "--weight", "lee", "--R", "0.5", "--points", "5",
+            "--a-max", "3", "--model", model, "--out", str(path),
+        )
+        assert code == 0
+        with open(path) as fh:
+            sub = list(csv.DictReader(fh))
+        assert len(sub) == 5 * ncols
+        assert sub == [row for row in rows if row["model"] == model]
     for row in rows:
         assert row["q"] == "3" and row["weight"] == "lee"
         if row["omega"] == "0.000000":

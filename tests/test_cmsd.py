@@ -108,6 +108,15 @@ def test_wagner_v1_a1_identical_to_dumer():
     assert Counter(tuple(v.tolist()) for v in d.solutions) == Counter(
         tuple(v.tolist()) for v in w.solutions
     )
+    # subsampled base lists without an rng draw from Random(0), as for a >= 2
+    sub = cmsd_wagner_v1(h2, s2, wf, 3, a=1, base_list_size=5)
+    seeded = cmsd_wagner_v1(h2, s2, wf, 3, a=1, rng=random.Random(0), base_list_size=5)
+    assert sub.y == seeded.y > 1
+    every = np.arange(sub.y)
+    assert np.array_equal(sub.evaluate_many(every), seeded.evaluate_many(every))
+    assert {tuple(v.tolist()) for v in enumerate_f(sub).solutions} <= {
+        tuple(v.tolist()) for v in d.solutions
+    }
 
 
 def test_wagner_v1_a2_subset_of_oracle_and_sound():

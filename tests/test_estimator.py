@@ -121,6 +121,13 @@ def test_prange_infeasible_at_large_weight():
         optimize_point(cp, "classical", "prange")
 
 
+def test_optimizer_rejects_a_max_below_one():
+    cp = CodeParams(WeightFunction.lee(3), 0.4, 0.8)
+    for alg in ("wagner", "prange"):
+        with pytest.raises(ValueError, match="a_max"):
+            optimize_point(cp, "classical", alg, a_max=0)
+
+
 def test_q2_prange_low_weight_sweep_matches_independent_oracle():
     # oracle: binary entropy closed form on a coarse rate grid, sweeping the
     # unique-decoding radius (the lower of the two candidate weights)
