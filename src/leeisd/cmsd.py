@@ -1,10 +1,13 @@
 """Back ends for the small decoding subproblem inside the outer ISD loop.
 
-Given the bottom block (H'', s'') produced by partial Gaussian elimination,
-each builder returns a compact description of a function f over a domain
-of Y indices whose nonzero values are vectors e'' with H'' e'' = s'' and
-weight exactly p.  The outer loop evaluates f on blocks of indices and
-tests each candidate against the remaining weight budget.
+Given the bottom block (H'', s'') produced by partial Gaussian elimination
+as int64 arrays, each builder returns a compact description of a function
+f over a domain of Y indices whose nonzero values are vectors e'' with
+H'' e'' = s'' and weight exactly p.  Every builder takes
+(H'', s'', wf, p, ...) and reads its inputs through np.asarray, so the
+FqMatrix and FqVector boundary types work as inputs too.  The outer loop
+evaluates f on blocks of indices and tests each candidate against the
+remaining weight budget.
 
 Back ends:
   * prange: the trivial description (p = 0, no bottom block).
@@ -41,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fieldlin import FqMatrix, FqVector
 from .merge import DEFAULT_LIST_CAP, IndexedList, MergeOverflowError, _encode_keys, merge
 from .weights import (
     SphereEnumerator,
@@ -93,8 +95,8 @@ class CmsdDescription:
 
     weight: Fraction
     y: int
-    h_second: FqMatrix
-    s_second: FqVector
+    h_second: np.ndarray
+    s_second: np.ndarray
     wf: WeightFunction
     meta: dict
     _eval: object = field(repr=False)  # int64 index array -> candidate rows
@@ -104,7 +106,7 @@ class CmsdDescription:
 
     @property
     def q(self) -> int:
-        return self.h_second.q
+        return self.wf.q
 
     def evaluate_many(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
@@ -119,7 +121,7 @@ class CmsdDescription:
     def is_solution(self, v: np.ndarray) -> np.ndarray:
         """Per row of v (or for the one vector v): H'' v = s'' and weight exactly p."""
         v = v % self.q
-        syn_ok = ((v @ self.h_second.values.T) % self.q == self.s_second.values).all(axis=-1)
+        syn_ok = ((v @ self.h_second.T) % self.q == self.s_second).all(axis=-1)
         weights = self.wf.int_table_array()[v].sum(axis=-1)
         return syn_ok & (weights == self.wf.scaled(self.weight))
 
@@ -338,16 +340,11 @@ def _merge_levels(
     return levels
 
 
-def _to_weight(p) -> Fraction:
-    f = p if isinstance(p, Fraction) else Fraction(p)
-    if f < 0:
-        raise ValueError("weight budget must be nonnegative")
-    return f
-
-
 def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
     """The weight budget p and its scaled value, which must be a table multiple."""
-    p_frac = _to_weight(p)
+    p_frac = p if isinstance(p, Fraction) else Fraction(p)
+    if p_frac < 0:
+        raise ValueError("weight budget must be nonnegative")
     p_scaled = wf.scaled(p_frac)
     if p_scaled is None:
         raise CmsdInfeasibleError(f"weight {p_frac} is not a multiple of the table unit")
@@ -355,28 +352,29 @@ def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
 
 
 def cmsd_prange(
-    h_second: FqMatrix, s_second: FqVector, p=0, wf: WeightFunction | None = None
+    h_second: np.ndarray, s_second: np.ndarray, wf: WeightFunction, p
 ) -> CmsdDescription:
     """Trivial description: the zero candidate (requires ell = 0 and p = 0)."""
-    if h_second.rows != 0 or len(s_second) != 0:
+    h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    ell, k = h2.shape
+    if ell != 0 or len(s2) != 0:
         raise ValueError("prange back end requires an empty bottom block (ell = 0)")
     if Fraction(p) != 0:
         raise ValueError("prange back end requires weight budget p = 0")
-    k = h_second.cols
     return CmsdDescription(
         weight=Fraction(0),
         y=1,
-        h_second=h_second,
-        s_second=s_second,
-        wf=wf if wf is not None else WeightFunction.hamming(h_second.q),
+        h_second=h2,
+        s_second=s2,
+        wf=wf,
         meta={"variant": "prange", "expected_solutions": 1.0},
         _eval=lambda idx: np.zeros((len(idx), k), dtype=np.int64),
     )
 
 
 def _build_two_list(
-    h_second: FqMatrix,
-    s_second: FqVector,
+    h_second: np.ndarray,
+    s_second: np.ndarray,
     wf: WeightFunction,
     p,
     cap: int,
@@ -391,31 +389,29 @@ def _build_two_list(
     splits is linear in the rescaled weight, so the asymptotics are
     unchanged.
     """
-    q = h_second.q
-    ell, n = h_second.rows, h_second.cols
-    p_frac = _to_weight(p)
-    p_scaled = wf.scaled(p_frac)
-    h2 = h_second.values
+    h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    q = wf.q
+    ell, n = h2.shape
+    p_frac, p_scaled = _budget(wf, p)
     j_groups = [list(range(ell))]
-    targets = [[], [s_second.values]]
+    targets = [[], [s2]]
     chunks = []  # one merge tree per populated weight split
     total = 0
     pair_products = 0.0
-    if p_scaled is not None:
-        lengths = _split_lengths(n, 2)
-        for w1 in range(p_scaled + 1):
-            try:
-                blocks = _make_blocks(wf, lengths, [w1, p_scaled - w1])
-            except CmsdInfeasibleError:
-                continue
-            leaves = [_leaf_list(h2, q, b, cap, rng, base_list_size) for b in blocks]
-            pair_products += float(len(leaves[0].lst)) * float(len(leaves[1].lst))
-            root = _merge_levels(leaves, j_groups, targets, cap)[1][0]
-            if len(root.lst):
-                chunks.append(root)
-                total += len(root.lst)
-                if total > cap:
-                    raise MergeOverflowError(f"merged output exceeds cap {cap}")
+    lengths = _split_lengths(n, 2)
+    for w1 in range(p_scaled + 1):
+        try:
+            blocks = _make_blocks(wf, lengths, [w1, p_scaled - w1])
+        except CmsdInfeasibleError:
+            continue
+        leaves = [_leaf_list(h2, q, b, cap, rng, base_list_size) for b in blocks]
+        pair_products += float(len(leaves[0].lst)) * float(len(leaves[1].lst))
+        root = _merge_levels(leaves, j_groups, targets, cap)[1][0]
+        if len(root.lst):
+            chunks.append(root)
+            total += len(root.lst)
+            if total > cap:
+                raise MergeOverflowError(f"merged output exceeds cap {cap}")
 
     # merged entries are exactly the solutions here, so the realized total
     # is the best prediction; fall back to the average-case ratio if empty
@@ -423,8 +419,8 @@ def _build_two_list(
     return CmsdDescription(
         weight=p_frac,
         y=total,
-        h_second=h_second,
-        s_second=s_second,
+        h_second=h2,
+        s_second=s2,
         wf=wf,
         meta={
             "variant": "dumer",
@@ -436,8 +432,8 @@ def _build_two_list(
 
 
 def cmsd_dumer(
-    h_second: FqMatrix,
-    s_second: FqVector,
+    h_second: np.ndarray,
+    s_second: np.ndarray,
     wf: WeightFunction,
     p,
     list_size_cap: int = DEFAULT_LIST_CAP,
@@ -447,8 +443,8 @@ def cmsd_dumer(
 
 
 def cmsd_wagner_v1(
-    h_second: FqMatrix,
-    s_second: FqVector,
+    h_second: np.ndarray,
+    s_second: np.ndarray,
     wf: WeightFunction,
     p,
     a: int,
@@ -473,14 +469,14 @@ def cmsd_wagner_v1(
         return _build_two_list(
             h_second, s_second, wf, p, list_size_cap, rng, base_list_size
         )
-    q = h_second.q
-    ell, n = h_second.rows, h_second.cols
+    h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    q = wf.q
+    ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
     nb = 1 << a
     blocks = _make_blocks(wf, _split_lengths(n, nb), _split_weight(p_scaled, nb))
     j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=nb)
-    targets = _draw_targets(s_second.values, j_groups, a, q, rng)
-    h2 = h_second.values
+    targets = _draw_targets(s2, j_groups, a, q, rng)
     leaves = [
         _leaf_list(h2, q, b, list_size_cap, rng, base_list_size) for b in blocks
     ]
@@ -489,8 +485,8 @@ def cmsd_wagner_v1(
     return CmsdDescription(
         weight=p_frac,
         y=len(root.lst),
-        h_second=h_second,
-        s_second=s_second,
+        h_second=h2,
+        s_second=s2,
         wf=wf,
         meta=_tree_meta("wagner1", levels, j_groups, [len(nd.lst) for nd in leaves], q),
         _eval=_gather_chunks([root], n),
@@ -498,8 +494,8 @@ def cmsd_wagner_v1(
 
 
 def cmsd_wagner_v2_build(
-    h_second: FqMatrix,
-    s_second: FqVector,
+    h_second: np.ndarray,
+    s_second: np.ndarray,
     wf: WeightFunction,
     p,
     a: int,
@@ -520,8 +516,9 @@ def cmsd_wagner_v2_build(
         raise ValueError("level count a must be >= 1")
     if rng is None:
         rng = random.Random(0)
-    q = h_second.q
-    ell, n = h_second.rows, h_second.cols
+    h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    q = wf.q
+    ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
     units = (1 << a) + 1
     lengths = _split_lengths(n, units)
@@ -532,8 +529,7 @@ def cmsd_wagner_v2_build(
     blocks = _make_blocks(wf, leaf_lengths, leaf_weights)
     last = blocks[-1]
     j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=units)
-    targets = _draw_targets(s_second.values, j_groups, a, q, rng)
-    h2 = h_second.values
+    targets = _draw_targets(s2, j_groups, a, q, rng)
 
     materialized = [_leaf_list(h2, q, b, list_size_cap) for b in blocks[:-1]]
     levels = _merge_levels(materialized, j_groups, targets, list_size_cap)
@@ -551,7 +547,6 @@ def cmsd_wagner_v2_build(
         ranks = None
         y = cnt
     sub_last = h2[:, last.offset : last.offset + last.length]
-    s2 = s_second.values
     chain_targets = [targets[j][(1 << (a - j)) - 1] for j in range(1, a + 1)]
     every_side_populated = all(len(pt.keys) for pt in partners)
 
@@ -576,8 +571,8 @@ def cmsd_wagner_v2_build(
     return CmsdDescription(
         weight=p_frac,
         y=y,
-        h_second=h_second,
-        s_second=s_second,
+        h_second=h2,
+        s_second=s2,
         wf=wf,
         meta=_tree_meta(
             "wagner2", levels, j_groups, [len(nd.lst) for nd in materialized] + [y], q

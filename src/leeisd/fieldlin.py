@@ -2,9 +2,12 @@
 
 Values are machine-integer residues reduced mod q after every operation;
 the modulus is restricted to primes below 2**16 so that int64 accumulation
-never overflows for any realistic dimension.  All container types are
-immutable after construction and safe to share across threads; the
-elimination routines mutate local scratch copies only.
+never overflows for any realistic dimension.  FqVector and FqMatrix are the
+boundary types: they validate and freeze data where it enters or leaves
+the library (instances, solutions, the CLI), and np.asarray turns either
+into its values.  Permutation and partial elimination work on plain int64
+arrays already reduced mod q; elimination mutates a local scratch copy
+only.
 """
 
 from __future__ import annotations
@@ -93,22 +96,8 @@ class FqVector:
             and np.array_equal(self.values, other.values)
         )
 
-    def __add__(self, other: "FqVector") -> "FqVector":
-        self._compat(other)
-        return FqVector(self.q, (self.values + other.values) % self.q)
-
-    def __sub__(self, other: "FqVector") -> "FqVector":
-        self._compat(other)
-        return FqVector(self.q, (self.values - other.values) % self.q)
-
-    def scale(self, c: int) -> "FqVector":
-        return FqVector(self.q, (self.values * (c % self.q)) % self.q)
-
-    def _compat(self, other: "FqVector") -> None:
-        if self.q != other.q:
-            raise ValueError(f"modulus mismatch: {self.q} vs {other.q}")
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     def tolist(self) -> list[int]:
         return [int(x) for x in self.values]
@@ -156,6 +145,9 @@ class FqMatrix:
             and np.array_equal(self.values, other.values)
         )
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     def tolist(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.values]
 
@@ -195,22 +187,15 @@ class Permutation:
         return Permutation(inv)
 
 
-def apply_permutation(obj, perm: Permutation):
-    """Reorder a vector's coordinates or a matrix's columns.
+def apply_permutation(values: np.ndarray, perm: Permutation) -> np.ndarray:
+    """Reorder the last axis: a vector's coordinates or a matrix's columns.
 
-    For a vector v, result[i] = v[perm.images[i]]; for a matrix the same
-    rule is applied to columns.  Applying a permutation and then its
-    inverse restores the input.
+    result[..., i] = values[..., perm.images[i]].  Applying a permutation
+    and then its inverse restores the input.
     """
-    if isinstance(obj, FqVector):
-        if len(obj) != len(perm):
-            raise ValueError("permutation size does not match vector length")
-        return FqVector(obj.q, obj.values[perm.images])
-    if isinstance(obj, FqMatrix):
-        if obj.cols != len(perm):
-            raise ValueError("permutation size does not match column count")
-        return FqMatrix(obj.q, obj.values[:, perm.images])
-    raise TypeError(f"cannot permute {type(obj).__name__}")
+    if values.shape[-1] != len(perm):
+        raise ValueError("permutation size does not match the last axis")
+    return values[..., perm.images]
 
 
 def mat_vec_mul(m: FqMatrix, v: FqVector) -> FqVector:
@@ -263,20 +248,20 @@ def random_full_rank_matrix(q: int, rows: int, cols: int, rng: random.Random) ->
 
 @dataclass(frozen=True, eq=False)
 class PartialEchelon:
-    """Output blocks of partial Gaussian elimination.
+    """Output blocks of partial Gaussian elimination, as int64 arrays.
 
     An invertible row operation S brings the input to the block form
     [[I, h_prime], [0, h_second]] and maps the syndrome to
     (s_prime, s_second).  S itself is not materialized.
     """
 
-    h_prime: FqMatrix
-    h_second: FqMatrix
-    s_prime: FqVector
-    s_second: FqVector
+    h_prime: np.ndarray
+    h_second: np.ndarray
+    s_prime: np.ndarray
+    s_second: np.ndarray
 
 
-def partial_gaussian_elim(h: FqMatrix, ell: int, s: FqVector) -> PartialEchelon:
+def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> PartialEchelon:
     """Reduce the first (rows - ell) columns of h to the identity.
 
     Pivoting is plain row swapping restricted to the top block: if the
@@ -285,24 +270,22 @@ def partial_gaussian_elim(h: FqMatrix, ell: int, s: FqVector) -> PartialEchelon:
     permutation.  Row operations are carried into s simultaneously.
 
     Args:
-        h: (n - k) x n matrix.
+        h: (n - k) x n int64 array with entries in [0, q).
         ell: number of bottom rows left unreduced, 0 <= ell <= n - k.
-        s: syndrome of length n - k.
+        s: syndrome of length n - k, entries in [0, q).
+        q: the prime modulus.
 
     Returns:
         PartialEchelon with blocks of shapes (n-k-ell) x (k+ell) and
         ell x (k+ell), plus the transformed syndrome halves.
     """
-    if h.q != s.q:
-        raise ValueError("modulus mismatch between matrix and syndrome")
-    r, n = h.rows, h.cols
+    r, n = h.shape
     if len(s) != r:
         raise ValueError("syndrome length must equal matrix row count")
     if not 0 <= ell <= r:
         raise ValueError(f"ell must lie in [0, {r}]")
-    q = h.q
     lead = r - ell
-    a = np.concatenate([h.values, s.values[:, None]], axis=1).astype(np.int64)
+    a = np.concatenate([h, s[:, None]], axis=1).astype(np.int64)
     for c in range(lead):
         piv = None
         for row in range(c, lead):
@@ -318,9 +301,4 @@ def partial_gaussian_elim(h: FqMatrix, ell: int, s: FqVector) -> PartialEchelon:
         col = a[:, c].copy()
         col[c] = 0
         a = (a - np.outer(col, a[c])) % q
-    return PartialEchelon(
-        h_prime=FqMatrix(q, a[:lead, lead:n]),
-        h_second=FqMatrix(q, a[lead:, lead:n]),
-        s_prime=FqVector(q, a[:lead, n]),
-        s_second=FqVector(q, a[lead:, n]),
-    )
+    return PartialEchelon(a[:lead, lead:n], a[lead:, lead:n], a[:lead, n], a[lead:, n])

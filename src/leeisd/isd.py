@@ -178,7 +178,7 @@ def verify_solution(inst: SdInstance, e: FqVector) -> bool:
     """True iff He = s and wt(e) = w, both exact."""
     if len(e) != inst.n or e.q != inst.q:
         return False
-    if mat_vec_mul(inst.h, e) != inst.s:
+    if not np.array_equal((inst.h.values @ e.values) % inst.q, inst.s.values):
         return False
     return vector_weight(e, inst.wf) == inst.w
 
@@ -195,16 +195,13 @@ def _exact_p1(inst: SdInstance, ell: int, p: Fraction) -> float:
 
 
 def _build_cmsd(inst: SdInstance, params: IsdParams, ech, rng: random.Random):
+    args = (ech.h_second, ech.s_second, inst.wf, params.p)
     if params.variant == "prange":
-        return cmsd.cmsd_prange(ech.h_second, ech.s_second, params.p, wf=inst.wf)
+        return cmsd.cmsd_prange(*args)
     if params.variant == "dumer":
-        return cmsd.cmsd_dumer(
-            ech.h_second, ech.s_second, inst.wf, params.p, params.list_size_cap
-        )
+        return cmsd.cmsd_dumer(*args, params.list_size_cap)
     build = cmsd.cmsd_wagner_v1 if params.variant == "wagner1" else cmsd.cmsd_wagner_v2_build
-    return build(
-        ech.h_second, ech.s_second, inst.wf, params.p, params.a, params.list_size_cap, rng
-    )
+    return build(*args, params.a, params.list_size_cap, rng)
 
 
 def _check_params(inst: SdInstance, params: IsdParams) -> None:
@@ -226,19 +223,22 @@ def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
 
     Candidates go in index order, CANDIDATE_BLOCK at a time; e' = s' - H' e''
     must carry the remaining scaled weight w_rem.  The count runs up to and
-    including the hit, or over all of desc when there is none.
+    including the hit, or over all of desc when there is none.  A hit is
+    put back in place (coordinate i of the permuted vector is coordinate
+    perm.images[i] of e) and leaves as the one FqVector of the loop.
     """
     q = inst.q
-    h1, s1 = ech.h_prime.values, ech.s_prime.values
+    h1, s1 = ech.h_prime, ech.s_prime
     tab = inst.wf.int_table_array()
     for lo in range(0, desc.y, CANDIDATE_BLOCK):
         e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
         e1 = (s1 - e2 @ h1.T) % q
         for i in np.flatnonzero(desc.is_solution(e2) & (tab[e1].sum(axis=1) == w_rem)):
-            e_perm = FqVector(q, np.concatenate([e1[i], e2[i]]))
-            e = apply_permutation(e_perm, perm.inverse())
-            if verify_solution(inst, e):  # soundness guard; never expected to fail
-                return e, lo + int(i) + 1
+            e = np.empty(inst.n, dtype=np.int64)
+            e[perm.images] = np.concatenate([e1[i], e2[i]])
+            hit = FqVector(q, e)
+            if verify_solution(inst, hit):  # soundness guard; never expected to fail
+                return hit, lo + int(i) + 1
     return None, desc.y
 
 
@@ -264,7 +264,7 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
             perm = Permutation.random(inst.n, rng)
             try:
                 ech = partial_gaussian_elim(
-                    apply_permutation(inst.h, perm), params.ell, inst.s
+                    apply_permutation(inst.h.values, perm), params.ell, inst.s.values, inst.q
                 )
                 break
             except SingularTopLeftError:

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fieldlin import FqVector
-
 DEFAULT_LIST_CAP = 1 << 26
 
 
@@ -118,8 +116,6 @@ class IndexedList:
 
 
 def _target_on_J(t, J: tuple[int, ...], width: int, q: int) -> np.ndarray:
-    if isinstance(t, FqVector):
-        t = t.values
     t = np.asarray(t, dtype=np.int64) % q
     if t.shape == (width,):
         return t[list(J)]

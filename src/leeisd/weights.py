@@ -175,32 +175,31 @@ def vector_weight(v: FqVector, wf: WeightFunction) -> Fraction:
 # -- exact sphere counting ------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _count_row(int_table: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Counts of vectors of each scaled weight 0..n*max, length-n, exact.
+def _kronecker_slots(int_table: tuple[int, ...], n: int) -> tuple[int, int]:
+    """(packed weight enumerator, bytes per slot) for powers up to n.
 
-    Computed as the coefficient list of (sum_x z^{wt_x})^n using Kronecker
-    substitution: the polynomial is packed into one big integer with
-    byte-aligned slots wide enough that coefficients (all <= q^n) never
-    carry across slots, and the power is taken on the integer.
+    Exact counts come from the coefficient lists of (sum_x z^{wt_x})^i by
+    Kronecker substitution: the polynomial is packed into one big integer
+    with byte-aligned slots wide enough that coefficients (all <= q^n)
+    never carry across slots, and powers are taken on the integer.
     """
-    q = len(int_table)
-    if n == 0:
-        return (1,)
-    maxw = max(int_table)
-    slot_bits = n * max(1, q.bit_length()) + 1
-    slot_bytes = (slot_bits + 7) // 8
-    slot_bits = slot_bytes * 8
-    base = 0
-    for w in int_table:
-        base += 1 << (w * slot_bits)
-    val = base**n
-    nslots = n * maxw + 1
+    slot_bytes = (n * max(1, len(int_table).bit_length()) + 8) // 8
+    return sum(1 << (w * 8 * slot_bytes) for w in int_table), slot_bytes
+
+
+def _unpack(val: int, nslots: int, slot_bytes: int) -> tuple[int, ...]:
     raw = val.to_bytes(nslots * slot_bytes, "little")
     return tuple(
         int.from_bytes(raw[j * slot_bytes : (j + 1) * slot_bytes], "little")
         for j in range(nslots)
     )
+
+
+@lru_cache(maxsize=32)
+def _count_row(int_table: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Counts of vectors of each scaled weight 0..n*max, length-n, exact."""
+    base, slot_bytes = _kronecker_slots(int_table, n)
+    return _unpack(base**n, n * max(int_table) + 1, slot_bytes)
 
 
 def sphere_counts_all(wf: WeightFunction, n: int) -> tuple[int, ...]:
@@ -227,21 +226,16 @@ def sphere_count_exact(wf: WeightFunction, n: int, w) -> int:
 
 
 @lru_cache(maxsize=64)
-def _dp_rows(int_table: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..n of the suffix-count table: row[i][j] = #length-i vectors of weight j."""
-    maxw = max(int_table) if int_table else 0
-    hist: dict[int, int] = {}
-    for w in int_table:
-        hist[w] = hist.get(w, 0) + 1
-    rows = [(1,)]
+def _count_rows(int_table: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of the suffix-count table: row[i][j] = #length-i vectors of weight j.
+
+    The same Kronecker counts as _count_row, one multiplication per row.
+    """
+    base, slot_bytes = _kronecker_slots(int_table, n)
+    rows, val = [(1,)], 1
     for i in range(1, n + 1):
-        prev = rows[-1]
-        cur = [0] * (i * maxw + 1)
-        for w, c in hist.items():
-            for j, v in enumerate(prev):
-                if v:
-                    cur[j + w] += c * v
-        rows.append(tuple(cur))
+        val *= base
+        rows.append(_unpack(val, i * max(int_table) + 1, slot_bytes))
     return tuple(rows)
 
 
@@ -258,7 +252,7 @@ class SphereEnumerator:
         self.n = n
         ws = wf.scaled(w)
         self.w_scaled = -1 if ws is None or ws < 0 else ws
-        self._rows = _dp_rows(wf.int_table, n)
+        self._rows = _count_rows(wf.int_table, n)
         self._tab = wf.int_table
 
     @property
@@ -326,11 +320,11 @@ def _suffix_table(int_table: tuple[int, ...], n: int, w_scaled: int) -> np.ndarr
     The entries for weights j in [-w_scaled, w_scaled] are all an unrank at
     weight w_scaled reads (negative weights count 0).  The array is int64
     when they fit and holds Python ints (dtype object) otherwise; the full
-    _dp_rows may overflow int64 even when this slice does not.
+    _count_rows may overflow int64 even when this slice does not.
     """
     cells = [
         [0] * w_scaled + [row[j] if j < len(row) else 0 for j in range(w_scaled + 1)]
-        for row in _dp_rows(int_table, n)
+        for row in _count_rows(int_table, n)
     ]
     fits = max(map(max, cells)) < 2**63
     arr = np.array(cells, dtype=np.int64 if fits else object)
@@ -365,7 +359,7 @@ def _unrank_rows(
 
 @lru_cache(maxsize=64)
 def _sphere_vectors(int_table: tuple[int, ...], n: int, w_scaled: int) -> np.ndarray:
-    rows = _dp_rows(int_table, n)
+    rows = _count_rows(int_table, n)
     count = rows[n][w_scaled] if 0 <= w_scaled < len(rows[n]) else 0
     if count:
         out = _unrank_rows(int_table, n, w_scaled, np.arange(count))

@@ -271,3 +271,9 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["s"] == pytest.approx(0.43068, abs=1e-4)
+
+
+def test_selftest_passes(capsys):
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 0
+    assert out.splitlines()[-1] == "all 7 checks passed"

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,16 +62,17 @@ def test_prange_description():
     q = 3
     h2 = FqMatrix(q, np.zeros((0, 5), dtype=np.int64))
     s2 = FqVector(q, np.zeros(0, dtype=np.int64))
-    desc = cmsd_prange(h2, s2)
+    wf = WeightFunction.hamming(q)
+    desc = cmsd_prange(h2, s2, wf, 0)
     assert desc.y == 1
     assert desc.evaluate(0).tolist() == [0] * 5
     res = enumerate_f(desc)
     assert res.observed_z == 1 and res.solutions[0].tolist() == [0] * 5
     with pytest.raises(ValueError):
-        cmsd_prange(h2, s2, p=1)
+        cmsd_prange(h2, s2, wf, p=1)
     h_bad = FqMatrix(q, np.zeros((1, 5), dtype=np.int64))
     with pytest.raises(ValueError):
-        cmsd_prange(h_bad, FqVector(q, [0]))
+        cmsd_prange(h_bad, FqVector(q, [0]), wf, 0)
 
 
 def test_dumer_p0_degenerate():
@@ -173,6 +175,16 @@ def test_wagner_v1_infeasible_block_weight():
     # per-block budget 3 exceeds block length 2
     with pytest.raises(CmsdInfeasibleError):
         cmsd_wagner_v1(h2, s2, wf, 12, a=2)
+    # a budget off the table unit is rejected by every back end alike
+    lee = WeightFunction.lee(3)
+    for build in (
+        lambda p: cmsd_dumer(h2, s2, lee, p),
+        lambda p: cmsd_wagner_v1(h2, s2, lee, p, a=1),
+        lambda p: cmsd_wagner_v1(h2, s2, lee, p, a=2),
+        lambda p: cmsd_wagner_v2_build(h2, s2, lee, p, a=2),
+    ):
+        with pytest.raises(CmsdInfeasibleError):
+            build(Fraction(1, 2))
 
 
 def test_wagner_v1_level_sizes_follow_prediction():

@@ -1,11 +1,13 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from leeisd.fieldlin import FqVector, mat_vec_mul, rank
+import leeisd.isd as isd
+from leeisd.fieldlin import FqMatrix, FqVector, mat_vec_mul, rank
 from leeisd.isd import (
     IsdParams,
     SdInstance,
@@ -145,6 +147,31 @@ def test_permutation_replay_framework():
     if rep.found:
         assert vector_weight(rep.solution, wf) == inst.w
         assert mat_vec_mul(inst.h, rep.solution) == inst.s
+
+
+def test_wrappers_stay_at_the_boundary(monkeypatch):
+    # inside the loop H, s and every candidate are int64 arrays; a hit is
+    # wrapped once, and that FqVector is both verified and returned
+    inst = generate_instance(3, 30, 15, 7, WeightFunction.lee(3), random.Random(211))
+    built = Counter()
+    for cls in (FqMatrix, FqVector):
+        def counted(self, init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    verified = []
+
+    def verify(inst, e):
+        verified.append(e)
+        return verify_solution(inst, e)
+
+    monkeypatch.setattr(isd, "verify_solution", verify)
+    rep = isd_solve(inst, IsdParams(variant="dumer", ell=3, p=2, rng_seed=11))
+    assert rep.found and rep.outer_loops == 4
+    assert built["FqMatrix"] == 0
+    assert built["FqVector"] == len(verified) == 1
+    assert rep.solution is verified[0]
 
 
 def test_determinism_fixed_seed():
