@@ -245,6 +245,8 @@ def cmd_hardest(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise UsageError("--points must be at least 1")
     wf = _load_weight(args.q, args.weight)
     omegas = np.linspace(0.0, float(wf.max_weight), args.points)
     columns = [c for c in estimator.SWEEP_COLUMNS if args.model in ("all", c[0])]

@@ -124,7 +124,7 @@ class WeightFunction:
         """The scaled table as a read-only int64 array, shared by every caller."""
         return self._int_array
 
-    @property
+    @cached_property
     def max_weight(self) -> Fraction:
         return max(self.table)
 
@@ -153,7 +153,8 @@ class WeightFunction:
         most e^-60 times its multiplicity ratio of the extreme class's mass,
         so the bracket holds every mean-weight target that is not within
         about that fraction of either end.  It follows the table's own
-        scale: multiplying every weight by c divides beta_max by c.
+        scale: multiplying every weight by c divides beta_max by c, and so
+        does the solver's start table, built on the first entropy query.
         """
         uniq, inv = np.unique([float(x) for x in self.table], return_inverse=True)
         mult = np.bincount(inv).astype(float)
@@ -405,7 +406,9 @@ class _Dual:
 
     Class frequencies are proportional to mult * q^(-beta * wt): the mean
     weight falls strictly in beta, and the entropy peaks at beta = 0, so
-    every query is a bisection on beta inside [-beta_max, beta_max].
+    every query has one root beta inside [-beta_max, beta_max].  A query
+    starts from the node table, built once per table on first use, and
+    refines its root by bracketed Newton steps (_solve_dual).
     """
 
     w: np.ndarray  # distinct weights, ascending
@@ -419,17 +422,55 @@ class _Dual:
         One row per multiplier; each row is scaled by its largest weight so
         that nothing overflows.
         """
-        z = np.log(self.mult) - np.multiply.outer(beta * self.lnq, self.w)
+        z = np.multiply.outer(beta * -self.lnq, self.w)
+        z += np.log(self.mult)
         z -= z.max(axis=-1, keepdims=True)
         return np.exp(z), z
 
     def state(self, beta: np.ndarray):
         """(class frequencies, mean weight, entropy in log_q units) at each beta."""
-        e, z = self.gibbs(beta)
-        tot = e.sum(axis=-1, keepdims=True)
-        lam = e / tot
-        ent = -(lam * (z - np.log(tot) - np.log(self.mult))).sum(axis=-1) / self.lnq
-        return lam, lam @ self.w, ent
+        lam, z = self.gibbs(beta)
+        tot = lam.sum(axis=-1, keepdims=True)
+        lam /= tot
+        z -= np.log(tot)
+        z -= np.log(self.mult)
+        z *= lam
+        return lam, lam @ self.w, -z.sum(axis=-1) / self.lnq
+
+    @cached_property
+    def _moment_columns(self) -> np.ndarray:
+        gap = self.w[-1] - self.w
+        return np.stack([self.w, gap, self.w * gap], axis=1)
+
+    def moments(self, beta: np.ndarray) -> np.ndarray:
+        """Expectations of wt, w_max - wt and wt * (w_max - wt) at each beta.
+
+        The second column is the mean's distance from the top, free of
+        cancellation, and mean * gap - E[wt * (w_max - wt)] is the variance,
+        accurate at both ends of the weight range.
+        """
+        e = self.gibbs(beta)[0]
+        return e @ self._moment_columns / e.sum(axis=-1, keepdims=True)
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, beta) start table: x = logit of the mean weight, ascending.
+
+        The 257 multipliers are c * sinh(t) with t evenly spaced, where
+        c = 1 / (w_max ln q) is the table's own scale, so the nodes are
+        dense near beta = 0 and reach +-beta_max.  Nodes whose logit is
+        not finite or not increasing (a mean lost to underflow) are dropped.
+        """
+        c = 1.0 / (self.w[-1] * self.lnq)
+        t_max = math.asinh(self.beta_max / c)
+        beta = c * np.sinh(np.linspace(t_max, -t_max, 257))
+        mom = self.moments(beta)
+        pos = (mom[:, :2] > 0).all(axis=1)
+        x = np.full(len(beta), -math.inf)
+        x[pos] = np.log(mom[pos, 0]) - np.log(mom[pos, 1])
+        prev = np.maximum.accumulate(np.concatenate([[-math.inf], x[:-1]]))
+        keep = np.isfinite(x) & (x > prev)
+        return x[keep], beta[keep]
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, root_above) -> np.ndarray:
@@ -442,22 +483,68 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, root_above) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+_NEWTON_TOL = 2.0**-26  # about sqrt(eps): a smaller Newton step leaves error ~ eps
+_BRACKET_TOL = 2.0**-48  # a midpoint step this small means the bracket has closed
+
+
 def _solve_dual(wf: WeightFunction, omegas):
     """(class frequencies, entropy, beta) of the max-entropy law at each mean weight.
 
     Targets are clipped to [0, max weight]; at the two ends the entropy and
     beta are the exact limits (uniform over the extreme-weight symbols).
+    A target that is not a finite number raises ValueError.
+
+    Every other target gets Newton's method on x = logit(mean) =
+    ln m - ln(w_max - m), which is close to linear in beta at both ends.
+    It starts by interpolation in _Dual.nodes and stays inside the node
+    cell that holds the root: every evaluation moves one end of [lo, hi] to
+    the current point, and a step that leaves the bracket (edges included)
+    is replaced by its midpoint.  A point stops once it no longer moves:
+    after a Newton step below sqrt(eps) of its scale, or a midpoint step
+    below rounding.  The loop is capped at the 72 steps a bisection from
+    +-beta_max needs, so the same loop is the fast path and the fallback.
     """
     d = wf._dual_solver
-    om = np.clip(np.atleast_1d(np.asarray(omegas, dtype=float)), 0.0, d.w[-1])
-
-    def root_above(beta):
-        e, _ = d.gibbs(beta)
-        return e @ d.w > om * e.sum(axis=-1)
-
-    beta = _bisect(np.full(om.shape, -d.beta_max), np.full(om.shape, d.beta_max), root_above)
+    wmax = float(d.w[-1])
+    om = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if not np.isfinite(om).all():
+        bad = om[~np.isfinite(om)][0]
+        raise ValueError(f"target weight {bad} outside [0, {wmax}]")
+    om = np.clip(om, 0.0, wmax)
+    at_lo, at_hi = om <= 0.0, om >= wmax
+    beta = np.where(at_lo, d.beta_max, -d.beta_max)
+    live = np.flatnonzero(~(at_lo | at_hi))
+    x = np.log(om[live]) - np.log(wmax - om[live])
+    xs, bs = d.nodes
+    cell = np.searchsorted(xs, x)
+    ends = np.concatenate([[d.beta_max], bs, [-d.beta_max]])
+    lo, hi = ends[cell + 1], ends[cell]
+    cur = beta[live] = np.interp(x, xs, bs)
+    scale = 1.0 / (wmax * d.lnq)
+    for _ in range(72):
+        mom = d.moments(cur)
+        m, gap = mom[:, 0], mom[:, 1]
+        pos = (m > 0) & (gap > 0)
+        f = np.log(np.where(pos, m, 1.0)) - np.log(np.where(pos, gap, 1.0)) - x
+        # the mean falls with beta, so the root lies above where it exceeds
+        # the target; reading that off the sign of f, not of m - om, keeps
+        # step and bracket consistent within rounding
+        above = np.where(pos, f > 0, m > 0)
+        lo = np.where(above, cur, lo)
+        hi = np.where(above, hi, cur)
+        # Newton on x: dx/dbeta = -Var ln q w_max / (m gap), Var = m gap - E[wt gap]
+        num = f * m * gap
+        den = (m * gap - mom[:, 2]) * (d.lnq * wmax)
+        fits = pos & (den > 0) & (np.abs(num) <= den * (hi - lo))
+        step = cur + np.divide(num, den, out=np.zeros_like(num), where=fits)
+        fits &= (lo <= step) & (step <= hi)
+        nxt = beta[live] = np.where(fits, step, 0.5 * (lo + hi))
+        tol = np.where(fits, _NEWTON_TOL, _BRACKET_TOL) * (scale + np.abs(cur))
+        moving = np.abs(nxt - cur) > tol
+        if not moving.any():
+            break
+        live, cur, lo, hi, x = (a[moving] for a in (live, nxt, lo, hi, x))
     lam, _, ent = d.state(beta)
-    at_lo, at_hi = om <= 0.0, om >= d.w[-1]
     ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, np.clip(ent, 0.0, 1.0))
     ent = np.where(at_hi, math.log(d.mult[-1]) / d.lnq, ent)
     beta = np.where(at_lo, math.inf, np.where(at_hi, -math.inf, beta))
@@ -468,10 +555,10 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
     """Entropy-maximizing symbol distribution with mean weight omega.
 
     Solved in Lagrangian dual form: frequencies proportional to
-    q^(-beta * wt(x)) with beta found by bisection so the mean weight
-    matches omega; the mean is strictly decreasing in beta, so the root
-    is unique.  Boundary targets (omega = 0 or omega = max weight)
-    concentrate exactly on the extreme-weight symbols.
+    q^(-beta * wt(x)) with beta found by a few bracketed Newton steps so
+    the mean weight matches omega; the mean is strictly decreasing in
+    beta, so the root is unique.  Boundary targets (omega = 0 or omega =
+    max weight) concentrate exactly on the extreme-weight symbols.
     """
     d = wf._dual_solver
     wmax = float(d.w[-1])
@@ -487,7 +574,11 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
 
 
 def sphere_exponent_many(wf: WeightFunction, omegas) -> np.ndarray:
-    """Vectorized entropy exponents for an array of mean-weight targets."""
+    """Vectorized entropy exponents for an array of mean-weight targets.
+
+    Targets are clipped to [0, max weight]; a target that is not a finite
+    number raises ValueError.
+    """
     return _solve_dual(wf, omegas)[1]
 
 

@@ -154,6 +154,10 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     )
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert "a_max" in err
+    # an empty weight grid, which would also leave --R unchecked
+    code, _, err = run_cli(capsys, "sweep", "--q", "3", "--R", "1.5", "--points", "0")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "--points" in err
 
 
 def test_corrupt_weight_table_rejected(tmp_path, capsys):

@@ -128,6 +128,15 @@ def test_sphere_exponent_boundaries():
     assert np.allclose(top.lam, [0, 0, 0.5, 0.5, 0])
 
 
+def test_non_finite_targets_are_rejected():
+    wf = WeightFunction.lee(5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="target weight"):
+            sphere_exponent(wf, bad)
+        with pytest.raises(ValueError, match="target weight"):
+            sphere_exponent_many(wf, [1.0, bad])
+
+
 def test_sphere_exponent_hamming_closed_form():
     # independent oracle: -(1-w)log_q(1-w) - w log_q(w/(q-1))
     q = 3
