@@ -25,15 +25,11 @@ from .estimator import (
     HardestResult,
     InfeasibleParameterError,
     WorkFactors,
-    classical_exponent,
     hardest_instance,
     local_maxima_weights,
     optimize_point,
-    p1_exponent,
-    quantum_exponent,
     sweep,
-    wagner1_factors,
-    wagner2_factors,
+    work_factors,
 )
 from .fieldlin import (
     FqMatrix,

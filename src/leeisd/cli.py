@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .cmsd import CmsdInfeasibleError
 from .estimator import CodeParams, HardestResult, WorkFactors
 from .isd import VARIANTS, IsdParams, SdInstance, generate_instance, isd_solve, verify_solution
 from .merge import DEFAULT_LIST_CAP, MergeOverflowError
-from .weights import WeightFunction, sphere_count_exact, sphere_exponent
+from .weights import WeightFunction, normalized_weight, sphere_count_exact, sphere_exponent
 
 CSV_FIELDS = (
     "q",
@@ -97,7 +96,7 @@ def _csv_row(wf: WeightFunction, rate: float, model: str, alg: str, omega: float
         "weight": wf.name,
         "R": _fmt(rate),
         "omega": _fmt(omega),
-        "omega_normalized": _fmt(omega / float(wf.max_weight)),
+        "omega_normalized": _fmt(normalized_weight(wf, omega)),
         "model": model,
         "algorithm": alg,
         "a": "",
@@ -144,7 +143,7 @@ def cmd_sphere(args) -> int:
         doc.update(
             {
                 "omega": args.omega,
-                "omega_normalized": args.omega / float(wf.max_weight),
+                "omega_normalized": normalized_weight(wf, args.omega),
                 "s": prof.s,
                 "beta": prof.beta if math.isfinite(prof.beta) else str(prof.beta),
                 "lambda": [float(x) for x in prof.lam],
@@ -153,7 +152,7 @@ def cmd_sphere(args) -> int:
     if args.exact:
         if args.n is None or args.w is None:
             raise UsageError("--exact requires --n and --w")
-        count = sphere_count_exact(wf, args.n, Fraction(args.w))
+        count = sphere_count_exact(wf, args.n, args.w)
         doc.update(
             {
                 "n": args.n,
@@ -173,7 +172,7 @@ def cmd_sphere(args) -> int:
 def cmd_gen(args) -> int:
     wf = _load_weight(args.q, args.weight)
     rng = random.Random(args.seed)
-    inst = generate_instance(args.q, args.n, args.k, Fraction(args.w), wf, rng)
+    inst = generate_instance(args.q, args.n, args.k, args.w, wf, rng)
     _emit(inst.to_dict(), args.out)
     return 0
 
@@ -190,7 +189,7 @@ def cmd_solve(args) -> int:
     params = IsdParams(
         variant=args.alg,
         ell=args.ell,
-        p=Fraction(args.p),
+        p=args.p,
         a=args.a,
         list_size_cap=args.cap,
         max_outer_loops=args.max_loops,
@@ -213,7 +212,7 @@ def cmd_estimate(args) -> int:
         "weight": wf.name,
         "R": args.R,
         "omega": args.omega,
-        "omega_normalized": args.omega / float(wf.max_weight),
+        "omega_normalized": normalized_weight(wf, args.omega),
         "model": args.model,
         "algorithm": args.alg,
     }
@@ -232,7 +231,7 @@ def cmd_hardest(args) -> int:
         "algorithm": args.alg,
         "R": res.rate,
         "omega": res.omega,
-        "omega_normalized": res.omega / float(wf.max_weight),
+        "omega_normalized": normalized_weight(wf, res.omega),
         "alpha": res.alpha,
         "alpha_hat": res.alpha_hat,
     }

@@ -48,6 +48,7 @@ from .merge import DEFAULT_LIST_CAP, IndexedList, MergeOverflowError, _encode_ke
 from .weights import (
     SphereEnumerator,
     WeightFunction,
+    _to_fraction,
     sphere_exponent_many,
     vector_weight,  # unused here; bench/tracer.py wraps cmsd.vector_weight by name
 )
@@ -342,7 +343,7 @@ def _merge_levels(
 
 def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
     """The weight budget p and its scaled value, which must be a table multiple."""
-    p_frac = p if isinstance(p, Fraction) else Fraction(p)
+    p_frac = _to_fraction(p)
     if p_frac < 0:
         raise ValueError("weight budget must be nonnegative")
     p_scaled = wf.scaled(p_frac)
@@ -359,7 +360,7 @@ def cmsd_prange(
     ell, k = h2.shape
     if ell != 0 or len(s2) != 0:
         raise ValueError("prange back end requires an empty bottom block (ell = 0)")
-    if Fraction(p) != 0:
+    if _to_fraction(p) != 0:
         raise ValueError("prange back end requires weight budget p = 0")
     return CmsdDescription(
         weight=Fraction(0),

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .weights import WeightFunction, entropy_crossings, sphere_exponent_many
+from .weights import WeightFunction, entropy_crossings, normalized_weight, sphere_exponent_many
 
 MODELS = ("classical", "quantum")
 ALGORITHMS = ("prange", "dumer", "wagner")
@@ -55,6 +56,11 @@ class CodeParams:
     def q(self) -> int:
         return self.wf.q
 
+    @cached_property
+    def s_omega(self) -> float:
+        """Entropy exponent at the problem's own weight, shared by every point."""
+        return float(sphere_exponent_many(self.wf, [self.omega])[0])
+
 
 @dataclass(frozen=True)
 class AlgoPoint:
@@ -63,6 +69,10 @@ class AlgoPoint:
     L: float
     P: float
     a: int
+
+    def __post_init__(self):
+        if isinstance(self.a, bool) or not isinstance(self.a, (int, np.integer)) or self.a < 1:
+            raise ValueError(f"level count a must be an integer >= 1, not {self.a!r}")
 
 
 @dataclass(frozen=True)
@@ -96,25 +106,19 @@ def _check_point(cp: CodeParams, L: float, P: float) -> None:
         raise InfeasibleParameterError(f"P={P} outside [{lo}, {hi}] at L={L}")
 
 
-def _s(cp: CodeParams) -> float:
-    """Entropy exponent at the problem's own weight, shared by every point."""
-    return float(sphere_exponent_many(cp.wf, [cp.omega])[0])
-
-
-def _factors(cp: CodeParams, model: str, L, P, a, s_omega: float) -> dict:
+def _factors(cp: CodeParams, model: str, L, P, a) -> dict:
     """Every exponent of the merge-tree attack at feasible points (L, P).
 
     The classical model uses the merge tree over 2^a blocks, the quantum
     model the checkable-function tree over 2^a + 1 units.  L, P and a
     broadcast together, so a column of level counts against rows of
-    points costs no more entropy work than one level count; s_omega is
-    the entropy exponent at cp.omega.
+    points costs no more entropy work than one level count.
     """
     R = cp.rate
     out_len = 1.0 - R - L
     s_out = sphere_exponent_many(cp.wf, (cp.omega - P) / np.maximum(out_len, _EPS))
     num = np.where(out_len > _EPS, out_len * s_out, 0.0)
-    pi1 = np.minimum(0.0, num - np.maximum(0.0, np.minimum(s_omega - L, out_len)))
+    pi1 = np.minimum(0.0, num - np.maximum(0.0, np.minimum(cp.s_omega - L, out_len)))
     np_rel = R + L  # N' = R + L, the bottom part's relative length
     m0 = L / np_rel
     s0 = sphere_exponent_many(cp.wf, P / np_rel)
@@ -130,46 +134,18 @@ def _factors(cp: CodeParams, model: str, L, P, a, s_omega: float) -> dict:
             "s_omega0": s0, "total": total}
 
 
-def _at_point(cp: CodeParams, model: str, point: AlgoPoint, s_omega: float) -> dict:
+def work_factors(cp: CodeParams, model: str, point: AlgoPoint) -> WorkFactors:
+    """Every exponent of the attack at one feasible point under one cost model.
+
+    The classical model pays restarts times per-restart work; the quantum
+    model square-roots the restarts and the candidate search.
+    """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}")
     _check_point(cp, point.L, point.P)
-    fac = _factors(cp, model, point.L, point.P, point.a, s_omega)
-    return {k: v.item() for k, v in fac.items()}
-
-
-def p1_exponent(cp: CodeParams, L: float, P: float) -> float:
-    """log_q of the probability that a candidate's top part has weight w - p."""
-    return _at_point(cp, "classical", AlgoPoint(L, P, 1), _s(cp))["pi1"]
-
-
-def _tree_factors(cp: CodeParams, point: AlgoPoint, model: str) -> dict:
-    fac = _at_point(cp, model, point, _s(cp))
-    return {k: fac[k] for k in ("u", "x", "zeta", "tau", "y", "s_omega0")}
-
-
-def wagner1_factors(cp: CodeParams, point: AlgoPoint) -> dict:
-    """List-size exponents of the classical merge tree at this point."""
-    return _tree_factors(cp, point, "classical")
-
-
-def wagner2_factors(cp: CodeParams, point: AlgoPoint) -> dict:
-    """List-size exponents of the checkable-function merge tree."""
-    return _tree_factors(cp, point, "quantum")
-
-
-def _work_factors(cp: CodeParams, model: str, point: AlgoPoint, s_omega: float) -> WorkFactors:
-    fac = _at_point(cp, model, point, s_omega)
+    fac = {k: v.item() for k, v in _factors(cp, model, point.L, point.P, point.a).items()}
     total = fac.pop("total")
     return WorkFactors(**fac, total_q=total, total_bin=total * math.log2(cp.q), point=point)
-
-
-def classical_exponent(cp: CodeParams, point: AlgoPoint) -> WorkFactors:
-    """Restart count times per-restart work, classical model."""
-    return _work_factors(cp, "classical", point, _s(cp))
-
-
-def quantum_exponent(cp: CodeParams, point: AlgoPoint) -> WorkFactors:
-    """Square-root restarts and square-root candidate search, quantum model."""
-    return _work_factors(cp, "quantum", point, _s(cp))
 
 
 # -- optimization over (L, P, a) --------------------------------------------
@@ -188,13 +164,12 @@ def _pattern_search(
     a: int,
     L0: float,
     P0: float,
-    s_omega: float,
 ) -> tuple[float, float, float]:
     """Compass search in unit-box coordinates, step halved when stuck."""
     R = cp.rate
 
     def totals(fl, fp):
-        return _factors(cp, model, *_unit_to_LP(cp, fl, fp), a, s_omega)["total"]
+        return _factors(cp, model, *_unit_to_LP(cp, fl, fp), a)["total"]
 
     fl = min(max(L0 / (1.0 - R), 0.0), 1.0)
     lo, hi = _feasible_P_range(cp, fl * (1.0 - R))
@@ -237,14 +212,13 @@ def optimize_point(
         raise ValueError(f"model must be one of {MODELS}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    s_omega = _s(cp)
     if cp.omega <= _EPS or algorithm == "prange":  # (0, 0) is infeasible at large weight
-        return _work_factors(cp, model, AlgoPoint(0.0, 0.0, 1), s_omega)
+        return work_factors(cp, model, AlgoPoint(0.0, 0.0, 1))
 
     a_values = np.arange(1, 2 if algorithm == "dumer" else a_max + 1)
     unit = np.linspace(0.0, 1.0, 64)
     L, P = _unit_to_LP(cp, np.repeat(unit, 64), np.tile(unit, 64))
-    totals = _factors(cp, model, L, P, a_values[:, None], s_omega)["total"]
+    totals = _factors(cp, model, L, P, a_values[:, None])["total"]
     seeds = []
     for a, tot in zip(a_values, totals):
         i = int(np.argmin(tot))
@@ -252,10 +226,10 @@ def optimize_point(
     seeds.sort()
     best: tuple[float, AlgoPoint] | None = None
     for _, a, L0, P0 in seeds[:3]:
-        v, Lr, Pr = _pattern_search(cp, model, a, L0, P0, s_omega)
+        v, Lr, Pr = _pattern_search(cp, model, a, L0, P0)
         if best is None or v < best[0] - 1e-13:
             best = (v, AlgoPoint(Lr, Pr, a))
-    return _work_factors(cp, model, best[1], s_omega)
+    return work_factors(cp, model, best[1])
 
 
 # -- weight landscape and hardest instances ----------------------------------
@@ -369,7 +343,6 @@ def sweep(
     a_max: int = 10,
 ) -> list[SweepRow]:
     """Exponent curves over a weight grid, one row per (omega, model, algorithm)."""
-    wmax = float(wf.max_weight)
     rows = []
     for om in map(float, omegas):
         for model, algorithm in columns:
@@ -377,5 +350,5 @@ def sweep(
                 fac = optimize_point(CodeParams(wf, rate, om), model, algorithm, a_max)
             except InfeasibleParameterError:
                 fac = None
-            rows.append(SweepRow(om, om / wmax, model, algorithm, fac))
+            rows.append(SweepRow(om, normalized_weight(wf, om), model, algorithm, fac))
     return rows

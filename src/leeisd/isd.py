@@ -58,7 +58,7 @@ class SdInstance:
     planted: FqVector | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "w", self.w if isinstance(self.w, Fraction) else Fraction(self.w))
+        object.__setattr__(self, "w", _to_fraction(self.w))
         if not 0 < self.k < self.n:
             raise ValueError("need 0 < k < n")
         if self.h.rows != self.n - self.k or self.h.cols != self.n:
@@ -97,7 +97,7 @@ class SdInstance:
             q=q,
             n=int(doc["n"]),
             k=int(doc["k"]),
-            w=_to_fraction(doc["w"]),
+            w=doc["w"],
             wf=wf,
             h=FqMatrix(q, np.asarray(doc["H"], dtype=np.int64)),
             s=FqVector(q, np.asarray(doc["s"], dtype=np.int64)),
@@ -131,7 +131,7 @@ class IsdParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        object.__setattr__(self, "p", self.p if isinstance(self.p, Fraction) else Fraction(self.p))
+        object.__setattr__(self, "p", _to_fraction(self.p))
         if self.ell < 0 or self.a < 1 or self.max_outer_loops < 1:
             raise ValueError("invalid parameter ranges")
 

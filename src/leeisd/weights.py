@@ -28,14 +28,19 @@ _WEIGHT_TOL = 1e-12
 
 
 def _to_fraction(x) -> Fraction:
+    """The one rational parser: ints and "a/b" or decimal strings exactly,
+    floats as their nearest fraction with denominator at most 10^9."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**9)
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, float):
+            return Fraction(x).limit_denominator(10**9)
+    except (OverflowError, ZeroDivisionError) as exc:  # an infinite float or "a/0"
+        raise ValueError(f"weight {x!r} is not a finite rational") from exc
     raise TypeError(f"cannot interpret {x!r} as a rational weight")
 
 
@@ -301,10 +306,6 @@ class SphereEnumerator:
         if r.min() < 0 or r.max() >= self.count:
             raise IndexError(f"ranks outside [0, {self.count}) for this sphere")
         return _unrank_rows(self._tab, self.n, self.w_scaled, r)
-
-    def __iter__(self):
-        for r in range(self.count):
-            yield self.unrank(r)
 
     def all_vectors(self) -> np.ndarray:
         """Read-only dense (count, n) array of every sphere element, in rank order.

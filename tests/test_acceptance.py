@@ -179,7 +179,8 @@ def test_decoder_soundness():
 
 def brute_cmsd(h2, s2, wf, p):
     out = Counter()
-    for v in SphereEnumerator(wf, h2.cols, p):
+    enum = SphereEnumerator(wf, h2.cols, p)
+    for v in map(enum.unrank, range(enum.count)):
         if np.array_equal((h2.values @ v) % h2.q, s2.values):
             out[tuple(v.tolist())] += 1
     return out

@@ -158,6 +158,15 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--q", "3", "--R", "1.5", "--points", "0")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert "--points" in err
+    # a table entry that overflows to infinity in JSON, and a zero denominator
+    table = tmp_path / "inf.json"
+    table.write_text('{"q": 3, "table": [0, 1e400, 1]}')
+    code, _, err = run_cli(
+        capsys, "sphere", "--q", "3", "--weight", str(table), "--omega", "0.5"
+    )
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run_cli(capsys, "sphere", "--q", "3", "--exact", "--n", "4", "--w", "1/0")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_corrupt_weight_table_rejected(tmp_path, capsys):

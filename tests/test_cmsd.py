@@ -28,7 +28,8 @@ from leeisd.weights import SphereEnumerator, WeightFunction, vector_weight
 def brute_solutions(h2, s2, wf, p):
     """All e'' with H'' e'' = s'' and wt(e'') = p, by sphere enumeration."""
     out = []
-    for v in SphereEnumerator(wf, h2.cols, p):
+    enum = SphereEnumerator(wf, h2.cols, p)
+    for v in map(enum.unrank, range(enum.count)):
         if np.array_equal((h2.values @ v) % h2.q, s2.values):
             out.append(tuple(v.tolist()))
     return Counter(out)

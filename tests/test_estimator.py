@@ -8,21 +8,21 @@ from leeisd.estimator import (
     AlgoPoint,
     CodeParams,
     InfeasibleParameterError,
-    classical_exponent,
     hardest_instance,
     local_maxima_weights,
     optimize_point,
-    p1_exponent,
-    quantum_exponent,
     sweep,
-    wagner1_factors,
-    wagner2_factors,
+    work_factors,
 )
 from leeisd.weights import WeightFunction, sphere_exponent, sphere_exponent_many
 
 
 def s_of(wf, omega):
     return sphere_exponent(wf, omega).s
+
+
+def pi1_of(cp, L, P):
+    return work_factors(cp, "classical", AlgoPoint(L, P, 1)).pi1
 
 
 def test_p1_full_bottom_weight():
@@ -32,13 +32,13 @@ def test_p1_full_bottom_weight():
     L = 0.1
     s_omega = s_of(wf, 0.5)
     expect = -max(0.0, min(s_omega - L, 1 - 0.4 - L))
-    assert p1_exponent(cp, L, 0.5) == pytest.approx(expect, abs=1e-9)
+    assert pi1_of(cp, L, 0.5) == pytest.approx(expect, abs=1e-9)
 
 
 def test_p1_hand_value_hamming():
     wf = WeightFunction.hamming(3)
     cp = CodeParams(wf, 0.5, 0.1)
-    got = p1_exponent(cp, 0.0, 0.1)
+    got = pi1_of(cp, 0.0, 0.1)
     assert got == pytest.approx(-0.3590, abs=2e-4)
 
 
@@ -48,7 +48,7 @@ def test_p1_at_unique_solution_boundary():
     rate = 0.55
     omega = local_maxima_weights(wf, rate)[0]
     cp = CodeParams(wf, rate, omega)
-    got = p1_exponent(cp, 0.0, 0.0)
+    got = pi1_of(cp, 0.0, 0.0)
     expect = (1 - rate) * s_of(wf, omega / (1 - rate)) - (1 - rate)
     assert got == pytest.approx(expect, abs=1e-6)
     assert got <= 0.0
@@ -57,17 +57,17 @@ def test_p1_at_unique_solution_boundary():
 def test_wagner1_factors_degenerate_and_saturated():
     wf = WeightFunction.lee(5)
     cp = CodeParams(wf, 0.5, 0.3)
-    fac = wagner1_factors(cp, AlgoPoint(0.0, 0.0, 2))
-    assert fac["u"] == fac["x"] == fac["zeta"] == fac["tau"] == fac["y"] == 0.0
+    fac = work_factors(cp, "classical", AlgoPoint(0.0, 0.0, 2))
+    assert fac.u == fac.x == fac.zeta == fac.tau == fac.y == 0.0
     # small L with rich bottom weight saturates u at m0/a, where zeta = N'*u
     point = AlgoPoint(0.02, 0.3, 1)
-    fac = wagner1_factors(cp, point)
+    fac = work_factors(cp, "classical", point)
     np_rel = 0.5 + 0.02
     m0 = 0.02 / np_rel
-    assert fac["s_omega0"] / 2 > m0  # saturated branch really active
-    assert fac["u"] == pytest.approx(m0, rel=1e-9)
-    assert fac["x"] == pytest.approx(fac["u"], rel=1e-9)
-    assert fac["zeta"] == pytest.approx(np_rel * fac["u"], rel=1e-9)
+    assert fac.s_omega0 / 2 > m0  # saturated branch really active
+    assert fac.u == pytest.approx(m0, rel=1e-9)
+    assert fac.x == pytest.approx(fac.u, rel=1e-9)
+    assert fac.zeta == pytest.approx(np_rel * fac.u, rel=1e-9)
 
 
 def test_wagner2_u_below_wagner1():
@@ -75,18 +75,28 @@ def test_wagner2_u_below_wagner1():
     cp = CodeParams(wf, 0.45, 0.8)
     for a in (1, 2, 3):
         pt = AlgoPoint(0.1, 0.4, a)
-        assert wagner2_factors(cp, pt)["u"] <= wagner1_factors(cp, pt)["u"] + 1e-12
+        assert work_factors(cp, "quantum", pt).u <= work_factors(cp, "classical", pt).u + 1e-12
 
 
 def test_prange_degeneration_of_models():
     wf = WeightFunction.lee(3)
     cp = CodeParams(wf, 0.5, 0.2)
     pt = AlgoPoint(0.0, 0.0, 1)
-    cl = classical_exponent(cp, pt)
-    qu = quantum_exponent(cp, pt)
+    cl = work_factors(cp, "classical", pt)
+    qu = work_factors(cp, "quantum", pt)
     assert cl.total_q == pytest.approx(-cl.pi1, abs=1e-12)
     assert qu.total_q == pytest.approx(-qu.pi1 / 2, abs=1e-12)
     assert cl.total_bin == pytest.approx(cl.total_q * math.log2(3), abs=1e-12)
+
+
+def test_point_rejects_bad_level_count_and_model():
+    cp = CodeParams(WeightFunction.lee(5), 0.45, 0.8)
+    for a in (0, -1, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="level count"):
+            AlgoPoint(0.1, 0.4, a)
+    assert AlgoPoint(0.1, 0.4, np.int64(2)).a == 2
+    with pytest.raises(ValueError, match="model"):
+        work_factors(cp, "Quantum", AlgoPoint(0.1, 0.4, 1))
 
 
 def test_quantum_not_above_classical_on_grid():

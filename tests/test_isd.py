@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import leeisd.isd as isd
+from leeisd.cmsd import cmsd_dumer
 from leeisd.fieldlin import FqMatrix, FqVector, mat_vec_mul, rank
 from leeisd.isd import (
     IsdParams,
@@ -111,7 +112,8 @@ def test_solutions_within_exhaustive_set():
     wf = WeightFunction.lee(3)
     inst = generate_instance(3, 10, 5, 3, wf, rng)
     exhaustive = set()
-    for v in SphereEnumerator(wf, 10, 3):
+    enum = SphereEnumerator(wf, 10, 3)
+    for v in map(enum.unrank, range(enum.count)):
         if np.array_equal((inst.h.values @ v) % 3, inst.s.values):
             exhaustive.add(tuple(v.tolist()))
     assert tuple(inst.planted.tolist()) in exhaustive
@@ -213,6 +215,26 @@ def test_param_validation():
         isd_solve(inst, IsdParams(variant="dumer", ell=2, p=Fraction(1, 2)))
     with pytest.raises(ValueError):
         IsdParams(variant="nope")
+
+
+def test_float_weights_parse_as_table_rationals():
+    # a table given in tenths: every float weight must read as the same tenths
+    wf = WeightFunction.from_json({"q": 5, "table": [0, 0.1, 0.3, 0.3, 0.1]})
+    assert wf.scaled(0.3) == 3
+    assert IsdParams(p=0.3).p == Fraction(3, 10)
+    inst = generate_instance(5, 12, 6, "3/5", wf, random.Random(1))
+    again = SdInstance(q=5, n=12, k=6, w=0.6, wf=wf, h=inst.h, s=inst.s, planted=inst.planted)
+    assert again.w == Fraction(3, 5) and verify_solution(again, inst.planted)
+    report = isd_solve(inst, IsdParams(variant="dumer", ell=2, p=0.3, rng_seed=1))
+    assert report.found and verify_solution(inst, report.solution)
+    h2, s2 = np.array([[1, 2, 0, 1], [0, 1, 3, 4]]), np.array([1, 2])
+    assert cmsd_dumer(h2, s2, wf, 0.3).y == cmsd_dumer(h2, s2, wf, "3/10").y
+    # a weight that is no rational at all is a ValueError, not an arithmetic error
+    for bad in (float("inf"), float("-inf"), float("nan"), "1/0"):
+        with pytest.raises(ValueError):
+            WeightFunction(3, (0, bad, 1))
+        with pytest.raises(ValueError):
+            IsdParams(p=bad)
 
 
 def test_report_serialization():

@@ -1,5 +1,6 @@
 """Property tests: merge against the brute-force double loop, sphere rank round
-trips, and the entropy solver against a plain bisection on random tables.
+trips, the entropy solver against a plain bisection on random tables, and the
+exact solver's success probability against the estimator's exponent.
 
 Every test runs under derandomize=True with no example database, so each
 run draws the same cases.
@@ -8,6 +9,7 @@ run draws the same cases.
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leeisd.estimator import local_maxima_weights
+from leeisd.estimator import AlgoPoint, CodeParams, local_maxima_weights, work_factors
+from leeisd.isd import _exact_p1
 from leeisd.merge import IndexedList, _encode_keys, merge
 from leeisd.weights import (
     SphereEnumerator,
@@ -206,3 +209,34 @@ def test_table_scaling_invariance(base, fractions, rate):
             ref = (s, crossings)
         assert s == pytest.approx(ref[0], abs=1e-9)
         assert crossings == pytest.approx(ref[1], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "wf",
+    [
+        WeightFunction.lee(5),
+        WeightFunction.lee(7),
+        WeightFunction.hamming(3),
+        WeightFunction(5, (0, Fraction(1, 2), Fraction(3, 2), Fraction(3, 2), Fraction(1, 2))),
+        WeightFunction(7, (0, 0, 1, Fraction(1, 3), 6, 2, Fraction(1, 3))),
+    ],
+    ids=["lee5", "lee7", "hamming3", "rational5", "rational7"],
+)
+@pytest.mark.parametrize(
+    "omega, P", [(Fraction(1, 2), Fraction(1, 4)), (Fraction(2, 5), Fraction(1, 5))]
+)
+def test_exact_p1_converges_to_pi1(wf, omega, P):
+    # log_q(P1)/n from exact sphere counts approaches the estimator's pi1 at
+    # R = 1/2, L = 1/8.  Its gap falls like log(n)/n, so doubling n scales it
+    # by about (1 + ln 2 / ln n) / 2, which is 0.58 at n = 80.
+    omega, P = omega * wf.max_weight, P * wf.max_weight
+    pi1 = work_factors(
+        CodeParams(wf, 0.5, float(omega)), "classical", AlgoPoint(0.125, float(P), 1)
+    ).pi1
+    gaps = []
+    for n in (80, 160, 320):
+        inst = SimpleNamespace(n=n, k=n // 2, q=wf.q, wf=wf, w=omega * n)
+        p1 = _exact_p1(inst, n // 8, P * n)
+        gaps.append(abs(math.log(p1, wf.q) / n - pi1))
+    assert gaps[1] <= 0.7 * gaps[0]
+    assert gaps[2] <= 0.7 * gaps[1]
