@@ -17,20 +17,21 @@ Back ends:
     fixed balanced per-block weight, with random intermediate targets that
     telescope to s''.
   * wagner_v2_build: the checkable-function variant; the quadratically
-    larger rightmost list is never materialized.  f(k) unranks the k-th
-    element of the last base list and then looks up, level by level, its
-    partner in a per-key table built once from the materialized left-hand
-    lists.
+    larger rightmost list is never merged.  f(k) reads the k-th element of
+    the last base list (from the shared sphere array when the sphere fits
+    the cap, else by unranking a sampled rank) and then looks up, level by
+    level, its partner in a per-key table built once from the materialized
+    left-hand lists.
 
 One level-wise merge tree (_merge_levels) serves dumer (a = 1, per weight
 split), wagner_v1 and the materialized leaves of wagner_v2_build.  Its
 leaves keep their vectors, so a batch of indices resolves to candidate
-rows by index gathering.  Neither a leaf sphere nor the J partition
-depends on H: each sphere is built once per (table, length, weight) and
-each partition once per layout, and only their syndromes, the targets and
-the merges are computed per build.  Support blocks and per-block weight
-budgets are balanced to within one unit (deterministic left-to-right)
-when exact divisibility fails.  Weights are tracked in integer-rescaled
+rows by index gathering.  Neither a leaf sphere, the block layout nor the
+J partition depends on H: each sphere is built once per (table, length,
+weight) and each layout and partition once per argument tuple, and only
+their syndromes, the targets and the merges are computed per build.
+Support blocks and per-block weight budgets are balanced to within one
+unit (deterministic left-to-right) when exact divisibility fails.  Weights are tracked in integer-rescaled
 units throughout.
 """
 
@@ -54,7 +55,7 @@ from .weights import (
 )
 
 
-class CmsdInfeasibleError(Exception):
+class CmsdInfeasibleError(ValueError):
     """A support block cannot carry its assigned weight (empty base sphere)."""
 
 
@@ -154,6 +155,18 @@ def _split_weight(w_scaled: int, nblocks: int) -> list[int]:
 
 
 def _make_blocks(wf: WeightFunction, lengths: list[int], weights: list[int]) -> list[_Block]:
+    """Consecutive blocks of the given lengths and scaled weights.
+
+    Raises CmsdInfeasibleError when a block cannot carry its weight.  Built
+    once per argument tuple; every call gets a fresh list.
+    """
+    return list(_block_layout(wf, tuple(lengths), tuple(weights)))
+
+
+@lru_cache(maxsize=128)
+def _block_layout(
+    wf: WeightFunction, lengths: tuple[int, ...], weights: tuple[int, ...]
+) -> tuple[_Block, ...]:
     blocks = []
     off = 0
     for ln, w in zip(lengths, weights):
@@ -164,7 +177,7 @@ def _make_blocks(wf: WeightFunction, lengths: list[int], weights: list[int]) -> 
             )
         blocks.append(_Block(off, ln, enum))
         off += ln
-    return blocks
+    return tuple(blocks)
 
 
 def _leaf_list(
@@ -348,7 +361,9 @@ def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
         raise ValueError("weight budget must be nonnegative")
     p_scaled = wf.scaled(p_frac)
     if p_scaled is None:
-        raise CmsdInfeasibleError(f"weight {p_frac} is not a multiple of the table unit")
+        raise CmsdInfeasibleError(
+            f"weight budget p={p_frac} is not a multiple of the table unit 1/{wf.denominator}"
+        )
     return p_frac, p_scaled
 
 
@@ -506,12 +521,14 @@ def cmsd_wagner_v2_build(
     """Checkable-function construction over 2^a + 1 balanced support units.
 
     The rightmost list (two units wide, double weight share) is only
-    described: f(k) unranks its k-th element and then, level by level,
-    takes from the fully merged left sibling the matching partner with the
-    lexicographically smallest support part (the first one on ties),
-    returning the assembled candidate or the zero vector when some level
-    has no partner.  The partner per key is tabled once per build, so a
-    batch of indices costs one lookup per level.
+    described: f(k) takes its k-th element (a row of the shared sphere
+    array when the sphere fits the cap, else the k-th sampled rank
+    unranked) and then, level by level, takes from the fully merged left
+    sibling the matching partner with the lexicographically smallest
+    support part (the first one on ties), returning the assembled
+    candidate or the zero vector when some level has no partner.  The
+    partner per key is tabled once per build, so a batch of indices costs
+    one lookup per level.
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
@@ -555,7 +572,10 @@ def cmsd_wagner_v2_build(
         out = np.zeros((len(idx), n), dtype=np.int64)
         if not every_side_populated:
             return out
-        tail = last.enum.unrank_many(idx if ranks is None else ranks[idx])
+        if ranks is None:
+            tail = last.enum.all_vectors()[idx]
+        else:
+            tail = last.enum.unrank_many(ranks[idx])
         out[:, last.offset : last.offset + last.length] = tail
         acc = (tail @ sub_last.T) % q
         ok = np.ones(len(idx), dtype=bool)

@@ -7,7 +7,8 @@ boundary types: they validate and freeze data where it enters or leaves
 the library (instances, solutions, the CLI), and np.asarray turns either
 into its values.  Permutation and partial elimination work on plain int64
 arrays already reduced mod q; elimination mutates a local scratch copy
-only.
+only, and pivots over all rows, so it fails only when the leading columns
+are rank-deficient.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ MAX_MODULUS = 1 << 16
 
 
 class SingularTopLeftError(Exception):
-    """The leading square block is not invertible; re-randomize the permutation."""
+    """The leading columns are rank-deficient; re-randomize the permutation."""
 
 
 def is_prime(q: int) -> bool:
@@ -264,10 +265,11 @@ class PartialEchelon:
 def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> PartialEchelon:
     """Reduce the first (rows - ell) columns of h to the identity.
 
-    Pivoting is plain row swapping restricted to the top block: if the
-    leading (rows - ell) square submatrix is singular the reduction fails
-    with SingularTopLeftError and the caller must pick a new column
-    permutation.  Row operations are carried into s simultaneously.
+    Pivoting is plain row swapping over all rows: column c takes its pivot
+    from rows c..rows-1, so the reduction fails with SingularTopLeftError
+    only when the first (rows - ell) columns do not have full rank, and
+    the caller must then pick a new column permutation.  Row operations
+    are carried into s simultaneously.
 
     Args:
         h: (n - k) x n int64 array with entries in [0, q).
@@ -288,7 +290,7 @@ def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> Par
     a = np.concatenate([h, s[:, None]], axis=1).astype(np.int64)
     for c in range(lead):
         piv = None
-        for row in range(c, lead):
+        for row in range(c, r):
             if a[row, c] != 0:
                 piv = row
                 break

@@ -209,11 +209,7 @@ def _check_params(inst: SdInstance, params: IsdParams) -> None:
         raise ValueError(f"ell must lie in [0, {inst.n - inst.k}]")
     if params.p < 0 or params.p > inst.w:
         raise ValueError("weight budget p must lie in [0, w]")
-    if inst.wf.scaled(params.p) is None:
-        raise ValueError(
-            f"weight budget p={params.p} is not a multiple of the table unit"
-            f" 1/{inst.wf.denominator}"
-        )
+    cmsd._budget(inst.wf, params.p)
     if params.variant == "prange" and (params.ell != 0 or params.p != 0):
         raise ValueError("prange requires ell = 0 and p = 0")
 
@@ -260,7 +256,10 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
         loops += 1
         perm = None
         ech = None
-        for _ in range(256):  # singular leading blocks are constant-probability events
+        # elimination pivots over all rows, so a draw fails only when its
+        # leading n-k-ell columns are rank-deficient (probability about
+        # q^-(ell+1) for a full-rank H); 256 failures in a row point at H
+        for _ in range(256):
             perm = Permutation.random(inst.n, rng)
             try:
                 ech = partial_gaussian_elim(
@@ -270,6 +269,9 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
             except SingularTopLeftError:
                 singular_retries += 1
         if ech is None:
+            lead = inst.n - inst.k - params.ell
+            if rank(inst.h) < lead:
+                raise ValueError(f"H has rank below n-k-ell = {lead}: no information set exists")
             continue
         desc = _build_cmsd(inst, params, ech, rng)
         cmsd_calls += 1

@@ -59,6 +59,22 @@ def test_split_helpers():
     assert again == [[0, 1], [2, 3], [4, 5]]
 
 
+def test_block_layout_cached_per_call():
+    # the layout is cached; a caller mutating its copy leaves the next call intact
+    wf = WeightFunction.lee(3)
+    blocks = _make_blocks(wf, [3, 3, 2], [1, 2, 1])
+    first = list(blocks)
+    blocks.pop()
+    blocks.reverse()
+    again = _make_blocks(wf, [3, 3, 2], [1, 2, 1])
+    assert again == first and again is not blocks
+    assert [(b.offset, b.length, b.enum.w_scaled) for b in again] == [(0, 3, 1), (3, 3, 2), (6, 2, 1)]
+    # an infeasible block is not cached away: every identical call raises
+    for _ in range(2):
+        with pytest.raises(CmsdInfeasibleError):
+            _make_blocks(wf, [3, 1], [1, 2])
+
+
 def test_prange_description():
     q = 3
     h2 = FqMatrix(q, np.zeros((0, 5), dtype=np.int64))

@@ -166,6 +166,21 @@ def test_partial_elim_blocks_and_consistency():
         assert np.array_equal(lhs2, ech.s_second)
 
 
+def _assert_same_solution_set(h, s, ech, ell, q):
+    rows, cols = h.shape
+    lead = rows - ell
+    full = np.zeros((rows, cols), dtype=np.int64)
+    full[:lead, :lead] = np.eye(lead, dtype=np.int64)
+    full[:lead, lead:] = ech.h_prime
+    full[lead:, lead:] = ech.h_second
+    s_full = np.concatenate([ech.s_prime, ech.s_second])
+    for idx in range(q**cols):
+        v = np.array([(idx // q**i) % q for i in range(cols)], dtype=np.int64)
+        lhs_orig = np.array_equal((h @ v) % q, s)
+        lhs_red = np.array_equal((full @ v) % q, s_full)
+        assert lhs_orig == lhs_red
+
+
 def test_partial_elim_block_form_reconstruction():
     # the reduction is a row operation: solution sets must coincide exactly
     rng = random.Random(31)
@@ -177,17 +192,19 @@ def test_partial_elim_block_form_reconstruction():
             break
         except SingularTopLeftError:
             h, _, s = _consistent_pair(q, rows, cols, rng)
-    lead = rows - ell
-    full = np.zeros((rows, cols), dtype=np.int64)
-    full[:lead, :lead] = np.eye(lead, dtype=np.int64)
-    full[:lead, lead:] = ech.h_prime
-    full[lead:, lead:] = ech.h_second
-    s_full = np.concatenate([ech.s_prime, ech.s_second])
-    for idx in range(q**cols):
-        v = np.array([(idx // q**i) % q for i in range(cols)], dtype=np.int64)
-        lhs_orig = np.array_equal((h.values @ v) % q, s.values)
-        lhs_red = np.array_equal((full @ v) % q, s_full)
-        assert lhs_orig == lhs_red
+    _assert_same_solution_set(h.values, s.values, ech, ell, q)
+
+
+def test_partial_elim_pivots_below_the_top_block():
+    # the top-left 2x2 block is singular, but the first two columns have
+    # full rank: the pivot of column 1 comes from the bottom row
+    q, ell = 3, 1
+    h = np.array([[1, 1, 0, 2, 1], [1, 1, 1, 0, 2], [0, 1, 2, 1, 0]], dtype=np.int64)
+    assert rank(FqMatrix(q, h[:2, :2])) == 1 and rank(FqMatrix(q, h[:, :2])) == 2
+    s = (h @ np.array([2, 0, 1, 1, 0])) % q
+    ech = partial_gaussian_elim(h, ell, s, q)
+    assert ech.h_prime.shape == (2, 3) and ech.h_second.shape == (1, 3)
+    _assert_same_solution_set(h, s, ech, ell, q)
 
 
 def test_partial_elim_bad_args():

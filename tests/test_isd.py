@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import leeisd.isd as isd
-from leeisd.cmsd import cmsd_dumer
-from leeisd.fieldlin import FqMatrix, FqVector, mat_vec_mul, rank
+from leeisd.cmsd import CmsdInfeasibleError, cmsd_dumer
+from leeisd.fieldlin import FqMatrix, FqVector, mat_vec_mul, partial_gaussian_elim, rank
 from leeisd.isd import (
     IsdParams,
     SdInstance,
@@ -170,10 +170,44 @@ def test_wrappers_stay_at_the_boundary(monkeypatch):
 
     monkeypatch.setattr(isd, "verify_solution", verify)
     rep = isd_solve(inst, IsdParams(variant="dumer", ell=3, p=2, rng_seed=11))
-    assert rep.found and rep.outer_loops == 4
+    assert rep.found and rep.outer_loops == 5
     assert built["FqMatrix"] == 0
     assert built["FqVector"] == len(verified) == 1
     assert rep.solution is verified[0]
+
+
+def test_one_elimination_per_outer_loop(monkeypatch):
+    # elimination pivots over all rows, so a full-rank H almost never sends
+    # a loop back for a new permutation
+    inst = generate_instance(3, 30, 15, 7, WeightFunction.lee(3), random.Random(211))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return partial_gaussian_elim(*args)
+
+    monkeypatch.setattr(isd, "partial_gaussian_elim", counted)
+    rep = isd_solve(inst, IsdParams(variant="dumer", ell=3, p=2, rng_seed=11))
+    assert rep.found and len(calls) == rep.outer_loops == 5
+    assert rep.wall_stats["singular_retries"] == 0
+
+
+def test_rank_deficient_h_is_rejected():
+    # an instance built directly skips check_well_formed; a repeated row of H
+    # leaves no information set, which the solve reports instead of spinning
+    rng = random.Random(17)
+    wf = WeightFunction.lee(3)
+    base = generate_instance(3, 20, 10, 4, wf, rng)
+    h = base.h.values.copy()
+    h[-1] = h[0]
+    hm = FqMatrix(3, h)
+    inst = SdInstance(
+        q=3, n=20, k=10, w=base.w, wf=wf, h=hm, s=mat_vec_mul(hm, base.planted),
+        planted=base.planted,
+    )
+    assert rank(hm) == 9 and verify_solution(inst, base.planted)
+    with pytest.raises(ValueError, match="rank"):
+        isd_solve(inst, IsdParams(variant="prange", max_outer_loops=20, rng_seed=0))
 
 
 def test_determinism_fixed_seed():
@@ -215,6 +249,20 @@ def test_param_validation():
         isd_solve(inst, IsdParams(variant="dumer", ell=2, p=Fraction(1, 2)))
     with pytest.raises(ValueError):
         IsdParams(variant="nope")
+
+
+def test_off_unit_budget_fails_alike_at_every_entry():
+    # one check and one message, whether the budget reaches the solver or a back end
+    wf = WeightFunction.from_json({"q": 5, "table": [0, 0.1, 0.3, 0.3, 0.1]})
+    inst = generate_instance(5, 12, 6, "3/5", wf, random.Random(1))
+    with pytest.raises(ValueError) as via_solve:
+        isd_solve(inst, IsdParams(variant="dumer", ell=2, p=0.25, rng_seed=1))
+    h2, s2 = np.array([[1, 2, 0, 1], [0, 1, 3, 4]]), np.array([1, 2])
+    with pytest.raises(ValueError) as via_dumer:
+        cmsd_dumer(h2, s2, wf, 0.25)
+    assert via_solve.type is via_dumer.type is CmsdInfeasibleError
+    assert str(via_solve.value) == str(via_dumer.value)
+    assert str(via_solve.value) == "weight budget p=1/4 is not a multiple of the table unit 1/10"
 
 
 def test_float_weights_parse_as_table_rationals():
@@ -262,11 +310,11 @@ PINNED_SOLVES = (
     ),
     (
         ("wagner1", "lee", 28, 14, 7, 4, 4, 2, 103, 7),
-        (14, 141, [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 1]),
+        (2, 8, [1, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ),
     (
         ("wagner2", "hamming", 28, 14, 8, 4, 3, 2, 104, 8),
-        (12, 681, [0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 2, 0, 2, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0]),
+        (1, 58, [0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1, 2, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0]),
     ),
 )
 
