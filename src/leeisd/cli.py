@@ -22,10 +22,9 @@ import sys
 import numpy as np
 
 from . import estimator
-from .cmsd import CmsdInfeasibleError
 from .estimator import CodeParams, HardestResult, WorkFactors
 from .isd import VARIANTS, IsdParams, SdInstance, generate_instance, isd_solve, verify_solution
-from .merge import DEFAULT_LIST_CAP, MergeOverflowError
+from .merge import DEFAULT_LIST_CAP
 from .weights import WeightFunction, normalized_weight, sphere_count_exact, sphere_exponent
 
 CSV_FIELDS = (
@@ -184,7 +183,7 @@ def cmd_solve(args) -> int:
         inst = SdInstance.from_dict(doc)
     except OSError as exc:
         raise UsageError(f"cannot read instance: {exc}") from exc
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed instance JSON: {exc}") from exc
     params = IsdParams(
         variant=args.alg,
@@ -349,14 +348,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        UsageError,
-        ValueError,
-        TypeError,
-        MergeOverflowError,
-        CmsdInfeasibleError,
-        estimator.InfeasibleParameterError,
-    ) as exc:
+    except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,11 +11,11 @@ remaining weight budget.
 
 Back ends:
   * prange: the trivial description (p = 0, no bottom block).
-  * dumer: one birthday split into two support halves, enumerating every
-    left/right weight split so the image covers all solutions.
   * wagner_v1: a k-tree of pairwise list merges over 2^a support blocks of
     fixed balanced per-block weight, with random intermediate targets that
-    telescope to s''.
+    telescope to s''.  dumer is wagner_v1 at a = 1: one birthday split into
+    two support halves, enumerating every left/right weight split so the
+    image covers all solutions.
   * wagner_v2_build: the checkable-function variant; the quadratically
     larger rightmost list is never merged.  f(k) reads the k-th element of
     the last base list (from the shared sphere array when the sphere fits
@@ -23,16 +23,17 @@ Back ends:
     level, its partner in a per-key table built once from the materialized
     left-hand lists.
 
-One level-wise merge tree (_merge_levels) serves dumer (a = 1, per weight
-split), wagner_v1 and the materialized leaves of wagner_v2_build.  Its
-leaves keep their vectors, so a batch of indices resolves to candidate
-rows by index gathering.  Neither a leaf sphere, the block layout nor the
-J partition depends on H: each sphere is built once per (table, length,
-weight) and each layout and partition once per argument tuple, and only
-their syndromes, the targets and the merges are computed per build.
-Support blocks and per-block weight budgets are balanced to within one
-unit (deterministic left-to-right) when exact divisibility fails.  Weights are tracked in integer-rescaled
-units throughout.
+One builder body (_build_tree) serves dumer and wagner_v1, and one
+level-wise merge tree (_merge_levels) serves it and the materialized
+leaves of wagner_v2_build.  Its leaves keep their vectors, so a batch of
+indices resolves to candidate rows by index gathering.  Neither a leaf
+sphere, the block layout nor the J partition depends on H: each sphere is
+built once per (table, length, weight) and each layout and partition once
+per argument tuple, and only their syndromes, the targets and the merges
+are computed per build.  Support blocks and per-block weight budgets are
+balanced to within one unit (deterministic left-to-right) when exact
+divisibility fails.  Weights are tracked in integer-rescaled units
+throughout.
 """
 
 from __future__ import annotations
@@ -388,61 +389,61 @@ def cmsd_prange(
     )
 
 
-def _build_two_list(
-    h_second: np.ndarray,
-    s_second: np.ndarray,
-    wf: WeightFunction,
-    p,
-    cap: int,
-    rng: random.Random | None = None,
-    base_list_size: int | None = None,
-) -> CmsdDescription:
-    """One merge over two support halves, all weight splits enumerated.
+def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size) -> CmsdDescription:
+    """Wagner's k-tree over 2^a support blocks; dumer is the case a = 1.
 
-    Each split (w1, p - w1) is the a = 1 merge tree on J = all ell
-    coordinates with target s''.  Enumerating every split makes the image
-    of f exactly the full solution set of the subproblem; the number of
-    splits is linear in the rescaled weight, so the asymptotics are
-    unchanged.
+    At a = 1 one tree is built per weight split (w1, p - w1), skipping the
+    splits a half cannot carry, so the image of f is exactly the solution
+    set of the subproblem; the number of splits is linear in the rescaled
+    weight, so the asymptotics are unchanged.  At a >= 2 the one balanced
+    split is built, and an infeasible block raises.
     """
     h2, s2 = np.asarray(h_second), np.asarray(s_second)
     q = wf.q
     ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
-    j_groups = [list(range(ell))]
-    targets = [[], [s2]]
-    chunks = []  # one merge tree per populated weight split
+    nb = 1 << a
+    lengths = _split_lengths(n, nb)
+    if a == 1:
+        splits = [[w1, p_scaled - w1] for w1 in range(p_scaled + 1)]
+    else:
+        splits = [_split_weight(p_scaled, nb)]
+    chunks = []  # the root of every tree with a nonempty output
     total = 0
     pair_products = 0.0
-    lengths = _split_lengths(n, 2)
-    for w1 in range(p_scaled + 1):
+    for weights in splits:
         try:
-            blocks = _make_blocks(wf, lengths, [w1, p_scaled - w1])
+            blocks = _make_blocks(wf, lengths, weights)
         except CmsdInfeasibleError:
+            if a > 1:
+                raise
             continue
+        j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=nb)
+        targets = _draw_targets(s2, j_groups, a, q, rng)
         leaves = [_leaf_list(h2, q, b, cap, rng, base_list_size) for b in blocks]
         pair_products += float(len(leaves[0].lst)) * float(len(leaves[1].lst))
-        root = _merge_levels(leaves, j_groups, targets, cap)[1][0]
+        levels = _merge_levels(leaves, j_groups, targets, cap)
+        root = levels[a][0]
         if len(root.lst):
             chunks.append(root)
             total += len(root.lst)
             if total > cap:
                 raise MergeOverflowError(f"merged output exceeds cap {cap}")
 
-    # merged entries are exactly the solutions here, so the realized total
-    # is the best prediction; fall back to the average-case ratio if empty
-    expected = float(total) if total else pair_products / float(q) ** ell
+    if a > 1:
+        meta = _tree_meta("wagner1", levels, j_groups, [len(nd.lst) for nd in leaves], q)
+    else:
+        # merged entries are exactly the solutions here, so the realized total
+        # is the best prediction; fall back to the average-case ratio if empty
+        expected = float(total) if total else pair_products / float(q) ** ell
+        meta = dict(variant="dumer", splits=len(chunks), expected_solutions=max(expected, 1e-300))
     return CmsdDescription(
         weight=p_frac,
         y=total,
         h_second=h2,
         s_second=s2,
         wf=wf,
-        meta={
-            "variant": "dumer",
-            "splits": len(chunks),
-            "expected_solutions": max(expected, 1e-300),
-        },
+        meta=meta,
         _eval=_gather_chunks(chunks, n),
     )
 
@@ -454,8 +455,8 @@ def cmsd_dumer(
     p,
     list_size_cap: int = DEFAULT_LIST_CAP,
 ) -> CmsdDescription:
-    """Single-level birthday construction over two support halves."""
-    return _build_two_list(h_second, s_second, wf, p, list_size_cap)
+    """Single-level birthday construction over two support halves: wagner_v1 at a = 1."""
+    return _build_tree(h_second, s_second, wf, p, 1, list_size_cap, None, None)
 
 
 def cmsd_wagner_v1(
@@ -481,32 +482,7 @@ def cmsd_wagner_v1(
         raise ValueError("level count a must be >= 1")
     if rng is None:
         rng = random.Random(0)
-    if a == 1:
-        return _build_two_list(
-            h_second, s_second, wf, p, list_size_cap, rng, base_list_size
-        )
-    h2, s2 = np.asarray(h_second), np.asarray(s_second)
-    q = wf.q
-    ell, n = h2.shape
-    p_frac, p_scaled = _budget(wf, p)
-    nb = 1 << a
-    blocks = _make_blocks(wf, _split_lengths(n, nb), _split_weight(p_scaled, nb))
-    j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=nb)
-    targets = _draw_targets(s2, j_groups, a, q, rng)
-    leaves = [
-        _leaf_list(h2, q, b, list_size_cap, rng, base_list_size) for b in blocks
-    ]
-    levels = _merge_levels(leaves, j_groups, targets, list_size_cap)
-    root = levels[a][0]
-    return CmsdDescription(
-        weight=p_frac,
-        y=len(root.lst),
-        h_second=h2,
-        s_second=s2,
-        wf=wf,
-        meta=_tree_meta("wagner1", levels, j_groups, [len(nd.lst) for nd in leaves], q),
-        _eval=_gather_chunks([root], n),
-    )
+    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, rng, base_list_size)
 
 
 def cmsd_wagner_v2_build(

@@ -34,7 +34,7 @@ _PATTERN_TOL = 1e-5  # compass search stops once its step falls below this
 _COARSE_STEP = 0.05  # rate grid of the hardest-instance scan
 
 
-class InfeasibleParameterError(Exception):
+class InfeasibleParameterError(ValueError):
     """No admissible (L, P) point exists for the requested algorithm."""
 
 

@@ -58,30 +58,50 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_range(values: np.ndarray, q: int) -> None:
-    if values.size and (values.min() < 0 or values.max() >= q):
-        raise ValueError(f"entries must lie in [0, {q})")
-
-
 @dataclass(frozen=True, eq=False)
-class FqVector:
-    """Immutable vector with entries in [0, q)."""
+class _FqArray:
+    """Immutable int64 array of a fixed rank (_ndim) with entries in [0, q).
+
+    An input of lower rank gains leading axes of length one before the one
+    frozen copy is taken, so values is never a view of another array.
+    """
 
     q: int
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "q", validate_modulus(self.q))
-        vals = _freeze(np.atleast_1d(self.values))
-        if vals.ndim != 1:
-            raise ValueError("vector must be one-dimensional")
-        _check_range(vals, self.q)
+        vals = np.asarray(self.values)
+        vals = _freeze(vals.reshape((1,) * (self._ndim - vals.ndim) + vals.shape))
+        if vals.ndim != self._ndim:
+            raise ValueError(self._rank_error)
+        if vals.size and (vals.min() < 0 or vals.max() >= self.q):
+            raise ValueError(f"entries must lie in [0, {self.q})")
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_ints(cls, q: int, seq) -> "FqVector":
+    def from_ints(cls, q: int, seq):
         """Build from arbitrary integers, reducing mod q."""
         return cls(q, np.asarray(seq, dtype=np.int64) % q)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.q == other.q
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+    def tolist(self) -> list:
+        return self.values.tolist()
+
+
+class FqVector(_FqArray):
+    """Immutable vector with entries in [0, q)."""
+
+    _ndim, _rank_error = 1, "vector must be one-dimensional"
 
     @classmethod
     def zeros(cls, q: int, n: int) -> "FqVector":
@@ -90,38 +110,11 @@ class FqVector:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FqVector)
-            and self.q == other.q
-            and np.array_equal(self.values, other.values)
-        )
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
-
-    def tolist(self) -> list[int]:
-        return [int(x) for x in self.values]
-
-
-@dataclass(frozen=True, eq=False)
-class FqMatrix:
+class FqMatrix(_FqArray):
     """Immutable row-major matrix with entries in [0, q)."""
 
-    q: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", validate_modulus(self.q))
-        vals = _freeze(np.atleast_2d(self.values))
-        if vals.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-        _check_range(vals, self.q)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_ints(cls, q: int, rows) -> "FqMatrix":
-        return cls(q, np.asarray(rows, dtype=np.int64) % q)
+    _ndim, _rank_error = 2, "matrix must be two-dimensional"
 
     @classmethod
     def identity(cls, q: int, n: int) -> "FqMatrix":
@@ -138,19 +131,6 @@ class FqMatrix:
     @property
     def cols(self) -> int:
         return int(self.values.shape[1])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FqMatrix)
-            and self.q == other.q
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
-
-    def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.values]
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +216,8 @@ def rank(m: FqMatrix) -> int:
 def random_full_rank_matrix(q: int, rows: int, cols: int, rng: random.Random) -> FqMatrix:
     """Uniformly random matrix conditioned on full row rank (rejection sampling)."""
     validate_modulus(q)
-    if rows > cols:
-        raise ValueError("rows must not exceed cols for a full row-rank matrix")
+    if not 0 <= rows <= cols:
+        raise ValueError("rows must lie in [0, cols] for a full row-rank matrix")
     while True:
         vals = np.array(
             [rng.randrange(q) for _ in range(rows * cols)], dtype=np.int64

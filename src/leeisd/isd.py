@@ -33,6 +33,7 @@ from .merge import DEFAULT_LIST_CAP
 from .weights import (
     WeightFunction,
     _to_fraction,
+    _to_int,
     sample_uniform_weight_w,
     sphere_count_exact,
     vector_weight,
@@ -91,20 +92,32 @@ class SdInstance:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SdInstance":
-        q = int(doc["q"])
+        """Read a to_dict document; a non-integer q, n, k or H, s, e entry is a ValueError."""
+        q = _to_int(doc["q"], "q")
         wf = WeightFunction.from_spec(q, doc["weight"])
         inst = cls(
             q=q,
-            n=int(doc["n"]),
-            k=int(doc["k"]),
+            n=_to_int(doc["n"], "n"),
+            k=_to_int(doc["k"], "k"),
             w=doc["w"],
             wf=wf,
-            h=FqMatrix(q, np.asarray(doc["H"], dtype=np.int64)),
-            s=FqVector(q, np.asarray(doc["s"], dtype=np.int64)),
-            planted=FqVector(q, np.asarray(doc["e"], dtype=np.int64)) if "e" in doc else None,
+            h=FqMatrix(q, _int_entries(doc, "H")),
+            s=FqVector(q, _int_entries(doc, "s")),
+            planted=FqVector(q, _int_entries(doc, "e")) if "e" in doc else None,
         )
         inst.check_well_formed()
         return inst
+
+
+def _int_entries(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as an int64 array; a float, bool or string entry is an error, not a cast."""
+    arr = np.array(doc[key], dtype=object)
+    for x in arr.flat:
+        _to_int(x, f"{key} entry")
+    try:
+        return arr.astype(np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{key} entry out of range: {exc}") from exc
 
 
 def _weight_out(w: Fraction):
@@ -132,6 +145,8 @@ class IsdParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         object.__setattr__(self, "p", _to_fraction(self.p))
+        for name in ("ell", "a", "list_size_cap", "max_outer_loops", "rng_seed"):
+            object.__setattr__(self, name, _to_int(getattr(self, name), name))
         if self.ell < 0 or self.a < 1 or self.max_outer_loops < 1:
             raise ValueError("invalid parameter ranges")
 
@@ -165,6 +180,8 @@ def generate_instance(
     q: int, n: int, k: int, w, wf: WeightFunction, rng: random.Random
 ) -> SdInstance:
     """Draw (H, s = He) with H uniform of full rank and e uniform of weight w."""
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
     w = _to_fraction(w)
     if sphere_count_exact(wf, n, w) == 0:
         raise ValueError(f"empty sphere: no vectors of weight {w} in F_{q}^{n}")

@@ -17,7 +17,7 @@ import numpy as np
 DEFAULT_LIST_CAP = 1 << 26
 
 
-class MergeOverflowError(Exception):
+class MergeOverflowError(ValueError):
     """Merged output would exceed the configured size cap."""
 
 

@@ -44,6 +44,14 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational weight")
 
 
+def _to_int(x, name: str) -> int:
+    """An integer field read from outside: ints and numpy integers pass; bools,
+    floats and strings are a ValueError naming the field, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     """Per-symbol weight table wt with wt[0] = 0.
@@ -87,7 +95,8 @@ class WeightFunction:
             doc = json.loads(doc)
         if not isinstance(doc, dict) or "q" not in doc or "table" not in doc:
             raise ValueError('weight JSON must be an object with "q" and "table"')
-        return cls(int(doc["q"]), tuple(doc["table"]), name=str(doc.get("name", "custom")))
+        q = _to_int(doc["q"], "q")
+        return cls(q, tuple(doc["table"]), name=str(doc.get("name", "custom")))
 
     @classmethod
     def from_spec(cls, q: int, spec) -> "WeightFunction":

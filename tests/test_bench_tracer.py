@@ -3,8 +3,12 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import leeisd.cmsd as cmsd
 import leeisd.isd as isd
 from leeisd.cmsd import CmsdDescription
+from leeisd.weights import WeightFunction
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -26,3 +30,25 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert CmsdDescription.evaluate is evaluate and isd.isd_solve is solve
+
+
+def test_each_public_build_is_one_build_span():
+    # a public builder that called another public builder would count twice
+    mod = load_tracer()
+    tracer = mod.Tracer()
+    wf = WeightFunction.lee(3)
+    h2 = np.array([[1, 0, 2, 1, 0, 1, 2, 2], [0, 1, 1, 2, 2, 0, 1, 0]])
+    s2 = np.array([1, 2])
+    builds = (
+        lambda: cmsd.cmsd_dumer(h2, s2, wf, 2),
+        lambda: cmsd.cmsd_wagner_v1(h2, s2, wf, 4, a=2),
+    )
+    try:
+        mod.install(tracer)
+        for build in builds:
+            before = len(tracer.name)
+            build()
+            names = [tracer.names[i] for i in tracer.name[before:]]
+            assert names.count("cmsd.build") == 1, names
+    finally:
+        tracer.restore()

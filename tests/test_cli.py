@@ -167,6 +167,44 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     code, _, err = run_cli(capsys, "sphere", "--q", "3", "--exact", "--n", "4", "--w", "1/0")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # k > n: rejected before any draw (it used to loop forever)
+    code, _, err = run_cli(capsys, "gen", "--q", "3", "--n", "10", "--k", "12", "--w", "2")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "0 < k < n" in err
+
+
+def test_non_integer_instance_json_exit_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli(
+        capsys,
+        "gen", "--q", "3", "--n", "16", "--k", "8", "--w", "2",
+        "--weight", "lee", "--seed", "3", "--out", str(inst),
+    )
+    good = inst.read_text()
+    for key, bad in (("k", 8.9), ("H", 0.5)):
+        doc = json.loads(good)
+        if key == "H":
+            doc["H"][0][0] = bad
+        else:
+            doc[key] = bad
+        inst.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "solve", str(inst), "--alg", "prange")
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, key
+        assert "must be an integer" in err
+    # a weight table for q = 3.7 is not read as q = 3
+    table = tmp_path / "w.json"
+    table.write_text('{"q": 3.7, "table": [0, 1, 1]}')
+    code, _, err = run_cli(capsys, "sphere", "--q", "3", "--weight", str(table), "--omega", "0.5")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_library_errors_are_value_errors():
+    from leeisd.cmsd import CmsdInfeasibleError
+    from leeisd.estimator import InfeasibleParameterError
+    from leeisd.merge import MergeOverflowError
+
+    for exc in (CmsdInfeasibleError, InfeasibleParameterError, MergeOverflowError):
+        assert issubclass(exc, ValueError), exc
 
 
 def test_corrupt_weight_table_rejected(tmp_path, capsys):

@@ -138,6 +138,24 @@ def test_wagner_v1_a1_identical_to_dumer():
     }
 
 
+def test_dumer_is_wagner_v1_at_a1():
+    # one builder body: every index gives the same row, and the meta is dumer's
+    rng = random.Random(8)
+    for q, metric, ell, n, p, planted in (
+        (3, "lee", 2, 8, 3, True),
+        (5, "hamming", 3, 6, 2, False),
+        (3, "lee", 2, 4, 4, True),  # the splits (0, 4) and (4, 0) cannot be built
+        (3, "lee", 3, 4, 1, False),
+    ):
+        wf = getattr(WeightFunction, metric)(q)
+        h2, s2 = random_subproblem(q, ell, n, wf, p, rng, planted)
+        d = cmsd_dumer(h2, s2, wf, p)
+        w = cmsd_wagner_v1(h2, s2, wf, p, a=1)
+        assert d.meta == w.meta and d.meta["variant"] == "dumer"
+        every = np.arange(d.y)
+        assert d.y == w.y and np.array_equal(d.evaluate_many(every), w.evaluate_many(every))
+
+
 def test_wagner_v1_a2_subset_of_oracle_and_sound():
     # ell = 2 keeps the expected surviving-solution count near 50 per build,
     # so every seed should produce something and all of it must be genuine

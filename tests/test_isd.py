@@ -8,7 +8,14 @@ import pytest
 
 import leeisd.isd as isd
 from leeisd.cmsd import CmsdInfeasibleError, cmsd_dumer
-from leeisd.fieldlin import FqMatrix, FqVector, mat_vec_mul, partial_gaussian_elim, rank
+from leeisd.fieldlin import (
+    FqMatrix,
+    FqVector,
+    mat_vec_mul,
+    partial_gaussian_elim,
+    random_full_rank_matrix,
+    rank,
+)
 from leeisd.isd import (
     IsdParams,
     SdInstance,
@@ -77,6 +84,39 @@ def test_instance_json_roundtrip(tmp_path):
     inst2 = generate_instance(3, 8, 4, Fraction(3, 2), custom, rng)
     back2 = SdInstance.from_dict(json.loads(json.dumps(inst2.to_dict())))
     assert back2.wf.table == custom.table and back2.w == Fraction(3, 2)
+
+
+def test_instance_json_rejects_non_integers():
+    # int() and an int64 cast used to truncate: k = 8.9 read as 8, an entry 0.5 as 0
+    inst = generate_instance(3, 10, 5, 3, WeightFunction.lee(3), random.Random(2))
+    for key, bad in (("q", 3.0), ("n", 10.5), ("k", 5.9), ("k", True), ("n", "10")):
+        doc = inst.to_dict()
+        doc[key] = bad
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            SdInstance.from_dict(doc)
+    for key, bad in (("H", 0.5), ("H", True), ("H", "1"), ("s", 1.0), ("e", 0.0)):
+        doc = inst.to_dict()
+        if key == "H":
+            doc["H"][0][0] = bad
+        else:
+            doc[key][0] = bad
+        with pytest.raises(ValueError, match=f"^{key} entry must be an integer"):
+            SdInstance.from_dict(doc)
+    doc = inst.to_dict()
+    doc["s"][0] = 2**70
+    with pytest.raises(ValueError):
+        SdInstance.from_dict(doc)
+    assert SdInstance.from_dict(inst.to_dict()).h == inst.h
+
+
+def test_k_outside_0_n_rejected_before_any_draw():
+    # k > n asked for a full-rank (n-k) x n matrix with n-k < 0 and never returned
+    wf = WeightFunction.lee(3)
+    for n, k in ((10, 12), (10, 10), (10, 0), (10, -1)):
+        with pytest.raises(ValueError, match="need 0 < k < n"):
+            generate_instance(3, n, k, 2, wf, random.Random(1))
+    with pytest.raises(ValueError):
+        random_full_rank_matrix(3, -2, 10, random.Random(1))
 
 
 def test_solve_weight_zero_trivial():
@@ -249,6 +289,19 @@ def test_param_validation():
         isd_solve(inst, IsdParams(variant="dumer", ell=2, p=Fraction(1, 2)))
     with pytest.raises(ValueError):
         IsdParams(variant="nope")
+
+
+def test_isd_params_integer_fields():
+    # a float used to run (max_outer_loops) or fail deep inside with a TypeError (a, ell)
+    for name in ("ell", "a", "list_size_cap", "max_outer_loops", "rng_seed"):
+        for bad in (2.5, True, "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                IsdParams(variant="dumer", **{name: bad})
+    # numpy integers pass and leave as Python ints, which random.Random needs from Python 3.12
+    params = IsdParams(variant="dumer", ell=np.int64(2), p=1, rng_seed=np.int64(3))
+    assert type(params.ell) is int and type(params.rng_seed) is int
+    inst = generate_instance(3, 10, 5, 3, WeightFunction.lee(3), random.Random(14))
+    assert isd_solve(inst, params).found
 
 
 def test_off_unit_budget_fails_alike_at_every_entry():

@@ -1,6 +1,7 @@
 """Property tests: merge against the brute-force double loop, sphere rank round
-trips, the entropy solver against a plain bisection on random tables, and the
-exact solver's success probability against the estimator's exponent.
+trips, the entropy solver against a plain bisection and exact sphere counts on
+random tables, and the exact solver's success probability against the
+estimator's exponent.
 
 Every test runs under derandomize=True with no example database, so each
 run draws the same cases.
@@ -24,6 +25,7 @@ from leeisd.weights import (
     SphereEnumerator,
     WeightFunction,
     _Dual,
+    sphere_counts_all,
     sphere_exponent,
     sphere_exponent_many,
 )
@@ -189,6 +191,24 @@ def test_entropy_solver_matches_bisection(case):
     assert np.abs(np.array(means) - omegas).max() <= 1e-12 * wmax
     # a few Newton steps and the final evaluation, not a 72-step bisection
     assert spy.call_count <= 8
+
+
+@settings(FIXED, max_examples=25)
+@given(random_tables())
+def test_exact_counts_converge_to_sphere_exponent(wf):
+    # log_q(count)/n approaches the entropy exponent at the realized weight.
+    # The gap falls like log(n)/n, so doubling n scales it by about
+    # (1 + ln 2 / ln n) / 2, which is 0.575 at n = 100.
+    top = int(wf.int_table_array().max())
+    for frac in (0.3, 0.5, 0.7):
+        gaps = []
+        for n in (100, 200):
+            counts = sphere_counts_all(wf, n)
+            reachable = np.flatnonzero([c > 0 for c in counts])
+            w = int(reachable[np.abs(reachable - frac * top * n).argmin()])
+            s = sphere_exponent_many(wf, [w / (wf.denominator * n)])[0]
+            gaps.append(abs(math.log(counts[w], wf.q) / n - s))
+        assert gaps[1] <= 0.7 * gaps[0], (wf.table, frac, gaps)
 
 
 @FIXED

@@ -58,6 +58,13 @@ def test_custom_table_json_roundtrip():
         arr[0] = 5  # one shared copy per table, so it is read-only
 
 
+def test_custom_table_json_rejects_non_integer_q():
+    # int(3.7) used to build a table for q = 3
+    for bad in (3.7, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="^q must be an integer"):
+            WeightFunction.from_json({"q": bad, "table": [0, 1, 1]})
+
+
 def test_vector_weight_examples():
     lee5 = WeightFunction.lee(5)
     ham5 = WeightFunction.hamming(5)
