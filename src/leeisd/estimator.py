@@ -24,7 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import WeightFunction, entropy_crossings, normalized_weight, sphere_exponent_many
+from .weights import (
+    WeightFunction,
+    _to_int,
+    entropy_crossings,
+    normalized_weight,
+    sphere_exponent_many,
+)
 
 MODELS = ("classical", "quantum")
 ALGORITHMS = ("prange", "dumer", "wagner")
@@ -91,38 +97,38 @@ class WorkFactors:
     point: AlgoPoint
 
 
-def _feasible_P_range(cp: CodeParams, L):
-    wmax = float(cp.wf.max_weight)
-    lo = np.maximum(0.0, cp.omega - (1.0 - cp.rate - L) * wmax)
-    hi = np.minimum(cp.omega, (cp.rate + L) * wmax)
+def _feasible_P_range(wmax: float, rate, omega, L):
+    lo = np.maximum(0.0, omega - (1.0 - rate - L) * wmax)
+    hi = np.minimum(omega, (rate + L) * wmax)
     return lo, hi
 
 
 def _check_point(cp: CodeParams, L: float, P: float) -> None:
     if not -_EPS <= L <= 1.0 - cp.rate + _EPS:
         raise InfeasibleParameterError(f"L={L} outside [0, 1-R]")
-    lo, hi = _feasible_P_range(cp, L)
+    lo, hi = _feasible_P_range(float(cp.wf.max_weight), cp.rate, cp.omega, L)
     if not lo - 1e-9 <= P <= hi + 1e-9:
         raise InfeasibleParameterError(f"P={P} outside [{lo}, {hi}] at L={L}")
 
 
-def _factors(cp: CodeParams, model: str, L, P, a) -> dict:
+def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict:
     """Every exponent of the merge-tree attack at feasible points (L, P).
 
-    The classical model uses the merge tree over 2^a blocks, the quantum
-    model the checkable-function tree over 2^a + 1 units.  L, P and a
-    broadcast together, so a column of level counts against rows of
+    The classical model (quantum false) uses the merge tree over 2^a
+    blocks, the quantum model the checkable-function tree over 2^a + 1
+    units.  Rate, omega, s_omega (the entropy exponent at omega), the
+    model flag and a may differ per point, so one call can hold points of
+    many problems on one weight function.  Every argument after wf
+    broadcasts with the others: a column of level counts against rows of
     points costs no more entropy work than one level count.
     """
-    R = cp.rate
-    out_len = 1.0 - R - L
-    s_out = sphere_exponent_many(cp.wf, (cp.omega - P) / np.maximum(out_len, _EPS))
+    out_len = 1.0 - rate - L
+    s_out = sphere_exponent_many(wf, (omega - P) / np.maximum(out_len, _EPS))
     num = np.where(out_len > _EPS, out_len * s_out, 0.0)
-    pi1 = np.minimum(0.0, num - np.maximum(0.0, np.minimum(cp.s_omega - L, out_len)))
-    np_rel = R + L  # N' = R + L, the bottom part's relative length
+    pi1 = np.minimum(0.0, num - np.maximum(0.0, np.minimum(s_omega - L, out_len)))
+    np_rel = rate + L  # N' = R + L, the bottom part's relative length
     m0 = L / np_rel
-    s0 = sphere_exponent_many(cp.wf, P / np_rel)
-    quantum = model == "quantum"
+    s0 = sphere_exponent_many(wf, P / np_rel)
     u = np.minimum(s0 / (2**a + quantum), m0 / a)
     x = m0 - (a - 1) * u
     zeta = np_rel * ((2 + quantum) * u - x)
@@ -134,6 +140,11 @@ def _factors(cp: CodeParams, model: str, L, P, a) -> dict:
             "s_omega0": s0, "total": total}
 
 
+def _problem_factors(cp: CodeParams, model: str, L, P, a) -> dict:
+    """_factors at points (L, P) of one problem under one cost model."""
+    return _factors(cp.wf, cp.rate, cp.omega, cp.s_omega, model == "quantum", L, P, a)
+
+
 def work_factors(cp: CodeParams, model: str, point: AlgoPoint) -> WorkFactors:
     """Every exponent of the attack at one feasible point under one cost model.
 
@@ -143,7 +154,7 @@ def work_factors(cp: CodeParams, model: str, point: AlgoPoint) -> WorkFactors:
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     _check_point(cp, point.L, point.P)
-    fac = {k: v.item() for k, v in _factors(cp, model, point.L, point.P, point.a).items()}
+    fac = {k: v.item() for k, v in _problem_factors(cp, model, point.L, point.P, point.a).items()}
     total = fac.pop("total")
     return WorkFactors(**fac, total_q=total, total_bin=total * math.log2(cp.q), point=point)
 
@@ -151,50 +162,108 @@ def work_factors(cp: CodeParams, model: str, point: AlgoPoint) -> WorkFactors:
 # -- optimization over (L, P, a) --------------------------------------------
 
 
-def _unit_to_LP(cp: CodeParams, fl, fp):
+def _unit_to_LP(wmax: float, rate, omega, fl, fp):
     """Map unit-box coordinates onto the feasible (L, P) region."""
-    L = fl * (1.0 - cp.rate)
-    lo, hi = _feasible_P_range(cp, L)
+    L = fl * (1.0 - rate)
+    lo, hi = _feasible_P_range(wmax, rate, omega, L)
     return L, lo + fp * (hi - lo)
 
 
-def _pattern_search(
-    cp: CodeParams,
-    model: str,
-    a: int,
-    L0: float,
-    P0: float,
-) -> tuple[float, float, float]:
-    """Compass search in unit-box coordinates, step halved when stuck."""
-    R = cp.rate
+def _compass(wf: WeightFunction, rate, omega, s_omega, quantum, a, L0, P0):
+    """Compass searches of many problems in lockstep, in unit-box coordinates.
 
-    def totals(fl, fp):
-        return _factors(cp, model, *_unit_to_LP(cp, fl, fp), a)["total"]
+    Every argument after wf is an array with one entry per problem.  Each
+    problem starts at the unit-box image of (L0, P0) with step 1/63.  A
+    poll tries +L, -L, +P, -P, clipped to the box; the problem moves to
+    the first best of them if it beats its current value by more than
+    1e-14, and halves its step otherwise.  It stops once its step falls
+    below _PATTERN_TOL or after 400 polls.  The live problems share one
+    _factors call per poll, and no problem's path depends on the others.
+    Returns the final values, L and P.
+    """
+    wmax = float(wf.max_weight)
 
-    fl = min(max(L0 / (1.0 - R), 0.0), 1.0)
-    lo, hi = _feasible_P_range(cp, fl * (1.0 - R))
-    fp = 0.0 if hi - lo < _EPS else min(max((P0 - lo) / (hi - lo), 0.0), 1.0)
-    cur = float(totals(np.array([fl]), np.array([fp]))[0])
-    step = 1.0 / 63
-    polls = 0
-    while step > _PATTERN_TOL and polls < 400:
-        polls += 1
-        cand_f = np.clip(
-            np.array(
-                [[fl + step, fp], [fl - step, fp], [fl, fp + step], [fl, fp - step]]
-            ),
-            0.0,
-            1.0,
+    def totals(k, fl, fp):  # k: the problem of each point
+        L, P = _unit_to_LP(wmax, rate[k], omega[k], fl, fp)
+        return _factors(wf, rate[k], omega[k], s_omega[k], quantum[k], L, P, a[k])["total"]
+
+    fl = np.clip(L0 / (1.0 - rate), 0.0, 1.0)
+    lo, hi = _feasible_P_range(wmax, rate, omega, fl * (1.0 - rate))
+    flat = hi - lo < _EPS
+    fp = np.where(flat, 0.0, np.clip((P0 - lo) / np.where(flat, 1.0, hi - lo), 0.0, 1.0))
+    cur = totals(np.arange(len(fl)), fl, fp)
+    step = np.full(len(fl), 1.0 / 63)
+    polls = np.zeros(len(fl), dtype=int)
+    while (live := np.flatnonzero((step > _PATTERN_TOL) & (polls < 400))).size:
+        polls[live] += 1
+        s, l, p = step[live], fl[live], fp[live]
+        cand_l = np.clip(np.stack([l + s, l - s, l, l], axis=1), 0.0, 1.0)
+        cand_p = np.clip(np.stack([p, p, p + s, p - s], axis=1), 0.0, 1.0)
+        vals = totals(np.repeat(live, 4), cand_l.ravel(), cand_p.ravel()).reshape(-1, 4)
+        rows, i = np.arange(len(live)), vals.argmin(axis=1)
+        moves = vals[rows, i] < cur[live] - 1e-14
+        mv, rows, i = live[moves], rows[moves], i[moves]
+        cur[mv], fl[mv], fp[mv] = vals[rows, i], cand_l[rows, i], cand_p[rows, i]
+        step[live[~moves]] *= 0.5
+    return (cur, *_unit_to_LP(wmax, rate, omega, fl, fp))
+
+
+def _optimize_many(problems, a_max) -> list:
+    """optimize_point for each (cp, model, algorithm) of one weight function.
+
+    Each problem gets its WorkFactors, or the InfeasibleParameterError its
+    point raised.  Every problem's grid is one _factors call; then all of
+    their compass searches run in one lockstep batch.
+    """
+    a_max = _to_int(a_max, "a_max")
+    if a_max < 1:
+        raise ValueError("a_max must be >= 1")
+    for _, model, algorithm in problems:
+        if model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+
+    unit = np.linspace(0.0, 1.0, 64)
+    starts = []  # (problem, a, L0, P0): each problem's 3 best level counts on its grid
+    for k, (cp, model, algorithm) in enumerate(problems):
+        if cp.omega <= _EPS or algorithm == "prange":  # (0, 0) is infeasible at large weight
+            continue
+        a_values = np.arange(1, 2 if algorithm == "dumer" else a_max + 1)
+        L, P = _unit_to_LP(
+            float(cp.wf.max_weight), cp.rate, cp.omega, np.repeat(unit, 64), np.tile(unit, 64)
         )
-        vals = totals(cand_f[:, 0], cand_f[:, 1])
-        i = int(np.argmin(vals))
-        if vals[i] < cur - 1e-14:
-            cur = float(vals[i])
-            fl, fp = float(cand_f[i, 0]), float(cand_f[i, 1])
-        else:
-            step *= 0.5
-    Ls, Ps = _unit_to_LP(cp, np.array([fl]), np.array([fp]))
-    return cur, float(Ls[0]), float(Ps[0])
+        totals = _problem_factors(cp, model, L, P, a_values[:, None])["total"]
+        seeds = []
+        for a, tot in zip(a_values, totals):
+            i = int(np.argmin(tot))
+            seeds.append((float(tot[i]), int(a), float(L[i]), float(P[i])))
+        seeds.sort()
+        starts += [(k, a, L0, P0) for _, a, L0, P0 in seeds[:3]]
+
+    best: dict[int, tuple[float, AlgoPoint]] = {}
+    if starts:
+        ks, a, L0, P0 = (np.array(c) for c in zip(*starts))
+        cps = [problems[k][0] for k in ks]
+        vals, Ls, Ps = _compass(
+            cps[0].wf,
+            np.array([cp.rate for cp in cps]),
+            np.array([cp.omega for cp in cps]),
+            np.array([cp.s_omega for cp in cps]),
+            np.array([problems[k][1] == "quantum" for k in ks]),
+            a, L0, P0,
+        )
+        for k, v, Lr, Pr, ak in zip(ks.tolist(), vals.tolist(), Ls.tolist(), Ps.tolist(), a.tolist()):
+            if k not in best or v < best[k][0] - 1e-13:
+                best[k] = (v, AlgoPoint(Lr, Pr, ak))
+
+    out = []
+    for k, (cp, model, _) in enumerate(problems):
+        try:
+            out.append(work_factors(cp, model, best[k][1] if k in best else AlgoPoint(0.0, 0.0, 1)))
+        except InfeasibleParameterError as exc:
+            out.append(exc)
+    return out
 
 
 def optimize_point(
@@ -203,33 +272,14 @@ def optimize_point(
     """Best (L, P, a) for the given cost model, deterministically.
 
     A 64x64 grid over the feasible box seeds a compass refinement (step
-    down to 1e-5) for the most promising level counts.  For "prange" the
-    point is pinned to (0, 0); "dumer" fixes a = 1.
+    down to 1e-5) for the three most promising level counts; the three
+    searches run in lockstep.  For "prange" the point is pinned to (0, 0);
+    "dumer" fixes a = 1.
     """
-    if a_max < 1:
-        raise ValueError("a_max must be >= 1")
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    if cp.omega <= _EPS or algorithm == "prange":  # (0, 0) is infeasible at large weight
-        return work_factors(cp, model, AlgoPoint(0.0, 0.0, 1))
-
-    a_values = np.arange(1, 2 if algorithm == "dumer" else a_max + 1)
-    unit = np.linspace(0.0, 1.0, 64)
-    L, P = _unit_to_LP(cp, np.repeat(unit, 64), np.tile(unit, 64))
-    totals = _factors(cp, model, L, P, a_values[:, None])["total"]
-    seeds = []
-    for a, tot in zip(a_values, totals):
-        i = int(np.argmin(tot))
-        seeds.append((float(tot[i]), int(a), float(L[i]), float(P[i])))
-    seeds.sort()
-    best: tuple[float, AlgoPoint] | None = None
-    for _, a, L0, P0 in seeds[:3]:
-        v, Lr, Pr = _pattern_search(cp, model, a, L0, P0)
-        if best is None or v < best[0] - 1e-13:
-            best = (v, AlgoPoint(Lr, Pr, a))
-    return work_factors(cp, model, best[1])
+    (res,) = _optimize_many([(cp, model, algorithm)], a_max)
+    if isinstance(res, InfeasibleParameterError):
+        raise res
+    return res
 
 
 # -- weight landscape and hardest instances ----------------------------------
