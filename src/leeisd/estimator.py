@@ -140,11 +140,6 @@ def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict
             "s_omega0": s0, "total": total}
 
 
-def _problem_factors(cp: CodeParams, model: str, L, P, a) -> dict:
-    """_factors at points (L, P) of one problem under one cost model."""
-    return _factors(cp.wf, cp.rate, cp.omega, cp.s_omega, model == "quantum", L, P, a)
-
-
 def work_factors(cp: CodeParams, model: str, point: AlgoPoint) -> WorkFactors:
     """Every exponent of the attack at one feasible point under one cost model.
 
@@ -154,7 +149,8 @@ def work_factors(cp: CodeParams, model: str, point: AlgoPoint) -> WorkFactors:
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     _check_point(cp, point.L, point.P)
-    fac = {k: v.item() for k, v in _problem_factors(cp, model, point.L, point.P, point.a).items()}
+    family = (cp.rate, cp.omega, cp.s_omega, model == "quantum")
+    fac = {k: v.item() for k, v in _factors(cp.wf, *family, point.L, point.P, point.a).items()}
     total = fac.pop("total")
     return WorkFactors(**fac, total_q=total, total_bin=total * math.log2(cp.q), point=point)
 
@@ -225,7 +221,7 @@ def _optimize_many(problems, a_max) -> list:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
 
     unit = np.linspace(0.0, 1.0, 64)
-    starts = []  # (problem, a, L0, P0): each problem's 3 best level counts on its grid
+    starts = []  # each problem's 3 best level counts on its grid, with their search data
     for k, (cp, model, algorithm) in enumerate(problems):
         if cp.omega <= _EPS or algorithm == "prange":  # (0, 0) is infeasible at large weight
             continue
@@ -233,27 +229,20 @@ def _optimize_many(problems, a_max) -> list:
         L, P = _unit_to_LP(
             float(cp.wf.max_weight), cp.rate, cp.omega, np.repeat(unit, 64), np.tile(unit, 64)
         )
-        totals = _problem_factors(cp, model, L, P, a_values[:, None])["total"]
+        family = (cp.rate, cp.omega, cp.s_omega, model == "quantum")
+        totals = _factors(cp.wf, *family, L, P, a_values[:, None])["total"]
         seeds = []
         for a, tot in zip(a_values, totals):
             i = int(np.argmin(tot))
             seeds.append((float(tot[i]), int(a), float(L[i]), float(P[i])))
         seeds.sort()
-        starts += [(k, a, L0, P0) for _, a, L0, P0 in seeds[:3]]
+        starts += [(k, a, L0, P0, *family) for _, a, L0, P0 in seeds[:3]]
 
     best: dict[int, tuple[float, AlgoPoint]] = {}
     if starts:
-        ks, a, L0, P0 = (np.array(c) for c in zip(*starts))
-        cps = [problems[k][0] for k in ks]
-        vals, Ls, Ps = _compass(
-            cps[0].wf,
-            np.array([cp.rate for cp in cps]),
-            np.array([cp.omega for cp in cps]),
-            np.array([cp.s_omega for cp in cps]),
-            np.array([problems[k][1] == "quantum" for k in ks]),
-            a, L0, P0,
-        )
-        for k, v, Lr, Pr, ak in zip(ks.tolist(), vals.tolist(), Ls.tolist(), Ps.tolist(), a.tolist()):
+        ks, a, L0, P0, *family = (np.array(c) for c in zip(*starts))
+        vals, Ls, Ps = _compass(problems[0][0].wf, *family, a, L0, P0)
+        for k, ak, v, Lr, Pr in zip(*(x.tolist() for x in (ks, a, vals, Ls, Ps))):
             if k not in best or v < best[k][0] - 1e-13:
                 best[k] = (v, AlgoPoint(Lr, Pr, ak))
 
@@ -307,18 +296,36 @@ class HardestResult:
     factors: WorkFactors
 
 
-def _hardness_at(wf: WeightFunction, rate: float, model: str, algorithm: str, a_max: int):
-    best = None
-    for omega in local_maxima_weights(wf, rate):
-        try:
-            f = optimize_point(CodeParams(wf, rate, omega), model, algorithm, a_max)
-        except InfeasibleParameterError:
-            continue
-        if best is None or f.total_q > best[0].total_q:
-            best = (f, omega)
-    if best is None:
-        raise InfeasibleParameterError(f"no admissible weight at rate {rate}")
-    return best
+def _hardness(wf: WeightFunction, rates, model: str, algorithm: str, a_max: int) -> list:
+    """(WorkFactors, omega) of the harder candidate weight at each rate.
+
+    None where both weights are infeasible.  Both weights of every rate
+    are optimized in one batch.
+    """
+    problems = [
+        (CodeParams(wf, rate, omega), model, algorithm)
+        for rate in rates
+        for omega in local_maxima_weights(wf, rate)
+    ]
+    results = _optimize_many(problems, a_max)
+    out = []
+    for i in range(0, len(problems), 2):
+        pair = [
+            (f, cp.omega)
+            for (cp, _, _), f in zip(problems[i : i + 2], results[i : i + 2])
+            if not isinstance(f, InfeasibleParameterError)
+        ]
+        out.append(max(pair, key=lambda t: t[0].total_q) if pair else None)
+    return out
+
+
+def _hardness_at(wf: WeightFunction, rates, model: str, algorithm: str, a_max: int) -> list:
+    """_hardness at each rate, raising where both weights are infeasible."""
+    found = _hardness(wf, rates, model, algorithm, a_max)
+    for rate, best in zip(rates, found):
+        if best is None:
+            raise InfeasibleParameterError(f"no admissible weight at rate {rate}")
+    return found
 
 
 def hardest_instance(
@@ -331,14 +338,12 @@ def hardest_instance(
 
     Only the two candidate weights from local_maxima_weights are evaluated
     per rate; the rate search is a coarse scan refined by golden-section.
+    All rates of the coarse scan are optimized in one batch, and each
+    golden-section step in one batch of its rate's two weights.
     """
-    rates = np.arange(0.10, 0.90 + 1e-9, _COARSE_STEP)
-    scored = []
-    for r in rates:
-        try:
-            scored.append((_hardness_at(wf, float(r), model, algorithm, a_max), float(r)))
-        except InfeasibleParameterError:
-            continue
+    rates = [float(r) for r in np.arange(0.10, 0.90 + 1e-9, _COARSE_STEP)]
+    found = _hardness(wf, rates, model, algorithm, a_max)
+    scored = [(h, r) for h, r in zip(found, rates) if h is not None]
     if not scored:
         raise InfeasibleParameterError("algorithm infeasible across the whole rate range")
     (best_f, best_omega), best_r = max(scored, key=lambda t: t[0][0].total_q)
@@ -346,19 +351,24 @@ def hardest_instance(
     a, b = max(0.01, best_r - _COARSE_STEP), min(0.99, best_r + _COARSE_STEP)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - phi * (b - a), a + phi * (b - a)
-    fc = _hardness_at(wf, c, model, algorithm, a_max)
-    fd = _hardness_at(wf, d, model, algorithm, a_max)
-    for _ in range(12):
-        if fc[0].total_q > fd[0].total_q:
+    fc, fd = _hardness_at(wf, [c, d], model, algorithm, a_max)
+    for step in range(12):
+        lower = fc[0].total_q > fd[0].total_q
+        if lower:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = _hardness_at(wf, c, model, algorithm, a_max)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = _hardness_at(wf, d, model, algorithm, a_max)
+        # the last step's value is never read: it shares a batch with the midpoint
+        mid = [0.5 * (a + b)] if step == 11 else []
+        found = _hardness_at(wf, [c if lower else d, *mid], model, algorithm, a_max)
+        if lower:
+            fc = found[0]
+        else:
+            fd = found[0]
     rate = 0.5 * (a + b)
-    f, omega = _hardness_at(wf, rate, model, algorithm, a_max)
+    f, omega = found[-1]
     if f.total_q < best_f.total_q:  # keep the coarse winner if refinement regressed
         rate, f, omega = best_r, best_f, best_omega
     return HardestResult(
@@ -393,12 +403,18 @@ def sweep(
     a_max: int = 10,
 ) -> list[SweepRow]:
     """Exponent curves over a weight grid, one row per (omega, model, algorithm)."""
-    rows = []
-    for om in map(float, omegas):
-        for model, algorithm in columns:
-            try:
-                fac = optimize_point(CodeParams(wf, rate, om), model, algorithm, a_max)
-            except InfeasibleParameterError:
-                fac = None
-            rows.append(SweepRow(om, normalized_weight(wf, om), model, algorithm, fac))
-    return rows
+    problems = [
+        (cp, model, algorithm)
+        for cp in [CodeParams(wf, rate, om) for om in map(float, omegas)]
+        for model, algorithm in columns
+    ]
+    return [
+        SweepRow(
+            cp.omega,
+            normalized_weight(wf, cp.omega),
+            model,
+            algorithm,
+            None if isinstance(fac, InfeasibleParameterError) else fac,
+        )
+        for (cp, model, algorithm), fac in zip(problems, _optimize_many(problems, a_max))
+    ]

@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from leeisd.cmsd import cmsd_dumer, cmsd_wagner_v1, cmsd_wagner_v2_build, enumerate_f
-from leeisd.estimator import (
-    CodeParams,
-    hardest_instance,
-    local_maxima_weights,
-    optimize_point,
-)
+from leeisd.estimator import hardest_instance, local_maxima_weights, sweep
 from leeisd.fieldlin import FqVector, random_full_rank_matrix
 from leeisd.isd import IsdParams, generate_instance, isd_solve, verify_solution
 from leeisd.merge import IndexedList, merge
@@ -279,12 +274,8 @@ def test_weight_landscape_maxima():
                 lo = max(0.0, target - 6 * step)
                 hi = min(wmax, target + 6 * step)
                 grid = np.arange(lo, hi + step / 2, step)
-                vals = [
-                    optimize_point(
-                        CodeParams(wf, rate, float(om)), "classical", "wagner", a_max=6
-                    ).total_q
-                    for om in grid
-                ]
+                rows = sweep(wf, rate, grid, columns=(("classical", "wagner"),), a_max=6)
+                vals = [r.factors.total_q for r in rows]
                 argmax = float(grid[int(np.argmax(vals))])
                 assert abs(argmax - target) <= 2 * step + 1e-12, (q, rate, target, argmax)
     dt = time.monotonic() - t0
