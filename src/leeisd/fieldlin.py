@@ -52,6 +52,15 @@ def validate_modulus(q: int) -> int:
     return q
 
 
+def _integer_array(x) -> np.ndarray:
+    """x as an array, which must hold integers: a float or bool entry is a
+    ValueError, never truncated.  An empty input passes whatever its dtype."""
+    arr = np.asarray(x)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"entries must be integers, not {arr.dtype} values")
+    return arr
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.int64, copy=True)
     out.setflags(write=False)
@@ -71,7 +80,7 @@ class _FqArray:
 
     def __post_init__(self):
         object.__setattr__(self, "q", validate_modulus(self.q))
-        vals = np.asarray(self.values)
+        vals = _integer_array(self.values)
         vals = _freeze(vals.reshape((1,) * (self._ndim - vals.ndim) + vals.shape))
         if vals.ndim != self._ndim:
             raise ValueError(self._rank_error)
@@ -82,7 +91,7 @@ class _FqArray:
     @classmethod
     def from_ints(cls, q: int, seq):
         """Build from arbitrary integers, reducing mod q."""
-        return cls(q, np.asarray(seq, dtype=np.int64) % q)
+        return cls(q, _integer_array(seq).astype(np.int64) % q)
 
     def __eq__(self, other) -> bool:
         return (

@@ -38,6 +38,24 @@ def test_vector_construction_and_range():
         v.values[0] = 1  # frozen storage
 
 
+def test_boundary_types_reject_non_integer_entries():
+    for build in (
+        lambda: FqVector(3, [1.7, 0.2]),
+        lambda: FqVector(3, np.array([1.0, 2.0])),  # integral floats too
+        lambda: FqVector(3, [True, False]),
+        lambda: FqMatrix(3, [[True, 2.9]]),
+        lambda: FqVector.from_ints(3, [4.5]),
+        lambda: FqMatrix.from_ints(3, [[False]]),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            build()
+    # an empty list reads as float64 and stays valid
+    assert FqVector(3, []).tolist() == []
+    assert FqVector.from_ints(3, []).tolist() == []
+    assert FqMatrix(3, np.zeros((0, 2))).values.shape == (0, 2)
+    assert FqVector(3, np.array([2], dtype=np.uint8)).tolist() == [2]
+
+
 def test_mat_vec_identity_and_zero():
     v = FqVector(3, [1, 2, 0])
     assert mat_vec_mul(FqMatrix.identity(3, 3), v) == v
