@@ -403,6 +403,7 @@ def sweep(
     a_max: int = 10,
 ) -> list[SweepRow]:
     """Exponent curves over a weight grid, one row per (omega, model, algorithm)."""
+    columns = tuple(columns)  # read once per weight, so an iterator must not run dry
     problems = [
         (cp, model, algorithm)
         for cp in [CodeParams(wf, rate, om) for om in map(float, omegas)]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from leeisd.estimator import (
+    SWEEP_COLUMNS,
     AlgoPoint,
     CodeParams,
     InfeasibleParameterError,
@@ -138,6 +139,19 @@ def test_optimizer_rejects_a_max_below_one():
             optimize_point(cp, "classical", alg, a_max=0)
 
 
+def test_a_max_must_be_an_integer():
+    wf = WeightFunction.lee(3)
+    cp = CodeParams(wf, 0.4, 0.8)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="a_max"):
+            optimize_point(cp, "classical", "wagner", a_max=bad)
+        with pytest.raises(ValueError, match="a_max"):
+            hardest_instance(wf, "classical", "wagner", a_max=bad)
+        with pytest.raises(ValueError, match="a_max"):
+            sweep(wf, 0.4, [0.8], a_max=bad)
+    assert optimize_point(cp, "classical", "wagner", a_max=np.int64(2)).point.a <= 2
+
+
 def test_q2_prange_low_weight_sweep_matches_independent_oracle():
     # oracle: binary entropy closed form on a coarse rate grid, sweeping the
     # unique-decoding radius (the lower of the two candidate weights)
@@ -223,6 +237,9 @@ def test_sweep_rows_and_zero_endpoint():
     top = {(r.model, r.algorithm): r for r in rows if r.omega == 2.0}
     assert top[("classical", "prange")].factors is None
     assert top[("classical", "wagner")].factors is not None
+    # columns given as an iterator still cover every weight
+    again = sweep(wf, 0.5, [0.0, 1.0, 2.0], columns=iter(SWEEP_COLUMNS), a_max=4)
+    assert again == rows
 
 
 @pytest.mark.parametrize(
