@@ -410,6 +410,9 @@ class EntropyProfile:
         object.__setattr__(self, "lam", arr)
 
 
+_BLOCK = 2**15  # float64 elements per kernel block (256 KiB), so a block stays in cache
+
+
 @dataclass(frozen=True, eq=False)
 class _Dual:
     """Lagrangian dual of the maximum-entropy problem for one weight table.
@@ -421,66 +424,80 @@ class _Dual:
     refines its root by bracketed Newton steps (_solve_dual).
     """
 
-    w: np.ndarray  # distinct weights, ascending
+    w: np.ndarray  # distinct weights, ascending, so w[0] = 0
     mult: np.ndarray  # symbols per distinct weight
     lnq: float
     beta_max: float
 
-    def gibbs(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unnormalized class weights mult * q^(-beta * wt) and their logs.
-
-        One row per multiplier; each row is scaled by its largest weight so
-        that nothing overflows.
-        """
-        z = np.multiply.outer(beta * -self.lnq, self.w)
-        z += np.log(self.mult)
-        z -= z.max(axis=-1, keepdims=True)
-        return np.exp(z), z
-
-    def state(self, beta: np.ndarray):
-        """(class frequencies, mean weight, entropy in log_q units) at each beta."""
-        lam, z = self.gibbs(beta)
-        tot = lam.sum(axis=-1, keepdims=True)
-        lam /= tot
-        z -= np.log(tot)
-        z -= np.log(self.mult)
-        z *= lam
-        return lam, lam @ self.w, -z.sum(axis=-1) / self.lnq
+    @cached_property
+    def _dist(self) -> np.ndarray:
+        """(2, classes) rows wt and gap = w_max - wt: the distances from both ends."""
+        return np.stack([self.w, self.w[-1] - self.w])
 
     @cached_property
-    def _moment_columns(self) -> np.ndarray:
-        gap = self.w[-1] - self.w
-        return np.stack([self.w, gap, self.w * gap], axis=1)
+    def _columns(self) -> np.ndarray:
+        """(classes, 4) matrix mult * [1, wt, gap, wt * gap]."""
+        w, gap = self._dist
+        return np.stack([np.ones_like(w), w, gap, w * gap], axis=1) * self.mult[:, None]
 
-    def moments(self, beta: np.ndarray) -> np.ndarray:
-        """Expectations of wt, w_max - wt and wt * (w_max - wt) at each beta.
+    def evaluate(self, beta: np.ndarray) -> np.ndarray:
+        """Rows [s ln q, mean, gap, E[wt * gap]] of the law at each beta.
 
-        The second column is the mean's distance from the top, free of
-        cancellation, and mean * gap - E[wt * (w_max - wt)] is the variance,
-        accurate at both ends of the weight range.
+        s ln q is the entropy in nats.  gap is the mean's distance w_max -
+        mean from the top, free of cancellation, and mean * gap - E[wt * gap]
+        is the variance, accurate at both ends of the weight range.
+
+        A row's class terms are mult * q^(-|beta| |wt - w_end|), where w_end
+        is the weight the row favours (w[0] = 0 for beta >= 0, w_max for
+        beta < 0): the law's terms scaled by their bound, so none exceeds
+        mult and the w_end term is mult exactly.  Rows run in blocks of about
+        _BLOCK elements, each kept in cache through three passes: the
+        exponents, by a matmul against the two distance rows with one
+        coefficient zero, so each is one exact product; exp in place; and one
+        matmul against mult * [1, wt, gap, wt * gap].  The entropy is the
+        dual value ln Z + |beta| ln q E|wt - w_end|, a sum of two
+        nonnegative terms, so nothing cancels.
         """
-        e = self.gibbs(beta)[0]
-        return e @ self._moment_columns / e.sum(axis=-1, keepdims=True)
+        up = beta >= 0
+        slope = np.abs(beta) * -self.lnq
+        coef = np.zeros((len(beta), 2))  # per row, one coefficient is zero
+        np.copyto(coef[:, 0], slope, where=up)
+        np.copyto(coef[:, 1], slope, where=~up)
+        out = np.empty((len(beta), 4))
+        rows = max(1, _BLOCK // len(self.w))
+        buf = np.empty((min(rows, len(beta)), len(self.w)))
+        for start in range(0, len(beta), rows):
+            block = coef[start : start + rows]
+            z = np.matmul(block, self._dist, out=buf[: len(block)])
+            np.exp(z, out=z)
+            np.matmul(z, self._columns, out=out[start : start + rows])
+        tot = out[:, 0].copy()
+        out /= tot[:, None]
+        out[:, 0] = np.log(tot) - slope * np.where(up, out[:, 1], out[:, 2])
+        return out
 
     @cached_property
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, beta) start table: x = logit of the mean weight, ascending.
+    def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, beta, ends) start table: x = logit of the mean weight, ascending.
 
         The 257 multipliers are c * sinh(t) with t evenly spaced, where
         c = 1 / (w_max ln q) is the table's own scale, so the nodes are
         dense near beta = 0 and reach +-beta_max.  Nodes whose logit is
         not finite or not increasing (a mean lost to underflow) are dropped.
+        ends is beta between the bracket's ends, beta_max first, so a target
+        in node cell i has its root in [ends[i + 1], ends[i]].
         """
         c = 1.0 / (self.w[-1] * self.lnq)
         t_max = math.asinh(self.beta_max / c)
         beta = c * np.sinh(np.linspace(t_max, -t_max, 257))
-        mom = self.moments(beta)
-        pos = (mom[:, :2] > 0).all(axis=1)
+        ev = self.evaluate(beta)
+        pos = (ev[:, 1:3] > 0).all(axis=1)
         x = np.full(len(beta), -math.inf)
-        x[pos] = np.log(mom[pos, 0]) - np.log(mom[pos, 1])
+        x[pos] = np.log(ev[pos, 1]) - np.log(ev[pos, 2])
         prev = np.maximum.accumulate(np.concatenate([[-math.inf], x[:-1]]))
         keep = np.isfinite(x) & (x > prev)
-        return x[keep], beta[keep]
+        ends = np.concatenate([[self.beta_max], beta[keep], [-self.beta_max]])
+        return x[keep], ends[1:-1], ends
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, root_above) -> np.ndarray:
@@ -498,7 +515,7 @@ _BRACKET_TOL = 2.0**-48  # a midpoint step this small means the bracket has clos
 
 
 def _solve_dual(wf: WeightFunction, omegas):
-    """(class frequencies, entropy, beta) of the max-entropy law at each mean weight.
+    """(entropy, beta) of the max-entropy law at each mean weight, flattened.
 
     Targets are clipped to [0, max weight]; at the two ends the entropy and
     beta are the exact limits (uniform over the extreme-weight symbols).
@@ -513,27 +530,27 @@ def _solve_dual(wf: WeightFunction, omegas):
     after a Newton step below sqrt(eps) of its scale, or a midpoint step
     below rounding.  The loop is capped at the 72 steps a bisection from
     +-beta_max needs, so the same loop is the fast path and the fallback.
+    Each step and the final pass make one _Dual.evaluate call.
     """
     d = wf._dual_solver
     wmax = float(d.w[-1])
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
+    om = np.asarray(omegas, dtype=float).reshape(-1)
     if not np.isfinite(om).all():
         bad = om[~np.isfinite(om)][0]
         raise ValueError(f"target weight {bad} outside [0, {wmax}]")
-    om = np.clip(om, 0.0, wmax)
+    om = np.minimum(np.maximum(om, 0.0), wmax)  # np.clip, without its call overhead
     at_lo, at_hi = om <= 0.0, om >= wmax
     beta = np.where(at_lo, d.beta_max, -d.beta_max)
-    live = np.flatnonzero(~(at_lo | at_hi))
+    live = np.nonzero(~(at_lo | at_hi))[0]
     x = np.log(om[live]) - np.log(wmax - om[live])
-    xs, bs = d.nodes
+    xs, bs, ends = d.nodes
     cell = np.searchsorted(xs, x)
-    ends = np.concatenate([[d.beta_max], bs, [-d.beta_max]])
     lo, hi = ends[cell + 1], ends[cell]
     cur = beta[live] = np.interp(x, xs, bs)
     scale = 1.0 / (wmax * d.lnq)
     for _ in range(72):
-        mom = d.moments(cur)
-        m, gap = mom[:, 0], mom[:, 1]
+        ev = d.evaluate(cur)
+        m, gap = ev[:, 1], ev[:, 2]
         pos = (m > 0) & (gap > 0)
         f = np.log(np.where(pos, m, 1.0)) - np.log(np.where(pos, gap, 1.0)) - x
         # the mean falls with beta, so the root lies above where it exceeds
@@ -544,9 +561,9 @@ def _solve_dual(wf: WeightFunction, omegas):
         hi = np.where(above, hi, cur)
         # Newton on x: dx/dbeta = -Var ln q w_max / (m gap), Var = m gap - E[wt gap]
         num = f * m * gap
-        den = (m * gap - mom[:, 2]) * (d.lnq * wmax)
+        den = (m * gap - ev[:, 3]) * (d.lnq * wmax)
         fits = pos & (den > 0) & (np.abs(num) <= den * (hi - lo))
-        step = cur + np.divide(num, den, out=np.zeros_like(num), where=fits)
+        step = cur + np.divide(num, den, out=np.zeros(len(num)), where=fits)
         fits &= (lo <= step) & (step <= hi)
         nxt = beta[live] = np.where(fits, step, 0.5 * (lo + hi))
         tol = np.where(fits, _NEWTON_TOL, _BRACKET_TOL) * (scale + np.abs(cur))
@@ -554,11 +571,11 @@ def _solve_dual(wf: WeightFunction, omegas):
         if not moving.any():
             break
         live, cur, lo, hi, x = (a[moving] for a in (live, nxt, lo, hi, x))
-    lam, _, ent = d.state(beta)
-    ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, np.clip(ent, 0.0, 1.0))
+    ent = np.minimum(np.maximum(d.evaluate(beta)[:, 0] / d.lnq, 0.0), 1.0)
+    ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, ent)
     ent = np.where(at_hi, math.log(d.mult[-1]) / d.lnq, ent)
     beta = np.where(at_lo, math.inf, np.where(at_hi, -math.inf, beta))
-    return lam, ent, beta
+    return ent, beta
 
 
 def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
@@ -568,7 +585,10 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
     q^(-beta * wt(x)) with beta found by a few bracketed Newton steps so
     the mean weight matches omega; the mean is strictly decreasing in
     beta, so the root is unique.  Boundary targets (omega = 0 or omega =
-    max weight) concentrate exactly on the extreme-weight symbols.
+    max weight) concentrate exactly on the extreme-weight symbols.  The
+    frequencies are computed here, for this one point, from beta: each is
+    q^(-|beta| |wt(x) - w_end|) normalized, where w_end is the weight beta
+    favours (0 for beta >= 0, the max weight otherwise).
     """
     d = wf._dual_solver
     wmax = float(d.w[-1])
@@ -578,18 +598,26 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
         omega = 0.0
     elif omega >= wmax - _WEIGHT_TOL:
         omega = wmax
-    lam, s, beta = _solve_dual(wf, [omega])
+    s, beta = (float(a[0]) for a in _solve_dual(wf, [omega]))
     tab = np.asarray([float(x) for x in wf.table])
-    return EntropyProfile((lam[0] / d.mult)[np.searchsorted(d.w, tab)], float(s[0]), float(beta[0]))
+    dist = np.abs(tab - (d.w[0] if beta >= 0 else wmax))
+    if math.isinf(beta):
+        lam = (dist == 0).astype(float)
+    else:
+        lam = np.exp(-abs(beta) * d.lnq * dist)
+    return EntropyProfile(lam / lam.sum(), s, beta)
 
 
 def sphere_exponent_many(wf: WeightFunction, omegas) -> np.ndarray:
     """Vectorized entropy exponents for an array of mean-weight targets.
 
     Targets are clipped to [0, max weight]; a target that is not a finite
-    number raises ValueError.
+    number raises ValueError.  A scalar gives a 1-element array; an array
+    of any other shape gives one of the same shape.
     """
-    return _solve_dual(wf, omegas)[1]
+    om = np.asarray(omegas, dtype=float)
+    s = _solve_dual(wf, om)[0]
+    return s.reshape(om.shape) if om.ndim > 1 else s
 
 
 def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
@@ -605,9 +633,9 @@ def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
     beta = _bisect(
         np.array([0.0, -d.beta_max]),
         np.array([d.beta_max, 0.0]),
-        lambda b: side * (d.state(b)[2] - s) > 0,
+        lambda b: side * (d.evaluate(b)[:, 0] / d.lnq - s) > 0,
     )
-    lo, hi = d.state(beta)[1]
+    lo, hi = d.evaluate(beta)[:, 1]
     if math.log(d.mult[-1]) / d.lnq > s:
         hi = d.w[-1]
     return float(lo), float(hi)

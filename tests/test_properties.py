@@ -184,7 +184,7 @@ def test_entropy_solver_matches_bisection(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         wf._dual_solver.nodes  # the start table, built once per table
-        with mock.patch.object(_Dual, "gibbs", autospec=True, side_effect=_Dual.gibbs) as spy:
+        with mock.patch.object(_Dual, "evaluate", autospec=True, side_effect=_Dual.evaluate) as spy:
             s = sphere_exponent_many(wf, omegas)
         means = [float(sphere_exponent(wf, om).lam @ tab) for om in omegas]
     assert np.abs(s - bisection_exponents(wf, omegas)).max() <= 1e-12

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +135,96 @@ def test_sphere_exponent_boundaries():
     top = sphere_exponent(WeightFunction.lee(5), 2.0)
     assert abs(top.s - math.log(2, 5)) < 1e-12
     assert np.allclose(top.lam, [0, 0, 0.5, 0.5, 0])
+
+
+def test_sphere_exponent_boundary_laws_are_exact():
+    # the ends are the uniform law on the extreme-weight symbols, not the
+    # law at beta = +-beta_max, whose other entries are tiny but not 0
+    wf = WeightFunction.lee(5)
+    assert sphere_exponent(wf, 0.0).lam.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert sphere_exponent(wf, 2.0).lam.tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
+    assert typical_pattern(WeightFunction.hamming(3), 0.0).tolist() == [1.0, 0.0, 0.0]
+
+
+def test_sphere_exponent_many_keeps_the_input_shape():
+    wf = WeightFunction.lee(7)
+    grid = np.linspace(0.0, 3.0, 12)
+    flat = sphere_exponent_many(wf, grid)
+    assert flat.shape == (12,)
+    for shape in ((3, 4), (2, 3, 2), (1, 12)):
+        got = sphere_exponent_many(wf, grid.reshape(shape))
+        assert got.shape == shape
+        assert np.array_equal(got.reshape(-1), flat)
+    assert sphere_exponent_many(wf, 1.5).shape == (1,)  # a scalar, as before
+    assert sphere_exponent_many(wf, [1.5]).shape == (1,)
+    assert sphere_exponent_many(wf, np.zeros((0, 3))).shape == (0, 3)
+    with pytest.raises(ValueError, match="target weight"):
+        sphere_exponent_many(wf, np.array([[1.0, math.nan]]))
+
+
+def _oracle_exponent(wf, omega):
+    """s(omega) at 50 digits, by mpmath alone.
+
+    t = beta ln q is the root of the mean's logit minus the target's, found
+    by a bracketing solver on [-T, T], T = 80 / (smallest end gap), where
+    the mean is within e^-80 q w_max of either end.  The exponent is the
+    dual value (ln Z + t omega) / ln q.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        classes = Counter(wf.table)
+        ws = sorted(classes)
+        w = [mpmath.mpf(x.numerator) / x.denominator for x in ws]
+        mult = [classes[x] for x in ws]
+        om, wmax = mpmath.mpf(omega), w[-1]
+
+        def moments(t):
+            e = [c * mpmath.exp(-t * x) for c, x in zip(mult, w)]
+            z = mpmath.fsum(e)
+            return z, mpmath.fsum(a * x for a, x in zip(e, w)) / z
+
+        def logit_gap(t):
+            m = moments(t)[1]
+            return mpmath.log(m / (wmax - m)) - mpmath.log(om / (wmax - om))
+
+        big = 80 / min(w[1] - w[0], w[-1] - w[-2])
+        t = mpmath.findroot(logit_gap, (-big, big), solver="anderson")
+        return float((mpmath.log(moments(t)[0]) + t * om) / mpmath.log(wf.q))
+
+
+@pytest.mark.parametrize(
+    "wf",
+    [
+        WeightFunction.lee(3),
+        WeightFunction.lee(331),
+        WeightFunction.hamming(331),
+        WeightFunction(3, (0, Fraction(1, 1000), Fraction(1, 1000))),
+    ],
+    ids=["lee3", "lee331", "hamming331", "tiny-unit"],
+)
+def test_sphere_exponent_matches_mpmath_oracle(wf):
+    wmax = float(wf.max_weight)
+    ends = [1e-9, 1e-5, 1.0 - 1e-5, 1.0 - 1e-9]
+    omegas = np.array(ends + [k / 10 for k in range(1, 10)]) * wmax
+    s = sphere_exponent_many(wf, omegas)
+    for om, got in zip(omegas, s):
+        expect = _oracle_exponent(wf, om)
+        assert abs(got - expect) <= 1e-13, (om, got, expect)
+
+
+def test_sphere_exponent_many_memory_peak():
+    # the kernel works in cache-sized row blocks, so a 4,096-point solve at
+    # q = 331 never holds a (points x classes) array
+    wf = WeightFunction.lee(331)
+    omegas = np.linspace(0.0, float(wf.max_weight), 4096)
+    sphere_exponent_many(wf, omegas[:8])  # build the node table first
+    tracemalloc.start()
+    try:
+        sphere_exponent_many(wf, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def test_non_finite_targets_are_rejected():
