@@ -600,7 +600,7 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
         omega = wmax
     s, beta = (float(a[0]) for a in _solve_dual(wf, [omega]))
     tab = np.asarray([float(x) for x in wf.table])
-    dist = np.abs(tab - (d.w[0] if beta >= 0 else wmax))
+    dist = np.abs(tab - (0.0 if beta >= 0 else wmax))
     if math.isinf(beta):
         lam = (dist == 0).astype(float)
     else:
