@@ -17,7 +17,6 @@ from .cmsd import (
     cmsd_prange,
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
-    enumerate_f,
 )
 from .estimator import (
     AlgoPoint,
@@ -60,7 +59,6 @@ from .weights import (
     sphere_count_exact,
     sphere_exponent,
     sphere_exponent_many,
-    typical_pattern,
     vector_weight,
 )
 

@@ -129,19 +129,6 @@ class CmsdDescription:
         return syn_ok & (weights == self.wf.scaled(self.weight))
 
 
-@dataclass(eq=False)
-class CmsdEnumeration:
-    solutions: list
-    observed_z: int
-
-
-def enumerate_f(desc: CmsdDescription) -> CmsdEnumeration:
-    """All values of f that satisfy the solution predicate, with distinct count."""
-    vals = desc.evaluate_many(np.arange(desc.y))
-    sols = list(vals[desc.is_solution(vals)])
-    return CmsdEnumeration(solutions=sols, observed_z=len({v.tobytes() for v in sols}))
-
-
 # -- block layout helpers ---------------------------------------------------
 
 

@@ -88,11 +88,6 @@ class _FqArray:
             raise ValueError(f"entries must lie in [0, {self.q})")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_ints(cls, q: int, seq):
-        """Build from arbitrary integers, reducing mod q."""
-        return cls(q, _integer_array(seq).astype(np.int64) % q)
-
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
@@ -112,10 +107,6 @@ class FqVector(_FqArray):
 
     _ndim, _rank_error = 1, "vector must be one-dimensional"
 
-    @classmethod
-    def zeros(cls, q: int, n: int) -> "FqVector":
-        return cls(q, np.zeros(n, dtype=np.int64))
-
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
@@ -124,14 +115,6 @@ class FqMatrix(_FqArray):
     """Immutable row-major matrix with entries in [0, q)."""
 
     _ndim, _rank_error = 2, "matrix must be two-dimensional"
-
-    @classmethod
-    def identity(cls, q: int, n: int) -> "FqMatrix":
-        return cls(q, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, q: int, rows: int, cols: int) -> "FqMatrix":
-        return cls(q, np.zeros((rows, cols), dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -156,10 +139,6 @@ class Permutation:
         object.__setattr__(self, "images", imgs)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n, dtype=np.int64))
-
-    @classmethod
     def random(cls, n: int, rng: random.Random) -> "Permutation":
         imgs = list(range(n))
         rng.shuffle(imgs)
@@ -170,11 +149,6 @@ class Permutation:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty(len(self), dtype=np.int64)
-        inv[self.images] = np.arange(len(self), dtype=np.int64)
-        return Permutation(inv)
 
 
 def apply_permutation(values: np.ndarray, perm: Permutation) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fieldlin import FqVector, validate_modulus
 
-_WEIGHT_TOL = 1e-12
+_WEIGHT_TOL = 1e-12  # relative to the max weight: how far outside [0, w_max] a target may lie
 
 
 def _to_fraction(x) -> Fraction:
@@ -142,11 +142,6 @@ class WeightFunction:
     def max_weight(self) -> Fraction:
         return max(self.table)
 
-    @property
-    def average_weight(self) -> Fraction:
-        """Mean weight of a uniformly random symbol; for lee, (q^2-1)/(4q)."""
-        return sum(self.table, Fraction(0)) / self.q
-
     def weight_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct weights as floats, multiplicities) for entropy solves."""
         d = self._dual_solver
@@ -217,13 +212,6 @@ def _count_row(int_table: tuple[int, ...], n: int) -> tuple[int, ...]:
     return _unpack(base**n, n * max(int_table) + 1, slot_bytes)
 
 
-def sphere_counts_all(wf: WeightFunction, n: int) -> tuple[int, ...]:
-    """Exact counts indexed by integer-scaled weight; sums to q**n."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return _count_row(wf.int_table, n)
-
-
 def sphere_count_exact(wf: WeightFunction, n: int, w) -> int:
     """Number of vectors in F_q^n of weight exactly w (0 if unreachable)."""
     if n < 0:
@@ -255,7 +243,7 @@ def _count_rows(int_table: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ..
 
 
 class SphereEnumerator:
-    """Rank/unrank interface to {v in F_q^n : wt(v) = w}.
+    """Unrank interface to {v in F_q^n : wt(v) = w}.
 
     Vectors are ordered by reading coordinates left to right with symbols
     in increasing order, so rank 0 is the lexicographically smallest
@@ -263,6 +251,8 @@ class SphereEnumerator:
     """
 
     def __init__(self, wf: WeightFunction, n: int, w):
+        if n < 0:
+            raise ValueError("length must be nonnegative")
         self.wf = wf
         self.n = n
         ws = wf.scaled(w)
@@ -293,19 +283,6 @@ class SphereEnumerator:
                     break
                 r -= c
         return out
-
-    def rank(self, v: np.ndarray) -> int:
-        r = 0
-        budget = self.w_scaled
-        for i in range(self.n):
-            rem = self.n - i - 1
-            row = self._rows[rem]
-            for x in range(int(v[i])):
-                left = budget - self._tab[x]
-                if 0 <= left < len(row):
-                    r += row[left]
-            budget -= self._tab[int(v[i])]
-        return r
 
     def unrank_many(self, ranks) -> np.ndarray:
         """(len(ranks), n) array whose row k is unrank(ranks[k])."""
@@ -584,20 +561,18 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
     Solved in Lagrangian dual form: frequencies proportional to
     q^(-beta * wt(x)) with beta found by a few bracketed Newton steps so
     the mean weight matches omega; the mean is strictly decreasing in
-    beta, so the root is unique.  Boundary targets (omega = 0 or omega =
-    max weight) concentrate exactly on the extreme-weight symbols.  The
-    frequencies are computed here, for this one point, from beta: each is
-    q^(-|beta| |wt(x) - w_end|) normalized, where w_end is the weight beta
-    favours (0 for beta >= 0, the max weight otherwise).
+    beta, so the root is unique.  A target within _WEIGHT_TOL * max weight
+    outside [0, max weight] is clipped to it, and the ends resolve as in
+    sphere_exponent_many: omega = 0 or omega = max weight concentrates
+    exactly on the extreme-weight symbols.  The frequencies are computed
+    here, for this one point, from beta: each is q^(-|beta| |wt(x) - w_end|)
+    normalized, where w_end is the weight beta favours (0 for beta >= 0,
+    the max weight otherwise).
     """
     d = wf._dual_solver
     wmax = float(d.w[-1])
-    if not -_WEIGHT_TOL <= omega <= wmax + _WEIGHT_TOL:
+    if not -_WEIGHT_TOL * wmax <= omega <= (1.0 + _WEIGHT_TOL) * wmax:
         raise ValueError(f"target weight {omega} outside [0, {wmax}]")
-    if omega <= _WEIGHT_TOL:
-        omega = 0.0
-    elif omega >= wmax - _WEIGHT_TOL:
-        omega = wmax
     s, beta = (float(a[0]) for a in _solve_dual(wf, [omega]))
     tab = np.asarray([float(x) for x in wf.table])
     dist = np.abs(tab - (0.0 if beta >= 0 else wmax))
@@ -639,11 +614,6 @@ def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
     if math.log(d.mult[-1]) / d.lnq > s:
         hi = d.w[-1]
     return float(lo), float(hi)
-
-
-def typical_pattern(wf: WeightFunction, omega: float) -> np.ndarray:
-    """Symbol frequencies (fractions of n) of typical weight-omega*n words."""
-    return sphere_exponent(wf, omega).lam
 
 
 def normalized_weight(wf: WeightFunction, omega: float) -> float:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from leeisd.cmsd import cmsd_dumer, cmsd_wagner_v1, cmsd_wagner_v2_build, enumerate_f
+from leeisd.cmsd import cmsd_dumer, cmsd_wagner_v1, cmsd_wagner_v2_build
 from leeisd.estimator import hardest_instance, local_maxima_weights, sweep
 from leeisd.fieldlin import FqVector, random_full_rank_matrix
 from leeisd.isd import IsdParams, generate_instance, isd_solve, verify_solution
@@ -27,6 +27,7 @@ from leeisd.weights import (
     sphere_exponent,
     vector_weight,
 )
+from oracles import enumerate_f
 
 # reference hardest-instance rows, lee metric: q -> (R, alpha_hat)
 CLASSICAL_REFERENCE = {3: (0.370, 0.170), 5: (0.572, 0.154), 13: (0.480, 0.141)}
@@ -193,7 +194,7 @@ def test_cmsd_oracle_equivalence():
                 b = enum.unrank(rng.randrange(enum.count))
                 s2 = FqVector(q, (h2.values @ b) % q)
             else:
-                s2 = FqVector.zeros(q, ell)
+                s2 = FqVector(q, np.zeros(ell, dtype=np.int64))
             oracle = brute_cmsd(h2, s2, wf, p)
             for desc in (
                 cmsd_dumer(h2, s2, wf, p),

@@ -12,7 +12,6 @@ from leeisd.cmsd import (
     cmsd_prange,
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
-    enumerate_f,
     _draw_targets,
     _j_partition,
     _make_blocks,
@@ -23,6 +22,7 @@ from leeisd.cmsd import (
 from leeisd.fieldlin import FqMatrix, FqVector, random_full_rank_matrix
 from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, _encode_keys, merge
 from leeisd.weights import SphereEnumerator, WeightFunction, vector_weight
+from oracles import enumerate_f
 
 
 def brute_solutions(h2, s2, wf, p):
@@ -42,7 +42,7 @@ def random_subproblem(q, ell, n, wf, p, rng, planted=True):
         b = enum.unrank(rng.randrange(enum.count))
         s2 = FqVector(q, (h2.values @ b) % q)
     else:
-        s2 = FqVector.from_ints(q, [rng.randrange(q) for _ in range(ell)])
+        s2 = FqVector(q, [rng.randrange(q) for _ in range(ell)])
     return h2, s2
 
 

@@ -189,7 +189,7 @@ def test_local_maxima_residual_and_upper_endpoint():
     wf = WeightFunction.lee(5)
     lo, hi = local_maxima_weights(wf, 0.37)
     assert s_of(wf, lo) == pytest.approx(0.63, abs=1e-8)
-    assert lo < float(wf.average_weight) < hi
+    assert lo < float(sum(wf.table) / wf.q) < hi
     # 1 - R below the max-weight entropy: no crossing, endpoint returned
     assert 1 - 0.6 < math.log(2, 5)
     assert local_maxima_weights(wf, 0.6)[1] == 2.0

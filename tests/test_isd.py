@@ -62,7 +62,7 @@ def test_verify_solution_negative_cases():
     rng = random.Random(4)
     wf = WeightFunction.lee(3)
     inst = generate_instance(3, 10, 5, 3, wf, rng)
-    assert not verify_solution(inst, FqVector.zeros(3, 10))  # s != 0 here
+    assert not verify_solution(inst, FqVector(3, np.zeros(10, dtype=np.int64)))  # s != 0 here
     # single-coordinate bump must break syndrome or weight
     for i in range(10):
         bumped = np.array(inst.planted.values)

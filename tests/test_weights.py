@@ -11,15 +11,15 @@ from leeisd.fieldlin import FqVector, Permutation, apply_permutation
 from leeisd.weights import (
     SphereEnumerator,
     WeightFunction,
+    _count_row,
     normalized_weight,
     sample_uniform_weight_w,
     sphere_count_exact,
-    sphere_counts_all,
     sphere_exponent,
     sphere_exponent_many,
-    typical_pattern,
     vector_weight,
 )
+from oracles import rank
 
 
 def brute_counts(wf, n):
@@ -81,7 +81,7 @@ def test_weight_permutation_invariant():
     rng = random.Random(5)
     for wf in (WeightFunction.lee(7), WeightFunction.hamming(7)):
         for _ in range(50):
-            v = FqVector.from_ints(7, [rng.randrange(7) for _ in range(10)])
+            v = FqVector(7, [rng.randrange(7) for _ in range(10)])
             perm = Permutation.random(10, rng)
             moved = FqVector(7, apply_permutation(v.values, perm))
             assert vector_weight(v, wf) == vector_weight(moved, wf)
@@ -111,7 +111,7 @@ def test_sphere_counts_match_enumeration_small():
 def test_sphere_partition_invariant():
     for q, n in ((3, 9), (5, 6), (7, 5)):
         for wf in (WeightFunction.lee(q), WeightFunction.hamming(q)):
-            assert sum(sphere_counts_all(wf, n)) == q**n
+            assert sum(_count_row(wf.int_table, n)) == q**n
 
 
 def test_rational_table_counts():
@@ -143,7 +143,7 @@ def test_sphere_exponent_boundary_laws_are_exact():
     wf = WeightFunction.lee(5)
     assert sphere_exponent(wf, 0.0).lam.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
     assert sphere_exponent(wf, 2.0).lam.tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
-    assert typical_pattern(WeightFunction.hamming(3), 0.0).tolist() == [1.0, 0.0, 0.0]
+    assert sphere_exponent(WeightFunction.hamming(3), 0.0).lam.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_sphere_exponent_many_keeps_the_input_shape():
@@ -236,6 +236,36 @@ def test_non_finite_targets_are_rejected():
             sphere_exponent_many(wf, [1.0, bad])
 
 
+def _scaled_lee5(c):
+    return WeightFunction(5, tuple(x * c for x in WeightFunction.lee(5).table))
+
+
+@pytest.mark.parametrize(
+    "wf",
+    [
+        WeightFunction(3, (0, Fraction(1, 1000), Fraction(1, 1000))),
+        _scaled_lee5(Fraction(1, 1000)),
+        _scaled_lee5(1),
+        _scaled_lee5(1000),
+    ],
+    ids=["tiny-unit", "lee5/1000", "lee5", "lee5*1000"],
+)
+def test_sphere_exponent_ends_agree_with_many(wf):
+    # the one-point entry resolves targets near an end as the vector entry
+    # does, bit for bit, at any table scale
+    wmax = float(wf.max_weight)
+    for om in (0.0, 1e-9 * wmax, (1.0 - 1e-9) * wmax, wmax):
+        prof = sphere_exponent(wf, om)
+        assert prof.s == sphere_exponent_many(wf, [om])[0], om
+        assert math.isinf(prof.beta) == (om in (0.0, wmax)), om
+    # the range check is relative to the max weight too
+    for om in (-0.5e-12 * wmax, (1.0 + 0.5e-12) * wmax):
+        assert sphere_exponent(wf, om).s == sphere_exponent_many(wf, [om])[0]
+    for om in (-2e-12 * wmax, (1.0 + 2e-12) * wmax):
+        with pytest.raises(ValueError, match="target weight"):
+            sphere_exponent(wf, om)
+
+
 def test_sphere_exponent_hamming_closed_form():
     # independent oracle: -(1-w)log_q(1-w) - w log_q(w/(q-1))
     q = 3
@@ -291,7 +321,7 @@ def test_lee_symmetry_of_maximizer():
 
 def test_exponent_concave_with_peak_at_mean():
     wf = WeightFunction.lee(7)
-    mean = float(wf.average_weight)
+    mean = float(sum(wf.table) / wf.q)
     grid = np.linspace(0.05, float(wf.max_weight) - 0.05, 41)
     s = sphere_exponent_many(wf, grid)
     second = s[2:] - 2 * s[1:-1] + s[:-2]
@@ -300,9 +330,9 @@ def test_exponent_concave_with_peak_at_mean():
 
 
 def test_typical_pattern_examples():
-    assert np.allclose(typical_pattern(WeightFunction.hamming(3), 2 / 3), [1 / 3] * 3)
-    assert np.allclose(typical_pattern(WeightFunction.lee(5), 2.0), [0, 0, 0.5, 0.5, 0])
-    lam = typical_pattern(WeightFunction.lee(5), 1.0)
+    assert np.allclose(sphere_exponent(WeightFunction.hamming(3), 2 / 3).lam, [1 / 3] * 3)
+    assert np.allclose(sphere_exponent(WeightFunction.lee(5), 2.0).lam, [0, 0, 0.5, 0.5, 0])
+    lam = sphere_exponent(WeightFunction.lee(5), 1.0).lam
     assert abs(lam[1] - lam[4]) < 1e-9 and abs(lam[2] - lam[3]) < 1e-9
     tab = np.array([0, 1, 2, 2, 1], dtype=float)
     assert abs(float((lam * tab).sum()) - 1.0) < 1e-9
@@ -321,7 +351,7 @@ def test_enumerator_rank_roundtrip():
     seen = set()
     for r in range(enum.count):
         v = enum.unrank(r)
-        assert enum.rank(v) == r
+        assert rank(enum, v) == r
         assert vector_weight(FqVector(5, v), wf) == 3
         seen.add(v.tobytes())
     assert len(seen) == enum.count
@@ -373,6 +403,18 @@ def test_sampling_weight_zero_and_postcondition():
         assert vector_weight(v, wf) == 5
     with pytest.raises(ValueError):
         sample_uniform_weight_w(wf, 2, 100, rng)
+
+
+def test_negative_length_is_rejected():
+    rng = random.Random(3)
+    wf = WeightFunction.lee(3)
+    for build in (
+        lambda: SphereEnumerator(wf, -1, 0),
+        lambda: sample_uniform_weight_w(wf, -2, 0, rng),
+        lambda: sphere_count_exact(wf, -1, 0),
+    ):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            build()
 
 
 def test_sampling_uniformity_chi_square():
