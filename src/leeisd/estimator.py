@@ -277,10 +277,9 @@ def optimize_point(
 def local_maxima_weights(wf: WeightFunction, rate: float) -> tuple[float, float]:
     """The two candidate hardest weights at a given rate.
 
-    Returns (omega_minus, omega_plus): the solutions of s(omega) = 1 - R
-    below and above the mean weight; when the upper branch has no crossing
-    (the entropy at maximal weight already exceeds 1 - R) the top of the
-    weight range is returned for that branch.
+    Returns (omega_minus, omega_plus), the solutions of s(omega) = 1 - R below
+    and above the mean weight.  A branch whose extreme weight class alone has
+    entropy >= 1 - R has no crossing and returns its end exactly: 0 or the top.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0, 1)")

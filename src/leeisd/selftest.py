@@ -52,8 +52,10 @@ def _check_small_spheres() -> None:
 def _check_entropy_spots() -> None:
     s = sphere_exponent(WeightFunction.hamming(3), 0.5).s
     assert abs(s - 0.946395) < 1e-5, s
-    prof = sphere_exponent(WeightFunction.lee(5), 1.2)
+    prof = sphere_exponent(WeightFunction.lee(5), 1.2)  # the mean weight: s peaks at 1
     assert abs(prof.s - 1.0) < 1e-9 and abs(prof.beta) < 1e-6
+    lo, hi = estimator.local_maxima_weights(WeightFunction.lee(5), 0.37)
+    assert abs(sphere_exponent(WeightFunction.lee(5), lo).s - 0.63) < 1e-9 and lo < 1.2 < hi
 
 
 def _check_merge() -> None:
@@ -103,7 +105,7 @@ def _check_determinism() -> None:
 CHECKS = (
     ("weight table validation", _check_weight_table_validation),
     ("exact sphere counts vs enumeration", _check_small_spheres),
-    ("entropy exponent spot values", _check_entropy_spots),
+    ("entropy exponent and crossing spot values", _check_entropy_spots),
     ("list merge", _check_merge),
     ("planted decoding (prange, dumer)", _check_solvers),
     ("exponent estimates", _check_estimates),

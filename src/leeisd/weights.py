@@ -214,15 +214,11 @@ def _count_row(int_table: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def sphere_count_exact(wf: WeightFunction, n: int, w) -> int:
     """Number of vectors in F_q^n of weight exactly w (0 if unreachable)."""
+    n = _to_int(n, "length")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    ws = wf.scaled(w)
-    if ws is None or ws < 0:
-        return 0
-    row = _count_row(wf.int_table, n)
-    if ws >= len(row):
-        return 0
-    return row[ws]
+    ws, row = wf.scaled(w), _count_row(wf.int_table, n)
+    return row[ws] if ws is not None and 0 <= ws < len(row) else 0
 
 
 # -- sphere enumeration, ranking and sampling ------------------------------
@@ -251,6 +247,7 @@ class SphereEnumerator:
     """
 
     def __init__(self, wf: WeightFunction, n: int, w):
+        n = _to_int(n, "length")
         if n < 0:
             raise ValueError("length must be nonnegative")
         self.wf = wf
@@ -395,10 +392,9 @@ class _Dual:
     """Lagrangian dual of the maximum-entropy problem for one weight table.
 
     Class frequencies are proportional to mult * q^(-beta * wt): the mean
-    weight falls strictly in beta, and the entropy peaks at beta = 0, so
-    every query has one root beta inside [-beta_max, beta_max].  A query
-    starts from the node table, built once per table on first use, and
-    refines its root by bracketed Newton steps (_solve_dual).
+    weight falls strictly in beta, and the entropy peaks at beta = 0, so a
+    mean weight has one root beta in [-beta_max, beta_max] and an entropy
+    level one on each side of 0.  _newton finds them from the node table.
     """
 
     w: np.ndarray  # distinct weights, ascending, so w[0] = 0
@@ -455,14 +451,15 @@ class _Dual:
 
     @cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, beta, ends) start table: x = logit of the mean weight, ascending.
+        """(x, y, ends): two keys rising along the nodes, and beta at the cell ends.
 
-        The 257 multipliers are c * sinh(t) with t evenly spaced, where
-        c = 1 / (w_max ln q) is the table's own scale, so the nodes are
-        dense near beta = 0 and reach +-beta_max.  Nodes whose logit is
-        not finite or not increasing (a mean lost to underflow) are dropped.
-        ends is beta between the bracket's ends, beta_max first, so a target
-        in node cell i has its root in [ends[i + 1], ends[i]].
+        x is the logit of the mean weight, y the entropy exponent s mirrored
+        to 2 - s past its peak at beta = 0.  The 257 multipliers are
+        c * sinh(t), t evenly spaced and c = 1 / (w_max ln q) the table's own
+        scale, so the nodes are dense near beta = 0 and reach +-beta_max.
+        Nodes whose logit is not finite or not increasing (a mean lost to
+        underflow) are dropped.  ends is the node betas between +-beta_max,
+        so a level in node cell i of a key has its root in [ends[i + 1], ends[i]].
         """
         c = 1.0 / (self.w[-1] * self.lnq)
         t_max = math.asinh(self.beta_max / c)
@@ -473,22 +470,46 @@ class _Dual:
         x[pos] = np.log(ev[pos, 1]) - np.log(ev[pos, 2])
         prev = np.maximum.accumulate(np.concatenate([[-math.inf], x[:-1]]))
         keep = np.isfinite(x) & (x > prev)
-        ends = np.concatenate([[self.beta_max], beta[keep], [-self.beta_max]])
-        return x[keep], ends[1:-1], ends
-
-
-def _bisect(lo: np.ndarray, hi: np.ndarray, root_above) -> np.ndarray:
-    """Elementwise bisection; root_above(mid) is True where the root exceeds mid."""
-    for _ in range(72):
-        mid = 0.5 * (lo + hi)
-        up = root_above(mid)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    return 0.5 * (lo + hi)
+        s, beta = ev[keep, 0] / self.lnq, beta[keep]
+        ends = np.concatenate([[self.beta_max], beta, [-self.beta_max]])
+        return x[keep], np.where(beta >= 0, s, 2.0 - s), ends
 
 
 _NEWTON_TOL = 2.0**-26  # about sqrt(eps): a smaller Newton step leaves error ~ eps
 _BRACKET_TOL = 2.0**-48  # a midpoint step this small means the bracket has closed
+
+
+def _newton(d: _Dual, key, t, target, residual) -> np.ndarray:
+    """Roots in beta of residual, one per level t of key (a d.nodes key).
+
+    A point starts at the beta that interpolates t in key, in the node cell
+    [lo, hi] that holds t.  residual(ev, beta, target) returns (above, num,
+    den) from ev = d.evaluate(beta): where the root lies above beta, and the
+    Newton step num / den.  Each evaluation moves one end of [lo, hi] to the
+    point; a step that leaves it becomes the midpoint.  A point stops after
+    a Newton step below sqrt(eps) of its scale, a midpoint step below
+    rounding, or the 72 steps of a bisection from +-beta_max.
+    """
+    ends = d.nodes[2]
+    cell = np.searchsorted(key, t)
+    lo, hi = ends[cell + 1], ends[cell]
+    cur = np.interp(t, key, ends[1:-1])
+    beta, live = cur.copy(), np.arange(len(cur))
+    scale = 1.0 / (d.w[-1] * d.lnq)
+    for _ in range(72):
+        above, num, den = residual(d.evaluate(cur), cur, target)
+        lo = np.where(above, cur, lo)
+        hi = np.where(above, hi, cur)
+        fits = (den > 0) & (np.abs(num) <= den * (hi - lo))
+        step = cur + np.divide(num, den, out=np.zeros(len(num)), where=fits)
+        fits &= (lo <= step) & (step <= hi)
+        nxt = beta[live] = np.where(fits, step, 0.5 * (lo + hi))
+        tol = np.where(fits, _NEWTON_TOL, _BRACKET_TOL) * (scale + np.abs(cur))
+        moving = np.abs(nxt - cur) > tol
+        if not moving.any():
+            break
+        live, cur, lo, hi, target = (a[moving] for a in (live, nxt, lo, hi, target))
+    return beta
 
 
 def _solve_dual(wf: WeightFunction, omegas):
@@ -496,18 +517,9 @@ def _solve_dual(wf: WeightFunction, omegas):
 
     Targets are clipped to [0, max weight]; at the two ends the entropy and
     beta are the exact limits (uniform over the extreme-weight symbols).
-    A target that is not a finite number raises ValueError.
-
-    Every other target gets Newton's method on x = logit(mean) =
-    ln m - ln(w_max - m), which is close to linear in beta at both ends.
-    It starts by interpolation in _Dual.nodes and stays inside the node
-    cell that holds the root: every evaluation moves one end of [lo, hi] to
-    the current point, and a step that leaves the bracket (edges included)
-    is replaced by its midpoint.  A point stops once it no longer moves:
-    after a Newton step below sqrt(eps) of its scale, or a midpoint step
-    below rounding.  The loop is capped at the 72 steps a bisection from
-    +-beta_max needs, so the same loop is the fast path and the fallback.
-    Each step and the final pass make one _Dual.evaluate call.
+    A target that is not a finite number raises ValueError.  Every other
+    target gets _newton on x = logit(mean) = ln m - ln(w_max - m), which is
+    close to linear in beta at both ends, and one final evaluate call.
     """
     d = wf._dual_solver
     wmax = float(d.w[-1])
@@ -518,36 +530,20 @@ def _solve_dual(wf: WeightFunction, omegas):
     om = np.minimum(np.maximum(om, 0.0), wmax)  # np.clip, without its call overhead
     at_lo, at_hi = om <= 0.0, om >= wmax
     beta = np.where(at_lo, d.beta_max, -d.beta_max)
-    live = np.nonzero(~(at_lo | at_hi))[0]
+    live = ~(at_lo | at_hi)
     x = np.log(om[live]) - np.log(wmax - om[live])
-    xs, bs, ends = d.nodes
-    cell = np.searchsorted(xs, x)
-    lo, hi = ends[cell + 1], ends[cell]
-    cur = beta[live] = np.interp(x, xs, bs)
-    scale = 1.0 / (wmax * d.lnq)
-    for _ in range(72):
-        ev = d.evaluate(cur)
+
+    def residual(ev, beta, x):
         m, gap = ev[:, 1], ev[:, 2]
         pos = (m > 0) & (gap > 0)
         f = np.log(np.where(pos, m, 1.0)) - np.log(np.where(pos, gap, 1.0)) - x
-        # the mean falls with beta, so the root lies above where it exceeds
-        # the target; reading that off the sign of f, not of m - om, keeps
-        # step and bracket consistent within rounding
+        # the root lies above where the mean exceeds its target; reading that
+        # off f, not m - om, keeps step and bracket consistent within rounding
         above = np.where(pos, f > 0, m > 0)
-        lo = np.where(above, cur, lo)
-        hi = np.where(above, hi, cur)
-        # Newton on x: dx/dbeta = -Var ln q w_max / (m gap), Var = m gap - E[wt gap]
-        num = f * m * gap
-        den = (m * gap - ev[:, 3]) * (d.lnq * wmax)
-        fits = pos & (den > 0) & (np.abs(num) <= den * (hi - lo))
-        step = cur + np.divide(num, den, out=np.zeros(len(num)), where=fits)
-        fits &= (lo <= step) & (step <= hi)
-        nxt = beta[live] = np.where(fits, step, 0.5 * (lo + hi))
-        tol = np.where(fits, _NEWTON_TOL, _BRACKET_TOL) * (scale + np.abs(cur))
-        moving = np.abs(nxt - cur) > tol
-        if not moving.any():
-            break
-        live, cur, lo, hi, x = (a[moving] for a in (live, nxt, lo, hi, x))
+        # dx/dbeta = -Var ln q w_max / (m gap); Var = m gap - E[wt gap] is <= 0 where pos fails
+        return above, f * m * gap, (m * gap - ev[:, 3]) * (d.lnq * wmax)
+
+    beta[live] = _newton(d, d.nodes[0], x, x, residual)
     ent = np.minimum(np.maximum(d.evaluate(beta)[:, 0] / d.lnq, 0.0), 1.0)
     ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, ent)
     ent = np.where(at_hi, math.log(d.mult[-1]) / d.lnq, ent)
@@ -598,22 +594,24 @@ def sphere_exponent_many(wf: WeightFunction, omegas) -> np.ndarray:
 def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
     """Mean weights below and above the average where the sphere exponent is s.
 
-    The entropy falls with beta on the low-weight branch (beta > 0) and
-    rises with it on the high-weight branch, so both crossings come from
-    one two-element bisection.  When even the maximal weight has entropy
-    above s, the upper branch has no crossing and returns the top weight.
+    A branch whose extreme class alone has entropy log_q(mult) >= s has no
+    crossing and returns its end exactly: 0 below, the top weight above.
+    The others are solved together by _newton on side * (s(beta) - s), side
+    = +1 on the low-weight branch (beta > 0) and -1 on the high-weight one.
     """
     d = wf._dual_solver
-    side = np.array([1.0, -1.0])
-    beta = _bisect(
-        np.array([0.0, -d.beta_max]),
-        np.array([d.beta_max, 0.0]),
-        lambda b: side * (d.evaluate(b)[:, 0] / d.lnq - s) > 0,
-    )
-    lo, hi = d.evaluate(beta)[:, 1]
-    if math.log(d.mult[-1]) / d.lnq > s:
-        hi = d.w[-1]
-    return float(lo), float(hi)
+    live = np.log(d.mult[[0, -1]]) / d.lnq < s
+    side = np.array([1.0, -1.0])[live]
+
+    def residual(ev, beta, side):
+        # in log_q units ds/dbeta = -beta ln q Var, Var = m gap - E[wt gap]
+        f = side * (ev[:, 0] / d.lnq - s)
+        return f > 0, f, side * beta * d.lnq * (ev[:, 1] * ev[:, 2] - ev[:, 3])
+
+    beta = _newton(d, d.nodes[1], 1.0 - side * (1.0 - s), side, residual)  # y = s or 2 - s
+    out = np.array([0.0, d.w[-1]])
+    out[live] = d.evaluate(beta)[:, 1]
+    return float(out[0]), float(out[1])
 
 
 def normalized_weight(wf: WeightFunction, omega: float) -> float:

@@ -198,6 +198,16 @@ def test_local_maxima_residual_and_upper_endpoint():
     assert s_of(wf, hi2) == pytest.approx(0.6, abs=1e-8)
 
 
+def test_local_maxima_lower_endpoint():
+    # two weight-0 symbols: log_7(2) = 0.356 is above 1 - R = 0.3, so the low
+    # branch has no crossing and returns its end exactly, as the high one does
+    wf = WeightFunction(7, (0, 0, 1, Fraction(1, 3), 6, 2, Fraction(1, 3)))
+    assert math.log(2, 7) > 1 - 0.7
+    lo, hi = local_maxima_weights(wf, 0.7)
+    assert lo == 0.0
+    assert s_of(wf, hi) == pytest.approx(0.3, abs=1e-8)
+
+
 def test_scaling_identity_everywhere():
     wf = WeightFunction.lee(13)
     cp = CodeParams(wf, 0.48, 5.742)

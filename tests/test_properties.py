@@ -1,7 +1,7 @@
 """Property tests: merge against the brute-force double loop, sphere rank round
-trips, the entropy solver against a plain bisection and exact sphere counts on
-random tables, and the exact solver's success probability against the
-estimator's exponent.
+trips, the entropy solver and its crossings against plain bisections and exact
+sphere counts on random tables, and the exact solver's success probability
+against the estimator's exponent.
 
 Every test runs under derandomize=True with no example database, so each
 run draws the same cases.
@@ -29,7 +29,7 @@ from leeisd.weights import (
     sphere_exponent,
     sphere_exponent_many,
 )
-from oracles import rank
+from oracles import bisection_crossings, rank
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -192,6 +192,18 @@ def test_entropy_solver_matches_bisection(case):
     assert np.abs(np.array(means) - omegas).max() <= 1e-12 * wmax
     # a few Newton steps and the final evaluation, not a 72-step bisection
     assert spy.call_count <= 8
+
+
+@FIXED
+@given(random_tables(), st.floats(0.05, 0.95))
+def test_crossings_match_bisection(wf, rate):
+    wf._dual_solver.nodes  # the start table, built once per table
+    with mock.patch.object(_Dual, "evaluate", autospec=True, side_effect=_Dual.evaluate) as spy:
+        got = local_maxima_weights(wf, rate)
+    want = bisection_crossings(wf, 1.0 - rate)
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12 * float(wf.max_weight)
+    # a few Newton steps for both branches at once and the final evaluation
+    assert spy.call_count <= 10
 
 
 @settings(FIXED, max_examples=25)

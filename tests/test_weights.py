@@ -417,6 +417,15 @@ def test_negative_length_is_rejected():
             build()
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_length_must_be_an_integer(n):
+    wf = WeightFunction.lee(3)
+    for build in (SphereEnumerator, sphere_count_exact):
+        with pytest.raises(ValueError, match="^length must be an integer"):
+            build(wf, n, 1)
+    assert sphere_count_exact(wf, np.int64(2), 1) == SphereEnumerator(wf, np.int32(2), 1).count == 4
+
+
 def test_sampling_uniformity_chi_square():
     rng = random.Random(123)
     wf = WeightFunction.lee(5)
