@@ -27,13 +27,13 @@ One builder body (_build_tree) serves dumer and wagner_v1, and one
 level-wise merge tree (_merge_levels) serves it and the materialized
 leaves of wagner_v2_build.  Its leaves keep their vectors, so a batch of
 indices resolves to candidate rows by index gathering.  Neither a leaf
-sphere, the block layout nor the J partition depends on H: each sphere is
-built once per (table, length, weight) and each layout and partition once
-per argument tuple, and only their syndromes, the targets and the merges
-are computed per build.  Support blocks and per-block weight budgets are
-balanced to within one unit (deterministic left-to-right) when exact
-divisibility fails.  Weights are tracked in integer-rescaled units
-throughout.
+sphere, the block layout nor the J partition depends on H: they are one
+cached plan per back-end signature (_plan), each sphere is built once per
+(table, length, weight), and only the leaf syndromes, the targets and the
+merges are computed per build.  Support blocks and per-block weight
+budgets are balanced to within one unit (deterministic left-to-right)
+when exact divisibility fails.  Weights are tracked in integer-rescaled
+units throughout.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fieldlin import _integer_array
 from .merge import DEFAULT_LIST_CAP, IndexedList, MergeOverflowError, _encode_keys, merge
 from .weights import (
     SphereEnumerator,
@@ -112,7 +113,7 @@ class CmsdDescription:
         return self.wf.q
 
     def evaluate_many(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(_integer_array(idx), dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= self.y)]
         if bad.size:
             raise IndexError(f"index {bad[0]} outside [0, {self.y})")
@@ -142,30 +143,65 @@ def _split_weight(w_scaled: int, nblocks: int) -> list[int]:
     return [cuts[i + 1] - cuts[i] for i in range(nblocks)]
 
 
-def _make_blocks(wf: WeightFunction, lengths: list[int], weights: list[int]) -> list[_Block]:
-    """Consecutive blocks of the given lengths and scaled weights.
-
-    Raises CmsdInfeasibleError when a block cannot carry its weight.  Built
-    once per argument tuple; every call gets a fresh list.
-    """
-    return list(_block_layout(wf, tuple(lengths), tuple(weights)))
-
-
 @lru_cache(maxsize=128)
-def _block_layout(
-    wf: WeightFunction, lengths: tuple[int, ...], weights: tuple[int, ...]
-) -> tuple[_Block, ...]:
-    blocks = []
-    off = 0
-    for ln, w in zip(lengths, weights):
-        enum = SphereEnumerator(wf, ln, Fraction(w, wf.denominator))
-        if enum.count == 0:
+def _plan(
+    wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last: bool
+) -> tuple[tuple[tuple[_Block, ...], ...], tuple[np.ndarray, ...]]:
+    """The part of a build that does not depend on H: (layouts, J groups).
+
+    Each layout is a tuple of consecutive support blocks with their scaled
+    weights.  wagner1 lays out 2^a balanced blocks; at a = 1 (dumer) there
+    is one layout per weight split (w1, p - w1) that both halves can carry.
+    With lazy_last (wagner2) the support is split into 2^a + 1 balanced
+    units and the last two are joined into the one lazy leaf.  A balanced
+    layout with a block that cannot carry its weight raises
+    CmsdInfeasibleError (lru_cache stores no exception, so every call
+    raises).
+
+    The J groups J_1..J_a are consecutive, read-only int arrays over the
+    ell syndrome coordinates.  The first a-1 take round(n*u) coordinates
+    each, following the list-size balancing rule with
+    u = min(s(omega0)/branches, m0/a); the last absorbs the remainder.
+    """
+    units = (1 << a) + lazy_last
+    lengths = _split_lengths(n, units)
+    each_split = a == 1 and not lazy_last
+    if each_split:
+        splits = [[w1, p_scaled - w1] for w1 in range(p_scaled + 1)]
+    else:
+        splits = [_split_weight(p_scaled, units)]
+    if lazy_last:
+        lengths[-2:] = [lengths[-2] + lengths[-1]]
+        splits[0][-2:] = [splits[0][-2] + splits[0][-1]]
+    offsets = np.cumsum([0] + lengths).tolist()
+    layouts = []
+    for weights in splits:
+        blocks = tuple(
+            _Block(off, ln, SphereEnumerator(wf, ln, Fraction(w, wf.denominator)))
+            for off, ln, w in zip(offsets, lengths, weights)
+        )
+        empty = [b for b in blocks if b.enum.count == 0]
+        if not empty:
+            layouts.append(blocks)
+        elif not each_split:
             raise CmsdInfeasibleError(
-                f"no vectors of scaled weight {w} on a block of length {ln}"
+                f"no vectors of scaled weight {empty[0].enum.w_scaled}"
+                f" on a block of length {empty[0].length}"
             )
-        blocks.append(_Block(off, ln, enum))
-        off += ln
-    return tuple(blocks)
+
+    if a == 1 or ell == 0 or n == 0:
+        sizes = [0] * (a - 1) + [ell]
+    else:
+        omega0 = (p_scaled / wf.denominator) / n
+        s0 = float(sphere_exponent_many(wf, [omega0])[0])
+        u = min(s0 / units, (ell / n) / a)
+        sizes = []
+        for _ in range(a - 1):
+            sizes.append(max(0, min(int(round(n * u)), ell - sum(sizes))))
+        sizes.append(ell - sum(sizes))
+    coords = np.arange(ell)
+    coords.setflags(write=False)  # the groups are views of it, read-only too
+    return tuple(layouts), tuple(np.split(coords, np.cumsum(sizes)[:-1]))
 
 
 def _leaf_list(
@@ -178,7 +214,7 @@ def _leaf_list(
 ) -> _Node:
     cnt = block.enum.count
     if size_limit is not None and cnt > size_limit:
-        vecs = block.enum.unrank_many(sorted(_sample_ranks(cnt, size_limit, rng)))
+        vecs = block.enum.unrank_many(np.asarray(sorted(_sample_ranks(cnt, size_limit, rng))))
     else:
         if cnt > cap:
             raise MergeOverflowError(f"base list of size {cnt} exceeds cap {cap}")
@@ -197,47 +233,8 @@ def _sample_ranks(count: int, k: int, rng: random.Random) -> list[int]:
     return list(picked)
 
 
-def _j_partition(
-    wf: WeightFunction, n_support: int, ell: int, p_scaled: int, a: int, branch_count: int
-) -> list[list[int]]:
-    """Consecutive coordinate groups J_1..J_a over the ell syndrome coords.
-
-    The first a-1 groups take round(N*u) coordinates each, following the
-    list-size balancing rule with u = min(s(omega0)/branches, m0/a); the
-    last group absorbs the remainder.  Computed once per argument tuple;
-    every call gets fresh lists.
-    """
-    return [list(g) for g in _j_groups(wf, n_support, ell, p_scaled, a, branch_count)]
-
-
-@lru_cache(maxsize=64)
-def _j_groups(
-    wf: WeightFunction, n_support: int, ell: int, p_scaled: int, a: int, branch_count: int
-) -> tuple[tuple[int, ...], ...]:
-    if a == 1 or ell == 0 or n_support == 0:
-        sizes = [0] * (a - 1) + [ell]
-    else:
-        omega0 = (p_scaled / wf.denominator) / n_support
-        s0 = float(sphere_exponent_many(wf, [omega0])[0])
-        m0 = ell / n_support
-        u = min(s0 / branch_count, m0 / a)
-        sizes = []
-        used = 0
-        for _ in range(a - 1):
-            sz = max(0, min(int(round(n_support * u)), ell - used))
-            sizes.append(sz)
-            used += sz
-        sizes.append(ell - used)
-    groups = []
-    at = 0
-    for sz in sizes:
-        groups.append(tuple(range(at, at + sz)))
-        at += sz
-    return tuple(groups)
-
-
 def _draw_targets(
-    s2: np.ndarray, j_groups: list[list[int]], a: int, q: int, rng: random.Random
+    s2: np.ndarray, j_groups: tuple[np.ndarray, ...], a: int, q: int, rng: random.Random
 ) -> list[list[np.ndarray]]:
     """Level targets t_j^i with sum_i t_j^i = s'' on J_j (last one fixed)."""
     targets: list[list[np.ndarray]] = [[]]  # 1-based level index
@@ -275,7 +272,7 @@ class _Partners:
     sup: tuple[int, int]
 
 
-def _partner_table(node: _Node, J: list[int], q: int) -> _Partners:
+def _partner_table(node: _Node, J: np.ndarray, q: int) -> _Partners:
     """Per J-key, the entry with the lexicographically smallest support part.
 
     Ties go to the earlier entry.  Equal support parts have equal
@@ -296,7 +293,7 @@ def _partner_table(node: _Node, J: list[int], q: int) -> _Partners:
 def _tree_meta(
     variant: str,
     levels: list[list[_Node]],
-    j_groups: list[list[int]],
+    j_groups: tuple[np.ndarray, ...],
     base_sizes: list[int],
     q: int,
 ) -> dict:
@@ -322,7 +319,7 @@ def _tree_meta(
 
 def _merge_levels(
     nodes: list[_Node],
-    j_groups: list[list[int]],
+    j_groups: tuple[np.ndarray, ...],
     targets: list[list[np.ndarray]],
     cap: int,
 ) -> list[list[_Node]]:
@@ -389,40 +386,26 @@ def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size) -> CmsdD
     q = wf.q
     ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
-    nb = 1 << a
-    lengths = _split_lengths(n, nb)
-    if a == 1:
-        splits = [[w1, p_scaled - w1] for w1 in range(p_scaled + 1)]
-    else:
-        splits = [_split_weight(p_scaled, nb)]
-    chunks = []  # the root of every tree with a nonempty output
+    layouts, j_groups = _plan(wf, n, ell, p_scaled, a, False)
+    targets = _draw_targets(s2, j_groups, a, q, rng)  # at a = 1 the one target is s''
+    trees = []
     total = 0
-    pair_products = 0.0
-    for weights in splits:
-        try:
-            blocks = _make_blocks(wf, lengths, weights)
-        except CmsdInfeasibleError:
-            if a > 1:
-                raise
-            continue
-        j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=nb)
-        targets = _draw_targets(s2, j_groups, a, q, rng)
+    for blocks in layouts:
         leaves = [_leaf_list(h2, q, b, cap, rng, base_list_size) for b in blocks]
-        pair_products += float(len(leaves[0].lst)) * float(len(leaves[1].lst))
-        levels = _merge_levels(leaves, j_groups, targets, cap)
-        root = levels[a][0]
-        if len(root.lst):
-            chunks.append(root)
-            total += len(root.lst)
-            if total > cap:
-                raise MergeOverflowError(f"merged output exceeds cap {cap}")
+        trees.append(_merge_levels(leaves, j_groups, targets, cap))
+        total += len(trees[-1][a][0].lst)
+        if total > cap:
+            raise MergeOverflowError(f"merged output exceeds cap {cap}")
+    chunks = [lv[a][0] for lv in trees if len(lv[a][0].lst)]  # every nonempty root
 
     if a > 1:
-        meta = _tree_meta("wagner1", levels, j_groups, [len(nd.lst) for nd in leaves], q)
+        (levels,) = trees
+        meta = _tree_meta("wagner1", levels, j_groups, [len(nd.lst) for nd in levels[0]], q)
     else:
         # merged entries are exactly the solutions here, so the realized total
         # is the best prediction; fall back to the average-case ratio if empty
-        expected = float(total) if total else pair_products / float(q) ** ell
+        pairs = sum(float(len(lv[0][0].lst)) * float(len(lv[0][1].lst)) for lv in trees)
+        expected = float(total) if total else pairs / float(q) ** ell
         meta = dict(variant="dumer", splits=len(chunks), expected_solutions=max(expected, 1e-300))
     return CmsdDescription(
         weight=p_frac,
@@ -501,15 +484,8 @@ def cmsd_wagner_v2_build(
     q = wf.q
     ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
-    units = (1 << a) + 1
-    lengths = _split_lengths(n, units)
-    wsplit = _split_weight(p_scaled, units)
-    # leaves 0..2^a-1; the last leaf spans the final two units
-    leaf_lengths = lengths[: units - 2] + [lengths[-2] + lengths[-1]]
-    leaf_weights = wsplit[: units - 2] + [wsplit[-2] + wsplit[-1]]
-    blocks = _make_blocks(wf, leaf_lengths, leaf_weights)
+    (blocks,), j_groups = _plan(wf, n, ell, p_scaled, a, True)
     last = blocks[-1]
-    j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=units)
     targets = _draw_targets(s2, j_groups, a, q, rng)
 
     materialized = [_leaf_list(h2, q, b, list_size_cap) for b in blocks[:-1]]

@@ -43,7 +43,7 @@ def is_prime(q: int) -> bool:
 def validate_modulus(q: int) -> int:
     """Check that q is a prime suitable for this library and return it."""
     if not isinstance(q, (int, np.integer)):
-        raise TypeError(f"modulus must be an integer, got {type(q).__name__}")
+        raise ValueError(f"modulus must be an integer, got {type(q).__name__}")
     q = int(q)
     if q >= MAX_MODULUS:
         raise ValueError(f"modulus {q} too large (must be < 2**16)")
@@ -54,10 +54,16 @@ def validate_modulus(q: int) -> int:
 
 def _integer_array(x) -> np.ndarray:
     """x as an array, which must hold integers: a float or bool entry is a
-    ValueError, never truncated.  An empty input passes whatever its dtype."""
+    ValueError, never truncated.  An empty input passes whatever its dtype.
+    An array is judged by its dtype; a list or tuple also entry by entry,
+    since numpy reads [1, True] as integers."""
     arr = np.asarray(x)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"entries must be integers, not {arr.dtype} values")
+    if isinstance(x, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat
+    ):
+        raise ValueError("entries must be integers, not bool values")
     return arr
 
 
@@ -132,7 +138,7 @@ class Permutation:
     images: np.ndarray
 
     def __post_init__(self):
-        imgs = _freeze(self.images)
+        imgs = _freeze(_integer_array(self.images))
         n = imgs.shape[0]
         if imgs.ndim != 1 or not np.array_equal(np.sort(imgs), np.arange(n)):
             raise ValueError("images must be a permutation of 0..n-1")

@@ -77,12 +77,15 @@ class SdInstance:
             raise ValueError("planted vector is not a solution")
 
     def to_dict(self) -> dict:
+        """A JSON document; the weight is named only when it is that built-in table."""
+        name = self.wf.name
+        builtin = name in ("lee", "hamming") and self.wf == WeightFunction.from_spec(self.q, name)
         doc = {
             "q": self.q,
             "n": self.n,
             "k": self.k,
             "w": _weight_out(self.w),
-            "weight": self.wf.name if self.wf.name in ("lee", "hamming") else self.wf.to_json(),
+            "weight": name if builtin else self.wf.to_json(),
             "H": self.h.tolist(),
             "s": self.s.tolist(),
         }

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .weights import _to_int
+
 DEFAULT_LIST_CAP = 1 << 26
 
 
@@ -41,7 +43,7 @@ def _encode_keys(proj: np.ndarray, q: int) -> np.ndarray:
 
 
 def _check_J(J, width: int) -> tuple[int, ...]:
-    J = tuple(int(j) for j in J)
+    J = tuple(_to_int(j, "J entry") for j in J)
     if any(j < 0 or j >= width for j in J):
         raise ValueError(f"J must be a subset of coordinates 0..{width - 1}")
     if len(set(J)) != len(J):

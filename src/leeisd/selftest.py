@@ -70,6 +70,8 @@ def _check_solvers() -> None:
     for variant, kwargs in (
         ("prange", {}),
         ("dumer", {"ell": 2, "p": Fraction(2)}),
+        ("wagner1", {"ell": 4, "p": Fraction(2), "a": 2}),
+        ("wagner2", {"ell": 4, "p": Fraction(3), "a": 2}),
     ):
         wf = WeightFunction.lee(3)
         inst = generate_instance(3, 16, 8, 4, wf, rng)
@@ -107,7 +109,7 @@ CHECKS = (
     ("exact sphere counts vs enumeration", _check_small_spheres),
     ("entropy exponent and crossing spot values", _check_entropy_spots),
     ("list merge", _check_merge),
-    ("planted decoding (prange, dumer)", _check_solvers),
+    ("planted decoding (prange, dumer, wagner1, wagner2)", _check_solvers),
     ("exponent estimates", _check_estimates),
     ("deterministic sweeps", _check_determinism),
 )

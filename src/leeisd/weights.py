@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fieldlin import FqVector, validate_modulus
+from .fieldlin import FqVector, _integer_array, validate_modulus
 
 _WEIGHT_TOL = 1e-12  # relative to the max weight: how far outside [0, w_max] a target may lie
 
@@ -41,7 +41,7 @@ def _to_fraction(x) -> Fraction:
             return Fraction(x).limit_denominator(10**9)
     except (OverflowError, ZeroDivisionError) as exc:  # an infinite float or "a/0"
         raise ValueError(f"weight {x!r} is not a finite rational") from exc
-    raise TypeError(f"cannot interpret {x!r} as a rational weight")
+    raise ValueError(f"cannot interpret {x!r} as a rational weight")
 
 
 def _to_int(x, name: str) -> int:
@@ -264,6 +264,7 @@ class SphereEnumerator:
         return self._rows[self.n][self.w_scaled]
 
     def unrank(self, r: int) -> np.ndarray:
+        r = _to_int(r, "rank")
         if not 0 <= r < self.count:
             raise IndexError(f"rank {r} out of range for sphere of size {self.count}")
         out = np.zeros(self.n, dtype=np.int64)
@@ -284,6 +285,10 @@ class SphereEnumerator:
     def unrank_many(self, ranks) -> np.ndarray:
         """(len(ranks), n) array whose row k is unrank(ranks[k])."""
         r = np.asarray(ranks).reshape(-1)
+        if r.dtype == object:  # ranks past int64, held as Python ints
+            r = np.array([_to_int(x, "rank") for x in r], dtype=object)
+        else:
+            r = _integer_array(ranks).reshape(-1)
         if r.size == 0:
             return np.zeros((0, self.n), dtype=np.int64)
         if r.min() < 0 or r.max() >= self.count:

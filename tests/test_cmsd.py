@@ -13,13 +13,13 @@ from leeisd.cmsd import (
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
     _draw_targets,
-    _j_partition,
-    _make_blocks,
+    _plan,
     _sample_ranks,
     _split_lengths,
     _split_weight,
 )
 from leeisd.fieldlin import FqMatrix, FqVector, random_full_rank_matrix
+from leeisd.isd import IsdParams, generate_instance, isd_solve
 from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, _encode_keys, merge
 from leeisd.weights import SphereEnumerator, WeightFunction, vector_weight
 from oracles import enumerate_f
@@ -51,28 +51,43 @@ def test_split_helpers():
     assert _split_lengths(8, 4) == [2, 2, 2, 2]
     assert _split_weight(6, 4) == [1, 2, 1, 2]
     assert sum(_split_weight(7, 3)) == 7
-    # the partition is cached; a caller mutating its copy leaves the next call intact
-    groups = _j_partition(WeightFunction.lee(3), 27, 6, 9, 3, branch_count=9)
-    groups[0].append(5)
-    groups.pop()
-    again = _j_partition(WeightFunction.lee(3), 27, 6, 9, 3, branch_count=9)
-    assert again == [[0, 1], [2, 3], [4, 5]]
+    # the plan is cached: a repeated call returns the same object, whose J
+    # groups are read-only, so no caller can change the next call's groups
+    plan = _plan(WeightFunction.lee(3), 27, 6, 9, 3, True)
+    assert _plan(WeightFunction.lee(3), 27, 6, 9, 3, True) is plan
+    groups = plan[1]
+    assert [g.tolist() for g in groups] == [[0, 1], [2, 3], [4, 5]]
+    with pytest.raises(ValueError):
+        groups[0][0] = 5
 
 
-def test_block_layout_cached_per_call():
-    # the layout is cached; a caller mutating its copy leaves the next call intact
+def test_plan_layouts():
+    # dumer keeps only the weight splits both halves can carry
     wf = WeightFunction.lee(3)
-    blocks = _make_blocks(wf, [3, 3, 2], [1, 2, 1])
-    first = list(blocks)
-    blocks.pop()
-    blocks.reverse()
-    again = _make_blocks(wf, [3, 3, 2], [1, 2, 1])
-    assert again == first and again is not blocks
-    assert [(b.offset, b.length, b.enum.w_scaled) for b in again] == [(0, 3, 1), (3, 3, 2), (6, 2, 1)]
-    # an infeasible block is not cached away: every identical call raises
+    layouts, groups = _plan(wf, 6, 2, 4, 1, False)
+    assert [[b.enum.w_scaled for b in blocks] for blocks in layouts] == [[1, 3], [2, 2], [3, 1]]
+    assert all([(b.offset, b.length) for b in blocks] == [(0, 3), (3, 3)] for blocks in layouts)
+    assert [g.tolist() for g in groups] == [[0, 1]]
+    # wagner2 joins the last two of its 2^a + 1 balanced units into the lazy leaf
+    (blocks,), _ = _plan(wf, 8, 2, 4, 1, True)
+    assert [(b.offset, b.length, b.enum.w_scaled) for b in blocks] == [(0, 3, 1), (3, 5, 3)]
+    # an infeasible wagner layout is not cached away: every identical call raises
     for _ in range(2):
         with pytest.raises(CmsdInfeasibleError):
-            _make_blocks(wf, [3, 1], [1, 2])
+            _plan(WeightFunction.hamming(3), 8, 2, 12, 2, False)
+
+
+def test_dumer_solve_plans_once():
+    # the splits a half cannot carry are dropped once, in the one cached plan,
+    # not rebuilt and re-raised on every outer loop
+    wf = WeightFunction.lee(3)
+    inst = generate_instance(3, 16, 4, 8, wf, random.Random(2))
+    params = IsdParams(variant="dumer", ell=2, p=4, max_outer_loops=8, rng_seed=3)
+    assert _plan(wf, 6, 2, 4, 1, False)[0][0][0].enum.w_scaled == 1  # (0, 4), (4, 0) dropped
+    _plan.cache_clear()
+    report = isd_solve(inst, params)
+    assert report.cmsd_calls > 1
+    assert _plan.cache_info().misses == 1
 
 
 def test_prange_description():
@@ -90,6 +105,18 @@ def test_prange_description():
     h_bad = FqMatrix(q, np.zeros((1, 5), dtype=np.int64))
     with pytest.raises(ValueError):
         cmsd_prange(h_bad, FqVector(q, [0]), wf, 0)
+
+
+def test_evaluate_many_rejects_non_integer_indices():
+    # an int64 cast used to truncate: 0.9 evaluated index 0
+    wf = WeightFunction.lee(3)
+    h2, s2 = random_subproblem(3, 2, 8, wf, 2, random.Random(12))
+    desc = cmsd_dumer(h2, s2, wf, 2)
+    for bad in ([0.9], np.array([0.0]), [True], [0, True]):
+        with pytest.raises(ValueError, match="integers"):
+            desc.evaluate_many(bad)
+    every = desc.evaluate_many(np.arange(desc.y, dtype=np.int32))
+    assert np.array_equal(every[:1], desc.evaluate_many([np.int64(0)]))
 
 
 def test_dumer_p0_degenerate():
@@ -337,13 +364,8 @@ def wagner2_reference(h2, s2, wf, p, a, cap, seed):
     rng = random.Random(seed)
     q, (ell, n) = h2.q, h2.values.shape
     p_scaled = wf.scaled(p)
-    units = (1 << a) + 1
-    lengths, wsplit = _split_lengths(n, units), _split_weight(p_scaled, units)
-    blocks = _make_blocks(
-        wf, lengths[:-2] + [lengths[-2] + lengths[-1]], wsplit[:-2] + [wsplit[-2] + wsplit[-1]]
-    )
+    (blocks,), j_groups = _plan(wf, n, ell, p_scaled, a, True)
     last = blocks[-1]
-    j_groups = _j_partition(wf, n, ell, p_scaled, a, branch_count=units)
     targets = _draw_targets(s2.values, j_groups, a, q, rng)
 
     def build(lo, size):

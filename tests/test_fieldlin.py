@@ -28,6 +28,17 @@ def test_modulus_validation():
         validate_modulus(1 << 17)
 
 
+def test_non_integer_modulus_is_a_value_error():
+    # a float modulus raised TypeError, outside the library's ValueError contract
+    for build in (
+        lambda: validate_modulus(3.0),
+        lambda: FqVector(3.0, [1]),
+        lambda: FqMatrix(3.0, [[1]]),
+    ):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            build()
+
+
 def test_vector_construction_and_range():
     v = FqVector(5, [0, 4, 2])
     assert v.tolist() == [0, 4, 2]
@@ -52,6 +63,28 @@ def test_boundary_types_reject_non_integer_entries():
     assert FqVector(3, []).tolist() == []
     assert FqMatrix(3, np.zeros((0, 2))).values.shape == (0, 2)
     assert FqVector(3, np.array([2], dtype=np.uint8)).tolist() == [2]
+
+
+def test_boundary_types_reject_a_bool_among_integers():
+    # numpy reads [1, True] as int64, so the bool came back as 1
+    for build in (
+        lambda: FqVector(3, [1, True]),
+        lambda: FqMatrix(3, [[1, True]]),
+        lambda: FqMatrix(3, [[2, 0], (1, np.True_)]),
+    ):
+        with pytest.raises(ValueError, match="not bool values"):
+            build()
+    assert FqVector(3, [np.int64(1), 2]).tolist() == [1, 2]
+    assert FqMatrix(3, [np.array([1, 2], dtype=np.int32)]).tolist() == [[1, 2]]
+
+
+def test_permutation_rejects_non_integer_images():
+    # the int64 copy used to truncate floats and read bools as 0 and 1
+    for images in (np.array([0, 1.0]), [True, False], [1, True, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(images)
+    assert Permutation(np.array([1, 0], dtype=np.int32)).images.tolist() == [1, 0]
+    assert Permutation([np.int64(1), 0]).images.tolist() == [1, 0]
 
 
 def test_mat_vec_identity_and_zero():

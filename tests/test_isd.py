@@ -86,6 +86,19 @@ def test_instance_json_roundtrip(tmp_path):
     assert back2.wf.table == custom.table and back2.w == Fraction(3, 2)
 
 
+def test_custom_table_named_like_a_builtin_keeps_its_table():
+    # a custom table named "lee" was written as the name and reloaded as lee(3)
+    fake = WeightFunction.from_json({"q": 3, "table": [0, 2, 2], "name": "lee"})
+    inst = generate_instance(3, 10, 5, 4, fake, random.Random(6))
+    doc = json.loads(json.dumps(inst.to_dict()))
+    assert doc["weight"]["table"] == [0, 2, 2]
+    assert SdInstance.from_dict(doc).wf == fake
+    del doc["e"]
+    assert SdInstance.from_dict(doc).wf.table == fake.table
+    lee = generate_instance(3, 10, 5, 4, WeightFunction.lee(3), random.Random(6))
+    assert lee.to_dict()["weight"] == "lee"
+
+
 def test_instance_json_rejects_non_integers():
     # int() and an int64 cast used to truncate: k = 8.9 read as 8, an entry 0.5 as 0
     inst = generate_instance(3, 10, 5, 3, WeightFunction.lee(3), random.Random(2))
@@ -302,6 +315,12 @@ def test_isd_params_integer_fields():
     assert type(params.ell) is int and type(params.rng_seed) is int
     inst = generate_instance(3, 10, 5, 3, WeightFunction.lee(3), random.Random(14))
     assert isd_solve(inst, params).found
+
+
+def test_missing_budget_is_a_value_error():
+    # p=None raised TypeError from the rational parser
+    with pytest.raises(ValueError, match="rational weight"):
+        IsdParams(variant="dumer", p=None)
 
 
 def test_off_unit_budget_fails_alike_at_every_entry():

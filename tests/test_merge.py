@@ -118,6 +118,16 @@ def test_bad_inputs():
         merge(L1, IndexedList(3, np.zeros((1, 2), dtype=np.int64), [0]), (5,), [0, 0])
 
 
+def test_non_integer_J_is_rejected():
+    # int(0.5) used to merge on coordinate 0
+    L1 = IndexedList(3, np.array([[0, 1], [1, 2]]), [0, 1])
+    L2 = IndexedList(3, np.array([[2, 1], [1, 0]]), [0, 1])
+    for J in ((0.5,), (True,), [1.0]):
+        with pytest.raises(ValueError, match="^J entry must be an integer"):
+            merge(L1, L2, J, np.array([0, 0]))
+    assert len(merge(L1, L2, np.array([0]), np.array([0, 0]))) == 1
+
+
 def test_deterministic_tie_order():
     # equal J-keys sort by full vector then insertion order
     q = 3

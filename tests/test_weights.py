@@ -12,6 +12,7 @@ from leeisd.weights import (
     SphereEnumerator,
     WeightFunction,
     _count_row,
+    _to_fraction,
     normalized_weight,
     sample_uniform_weight_w,
     sphere_count_exact,
@@ -65,6 +66,31 @@ def test_custom_table_json_rejects_non_integer_q():
     for bad in (3.7, 3.0, True, "3"):
         with pytest.raises(ValueError, match="^q must be an integer"):
             WeightFunction.from_json({"q": bad, "table": [0, 1, 1]})
+
+
+def test_non_integral_inputs_are_value_errors():
+    # a None weight and a float modulus raised TypeError, not the documented ValueError
+    for build in (
+        lambda: WeightFunction(3.0, (0, 1, 1)),
+        lambda: WeightFunction(3, (0, None, 1)),
+        lambda: WeightFunction.from_json({"q": 3, "table": [0, None, 1]}),
+        lambda: _to_fraction(None),
+        lambda: _to_fraction([1]),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_unrank_rejects_non_integer_ranks():
+    # a float rank used to be truncated: 1.5 returned rank 1
+    enum = SphereEnumerator(WeightFunction.lee(3), 5, 2)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="^rank must be an integer"):
+            enum.unrank(bad)
+    for bad in ([1.5], np.array([0.0, 1.0]), [1, True], [True]):
+        with pytest.raises(ValueError, match="integers"):
+            enum.unrank_many(bad)
+    assert np.array_equal(enum.unrank_many(np.array([1], dtype=np.int32))[0], enum.unrank(np.int64(1)))
 
 
 def test_vector_weight_examples():
