@@ -27,13 +27,23 @@ One builder body (_build_tree) serves dumer and wagner_v1, and one
 level-wise merge tree (_merge_levels) serves it and the materialized
 leaves of wagner_v2_build.  Its leaves keep their vectors, so a batch of
 indices resolves to candidate rows by index gathering.  Neither a leaf
-sphere, the block layout nor the J partition depends on H: they are one
-cached plan per back-end signature (_plan), each sphere is built once per
-(table, length, weight), and only the leaf syndromes, the targets and the
-merges are computed per build.  Support blocks and per-block weight
-budgets are balanced to within one unit (deterministic left-to-right)
-when exact divisibility fails.  Weights are tracked in integer-rescaled
-units throughout.
+sphere, the block layout, the J partition nor the random draws depend on
+H: they are one cached plan per back-end signature (_plan), each sphere is
+built once per (table, length, weight), a build's randomness is drawn by
+_Plan.draw, and only the leaf syndromes, the targets and the merges are
+computed per build.
+
+Every builder also takes a stack of B bottom blocks, one per outer loop
+(h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
+them in one pass: the leaf syndromes of all loops come from one product
+per leaf, and every list carries its loop as the most significant sort
+key, so each loop gets exactly the lists, and candidates in exactly the
+order, that its own build would give.  The description of a stack lists
+loop b's candidates at indices starts[b]..starts[b+1]-1.
+
+Support blocks and per-block weight budgets are balanced to within one
+unit (deterministic left-to-right) when exact divisibility fails.
+Weights are tracked in integer-rescaled units throughout.
 """
 
 from __future__ import annotations
@@ -42,7 +52,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +77,11 @@ class _Block:
     offset: int
     length: int
     enum: SphereEnumerator
+
+    @cached_property
+    def float_vectors(self) -> np.ndarray:
+        """The whole sphere as float64 rows, the operand _product needs."""
+        return self.enum.all_vectors().astype(np.float64)
 
 
 @dataclass(eq=False)
@@ -95,6 +111,12 @@ class CmsdDescription:
     evaluate(i) is its one-index view.  Every nonzero value satisfies the
     syndrome and weight constraints by construction.  A domain is never
     empty: y is at least 1.
+
+    A stack's description has h_second (B, ell, n) and s_second (B, ell)
+    and lists loop b at indices starts[b]..starts[b+1]-1, each loop's part
+    at least 1 long.  It may end before its last loop: when loop B' would
+    overflow list_size_cap, only loops 0..B'-1 are described and overflow
+    holds the error loop B' raises (a single build raises it at once).
     """
 
     weight: Fraction
@@ -104,9 +126,12 @@ class CmsdDescription:
     wf: WeightFunction
     meta: dict
     _eval: object = field(repr=False)  # int64 index array -> candidate rows
+    starts: np.ndarray | None = None
+    overflow: MergeOverflowError | None = None
 
     def __post_init__(self):
         self.y = max(self.y, 1)
+        self._w_scaled = self.wf.scaled(self.weight)
 
     @property
     def q(self) -> int:
@@ -123,11 +148,48 @@ class CmsdDescription:
         return self.evaluate_many([i])[0]
 
     def is_solution(self, v: np.ndarray) -> np.ndarray:
-        """Per row of v (or for the one vector v): H'' v = s'' and weight exactly p."""
+        """Per row of v (or for the one vector v): H'' v = s'' and weight exactly p.
+
+        For a single build; a stack's loops each have their own H'' and s''.
+        """
         v = v % self.q
         syn_ok = ((v @ self.h_second.T) % self.q == self.s_second).all(axis=-1)
         weights = self.wf.int_table_array()[v].sum(axis=-1)
-        return syn_ok & (weights == self.wf.scaled(self.weight))
+        return syn_ok & (weights == self._w_scaled)
+
+
+class _Alive:
+    """The leading loops of a stack that are still built.
+
+    A loop whose build would overflow a cap ends the stack: a solve that
+    reaches it raises, so the loops after it never run.  Loop 0 raises at
+    once, since no earlier loop can hit first.
+    """
+
+    def __init__(self, loops: int):
+        self.loops = loops
+        self.error: MergeOverflowError | None = None
+
+    def cut(self, loop: int, error: MergeOverflowError) -> None:
+        if loop == 0:
+            raise error
+        if loop < self.loops:
+            self.loops, self.error = loop, error
+
+
+@dataclass(frozen=True, eq=False)
+class LoopDraws:
+    """The randomness one build takes from rng, in stream order.
+
+    None of it depends on H, so an outer loop can take it before its
+    elimination: the level-target coordinates, the sampled ranks of each
+    base list (None where the list is not sampled), and wagner2's sampled
+    ranks of the lazy list.
+    """
+
+    targets: list[int]
+    leaf_ranks: tuple[list[int] | None, ...]
+    lazy_ranks: list[int] | None
 
 
 # -- block layout helpers ---------------------------------------------------
@@ -143,10 +205,48 @@ def _split_weight(w_scaled: int, nblocks: int) -> list[int]:
     return [cuts[i + 1] - cuts[i] for i in range(nblocks)]
 
 
+class _Plan(NamedTuple):
+    layouts: tuple[tuple[_Block, ...], ...]
+    j_groups: tuple[np.ndarray, ...]
+
+    def draw(
+        self,
+        q: int,
+        rng: random.Random | None,
+        size_limit: int | None = None,
+        lazy_cap: int | None = None,
+    ) -> LoopDraws:
+        """One build's randomness, in the order the sequential build drew it.
+
+        The targets of level j take |J_j| coordinates for each of its
+        first 2^(a-j) - 1 pairs, level by level; then every base list
+        larger than size_limit samples size_limit ranks, layout by layout;
+        then, with lazy_cap, a lazy last list larger than it samples
+        lazy_cap ranks.  A plan that draws nothing accepts rng None.
+        """
+        a = len(self.j_groups)
+        targets = [
+            rng.randrange(q)
+            for j, J in enumerate(self.j_groups, 1)
+            for _ in range((1 << (a - j)) - 1)
+            for _ in J
+        ]
+        lazy = self.layouts[0][-1] if lazy_cap is not None else None
+        leaf_ranks = tuple(
+            sorted(_sample_ranks(b.enum.count, size_limit, rng))
+            if size_limit is not None and b.enum.count > size_limit
+            else None
+            for blocks in self.layouts
+            for b in blocks
+        )
+        lazy_ranks = None
+        if lazy is not None and lazy.enum.count > lazy_cap:
+            lazy_ranks = sorted(_sample_ranks(lazy.enum.count, lazy_cap, rng))
+        return LoopDraws(targets, leaf_ranks, lazy_ranks)
+
+
 @lru_cache(maxsize=128)
-def _plan(
-    wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last: bool
-) -> tuple[tuple[tuple[_Block, ...], ...], tuple[np.ndarray, ...]]:
+def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last: bool) -> _Plan:
     """The part of a build that does not depend on H: (layouts, J groups).
 
     Each layout is a tuple of consecutive support blocks with their scaled
@@ -201,27 +301,70 @@ def _plan(
         sizes.append(ell - sum(sizes))
     coords = np.arange(ell)
     coords.setflags(write=False)  # the groups are views of it, read-only too
-    return tuple(layouts), tuple(np.split(coords, np.cumsum(sizes)[:-1]))
+    return _Plan(tuple(layouts), tuple(np.split(coords, np.cumsum(sizes)[:-1])))
 
 
-def _leaf_list(
-    h2: np.ndarray,
-    q: int,
-    block: _Block,
-    cap: int,
-    rng: random.Random | None = None,
-    size_limit: int | None = None,
-) -> _Node:
-    cnt = block.enum.count
-    if size_limit is not None and cnt > size_limit:
-        vecs = block.enum.unrank_many(np.asarray(sorted(_sample_ranks(cnt, size_limit, rng))))
+def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(H'' stack, s'' stack, single): one bottom block becomes a stack of one."""
+    h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    if h2.ndim == 2:
+        return h2[None], s2[None], True
+    if h2.ndim != 3 or s2.shape != h2.shape[:2]:
+        raise ValueError("a stack needs h_second (B, ell, n) and s_second (B, ell)")
+    return h2, s2, False
+
+
+def _loop_draws(plan: _Plan, q: int, loops: int, rng, draws, **limits) -> list[LoopDraws]:
+    """The given per-loop draws, or each loop's draws taken from rng in turn."""
+    if draws is None:
+        return [plan.draw(q, rng, **limits) for _ in range(loops)]
+    if len(draws) != loops:
+        raise ValueError(f"need one LoopDraws per loop of the stack, got {len(draws)} for {loops}")
+    return list(draws)
+
+
+def _leaf(h2: np.ndarray, q: int, block: _Block, cap: int, ranks=None) -> _Node:
+    """The base list of block for every loop of the stack h2, one product in all.
+
+    Without ranks every loop lists the whole sphere (one shared array of
+    vectors); with ranks, loop b lists the sampled ranks ranks[b].
+    """
+    loops, ell, _ = h2.shape
+    if ranks is None:
+        if block.enum.count > cap:
+            raise MergeOverflowError(f"base list of size {block.enum.count} exceeds cap {cap}")
+        vecs, operand = block.enum.all_vectors(), block.float_vectors
+        per_loop = len(vecs)
+        refs = np.tile(np.arange(per_loop), loops)
     else:
-        if cnt > cap:
-            raise MergeOverflowError(f"base list of size {cnt} exceeds cap {cap}")
-        vecs = block.enum.all_vectors()
+        vecs = operand = block.enum.unrank_many(np.asarray(ranks).ravel())
+        per_loop = np.shape(ranks)[1]
+        refs = np.arange(len(vecs))
     sup = (block.offset, block.offset + block.length)
-    syn = (vecs @ h2[:, sup[0] : sup[1]].T) % q
-    return _Node(IndexedList(q, syn, np.arange(len(vecs))), sup, vecs=vecs)
+    syn = _product(operand.reshape(-1, per_loop, block.length), h2[:, :, sup[0] : sup[1]], q)
+    lst = IndexedList(
+        q, syn.reshape(loops * per_loop, ell), refs, loop=np.repeat(np.arange(loops), per_loop)
+    )
+    return _Node(lst, sup, vecs=vecs)
+
+
+def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
+    """(v @ h^T) mod q over stacked matrices, exactly, as a float64 product.
+
+    With entries below q < 2^16 every sum of products is below
+    width * q^2 < 2^53 for any width below 2^21, so float64 holds it
+    exactly, and the float product runs through BLAS where int64 does not.
+    """
+    out = np.matmul(v.astype(np.float64, copy=False), np.swapaxes(h, -1, -2).astype(np.float64))
+    return out.astype(np.int64) % q
+
+
+def _head(lst: IndexedList, loops: int) -> IndexedList:
+    """The entries of the first loops loops of a stack."""
+    end = int(np.searchsorted(lst.loop, loops))
+    if end == len(lst):
+        return lst
+    return IndexedList(lst.q, lst.syndromes[:end], lst.backrefs[:end], loop=lst.loop[:end])
 
 
 def _sample_ranks(count: int, k: int, rng: random.Random) -> list[int]:
@@ -233,38 +376,66 @@ def _sample_ranks(count: int, k: int, rng: random.Random) -> list[int]:
     return list(picked)
 
 
-def _draw_targets(
-    s2: np.ndarray, j_groups: tuple[np.ndarray, ...], a: int, q: int, rng: random.Random
+def _finish_targets(
+    s2: np.ndarray, draws: np.ndarray, j_groups: tuple[np.ndarray, ...], q: int
 ) -> list[list[np.ndarray]]:
-    """Level targets t_j^i with sum_i t_j^i = s'' on J_j (last one fixed)."""
+    """Level targets t_j^i with sum_i t_j^i = s'' on J_j, from _Plan.draw's coordinates.
+
+    targets[j][i] has the shape of s2 (a leading stack axis carries
+    through); the last target of each level is the one fixed by s''.
+    """
+    a = len(j_groups)
     targets: list[list[np.ndarray]] = [[]]  # 1-based level index
+    pos = 0
     for j, J in enumerate(j_groups, 1):
-        level = [np.zeros(len(s2), dtype=np.int64) for _ in range(1 << (a - j))]
-        for t in level[:-1]:
-            t[J] = [rng.randrange(q) for _ in J]
-        level[-1][J] = (s2[J] - sum(t[J] for t in level[:-1])) % q
-        targets.append(level)
+        level = []
+        for _ in range((1 << (a - j)) - 1):
+            t = np.zeros(s2.shape, dtype=np.int64)
+            t[..., J] = draws[..., pos : pos + len(J)]
+            pos += len(J)
+            level.append(t)
+        last = np.zeros(s2.shape, dtype=np.int64)
+        last[..., J] = (s2[..., J] - sum(t[..., J] for t in level)) % q
+        targets.append(level + [last])
     return targets
 
 
-def _gather_chunks(chunks: list[_Node], n: int):
-    """Evaluator over the concatenated root lists of merge trees spanning [0, n)."""
-    offsets = np.cumsum([0] + [len(nd.lst) for nd in chunks])
+def _tree_domain(roots: list[_Node], loops: int, n: int):
+    """(starts, evaluator, counts) over the root lists of stacked merge trees.
+
+    Loop b lists its entries of roots[0], then of roots[1], and so on, in
+    list order; a loop without entries gets one index, which evaluates to
+    the zero row.  counts[b, r] is loop b's number of entries in roots[r].
+    """
+    ends = [int(np.searchsorted(nd.lst.loop, loops)) for nd in roots]
+    loop = np.concatenate([nd.lst.loop[:end] for nd, end in zip(roots, ends)])
+    root = np.repeat(np.arange(len(roots)), ends)
+    pos = np.concatenate([np.arange(end) for end in ends])
+    order = np.argsort(loop, kind="stable")  # loop-major; roots, then positions, in order
+    counts = np.bincount(loop * len(roots) + root, minlength=loops * len(roots))
+    counts = counts.reshape(loops, len(roots))
+    per_loop = counts.sum(axis=1)
+    starts = np.concatenate([[0], np.cumsum(np.maximum(per_loop, 1))])
+    b = loop[order]
+    at = starts[b] + np.arange(len(order)) - (np.cumsum(per_loop) - per_loop)[b]
+    root_of = np.full(starts[-1], -1, dtype=np.int64)
+    pos_of = np.zeros(starts[-1], dtype=np.int64)
+    root_of[at], pos_of[at] = root[order], pos[order]
 
     def evaluate(idx: np.ndarray) -> np.ndarray:
         out = np.zeros((len(idx), n), dtype=np.int64)
-        c = np.searchsorted(offsets, idx, side="right") - 1
-        for k in np.unique(c[idx < offsets[-1]]):
-            sel = c == k
-            out[sel] = chunks[k].gather(idx[sel] - offsets[k])
+        which = root_of[idx]
+        for r in np.unique(which[which >= 0]):
+            sel = which == r
+            out[sel] = roots[r].gather(pos_of[idx[sel]])
         return out
 
-    return evaluate
+    return starts, evaluate, counts
 
 
 @dataclass(frozen=True, eq=False)
 class _Partners:
-    """One side list reduced to its chosen partner per J-key (keys ascending)."""
+    """One side list reduced to its chosen partner per (loop, J-key), keys ascending."""
 
     keys: np.ndarray
     syn: np.ndarray
@@ -272,22 +443,47 @@ class _Partners:
     sup: tuple[int, int]
 
 
-def _partner_table(node: _Node, J: np.ndarray, q: int) -> _Partners:
-    """Per J-key, the entry with the lexicographically smallest support part.
+def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Partners:
+    """Per loop and J-key, the entry with the lexicographically smallest support part.
 
     Ties go to the earlier entry.  Equal support parts have equal
     syndromes, so this is also the first of them in the list sorted on J.
+    Only the first loops loops of the stack are tabled.
     """
-    syn = node.lst.syndromes
+    lst = _head(node.lst, loops)
+    syn, loop = lst.syndromes, lst.loop
     part = node.gather(np.arange(len(syn)))
     order = np.lexsort(
         [np.arange(len(syn))]
         + [part[:, c] for c in reversed(range(part.shape[1]))]
         + [syn[:, c] for c in reversed(J)]
+        + [loop]
     )
-    keys, first = np.unique(_encode_keys(syn[order][:, J], q), return_index=True)
+    keys, first = np.unique(
+        _encode_keys(syn[order][:, J], q, loop[order], loops), return_index=True
+    )
     pick = order[first]
     return _Partners(keys, syn[pick], part[pick], node.sup)
+
+
+def _expected(base_sizes: list[int], j_groups: tuple[np.ndarray, ...], q: int) -> float:
+    """One loop's average-case merge-tree output from its base list sizes.
+
+    base_sizes also counts a list that is described but not materialized.
+    """
+    a = len(j_groups)
+    log_num = sum(math.log(max(s, 1)) for s in base_sizes)
+    constrained = sum((1 << (a - j)) * len(J) for j, J in enumerate(j_groups, 1))
+    return max(math.exp(min(log_num - constrained * math.log(q), 700.0)), 1e-300)
+
+
+def _plan_expected(plan: _Plan, q: int, lazy_cap: int | None = None) -> float:
+    """_expected of a wagner1 (or, with lazy_cap, wagner2) build, without H."""
+    (blocks,) = plan.layouts
+    sizes = [b.enum.count for b in blocks]
+    if lazy_cap is not None:
+        sizes[-1] = min(sizes[-1], lazy_cap)
+    return _expected(sizes, plan.j_groups, q)
 
 
 def _tree_meta(
@@ -296,21 +492,19 @@ def _tree_meta(
     j_groups: tuple[np.ndarray, ...],
     base_sizes: list[int],
     q: int,
+    loops: int,
 ) -> dict:
-    """Level and list sizes of a merge tree and its average-case output size.
+    """List sizes of a stack of merge trees and its average-case output size.
 
-    base_sizes also counts a list that is described but not materialized.
+    base_sizes are one loop's; level sizes count the entries of every loop,
+    and the expected output is that of loops trees.
     """
-    a = len(j_groups)
-    log_num = sum(math.log(max(s, 1)) for s in base_sizes)
-    constrained = sum((1 << (a - j)) * len(J) for j, J in enumerate(j_groups, 1))
-    expected = math.exp(min(log_num - constrained * math.log(q), 700.0))
     return {
         "variant": variant,
-        "levels": a,
+        "levels": len(j_groups),
         "j_sizes": [len(g) for g in j_groups],
         "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
-        "expected_solutions": max(expected, 1e-300),
+        "expected_solutions": _expected(base_sizes, j_groups, q) * loops,
     }
 
 
@@ -322,18 +516,27 @@ def _merge_levels(
     j_groups: tuple[np.ndarray, ...],
     targets: list[list[np.ndarray]],
     cap: int,
+    alive: _Alive,
 ) -> list[list[_Node]]:
     """Wagner's k-tree, level by level; the one place that calls merge.
 
     levels[0] is nodes.  Level j merges adjacent pairs of level j-1 on J_j,
-    pair i against targets[j][i]; an odd last node stays unmerged.
+    pair i against targets[j][i]; an odd last node stays unmerged.  Only
+    the loops still alive are merged; a loop over cap is cut from the stack
+    and the merge runs again without it.
     """
     levels = [nodes]
     for j, J in enumerate(j_groups, 1):
         prev, nxt = levels[-1], []
         for i in range(len(prev) // 2):
             lhs, rhs = prev[2 * i], prev[2 * i + 1]
-            merged = merge(lhs.lst, rhs.lst, J, targets[j][i], cap)
+            while True:
+                try:
+                    lists = (_head(lhs.lst, alive.loops), _head(rhs.lst, alive.loops))
+                    merged = merge(*lists, J, targets[j][i], cap)
+                    break
+                except MergeOverflowError as exc:
+                    alive.cut(exc.loop, exc)
             nxt.append(_Node(merged, (lhs.sup[0], rhs.sup[1]), children=(lhs, rhs)))
         levels.append(nxt)
     return levels
@@ -352,28 +555,45 @@ def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
     return p_frac, p_scaled
 
 
+def _describe(p_frac, h2, s2, single, wf, meta, starts, evaluate, alive) -> CmsdDescription:
+    """The description of the loops still alive, or of the one loop of a single build."""
+    return CmsdDescription(
+        weight=p_frac,
+        y=int(starts[-1]),
+        h_second=h2[0] if single else h2[: alive.loops],
+        s_second=s2[0] if single else s2[: alive.loops],
+        wf=wf,
+        meta=meta,
+        _eval=evaluate,
+        starts=None if single else starts,
+        overflow=alive.error,
+    )
+
+
 def cmsd_prange(
     h_second: np.ndarray, s_second: np.ndarray, wf: WeightFunction, p
 ) -> CmsdDescription:
     """Trivial description: the zero candidate (requires ell = 0 and p = 0)."""
-    h2, s2 = np.asarray(h_second), np.asarray(s_second)
-    ell, k = h2.shape
-    if ell != 0 or len(s2) != 0:
+    h2, s2, single = _stack(h_second, s_second)
+    loops, ell, k = h2.shape
+    if ell != 0:
         raise ValueError("prange back end requires an empty bottom block (ell = 0)")
     if _to_fraction(p) != 0:
         raise ValueError("prange back end requires weight budget p = 0")
-    return CmsdDescription(
-        weight=Fraction(0),
-        y=1,
-        h_second=h2,
-        s_second=s2,
-        wf=wf,
-        meta={"variant": "prange", "expected_solutions": 1.0},
-        _eval=lambda idx: np.zeros((len(idx), k), dtype=np.int64),
+    return _describe(
+        Fraction(0),
+        h2,
+        s2,
+        single,
+        wf,
+        {"variant": "prange", "expected_solutions": float(loops)},
+        np.arange(loops + 1),
+        lambda idx: np.zeros((len(idx), k), dtype=np.int64),
+        _Alive(loops),
     )
 
 
-def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size) -> CmsdDescription:
+def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size, draws) -> CmsdDescription:
     """Wagner's k-tree over 2^a support blocks; dumer is the case a = 1.
 
     At a = 1 one tree is built per weight split (w1, p - w1), skipping the
@@ -382,40 +602,45 @@ def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size) -> CmsdD
     weight, so the asymptotics are unchanged.  At a >= 2 the one balanced
     split is built, and an infeasible block raises.
     """
-    h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    h2, s2, single = _stack(h_second, s_second)
     q = wf.q
-    ell, n = h2.shape
+    loops, ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
-    layouts, j_groups = _plan(wf, n, ell, p_scaled, a, False)
-    targets = _draw_targets(s2, j_groups, a, q, rng)  # at a = 1 the one target is s''
-    trees = []
-    total = 0
+    plan = _plan(wf, n, ell, p_scaled, a, False)
+    layouts, j_groups = plan
+    draws = _loop_draws(plan, q, loops, rng, draws, size_limit=base_list_size)
+    # at a = 1 the one target is s''
+    targets = _finish_targets(s2, np.array([d.targets for d in draws]).reshape(loops, -1), j_groups, q)
+    alive = _Alive(loops)
+    trees, leaf_sizes = [], []
+    totals = np.zeros(loops, dtype=np.int64)
+    block = 0
     for blocks in layouts:
-        leaves = [_leaf_list(h2, q, b, cap, rng, base_list_size) for b in blocks]
-        trees.append(_merge_levels(leaves, j_groups, targets, cap))
-        total += len(trees[-1][a][0].lst)
-        if total > cap:
-            raise MergeOverflowError(f"merged output exceeds cap {cap}")
-    chunks = [lv[a][0] for lv in trees if len(lv[a][0].lst)]  # every nonempty root
+        leaves = []
+        for b in blocks:
+            sampled = draws[0].leaf_ranks[block] is not None
+            ranks = [d.leaf_ranks[block] for d in draws] if sampled else None
+            leaves.append(_leaf(h2, q, b, cap, ranks))
+            block += 1
+        leaf_sizes.append([len(nd.lst) // loops for nd in leaves])
+        trees.append(_merge_levels(leaves, j_groups, targets, cap, alive))
+        totals += np.bincount(trees[-1][a][0].lst.loop, minlength=loops)
+        over = np.flatnonzero(totals[: alive.loops] > cap)
+        if over.size:
+            alive.cut(int(over[0]), MergeOverflowError(f"merged output exceeds cap {cap}"))
+    starts, evaluate, counts = _tree_domain([lv[a][0] for lv in trees], alive.loops, n)
 
     if a > 1:
         (levels,) = trees
-        meta = _tree_meta("wagner1", levels, j_groups, [len(nd.lst) for nd in levels[0]], q)
+        meta = _tree_meta("wagner1", levels, j_groups, leaf_sizes[0], q, alive.loops)
     else:
         # merged entries are exactly the solutions here, so the realized total
         # is the best prediction; fall back to the average-case ratio if empty
-        pairs = sum(float(len(lv[0][0].lst)) * float(len(lv[0][1].lst)) for lv in trees)
-        expected = float(total) if total else pairs / float(q) ** ell
-        meta = dict(variant="dumer", splits=len(chunks), expected_solutions=max(expected, 1e-300))
-    return CmsdDescription(
-        weight=p_frac,
-        y=total,
-        h_second=h2,
-        s_second=s2,
-        wf=wf,
-        meta=meta,
-        _eval=_gather_chunks(chunks, n),
-    )
+        pairs = sum(float(n0) * float(n1) for n0, n1 in leaf_sizes)
+        per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts.sum(axis=1)]
+        splits = int(np.count_nonzero(counts))
+        meta = dict(variant="dumer", splits=splits, expected_solutions=max(sum(per_loop), 1e-300))
+    return _describe(p_frac, h2, s2, single, wf, meta, starts, evaluate, alive)
 
 
 def cmsd_dumer(
@@ -426,7 +651,7 @@ def cmsd_dumer(
     list_size_cap: int = DEFAULT_LIST_CAP,
 ) -> CmsdDescription:
     """Single-level birthday construction over two support halves: wagner_v1 at a = 1."""
-    return _build_tree(h_second, s_second, wf, p, 1, list_size_cap, None, None)
+    return _build_tree(h_second, s_second, wf, p, 1, list_size_cap, None, None, None)
 
 
 def cmsd_wagner_v1(
@@ -438,6 +663,7 @@ def cmsd_wagner_v1(
     list_size_cap: int = DEFAULT_LIST_CAP,
     rng: random.Random | None = None,
     base_list_size: int | None = None,
+    draws: list[LoopDraws] | None = None,
 ) -> CmsdDescription:
     """Level-wise pairwise merging over 2^a balanced support blocks.
 
@@ -446,13 +672,14 @@ def cmsd_wagner_v1(
     intermediate merges use fresh random targets that telescope to s''.
     base_list_size, when given, subsamples every base list to that size
     (uniformly, without replacement, drawing from rng, default Random(0)),
-    matching the asymptotic sizing rule.
+    matching the asymptotic sizing rule.  A stack draws for its loops in
+    turn, unless draws gives each loop's randomness (from _Plan.draw).
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
     if rng is None:
         rng = random.Random(0)
-    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, rng, base_list_size)
+    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, rng, base_list_size, draws)
 
 
 def cmsd_wagner_v2_build(
@@ -463,6 +690,7 @@ def cmsd_wagner_v2_build(
     a: int,
     list_size_cap: int = DEFAULT_LIST_CAP,
     rng: random.Random | None = None,
+    draws: list[LoopDraws] | None = None,
 ) -> CmsdDescription:
     """Checkable-function construction over 2^a + 1 balanced support units.
 
@@ -474,36 +702,36 @@ def cmsd_wagner_v2_build(
     support part (the first one on ties), returning the assembled
     candidate or the zero vector when some level has no partner.  The
     partner per key is tabled once per build, so a batch of indices costs
-    one lookup per level.
+    one lookup per level.  A stack draws for its loops in turn, unless
+    draws gives each loop's randomness (from _Plan.draw).
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
     if rng is None:
         rng = random.Random(0)
-    h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    h2, s2, single = _stack(h_second, s_second)
     q = wf.q
-    ell, n = h2.shape
+    loops, ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
-    (blocks,), j_groups = _plan(wf, n, ell, p_scaled, a, True)
+    plan = _plan(wf, n, ell, p_scaled, a, True)
+    (blocks,), j_groups = plan
     last = blocks[-1]
-    targets = _draw_targets(s2, j_groups, a, q, rng)
+    draws = _loop_draws(plan, q, loops, rng, draws, lazy_cap=list_size_cap)
+    targets = _finish_targets(s2, np.array([d.targets for d in draws]).reshape(loops, -1), j_groups, q)
 
-    materialized = [_leaf_list(h2, q, b, list_size_cap) for b in blocks[:-1]]
-    levels = _merge_levels(materialized, j_groups, targets, list_size_cap)
+    materialized = [_leaf(h2, q, b, list_size_cap) for b in blocks[:-1]]
+    alive = _Alive(loops)
+    levels = _merge_levels(materialized, j_groups, targets, list_size_cap, alive)
+    live = alive.loops
     # S_j, the fully merged left sibling of the lazy chain at level j, is the
     # odd node that level j - 1 leaves unmerged
     partners = [
-        _partner_table(levels[j - 1][-1], j_groups[j - 1], q) for j in range(1, a + 1)
+        _partner_table(levels[j - 1][-1], j_groups[j - 1], q, live) for j in range(1, a + 1)
     ]
 
-    cnt = last.enum.count
-    if cnt > list_size_cap:
-        ranks = np.asarray(sorted(_sample_ranks(cnt, list_size_cap, rng)))
-        y = list_size_cap
-    else:
-        ranks = None
-        y = cnt
-    sub_last = h2[:, last.offset : last.offset + last.length]
+    y = min(last.enum.count, list_size_cap)
+    ranks = None if draws[0].lazy_ranks is None else np.array([d.lazy_ranks for d in draws[:live]])
+    sub_last = h2[:live, :, last.offset : last.offset + last.length]
     chain_targets = [targets[j][(1 << (a - j)) - 1] for j in range(1, a + 1)]
     every_side_populated = all(len(pt.keys) for pt in partners)
 
@@ -511,31 +739,21 @@ def cmsd_wagner_v2_build(
         out = np.zeros((len(idx), n), dtype=np.int64)
         if not every_side_populated:
             return out
-        if ranks is None:
-            tail = last.enum.all_vectors()[idx]
-        else:
-            tail = last.enum.unrank_many(ranks[idx])
+        b, k = np.divmod(idx, y)
+        tail = last.enum.all_vectors()[k] if ranks is None else last.enum.unrank_many(ranks[b, k])
         out[:, last.offset : last.offset + last.length] = tail
-        acc = (tail @ sub_last.T) % q
+        acc = np.einsum("rw,rlw->rl", tail, sub_last[b]) % q
         ok = np.ones(len(idx), dtype=bool)
         for pt, J, t in zip(partners, j_groups, chain_targets):
-            keys = _encode_keys((t[J] - acc[:, J]) % q, q)
+            keys = _encode_keys((t[b][:, J] - acc[:, J]) % q, q, b, live)
             u = np.minimum(np.searchsorted(pt.keys, keys), len(pt.keys) - 1)
             ok &= pt.keys[u] == keys
             acc = (acc + pt.syn[u]) % q
             out[:, pt.sup[0] : pt.sup[1]] = pt.part[u]
-        ok &= (acc == s2).all(axis=1)  # targets telescope to s''; this must hold
+        ok &= (acc == s2[b]).all(axis=1)  # targets telescope to s''; this must hold
         out[~ok] = 0
         return out
 
-    return CmsdDescription(
-        weight=p_frac,
-        y=y,
-        h_second=h2,
-        s_second=s2,
-        wf=wf,
-        meta=_tree_meta(
-            "wagner2", levels, j_groups, [len(nd.lst) for nd in materialized] + [y], q
-        ),
-        _eval=evaluate,
-    )
+    base_sizes = [len(nd.lst) // loops for nd in materialized] + [y]
+    meta = _tree_meta("wagner2", levels, j_groups, base_sizes, q, live)
+    return _describe(p_frac, h2, s2, single, wf, meta, np.arange(live + 1) * y, evaluate, alive)

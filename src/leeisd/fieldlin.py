@@ -2,7 +2,8 @@
 
 Values are machine-integer residues reduced mod q after every operation;
 the modulus is restricted to primes below 2**16 so that int64 accumulation
-never overflows for any realistic dimension.  FqVector and FqMatrix are the
+never overflows for any realistic dimension (partial elimination defers
+its reductions on that bound).  FqVector and FqMatrix are the
 boundary types: they validate and freeze data where it enters or leaves
 the library (instances, solutions, the CLI), and np.asarray turns either
 into its values.  Permutation and partial elimination work on plain int64
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,7 +150,9 @@ class Permutation:
     def random(cls, n: int, rng: random.Random) -> "Permutation":
         imgs = list(range(n))
         rng.shuffle(imgs)
-        return cls(np.asarray(imgs, dtype=np.int64))
+        perm = object.__new__(cls)  # a shuffle is a permutation: skip the check
+        object.__setattr__(perm, "images", _freeze(imgs))
+        return perm
 
     def __len__(self) -> int:
         return int(self.images.shape[0])
@@ -222,54 +226,98 @@ class PartialEchelon:
 
     An invertible row operation S brings the input to the block form
     [[I, h_prime], [0, h_second]] and maps the syndrome to
-    (s_prime, s_second).  S itself is not materialized.
+    (s_prime, s_second).  S itself is not materialized.  For a stack of
+    inputs every block gains the stack as its leading axis, and singular
+    flags the members whose leading columns are rank-deficient; their
+    blocks mean nothing.  A single input has singular None.
     """
 
     h_prime: np.ndarray
     h_second: np.ndarray
     s_prime: np.ndarray
     s_second: np.ndarray
+    singular: np.ndarray | None = None
+
+
+@lru_cache(maxsize=64)
+def _inverses(q: int) -> np.ndarray:
+    """x^(q-2) mod q for every x in [0, q): the inverse of each unit, and 0 at 0."""
+    x, out, e = np.arange(q, dtype=np.int64), np.ones(q, dtype=np.int64), q - 2
+    while e:
+        if e & 1:
+            out = out * x % q
+        x, e = x * x % q, e >> 1
+    out[0] = 0
+    out.setflags(write=False)  # one cached table per q, shared by every call
+    return out
 
 
 def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> PartialEchelon:
     """Reduce the first (rows - ell) columns of h to the identity.
 
     Pivoting is plain row swapping over all rows: column c takes its pivot
-    from rows c..rows-1, so the reduction fails with SingularTopLeftError
-    only when the first (rows - ell) columns do not have full rank, and
-    the caller must then pick a new column permutation.  Row operations
-    are carried into s simultaneously.
+    from the first row of c..rows-1 with a nonzero entry there, so the
+    reduction fails only when the first (rows - ell) columns do not have
+    full rank, and the caller must then pick a new column permutation.
+    Row operations are carried into s simultaneously.
+
+    A stack of B matrices (h of shape (B, rows, n), s of shape (B, rows))
+    is reduced in one pass: each member takes its own pivot row, with the
+    same arithmetic as a call on that member alone, and a member that fails
+    is flagged in singular instead of raising.
 
     Args:
-        h: (n - k) x n int64 array with entries in [0, q).
+        h: (n - k) x n int64 array with entries in [0, q), or a stack of them.
         ell: number of bottom rows left unreduced, 0 <= ell <= n - k.
-        s: syndrome of length n - k, entries in [0, q).
+        s: syndrome of length n - k, entries in [0, q), or a stack of them.
         q: the prime modulus.
 
     Returns:
         PartialEchelon with blocks of shapes (n-k-ell) x (k+ell) and
         ell x (k+ell), plus the transformed syndrome halves.
+
+    Raises:
+        SingularTopLeftError: a single h whose leading columns are
+            rank-deficient.
     """
-    r, n = h.shape
-    if len(s) != r:
+    stacked = h.ndim == 3
+    r, n = h.shape[-2:]
+    if s.shape != h.shape[:-1]:
         raise ValueError("syndrome length must equal matrix row count")
     if not 0 <= ell <= r:
         raise ValueError(f"ell must lie in [0, {r}]")
     lead = r - ell
-    a = np.concatenate([h, s[:, None]], axis=1).astype(np.int64)
+    a = np.concatenate([h, s[..., None]], axis=-1).astype(np.int64).reshape(-1, r, n + 1)
+    inv = _inverses(q)
+    members = np.arange(len(a))
+    # entries are reduced mod q only where a decision reads them (the pivot
+    # column) and once at the end; in between each step moves an entry by
+    # less than q^2, so |entry| < (lead + 1) q^2 and even a pivot row times
+    # an inverse stays below (lead + 1) q^3 < 2^63 for any lead below 2^15
     for c in range(lead):
-        piv = None
-        for row in range(c, r):
-            if a[row, c] != 0:
-                piv = row
-                break
-        if piv is None:
-            raise SingularTopLeftError(f"no pivot available in column {c}")
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-        inv = pow(int(a[c, c]), q - 2, q)
-        a[c] = (a[c] * inv) % q
-        col = a[:, c].copy()
-        col[c] = 0
-        a = (a - np.outer(col, a[c])) % q
-    return PartialEchelon(a[:lead, lead:n], a[lead:, lead:n], a[:lead, n], a[lead:, n])
+        col = a[:, :, c] % q
+        off = (col[:, c:] != 0).argmax(axis=1)
+        if off.any():  # swap rows c and piv
+            piv = off + c
+            row = a[members, piv]
+            a[members, piv] = a[:, c]
+            a[:, c] = row
+            col = a[:, :, c] % q
+        # a member without a pivot scales row c by inv[0] = 0 and ends with a zero on the diagonal
+        row = a[:, c, c:] * inv[col[:, c]][:, None] % q
+        a[:, :, c:] -= col[:, :, None] * row[:, None, :]  # columns left of c are zero in row
+        a[:, c, c:] = row
+    a %= q
+    diagonal = a[:, np.arange(lead), np.arange(lead)]
+    singular = (diagonal == 0).any(axis=1)
+    if singular.any() and not stacked:
+        raise SingularTopLeftError(f"no pivot available in column {int(np.argmax(diagonal[0] == 0))}")
+    if not stacked:
+        a = a[0]
+    return PartialEchelon(
+        a[..., :lead, lead:n],
+        a[..., lead:, lead:n],
+        a[..., :lead, n],
+        a[..., lead:, n],
+        singular if stacked else None,
+    )

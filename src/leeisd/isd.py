@@ -5,6 +5,13 @@ random column permutations, reduces H to a partial echelon form, asks a
 back end for candidate bottom parts e'' with H'' e'' = s'' and weight p,
 and tests whether the induced top part e' = s' - H' e'' carries the
 remaining weight w - p.  A hit is mapped back through the permutation.
+
+The loops run in batches: a batch draws the randomness of its loops
+ahead (none of it depends on H), eliminates their matrices as one stack,
+builds their merge trees as one stack and tests their candidates in
+(loop, index) order.  The report is the one the loops would give one at
+a time: a batch stops at its first singular elimination and rewinds the
+random stream to just after it, and a hit ends the count at its loop.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .fieldlin import (
     FqMatrix,
     FqVector,
     Permutation,
-    SingularTopLeftError,
     apply_permutation,
     mat_vec_mul,
     partial_gaussian_elim,
@@ -41,8 +47,12 @@ from .weights import (
 
 VARIANTS = ("prange", "dumer", "wagner1", "wagner2")
 
-# candidates evaluated and tested per batch: bounds memory, never changes a result
+# candidates evaluated and tested per block: bounds memory, never changes a result
 CANDIDATE_BLOCK = 4096
+# loops per batch: at most MAX_BATCH, and at most BATCH_ROWS base-list
+# entries in all; like CANDIDATE_BLOCK these bound work and memory only
+MAX_BATCH = 64
+BATCH_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,14 +224,37 @@ def _exact_p1(inst: SdInstance, ell: int, p: Fraction) -> float:
     return min(1.0, math.exp(min(math.log(num) - math.log(den), 0.0)))
 
 
-def _build_cmsd(inst: SdInstance, params: IsdParams, ech, rng: random.Random):
-    args = (ech.h_second, ech.s_second, inst.wf, params.p)
-    if params.variant == "prange":
-        return cmsd.cmsd_prange(*args)
-    if params.variant == "dumer":
-        return cmsd.cmsd_dumer(*args, params.list_size_cap)
-    build = cmsd.cmsd_wagner_v1 if params.variant == "wagner1" else cmsd.cmsd_wagner_v2_build
-    return build(*args, params.a, params.list_size_cap, rng)
+def _backend(inst: SdInstance, params: IsdParams):
+    """(draw, build, rows, z) of the variant.
+
+    draw(rng) takes one loop's back-end randomness, before its elimination;
+    build(h2, s2, draws) builds a stack of loops; rows counts one loop's
+    base-list entries; z is one loop's expected_solutions where it does not
+    depend on H, else None (dumer, and wagner1 at a = 1, count their
+    realized output).  A layout that cannot carry the budget draws nothing
+    and raises from the first build, as a loop at a time would.
+    """
+    wf, p, a, cap, variant = inst.wf, params.p, params.a, params.list_size_cap, params.variant
+    if variant == "prange":
+        return (lambda rng: None), (lambda h2, s2, draws: cmsd.cmsd_prange(h2, s2, wf, p)), 0, 1.0
+    lazy = variant == "wagner2"
+    levels = 1 if variant == "dumer" else a
+    if variant == "dumer":
+        build = lambda h2, s2, draws: cmsd.cmsd_dumer(h2, s2, wf, p, cap)  # noqa: E731
+    else:
+        builder = cmsd.cmsd_wagner_v2_build if lazy else cmsd.cmsd_wagner_v1
+        build = lambda h2, s2, draws: builder(h2, s2, wf, p, a, cap, draws=draws)  # noqa: E731
+    try:
+        plan = cmsd._plan(wf, inst.k + params.ell, params.ell, wf.scaled(p), levels, lazy)
+    except cmsd.CmsdInfeasibleError:
+        return (lambda rng: None), build, 0, None
+    blocks = [b for layout in plan.layouts for b in layout]
+    rows = sum(b.enum.count for b in blocks[: len(blocks) - lazy])  # a lazy list is not held
+    if variant == "dumer":
+        return (lambda rng: None), build, rows, None
+    lazy_cap = cap if lazy else None
+    z = None if levels == 1 and not lazy else cmsd._plan_expected(plan, wf.q, lazy_cap)
+    return (lambda rng: plan.draw(wf.q, rng, lazy_cap=lazy_cap)), build, rows, z
 
 
 def _check_params(inst: SdInstance, params: IsdParams) -> None:
@@ -234,74 +267,126 @@ def _check_params(inst: SdInstance, params: IsdParams) -> None:
         raise ValueError("prange requires ell = 0 and p = 0")
 
 
-def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
-    """(first candidate of desc that completes to a solution, candidates tested).
+def _draw_ahead(inst: SdInstance, rng: random.Random, draw, count: int):
+    """(permutations, back-end draws) of count loops, in stream order."""
+    perms, draws = [], []
+    for _ in range(count):
+        perms.append(Permutation.random(inst.n, rng))
+        draws.append(draw(rng))
+    return perms, draws
 
-    Candidates go in index order, CANDIDATE_BLOCK at a time; e' = s' - H' e''
-    must carry the remaining scaled weight w_rem.  The count runs up to and
-    including the hit, or over all of desc when there is none.  A hit is
-    put back in place (coordinate i of the permuted vector is coordinate
-    perm.images[i] of e) and leaves as the one FqVector of the loop.
+
+def _first_hit(inst: SdInstance, desc, ech, perms: list[Permutation], weights: tuple[int, int]):
+    """(loop, hit, candidates tested) for the first candidate of a stack that completes.
+
+    Candidates go in (loop, index) order, CANDIDATE_BLOCK at a time.  Loop
+    b's reduced system [[I, H'], [0, H'']] e = (s', s'') turns a candidate
+    e'' into the residual (s', s'') - [H'; H''] e'': its top part is e',
+    its bottom part must vanish, and the scaled weights of e'' and e' must
+    be weights = (p, w - p).  The count runs up to and including the hit,
+    or over all of desc when there is none.  A hit is put back in place
+    (coordinate i of loop b's permuted vector is coordinate
+    perms[b].images[i] of e) and leaves as the one FqVector of the solve.
     """
-    q = inst.q
-    h1, s1 = ech.h_prime, ech.s_prime
+    q, lead = inst.q, ech.h_prime.shape[1]
     tab = inst.wf.int_table_array()
+    system = np.concatenate([ech.h_prime, ech.h_second], axis=1)
+    target = np.concatenate([ech.s_prime, ech.s_second], axis=1)
     for lo in range(0, desc.y, CANDIDATE_BLOCK):
         e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
-        e1 = (s1 - e2 @ h1.T) % q
-        for i in np.flatnonzero(desc.is_solution(e2) & (tab[e1].sum(axis=1) == w_rem)):
+        rows = np.flatnonzero(tab[e2].sum(axis=1) == weights[0])
+        if not rows.size:
+            continue
+        loop = np.searchsorted(desc.starts, lo + rows, side="right") - 1
+        bounds = [0, *(np.flatnonzero(np.diff(loop)) + 1), len(rows)]  # one run per loop
+        res = np.empty((len(rows), system.shape[1]), dtype=np.int64)
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            res[i:j] = e2[rows[i:j]] @ system[loop[i]].T
+        res = (target[loop] - res) % q
+        ok = ~res[:, lead:].any(axis=1) & (tab[res[:, :lead]].sum(axis=1) == weights[1])
+        for i in np.flatnonzero(ok):
             e = np.empty(inst.n, dtype=np.int64)
-            e[perm.images] = np.concatenate([e1[i], e2[i]])
+            e[perms[loop[i]].images] = np.concatenate([res[i, :lead], e2[rows[i]]])
             hit = FqVector(q, e)
             if verify_solution(inst, hit):  # soundness guard; never expected to fail
-                return hit, lo + int(i) + 1
-    return None, desc.y
+                return int(loop[i]), hit, lo + int(rows[i]) + 1
+    return None, None, desc.y
 
 
 def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
-    """Run the permute / reduce / merge / test loop until a hit or budget end."""
+    """Run the permute / reduce / merge / test loop until a hit or budget end.
+
+    Loops run in batches of about the loops one hit is expected to take,
+    1 / (P1 * Z), and each batch without a hit doubles, within MAX_BATCH,
+    BATCH_ROWS and the budget.  Where Z depends on H (dumer, and wagner1
+    at a = 1), loop 1 runs alone to learn it.  The budget is set once loop
+    1 is built, from its Z.  A batch cut short by a singular elimination
+    is followed by one of the length it reached.
+    """
     _check_params(inst, params)
     rng = random.Random(params.rng_seed)
     t0 = time.monotonic()
     p1 = _exact_p1(inst, params.ell, params.p)
     # an empty outer sphere means no permutation can ever succeed
     budget = params.max_outer_loops if p1 > 0.0 else 0
-    w_rem = inst.wf.scaled(inst.w - params.p)
+    weights = (inst.wf.scaled(params.p), inst.wf.scaled(inst.w - params.p))
+    draw, build, rows, z_hat = _backend(inst, params)
+    most = max(1, min(MAX_BATCH, BATCH_ROWS // max(rows, 1)))
+
+    def per_hit(z: float) -> int:
+        return math.ceil(1.0 / max(p1 * max(z, 1e-300), 1e-12))
+
     singular_retries = 0
     cmsd_calls = 0
     tested = 0
     loops = 0
+    failures = 0  # singular eliminations of the next loop so far
+    size = 1 if z_hat is None else per_hit(z_hat)
+    grow = True  # whether a batch without a hit doubles the next one
     solution = None
     while solution is None and loops < budget:
-        loops += 1
-        perm = None
-        ech = None
+        batch = min(size, most, budget - loops)
+        start = rng.getstate()
+        perms, draws = _draw_ahead(inst, rng, draw, batch)
+        h = np.stack([apply_permutation(inst.h.values, perm) for perm in perms])
+        ech = partial_gaussian_elim(h, params.ell, np.tile(inst.s.values, (batch, 1)), inst.q)
         # elimination pivots over all rows, so a draw fails only when its
         # leading n-k-ell columns are rank-deficient (probability about
         # q^-(ell+1) for a full-rank H); 256 failures in a row point at H
-        for _ in range(256):
-            perm = Permutation.random(inst.n, rng)
-            try:
-                ech = partial_gaussian_elim(
-                    apply_permutation(inst.h.values, perm), params.ell, inst.s.values, inst.q
-                )
-                break
-            except SingularTopLeftError:
-                singular_retries += 1
-        if ech is None:
+        good = int(np.argmax(ech.singular)) if ech.singular.any() else batch
+        if good:
+            desc = build(ech.h_second[:good], ech.s_second[:good], draws[:good])
+            if loops == 0:  # loop 1 is built: it sets the budget
+                if z_hat is None:
+                    z_hat = float(desc.meta.get("expected_solutions", 1.0))
+                    size, grow = per_hit(z_hat), False
+                budget = max(1, min(params.max_outer_loops, int(10.0 * per_hit(z_hat))))
+            hit_loop, solution, n_tested = _first_hit(inst, desc, ech, perms, weights)
+            done = good if solution is None else hit_loop + 1
+            loops += done
+            cmsd_calls += done
+            tested += n_tested
+            if solution is None and desc.overflow is not None:
+                raise desc.overflow
+        if solution is not None:
+            break
+        if good == batch:
+            failures = 0
+            size, grow = min(2 * size, most) if grow else size, True
+            continue
+        # the next batch starts at the singular loop, its permutation drawn
+        rng.setstate(start)
+        _draw_ahead(inst, rng, draw, good)
+        Permutation.random(inst.n, rng)
+        singular_retries += 1
+        failures = 1 if good else failures + 1
+        size = max(1, good)
+        if failures == 256:
+            failures = 0
             lead = inst.n - inst.k - params.ell
             if rank(inst.h) < lead:
                 raise ValueError(f"H has rank below n-k-ell = {lead}: no information set exists")
-            continue
-        desc = _build_cmsd(inst, params, ech, rng)
-        cmsd_calls += 1
-        if loops == 1:
-            z_hat = max(float(desc.meta.get("expected_solutions", 1.0)), 1e-300)
-            if p1 > 0.0:
-                predicted = 10.0 * math.ceil(1.0 / max(p1 * z_hat, 1e-12))
-                budget = max(1, min(params.max_outer_loops, int(predicted)))
-        solution, n_tested = _first_hit(inst, desc, ech, perm, w_rem)
-        tested += n_tested
+            loops += 1
     return SolveReport(
         solution=solution,
         outer_loops=loops,

@@ -20,30 +20,40 @@ DEFAULT_LIST_CAP = 1 << 26
 
 
 class MergeOverflowError(ValueError):
-    """Merged output would exceed the configured size cap."""
+    """Merged output would exceed the configured size cap.
+
+    loop is the first loop of a stack whose output would (0 for one list).
+    """
+
+    def __init__(self, message: str, loop: int = 0):
+        super().__init__(message)
+        self.loop = loop
 
 
-def _encode_keys(proj: np.ndarray, q: int) -> np.ndarray:
-    """Collapse J-projections to scalar sort keys (int64 when they fit)."""
+def _encode_keys(proj: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.ndarray:
+    """Collapse J-projections to scalar sort keys (int64 when they fit).
+
+    With loop ids (each below nloops) the loop is the most significant
+    digit, so the keys of different loops never meet.
+    """
     width = proj.shape[1]
-    if width == 0:
-        return np.zeros(proj.shape[0], dtype=np.int64)
-    if q**width < 2**62:
-        keys = np.zeros(proj.shape[0], dtype=np.int64)
-        for c in range(width):
-            keys = keys * q + proj[:, c]
-        return keys
-    keys = np.empty(proj.shape[0], dtype=object)
+    if q**width * nloops < 2**62:
+        keys = proj @ q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        return keys if loop is None else keys + np.asarray(loop, dtype=np.int64) * q**width
+    out = np.empty(proj.shape[0], dtype=object)
     for i in range(proj.shape[0]):
-        acc = 0
+        acc = 0 if loop is None else int(loop[i])
         for c in range(width):
             acc = acc * q + int(proj[i, c])
-        keys[i] = acc
-    return keys
+        out[i] = acc
+    return out
 
 
 def _check_J(J, width: int) -> tuple[int, ...]:
-    J = tuple(_to_int(j, "J entry") for j in J)
+    if isinstance(J, np.ndarray) and J.dtype.kind in "iu":
+        J = tuple(J.tolist())
+    else:
+        J = tuple(_to_int(j, "J entry") for j in J)
     if any(j < 0 or j >= width for j in J):
         raise ValueError(f"J must be a subset of coordinates 0..{width - 1}")
     if len(set(J)) != len(J):
@@ -59,7 +69,9 @@ class IndexedList:
     base list, an index pair into the child lists for a merged one).  If
     sorted_on is set, entries are ordered by the projection onto those
     coordinates, with full-vector lexicographic order and then insertion
-    order breaking ties, which makes "first match" well defined.
+    order breaking ties, which makes "first match" well defined.  A stack
+    of lists, one per outer loop, is one IndexedList whose loop array gives
+    each entry's loop; every order then sorts on the loop first.
     """
 
     q: int
@@ -67,6 +79,7 @@ class IndexedList:
     backrefs: np.ndarray
     sorted_on: tuple[int, ...] | None = None
     _keys: np.ndarray | None = field(default=None, repr=False)
+    loop: np.ndarray | None = None
 
     def __post_init__(self):
         self.syndromes = np.ascontiguousarray(self.syndromes, dtype=np.int64)
@@ -75,6 +88,10 @@ class IndexedList:
             raise ValueError("syndromes must be a 2-D array")
         if len(self.backrefs) != self.syndromes.shape[0]:
             raise ValueError("backrefs length must match syndrome count")
+        if self.loop is not None:
+            self.loop = np.asarray(self.loop, dtype=np.int64)
+            if self.loop.shape != (len(self.backrefs),):
+                raise ValueError("loop ids must be one per entry")
 
     def __len__(self) -> int:
         return int(self.syndromes.shape[0])
@@ -84,28 +101,47 @@ class IndexedList:
         return int(self.syndromes.shape[1])
 
     def sort_order(self, J: tuple[int, ...]) -> np.ndarray:
-        """Stable ordering by (J-projection, full vector, insertion index)."""
-        J = _check_J(J, self.width)
+        """Stable ordering by (loop, J-projection, full vector, insertion index)."""
+        return self._sorted(_check_J(J, self.width))[0]
+
+    def _sorted(self, J: tuple[int, ...], nloops: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(sort_order, J-keys of the entries in that order), J already checked.
+
+        The keys are encoded for loop ids below nloops (default: this list's).
+        """
+        if nloops is None:
+            nloops = 1 if self.loop is None or not len(self) else int(self.loop.max()) + 1
+        loop, cols = self.loop if nloops > 1 else None, list(J)
+        if self.q ** (len(J) + self.width) * nloops < 2**62:
+            # one integer key (loop, J-projection, full vector); a stable sort
+            # breaks its ties by insertion index, as lexsort's last key would
+            proj = np.concatenate([self.syndromes[:, cols], self.syndromes], axis=1)
+            full = _encode_keys(proj, self.q, loop, nloops)
+            order = np.argsort(full, kind="stable")
+            return order, full[order] // self.q**self.width
         keys = [np.arange(len(self))]
-        for c in range(self.width - 1, -1, -1):
-            keys.append(self.syndromes[:, c])
-        for j in reversed(J):
-            keys.append(self.syndromes[:, j])
-        return np.lexsort(tuple(keys))
+        keys += [self.syndromes[:, c] for c in range(self.width - 1, -1, -1)]
+        keys += [self.syndromes[:, j] for j in reversed(J)]
+        if loop is not None:
+            keys.append(loop)
+        order = np.lexsort(tuple(keys))
+        loop = None if loop is None else loop[order]
+        return order, _encode_keys(self.syndromes[order][:, cols], self.q, loop, nloops)
 
     def sort_on(self, J) -> "IndexedList":
         """Return a copy ordered by the J-projection (no-op if already sorted)."""
         J = _check_J(J, self.width)
         if self.sorted_on == J and self._keys is not None:
             return self
-        order = self.sort_order(J)
+        order, keys = self._sorted(J)
         out = IndexedList(
             q=self.q,
             syndromes=self.syndromes[order],
             backrefs=self.backrefs[order],
             sorted_on=J,
+            loop=None if self.loop is None else self.loop[order],
         )
-        out._keys = _encode_keys(out.syndromes[:, list(J)], self.q)
+        out._keys = keys
         return out
 
     def match_range(self, key) -> tuple[int, int]:
@@ -117,13 +153,11 @@ class IndexedList:
         return lo, hi
 
 
-def _target_on_J(t, J: tuple[int, ...], width: int, q: int) -> np.ndarray:
+def _target_on_J(t, J: tuple[int, ...], width: int, q: int, stacked: bool) -> np.ndarray:
     t = np.asarray(t, dtype=np.int64) % q
-    if t.shape == (width,):
-        return t[list(J)]
-    if t.shape == (len(J),):
-        return t
-    raise ValueError(f"target must have length {width} or {len(J)}")
+    if t.ndim == 1 + stacked and t.shape[-1] in (width, len(J)):
+        return t[..., list(J)] if t.shape[-1] == width else t
+    raise ValueError(f"target must have length {width} or {len(J)}" + " per loop" * stacked)
 
 
 def merge(
@@ -136,30 +170,49 @@ def merge(
     """All sums x + y with x in L1, y in L2 and (x + y)|J = t|J.
 
     Returns a new IndexedList whose backrefs are the (N, 2) int64 array of
-    (i, j) index pairs into the input lists as given.  Raises
-    MergeOverflowError if the output would exceed cap entries.
+    (i, j) index pairs into the input lists as given, in the order of L2's
+    entries.  Raises MergeOverflowError if the output would exceed cap
+    entries.
+
+    Two stacks (both lists with loop ids) merge every loop in one pass: t
+    holds one target per loop, entries of different loops never pair, and
+    each loop's entries come out in the order its own merge would give
+    them.  cap bounds each loop's output, and the error names the first
+    loop over it.
     """
     if L1.q != L2.q:
         raise ValueError("modulus mismatch between lists")
     if L1.width != L2.width:
         raise ValueError(f"syndrome length mismatch: {L1.width} vs {L2.width}")
+    stacked = L1.loop is not None
+    if stacked != (L2.loop is not None):
+        raise ValueError("a stack of lists merges only with another stack")
     q = L1.q
     J = _check_J(J, L1.width)
-    tJ = _target_on_J(t, J, L1.width, q)
+    cols = list(J)
+    tJ = _target_on_J(t, J, L1.width, q, stacked)
+    nloops = len(tJ) if stacked else 1
+    if stacked and any(len(L) and (L.loop.min() < 0 or L.loop.max() >= nloops) for L in (L1, L2)):
+        raise ValueError(f"loop ids must lie in [0, {nloops})")
 
-    order = L1.sort_order(J)
+    order, keys1 = L1._sorted(J, nloops)
     syn1 = L1.syndromes[order]
-    keys1 = _encode_keys(syn1[:, list(J)], q)
-    need_keys = _encode_keys((tJ[None, :] - L2.syndromes[:, list(J)]) % q, q)
+    t2 = tJ[L2.loop] if nloops > 1 else tJ.reshape(1, -1)
+    loop2 = L2.loop if nloops > 1 else None  # every id of a stack of one is 0
+    need_keys = _encode_keys((t2 - L2.syndromes[:, cols]) % q, q, loop2, nloops)
     lo = np.searchsorted(keys1, need_keys, side="left")
     hi = np.searchsorted(keys1, need_keys, side="right")
     counts = (hi - lo).astype(np.int64)
+    totals = np.bincount(L2.loop, counts, nloops) if nloops > 1 else counts.sum(keepdims=True)
+    over = np.flatnonzero(totals > cap)
+    if over.size:
+        b = int(over[0])
+        raise MergeOverflowError(f"merge would produce {int(totals[b])} > cap {cap} entries", b)
     total = int(counts.sum())
-    if total > cap:
-        raise MergeOverflowError(f"merge would produce {total} > cap {cap} entries")
 
     # output entry o of L2 row j pairs with sorted L1 row lo[j] + (o - first output of j)
     j_idx = np.repeat(np.arange(len(L2), dtype=np.int64), counts)
     pos1 = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     syn = (syn1[pos1] + L2.syndromes[j_idx]) % q
-    return IndexedList(q, syn, np.stack([order[pos1], j_idx], axis=1))
+    loop = None if L2.loop is None else L2.loop[j_idx]
+    return IndexedList(q, syn, np.stack([order[pos1], j_idx], axis=1), loop=loop)

@@ -1,9 +1,30 @@
 """Reference oracles shared by the tests; the library itself never calls them."""
 
 import math
+import random
+import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from leeisd import cmsd
+from leeisd.fieldlin import (
+    FqVector,
+    Permutation,
+    SingularTopLeftError,
+    apply_permutation,
+    partial_gaussian_elim,
+    rank,
+)
+from leeisd.isd import (
+    CANDIDATE_BLOCK,
+    IsdParams,
+    SdInstance,
+    SolveReport,
+    _check_params,
+    _exact_p1,
+    verify_solution,
+)
 
 
 @dataclass(eq=False)
@@ -54,3 +75,101 @@ def bisection_crossings(wf, s: float) -> tuple[float, float]:
     if math.log(d.mult[-1]) / d.lnq > s:
         w_hi = d.w[-1]
     return float(w_lo), float(w_hi)
+
+
+# -- the sequential solver ----------------------------------------------------
+#
+# isd_solve as it ran one outer loop at a time, before loops were batched:
+# one permutation, one elimination (retried while singular), one build and
+# one candidate pass per loop.  The batched solver must give the same report.
+
+
+def _build_cmsd(inst: SdInstance, params: IsdParams, ech, rng: random.Random):
+    args = (ech.h_second, ech.s_second, inst.wf, params.p)
+    if params.variant == "prange":
+        return cmsd.cmsd_prange(*args)
+    if params.variant == "dumer":
+        return cmsd.cmsd_dumer(*args, params.list_size_cap)
+    build = cmsd.cmsd_wagner_v1 if params.variant == "wagner1" else cmsd.cmsd_wagner_v2_build
+    return build(*args, params.a, params.list_size_cap, rng)
+
+
+def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
+    """(first candidate of desc that completes to a solution, candidates tested).
+
+    Candidates go in index order, CANDIDATE_BLOCK at a time; e' = s' - H' e''
+    must carry the remaining scaled weight w_rem.  The count runs up to and
+    including the hit, or over all of desc when there is none.  A hit is
+    put back in place (coordinate i of the permuted vector is coordinate
+    perm.images[i] of e) and leaves as the one FqVector of the loop.
+    """
+    q = inst.q
+    h1, s1 = ech.h_prime, ech.s_prime
+    tab = inst.wf.int_table_array()
+    for lo in range(0, desc.y, CANDIDATE_BLOCK):
+        e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
+        e1 = (s1 - e2 @ h1.T) % q
+        for i in np.flatnonzero(desc.is_solution(e2) & (tab[e1].sum(axis=1) == w_rem)):
+            e = np.empty(inst.n, dtype=np.int64)
+            e[perm.images] = np.concatenate([e1[i], e2[i]])
+            hit = FqVector(q, e)
+            if verify_solution(inst, hit):  # soundness guard; never expected to fail
+                return hit, lo + int(i) + 1
+    return None, desc.y
+
+
+def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
+    """Run the permute / reduce / merge / test loop until a hit or budget end."""
+    _check_params(inst, params)
+    rng = random.Random(params.rng_seed)
+    t0 = time.monotonic()
+    p1 = _exact_p1(inst, params.ell, params.p)
+    # an empty outer sphere means no permutation can ever succeed
+    budget = params.max_outer_loops if p1 > 0.0 else 0
+    w_rem = inst.wf.scaled(inst.w - params.p)
+    singular_retries = 0
+    cmsd_calls = 0
+    tested = 0
+    loops = 0
+    solution = None
+    while solution is None and loops < budget:
+        loops += 1
+        perm = None
+        ech = None
+        # elimination pivots over all rows, so a draw fails only when its
+        # leading n-k-ell columns are rank-deficient (probability about
+        # q^-(ell+1) for a full-rank H); 256 failures in a row point at H
+        for _ in range(256):
+            perm = Permutation.random(inst.n, rng)
+            try:
+                ech = partial_gaussian_elim(
+                    apply_permutation(inst.h.values, perm), params.ell, inst.s.values, inst.q
+                )
+                break
+            except SingularTopLeftError:
+                singular_retries += 1
+        if ech is None:
+            lead = inst.n - inst.k - params.ell
+            if rank(inst.h) < lead:
+                raise ValueError(f"H has rank below n-k-ell = {lead}: no information set exists")
+            continue
+        desc = _build_cmsd(inst, params, ech, rng)
+        cmsd_calls += 1
+        if loops == 1:
+            z_hat = max(float(desc.meta.get("expected_solutions", 1.0)), 1e-300)
+            if p1 > 0.0:
+                predicted = 10.0 * math.ceil(1.0 / max(p1 * z_hat, 1e-12))
+                budget = max(1, min(params.max_outer_loops, int(predicted)))
+        solution, n_tested = _first_hit(inst, desc, ech, perm, w_rem)
+        tested += n_tested
+    return SolveReport(
+        solution=solution,
+        outer_loops=loops,
+        cmsd_calls=cmsd_calls,
+        tested_candidates=tested,
+        wall_stats={
+            "elapsed_s": time.monotonic() - t0,
+            "singular_retries": singular_retries,
+            "loop_budget": budget,
+        },
+    )

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +324,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["s"] == pytest.approx(0.43068, abs=1e-4)
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m leeisd` is the same command line, with its exit status
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "leeisd", "selftest"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all 7 checks passed"
+    bad = subprocess.run([sys.executable, "-m", "leeisd", "bogus"], capture_output=True, env=env)
+    assert bad.returncode == 2
 
 
 def test_selftest_passes(capsys):

@@ -12,7 +12,7 @@ from leeisd.cmsd import (
     cmsd_prange,
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
-    _draw_targets,
+    _finish_targets,
     _plan,
     _sample_ranks,
     _split_lengths,
@@ -364,9 +364,10 @@ def wagner2_reference(h2, s2, wf, p, a, cap, seed):
     rng = random.Random(seed)
     q, (ell, n) = h2.q, h2.values.shape
     p_scaled = wf.scaled(p)
-    (blocks,), j_groups = _plan(wf, n, ell, p_scaled, a, True)
+    plan = _plan(wf, n, ell, p_scaled, a, True)
+    (blocks,), j_groups = plan
     last = blocks[-1]
-    targets = _draw_targets(s2.values, j_groups, a, q, rng)
+    targets = _finish_targets(s2.values, np.array(plan.draw(q, rng).targets), j_groups, q)
 
     def build(lo, size):
         """(list, part) where part(backref) resolves one entry's support block."""

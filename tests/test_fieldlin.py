@@ -263,3 +263,29 @@ def test_partial_elim_bad_args():
         partial_gaussian_elim(h.values, 4, s.values, 3)
     with pytest.raises(ValueError):
         partial_gaussian_elim(h.values, 1, FqVector(3, [0, 0]).values, 3)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
+def test_stacked_elimination_matches_one_matrix_at_a_time(q):
+    # sparse random matrices make singular members common; each member of
+    # the stack must equal its own call, and be flagged where that raises
+    rng = np.random.default_rng(q)
+    flagged = 0
+    for _ in range(40):
+        rows = int(rng.integers(1, 7))
+        n, ell, batch = rows + int(rng.integers(0, 5)), int(rng.integers(0, rows + 1)), 6
+        h = rng.integers(0, q, (batch, rows, n)) * (rng.random((batch, rows, n)) < 0.6)
+        s = rng.integers(0, q, (batch, rows))
+        stack = partial_gaussian_elim(h, ell, s, q)
+        assert stack.singular.shape == (batch,)
+        for b in range(batch):
+            try:
+                one = partial_gaussian_elim(h[b], ell, s[b], q)
+            except SingularTopLeftError:
+                assert stack.singular[b]
+                flagged += 1
+                continue
+            assert not stack.singular[b]
+            for block in ("h_prime", "h_second", "s_prime", "s_second"):
+                assert np.array_equal(getattr(stack, block)[b], getattr(one, block))
+    assert flagged > 0

@@ -231,17 +231,20 @@ def test_wrappers_stay_at_the_boundary(monkeypatch):
 
 def test_one_elimination_per_outer_loop(monkeypatch):
     # elimination pivots over all rows, so a full-rank H almost never sends
-    # a loop back for a new permutation
+    # a loop back for a new permutation; loops are eliminated in stacks, one
+    # member per loop, and only the last stack runs past the hit
     inst = generate_instance(3, 30, 15, 7, WeightFunction.lee(3), random.Random(211))
-    calls = []
+    stacks = []
 
-    def counted(*args):
-        calls.append(1)
-        return partial_gaussian_elim(*args)
+    def counted(h, *args):
+        assert h.ndim == 3
+        stacks.append(len(h))
+        return partial_gaussian_elim(h, *args)
 
     monkeypatch.setattr(isd, "partial_gaussian_elim", counted)
     rep = isd_solve(inst, IsdParams(variant="dumer", ell=3, p=2, rng_seed=11))
-    assert rep.found and len(calls) == rep.outer_loops == 5
+    assert rep.found and rep.outer_loops == 5
+    assert sum(stacks[:-1]) < rep.outer_loops <= sum(stacks)
     assert rep.wall_stats["singular_retries"] == 0
 
 

@@ -136,3 +136,40 @@ def test_deterministic_tie_order():
     assert lst.backrefs.tolist() == ["y", "z", "x"]
     lo, hi = lst.match_range(1)
     assert (lo, hi) == (0, 3)
+
+
+@pytest.mark.parametrize("q,m", [(3, 4), (331, 9)])  # 331^|J| can need object keys
+def test_stacked_merge_is_each_loops_merge(q, m):
+    # a stack merges loop by loop: the same entries in the same order, with
+    # backrefs shifted to the stack, and the first loop over cap named
+    rng = np.random.default_rng(q)
+    overflowed = 0
+    for _ in range(60):
+        loops = int(rng.integers(1, 6))
+        n1, n2 = rng.integers(0, 12, loops), rng.integers(0, 12, loops)
+        lists1 = [rng.integers(0, q, (n, m)) for n in n1]
+        lists2 = [rng.integers(0, q, (n, m)) for n in n2]
+        J = tuple(sorted(rng.choice(m, int(rng.integers(0, m + 1)), replace=False).tolist()))
+        t, cap = rng.integers(0, q, (loops, m)), int(rng.integers(1, 30))
+        ids1, ids2 = np.repeat(np.arange(loops), n1), np.repeat(np.arange(loops), n2)
+        stack1 = IndexedList(q, np.concatenate(lists1), np.arange(n1.sum()), loop=ids1)
+        stack2 = IndexedList(q, np.concatenate(lists2), np.arange(n2.sum()), loop=ids2)
+        off1, off2 = np.cumsum(n1) - n1, np.cumsum(n2) - n2
+        outs = []
+        for b in range(loops):
+            try:
+                outs.append(merge(IndexedList(q, lists1[b], np.arange(n1[b])),
+                                  IndexedList(q, lists2[b], np.arange(n2[b])), J, t[b], cap))
+            except MergeOverflowError as exc:
+                with pytest.raises(MergeOverflowError) as stacked:
+                    merge(stack1, stack2, J, t, cap)
+                assert stacked.value.loop == b and str(stacked.value) == str(exc)
+                overflowed += 1
+                break
+        else:
+            out = merge(stack1, stack2, J, t, cap)
+            assert np.array_equal(out.syndromes, np.concatenate([o.syndromes for o in outs]))
+            refs = [o.backrefs + (off1[b], off2[b]) for b, o in enumerate(outs)]
+            assert np.array_equal(out.backrefs.reshape(-1, 2), np.concatenate(refs).reshape(-1, 2))
+            assert out.loop.tolist() == [b for b, o in enumerate(outs) for _ in range(len(o))]
+    assert overflowed
