@@ -248,8 +248,10 @@ def _backend(inst: SdInstance, params: IsdParams):
         plan = cmsd._plan(wf, inst.k + params.ell, params.ell, wf.scaled(p), levels, lazy)
     except cmsd.CmsdInfeasibleError:
         return (lambda rng: None), build, 0, None
-    blocks = [b for layout in plan.layouts for b in layout]
-    rows = sum(b.enum.count for b in blocks[: len(blocks) - lazy])  # a lazy list is not held
+    held = [b.enum.count for layout in plan.layouts for b in layout]
+    if lazy:  # a lazy list is evaluated in blocks; only its sampled ranks are held
+        held[-1] = cap if held[-1] > cap else 0
+    rows = sum(held)
     if variant == "dumer":
         return (lambda rng: None), build, rows, None
     lazy_cap = cap if lazy else None
