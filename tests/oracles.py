@@ -40,7 +40,7 @@ def enumerate_f(desc) -> CmsdEnumeration:
     return CmsdEnumeration(solutions=sols, observed_z=len({v.tobytes() for v in sols}))
 
 
-def rank(enum, v: np.ndarray) -> int:
+def sphere_rank(enum, v: np.ndarray) -> int:
     """Rank of v on the sphere of a SphereEnumerator: the inverse of enum.unrank."""
     r = 0
     budget = enum.w_scaled

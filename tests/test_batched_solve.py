@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import oracles
-from leeisd.isd import IsdParams, generate_instance, isd_solve
+from leeisd.fieldlin import FqMatrix, FqVector
+from leeisd.isd import IsdParams, SdInstance, generate_instance, isd_solve
 from leeisd.weights import WeightFunction
 
 # (label, metric, n, k, w, IsdParams fields); every case runs SEEDS instances
@@ -70,3 +72,27 @@ def test_reports_match_the_sequential_solver(case):
         "wagner1-infeasible": {"CmsdInfeasibleError"},
     }
     assert want.get(label, {"hit"}) <= seen, seen
+
+
+def test_loops_that_never_eliminate_match_the_sequential_solver():
+    # H has n-k unit columns and k zero columns, so a permutation eliminates
+    # only when the unit columns all land in front (1 in 924): most loops
+    # spend their 256 draws, pass the rank check and build nothing
+    n, k = 12, 6
+    consumed = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        h = np.zeros((n - k, n), dtype=np.int64)
+        h[:, : n - k] = np.eye(n - k, dtype=np.int64)
+        h = h[:, rng.permutation(n)]
+        e = np.zeros(n, dtype=np.int64)
+        e[rng.choice(n, 2, replace=False)] = 1
+        inst = SdInstance(
+            q=3, n=n, k=k, w=2, wf=WeightFunction.hamming(3), h=FqMatrix(3, h),
+            s=FqVector(3, (h @ e) % 3),
+        )
+        params = IsdParams(variant="prange", max_outer_loops=4, rng_seed=seed)
+        got = outcome(isd_solve, inst, params)
+        assert got == outcome(oracles.isd_solve, inst, params), seed
+        consumed += got[1] - got[2]  # loops without a build
+    assert consumed > 0

@@ -29,7 +29,7 @@ from leeisd.weights import (
     sphere_exponent,
     sphere_exponent_many,
 )
-from oracles import bisection_crossings, rank
+from oracles import bisection_crossings, sphere_rank as rank
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 

@@ -20,7 +20,7 @@ from leeisd.weights import (
     sphere_exponent_many,
     vector_weight,
 )
-from oracles import rank
+from oracles import sphere_rank as rank
 
 
 def brute_counts(wf, n):
