@@ -28,6 +28,7 @@ from . import cmsd
 from .fieldlin import (
     FqMatrix,
     FqVector,
+    PartialEchelon,
     Permutation,
     apply_permutation,
     mat_vec_mul,
@@ -227,8 +228,9 @@ def _exact_p1(inst: SdInstance, ell: int, p: Fraction) -> float:
 def _backend(inst: SdInstance, params: IsdParams):
     """(draw, build, rows, z) of the variant.
 
-    draw(rng) takes one loop's back-end randomness, before its elimination;
-    build(h2, s2, draws) builds a stack of loops; rows counts one loop's
+    draw(rng) takes one loop's back-end randomness, before its elimination,
+    and is None for a back end that draws nothing; build(h2, s2, draws)
+    builds a stack of loops; rows counts one loop's
     base-list entries; z is one loop's expected_solutions where it does not
     depend on H, else None (dumer, and wagner1 at a = 1, count their
     realized output).  A layout that cannot carry the budget draws nothing
@@ -236,7 +238,7 @@ def _backend(inst: SdInstance, params: IsdParams):
     """
     wf, p, a, cap, variant = inst.wf, params.p, params.a, params.list_size_cap, params.variant
     if variant == "prange":
-        return (lambda rng: None), (lambda h2, s2, draws: cmsd.cmsd_prange(h2, s2, wf, p)), 0, 1.0
+        return None, (lambda h2, s2, draws: cmsd.cmsd_prange(h2, s2, wf, p)), 0, 1.0
     lazy = variant == "wagner2"
     levels = 1 if variant == "dumer" else a
     if variant == "dumer":
@@ -247,13 +249,13 @@ def _backend(inst: SdInstance, params: IsdParams):
     try:
         plan = cmsd._plan(wf, inst.k + params.ell, params.ell, wf.scaled(p), levels, lazy)
     except cmsd.CmsdInfeasibleError:
-        return (lambda rng: None), build, 0, None
+        return None, build, 0, None
     held = [b.enum.count for layout in plan.layouts for b in layout]
     if lazy:  # a lazy list is evaluated in blocks; only its sampled ranks are held
         held[-1] = cap if held[-1] > cap else 0
     rows = sum(held)
     if variant == "dumer":
-        return (lambda rng: None), build, rows, None
+        return None, build, rows, None
     lazy_cap = cap if lazy else None
     z = None if levels == 1 and not lazy else cmsd._plan_expected(plan, wf.q, lazy_cap)
     return (lambda rng: plan.draw(wf.q, rng, lazy_cap=lazy_cap)), build, rows, z
@@ -274,7 +276,7 @@ def _draw_ahead(inst: SdInstance, rng: random.Random, draw, count: int):
     perms, draws = [], []
     for _ in range(count):
         perms.append(Permutation.random(inst.n, rng))
-        draws.append(draw(rng))
+        draws.append(None if draw is None else draw(rng))
     return perms, draws
 
 
@@ -354,35 +356,48 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
         ech = partial_gaussian_elim(h, params.ell, np.tile(inst.s.values, (batch, 1)), inst.q)
         # elimination pivots over all rows, so a draw fails only when its
         # leading n-k-ell columns are rank-deficient (probability about
-        # q^-(ell+1) for a full-rank H); 256 failures in a row point at H
-        good = int(np.argmax(ech.singular)) if ech.singular.any() else batch
-        if good:
-            desc = build(ech.h_second[:good], ech.s_second[:good], draws[:good])
+        # q^-(ell+1) for a full-rank H); 256 failures in a row point at H.
+        # The batch stops at member cut: its first singular elimination or,
+        # where the back end draws nothing (the member after a singular one
+        # is then the same loop's next permutation), its 256th singular
+        # draw in a row.  Before cut, members that eliminate are loops and
+        # the others their retries.
+        run, cut = failures, batch
+        for m, bad in enumerate(ech.singular.tolist()):
+            run = run + 1 if bad else 0
+            if bad and (draw is not None or run == 256):
+                cut = m
+                break
+        kept = np.flatnonzero(~ech.singular[:cut])
+        if kept.size:
+            draws = [draws[m] for m in kept]
+            desc = build(ech.h_second[kept], ech.s_second[kept], draws)
             if loops == 0:  # loop 1 is built: it sets the budget
                 if z_hat is None:
                     z_hat = float(desc.meta.get("expected_solutions", 1.0))
                     size, grow = per_hit(z_hat), False
                 budget = max(1, min(params.max_outer_loops, int(10.0 * per_hit(z_hat))))
-            hit_loop, solution, n_tested = _first_hit(inst, desc, ech, perms, weights)
-            done = good if solution is None else hit_loop + 1
+            sub = PartialEchelon(ech.h_prime[kept], ech.h_second[kept], ech.s_prime[kept], ech.s_second[kept])
+            hit_loop, solution, n_tested = _first_hit(inst, desc, sub, [perms[m] for m in kept], weights)
+            done = kept.size if solution is None else hit_loop + 1
             loops += done
             cmsd_calls += done
             tested += n_tested
-            if solution is None and desc.overflow is not None:
+            if solution is not None:
+                singular_retries += int(ech.singular[: kept[hit_loop]].sum())
+                break
+            if desc.overflow is not None:
                 raise desc.overflow
-        if solution is not None:
-            break
-        if good == batch:
-            failures = 0
-            size, grow = min(2 * size, most) if grow else size, True
+        singular_retries += int(ech.singular[: cut + (cut < batch)].sum())
+        failures = run
+        if cut == batch:  # grow only once the budget is known
+            size, grow = min(2 * size, most) if grow and loops else size, True
             continue
-        # the next batch starts at the singular loop, its permutation drawn
+        # the next batch starts after the permutation of member cut
         rng.setstate(start)
-        _draw_ahead(inst, rng, draw, good)
+        _draw_ahead(inst, rng, draw, cut)
         Permutation.random(inst.n, rng)
-        singular_retries += 1
-        failures = 1 if good else failures + 1
-        size = max(1, good)
+        size = max(1, cut)
         if failures == 256:
             failures = 0
             lead = inst.n - inst.k - params.ell
