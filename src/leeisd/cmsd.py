@@ -610,7 +610,8 @@ def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size, draws) -
     layouts, j_groups = plan
     draws = _loop_draws(plan, q, loops, rng, draws, size_limit=base_list_size)
     # at a = 1 the one target is s''
-    targets = _finish_targets(s2, np.array([d.targets for d in draws]).reshape(loops, -1), j_groups, q)
+    coords = np.array([d.targets for d in draws]).reshape(loops, -1)
+    targets = _finish_targets(s2, coords, j_groups, q)
     alive = _Alive(loops)
     trees, leaf_sizes = [], []
     totals = np.zeros(loops, dtype=np.int64)
@@ -717,7 +718,8 @@ def cmsd_wagner_v2_build(
     (blocks,), j_groups = plan
     last = blocks[-1]
     draws = _loop_draws(plan, q, loops, rng, draws, lazy_cap=list_size_cap)
-    targets = _finish_targets(s2, np.array([d.targets for d in draws]).reshape(loops, -1), j_groups, q)
+    coords = np.array([d.targets for d in draws]).reshape(loops, -1)
+    targets = _finish_targets(s2, coords, j_groups, q)
 
     materialized = [_leaf(h2, q, b, list_size_cap) for b in blocks[:-1]]
     alive = _Alive(loops)

@@ -311,7 +311,8 @@ def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> Par
     diagonal = a[:, np.arange(lead), np.arange(lead)]
     singular = (diagonal == 0).any(axis=1)
     if singular.any() and not stacked:
-        raise SingularTopLeftError(f"no pivot available in column {int(np.argmax(diagonal[0] == 0))}")
+        column = int(np.argmax(diagonal[0] == 0))
+        raise SingularTopLeftError(f"no pivot available in column {column}")
     if not stacked:
         a = a[0]
     return PartialEchelon(

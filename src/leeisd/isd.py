@@ -362,33 +362,36 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
         # is then the same loop's next permutation), its 256th singular
         # draw in a row.  Before cut, members that eliminate are loops and
         # the others their retries.
+        singular = ech.singular
         run, cut = failures, batch
-        for m, bad in enumerate(ech.singular.tolist()):
+        for m, bad in enumerate(singular.tolist()):
             run = run + 1 if bad else 0
             if bad and (draw is not None or run == 256):
                 cut = m
                 break
-        kept = np.flatnonzero(~ech.singular[:cut])
+        kept = np.flatnonzero(~singular[:cut])
         if kept.size:
-            draws = [draws[m] for m in kept]
-            desc = build(ech.h_second[kept], ech.s_second[kept], draws)
+            ech = PartialEchelon(
+                ech.h_prime[kept], ech.h_second[kept], ech.s_prime[kept], ech.s_second[kept]
+            )
+            desc = build(ech.h_second, ech.s_second, [draws[m] for m in kept])
             if loops == 0:  # loop 1 is built: it sets the budget
                 if z_hat is None:
                     z_hat = float(desc.meta.get("expected_solutions", 1.0))
                     size, grow = per_hit(z_hat), False
                 budget = max(1, min(params.max_outer_loops, int(10.0 * per_hit(z_hat))))
-            sub = PartialEchelon(ech.h_prime[kept], ech.h_second[kept], ech.s_prime[kept], ech.s_second[kept])
-            hit_loop, solution, n_tested = _first_hit(inst, desc, sub, [perms[m] for m in kept], weights)
+            kept_perms = [perms[m] for m in kept]
+            hit_loop, solution, n_tested = _first_hit(inst, desc, ech, kept_perms, weights)
             done = kept.size if solution is None else hit_loop + 1
             loops += done
             cmsd_calls += done
             tested += n_tested
             if solution is not None:
-                singular_retries += int(ech.singular[: kept[hit_loop]].sum())
+                singular_retries += int(singular[: kept[hit_loop]].sum())
                 break
             if desc.overflow is not None:
                 raise desc.overflow
-        singular_retries += int(ech.singular[: cut + (cut < batch)].sum())
+        singular_retries += int(singular[: cut + (cut < batch)].sum())
         failures = run
         if cut == batch:  # grow only once the budget is known
             size, grow = min(2 * size, most) if grow and loops else size, True

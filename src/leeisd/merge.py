@@ -104,7 +104,9 @@ class IndexedList:
         """Stable ordering by (loop, J-projection, full vector, insertion index)."""
         return self._sorted(_check_J(J, self.width))[0]
 
-    def _sorted(self, J: tuple[int, ...], nloops: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted(
+        self, J: tuple[int, ...], nloops: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(sort_order, J-keys of the entries in that order), J already checked.
 
         The keys are encoded for loop ids below nloops (default: this list's).

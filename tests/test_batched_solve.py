@@ -19,7 +19,8 @@ CASES = (
     ("dumer", "lee", 20, 8, 4, dict(variant="dumer", ell=2, p=2)),
     ("dumer-budget", "hamming", 24, 12, 6, dict(variant="dumer", ell=2, p=2, max_outer_loops=2)),
     ("wagner1", "lee", 24, 12, 6, dict(variant="wagner1", ell=4, p=4, a=2)),
-    ("wagner1-budget", "lee", 24, 8, 6, dict(variant="wagner1", ell=4, p=4, a=2, max_outer_loops=3)),
+    ("wagner1-budget", "lee", 24, 8, 6,
+     dict(variant="wagner1", ell=4, p=4, a=2, max_outer_loops=3)),
     # merges of 10-entry leaves overflow a cap of 10 in some loops only
     ("wagner1-cap", "lee", 24, 12, 6, dict(variant="wagner1", ell=4, p=4, a=2, list_size_cap=10)),
     # wagner1 at a = 1 is dumer, whose Z is only known once loop 1 is built
@@ -29,7 +30,8 @@ CASES = (
     ("wagner2", "hamming", 28, 14, 8, dict(variant="wagner2", ell=4, p=3, a=2)),
     ("wagner2-a1", "lee", 21, 6, 6, dict(variant="wagner2", ell=3, p=3, a=1)),
     # a lazy sphere of 60 sampled down to 40 ranks: _sample_ranks joins the stream
-    ("wagner2-sampled", "lee", 28, 14, 7, dict(variant="wagner2", ell=4, p=3, a=2, list_size_cap=40)),
+    ("wagner2-sampled", "lee", 28, 14, 7,
+     dict(variant="wagner2", ell=4, p=3, a=2, list_size_cap=40)),
 )
 SEEDS = 30
 
