@@ -50,8 +50,9 @@ VARIANTS = ("prange", "dumer", "wagner1", "wagner2")
 
 # candidates evaluated and tested per block: bounds memory, never changes a result
 CANDIDATE_BLOCK = 4096
-# loops per batch: at most MAX_BATCH, and at most BATCH_ROWS base-list
-# entries in all; like CANDIDATE_BLOCK these bound work and memory only
+# loops per batch: at most MAX_BATCH, and at most BATCH_ROWS held rows
+# (base-list entries, sampled ranks) in all; like CANDIDATE_BLOCK these
+# bound work and memory only
 MAX_BATCH = 64
 BATCH_ROWS = 1 << 16
 
@@ -230,11 +231,12 @@ def _backend(inst: SdInstance, params: IsdParams):
 
     draw(rng) takes one loop's back-end randomness, before its elimination,
     and is None for a back end that draws nothing; build(h2, s2, draws)
-    builds a stack of loops; rows counts one loop's
-    base-list entries; z is one loop's expected_solutions where it does not
-    depend on H, else None (dumer, and wagner1 at a = 1, count their
-    realized output).  A layout that cannot carry the budget draws nothing
-    and raises from the first build, as a loop at a time would.
+    builds a stack of loops; rows counts one loop's held rows (base-list
+    entries, wagner2's sampled lazy ranks); z is one loop's
+    expected_solutions where it does not depend on H, else None (dumer,
+    and wagner1 at a = 1, count their realized output).  A layout that
+    cannot carry the budget draws nothing and raises from the first
+    build, as a loop at a time would.
     """
     wf, p, a, cap, variant = inst.wf, params.p, params.a, params.list_size_cap, params.variant
     if variant == "prange":
