@@ -52,8 +52,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -192,6 +192,21 @@ class LoopDraws:
     lazy_ranks: list[int] | None
 
 
+class LoopPlan(NamedTuple):
+    """What an outer loop knows of its back end before any H is seen.
+
+    draw(rng) takes one loop's randomness (a LoopDraws, or None for prange);
+    rows counts the rows one loop's build holds (base-list entries, and a
+    lazy list's sampled ranks); expected is one loop's expected_solutions,
+    or None where it depends on H (dumer, and wagner1 at a = 1, count their
+    realized output).
+    """
+
+    draw: Callable[[random.Random], LoopDraws | None]
+    rows: int
+    expected: float | None
+
+
 # -- block layout helpers ---------------------------------------------------
 
 
@@ -231,7 +246,6 @@ class _Plan(NamedTuple):
             for _ in range((1 << (a - j)) - 1)
             for _ in J
         ]
-        lazy = self.layouts[0][-1] if lazy_cap is not None else None
         leaf_ranks = tuple(
             sorted(_sample_ranks(b.enum.count, size_limit, rng))
             if size_limit is not None and b.enum.count > size_limit
@@ -240,9 +254,18 @@ class _Plan(NamedTuple):
             for b in blocks
         )
         lazy_ranks = None
-        if lazy is not None and lazy.enum.count > lazy_cap:
-            lazy_ranks = sorted(_sample_ranks(lazy.enum.count, lazy_cap, rng))
+        if self.lazy_sampled(lazy_cap):
+            lazy_ranks = sorted(_sample_ranks(self.layouts[0][-1].enum.count, lazy_cap, rng))
         return LoopDraws(targets, leaf_ranks, lazy_ranks)
+
+    def lazy_sampled(self, lazy_cap: int | None) -> bool:
+        """Whether a build samples lazy_cap ranks of its lazy last list (wagner2).
+
+        It does when the lazy sphere exceeds the cap; otherwise every loop
+        reads the one shared sphere array.  Without lazy_cap there is no
+        lazy list.
+        """
+        return lazy_cap is not None and self.layouts[0][-1].enum.count > lazy_cap
 
 
 @lru_cache(maxsize=128)
@@ -307,10 +330,12 @@ def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last
 def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
     """(H'' stack, s'' stack, single): one bottom block becomes a stack of one."""
     h2, s2 = np.asarray(h_second), np.asarray(s_second)
+    if h2.ndim not in (2, 3) or s2.shape != h2.shape[:-1]:
+        raise ValueError(
+            "need h_second (ell, n) and s_second (ell,), or stacks (B, ell, n) and (B, ell)"
+        )
     if h2.ndim == 2:
         return h2[None], s2[None], True
-    if h2.ndim != 3 or s2.shape != h2.shape[:2]:
-        raise ValueError("a stack needs h_second (B, ell, n) and s_second (B, ell)")
     return h2, s2, False
 
 
@@ -406,28 +431,22 @@ def _tree_domain(roots: list[_Node], loops: int, n: int):
     Loop b lists its entries of roots[0], then of roots[1], and so on, in
     list order; a loop without entries gets one index, which evaluates to
     the zero row.  counts[b, r] is loop b's number of entries in roots[r].
+    Every root lists its loops in order, as its leaves do.
     """
-    ends = [int(np.searchsorted(nd.lst.loop, loops)) for nd in roots]
-    loop = np.concatenate([nd.lst.loop[:end] for nd, end in zip(roots, ends)])
-    root = np.repeat(np.arange(len(roots)), ends)
-    pos = np.concatenate([np.arange(end) for end in ends])
-    order = np.argsort(loop, kind="stable")  # loop-major; roots, then positions, in order
-    counts = np.bincount(loop * len(roots) + root, minlength=loops * len(roots))
-    counts = counts.reshape(loops, len(roots))
-    per_loop = counts.sum(axis=1)
-    starts = np.concatenate([[0], np.cumsum(np.maximum(per_loop, 1))])
-    b = loop[order]
-    at = starts[b] + np.arange(len(order)) - (np.cumsum(per_loop) - per_loop)[b]
-    root_of = np.full(starts[-1], -1, dtype=np.int64)
-    pos_of = np.zeros(starts[-1], dtype=np.int64)
-    root_of[at], pos_of[at] = root[order], pos[order]
+    firsts = np.stack([np.searchsorted(nd.lst.loop, np.arange(loops + 1)) for nd in roots])
+    counts = np.diff(firsts, axis=1).T
+    upto = np.cumsum(counts, axis=1)  # upto[b, r]: loop b's entries in roots 0..r
+    starts = np.concatenate([[0], np.cumsum(np.maximum(upto[:, -1], 1))])
 
     def evaluate(idx: np.ndarray) -> np.ndarray:
         out = np.zeros((len(idx), n), dtype=np.int64)
-        which = root_of[idx]
-        for r in np.unique(which[which >= 0]):
+        b = np.searchsorted(starts, idx, side="right") - 1
+        off = idx - starts[b]
+        which = (off[:, None] >= upto[b]).sum(axis=1)  # len(roots) for an empty loop
+        for r in np.unique(which[which < len(roots)]):
             sel = which == r
-            out[sel] = roots[r].gather(pos_of[idx[sel]])
+            bs = b[sel]
+            out[sel] = roots[r].gather(firsts[r, bs] + off[sel] - upto[bs, r] + counts[bs, r])
         return out
 
     return starts, evaluate, counts
@@ -475,15 +494,6 @@ def _expected(base_sizes: list[int], j_groups: tuple[np.ndarray, ...], q: int) -
     log_num = sum(math.log(max(s, 1)) for s in base_sizes)
     constrained = sum((1 << (a - j)) * len(J) for j, J in enumerate(j_groups, 1))
     return max(math.exp(min(log_num - constrained * math.log(q), 700.0)), 1e-300)
-
-
-def _plan_expected(plan: _Plan, q: int, lazy_cap: int | None = None) -> float:
-    """_expected of a wagner1 (or, with lazy_cap, wagner2) build, without H."""
-    (blocks,) = plan.layouts
-    sizes = [b.enum.count for b in blocks]
-    if lazy_cap is not None:
-        sizes[-1] = min(sizes[-1], lazy_cap)
-    return _expected(sizes, plan.j_groups, q)
 
 
 def _tree_meta(
@@ -568,6 +578,31 @@ def _describe(p_frac, h2, s2, single, wf, meta, starts, evaluate, alive) -> Cmsd
         starts=None if single else starts,
         overflow=alive.error,
     )
+
+
+def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap: int) -> LoopPlan:
+    """The LoopPlan of a back end on bottom blocks of shape (ell, n).
+
+    variant is "prange", "dumer", "wagner1" or "wagner2"; a layout that
+    cannot carry p draws nothing and expects nothing here, and its first
+    build raises.
+    """
+    if variant == "prange":
+        return LoopPlan(lambda rng: None, 0, 1.0)
+    lazy = variant == "wagner2"
+    levels = 1 if variant == "dumer" else a
+    try:
+        plan = _plan(wf, n, ell, _budget(wf, p)[1], levels, lazy)
+    except CmsdInfeasibleError:
+        return LoopPlan(lambda rng: None, 0, None)
+    lazy_cap = cap if lazy else None
+    sizes = [b.enum.count for blocks in plan.layouts for b in blocks]
+    rows = sum(sizes)
+    if lazy:  # the lazy list is evaluated in blocks: only its sampled ranks are held
+        rows -= sizes[-1] - (cap if plan.lazy_sampled(cap) else 0)
+        sizes[-1] = min(sizes[-1], cap)
+    expected = None if levels == 1 and not lazy else _expected(sizes, plan.j_groups, wf.q)
+    return LoopPlan(partial(plan.draw, wf.q, lazy_cap=lazy_cap), rows, expected)
 
 
 def cmsd_prange(

@@ -28,7 +28,6 @@ from . import cmsd
 from .fieldlin import (
     FqMatrix,
     FqVector,
-    PartialEchelon,
     Permutation,
     apply_permutation,
     mat_vec_mul,
@@ -226,41 +225,15 @@ def _exact_p1(inst: SdInstance, ell: int, p: Fraction) -> float:
     return min(1.0, math.exp(min(math.log(num) - math.log(den), 0.0)))
 
 
-def _backend(inst: SdInstance, params: IsdParams):
-    """(draw, build, rows, z) of the variant.
-
-    draw(rng) takes one loop's back-end randomness, before its elimination,
-    and is None for a back end that draws nothing; build(h2, s2, draws)
-    builds a stack of loops; rows counts one loop's held rows (base-list
-    entries, wagner2's sampled lazy ranks); z is one loop's
-    expected_solutions where it does not depend on H, else None (dumer,
-    and wagner1 at a = 1, count their realized output).  A layout that
-    cannot carry the budget draws nothing and raises from the first
-    build, as a loop at a time would.
-    """
+def _builder(inst: SdInstance, params: IsdParams):
+    """build(h2, s2, draws) of the variant: builds a stack of loops from their LoopDraws."""
     wf, p, a, cap, variant = inst.wf, params.p, params.a, params.list_size_cap, params.variant
     if variant == "prange":
-        return None, (lambda h2, s2, draws: cmsd.cmsd_prange(h2, s2, wf, p)), 0, 1.0
-    lazy = variant == "wagner2"
-    levels = 1 if variant == "dumer" else a
+        return lambda h2, s2, draws: cmsd.cmsd_prange(h2, s2, wf, p)
     if variant == "dumer":
-        build = lambda h2, s2, draws: cmsd.cmsd_dumer(h2, s2, wf, p, cap)  # noqa: E731
-    else:
-        builder = cmsd.cmsd_wagner_v2_build if lazy else cmsd.cmsd_wagner_v1
-        build = lambda h2, s2, draws: builder(h2, s2, wf, p, a, cap, draws=draws)  # noqa: E731
-    try:
-        plan = cmsd._plan(wf, inst.k + params.ell, params.ell, wf.scaled(p), levels, lazy)
-    except cmsd.CmsdInfeasibleError:
-        return None, build, 0, None
-    held = [b.enum.count for layout in plan.layouts for b in layout]
-    if lazy:  # a lazy list is evaluated in blocks; only its sampled ranks are held
-        held[-1] = cap if held[-1] > cap else 0
-    rows = sum(held)
-    if variant == "dumer":
-        return None, build, rows, None
-    lazy_cap = cap if lazy else None
-    z = None if levels == 1 and not lazy else cmsd._plan_expected(plan, wf.q, lazy_cap)
-    return (lambda rng: plan.draw(wf.q, rng, lazy_cap=lazy_cap)), build, rows, z
+        return lambda h2, s2, draws: cmsd.cmsd_dumer(h2, s2, wf, p, cap)
+    builder = cmsd.cmsd_wagner_v2_build if variant == "wagner2" else cmsd.cmsd_wagner_v1
+    return lambda h2, s2, draws: builder(h2, s2, wf, p, a, cap, draws=draws)
 
 
 def _check_params(inst: SdInstance, params: IsdParams) -> None:
@@ -278,7 +251,7 @@ def _draw_ahead(inst: SdInstance, rng: random.Random, draw, count: int):
     perms, draws = [], []
     for _ in range(count):
         perms.append(Permutation.random(inst.n, rng))
-        draws.append(None if draw is None else draw(rng))
+        draws.append(draw(rng))
     return perms, draws
 
 
@@ -336,12 +309,17 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
     # an empty outer sphere means no permutation can ever succeed
     budget = params.max_outer_loops if p1 > 0.0 else 0
     weights = (inst.wf.scaled(params.p), inst.wf.scaled(inst.w - params.p))
-    draw, build, rows, z_hat = _backend(inst, params)
-    most = max(1, min(MAX_BATCH, BATCH_ROWS // max(rows, 1)))
+    build = _builder(inst, params)
+    plan = cmsd.loop_plan(
+        params.variant, inst.wf, inst.k + params.ell, params.ell, params.p, params.a,
+        params.list_size_cap,
+    )
+    most = max(1, min(MAX_BATCH, BATCH_ROWS // max(plan.rows, 1)))
 
     def per_hit(z: float) -> int:
         return math.ceil(1.0 / max(p1 * max(z, 1e-300), 1e-12))
 
+    z_hat = plan.expected
     singular_retries = 0
     cmsd_calls = 0
     tested = 0
@@ -353,56 +331,42 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
     while solution is None and loops < budget:
         batch = min(size, most, budget - loops)
         start = rng.getstate()
-        perms, draws = _draw_ahead(inst, rng, draw, batch)
+        perms, draws = _draw_ahead(inst, rng, plan.draw, batch)
         h = np.stack([apply_permutation(inst.h.values, perm) for perm in perms])
         ech = partial_gaussian_elim(h, params.ell, np.tile(inst.s.values, (batch, 1)), inst.q)
-        # elimination pivots over all rows, so a draw fails only when its
-        # leading n-k-ell columns are rank-deficient (probability about
-        # q^-(ell+1) for a full-rank H); 256 failures in a row point at H.
-        # The batch stops at member cut: its first singular elimination or,
-        # where the back end draws nothing (the member after a singular one
-        # is then the same loop's next permutation), its 256th singular
-        # draw in a row.  Before cut, members that eliminate are loops and
-        # the others their retries.
-        singular = ech.singular
-        run, cut = failures, batch
-        for m, bad in enumerate(singular.tolist()):
-            run = run + 1 if bad else 0
-            if bad and (draw is not None or run == 256):
-                cut = m
-                break
-        kept = np.flatnonzero(~singular[:cut])
-        if kept.size:
-            ech = PartialEchelon(
-                ech.h_prime[kept], ech.h_second[kept], ech.s_prime[kept], ech.s_second[kept]
-            )
-            desc = build(ech.h_second, ech.s_second, [draws[m] for m in kept])
+        # the batch stops before its first singular elimination: the loops
+        # before it are built and tested, and that loop draws a new permutation
+        cut = int(np.argmax(ech.singular)) if ech.singular.any() else batch
+        if cut:
+            desc = build(ech.h_second[:cut], ech.s_second[:cut], draws[:cut])
             if loops == 0:  # loop 1 is built: it sets the budget
                 if z_hat is None:
                     z_hat = float(desc.meta.get("expected_solutions", 1.0))
                     size, grow = per_hit(z_hat), False
                 budget = max(1, min(params.max_outer_loops, int(10.0 * per_hit(z_hat))))
-            kept_perms = [perms[m] for m in kept]
-            hit_loop, solution, n_tested = _first_hit(inst, desc, ech, kept_perms, weights)
-            done = kept.size if solution is None else hit_loop + 1
+            hit_loop, solution, n_tested = _first_hit(inst, desc, ech, perms, weights)
+            done = cut if solution is None else hit_loop + 1
             loops += done
             cmsd_calls += done
             tested += n_tested
             if solution is not None:
-                singular_retries += int(singular[: kept[hit_loop]].sum())
                 break
             if desc.overflow is not None:
                 raise desc.overflow
-        singular_retries += int(singular[: cut + (cut < batch)].sum())
-        failures = run
+            failures = 0
         if cut == batch:  # grow only once the budget is known
             size, grow = min(2 * size, most) if grow and loops else size, True
             continue
         # the next batch starts after the permutation of member cut
+        singular_retries += 1
+        failures += 1
         rng.setstate(start)
-        _draw_ahead(inst, rng, draw, cut)
+        _draw_ahead(inst, rng, plan.draw, cut)
         Permutation.random(inst.n, rng)
         size = max(1, cut)
+        # elimination pivots over all rows, so a draw fails only when its
+        # leading n-k-ell columns are rank-deficient (probability about
+        # q^-(ell+1) for a full-rank H); 256 failures in a row point at H
         if failures == 256:
             failures = 0
             lead = inst.n - inst.k - params.ell

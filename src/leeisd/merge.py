@@ -113,14 +113,7 @@ class IndexedList:
         """
         if nloops is None:
             nloops = 1 if self.loop is None or not len(self) else int(self.loop.max()) + 1
-        loop, cols = self.loop if nloops > 1 else None, list(J)
-        if self.q ** (len(J) + self.width) * nloops < 2**62:
-            # one integer key (loop, J-projection, full vector); a stable sort
-            # breaks its ties by insertion index, as lexsort's last key would
-            proj = np.concatenate([self.syndromes[:, cols], self.syndromes], axis=1)
-            full = _encode_keys(proj, self.q, loop, nloops)
-            order = np.argsort(full, kind="stable")
-            return order, full[order] // self.q**self.width
+        loop = self.loop if nloops > 1 else None
         keys = [np.arange(len(self))]
         keys += [self.syndromes[:, c] for c in range(self.width - 1, -1, -1)]
         keys += [self.syndromes[:, j] for j in reversed(J)]
@@ -128,7 +121,7 @@ class IndexedList:
             keys.append(loop)
         order = np.lexsort(tuple(keys))
         loop = None if loop is None else loop[order]
-        return order, _encode_keys(self.syndromes[order][:, cols], self.q, loop, nloops)
+        return order, _encode_keys(self.syndromes[order][:, list(J)], self.q, loop, nloops)
 
     def sort_on(self, J) -> "IndexedList":
         """Return a copy ordered by the J-projection (no-op if already sorted)."""

@@ -105,6 +105,8 @@ def test_prange_description():
     h_bad = FqMatrix(q, np.zeros((1, 5), dtype=np.int64))
     with pytest.raises(ValueError):
         cmsd_prange(h_bad, FqVector(q, [0]), wf, 0)
+    with pytest.raises(ValueError):  # s'' longer than the empty H''
+        cmsd_prange(h2, FqVector(q, [1]), wf, 0)
 
 
 def test_evaluate_many_rejects_non_integer_indices():
