@@ -195,7 +195,7 @@ class LoopDraws:
 class LoopPlan(NamedTuple):
     """What an outer loop knows of its back end before any H is seen.
 
-    draw(rng) takes one loop's randomness (a LoopDraws, or None for prange);
+    draw(rng) takes one loop's randomness (a LoopDraws; None for prange);
     rows counts the rows one loop's build holds (base-list entries, and a
     lazy list's sampled ranks); expected is one loop's expected_solutions,
     or None where it depends on H (dumer, and wagner1 at a = 1, count their
