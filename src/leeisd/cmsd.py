@@ -360,15 +360,16 @@ def _leaf(h2: np.ndarray, q: int, block: _Block, cap: int, ranks=None) -> _Node:
             raise MergeOverflowError(f"base list of size {block.enum.count} exceeds cap {cap}")
         vecs, operand = block.enum.all_vectors(), block.float_vectors
         per_loop = len(vecs)
-        refs = np.tile(np.arange(per_loop), loops)
     else:
         vecs = operand = block.enum.unrank_many(np.asarray(ranks).ravel())
         per_loop = np.shape(ranks)[1]
-        refs = np.arange(len(vecs))
+    refs = np.arange(loops * per_loop)
+    if ranks is None:
+        refs %= per_loop
     sup = (block.offset, block.offset + block.length)
     syn = _product(operand.reshape(-1, per_loop, block.length), h2[:, :, sup[0] : sup[1]], q)
     lst = IndexedList(
-        q, syn.reshape(loops * per_loop, ell), refs, loop=np.repeat(np.arange(loops), per_loop)
+        q, syn.reshape(loops * per_loop, ell), refs, loop=np.arange(loops).repeat(per_loop)
     )
     return _Node(lst, sup, vecs=vecs)
 
@@ -386,9 +387,9 @@ def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
 
 def _head(lst: IndexedList, loops: int) -> IndexedList:
     """The entries of the first loops loops of a stack."""
-    end = int(np.searchsorted(lst.loop, loops))
-    if end == len(lst):
+    if not len(lst) or lst.loop[-1] < loops:  # the loop ids ascend
         return lst
+    end = int(lst.loop.searchsorted(loops))
     return IndexedList(lst.q, lst.syndromes[:end], lst.backrefs[:end], loop=lst.loop[:end])
 
 
@@ -433,7 +434,7 @@ def _tree_domain(roots: list[_Node], loops: int, n: int):
     the zero row.  counts[b, r] is loop b's number of entries in roots[r].
     Every root lists its loops in order, as its leaves do.
     """
-    firsts = np.stack([np.searchsorted(nd.lst.loop, np.arange(loops + 1)) for nd in roots])
+    firsts = np.stack([nd.lst.loop.searchsorted(np.arange(loops + 1)) for nd in roots])
     counts = np.diff(firsts, axis=1).T
     upto = np.cumsum(counts, axis=1)  # upto[b, r]: loop b's entries in roots 0..r
     starts = np.concatenate([[0], np.cumsum(np.maximum(upto[:, -1], 1))])
