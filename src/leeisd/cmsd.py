@@ -131,7 +131,6 @@ class CmsdDescription:
 
     def __post_init__(self):
         self.y = max(self.y, 1)
-        self._w_scaled = self.wf.scaled(self.weight)
 
     @property
     def q(self) -> int:
@@ -155,7 +154,7 @@ class CmsdDescription:
         v = v % self.q
         syn_ok = ((v @ self.h_second.T) % self.q == self.s_second).all(axis=-1)
         weights = self.wf.int_table_array()[v].sum(axis=-1)
-        return syn_ok & (weights == self._w_scaled)
+        return syn_ok & (weights == self.wf.scaled(self.weight))
 
 
 class _Alive:

@@ -24,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .fieldlin import _to_int
 from .weights import (
     WeightFunction,
-    _to_int,
     entropy_crossings,
     normalized_weight,
     sphere_exponent_many,

@@ -69,6 +69,14 @@ def _integer_array(x) -> np.ndarray:
     return arr
 
 
+def _to_int(x, name: str) -> int:
+    """An integer field read from outside: ints and numpy integers pass; bools,
+    floats and strings are a ValueError naming the field, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+    return int(x)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.int64, copy=True)
     out.setflags(write=False)
@@ -181,41 +189,82 @@ def mat_vec_mul(m: FqMatrix, v: FqVector) -> FqVector:
     return FqVector(m.q, (m.values @ v.values) % m.q)
 
 
+@lru_cache(maxsize=64)
+def _inverses(q: int) -> np.ndarray:
+    """x^(q-2) mod q for every x in [0, q): the inverse of each unit, and 0 at 0."""
+    x, out, e = np.arange(q, dtype=np.int64), np.ones(q, dtype=np.int64), q - 2
+    while e:
+        if e & 1:
+            out = out * x % q
+        x, e = x * x % q, e >> 1
+    out[0] = 0
+    out.setflags(write=False)  # one cached table per q, shared by every call
+    return out
+
+
 def rank(m: FqMatrix) -> int:
-    """Rank over F_q via full Gaussian elimination."""
+    """Rank over F_q via Gaussian elimination.
+
+    Column c takes its pivot at the largest reduced entry of rows r..,
+    so a zero maximum means no pivot.  As in partial_gaussian_elim,
+    entries are reduced mod q only in the pivot column and the pivot row;
+    each step moves an entry by less than q^2, so for fewer than 2^15
+    steps and q < 2^16 every product stays below 2^63.
+    """
     a = np.array(m.values, dtype=np.int64)
-    q = m.q
+    q, inv = m.q, _inverses(m.q)
+    rows, cols = a.shape
     r = 0
-    for col in range(a.shape[1]):
-        if r == a.shape[0]:
+    for c in range(cols):
+        if r == rows:
             break
-        piv = None
-        for row in range(r, a.shape[0]):
-            if a[row, col] != 0:
-                piv = row
-                break
-        if piv is None:
+        col = a[r:, c] % q
+        off = int(col.argmax())
+        if col[off] == 0:
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), q - 2, q)
-        a[r] = (a[r] * inv) % q
-        rest = a[r + 1 :, col].copy()
-        a[r + 1 :] = (a[r + 1 :] - np.outer(rest, a[r])) % q
+        row = a[r + off, c + 1 :] * inv[col[off]] % q
+        if off:  # row r takes the pivot row's place; its own place is never read again
+            a[r + off, c + 1 :] = a[r, c + 1 :]
+            col[off] = col[0]
+        a[r + 1 :, c + 1 :] -= col[1:, None] * row  # nor is column c
         r += 1
     return r
 
 
+def _randbelow_many(q: int, count: int, rng: random.Random) -> np.ndarray:
+    """count successive rng.randrange(q) values, leaving rng as those calls would.
+
+    randrange(q) takes 32-bit words w and returns the first
+    w >> (32 - q.bit_length()) below q.  Each pass draws exactly as many
+    words as values are still missing, in one getrandbits call whose
+    little-endian bytes are the words in draw order, so no word is drawn
+    that the calls one by one would not also draw.
+    """
+    shift = 32 - q.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        need = count - done
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        vals = words >> shift
+        kept = vals[vals < q]
+        out[done : done + len(kept)] = kept
+        done += len(kept)
+    return out
+
+
 def random_full_rank_matrix(q: int, rows: int, cols: int, rng: random.Random) -> FqMatrix:
-    """Uniformly random matrix conditioned on full row rank (rejection sampling)."""
+    """Uniformly random matrix conditioned on full row rank (rejection sampling).
+
+    Entries are drawn row by row as rng.randrange(q) would draw them, so a
+    seed gives the same matrix and leaves rng in the same state.
+    """
     validate_modulus(q)
+    rows, cols = _to_int(rows, "rows"), _to_int(cols, "cols")
     if not 0 <= rows <= cols:
         raise ValueError("rows must lie in [0, cols] for a full row-rank matrix")
     while True:
-        vals = np.array(
-            [rng.randrange(q) for _ in range(rows * cols)], dtype=np.int64
-        ).reshape(rows, cols)
-        m = FqMatrix(q, vals)
+        m = FqMatrix(q, _randbelow_many(q, rows * cols, rng).reshape(rows, cols))
         if rank(m) == rows:
             return m
 
@@ -237,19 +286,6 @@ class PartialEchelon:
     s_prime: np.ndarray
     s_second: np.ndarray
     singular: np.ndarray | None = None
-
-
-@lru_cache(maxsize=64)
-def _inverses(q: int) -> np.ndarray:
-    """x^(q-2) mod q for every x in [0, q): the inverse of each unit, and 0 at 0."""
-    x, out, e = np.arange(q, dtype=np.int64), np.ones(q, dtype=np.int64), q - 2
-    while e:
-        if e & 1:
-            out = out * x % q
-        x, e = x * x % q, e >> 1
-    out[0] = 0
-    out.setflags(write=False)  # one cached table per q, shared by every call
-    return out
 
 
 def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> PartialEchelon:

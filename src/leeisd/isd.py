@@ -29,6 +29,7 @@ from .fieldlin import (
     FqMatrix,
     FqVector,
     Permutation,
+    _to_int,
     apply_permutation,
     mat_vec_mul,
     partial_gaussian_elim,
@@ -39,7 +40,6 @@ from .merge import DEFAULT_LIST_CAP
 from .weights import (
     WeightFunction,
     _to_fraction,
-    _to_int,
     sample_uniform_weight_w,
     sphere_count_exact,
     vector_weight,
@@ -70,6 +70,8 @@ class SdInstance:
     planted: FqVector | None = None
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            object.__setattr__(self, name, _to_int(getattr(self, name), name))
         object.__setattr__(self, "w", _to_fraction(self.w))
         if not 0 < self.k < self.n:
             raise ValueError("need 0 < k < n")
@@ -111,8 +113,8 @@ class SdInstance:
         wf = WeightFunction.from_spec(q, doc["weight"])
         inst = cls(
             q=q,
-            n=_to_int(doc["n"], "n"),
-            k=_to_int(doc["k"], "k"),
+            n=doc["n"],
+            k=doc["k"],
             w=doc["w"],
             wf=wf,
             h=FqMatrix(q, _int_entries(doc, "H")),
@@ -194,6 +196,7 @@ def generate_instance(
     q: int, n: int, k: int, w, wf: WeightFunction, rng: random.Random
 ) -> SdInstance:
     """Draw (H, s = He) with H uniform of full rank and e uniform of weight w."""
+    n, k = _to_int(n, "n"), _to_int(k, "k")
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
     w = _to_fraction(w)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import _to_int
+from .fieldlin import _to_int
 
 DEFAULT_LIST_CAP = 1 << 26
 

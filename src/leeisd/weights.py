@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fieldlin import FqVector, _integer_array, validate_modulus
+from .fieldlin import FqVector, _integer_array, _to_int, validate_modulus
 
 _WEIGHT_TOL = 1e-12  # relative to the max weight: how far outside [0, w_max] a target may lie
 
@@ -42,14 +42,6 @@ def _to_fraction(x) -> Fraction:
     except (OverflowError, ZeroDivisionError) as exc:  # an infinite float or "a/0"
         raise ValueError(f"weight {x!r} is not a finite rational") from exc
     raise ValueError(f"cannot interpret {x!r} as a rational weight")
-
-
-def _to_int(x, name: str) -> int:
-    """An integer field read from outside: ints and numpy integers pass; bools,
-    floats and strings are a ValueError naming the field, never truncated."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {x!r}")
-    return int(x)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ import numpy as np
 
 from leeisd import cmsd
 from leeisd.fieldlin import (
+    FqMatrix,
     FqVector,
     Permutation,
     SingularTopLeftError,
     apply_permutation,
     partial_gaussian_elim,
-    rank,
+    validate_modulus,
 )
 from leeisd.isd import (
     CANDIDATE_BLOCK,
@@ -53,6 +54,53 @@ def sphere_rank(enum, v: np.ndarray) -> int:
                 r += row[left]
         budget -= enum._tab[int(v[i])]
     return r
+
+
+# -- instance generation, one randrange per entry -----------------------------
+#
+# fieldlin's rank and random_full_rank_matrix as they were before entries
+# were drawn from bulk words; the library must give the same matrices and
+# leave the random stream in the same state.  The sequential solver below
+# uses this rank too.
+
+
+def rank(m: FqMatrix) -> int:
+    """Rank over F_q via full Gaussian elimination."""
+    a = np.array(m.values, dtype=np.int64)
+    q = m.q
+    r = 0
+    for col in range(a.shape[1]):
+        if r == a.shape[0]:
+            break
+        piv = None
+        for row in range(r, a.shape[0]):
+            if a[row, col] != 0:
+                piv = row
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, col]), q - 2, q)
+        a[r] = (a[r] * inv) % q
+        rest = a[r + 1 :, col].copy()
+        a[r + 1 :] = (a[r + 1 :] - np.outer(rest, a[r])) % q
+        r += 1
+    return r
+
+
+def random_full_rank_matrix(q: int, rows: int, cols: int, rng: random.Random) -> FqMatrix:
+    """Uniformly random matrix conditioned on full row rank (rejection sampling)."""
+    validate_modulus(q)
+    if not 0 <= rows <= cols:
+        raise ValueError("rows must lie in [0, cols] for a full row-rank matrix")
+    while True:
+        vals = np.array(
+            [rng.randrange(q) for _ in range(rows * cols)], dtype=np.int64
+        ).reshape(rows, cols)
+        m = FqMatrix(q, vals)
+        if rank(m) == rows:
+            return m
 
 
 def bisection_crossings(wf, s: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import oracles
 import pytest
 
 from leeisd.fieldlin import (
@@ -145,6 +146,55 @@ def test_random_full_rank_matrix():
         assert rank(random_full_rank_matrix(5, 3, 6, rng)) == 3
     with pytest.raises(ValueError):
         random_full_rank_matrix(3, 4, 2, rng)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13, 331, 65521])
+def test_bulk_draw_matches_per_entry_randrange(q):
+    # the same matrices and the same stream state after every call, rank
+    # rejections included: over q = 2 a 4 x 4 matrix has full rank with
+    # probability about 0.31, and a 1 x 1 one only as [[1]]
+    redrawn = 0
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for rows, cols in ((0, 3), (1, 1), (4, 4), (3, 7)):
+            once = random.Random()
+            once.setstate(ours.getstate())
+            m = random_full_rank_matrix(q, rows, cols, ours)
+            assert m == oracles.random_full_rank_matrix(q, rows, cols, theirs)
+            assert ours.getstate() == theirs.getstate()
+            [once.randrange(q) for _ in range(rows * cols)]
+            redrawn += (rows, cols) == (4, 4) and once.getstate() != ours.getstate()
+    if q == 2:
+        assert redrawn > 100
+
+
+def test_rank_matches_the_elimination_oracle():
+    rng = np.random.default_rng(11)
+    deficient = 0
+    for q in (2, 3, 5, 13, 65521):
+        for seed in range(40):
+            rows, cols = (int(x) for x in rng.integers(1, 9, size=2))
+            inner = int(rng.integers(0, min(rows, cols)))
+            product = rng.integers(0, q, (rows, inner)) @ rng.integers(0, q, (inner, cols)) % q
+            full = random_full_rank_matrix(q, min(rows, cols), max(rows, cols), random.Random(seed))
+            for m in (
+                FqMatrix(q, product),  # rank at most inner < min(rows, cols)
+                full,
+                FqMatrix(q, full.values.T.copy()),  # tall
+                FqMatrix(q, np.zeros((rows, cols), dtype=np.int64)),
+            ):
+                assert rank(m) == oracles.rank(m)
+            deficient += rank(FqMatrix(q, product)) < min(rows, cols)
+    assert deficient == 5 * 40
+    # many steps of deferred reductions at the largest modulus
+    big = rng.integers(0, 65521, (40, 30)) @ rng.integers(0, 65521, (30, 60)) % 65521
+    assert rank(FqMatrix(65521, big)) == oracles.rank(FqMatrix(65521, big)) == 30
+
+
+@pytest.mark.parametrize("rows, cols", [(2.0, 4), (True, 4), (2, 4.0), (2, "4")])
+def test_non_integer_dimensions_are_a_value_error(rows, cols):
+    with pytest.raises(ValueError, match="must be an integer"):
+        random_full_rank_matrix(3, rows, cols, random.Random(1))
 
 
 def test_permutation_roundtrip_and_oracle():

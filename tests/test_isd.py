@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -130,6 +131,18 @@ def test_k_outside_0_n_rejected_before_any_draw():
             generate_instance(3, n, k, 2, wf, random.Random(1))
     with pytest.raises(ValueError):
         random_full_rank_matrix(3, -2, 10, random.Random(1))
+
+
+@pytest.mark.parametrize("n, k", [(16, True), (16.0, 8), (16, 8.0), (np.int64(16), "8")])
+def test_non_integer_n_or_k_rejected_before_any_draw(n, k):
+    wf, rng = WeightFunction.lee(3), random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="must be an integer"):
+        generate_instance(3, n, k, 4, wf, rng)
+    assert rng.getstate() == state
+    inst = generate_instance(3, 16, 8, 4, wf, random.Random(1))
+    with pytest.raises(ValueError, match="must be an integer"):
+        SdInstance(3, n, k, 4, wf, inst.h, inst.s)
 
 
 def test_solve_weight_zero_trivial():
@@ -402,3 +415,26 @@ def test_solve_reports_pinned(case, expected):
     rep = isd_solve(inst, IsdParams(variant=variant, ell=ell, p=p, a=a, rng_seed=solver_seed))
     assert (rep.outer_loops, rep.tested_candidates, rep.solution.tolist()) == expected
     assert rep.cmsd_calls == rep.outer_loops
+
+
+# (n, k, w) of the solve_merge_tree benchmark -> sha256 prefix of (H, s, e)
+# over q = 3, seeds 0..9, lee then hamming: every benchmark task and pinned
+# report above starts from these instances
+PINNED_INSTANCES = (
+    ((36, 18, 8), "4b74dfcedc08a46b"),
+    ((32, 16, 8), "262f054541948822"),
+    ((32, 16, 9), "1da700cc16687d41"),
+)
+
+
+@pytest.mark.parametrize("shape,expected", PINNED_INSTANCES)
+def test_generated_instances_pinned(shape, expected):
+    n, k, w = shape
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for metric in ("lee", "hamming"):
+            wf = getattr(WeightFunction, metric)(3)
+            inst = generate_instance(3, n, k, w, wf, random.Random(seed))
+            for arr in (inst.h, inst.s, inst.planted):
+                digest.update(np.asarray(arr, dtype="<i8").tobytes())
+    assert digest.hexdigest()[:16] == expected
