@@ -2,8 +2,8 @@
 
 Values are machine-integer residues reduced mod q after every operation;
 the modulus is restricted to primes below 2**16 so that int64 accumulation
-never overflows for any realistic dimension (partial elimination defers
-its reductions on that bound).  FqVector and FqMatrix are the
+never overflows for any realistic dimension (partial elimination and
+rank defer their reductions on that bound).  FqVector and FqMatrix are the
 boundary types: they validate and freeze data where it enters or leaves
 the library (instances, solutions, the CLI), and np.asarray turns either
 into its values.  Permutation and partial elimination work on plain int64
@@ -223,10 +223,10 @@ def rank(m: FqMatrix) -> int:
         if col[off] == 0:
             continue
         row = a[r + off, c + 1 :] * inv[col[off]] % q
-        if off:  # row r takes the pivot row's place; its own place is never read again
+        if off:  # row r moves to the pivot row's place; its own is never read again
             a[r + off, c + 1 :] = a[r, c + 1 :]
             col[off] = col[0]
-        a[r + 1 :, c + 1 :] -= col[1:, None] * row  # nor is column c
+        a[r + 1 :, c + 1 :] -= col[1:, None] * row  # column c is never read again either
         r += 1
     return r
 

@@ -1,9 +1,9 @@
 import random
 
 import numpy as np
-import oracles
 import pytest
 
+import oracles
 from leeisd.fieldlin import (
     FqMatrix,
     FqVector,

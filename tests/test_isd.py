@@ -419,7 +419,7 @@ def test_solve_reports_pinned(case, expected):
 
 # (n, k, w) of the solve_merge_tree benchmark -> sha256 prefix of (H, s, e)
 # over q = 3, seeds 0..9, lee then hamming: every benchmark task and pinned
-# report above starts from these instances
+# report starts from generate_instance, so a change to what it draws shows here
 PINNED_INSTANCES = (
     ((36, 18, 8), "4b74dfcedc08a46b"),
     ((32, 16, 8), "262f054541948822"),
