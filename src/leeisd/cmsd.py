@@ -15,18 +15,24 @@ Back ends:
     fixed balanced per-block weight, with random intermediate targets that
     telescope to s''.  dumer is wagner_v1 at a = 1: one birthday split into
     two support halves, enumerating every left/right weight split so the
-    image covers all solutions.
+    image covers all solutions.  Each half's base list holds the spheres
+    of every split, in split order, and one merge over split groups
+    (_split_merge) pairs entries of the same split only.
   * wagner_v2_build: the checkable-function variant; the quadratically
     larger rightmost list is never merged.  f(k) reads the k-th element of
     the last base list (from the shared sphere array when the sphere fits
     the cap, else by unranking a sampled rank) and then looks up, level by
     level, its partner in a per-key table built once from the materialized
-    left-hand lists.
+    left-hand lists.  A block of indices is resolved level by level on the
+    indices that still have a partner, and only those whose syndrome
+    checks out get a candidate row.
 
 One builder body (_build_tree) serves dumer and wagner_v1, and one
-level-wise merge tree (_merge_levels) serves it and the materialized
-leaves of wagner_v2_build.  Its leaves keep their vectors, so a batch of
-indices resolves to candidate rows by index gathering.  Neither a leaf
+level-wise merge tree (_merge_levels) serves it at a >= 2 and the
+materialized leaves of wagner_v2_build.  Its leaves keep their vectors, so
+a batch of indices resolves to candidate rows by index gathering.  Every
+merge sorts on int64 words that pack the loop (or split group), the
+J-projection and the rest of the syndrome in base q.  Neither a leaf
 sphere, the block layout, the J partition nor the random draws depend on
 H: they are one cached plan per back-end signature (_plan), each sphere is
 built once per (table, length, weight), a build's randomness is drawn by
@@ -36,10 +42,11 @@ computed per build.
 Every builder also takes a stack of B bottom blocks, one per outer loop
 (h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
 them in one pass: the leaf syndromes of all loops come from one product
-per leaf, and every list carries its loop as the most significant sort
-key, so each loop gets exactly the lists, and candidates in exactly the
-order, that its own build would give.  The description of a stack lists
-loop b's candidates at indices starts[b]..starts[b+1]-1.
+per leaf, and every list carries its loop (or, at dumer's split merge, its
+group loop * S + split) as the most significant sort key, so each loop
+gets exactly the lists, and candidates in exactly the order, that its own
+build would give.  The description of a stack lists loop b's candidates
+at indices starts[b]..starts[b+1]-1.
 
 Support blocks and per-block weight budgets are balanced to within one
 unit (deterministic left-to-right) when exact divisibility fails.
@@ -52,13 +59,20 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .fieldlin import _integer_array
-from .merge import DEFAULT_LIST_CAP, IndexedList, MergeOverflowError, _encode_keys, merge
+from .merge import (
+    DEFAULT_LIST_CAP,
+    IndexedList,
+    MergeOverflowError,
+    _encode_keys,
+    _packed_order,
+    merge,
+)
 from .weights import (
     SphereEnumerator,
     WeightFunction,
@@ -78,10 +92,20 @@ class _Block:
     length: int
     enum: SphereEnumerator
 
-    @cached_property
-    def float_vectors(self) -> np.ndarray:
-        """The whole sphere as float64 rows, the operand _product needs."""
-        return self.enum.all_vectors().astype(np.float64)
+
+@lru_cache(maxsize=128)
+def _spheres(blocks: tuple[_Block, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vectors, float64 operand, block per row) of the spheres of blocks, concatenated.
+
+    The blocks come from a cached plan, so this is built once per plan;
+    the float64 rows are the operand _product needs.
+    """
+    vecs = np.concatenate([b.enum.all_vectors() for b in blocks])
+    which = np.repeat(np.arange(len(blocks)), [b.enum.count for b in blocks])
+    out = (vecs, vecs.astype(np.float64), which)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @dataclass(eq=False)
@@ -239,19 +263,18 @@ class _Plan(NamedTuple):
         lazy_cap ranks.  A plan that draws nothing accepts rng None.
         """
         a = len(self.j_groups)
-        targets = [
-            rng.randrange(q)
-            for j, J in enumerate(self.j_groups, 1)
-            for _ in range((1 << (a - j)) - 1)
-            for _ in J
-        ]
-        leaf_ranks = tuple(
-            sorted(_sample_ranks(b.enum.count, size_limit, rng))
-            if size_limit is not None and b.enum.count > size_limit
-            else None
-            for blocks in self.layouts
-            for b in blocks
-        )
+        coords = sum(((1 << (a - j)) - 1) * len(J) for j, J in enumerate(self.j_groups, 1))
+        targets = [rng.randrange(q) for _ in range(coords)]
+        if size_limit is None:
+            leaf_ranks = (None,) * sum(map(len, self.layouts))
+        else:
+            leaf_ranks = tuple(
+                sorted(_sample_ranks(b.enum.count, size_limit, rng))
+                if b.enum.count > size_limit
+                else None
+                for blocks in self.layouts
+                for b in blocks
+            )
         lazy_ranks = None
         if self.lazy_sampled(lazy_cap):
             lazy_ranks = sorted(_sample_ranks(self.layouts[0][-1].enum.count, lazy_cap, rng))
@@ -310,6 +333,10 @@ def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last
                 f"no vectors of scaled weight {empty[0].enum.w_scaled}"
                 f" on a block of length {empty[0].length}"
             )
+    if not layouts:
+        raise CmsdInfeasibleError(
+            f"no split of scaled weight {p_scaled} fits halves of lengths {lengths}"
+        )
 
     if a == 1 or ell == 0 or n == 0:
         sizes = [0] * (a - 1) + [ell]
@@ -347,41 +374,78 @@ def _loop_draws(plan: _Plan, q: int, loops: int, rng, draws, **limits) -> list[L
     return list(draws)
 
 
-def _leaf(h2: np.ndarray, q: int, block: _Block, cap: int, ranks=None) -> _Node:
-    """The base list of block for every loop of the stack h2, one product in all.
+def _leaf(h2: np.ndarray, q: int, blocks: tuple[_Block, ...], ranks) -> _Node:
+    """One base list over blocks for every loop of the stack h2, one product in all.
 
-    Without ranks every loop lists the whole sphere (one shared array of
-    vectors); with ranks, loop b lists the sampled ranks ranks[b].
+    The blocks share their columns.  Loop b lists the sphere of blocks[0]
+    (or, where ranks[0] is not None, its sampled ranks ranks[0][b]), then
+    that of blocks[1], and so on; the entries of loop b from blocks[s] have
+    loop id b * len(blocks) + s, so with one block the ids are the loops.
+    Without sampled ranks every loop lists the one shared array of vectors.
     """
     loops, ell, _ = h2.shape
-    if ranks is None:
-        if block.enum.count > cap:
-            raise MergeOverflowError(f"base list of size {block.enum.count} exceeds cap {cap}")
-        vecs, operand = block.enum.all_vectors(), block.float_vectors
+    width = blocks[0].length
+    sup = (blocks[0].offset, blocks[0].offset + width)
+    if all(r is None for r in ranks):
+        vecs, operand, which = _spheres(blocks)
         per_loop = len(vecs)
+        refs = np.arange(per_loop)[None].repeat(loops, axis=0).ravel()  # the rows, loop by loop
     else:
-        vecs = operand = block.enum.unrank_many(np.asarray(ranks).ravel())
-        per_loop = np.shape(ranks)[1]
-    refs = np.arange(loops * per_loop)
-    if ranks is None:
-        refs %= per_loop
-    sup = (block.offset, block.offset + block.length)
-    syn = _product(operand.reshape(-1, per_loop, block.length), h2[:, :, sup[0] : sup[1]], q)
-    lst = IndexedList(
-        q, syn.reshape(loops * per_loop, ell), refs, loop=np.arange(loops).repeat(per_loop)
-    )
+        parts = [
+            np.broadcast_to(b.enum.all_vectors(), (loops, b.enum.count, width))
+            if r is None
+            else b.enum.unrank_many(np.asarray(r).ravel()).reshape(loops, len(r[0]), width)
+            for b, r in zip(blocks, ranks)
+        ]
+        operand = np.concatenate(parts, axis=1)
+        per_loop = operand.shape[1]
+        which = np.repeat(np.arange(len(blocks)), [part.shape[1] for part in parts])
+        vecs = operand.reshape(loops * per_loop, width)
+        refs = np.arange(loops * per_loop)
+    syn = _product(operand, h2[:, :, sup[0] : sup[1]], q)
+    group = (np.arange(0, loops * len(blocks), len(blocks))[:, None] + which).ravel()
+    lst = IndexedList(q, syn.reshape(loops * per_loop, ell), refs, loop=group)
     return _Node(lst, sup, vecs=vecs)
 
 
-def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
-    """(v @ h^T) mod q over stacked matrices, exactly, as a float64 product.
+def _over_cap(blocks: tuple[_Block, ...], cap: int, ranks=None) -> MergeOverflowError | None:
+    """The error of the first base list in blocks that holds its whole sphere and exceeds cap.
 
-    With entries below q < 2^16 every sum of products is below
-    width * q^2 < 2^53 for any width below 2^21, so float64 holds it
-    exactly, and the float product runs through BLAS where int64 does not.
+    ranks[i] is not None where the list of blocks[i] is sampled; no ranks: none is.
     """
-    out = np.matmul(v.astype(np.float64, copy=False), np.swapaxes(h, -1, -2).astype(np.float64))
-    return out.astype(np.int64) % q
+    for b, r in zip(blocks, ranks or [None] * len(blocks)):
+        if r is None and b.enum.count > cap:
+            return MergeOverflowError(f"base list of size {b.enum.count} exceeds cap {cap}")
+    return None
+
+
+def _leaf_ranks(draws: list[LoopDraws]) -> list[list | None]:
+    """Per base list of the plan, every loop's sampled ranks, or None where it is not sampled."""
+    return [
+        None if r is None else [d.leaf_ranks[i] for d in draws]
+        for i, r in enumerate(draws[0].leaf_ranks)
+    ]
+
+
+def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
+    """(v @ h^T) mod q for each matrix of the stack h, exactly, as a float64 product.
+
+    v is one (rows, width) array shared by the stack (B, ell, width), which
+    makes one product in all, or a stack (B, rows, width).  With entries
+    below q < 2^16 every sum of products is below width * q^2 < 2^53 for
+    any width below 2^21, so float64 holds it exactly, and the float
+    product runs through BLAS where int64 does not.  Returns (B, rows, ell).
+    """
+    loops, ell, width = h.shape
+    hf = h.astype(np.float64)
+    v = v.astype(np.float64, copy=False)
+    if v.ndim == 2:
+        out = (v @ hf.reshape(loops * ell, width).T).reshape(len(v), loops, ell).swapaxes(0, 1)
+    else:
+        out = np.matmul(v, hf.swapaxes(1, 2))
+    out = out.astype(np.int64, order="C")
+    out %= q
+    return out
 
 
 def _head(lst: IndexedList, loops: int) -> IndexedList:
@@ -425,28 +489,23 @@ def _finish_targets(
     return targets
 
 
-def _tree_domain(roots: list[_Node], loops: int, n: int):
-    """(starts, evaluator, counts) over the root lists of stacked merge trees.
+def _tree_domain(root: _Node, loops: int, n: int):
+    """(starts, evaluator, counts) over the root list of a stack of merge trees.
 
-    Loop b lists its entries of roots[0], then of roots[1], and so on, in
-    list order; a loop without entries gets one index, which evaluates to
-    the zero row.  counts[b, r] is loop b's number of entries in roots[r].
-    Every root lists its loops in order, as its leaves do.
+    Loop b lists its entries of root in list order; a loop without entries
+    gets one index, which evaluates to the zero row.  counts[b] is loop b's
+    number of entries.  The root lists its loops in order, as its leaves do.
     """
-    firsts = np.stack([nd.lst.loop.searchsorted(np.arange(loops + 1)) for nd in roots])
-    counts = np.diff(firsts, axis=1).T
-    upto = np.cumsum(counts, axis=1)  # upto[b, r]: loop b's entries in roots 0..r
-    starts = np.concatenate([[0], np.cumsum(np.maximum(upto[:, -1], 1))])
+    firsts = root.lst.loop.searchsorted(np.arange(loops + 1))
+    counts = np.diff(firsts)
+    starts = np.concatenate([[0], np.cumsum(np.maximum(counts, 1))])
 
     def evaluate(idx: np.ndarray) -> np.ndarray:
         out = np.zeros((len(idx), n), dtype=np.int64)
         b = np.searchsorted(starts, idx, side="right") - 1
         off = idx - starts[b]
-        which = (off[:, None] >= upto[b]).sum(axis=1)  # len(roots) for an empty loop
-        for r in np.unique(which[which < len(roots)]):
-            sel = which == r
-            bs = b[sel]
-            out[sel] = roots[r].gather(firsts[r, bs] + off[sel] - upto[bs, r] + counts[bs, r])
+        sel = off < counts[b]
+        out[sel] = root.gather(firsts[b[sel]] + off[sel])
         return out
 
     return starts, evaluate, counts
@@ -472,17 +531,12 @@ def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Partners:
     lst = _head(node.lst, loops)
     syn, loop = lst.syndromes, lst.loop
     part = node.gather(np.arange(len(syn)))
-    order = np.lexsort(
-        [np.arange(len(syn))]
-        + [part[:, c] for c in reversed(range(part.shape[1]))]
-        + [syn[:, c] for c in reversed(J)]
-        + [loop]
-    )
-    keys, first = np.unique(
-        _encode_keys(syn[order][:, J], q, loop[order], loops), return_index=True
-    )
+    order = _packed_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops)
+    keys = _encode_keys(syn[order][:, J], q, loop[order], loops)
+    first = np.ones(len(keys), dtype=bool)  # the first entry of each run of equal keys
+    first[1:] = keys[1:] != keys[:-1]
     pick = order[first]
-    return _Partners(keys, syn[pick], part[pick], node.sup)
+    return _Partners(keys[first], syn[pick], part[pick], node.sup)
 
 
 def _expected(base_sizes: list[int], j_groups: tuple[np.ndarray, ...], q: int) -> float:
@@ -528,7 +582,7 @@ def _merge_levels(
     cap: int,
     alive: _Alive,
 ) -> list[list[_Node]]:
-    """Wagner's k-tree, level by level; the one place that calls merge.
+    """Wagner's k-tree, level by level (dumer's one merge is _split_merge).
 
     levels[0] is nodes.  Level j merges adjacent pairs of level j-1 on J_j,
     pair i against targets[j][i]; an odd last node stays unmerged.  Only
@@ -597,10 +651,9 @@ def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap
         return LoopPlan(lambda rng: None, 0, None)
     lazy_cap = cap if lazy else None
     sizes = [b.enum.count for blocks in plan.layouts for b in blocks]
-    rows = sum(sizes)
-    if lazy:  # the lazy list is evaluated in blocks: only its sampled ranks are held
-        rows -= sizes[-1] - (cap if plan.lazy_sampled(cap) else 0)
+    if lazy:  # a build holds the lazy list's sampled ranks, or the shared sphere's syndromes
         sizes[-1] = min(sizes[-1], cap)
+    rows = sum(sizes)
     expected = None if levels == 1 and not lazy else _expected(sizes, plan.j_groups, wf.q)
     return LoopPlan(partial(plan.draw, wf.q, lazy_cap=lazy_cap), rows, expected)
 
@@ -628,53 +681,107 @@ def cmsd_prange(
     )
 
 
+def _split_merge(h2, s2, q, plan: _Plan, draws, cap: int, alive: _Alive):
+    """dumer's one merge over every weight split (w1, p - w1): (root, pairs, splits).
+
+    Each half's base list holds the sphere of every split, in split order,
+    loop b's entries of split s in group b * S + s of the S splits.  Entries
+    pair within a group only, against loop b's s'', so the root lists loop
+    b's solutions of split 0, then of split 1, and so on.  Overflow is that
+    of the splits built one after another: per split, a whole base list
+    over cap (which fails every loop, so later splits are never built), the
+    merge over cap, then the running total of the loop's solutions over
+    cap.  pairs is one loop's sum of left-by-right list sizes; splits
+    counts the (loop, split) groups with solutions.
+    """
+    loops, n = len(h2), h2.shape[2]
+    ranks = _leaf_ranks(draws)
+    splits, leaf_error = len(plan.layouts), None
+    for s, blocks in enumerate(plan.layouts):
+        leaf_error = _over_cap(blocks, cap, ranks[2 * s : 2 * s + 2])
+        if leaf_error is not None:
+            splits = s
+            break
+    if not splits:
+        raise leaf_error
+    halves = [
+        _leaf(h2, q, tuple(b[h] for b in plan.layouts[:splits]), ranks[h : 2 * splits : 2])
+        for h in (0, 1)
+    ]
+    groups, error = loops * splits, None
+    while True:
+        heads = [_head(nd.lst, groups) for nd in halves]
+        try:
+            merged = merge(*heads, plan.j_groups[0], np.repeat(s2, splits, axis=0)[:groups], cap)
+            break
+        except MergeOverflowError as exc:
+            # group exc.loop is over cap; merge the groups before it, since a
+            # running total may be over cap at an earlier split
+            error = MergeOverflowError(str(exc), exc.loop // splits)
+            if exc.loop == 0:
+                alive.cut(0, error)
+            groups = exc.loop
+    done = -(-groups // splits)  # loops with a merged split
+    per_group = np.zeros(done * splits, dtype=np.int64)
+    per_group[:groups] = np.bincount(merged.loop, minlength=groups)
+    over = np.flatnonzero((per_group.reshape(done, splits).cumsum(axis=1) > cap).any(axis=1))
+    if over.size:  # at or before the loop of error, if any
+        b = int(over[0])
+        alive.cut(b, MergeOverflowError(f"merged output exceeds cap {cap}", b))
+    elif error is not None:
+        alive.cut(error.loop, error)
+    if leaf_error is not None:
+        raise leaf_error
+    merged = _head(merged, alive.loops * splits)
+    root = _Node(
+        IndexedList(q, merged.syndromes, merged.backrefs, loop=merged.loop // splits),
+        (0, n),
+        children=tuple(halves),
+    )
+    # loop 0's entries give each split's list sizes
+    n0, n1 = (np.bincount(nd.lst.loop[: len(nd.lst) // loops], minlength=splits) for nd in halves)
+    pairs = sum(float(x) * float(y) for x, y in zip(n0, n1))
+    return root, pairs, int(np.count_nonzero(per_group[: alive.loops * splits]))
+
+
 def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size, draws) -> CmsdDescription:
     """Wagner's k-tree over 2^a support blocks; dumer is the case a = 1.
 
-    At a = 1 one tree is built per weight split (w1, p - w1), skipping the
-    splits a half cannot carry, so the image of f is exactly the solution
-    set of the subproblem; the number of splits is linear in the rescaled
-    weight, so the asymptotics are unchanged.  At a >= 2 the one balanced
-    split is built, and an infeasible block raises.
+    At a = 1 every weight split (w1, p - w1) that both halves can carry is
+    merged, in one merge over split groups (_split_merge), so the image of
+    f is exactly the solution set of the subproblem; the number of splits
+    is linear in the rescaled weight, so the asymptotics are unchanged.  At
+    a >= 2 the one balanced split is built, and an infeasible block raises.
     """
     h2, s2, single = _stack(h_second, s_second)
     q = wf.q
     loops, ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
     plan = _plan(wf, n, ell, p_scaled, a, False)
-    layouts, j_groups = plan
     draws = _loop_draws(plan, q, loops, rng, draws, size_limit=base_list_size)
-    # at a = 1 the one target is s''
-    coords = np.array([d.targets for d in draws]).reshape(loops, -1)
-    targets = _finish_targets(s2, coords, j_groups, q)
     alive = _Alive(loops)
-    trees, leaf_sizes = [], []
-    totals = np.zeros(loops, dtype=np.int64)
-    block = 0
-    for blocks in layouts:
-        leaves = []
-        for b in blocks:
-            sampled = draws[0].leaf_ranks[block] is not None
-            ranks = [d.leaf_ranks[block] for d in draws] if sampled else None
-            leaves.append(_leaf(h2, q, b, cap, ranks))
-            block += 1
-        leaf_sizes.append([len(nd.lst) // loops for nd in leaves])
-        trees.append(_merge_levels(leaves, j_groups, targets, cap, alive))
-        totals += np.bincount(trees[-1][a][0].lst.loop, minlength=loops)
-        over = np.flatnonzero(totals[: alive.loops] > cap)
-        if over.size:
-            alive.cut(int(over[0]), MergeOverflowError(f"merged output exceeds cap {cap}"))
-    starts, evaluate, counts = _tree_domain([lv[a][0] for lv in trees], alive.loops, n)
+    if a == 1:
+        root, pairs, splits = _split_merge(h2, s2, q, plan, draws, cap, alive)
+    else:
+        (blocks,) = plan.layouts
+        ranks = _leaf_ranks(draws)
+        error = _over_cap(blocks, cap, ranks)
+        if error is not None:
+            raise error
+        leaves = [_leaf(h2, q, (b,), (r,)) for b, r in zip(blocks, ranks)]
+        coords = np.array([d.targets for d in draws]).reshape(loops, -1)
+        targets = _finish_targets(s2, coords, plan.j_groups, q)
+        levels = _merge_levels(leaves, plan.j_groups, targets, cap, alive)
+        root = levels[a][0]
+    starts, evaluate, counts = _tree_domain(root, alive.loops, n)
 
     if a > 1:
-        (levels,) = trees
-        meta = _tree_meta("wagner1", levels, j_groups, leaf_sizes[0], q, alive.loops)
+        sizes = [len(nd.lst) // loops for nd in leaves]
+        meta = _tree_meta("wagner1", levels, plan.j_groups, sizes, q, alive.loops)
     else:
         # merged entries are exactly the solutions here, so the realized total
         # is the best prediction; fall back to the average-case ratio if empty
-        pairs = sum(float(n0) * float(n1) for n0, n1 in leaf_sizes)
-        per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts.sum(axis=1)]
-        splits = int(np.count_nonzero(counts))
+        per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts]
         meta = dict(variant="dumer", splits=splits, expected_solutions=max(sum(per_loop), 1e-300))
     return _describe(p_frac, h2, s2, single, wf, meta, starts, evaluate, alive)
 
@@ -756,7 +863,10 @@ def cmsd_wagner_v2_build(
     coords = np.array([d.targets for d in draws]).reshape(loops, -1)
     targets = _finish_targets(s2, coords, j_groups, q)
 
-    materialized = [_leaf(h2, q, b, list_size_cap) for b in blocks[:-1]]
+    error = _over_cap(blocks[:-1], list_size_cap)
+    if error is not None:
+        raise error
+    materialized = [_leaf(h2, q, (b,), (None,)) for b in blocks[:-1]]
     alive = _Alive(loops)
     levels = _merge_levels(materialized, j_groups, targets, list_size_cap, alive)
     live = alive.loops
@@ -767,28 +877,49 @@ def cmsd_wagner_v2_build(
     ]
 
     y = min(last.enum.count, list_size_cap)
-    ranks = None if draws[0].lazy_ranks is None else np.array([d.lazy_ranks for d in draws[:live]])
-    sub_last = h2[:live, :, last.offset : last.offset + last.length]
-    chain_targets = [targets[j][(1 << (a - j)) - 1] for j in range(1, a + 1)]
+    # per level: the partner table, J_j, and the chain target on J_j of every live loop
+    chain = [
+        (pt, J, targets[j][(1 << (a - j)) - 1][:live][:, J])
+        for j, (pt, J) in enumerate(zip(partners, j_groups), 1)
+    ]
     every_side_populated = all(len(pt.keys) for pt in partners)
+    sub_last = h2[:live, :, last.offset : last.offset + last.length]
+    # index b * y + k reads loop b's k-th lazy entry: row k of the shared
+    # sphere, whose syndromes come from one product per build, or the sampled
+    # rank ranks[b * y + k], unranked per block of indices
+    sphere_syn = ranks = None
+    if draws[0].lazy_ranks is not None:
+        ranks = np.array([d.lazy_ranks for d in draws[:live]]).reshape(live * y)
+    elif every_side_populated:
+        sphere_syn = _product(last.enum.all_vectors(), sub_last, q).reshape(live * y, ell)
 
     def evaluate(idx: np.ndarray) -> np.ndarray:
+        """Rows only for the indices whose chain resolves to a solution; the rest stay zero."""
         out = np.zeros((len(idx), n), dtype=np.int64)
         if not every_side_populated:
             return out
-        b, k = np.divmod(idx, y)
-        tail = last.enum.all_vectors()[k] if ranks is None else last.enum.unrank_many(ranks[b, k])
-        out[:, last.offset : last.offset + last.length] = tail
-        acc = np.einsum("rw,rlw->rl", tail, sub_last[b]) % q
-        ok = np.ones(len(idx), dtype=bool)
-        for pt, J, t in zip(partners, j_groups, chain_targets):
-            keys = _encode_keys((t[b][:, J] - acc[:, J]) % q, q, b, live)
+        rows, bs = np.arange(len(idx)), idx // y  # the indices whose partners resolve so far
+        if ranks is None:
+            acc = sphere_syn[idx]
+        else:
+            tail = last.enum.unrank_many(ranks[idx])
+            acc = np.einsum("rw,rlw->rl", tail, sub_last[bs]) % q
+        picks = []  # per level so far, the partner rows of those indices
+        for pt, J, tJ in chain:
+            need = tJ[bs] - acc[:, J]
+            need += (need >> 63) & q  # mod q: adds q where the difference is negative
+            keys = _encode_keys(need, q, bs, live)
             u = np.minimum(np.searchsorted(pt.keys, keys), len(pt.keys) - 1)
-            ok &= pt.keys[u] == keys
-            acc = (acc + pt.syn[u]) % q
-            out[:, pt.sup[0] : pt.sup[1]] = pt.part[u]
-        ok &= (acc == s2[b]).all(axis=1)  # targets telescope to s''; this must hold
-        out[~ok] = 0
+            hit = pt.keys[u] == keys
+            rows, bs, u = rows[hit], bs[hit], u[hit]
+            acc = (acc[hit] + pt.syn[u]) % q
+            picks = [pick[hit] for pick in picks] + [u]
+        ok = (acc == s2[bs]).all(axis=1)  # targets telescope to s''; this must hold
+        rows = rows[ok]
+        cols = slice(last.offset, last.offset + last.length)
+        out[rows, cols] = last.enum.all_vectors()[idx[rows] % y] if ranks is None else tail[rows]
+        for (pt, _, _), pick in zip(chain, picks):
+            out[rows, pt.sup[0] : pt.sup[1]] = pt.part[pick[ok]]
         return out
 
     base_sizes = [len(nd.lst) // loops for nd in materialized] + [y]

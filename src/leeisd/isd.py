@@ -165,6 +165,8 @@ class IsdParams:
             object.__setattr__(self, name, _to_int(getattr(self, name), name))
         if self.ell < 0 or self.a < 1 or self.max_outer_loops < 1:
             raise ValueError("invalid parameter ranges")
+        if self.list_size_cap < 1:
+            raise ValueError(f"list_size_cap must be at least 1, got {self.list_size_cap}")
 
 
 @dataclass(eq=False)

@@ -11,6 +11,7 @@ entry keeps index references to the pair that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,14 @@ class MergeOverflowError(ValueError):
         self.loop = loop
 
 
+@lru_cache(maxsize=256)
+def _powers(q: int, width: int) -> np.ndarray:
+    """q^(width-1), ..., q, 1 as a read-only int64 array."""
+    out = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 def _encode_keys(proj: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.ndarray:
     """Collapse J-projections to scalar sort keys (int64 when they fit).
 
@@ -38,7 +47,7 @@ def _encode_keys(proj: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.nda
     """
     width = proj.shape[1]
     if q**width * nloops < 2**62:
-        keys = proj @ q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        keys = proj @ _powers(q, width)
         return keys if loop is None else keys + np.asarray(loop, dtype=np.int64) * q**width
     out = np.empty(proj.shape[0], dtype=object)
     for i in range(proj.shape[0]):
@@ -47,6 +56,43 @@ def _encode_keys(proj: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.nda
             acc = acc * q + int(proj[i, c])
         out[i] = acc
     return out
+
+
+@lru_cache(maxsize=256)
+def _word_layout(q: int, digits: int, nloops: int) -> tuple[np.ndarray, int]:
+    """(multipliers, loop multiplier) that pack a loop id and base-q digits into int64 words.
+
+    The loop (below nloops) leads word 0 and the digits follow, most
+    significant first, each word taking as many as keep it below 2^63.
+    Column w of the (digits, words) multiplier matrix makes word w; the
+    loop multiplier applies to word 0.
+    """
+    starts, size = [0], nloops  # the first digit of each word
+    for c in range(digits):
+        if size * q > 2**63:
+            starts.append(c)
+            size = 1
+        size *= q
+    ends = starts[1:] + [digits]
+    mult = np.zeros((digits, len(starts)), dtype=np.int64)
+    for w, (lo, hi) in enumerate(zip(starts, ends)):
+        mult[lo:hi, w] = _powers(q, hi - lo)
+    mult.setflags(write=False)
+    return mult, q ** ends[0]
+
+
+def _packed_order(digits: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.ndarray:
+    """The stable order of the rows of digits by (loop, digits) lexicographically.
+
+    digits holds base-q digits, most significant column first, and loop
+    ids lie in [0, nloops).  Both are packed into as few int64 words as
+    hold them, and one lexsort runs over [insertion index, words...].
+    """
+    mult, top = _word_layout(q, digits.shape[1], nloops)
+    words = digits @ mult
+    if loop is not None and nloops > 1:
+        words[:, 0] += loop * top
+    return np.lexsort((np.arange(len(digits)), *words.T[::-1]))
 
 
 def _check_J(J, width: int) -> tuple[int, ...]:
@@ -63,7 +109,7 @@ def _check_J(J, width: int) -> tuple[int, ...]:
 
 @dataclass(eq=False)
 class IndexedList:
-    """A list of syndrome-space vectors with opaque preimage references.
+    """A list of syndrome-space vectors (entries in [0, q)) with opaque preimage references.
 
     backrefs[i] identifies how entry i was produced (a sphere rank for a
     base list, an index pair into the child lists for a merged one).  If
@@ -86,6 +132,9 @@ class IndexedList:
         self.backrefs = np.asarray(self.backrefs)
         if self.syndromes.ndim != 2:
             raise ValueError("syndromes must be a 2-D array")
+        # sorts pack the entries as base-q digits; a negative one reads as a huge unsigned one
+        if self.syndromes.size and self.syndromes.view(np.uint64).max() >= self.q:
+            raise ValueError(f"syndrome entries must lie in [0, {self.q})")
         if len(self.backrefs) != self.syndromes.shape[0]:
             raise ValueError("backrefs length must match syndrome count")
         if self.loop is not None:
@@ -110,18 +159,16 @@ class IndexedList:
         """(sort_order, J-keys of the entries in that order), J already checked.
 
         The keys are encoded for loop ids below nloops (default: this list's).
+        Entries equal on J differ only off J, so the columns after the
+        J-projection are the others alone.
         """
         if nloops is None:
             nloops = 1 if self.loop is None or not len(self) else int(self.loop.max()) + 1
         loop = self.loop if nloops > 1 else None
-        keys = [np.arange(len(self))]
-        keys += [self.syndromes[:, c] for c in range(self.width - 1, -1, -1)]
-        keys += [self.syndromes[:, j] for j in reversed(J)]
-        if loop is not None:
-            keys.append(loop)
-        order = np.lexsort(tuple(keys))
-        loop = None if loop is None else loop[order]
-        return order, _encode_keys(self.syndromes[order][:, list(J)], self.q, loop, nloops)
+        rest = [c for c in range(self.width) if c not in J]
+        digits = self.syndromes[:, [*J, *rest]]
+        order = _packed_order(digits, self.q, loop, nloops)
+        return order, _encode_keys(digits[:, : len(J)], self.q, loop, nloops)[order]
 
     def sort_on(self, J) -> "IndexedList":
         """Return a copy ordered by the J-projection (no-op if already sorted)."""
@@ -187,27 +234,31 @@ def merge(
     cols = list(J)
     tJ = _target_on_J(t, J, L1.width, q, stacked)
     nloops = len(tJ) if stacked else 1
-    if stacked and any(len(L) and (L.loop.min() < 0 or L.loop.max() >= nloops) for L in (L1, L2)):
+    # as for syndromes, a negative loop id reads as a huge unsigned one
+    if stacked and any(len(L) and L.loop.view(np.uint64).max() >= nloops for L in (L1, L2)):
         raise ValueError(f"loop ids must lie in [0, {nloops})")
 
     order, keys1 = L1._sorted(J, nloops)
-    syn1 = L1.syndromes[order]
     t2 = tJ[L2.loop] if nloops > 1 else tJ.reshape(1, -1)
     loop2 = L2.loop if nloops > 1 else None  # every id of a stack of one is 0
-    need_keys = _encode_keys((t2 - L2.syndromes[:, cols]) % q, q, loop2, nloops)
-    lo = np.searchsorted(keys1, need_keys, side="left")
-    hi = np.searchsorted(keys1, need_keys, side="right")
-    counts = (hi - lo).astype(np.int64)
+    need = t2 - L2.syndromes[:, cols]
+    need += (need >> 63) & q  # (t - y) mod q: adds q where the difference is negative
+    need_keys = _encode_keys(need, q, loop2, nloops)
+    lo = keys1.searchsorted(need_keys, side="left")
+    counts = keys1.searchsorted(need_keys, side="right") - lo
     totals = np.bincount(L2.loop, counts, nloops) if nloops > 1 else counts.sum(keepdims=True)
-    over = np.flatnonzero(totals > cap)
-    if over.size:
-        b = int(over[0])
+    over = totals > cap
+    if over.any():
+        b = int(over.argmax())
         raise MergeOverflowError(f"merge would produce {int(totals[b])} > cap {cap} entries", b)
     total = int(counts.sum())
 
     # output entry o of L2 row j pairs with sorted L1 row lo[j] + (o - first output of j)
-    j_idx = np.repeat(np.arange(len(L2), dtype=np.int64), counts)
-    pos1 = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    syn = (syn1[pos1] + L2.syndromes[j_idx]) % q
+    j_idx = np.arange(len(L2), dtype=np.int64).repeat(counts)
+    pos1 = np.arange(total, dtype=np.int64) + (lo - (counts.cumsum() - counts)).repeat(counts)
+    refs = np.empty((total, 2), dtype=np.int64)
+    refs[:, 0] = order[pos1]
+    refs[:, 1] = j_idx
+    syn = (L1.syndromes[refs[:, 0]] + L2.syndromes[j_idx]) % q
     loop = None if L2.loop is None else L2.loop[j_idx]
-    return IndexedList(q, syn, np.stack([order[pos1], j_idx], axis=1), loop=loop)
+    return IndexedList(q, syn, refs, loop=loop)

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from leeisd.isd import (
     _exact_p1,
     verify_solution,
 )
+from leeisd.merge import IndexedList, MergeOverflowError, _check_J, _encode_keys, _target_on_J
+from leeisd.weights import SphereEnumerator
 
 
 @dataclass(eq=False)
@@ -221,3 +224,141 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
             "loop_budget": budget,
         },
     )
+
+
+# -- the merge layer before packed sort words and survivor evaluation -------------
+#
+# IndexedList._sorted as one lexsort key per column, merge on top of it, the
+# per-split dumer build and wagner2's full-row evaluate, as they were before
+# the merge tree was made leaner.  The library must give the same orders,
+# lists, rows and overflow errors.
+
+
+def sorted_reference(lst: IndexedList, J: tuple[int, ...], nloops: int | None = None):
+    """(sort_order, J-keys of the entries in that order), J already checked.
+
+    The keys are encoded for loop ids below nloops (default: this list's).
+    """
+    if nloops is None:
+        nloops = 1 if lst.loop is None or not len(lst) else int(lst.loop.max()) + 1
+    loop = lst.loop if nloops > 1 else None
+    keys = [np.arange(len(lst))]
+    keys += [lst.syndromes[:, c] for c in range(lst.width - 1, -1, -1)]
+    keys += [lst.syndromes[:, j] for j in reversed(J)]
+    if loop is not None:
+        keys.append(loop)
+    order = np.lexsort(tuple(keys))
+    loop = None if loop is None else loop[order]
+    return order, _encode_keys(lst.syndromes[order][:, list(J)], lst.q, loop, nloops)
+
+
+def merge_reference(L1: IndexedList, L2: IndexedList, J, t, cap: int) -> IndexedList:
+    """merge with sorted_reference as its sort; the input checks are left out."""
+    q = L1.q
+    J = _check_J(J, L1.width)
+    cols = list(J)
+    stacked = L1.loop is not None
+    tJ = _target_on_J(t, J, L1.width, q, stacked)
+    nloops = len(tJ) if stacked else 1
+    order, keys1 = sorted_reference(L1, J, nloops)
+    syn1 = L1.syndromes[order]
+    t2 = tJ[L2.loop] if nloops > 1 else tJ.reshape(1, -1)
+    loop2 = L2.loop if nloops > 1 else None  # every id of a stack of one is 0
+    need_keys = _encode_keys((t2 - L2.syndromes[:, cols]) % q, q, loop2, nloops)
+    lo = np.searchsorted(keys1, need_keys, side="left")
+    hi = np.searchsorted(keys1, need_keys, side="right")
+    counts = (hi - lo).astype(np.int64)
+    totals = np.bincount(L2.loop, counts, nloops) if nloops > 1 else counts.sum(keepdims=True)
+    over = np.flatnonzero(totals > cap)
+    if over.size:
+        b = int(over[0])
+        raise MergeOverflowError(f"merge would produce {int(totals[b])} > cap {cap} entries", b)
+    total = int(counts.sum())
+    j_idx = np.repeat(np.arange(len(L2), dtype=np.int64), counts)
+    pos1 = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    syn = (syn1[pos1] + L2.syndromes[j_idx]) % q
+    loop = None if L2.loop is None else L2.loop[j_idx]
+    return IndexedList(q, syn, np.stack([order[pos1], j_idx], axis=1), loop=loop)
+
+
+def dumer_by_split(h2: np.ndarray, s2: np.ndarray, wf, p, cap: int) -> np.ndarray:
+    """dumer on one bottom block as one merge per weight split, in split order.
+
+    Returns the solution rows, split (w1, p - w1) by split; raises the
+    MergeOverflowError of the first split whose base list, merge or
+    running total of solutions exceeds cap.
+    """
+    q, (ell, n) = wf.q, h2.shape
+    n0 = cmsd._split_lengths(n, 2)[0]
+    p_scaled = wf.scaled(p)
+    rows, total = [], 0
+    for w1 in range(p_scaled + 1):
+        halves = [
+            SphereEnumerator(wf, ln, Fraction(w, wf.denominator))
+            for ln, w in ((n0, w1), (n - n0, p_scaled - w1))
+        ]
+        if any(e.count == 0 for e in halves):
+            continue
+        for e in halves:
+            if e.count > cap:
+                raise MergeOverflowError(f"base list of size {e.count} exceeds cap {cap}")
+        vecs = [e.all_vectors() for e in halves]
+        lists = [
+            IndexedList(q, (v @ h2[:, cols].T) % q, np.arange(len(v)))
+            for v, cols in zip(vecs, (slice(0, n0), slice(n0, n)))
+        ]
+        out = merge_reference(*lists, range(ell), s2, cap)
+        total += len(out)
+        if total > cap:
+            raise MergeOverflowError(f"merged output exceeds cap {cap}")
+        rows += [np.concatenate([vecs[0][i], vecs[1][j]]) for i, j in out.backrefs]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.ndarray, bool]:
+    """(f on idx, whether every partner table is populated) of a wagner2 stack.
+
+    The tree and partner tables come from the library's build steps; the
+    evaluation is the one that built a full candidate row for every index
+    and zeroed the rows whose chain fails.
+    """
+    q = wf.q
+    loops, ell, n = h2.shape
+    plan = cmsd._plan(wf, n, ell, wf.scaled(p), a, True)
+    (blocks,), j_groups = plan
+    last = blocks[-1]
+    coords = np.array([d.targets for d in draws]).reshape(loops, -1)
+    targets = cmsd._finish_targets(s2, coords, j_groups, q)
+    materialized = [cmsd._leaf(h2, q, (b,), (None,)) for b in blocks[:-1]]
+    alive = cmsd._Alive(loops)
+    levels = cmsd._merge_levels(materialized, j_groups, targets, cap, alive)
+    live = alive.loops
+    partners = [
+        cmsd._partner_table(levels[j - 1][-1], j_groups[j - 1], q, live) for j in range(1, a + 1)
+    ]
+    y = min(last.enum.count, cap)
+    ranks = None if draws[0].lazy_ranks is None else np.array([d.lazy_ranks for d in draws[:live]])
+    sub_last = h2[:live, :, last.offset : last.offset + last.length]
+    chain_targets = [targets[j][(1 << (a - j)) - 1] for j in range(1, a + 1)]
+    every_side_populated = all(len(pt.keys) for pt in partners)
+
+    def evaluate(idx: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(idx), n), dtype=np.int64)
+        if not every_side_populated:
+            return out
+        b, k = np.divmod(idx, y)
+        tail = last.enum.all_vectors()[k] if ranks is None else last.enum.unrank_many(ranks[b, k])
+        out[:, last.offset : last.offset + last.length] = tail
+        acc = np.einsum("rw,rlw->rl", tail, sub_last[b]) % q
+        ok = np.ones(len(idx), dtype=bool)
+        for pt, J, t in zip(partners, j_groups, chain_targets):
+            keys = _encode_keys((t[b][:, J] - acc[:, J]) % q, q, b, live)
+            u = np.minimum(np.searchsorted(pt.keys, keys), len(pt.keys) - 1)
+            ok &= pt.keys[u] == keys
+            acc = (acc + pt.syn[u]) % q
+            out[:, pt.sup[0] : pt.sup[1]] = pt.part[u]
+        ok &= (acc == s2[b]).all(axis=1)  # targets telescope to s''; this must hold
+        out[~ok] = 0
+        return out
+
+    return evaluate(np.asarray(idx, dtype=np.int64)), every_side_populated

@@ -21,6 +21,9 @@ CASES = (
     ("wagner1", "lee", 24, 12, 6, dict(variant="wagner1", ell=4, p=4, a=2)),
     ("wagner1-budget", "lee", 24, 8, 6,
      dict(variant="wagner1", ell=4, p=4, a=2, max_outer_loops=3)),
+    # halves of 3 and 2 symbols: some loops overflow a cap of 15 in one split's
+    # merge, others only in the running total over the splits
+    ("dumer-cap", "hamming", 20, 4, 2, dict(variant="dumer", ell=1, p=2, list_size_cap=15)),
     # merges of 10-entry leaves overflow a cap of 10 in some loops only
     ("wagner1-cap", "lee", 24, 12, 6, dict(variant="wagner1", ell=4, p=4, a=2, list_size_cap=10)),
     # wagner1 at a = 1 is dumer, whose Z is only known once loop 1 is built
@@ -70,6 +73,7 @@ def test_reports_match_the_sequential_solver(case):
         "prange-budget": {"hit", "miss"},
         "dumer-budget": {"hit", "miss"},
         "wagner1-budget": {"hit", "miss"},
+        "dumer-cap": {"hit", "MergeOverflowError"},
         "wagner1-cap": {"hit", "MergeOverflowError"},
         "wagner1-infeasible": {"CmsdInfeasibleError"},
     }

@@ -310,6 +310,21 @@ def test_hardest_writes_csv(tmp_path, capsys):
     assert float(rows[0]["alpha_q"]) == pytest.approx(doc["alpha_hat"], abs=1e-5)
 
 
+def test_cap_below_one_exit_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli(
+        capsys,
+        "gen", "--q", "3", "--n", "20", "--k", "10", "--w", "4",
+        "--weight", "hamming", "--seed", "2", "--out", str(inst),
+    )
+    for alg in ("dumer", "wagner2"):
+        code, _, err = run_cli(
+            capsys, "solve", str(inst), "--alg", alg, "--ell", "2", "--p", "2", "--cap", "0"
+        )
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, alg
+        assert "list_size_cap" in err
+
+
 def test_unknown_flags_exit_2(capsys):
     assert main(["estimate", "--q", "3"]) == 2  # missing required flags
     assert main(["bogus"]) == 2

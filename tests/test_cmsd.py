@@ -20,8 +20,9 @@ from leeisd.cmsd import (
 )
 from leeisd.fieldlin import FqMatrix, FqVector, random_full_rank_matrix
 from leeisd.isd import IsdParams, generate_instance, isd_solve
-from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, _encode_keys, merge
+from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, MergeOverflowError, _encode_keys, merge
 from leeisd.weights import SphereEnumerator, WeightFunction, vector_weight
+import oracles
 from oracles import enumerate_f
 
 
@@ -132,6 +133,18 @@ def test_dumer_p0_degenerate():
     s_bad = FqVector(3, [1, 0])
     desc2 = cmsd_dumer(h2, s_bad, wf, 0)
     assert enumerate_f(desc2).observed_z == 0
+
+
+def test_dumer_without_a_feasible_split_is_infeasible():
+    # two lee(3) halves of 2 carry at most 2 each: p = 5 has no split, which
+    # failed as "need at least one array to stack"
+    h2, s2 = np.array([[1, 2, 0, 1]]), np.array([1])
+    for build in (cmsd_dumer, lambda *args: cmsd_wagner_v1(*args, a=1)):
+        with pytest.raises(CmsdInfeasibleError, match="^no split of scaled weight 5"):
+            build(h2, s2, WeightFunction.lee(3), 5)
+    inst = generate_instance(3, 10, 3, 6, WeightFunction.lee(3), random.Random(4))
+    with pytest.raises(CmsdInfeasibleError, match="^no split of scaled weight 5"):
+        isd_solve(inst, IsdParams(variant="dumer", ell=1, p=5))
 
 
 @pytest.mark.parametrize("q,metric", [(3, "lee"), (3, "hamming"), (5, "lee"), (5, "hamming")])
@@ -249,6 +262,16 @@ def test_wagner_v1_infeasible_block_weight():
     ):
         with pytest.raises(CmsdInfeasibleError):
             build(Fraction(1, 2))
+
+
+def test_empty_support_block_carries_weight_zero():
+    # three symbols over four blocks leave one block empty: at p = 0 its one
+    # base entry is the empty vector (the leaf product used to fail to reshape)
+    wf = WeightFunction.lee(5)
+    h2, s2 = np.array([[1, 2, 3], [4, 0, 1]]), np.array([0, 0])
+    desc = cmsd_wagner_v1(h2, s2, wf, 0, a=2)
+    assert desc.meta["level_sizes"][0] == [1, 1, 1, 1]
+    assert enumerate_f(desc).solutions[0].tolist() == [0, 0, 0]
 
 
 def test_wagner_v1_level_sizes_follow_prediction():
@@ -443,3 +466,92 @@ def test_wagner2_partner_tables_match_per_index_walk():
             assert np.array_equal(got, want), (q, ell, n, p, a, cap, seed)
             nonzero += int(want.any(axis=1).sum())
     assert nonzero > 0
+
+
+def test_split_merge_cuts_like_one_merge_per_split():
+    # dumer's one merge over all weight splits gives each loop the rows of one
+    # merge per split, in split order, and a stack ends where that build would
+    # first overflow: a base list over cap, a split's merge over cap, or the
+    # running total of solutions over cap, whichever comes first
+    rng = np.random.default_rng(5)
+    kinds = Counter()
+    for trial in range(200):
+        wf = (WeightFunction.hamming(3), WeightFunction.lee(5))[trial % 2]
+        q = wf.q
+        n, ell, p = int(rng.integers(4, 10)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        loops = int(rng.integers(1, 6))
+        h2, s2 = rng.integers(0, q, (loops, ell, n)), rng.integers(0, q, (loops, ell))
+        if trial % 3 == 2:  # the last loop pairs everything: its merges are the largest
+            h2[-1], s2[-1] = 0, 0
+        # caps below the largest base list, or between it and the largest output
+        base = max(
+            SphereEnumerator(wf, ln, Fraction(w, wf.denominator)).count
+            for ln in ((n + 1) // 2, n // 2)
+            for w in range(wf.scaled(p) + 1)
+        )
+        most = max(len(oracles.dumer_by_split(h2[b], s2[b], wf, p, 10**9)) for b in range(loops))
+        lo, hi = (1, base) if trial % 5 == 0 else (base, max(base, most))
+        cap = int(rng.integers(lo, hi + 1))
+        want = []
+        for b in range(loops):
+            try:
+                want.append(oracles.dumer_by_split(h2[b], s2[b], wf, p, cap))
+            except MergeOverflowError as exc:
+                want.append(exc)
+                kinds[str(exc).split()[0], b > 0] += 1
+                break
+        if isinstance(want[0], MergeOverflowError):
+            for h, s in ((h2, s2), (h2[0], s2[0])):
+                with pytest.raises(MergeOverflowError) as got:
+                    cmsd_dumer(h, s, wf, p, cap)
+                assert str(got.value) == str(want[0])
+            continue
+        single = cmsd_dumer(h2[0], s2[0], wf, p, cap)
+        rows = single.evaluate_many(np.arange(single.y))
+        assert np.array_equal(rows[rows.any(axis=1)], want[0])
+        desc = cmsd_dumer(h2, s2, wf, p, cap)
+        cut = want[-1] if isinstance(want[-1], MergeOverflowError) else None
+        assert str(desc.overflow) == str(cut)
+        assert len(desc.starts) - 1 == len(want) - (cut is not None)
+        for b, lo, hi in zip(range(loops), desc.starts[:-1], desc.starts[1:]):
+            rows = desc.evaluate_many(np.arange(lo, hi))
+            assert np.array_equal(rows[rows.any(axis=1)], want[b]), (trial, b)
+    # a merge or a running total over cap ends a stack at a later loop, or
+    # raises at loop 0; a base list over cap fails every loop, so loop 0 raises
+    assert set(kinds) == {("base", False)} | {
+        (k, b) for k in ("merge", "merged") for b in (False, True)
+    }
+
+
+def test_wagner2_survivor_rows_match_full_rows():
+    # rows only for the indices whose chain resolves, as the full-row evaluation
+    # gave them: shared and sampled lazy lists, single builds and stacks, p = 0,
+    # and builds where a partner table is empty
+    rng = random.Random(99)
+    seen = Counter()
+    for wf, ell, n, p, a, cap, loops in (
+        (WeightFunction.hamming(3), 4, 20, 3, 2, DEFAULT_LIST_CAP, 1),
+        (WeightFunction.hamming(3), 4, 20, 3, 2, DEFAULT_LIST_CAP, 6),
+        (WeightFunction.lee(3), 4, 28, 3, 2, 40, 1),
+        (WeightFunction.lee(3), 4, 28, 3, 2, 40, 5),
+        (WeightFunction.lee(5), 3, 15, 3, 1, 20, 4),
+        (WeightFunction.lee(3), 6, 27, 9, 3, DEFAULT_LIST_CAP, 3),
+        (WeightFunction.hamming(3), 3, 12, 0, 2, DEFAULT_LIST_CAP, 3),
+    ):
+        q = wf.q
+        plan = _plan(wf, n, ell, wf.scaled(p), a, True)
+        for seed in range(8):
+            h2 = np.array([random_full_rank_matrix(q, ell, n, rng).values for _ in range(loops)])
+            s2 = np.array([[rng.randrange(q) for _ in range(ell)] for _ in range(loops)])
+            draws = [plan.draw(q, rng, lazy_cap=cap) for _ in range(loops)]
+            single = loops == 1
+            args = (h2[0], s2[0]) if single else (h2, s2)
+            desc = cmsd_wagner_v2_build(*args, wf, p, a, cap, draws=draws)
+            idx = np.arange(desc.y)
+            want, populated = oracles.wagner2_full_rows(h2, s2, wf, p, a, cap, draws, idx)
+            got = desc.evaluate_many(idx)
+            assert np.array_equal(got, want), (wf, ell, n, p, a, cap, loops, seed)
+            seen["sampled" if draws[0].lazy_ranks else "shared"] += 1
+            seen["populated" if populated else "empty table"] += 1
+            seen["rows"] += int(want.any(axis=1).sum())
+    assert seen["sampled"] and seen["shared"] and seen["empty table"] and seen["rows"]

@@ -333,6 +333,15 @@ def test_isd_params_integer_fields():
     assert isd_solve(inst, params).found
 
 
+def test_list_size_cap_below_one_is_rejected():
+    # wagner2 failed inside random.sample, dumer and wagner1 on a base list over the cap
+    for cap in (0, -5):
+        for variant in ("dumer", "wagner1", "wagner2"):
+            with pytest.raises(ValueError, match="^list_size_cap must be at least 1, got"):
+                IsdParams(variant=variant, ell=4, p=3, a=2, list_size_cap=cap)
+    assert IsdParams(variant="wagner2", list_size_cap=1).list_size_cap == 1
+
+
 def test_missing_budget_is_a_value_error():
     # p=None raised TypeError from the rational parser
     with pytest.raises(ValueError, match="rational weight"):

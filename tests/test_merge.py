@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leeisd.merge import IndexedList, MergeOverflowError, merge
+import oracles
+from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, MergeOverflowError, _word_layout, merge
 
 
 def random_list(q, m, size, rng, tag=0):
@@ -118,6 +119,14 @@ def test_bad_inputs():
         merge(L1, IndexedList(3, np.zeros((1, 2), dtype=np.int64), [0]), (5,), [0, 0])
 
 
+def test_syndrome_entries_outside_the_field_are_rejected():
+    # the sort packs entries as base-q digits, so 3 or -1 over F_3 would mis-sort
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=r"syndrome entries must lie in \[0, 3\)"):
+            IndexedList(3, np.array([[0, bad]]), [0])
+    assert len(IndexedList(3, np.zeros((0, 2), dtype=np.int64), [])) == 0
+
+
 def test_non_integer_J_is_rejected():
     # int(0.5) used to merge on coordinate 0
     L1 = IndexedList(3, np.array([[0, 1], [1, 2]]), [0, 1])
@@ -173,3 +182,38 @@ def test_stacked_merge_is_each_loops_merge(q, m):
             assert np.array_equal(out.backrefs.reshape(-1, 2), np.concatenate(refs).reshape(-1, 2))
             assert out.loop.tolist() == [b for b, o in enumerate(outs) for _ in range(len(o))]
     assert overflowed
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 65521])
+def test_packed_sort_matches_the_per_column_lexsort(q):
+    # widths that pack into one word and widths that need two or more, rows
+    # drawn from a small pool so that ties occur, empty lists, and stacks
+    # whose loop ids come in any order
+    rng = np.random.default_rng(q)
+    digits_per_word = int(63 // np.log2(q))
+    words_seen = set()
+    for trial in range(40):
+        m = int(rng.choice([1, 3, digits_per_word + 2, 2 * digits_per_word + 1]))
+        size1, size2 = (0, 0) if trial < 2 else rng.integers(1, 40, 2)
+        pool = rng.integers(0, q, (6, m))
+        L1, L2 = (
+            IndexedList(q, pool[rng.integers(0, 6, size)], np.arange(size))
+            if trial % 2
+            else IndexedList(q, rng.integers(0, q, (size, m)), np.arange(size))
+            for size in (size1, size2)
+        )
+        loops = 1
+        if trial % 4 == 3:  # a stack
+            loops = int(rng.integers(2, 5))
+            L1.loop, L2.loop = (rng.integers(0, loops, len(L)) for L in (L1, L2))
+        J = tuple(rng.choice(m, int(rng.integers(0, m + 1)), replace=False).tolist())
+        words_seen.add(_word_layout(q, m, loops)[0].shape[1])
+        assert np.array_equal(L1.sort_order(J), oracles.sorted_reference(L1, J)[0])
+        t = rng.integers(0, q, (loops, m) if L1.loop is not None else m)
+        got = merge(L1, L2, J, t)
+        want = oracles.merge_reference(L1, L2, J, t, DEFAULT_LIST_CAP)
+        assert np.array_equal(got.syndromes, want.syndromes)
+        assert np.array_equal(got.backrefs.reshape(-1, 2), want.backrefs.reshape(-1, 2))
+        assert (got.loop is None) == (want.loop is None)
+        assert got.loop is None or np.array_equal(got.loop, want.loop)
+    assert words_seen >= {1, 2}
