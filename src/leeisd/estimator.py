@@ -35,7 +35,7 @@ from .weights import (
 MODELS = ("classical", "quantum")
 ALGORITHMS = ("prange", "dumer", "wagner")
 
-_EPS = 1e-15
+_EPS = 1e-15  # weights (omega, P and the P range) compare relative to the max weight
 _PATTERN_TOL = 1e-5  # compass search stops once its step falls below this
 _COARSE_STEP = 0.05  # rate grid of the hardest-instance scan
 
@@ -55,7 +55,8 @@ class CodeParams:
     def __post_init__(self):
         if not 0.0 < self.rate < 1.0:
             raise ValueError("rate must lie in (0, 1)")
-        if not -_EPS <= self.omega <= float(self.wf.max_weight) + _EPS:
+        wmax = float(self.wf.max_weight)
+        if not -_EPS * wmax <= self.omega <= (1.0 + _EPS) * wmax:
             raise ValueError("omega outside the reachable weight range")
 
     @property
@@ -106,8 +107,9 @@ def _feasible_P_range(wmax: float, rate, omega, L):
 def _check_point(cp: CodeParams, L: float, P: float) -> None:
     if not -_EPS <= L <= 1.0 - cp.rate + _EPS:
         raise InfeasibleParameterError(f"L={L} outside [0, 1-R]")
-    lo, hi = _feasible_P_range(float(cp.wf.max_weight), cp.rate, cp.omega, L)
-    if not lo - 1e-9 <= P <= hi + 1e-9:
+    wmax = float(cp.wf.max_weight)
+    lo, hi = _feasible_P_range(wmax, cp.rate, cp.omega, L)
+    if not lo - 1e-9 * wmax <= P <= hi + 1e-9 * wmax:
         raise InfeasibleParameterError(f"P={P} outside [{lo}, {hi}] at L={L}")
 
 
@@ -183,18 +185,21 @@ def _compass(wf: WeightFunction, rate, omega, s_omega, quantum, a, L0, P0):
         L, P = _unit_to_LP(wmax, rate[k], omega[k], fl, fp)
         return _factors(wf, rate[k], omega[k], s_omega[k], quantum[k], L, P, a[k])["total"]
 
-    fl = np.clip(L0 / (1.0 - rate), 0.0, 1.0)
+    def box(v):  # np.clip(v, 0, 1), without its call overhead
+        return np.minimum(np.maximum(v, 0.0), 1.0)
+
+    fl = box(L0 / (1.0 - rate))
     lo, hi = _feasible_P_range(wmax, rate, omega, fl * (1.0 - rate))
-    flat = hi - lo < _EPS
-    fp = np.where(flat, 0.0, np.clip((P0 - lo) / np.where(flat, 1.0, hi - lo), 0.0, 1.0))
+    flat = hi - lo < _EPS * wmax
+    fp = np.where(flat, 0.0, box((P0 - lo) / np.where(flat, 1.0, hi - lo)))
     cur = totals(np.arange(len(fl)), fl, fp)
     step = np.full(len(fl), 1.0 / 63)
     polls = np.zeros(len(fl), dtype=int)
     while (live := np.flatnonzero((step > _PATTERN_TOL) & (polls < 400))).size:
         polls[live] += 1
         s, l, p = step[live], fl[live], fp[live]
-        cand_l = np.clip(np.stack([l + s, l - s, l, l], axis=1), 0.0, 1.0)
-        cand_p = np.clip(np.stack([p, p, p + s, p - s], axis=1), 0.0, 1.0)
+        cand_l = box(np.stack([l + s, l - s, l, l], axis=1))
+        cand_p = box(np.stack([p, p, p + s, p - s], axis=1))
         vals = totals(np.repeat(live, 4), cand_l.ravel(), cand_p.ravel()).reshape(-1, 4)
         rows, i = np.arange(len(live)), vals.argmin(axis=1)
         moves = vals[rows, i] < cur[live] - 1e-14
@@ -223,7 +228,8 @@ def _optimize_many(problems, a_max) -> list:
     unit = np.linspace(0.0, 1.0, 64)
     starts = []  # each problem's 3 best level counts on its grid, with their search data
     for k, (cp, model, algorithm) in enumerate(problems):
-        if cp.omega <= _EPS or algorithm == "prange":  # (0, 0) is infeasible at large weight
+        # (0, 0) is infeasible at large weight
+        if cp.omega <= _EPS * float(cp.wf.max_weight) or algorithm == "prange":
             continue
         a_values = np.arange(1, 2 if algorithm == "dumer" else a_max + 1)
         L, P = _unit_to_LP(

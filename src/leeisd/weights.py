@@ -382,6 +382,7 @@ class EntropyProfile:
 
 
 _BLOCK = 2**15  # float64 elements per kernel block (256 KiB), so a block stays in cache
+_NODES = 1025  # start-table multipliers: a Hermite start then lands within 0.2 _NEWTON_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,66 +448,96 @@ class _Dual:
         return out
 
     @cached_property
-    def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, y, ends): two keys rising along the nodes, and beta at the cell ends.
+    def nodes(self) -> tuple[np.ndarray, ...]:
+        """(x, y, ends, dx, dy): two keys rising along the nodes, beta at the
+        cell ends, and dbeta/dx and dbeta/dy at each node.
 
         x is the logit of the mean weight, y the entropy exponent s mirrored
-        to 2 - s past its peak at beta = 0.  The 257 multipliers are
+        to 2 - s past its peak at beta = 0.  The _NODES = 1,025 multipliers are
         c * sinh(t), t evenly spaced and c = 1 / (w_max ln q) the table's own
         scale, so the nodes are dense near beta = 0 and reach +-beta_max.
         Nodes whose logit is not finite or not increasing (a mean lost to
         underflow) are dropped.  ends is the node betas between +-beta_max,
         so a level in node cell i of a key has its root in [ends[i + 1], ends[i]].
+        The slopes come from the same rows, with Var = m gap - E[wt gap]:
+        dbeta/dx = -m gap / (Var ln q w_max) and dbeta/dy = -1 / (|beta| ln q Var).
+        A slope that is not both finite and negative (dy at beta = 0, a Var
+        lost to underflow) is nan.  _newton's Hermite start on this table is
+        within its tolerance, so each solve takes one kernel pass.
         """
         c = 1.0 / (self.w[-1] * self.lnq)
         t_max = math.asinh(self.beta_max / c)
-        beta = c * np.sinh(np.linspace(t_max, -t_max, 257))
+        beta = c * np.sinh(np.linspace(t_max, -t_max, _NODES))
         ev = self.evaluate(beta)
         pos = (ev[:, 1:3] > 0).all(axis=1)
         x = np.full(len(beta), -math.inf)
         x[pos] = np.log(ev[pos, 1]) - np.log(ev[pos, 2])
         prev = np.maximum.accumulate(np.concatenate([[-math.inf], x[:-1]]))
         keep = np.isfinite(x) & (x > prev)
-        s, beta = ev[keep, 0] / self.lnq, beta[keep]
+        (s, m, gap, wt_gap), beta = ev[keep].T, beta[keep]
+        s = s / self.lnq
+        dm = (wt_gap - m * gap) * self.lnq  # dm/dbeta = -ln q Var
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx, dy = m * gap / (dm * self.w[-1]), 1.0 / (np.abs(beta) * dm)
+        dx, dy = (np.where(np.isfinite(v) & (v < 0), v, math.nan) for v in (dx, dy))
         ends = np.concatenate([[self.beta_max], beta, [-self.beta_max]])
-        return x[keep], np.where(beta >= 0, s, 2.0 - s), ends
+        return x[keep], np.where(beta >= 0, s, 2.0 - s), ends, dx, dy
 
 
 _NEWTON_TOL = 2.0**-26  # about sqrt(eps): a smaller Newton step leaves error ~ eps
 _BRACKET_TOL = 2.0**-48  # a midpoint step this small means the bracket has closed
 
 
-def _newton(d: _Dual, key, t, target, residual) -> np.ndarray:
-    """Roots in beta of residual, one per level t of key (a d.nodes key).
+def _newton(d: _Dual, key, slopes, t, target, residual):
+    """Roots in beta of residual, one per level t of key, and their rows.
 
-    A point starts at the beta that interpolates t in key, in the node cell
-    [lo, hi] that holds t.  residual(ev, beta, target) returns (above, num,
-    den) from ev = d.evaluate(beta): where the root lies above beta, and the
-    Newton step num / den.  Each evaluation moves one end of [lo, hi] to the
-    point; a step that leaves it becomes the midpoint.  A point stops after
-    a Newton step below sqrt(eps) of its scale, a midpoint step below
-    rounding, or the 72 steps of a bisection from +-beta_max.
+    key and slopes are a key of d.nodes and its dbeta/dkey.  A point starts
+    at the cubic Hermite interpolant of beta in the node cell [lo, hi] that
+    holds t, clamped to it; a cell with a nan end slope starts from the
+    linear interpolant, and an end cell from its one node.  residual(ev, beta, target) returns
+    (above, num, den) from ev = d.evaluate(beta): where the root lies above
+    beta, and the Newton step num / den.  Each evaluation moves one end of
+    [lo, hi] to the point; a step that leaves it becomes the midpoint.  A
+    point stops after a Newton step below sqrt(eps) of its scale, a
+    midpoint step below rounding, or the 72 steps of a bisection from
+    +-beta_max; from the Hermite start that is one kernel pass.
+
+    Returns beta and the rows [s ln q, mean] of its last pass, carried to
+    beta by one first-order term (d(s ln q)/dbeta = -beta (ln q)^2 Var,
+    dm/dbeta = -ln q Var), which leaves an error of rounding size after a
+    step below sqrt(eps).
     """
     ends = d.nodes[2]
     cell = np.searchsorted(key, t)
     lo, hi = ends[cell + 1], ends[cell]
-    cur = np.interp(t, key, ends[1:-1])
-    beta, live = cur.copy(), np.arange(len(cur))
+    i = np.minimum(np.maximum(cell, 1), len(key) - 1)  # an end cell reads its neighbour's nodes
+    h = key[i] - key[i - 1]
+    u = np.divide(t - key[i - 1], h, out=np.zeros(len(t)), where=h > 0)
+    u = np.minimum(np.maximum(u, 0.0), 1.0)
+    b0, run = ends[i], ends[i + 1] - ends[i]
+    bend = u * (1.0 - u) * ((1.0 - u) * (h * slopes[i - 1] - run) - u * (h * slopes[i] - run))
+    cur = b0 + u * run + np.where(np.isnan(bend), 0.0, bend)
+    cur = np.minimum(np.maximum(cur, lo), hi)
+    beta, rows, live = cur.copy(), np.empty((len(cur), 2)), np.arange(len(cur))
     scale = 1.0 / (d.w[-1] * d.lnq)
     for _ in range(72):
-        above, num, den = residual(d.evaluate(cur), cur, target)
+        ev = d.evaluate(cur)
+        above, num, den = residual(ev, cur, target)
         lo = np.where(above, cur, lo)
         hi = np.where(above, hi, cur)
         fits = (den > 0) & (np.abs(num) <= den * (hi - lo))
         step = cur + np.divide(num, den, out=np.zeros(len(num)), where=fits)
         fits &= (lo <= step) & (step <= hi)
         nxt = beta[live] = np.where(fits, step, 0.5 * (lo + hi))
+        fall = (nxt - cur) * (d.lnq * (ev[:, 1] * ev[:, 2] - ev[:, 3]))  # -(mean change)
+        rows[live, 0] = ev[:, 0] - cur * d.lnq * fall
+        rows[live, 1] = ev[:, 1] - fall
         tol = np.where(fits, _NEWTON_TOL, _BRACKET_TOL) * (scale + np.abs(cur))
         moving = np.abs(nxt - cur) > tol
         if not moving.any():
             break
         live, cur, lo, hi, target = (a[moving] for a in (live, nxt, lo, hi, target))
-    return beta
+    return beta, rows
 
 
 def _solve_dual(wf: WeightFunction, omegas):
@@ -516,7 +547,8 @@ def _solve_dual(wf: WeightFunction, omegas):
     beta are the exact limits (uniform over the extreme-weight symbols).
     A target that is not a finite number raises ValueError.  Every other
     target gets _newton on x = logit(mean) = ln m - ln(w_max - m), which is
-    close to linear in beta at both ends, and one final evaluate call.
+    close to linear in beta at both ends: one kernel pass from the Hermite
+    start on the _NODES-node table, with the entropy carried from that pass.
     """
     d = wf._dual_solver
     wmax = float(d.w[-1])
@@ -540,10 +572,9 @@ def _solve_dual(wf: WeightFunction, omegas):
         # dx/dbeta = -Var ln q w_max / (m gap); Var = m gap - E[wt gap] is <= 0 where pos fails
         return above, f * m * gap, (m * gap - ev[:, 3]) * (d.lnq * wmax)
 
-    beta[live] = _newton(d, d.nodes[0], x, x, residual)
-    ent = np.minimum(np.maximum(d.evaluate(beta)[:, 0] / d.lnq, 0.0), 1.0)
-    ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, ent)
-    ent = np.where(at_hi, math.log(d.mult[-1]) / d.lnq, ent)
+    ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, math.log(d.mult[-1]) / d.lnq)
+    beta[live], rows = _newton(d, d.nodes[0], d.nodes[3], x, x, residual)
+    ent[live] = np.minimum(np.maximum(rows[:, 0] / d.lnq, 0.0), 1.0)
     beta = np.where(at_lo, math.inf, np.where(at_hi, -math.inf, beta))
     return ent, beta
 
@@ -552,12 +583,12 @@ def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
     """Entropy-maximizing symbol distribution with mean weight omega.
 
     Solved in Lagrangian dual form: frequencies proportional to
-    q^(-beta * wt(x)) with beta found by a few bracketed Newton steps so
-    the mean weight matches omega; the mean is strictly decreasing in
-    beta, so the root is unique.  A target within _WEIGHT_TOL * max weight
-    outside [0, max weight] is clipped to it, and the ends resolve as in
-    sphere_exponent_many: omega = 0 or omega = max weight concentrates
-    exactly on the extreme-weight symbols.  The frequencies are computed
+    q^(-beta * wt(x)) with beta found by bracketed Newton steps (one
+    kernel pass, see _solve_dual) so the mean weight matches omega; the
+    mean is strictly decreasing in beta, so the root is unique.  A target
+    within _WEIGHT_TOL * max weight outside [0, max weight] is clipped to
+    it, and the ends resolve as in sphere_exponent_many: omega = 0 or
+    omega = max weight concentrates exactly on the extreme-weight symbols.  The frequencies are computed
     here, for this one point, from beta: each is q^(-|beta| |wt(x) - w_end|)
     normalized, where w_end is the weight beta favours (0 for beta >= 0,
     the max weight otherwise).
@@ -605,9 +636,9 @@ def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
         f = side * (ev[:, 0] / d.lnq - s)
         return f > 0, f, side * beta * d.lnq * (ev[:, 1] * ev[:, 2] - ev[:, 3])
 
-    beta = _newton(d, d.nodes[1], 1.0 - side * (1.0 - s), side, residual)  # y = s or 2 - s
+    y = 1.0 - side * (1.0 - s)  # y = s or 2 - s
     out = np.array([0.0, d.w[-1]])
-    out[live] = d.evaluate(beta)[:, 1]
+    out[live] = _newton(d, d.nodes[1], d.nodes[4], y, side, residual)[1][:, 1]
     return float(out[0]), float(out[1])
 
 

@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leeisd.estimator import AlgoPoint, CodeParams, local_maxima_weights, work_factors
+from leeisd.estimator import (
+    AlgoPoint,
+    CodeParams,
+    InfeasibleParameterError,
+    hardest_instance,
+    local_maxima_weights,
+    optimize_point,
+    work_factors,
+)
 from leeisd.isd import _exact_p1
 from leeisd.merge import IndexedList, _encode_keys, merge
 from leeisd.weights import (
@@ -26,6 +34,8 @@ from leeisd.weights import (
     WeightFunction,
     _count_row,
     _Dual,
+    _newton,
+    _solve_dual,
     sphere_exponent,
     sphere_exponent_many,
 )
@@ -190,7 +200,7 @@ def test_entropy_solver_matches_bisection(case):
         means = [float(sphere_exponent(wf, om).lam @ tab) for om in omegas]
     assert np.abs(s - bisection_exponents(wf, omegas)).max() <= 1e-12
     assert np.abs(np.array(means) - omegas).max() <= 1e-12 * wmax
-    # a few Newton steps and the final evaluation, not a 72-step bisection
+    # a few Newton steps at most, not a 72-step bisection
     assert spy.call_count <= 8
 
 
@@ -202,8 +212,65 @@ def test_crossings_match_bisection(wf, rate):
         got = local_maxima_weights(wf, rate)
     want = bisection_crossings(wf, 1.0 - rate)
     assert np.abs(np.subtract(got, want)).max() <= 1e-12 * float(wf.max_weight)
-    # a few Newton steps for both branches at once and the final evaluation
+    # a few Newton steps at most, for both branches at once
     assert spy.call_count <= 10
+
+
+LEE = [WeightFunction.lee(q) for q in (3, 13, 43, 163, 331)]
+TWELVE = np.linspace(0.05, 0.95, 12)  # targets over w_max
+
+
+def kernel_passes(fn, *args):
+    with mock.patch.object(_Dual, "evaluate", autospec=True, side_effect=_Dual.evaluate) as spy:
+        fn(*args)
+    return spy.call_count
+
+
+@pytest.mark.parametrize("wf", LEE, ids=lambda wf: f"lee{wf.q}")
+def test_one_kernel_pass_per_solve(wf):
+    # the Hermite start lands within the Newton tolerance, so the first
+    # pass ends every solve; a crossing near beta = 0, where dbeta/dy is
+    # not finite, may take one more
+    wmax = float(wf.max_weight)
+    wf._dual_solver.nodes  # the start table, built once per table
+    uniform = np.random.default_rng(2020).uniform(0.0, 1.0, 4096)
+    for targets in (TWELVE, uniform):
+        assert kernel_passes(sphere_exponent_many, wf, targets * wmax) == 1
+    for rate in (0.05, 0.2, 0.5, 0.95):
+        assert kernel_passes(local_maxima_weights, wf, rate) <= 2
+
+
+def check_carried_rows(wf):
+    d, wmax = wf._dual_solver, float(wf.max_weight)
+    ent, beta = _solve_dual(wf, np.linspace(0.0, 1.0, 401) * wmax)
+    live = np.isfinite(beta)
+    fresh = np.clip(d.evaluate(beta[live])[:, 0] / d.lnq, 0.0, 1.0)
+    assert np.abs(ent[live] - fresh).max() <= 2e-15
+    solves = []
+
+    def newton(*args):
+        solves.append(_newton(*args))
+        return solves[-1]
+
+    with mock.patch("leeisd.weights._newton", side_effect=newton):
+        means = [local_maxima_weights(wf, rate) for rate in (0.05, 0.2, 0.5, 0.95)]
+    for (beta, rows), got in zip(solves, means):
+        assert np.array_equal(rows[:, 1], [m for m in got if 0.0 < m < wmax])
+        if len(beta):
+            assert np.abs(rows[:, 1] - d.evaluate(beta)[:, 1]).max() <= 2e-15 * wmax
+
+
+@pytest.mark.parametrize("wf", LEE, ids=lambda wf: f"lee{wf.q}")
+def test_carried_rows_match_a_fresh_pass(wf):
+    check_carried_rows(wf)
+
+
+@FIXED
+@given(random_tables())
+def test_one_pass_and_carried_rows_on_random_tables(wf):
+    wf._dual_solver.nodes
+    assert kernel_passes(sphere_exponent_many, wf, TWELVE * float(wf.max_weight)) == 1
+    check_carried_rows(wf)
 
 
 @settings(FIXED, max_examples=25)
@@ -242,6 +309,67 @@ def test_table_scaling_invariance(base, fractions, rate):
             ref = (s, crossings)
         assert s == pytest.approx(ref[0], abs=1e-9)
         assert crossings == pytest.approx(ref[1], abs=1e-9)
+
+
+SCALES = (Fraction(1), Fraction(1, 10**16), Fraction(1, 10**12), Fraction(10**16))  # c = 1 first
+
+
+def scaled(base, c):
+    return WeightFunction(base.q, tuple(c * x for x in base.table))
+
+
+@settings(FIXED, max_examples=30)
+@given(
+    random_tables() | st.just(WeightFunction.lee(5)),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from((-1.0, 0.0, 0.5, 1.0, 3.0)),
+    st.sampled_from(("classical", "quantum")),
+)
+def test_estimator_tolerances_follow_the_table_scale(base, rate, om, fl, fp, model):
+    # omega, P and the P range compare relative to the max weight, so
+    # scaling the table by c from 1e-16 to 1e16 changes no decision
+    edges = (-1e-5, -1e-13, 0.0, om, 1.0, 1.0 + 1e-13, 1.00001)
+    ref = None
+    for c in SCALES:
+        wf = scaled(base, c)
+        wmax = float(wf.max_weight)
+        accepts = []
+        for rel in edges:
+            try:
+                CodeParams(wf, rate, rel * wmax)
+                accepts.append(True)
+            except ValueError:
+                accepts.append(False)
+        cp = CodeParams(wf, rate, om * wmax)
+        L = fl * (1.0 - rate)
+        lo, hi = max(0.0, om - (1.0 - rate - L)), min(om, rate + L)  # the P range / w_max
+        P = (lo + fp * (hi - lo)) * wmax
+        try:
+            point = work_factors(cp, model, AlgoPoint(L, P, 1)).total_q
+        except InfeasibleParameterError:
+            point = None
+        best = optimize_point(cp, model, "wagner", a_max=4).total_q
+        if ref is None:
+            ref = (accepts, point, best)
+            assert accepts == [False, False, True, True, True, False, False]
+        assert accepts == ref[0]
+        assert (point is None) == (ref[1] is None)
+        if point is not None:
+            assert point == pytest.approx(ref[1], abs=1e-9)
+        assert best == pytest.approx(ref[2], abs=1e-9)
+
+
+def test_hardest_instance_follows_the_table_scale():
+    base = WeightFunction.lee(5)
+    ref = hardest_instance(base, "classical")
+    assert (ref.rate, ref.alpha_hat) == pytest.approx((0.5694, 0.1562), abs=2e-4)
+    for c in (Fraction(1, 10**16), Fraction(10**16)):
+        got = hardest_instance(scaled(base, c), "classical")
+        assert got.rate == pytest.approx(ref.rate, abs=1e-9)
+        assert got.omega / float(c) == pytest.approx(ref.omega, rel=1e-9)
+        assert got.alpha_hat == pytest.approx(ref.alpha_hat, abs=1e-9)
 
 
 @pytest.mark.parametrize(
