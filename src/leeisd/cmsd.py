@@ -6,8 +6,8 @@ f over a domain of Y indices whose nonzero values are vectors e'' with
 H'' e'' = s'' and weight exactly p.  Every builder takes
 (H'', s'', wf, p, ...) and reads its inputs through np.asarray, so the
 FqMatrix and FqVector boundary types work as inputs too.  The outer loop
-evaluates f on blocks of indices and tests each candidate against the
-remaining weight budget.
+takes f's candidates block by block and tests each against the remaining
+weight budget.
 
 Back ends:
   * prange: the trivial description (p = 0, no bottom block).
@@ -19,25 +19,26 @@ Back ends:
     of every split, in split order, and one merge over split groups
     (_split_merge) pairs entries of the same split only.
   * wagner_v2_build: the checkable-function variant; the quadratically
-    larger rightmost list is never merged.  f(k) reads the k-th element of
-    the last base list (from the shared sphere array when the sphere fits
-    the cap, else by unranking a sampled rank) and then looks up, level by
-    level, its partner in a per-key table built once from the materialized
-    left-hand lists.  A block of indices is resolved level by level on the
-    indices that still have a partner, and only those whose syndrome
-    checks out get a candidate row.
+    larger rightmost list is never merged in full.  It is a leaf over the
+    last block (the shared sphere when it fits the cap, else each loop's
+    sampled ranks), and at level j the chain is merged against S_j, the
+    fully merged left sibling, reduced to its first partner per (loop,
+    J-key), so every chain entry keeps at most one match, in order.
 
 One builder body (_build_tree) serves dumer and wagner_v1, and one
 level-wise merge tree (_merge_levels) serves it at a >= 2 and the
-materialized leaves of wagner_v2_build.  Its leaves keep their vectors, so
-a batch of indices resolves to candidate rows by index gathering.  Every
-merge sorts on int64 words that pack the loop (or split group), the
-J-projection and the rest of the syndrome in base q.  Neither a leaf
-sphere, the block layout, the J partition nor the random draws depend on
-H: they are one cached plan per back-end signature (_plan), each sphere is
-built once per (table, length, weight), a build's randomness is drawn by
-_Plan.draw, and only the leaf syndromes, the targets and the merges are
-computed per build.
+materialized leaves of wagner_v2_build; wagner2's chain joins through the
+same merge.  Leaves keep their vectors, so a root entry resolves to its
+candidate row by index gathering.  Every description is a root list plus
+dom, the ascending domain index of each root entry: its position in
+(loop, index) order for the merge trees, its lazy-leaf position for
+wagner2.  Every merge sorts on int64 words that pack the loop (or split
+group), the J-projection and the rest of the syndrome in base q.  Neither
+a leaf sphere, the block layout, the J partition nor the random draws
+depend on H: they are one cached plan per back-end signature (_plan), each
+sphere is built once per (table, length, weight), a build's randomness is
+drawn by _Plan.draw, and only the leaf syndromes, the targets and the
+merges are computed per build.
 
 Every builder also takes a stack of B bottom blocks, one per outer loop
 (h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
@@ -69,7 +70,6 @@ from .merge import (
     DEFAULT_LIST_CAP,
     IndexedList,
     MergeOverflowError,
-    _encode_keys,
     _packed_order,
     merge,
 )
@@ -119,9 +119,9 @@ class _Node:
 
     def gather(self, pos: np.ndarray) -> np.ndarray:
         """(len(pos), width) support parts of the entries at positions pos."""
-        refs = self.lst.backrefs[pos]
+        refs = self.lst.backrefs.take(pos, axis=0)  # take: a row gather faster than [pos]
         if self.children is None:
-            return self.vecs[refs]
+            return self.vecs.take(refs, axis=0)
         lhs, rhs = self.children
         return np.concatenate([lhs.gather(refs[:, 0]), rhs.gather(refs[:, 1])], axis=1)
 
@@ -130,11 +130,13 @@ class _Node:
 class CmsdDescription:
     """Evaluable function f over [y) plus the data needed to compute it.
 
-    evaluate_many(idx) returns one candidate row of the stated length per
-    index, the zero vector where an index resolves to no solution;
-    evaluate(i) is its one-index view.  Every nonzero value satisfies the
-    syndrome and weight constraints by construction.  A domain is never
-    empty: y is at least 1.
+    The candidates are the entries of root, entry i at domain index dom[i]
+    (ascending); candidates(lo, hi) gives those in [lo, hi) with their
+    rows.  evaluate_many(idx) returns one row of the stated length per
+    index, the zero vector where an index holds no candidate; evaluate(i)
+    is its one-index view.  Every candidate satisfies the syndrome and
+    weight constraints by construction.  A domain is never empty: y is at
+    least 1.
 
     A stack's description has h_second (B, ell, n) and s_second (B, ell)
     and lists loop b at indices starts[b]..starts[b+1]-1, each loop's part
@@ -149,7 +151,8 @@ class CmsdDescription:
     s_second: np.ndarray
     wf: WeightFunction
     meta: dict
-    _eval: object = field(repr=False)  # int64 index array -> candidate rows
+    root: _Node = field(repr=False)
+    dom: np.ndarray = field(repr=False)
     starts: np.ndarray | None = None
     overflow: MergeOverflowError | None = None
 
@@ -165,7 +168,17 @@ class CmsdDescription:
         bad = idx[(idx < 0) | (idx >= self.y)]
         if bad.size:
             raise IndexError(f"index {bad[0]} outside [0, {self.y})")
-        return self._eval(idx)
+        out = np.zeros((len(idx), self.h_second.shape[-1]), dtype=np.int64)
+        pos = self.dom.searchsorted(idx)
+        hit = pos < len(self.dom)
+        hit[hit] = self.dom[pos[hit]] == idx[hit]
+        out[hit] = self.root.gather(pos[hit])
+        return out
+
+    def candidates(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(domain indices, rows) of the candidates at indices lo..hi-1, indices ascending."""
+        first, end = self.dom.searchsorted([lo, hi])
+        return self.dom[first:end], self.root.gather(np.arange(first, end))
 
     def evaluate(self, i: int) -> np.ndarray:
         return self.evaluate_many([i])[0]
@@ -205,14 +218,13 @@ class LoopDraws:
     """The randomness one build takes from rng, in stream order.
 
     None of it depends on H, so an outer loop can take it before its
-    elimination: the level-target coordinates, the sampled ranks of each
-    base list (None where the list is not sampled), and wagner2's sampled
-    ranks of the lazy list.
+    elimination: the level-target coordinates, then the sampled ranks of
+    each base list (None where the list is not sampled), wagner2's lazy
+    list last.
     """
 
     targets: list[int]
     leaf_ranks: tuple[list[int] | None, ...]
-    lazy_ranks: list[int] | None
 
 
 class LoopPlan(NamedTuple):
@@ -258,36 +270,24 @@ class _Plan(NamedTuple):
 
         The targets of level j take |J_j| coordinates for each of its
         first 2^(a-j) - 1 pairs, level by level; then every base list
-        larger than size_limit samples size_limit ranks, layout by layout;
-        then, with lazy_cap, a lazy last list larger than it samples
-        lazy_cap ranks.  A plan that draws nothing accepts rng None.
+        larger than its limit samples that many ranks, layout by layout.
+        The limit is size_limit, except that with lazy_cap (wagner2) the
+        lazy last list has limit lazy_cap.  A plan that draws nothing
+        accepts rng None.
         """
         a = len(self.j_groups)
         coords = sum(((1 << (a - j)) - 1) * len(J) for j, J in enumerate(self.j_groups, 1))
         targets = [rng.randrange(q) for _ in range(coords)]
-        if size_limit is None:
-            leaf_ranks = (None,) * sum(map(len, self.layouts))
-        else:
-            leaf_ranks = tuple(
-                sorted(_sample_ranks(b.enum.count, size_limit, rng))
-                if b.enum.count > size_limit
-                else None
-                for blocks in self.layouts
-                for b in blocks
-            )
-        lazy_ranks = None
-        if self.lazy_sampled(lazy_cap):
-            lazy_ranks = sorted(_sample_ranks(self.layouts[0][-1].enum.count, lazy_cap, rng))
-        return LoopDraws(targets, leaf_ranks, lazy_ranks)
-
-    def lazy_sampled(self, lazy_cap: int | None) -> bool:
-        """Whether a build samples lazy_cap ranks of its lazy last list (wagner2).
-
-        It does when the lazy sphere exceeds the cap; otherwise every loop
-        reads the one shared sphere array.  Without lazy_cap there is no
-        lazy list.
-        """
-        return lazy_cap is not None and self.layouts[0][-1].enum.count > lazy_cap
+        blocks = [b for layout in self.layouts for b in layout]
+        limits = [size_limit] * len(blocks)
+        if lazy_cap is not None:
+            limits[-1] = lazy_cap
+        leaf_ranks = tuple(
+            None if lim is None or b.enum.count <= lim
+            else sorted(_sample_ranks(b.enum.count, lim, rng))
+            for b, lim in zip(blocks, limits)
+        )
+        return LoopDraws(targets, leaf_ranks)
 
 
 @lru_cache(maxsize=128)
@@ -301,13 +301,18 @@ def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last
     units and the last two are joined into the one lazy leaf.  A balanced
     layout with a block that cannot carry its weight raises
     CmsdInfeasibleError (lru_cache stores no exception, so every call
-    raises).
+    raises).  The level count is bounded by 2^(a-1) <= max(n, 1): beyond
+    it more than half the blocks are empty and a level only adds empty
+    ones, so a larger a is a ValueError before anything grows with 2^a.
 
     The J groups J_1..J_a are consecutive, read-only int arrays over the
     ell syndrome coordinates.  The first a-1 take round(n*u) coordinates
     each, following the list-size balancing rule with
     u = min(s(omega0)/branches, m0/a); the last absorbs the remainder.
     """
+    most = max(n, 1).bit_length()
+    if a > most:
+        raise ValueError(f"level count a={a} is above {most}, the most for {n} columns")
     units = (1 << a) + lazy_last
     lengths = _split_lengths(n, units)
     each_split = a == 1 and not lazy_last
@@ -489,54 +494,37 @@ def _finish_targets(
     return targets
 
 
-def _tree_domain(root: _Node, loops: int, n: int):
-    """(starts, evaluator, counts) over the root list of a stack of merge trees.
+def _tree_domain(root: _Node, loops: int):
+    """(starts, dom, counts) of the root list of a stack of merge trees.
 
     Loop b lists its entries of root in list order; a loop without entries
-    gets one index, which evaluates to the zero row.  counts[b] is loop b's
+    gets one index, which holds no candidate.  counts[b] is loop b's
     number of entries.  The root lists its loops in order, as its leaves do.
     """
     firsts = root.lst.loop.searchsorted(np.arange(loops + 1))
     counts = np.diff(firsts)
     starts = np.concatenate([[0], np.cumsum(np.maximum(counts, 1))])
-
-    def evaluate(idx: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(idx), n), dtype=np.int64)
-        b = np.searchsorted(starts, idx, side="right") - 1
-        off = idx - starts[b]
-        sel = off < counts[b]
-        out[sel] = root.gather(firsts[b[sel]] + off[sel])
-        return out
-
-    return starts, evaluate, counts
+    dom = np.arange(firsts[-1]) + np.repeat(starts[:-1] - firsts[:-1], counts)
+    return starts, dom, counts
 
 
-@dataclass(frozen=True, eq=False)
-class _Partners:
-    """One side list reduced to its chosen partner per (loop, J-key), keys ascending."""
+def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Node:
+    """node's first loops loops reduced to one entry per (loop, J-key), as a leaf.
 
-    keys: np.ndarray
-    syn: np.ndarray
-    part: np.ndarray  # support parts, columns sup[0]..sup[1]
-    sup: tuple[int, int]
-
-
-def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Partners:
-    """Per loop and J-key, the entry with the lexicographically smallest support part.
-
-    Ties go to the earlier entry.  Equal support parts have equal
-    syndromes, so this is also the first of them in the list sorted on J.
-    Only the first loops loops of the stack are tabled.
+    The entry kept has the lexicographically smallest support part, the
+    earlier one on ties; equal support parts have equal syndromes, so it
+    is also the first of them in the list sorted on J.
     """
     lst = _head(node.lst, loops)
     syn, loop = lst.syndromes, lst.loop
     part = node.gather(np.arange(len(syn)))
     order = _packed_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops)
-    keys = _encode_keys(syn[order][:, J], q, loop[order], loops)
-    first = np.ones(len(keys), dtype=bool)  # the first entry of each run of equal keys
-    first[1:] = keys[1:] != keys[:-1]
+    runs = np.column_stack([loop[order], syn[order][:, J]])
+    first = np.ones(len(order), dtype=bool)  # the first entry of each run of equal (loop, J)
+    first[1:] = (runs[1:] != runs[:-1]).any(axis=1)
     pick = order[first]
-    return _Partners(keys[first], syn[pick], part[pick], node.sup)
+    lst = IndexedList(q, syn[pick], np.arange(len(pick)), loop=loop[pick])
+    return _Node(lst, node.sup, vecs=part[pick])
 
 
 def _expected(base_sizes: list[int], j_groups: tuple[np.ndarray, ...], q: int) -> float:
@@ -619,7 +607,7 @@ def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
     return p_frac, p_scaled
 
 
-def _describe(p_frac, h2, s2, single, wf, meta, starts, evaluate, alive) -> CmsdDescription:
+def _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive) -> CmsdDescription:
     """The description of the loops still alive, or of the one loop of a single build."""
     return CmsdDescription(
         weight=p_frac,
@@ -628,7 +616,8 @@ def _describe(p_frac, h2, s2, single, wf, meta, starts, evaluate, alive) -> Cmsd
         s_second=s2[0] if single else s2[: alive.loops],
         wf=wf,
         meta=meta,
-        _eval=evaluate,
+        root=root,
+        dom=dom,
         starts=None if single else starts,
         overflow=alive.error,
     )
@@ -668,6 +657,7 @@ def cmsd_prange(
         raise ValueError("prange back end requires an empty bottom block (ell = 0)")
     if _to_fraction(p) != 0:
         raise ValueError("prange back end requires weight budget p = 0")
+    zero = IndexedList(wf.q, np.zeros((loops, 0)), np.zeros(loops, dtype=np.int64))
     return _describe(
         Fraction(0),
         h2,
@@ -676,7 +666,8 @@ def cmsd_prange(
         wf,
         {"variant": "prange", "expected_solutions": float(loops)},
         np.arange(loops + 1),
-        lambda idx: np.zeros((len(idx), k), dtype=np.int64),
+        _Node(zero, (0, k), vecs=np.zeros((1, k), dtype=np.int64)),
+        np.arange(loops),
         _Alive(loops),
     )
 
@@ -773,7 +764,7 @@ def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size, draws) -
         targets = _finish_targets(s2, coords, plan.j_groups, q)
         levels = _merge_levels(leaves, plan.j_groups, targets, cap, alive)
         root = levels[a][0]
-    starts, evaluate, counts = _tree_domain(root, alive.loops, n)
+    starts, dom, counts = _tree_domain(root, alive.loops)
 
     if a > 1:
         sizes = [len(nd.lst) // loops for nd in leaves]
@@ -783,7 +774,7 @@ def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size, draws) -
         # is the best prediction; fall back to the average-case ratio if empty
         per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts]
         meta = dict(variant="dumer", splits=splits, expected_solutions=max(sum(per_loop), 1e-300))
-    return _describe(p_frac, h2, s2, single, wf, meta, starts, evaluate, alive)
+    return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive)
 
 
 def cmsd_dumer(
@@ -837,16 +828,16 @@ def cmsd_wagner_v2_build(
 ) -> CmsdDescription:
     """Checkable-function construction over 2^a + 1 balanced support units.
 
-    The rightmost list (two units wide, double weight share) is only
-    described: f(k) takes its k-th element (a row of the shared sphere
-    array when the sphere fits the cap, else the k-th sampled rank
-    unranked) and then, level by level, takes from the fully merged left
-    sibling the matching partner with the lexicographically smallest
-    support part (the first one on ties), returning the assembled
-    candidate or the zero vector when some level has no partner.  The
-    partner per key is tabled once per build, so a batch of indices costs
-    one lookup per level.  A stack draws for its loops in turn, unless
-    draws gives each loop's randomness (from _Plan.draw).
+    The rightmost list (two units wide, double weight share) is a leaf of
+    min(sphere, cap) entries per loop: the shared sphere array when the
+    sphere fits the cap, else the loop's sampled ranks, unranked.  It is
+    never merged in full: level by level, each entry of this chain takes
+    from the fully merged left sibling the matching partner with the
+    lexicographically smallest support part (the first one on ties), one
+    merge per level against the sibling reduced to that partner per key.
+    Index b * y + k is loop b's k-th chain entry; it holds a candidate when
+    every level finds a partner.  A stack draws for its loops in turn,
+    unless draws gives each loop's randomness (from _Plan.draw).
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
@@ -858,7 +849,6 @@ def cmsd_wagner_v2_build(
     p_frac, p_scaled = _budget(wf, p)
     plan = _plan(wf, n, ell, p_scaled, a, True)
     (blocks,), j_groups = plan
-    last = blocks[-1]
     draws = _loop_draws(plan, q, loops, rng, draws, lazy_cap=list_size_cap)
     coords = np.array([d.targets for d in draws]).reshape(loops, -1)
     targets = _finish_targets(s2, coords, j_groups, q)
@@ -870,58 +860,19 @@ def cmsd_wagner_v2_build(
     alive = _Alive(loops)
     levels = _merge_levels(materialized, j_groups, targets, list_size_cap, alive)
     live = alive.loops
-    # S_j, the fully merged left sibling of the lazy chain at level j, is the
-    # odd node that level j - 1 leaves unmerged
-    partners = [
-        _partner_table(levels[j - 1][-1], j_groups[j - 1], q, live) for j in range(1, a + 1)
-    ]
+    # S_j, the fully merged left sibling of the chain at level j, is the odd
+    # node that level j - 1 leaves unmerged; the chain's target is the last
+    chain = _leaf(h2[:live], q, blocks[-1:], _leaf_ranks(draws[:live])[-1:])
+    for j, J in enumerate(j_groups, 1):
+        side = _partner_table(levels[j - 1][-1], J, q, live)
+        merged = merge(side.lst, chain.lst, J, targets[j][-1][:live], list_size_cap)
+        chain = _Node(merged, (side.sup[0], n), children=(side, chain))
+    dom, node = np.arange(len(chain.lst)), chain  # each root entry's chain-leaf position
+    while node.children is not None:
+        dom, node = node.lst.backrefs[dom, 1], node.children[1]
 
-    y = min(last.enum.count, list_size_cap)
-    # per level: the partner table, J_j, and the chain target on J_j of every live loop
-    chain = [
-        (pt, J, targets[j][(1 << (a - j)) - 1][:live][:, J])
-        for j, (pt, J) in enumerate(zip(partners, j_groups), 1)
-    ]
-    every_side_populated = all(len(pt.keys) for pt in partners)
-    sub_last = h2[:live, :, last.offset : last.offset + last.length]
-    # index b * y + k reads loop b's k-th lazy entry: row k of the shared
-    # sphere, whose syndromes come from one product per build, or the sampled
-    # rank ranks[b * y + k], unranked per block of indices
-    sphere_syn = ranks = None
-    if draws[0].lazy_ranks is not None:
-        ranks = np.array([d.lazy_ranks for d in draws[:live]]).reshape(live * y)
-    elif every_side_populated:
-        sphere_syn = _product(last.enum.all_vectors(), sub_last, q).reshape(live * y, ell)
-
-    def evaluate(idx: np.ndarray) -> np.ndarray:
-        """Rows only for the indices whose chain resolves to a solution; the rest stay zero."""
-        out = np.zeros((len(idx), n), dtype=np.int64)
-        if not every_side_populated:
-            return out
-        rows, bs = np.arange(len(idx)), idx // y  # the indices whose partners resolve so far
-        if ranks is None:
-            acc = sphere_syn[idx]
-        else:
-            tail = last.enum.unrank_many(ranks[idx])
-            acc = np.einsum("rw,rlw->rl", tail, sub_last[bs]) % q
-        picks = []  # per level so far, the partner rows of those indices
-        for pt, J, tJ in chain:
-            need = tJ[bs] - acc[:, J]
-            need += (need >> 63) & q  # mod q: adds q where the difference is negative
-            keys = _encode_keys(need, q, bs, live)
-            u = np.minimum(np.searchsorted(pt.keys, keys), len(pt.keys) - 1)
-            hit = pt.keys[u] == keys
-            rows, bs, u = rows[hit], bs[hit], u[hit]
-            acc = (acc[hit] + pt.syn[u]) % q
-            picks = [pick[hit] for pick in picks] + [u]
-        ok = (acc == s2[bs]).all(axis=1)  # targets telescope to s''; this must hold
-        rows = rows[ok]
-        cols = slice(last.offset, last.offset + last.length)
-        out[rows, cols] = last.enum.all_vectors()[idx[rows] % y] if ranks is None else tail[rows]
-        for (pt, _, _), pick in zip(chain, picks):
-            out[rows, pt.sup[0] : pt.sup[1]] = pt.part[pick[ok]]
-        return out
-
+    y = min(blocks[-1].enum.count, list_size_cap)
     base_sizes = [len(nd.lst) // loops for nd in materialized] + [y]
     meta = _tree_meta("wagner2", levels, j_groups, base_sizes, q, live)
-    return _describe(p_frac, h2, s2, single, wf, meta, np.arange(live + 1) * y, evaluate, alive)
+    starts = np.arange(live + 1) * y
+    return _describe(p_frac, h2, s2, single, wf, meta, starts, chain, dom, alive)

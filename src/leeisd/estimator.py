@@ -38,6 +38,9 @@ ALGORITHMS = ("prange", "dumer", "wagner")
 _EPS = 1e-15  # weights (omega, P and the P range) compare relative to the max weight
 _PATTERN_TOL = 1e-5  # compass search stops once its step falls below this
 _COARSE_STEP = 0.05  # rate grid of the hardest-instance scan
+# the most merge-tree levels a point or search may use: past 64 levels the
+# list exponent u <= s0 / 2^a changes no total beyond rounding
+MAX_LEVELS = 64
 
 
 class InfeasibleParameterError(ValueError):
@@ -78,8 +81,10 @@ class AlgoPoint:
     a: int
 
     def __post_init__(self):
-        if isinstance(self.a, bool) or not isinstance(self.a, (int, np.integer)) or self.a < 1:
-            raise ValueError(f"level count a must be an integer >= 1, not {self.a!r}")
+        if isinstance(self.a, bool) or not isinstance(self.a, (int, np.integer)):
+            raise ValueError(f"level count a must be an integer, not {self.a!r}")
+        if not 1 <= self.a <= MAX_LEVELS:
+            raise ValueError(f"level count a must lie in [1, {MAX_LEVELS}], not {self.a}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict
     np_rel = rate + L  # N' = R + L, the bottom part's relative length
     m0 = L / np_rel
     s0 = sphere_exponent_many(wf, P / np_rel)
-    u = np.minimum(s0 / (2**a + quantum), m0 / a)
+    u = np.minimum(s0 / (2.0**a + quantum), m0 / a)
     x = m0 - (a - 1) * u
     zeta = np_rel * ((2 + quantum) * u - x)
     tau = np_rel * u
@@ -217,8 +222,8 @@ def _optimize_many(problems, a_max) -> list:
     their compass searches run in one lockstep batch.
     """
     a_max = _to_int(a_max, "a_max")
-    if a_max < 1:
-        raise ValueError("a_max must be >= 1")
+    if not 1 <= a_max <= MAX_LEVELS:
+        raise ValueError(f"a_max must lie in [1, {MAX_LEVELS}], got {a_max}")
     for _, model, algorithm in problems:
         if model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
@@ -269,7 +274,7 @@ def optimize_point(
     A 64x64 grid over the feasible box seeds a compass refinement (step
     down to 1e-5) for the three most promising level counts; the three
     searches run in lockstep.  For "prange" the point is pinned to (0, 0);
-    "dumer" fixes a = 1.
+    "dumer" fixes a = 1.  a_max lies in [1, MAX_LEVELS].
     """
     (res,) = _optimize_many([(cp, model, algorithm)], a_max)
     if isinstance(res, InfeasibleParameterError):

@@ -260,40 +260,40 @@ def _draw_ahead(inst: SdInstance, rng: random.Random, draw, count: int):
     return perms, draws
 
 
-def _first_hit(inst: SdInstance, desc, ech, perms: list[Permutation], weights: tuple[int, int]):
+def _first_hit(inst: SdInstance, desc, ech, perms: list[Permutation], w_rem: int):
     """(loop, hit, candidates tested) for the first candidate of a stack that completes.
 
-    Candidates go in (loop, index) order, CANDIDATE_BLOCK at a time.  Loop
-    b's reduced system [[I, H'], [0, H'']] e = (s', s'') turns a candidate
-    e'' into the residual (s', s'') - [H'; H''] e'': its top part is e',
-    its bottom part must vanish, and the scaled weights of e'' and e' must
-    be weights = (p, w - p).  The count runs up to and including the hit,
-    or over all of desc when there is none.  A hit is put back in place
-    (coordinate i of loop b's permuted vector is coordinate
-    perms[b].images[i] of e) and leaves as the one FqVector of the solve.
+    Candidates go in (loop, index) order, one block of CANDIDATE_BLOCK
+    domain indices at a time.  Loop b's reduced system
+    [[I, H'], [0, H'']] e = (s', s'') turns a candidate e'' into the
+    residual (s', s'') - [H'; H''] e'': its top part is e', its bottom part
+    must vanish, and e' must carry the remaining scaled weight w_rem.  The
+    count is the hit's domain index + 1, or all of desc when there is none.
+    A hit is put back in place (coordinate i of loop b's permuted vector is
+    coordinate perms[b].images[i] of e) and leaves as the one FqVector of
+    the solve.
     """
     q, lead = inst.q, ech.h_prime.shape[1]
     tab = inst.wf.int_table_array()
     system = np.concatenate([ech.h_prime, ech.h_second], axis=1)
     target = np.concatenate([ech.s_prime, ech.s_second], axis=1)
     for lo in range(0, desc.y, CANDIDATE_BLOCK):
-        e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
-        rows = np.flatnonzero(tab[e2].sum(axis=1) == weights[0])
-        if not rows.size:
+        idx, e2 = desc.candidates(lo, min(lo + CANDIDATE_BLOCK, desc.y))
+        if not idx.size:
             continue
-        loop = np.searchsorted(desc.starts, lo + rows, side="right") - 1
-        bounds = [0, *(np.flatnonzero(np.diff(loop)) + 1), len(rows)]  # one run per loop
-        res = np.empty((len(rows), system.shape[1]), dtype=np.int64)
+        loop = np.searchsorted(desc.starts, idx, side="right") - 1
+        bounds = [0, *(np.flatnonzero(np.diff(loop)) + 1), len(idx)]  # one run per loop
+        res = np.empty((len(idx), system.shape[1]), dtype=np.int64)
         for i, j in zip(bounds[:-1], bounds[1:]):
-            res[i:j] = e2[rows[i:j]] @ system[loop[i]].T
+            res[i:j] = e2[i:j] @ system[loop[i]].T
         res = (target[loop] - res) % q
-        ok = ~res[:, lead:].any(axis=1) & (tab[res[:, :lead]].sum(axis=1) == weights[1])
+        ok = ~res[:, lead:].any(axis=1) & (tab[res[:, :lead]].sum(axis=1) == w_rem)
         for i in np.flatnonzero(ok):
             e = np.empty(inst.n, dtype=np.int64)
-            e[perms[loop[i]].images] = np.concatenate([res[i, :lead], e2[rows[i]]])
+            e[perms[loop[i]].images] = np.concatenate([res[i, :lead], e2[i]])
             hit = FqVector(q, e)
             if verify_solution(inst, hit):  # soundness guard; never expected to fail
-                return int(loop[i]), hit, lo + int(rows[i]) + 1
+                return int(loop[i]), hit, int(idx[i]) + 1
     return None, None, desc.y
 
 
@@ -313,7 +313,7 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
     p1 = _exact_p1(inst, params.ell, params.p)
     # an empty outer sphere means no permutation can ever succeed
     budget = params.max_outer_loops if p1 > 0.0 else 0
-    weights = (inst.wf.scaled(params.p), inst.wf.scaled(inst.w - params.p))
+    w_rem = inst.wf.scaled(inst.w - params.p)
     build = _builder(inst, params)
     plan = cmsd.loop_plan(
         params.variant, inst.wf, inst.k + params.ell, params.ell, params.p, params.a,
@@ -349,7 +349,7 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
                     z_hat = float(desc.meta.get("expected_solutions", 1.0))
                     size, grow = per_hit(z_hat), False
                 budget = max(1, min(params.max_outer_loops, int(10.0 * per_hit(z_hat))))
-            hit_loop, solution, n_tested = _first_hit(inst, desc, ech, perms, weights)
+            hit_loop, solution, n_tested = _first_hit(inst, desc, ech, perms, w_rem)
             done = cut if solution is None else hit_loop + 1
             loops += done
             cmsd_calls += done

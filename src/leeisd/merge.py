@@ -86,13 +86,14 @@ def _packed_order(digits: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.
 
     digits holds base-q digits, most significant column first, and loop
     ids lie in [0, nloops).  Both are packed into as few int64 words as
-    hold them, and one lexsort runs over [insertion index, words...].
+    hold them, and one lexsort (a stable sort, so ties keep insertion
+    order) runs over the words.
     """
     mult, top = _word_layout(q, digits.shape[1], nloops)
     words = digits @ mult
     if loop is not None and nloops > 1:
         words[:, 0] += loop * top
-    return np.lexsort((np.arange(len(digits)), *words.T[::-1]))
+    return np.lexsort(words.T[::-1])
 
 
 def _check_J(J, width: int) -> tuple[int, ...]:
@@ -239,7 +240,7 @@ def merge(
         raise ValueError(f"loop ids must lie in [0, {nloops})")
 
     order, keys1 = L1._sorted(J, nloops)
-    t2 = tJ[L2.loop] if nloops > 1 else tJ.reshape(1, -1)
+    t2 = tJ.take(L2.loop, axis=0) if nloops > 1 else tJ.reshape(1, -1)
     loop2 = L2.loop if nloops > 1 else None  # every id of a stack of one is 0
     need = t2 - L2.syndromes[:, cols]
     need += (need >> 63) & q  # (t - y) mod q: adds q where the difference is negative
@@ -259,6 +260,6 @@ def merge(
     refs = np.empty((total, 2), dtype=np.int64)
     refs[:, 0] = order[pos1]
     refs[:, 1] = j_idx
-    syn = (L1.syndromes[refs[:, 0]] + L2.syndromes[j_idx]) % q
+    syn = (L1.syndromes.take(refs[:, 0], axis=0) + L2.syndromes.take(j_idx, axis=0)) % q
     loop = None if L2.loop is None else L2.loop[j_idx]
     return IndexedList(q, syn, refs, loop=loop)

@@ -27,7 +27,14 @@ from leeisd.isd import (
     _exact_p1,
     verify_solution,
 )
-from leeisd.merge import IndexedList, MergeOverflowError, _check_J, _encode_keys, _target_on_J
+from leeisd.merge import (
+    IndexedList,
+    MergeOverflowError,
+    _check_J,
+    _encode_keys,
+    _packed_order,
+    _target_on_J,
+)
 from leeisd.weights import SphereEnumerator
 
 
@@ -229,9 +236,10 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
 # -- the merge layer before packed sort words and survivor evaluation -------------
 #
 # IndexedList._sorted as one lexsort key per column, merge on top of it, the
-# per-split dumer build and wagner2's full-row evaluate, as they were before
-# the merge tree was made leaner.  The library must give the same orders,
-# lists, rows and overflow errors.
+# per-split dumer build and wagner2's full-row evaluate with its partner
+# tables, as they were before the merge tree was made leaner and wagner2's
+# chain became merges.  The library must give the same orders, lists, rows
+# and overflow errors.
 
 
 def sorted_reference(lst: IndexedList, J: tuple[int, ...], nloops: int | None = None):
@@ -315,6 +323,34 @@ def dumer_by_split(h2: np.ndarray, s2: np.ndarray, wf, p, cap: int) -> np.ndarra
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
+@dataclass(frozen=True, eq=False)
+class Partners:
+    """One side list reduced to its chosen partner per (loop, J-key), keys ascending."""
+
+    keys: np.ndarray
+    syn: np.ndarray
+    part: np.ndarray  # support parts, columns sup[0]..sup[1]
+    sup: tuple[int, int]
+
+
+def partner_table(node, J: np.ndarray, q: int, loops: int) -> Partners:
+    """Per loop and J-key, the entry with the lexicographically smallest support part.
+
+    Ties go to the earlier entry.  Equal support parts have equal
+    syndromes, so this is also the first of them in the list sorted on J.
+    Only the first loops loops of the stack are tabled.
+    """
+    lst = cmsd._head(node.lst, loops)
+    syn, loop = lst.syndromes, lst.loop
+    part = node.gather(np.arange(len(syn)))
+    order = _packed_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops)
+    keys = _encode_keys(syn[order][:, J], q, loop[order], loops)
+    first = np.ones(len(keys), dtype=bool)  # the first entry of each run of equal keys
+    first[1:] = keys[1:] != keys[:-1]
+    pick = order[first]
+    return Partners(keys[first], syn[pick], part[pick], node.sup)
+
+
 def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.ndarray, bool]:
     """(f on idx, whether every partner table is populated) of a wagner2 stack.
 
@@ -334,10 +370,11 @@ def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.n
     levels = cmsd._merge_levels(materialized, j_groups, targets, cap, alive)
     live = alive.loops
     partners = [
-        cmsd._partner_table(levels[j - 1][-1], j_groups[j - 1], q, live) for j in range(1, a + 1)
+        partner_table(levels[j - 1][-1], j_groups[j - 1], q, live) for j in range(1, a + 1)
     ]
     y = min(last.enum.count, cap)
-    ranks = None if draws[0].lazy_ranks is None else np.array([d.lazy_ranks for d in draws[:live]])
+    lazy = [d.leaf_ranks[-1] for d in draws[:live]]
+    ranks = None if lazy[0] is None else np.array(lazy)
     sub_last = h2[:live, :, last.offset : last.offset + last.length]
     chain_targets = [targets[j][(1 << (a - j)) - 1] for j in range(1, a + 1)]
     every_side_populated = all(len(pt.keys) for pt in partners)

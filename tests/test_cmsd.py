@@ -551,7 +551,7 @@ def test_wagner2_survivor_rows_match_full_rows():
             want, populated = oracles.wagner2_full_rows(h2, s2, wf, p, a, cap, draws, idx)
             got = desc.evaluate_many(idx)
             assert np.array_equal(got, want), (wf, ell, n, p, a, cap, loops, seed)
-            seen["sampled" if draws[0].lazy_ranks else "shared"] += 1
+            seen["sampled" if draws[0].leaf_ranks[-1] else "shared"] += 1
             seen["populated" if populated else "empty table"] += 1
             seen["rows"] += int(want.any(axis=1).sum())
     assert seen["sampled"] and seen["shared"] and seen["empty table"] and seen["rows"]
