@@ -18,27 +18,28 @@ Back ends:
     image covers all solutions.  Each half's base list holds the spheres
     of every split, in split order, and one merge over split groups
     (_split_merge) pairs entries of the same split only.
-  * wagner_v2_build: the checkable-function variant; the quadratically
-    larger rightmost list is never merged in full.  It is a leaf over the
+  * wagner_v2_build: the checkable-function variant over 2^a + 1 units.
+    Its quadratically larger rightmost list, the chain, is a leaf over the
     last block (the shared sphere when it fits the cap, else each loop's
-    sampled ranks), and at level j the chain is merged against S_j, the
-    fully merged left sibling, reduced to its first partner per (loop,
-    J-key), so every chain entry keeps at most one match, in order.
+    sampled ranks) that is never merged in full: it is the right side of
+    each level's last pair, whose left side S_j is first reduced to its
+    first partner per (loop, J-key), so every chain entry keeps at most one
+    match, in order.
 
-One builder body (_build_tree) serves dumer and wagner_v1, and one
-level-wise merge tree (_merge_levels) serves it at a >= 2 and the
-materialized leaves of wagner_v2_build; wagner2's chain joins through the
-same merge.  Leaves keep their vectors, so a root entry resolves to its
-candidate row by index gathering.  Every description is a root list plus
-dom, the ascending domain index of each root entry: its position in
-(loop, index) order for the merge trees, its lazy-leaf position for
-wagner2.  Every merge sorts on int64 words that pack the loop (or split
-group), the J-projection and the rest of the syndrome in base q.  Neither
-a leaf sphere, the block layout, the J partition nor the random draws
-depend on H: they are one cached plan per back-end signature (_plan), each
-sphere is built once per (table, length, weight), a build's randomness is
-drawn by _Plan.draw, and only the leaf syndromes, the targets and the
-merges are computed per build.
+One builder body (_build_tree) serves all three merge trees, and one
+level-wise merge loop (_merge_levels) runs every level of wagner_v1 at
+a >= 2 and of wagner_v2_build; dumer's one merge and wagner2's domain are
+the only branches.  Leaves keep their vectors, so a root entry resolves
+to its candidate row by index gathering.  Every description is a root
+list plus dom, the ascending domain index of each root entry: its
+position in (loop, index) order for dumer and wagner_v1, its chain-leaf
+position for wagner2.  Every merge sorts on int64 words that pack the
+loop (or split group), the J-projection and the rest of the syndrome in
+base q.  Neither a leaf sphere, the block layout, the J partition nor the
+random draws depend on H: they are one cached plan per back-end signature
+(_plan), each sphere is built once per (table, length, weight), a build's
+randomness is drawn by _Plan.draw, and only the leaf syndromes, the
+targets and the merges are computed per build.
 
 Every builder also takes a stack of B bottom blocks, one per outer loop
 (h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
@@ -65,6 +66,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .estimator import _list_exponent
 from .fieldlin import _integer_array
 from .merge import (
     DEFAULT_LIST_CAP,
@@ -307,8 +309,8 @@ def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last
 
     The J groups J_1..J_a are consecutive, read-only int arrays over the
     ell syndrome coordinates.  The first a-1 take round(n*u) coordinates
-    each, following the list-size balancing rule with
-    u = min(s(omega0)/branches, m0/a); the last absorbs the remainder.
+    each, following the estimator's list-size law u = _list_exponent(s0,
+    ell/n, a, lazy_last); the last absorbs the remainder.
     """
     most = max(n, 1).bit_length()
     if a > most:
@@ -348,7 +350,7 @@ def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last
     else:
         omega0 = (p_scaled / wf.denominator) / n
         s0 = float(sphere_exponent_many(wf, [omega0])[0])
-        u = min(s0 / units, (ell / n) / a)
+        u = _list_exponent(s0, ell / n, a, lazy_last)
         sizes = []
         for _ in range(a - 1):
             sizes.append(max(0, min(int(round(n * u)), ell - sum(sizes))))
@@ -413,12 +415,12 @@ def _leaf(h2: np.ndarray, q: int, blocks: tuple[_Block, ...], ranks) -> _Node:
     return _Node(lst, sup, vecs=vecs)
 
 
-def _over_cap(blocks: tuple[_Block, ...], cap: int, ranks=None) -> MergeOverflowError | None:
+def _over_cap(blocks: tuple[_Block, ...], cap: int, ranks) -> MergeOverflowError | None:
     """The error of the first base list in blocks that holds its whole sphere and exceeds cap.
 
-    ranks[i] is not None where the list of blocks[i] is sampled; no ranks: none is.
+    ranks[i] is not None where the list of blocks[i] is sampled.
     """
-    for b, r in zip(blocks, ranks or [None] * len(blocks)):
+    for b, r in zip(blocks, ranks):
         if r is None and b.enum.count > cap:
             return MergeOverflowError(f"base list of size {b.enum.count} exceeds cap {cap}")
     return None
@@ -519,45 +521,23 @@ def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Node:
     syn, loop = lst.syndromes, lst.loop
     part = node.gather(np.arange(len(syn)))
     order = _packed_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops)
-    runs = np.column_stack([loop[order], syn[order][:, J]])
+    runs = np.column_stack([loop[order], syn.take(order, axis=0)[:, J]])
     first = np.ones(len(order), dtype=bool)  # the first entry of each run of equal (loop, J)
     first[1:] = (runs[1:] != runs[:-1]).any(axis=1)
     pick = order[first]
-    lst = IndexedList(q, syn[pick], np.arange(len(pick)), loop=loop[pick])
-    return _Node(lst, node.sup, vecs=part[pick])
+    lst = IndexedList(q, syn.take(pick, axis=0), np.arange(len(pick)), loop=loop[pick])
+    return _Node(lst, node.sup, vecs=part.take(pick, axis=0))
 
 
 def _expected(base_sizes: list[int], j_groups: tuple[np.ndarray, ...], q: int) -> float:
     """One loop's average-case merge-tree output from its base list sizes.
 
-    base_sizes also counts a list that is described but not materialized.
+    wagner2's chain counts its min(sphere, cap) entries.
     """
     a = len(j_groups)
     log_num = sum(math.log(max(s, 1)) for s in base_sizes)
     constrained = sum((1 << (a - j)) * len(J) for j, J in enumerate(j_groups, 1))
     return max(math.exp(min(log_num - constrained * math.log(q), 700.0)), 1e-300)
-
-
-def _tree_meta(
-    variant: str,
-    levels: list[list[_Node]],
-    j_groups: tuple[np.ndarray, ...],
-    base_sizes: list[int],
-    q: int,
-    loops: int,
-) -> dict:
-    """List sizes of a stack of merge trees and its average-case output size.
-
-    base_sizes are one loop's; level sizes count the entries of every loop,
-    and the expected output is that of loops trees.
-    """
-    return {
-        "variant": variant,
-        "levels": len(j_groups),
-        "j_sizes": [len(g) for g in j_groups],
-        "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
-        "expected_solutions": _expected(base_sizes, j_groups, q) * loops,
-    }
 
 
 # -- back ends ---------------------------------------------------------------
@@ -569,19 +549,25 @@ def _merge_levels(
     targets: list[list[np.ndarray]],
     cap: int,
     alive: _Alive,
+    lazy: bool = False,
 ) -> list[list[_Node]]:
     """Wagner's k-tree, level by level (dumer's one merge is _split_merge).
 
     levels[0] is nodes.  Level j merges adjacent pairs of level j-1 on J_j,
-    pair i against targets[j][i]; an odd last node stays unmerged.  Only
-    the loops still alive are merged; a loop over cap is cut from the stack
-    and the merge runs again without it.
+    pair i against targets[j][i]; an odd last node stays unmerged.  With
+    lazy (wagner2) the last node of every level is the chain, which is
+    never merged in full: the left side of the last pair, S_j, is first
+    reduced to one partner per (loop, J-key), so each chain entry keeps at
+    most one match.  Only the loops still alive are merged; a loop over cap
+    is cut from the stack and the merge runs again without it.
     """
     levels = [nodes]
     for j, J in enumerate(j_groups, 1):
         prev, nxt = levels[-1], []
         for i in range(len(prev) // 2):
             lhs, rhs = prev[2 * i], prev[2 * i + 1]
+            if lazy and 2 * i + 2 == len(prev):
+                lhs = _partner_table(lhs, J, lhs.lst.q, alive.loops)
             while True:
                 try:
                     lists = (_head(lhs.lst, alive.loops), _head(rhs.lst, alive.loops))
@@ -735,45 +721,67 @@ def _split_merge(h2, s2, q, plan: _Plan, draws, cap: int, alive: _Alive):
     return root, pairs, int(np.count_nonzero(per_group[: alive.loops * splits]))
 
 
-def _build_tree(h_second, s_second, wf, p, a, cap, rng, base_list_size, draws) -> CmsdDescription:
+def _build_tree(
+    h_second, s_second, wf, p, a, cap, rng, base_list_size, draws, lazy=False
+) -> CmsdDescription:
     """Wagner's k-tree over 2^a support blocks; dumer is the case a = 1.
 
     At a = 1 every weight split (w1, p - w1) that both halves can carry is
     merged, in one merge over split groups (_split_merge), so the image of
     f is exactly the solution set of the subproblem; the number of splits
     is linear in the rescaled weight, so the asymptotics are unchanged.  At
-    a >= 2 the one balanced split is built, and an infeasible block raises.
+    a >= 2, and for wagner2 (lazy) at every a, the one balanced split is
+    built, and an infeasible block raises.  wagner2's last leaf is the
+    chain: a root entry's domain index is its chain-leaf position b * y + k,
+    found by walking backrefs[:, 1] down the tree.  Without draws, rng
+    (default Random(0)) draws for each loop in turn.
     """
+    if a < 1:
+        raise ValueError("level count a must be >= 1")
     h2, s2, single = _stack(h_second, s_second)
     q = wf.q
     loops, ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
-    plan = _plan(wf, n, ell, p_scaled, a, False)
-    draws = _loop_draws(plan, q, loops, rng, draws, size_limit=base_list_size)
+    plan = _plan(wf, n, ell, p_scaled, a, lazy)
+    rng = random.Random(0) if rng is None and draws is None else rng
+    limits = dict(size_limit=base_list_size, lazy_cap=cap if lazy else None)
+    draws = _loop_draws(plan, q, loops, rng, draws, **limits)
     alive = _Alive(loops)
-    if a == 1:
+    if a == 1 and not lazy:
         root, pairs, splits = _split_merge(h2, s2, q, plan, draws, cap, alive)
-    else:
-        (blocks,) = plan.layouts
-        ranks = _leaf_ranks(draws)
-        error = _over_cap(blocks, cap, ranks)
-        if error is not None:
-            raise error
-        leaves = [_leaf(h2, q, (b,), (r,)) for b, r in zip(blocks, ranks)]
-        coords = np.array([d.targets for d in draws]).reshape(loops, -1)
-        targets = _finish_targets(s2, coords, plan.j_groups, q)
-        levels = _merge_levels(leaves, plan.j_groups, targets, cap, alive)
-        root = levels[a][0]
-    starts, dom, counts = _tree_domain(root, alive.loops)
-
-    if a > 1:
-        sizes = [len(nd.lst) // loops for nd in leaves]
-        meta = _tree_meta("wagner1", levels, plan.j_groups, sizes, q, alive.loops)
-    else:
+        starts, dom, counts = _tree_domain(root, alive.loops)
         # merged entries are exactly the solutions here, so the realized total
         # is the best prediction; fall back to the average-case ratio if empty
         per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts]
         meta = dict(variant="dumer", splits=splits, expected_solutions=max(sum(per_loop), 1e-300))
+        return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive)
+
+    (blocks,) = plan.layouts
+    ranks = _leaf_ranks(draws)
+    error = _over_cap(blocks, cap, ranks)
+    if error is not None:
+        raise error
+    leaves = [_leaf(h2, q, (b,), (r,)) for b, r in zip(blocks, ranks)]
+    coords = np.array([d.targets for d in draws]).reshape(loops, -1)
+    targets = _finish_targets(s2, coords, plan.j_groups, q)
+    levels = _merge_levels(leaves, plan.j_groups, targets, cap, alive, lazy)
+    root = levels[a][0]
+    if lazy:
+        y = len(leaves[-1].lst) // loops
+        dom, node = np.arange(len(root.lst)), root  # each root entry's chain-leaf position
+        while node.children is not None:
+            dom, node = node.lst.backrefs[dom, 1], node.children[1]
+        starts = np.arange(alive.loops + 1) * y
+    else:
+        starts, dom, _ = _tree_domain(root, alive.loops)
+    sizes = [len(nd.lst) // loops for nd in leaves]  # one loop's; level sizes count every loop
+    meta = {
+        "variant": "wagner2" if lazy else "wagner1",
+        "levels": a,
+        "j_sizes": [len(g) for g in plan.j_groups],
+        "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
+        "expected_solutions": _expected(sizes, plan.j_groups, q) * alive.loops,
+    }
     return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive)
 
 
@@ -809,10 +817,6 @@ def cmsd_wagner_v1(
     matching the asymptotic sizing rule.  A stack draws for its loops in
     turn, unless draws gives each loop's randomness (from _Plan.draw).
     """
-    if a < 1:
-        raise ValueError("level count a must be >= 1")
-    if rng is None:
-        rng = random.Random(0)
     return _build_tree(h_second, s_second, wf, p, a, list_size_cap, rng, base_list_size, draws)
 
 
@@ -839,40 +843,4 @@ def cmsd_wagner_v2_build(
     every level finds a partner.  A stack draws for its loops in turn,
     unless draws gives each loop's randomness (from _Plan.draw).
     """
-    if a < 1:
-        raise ValueError("level count a must be >= 1")
-    if rng is None:
-        rng = random.Random(0)
-    h2, s2, single = _stack(h_second, s_second)
-    q = wf.q
-    loops, ell, n = h2.shape
-    p_frac, p_scaled = _budget(wf, p)
-    plan = _plan(wf, n, ell, p_scaled, a, True)
-    (blocks,), j_groups = plan
-    draws = _loop_draws(plan, q, loops, rng, draws, lazy_cap=list_size_cap)
-    coords = np.array([d.targets for d in draws]).reshape(loops, -1)
-    targets = _finish_targets(s2, coords, j_groups, q)
-
-    error = _over_cap(blocks[:-1], list_size_cap)
-    if error is not None:
-        raise error
-    materialized = [_leaf(h2, q, (b,), (None,)) for b in blocks[:-1]]
-    alive = _Alive(loops)
-    levels = _merge_levels(materialized, j_groups, targets, list_size_cap, alive)
-    live = alive.loops
-    # S_j, the fully merged left sibling of the chain at level j, is the odd
-    # node that level j - 1 leaves unmerged; the chain's target is the last
-    chain = _leaf(h2[:live], q, blocks[-1:], _leaf_ranks(draws[:live])[-1:])
-    for j, J in enumerate(j_groups, 1):
-        side = _partner_table(levels[j - 1][-1], J, q, live)
-        merged = merge(side.lst, chain.lst, J, targets[j][-1][:live], list_size_cap)
-        chain = _Node(merged, (side.sup[0], n), children=(side, chain))
-    dom, node = np.arange(len(chain.lst)), chain  # each root entry's chain-leaf position
-    while node.children is not None:
-        dom, node = node.lst.backrefs[dom, 1], node.children[1]
-
-    y = min(blocks[-1].enum.count, list_size_cap)
-    base_sizes = [len(nd.lst) // loops for nd in materialized] + [y]
-    meta = _tree_meta("wagner2", levels, j_groups, base_sizes, q, live)
-    starts = np.arange(live + 1) * y
-    return _describe(p_frac, h2, s2, single, wf, meta, starts, chain, dom, alive)
+    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, rng, None, draws, lazy=True)

@@ -118,6 +118,16 @@ def _check_point(cp: CodeParams, L: float, P: float) -> None:
         raise InfeasibleParameterError(f"P={P} outside [{lo}, {hi}] at L={L}")
 
 
+def _list_exponent(s0, m0, a, quantum):
+    """u, the list-size exponent per merge level, relative to the bottom length N'.
+
+    The base lists of the 2^a (classical) or 2^a + 1 (quantum) branches
+    share the entropy s0 of the bottom weight, capped so that the a levels
+    fit in the m0 = L / N' of syndrome they may constrain.
+    """
+    return np.minimum(s0 / (2.0**a + quantum), m0 / a)
+
+
 def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict:
     """Every exponent of the merge-tree attack at feasible points (L, P).
 
@@ -136,7 +146,7 @@ def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict
     np_rel = rate + L  # N' = R + L, the bottom part's relative length
     m0 = L / np_rel
     s0 = sphere_exponent_many(wf, P / np_rel)
-    u = np.minimum(s0 / (2.0**a + quantum), m0 / a)
+    u = _list_exponent(s0, m0, a, quantum)
     x = m0 - (a - 1) * u
     zeta = np_rel * ((2 + quantum) * u - x)
     tau = np_rel * u

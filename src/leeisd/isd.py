@@ -286,7 +286,7 @@ def _first_hit(inst: SdInstance, desc, ech, perms: list[Permutation], w_rem: int
         res = np.empty((len(idx), system.shape[1]), dtype=np.int64)
         for i, j in zip(bounds[:-1], bounds[1:]):
             res[i:j] = e2[i:j] @ system[loop[i]].T
-        res = (target[loop] - res) % q
+        res = (target.take(loop, axis=0) - res) % q
         ok = ~res[:, lead:].any(axis=1) & (tab[res[:, :lead]].sum(axis=1) == w_rem)
         for i in np.flatnonzero(ok):
             e = np.empty(inst.n, dtype=np.int64)

@@ -179,8 +179,8 @@ class IndexedList:
         order, keys = self._sorted(J)
         out = IndexedList(
             q=self.q,
-            syndromes=self.syndromes[order],
-            backrefs=self.backrefs[order],
+            syndromes=self.syndromes.take(order, axis=0),
+            backrefs=self.backrefs.take(order, axis=0),
             sorted_on=J,
             loop=None if self.loop is None else self.loop[order],
         )

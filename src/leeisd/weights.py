@@ -25,6 +25,10 @@ import numpy as np
 from .fieldlin import FqVector, _integer_array, _to_int, validate_modulus
 
 _WEIGHT_TOL = 1e-12  # relative to the max weight: how far outside [0, w_max] a target may lie
+# the most the top weight may be of the smallest gap between two weights: the
+# variance m*gap - E[wt*gap] cancels to about eps * spread; at 10^18 the table
+# (0, 1, 1, 1, 10^18) still gets exponents within 6e-13, 10^20 is 3e-9 off
+_MAX_SPREAD = 10**18
 
 
 def _to_fraction(x) -> Fraction:
@@ -50,9 +54,11 @@ class WeightFunction:
 
     The table fixes the metric: lee uses min(x, q - x), hamming charges 1
     for every nonzero symbol, and custom tables may hold any nonnegative
-    rationals, at least one of them positive.  Derived views (the scaled
-    integer table, the entropy solver's weight classes) are computed once
-    per instance.
+    rationals, at least one of them positive, with the top weight at most
+    _MAX_SPREAD = 10^18 times the smallest gap between two distinct
+    weights; past that the entropy solver loses accuracy.  Derived views
+    (the scaled integer table, the entropy solver's weight classes) are
+    computed once per instance.
     """
 
     q: int
@@ -71,6 +77,9 @@ class WeightFunction:
         if not any(x > 0 for x in tab):
             raise ValueError("at least one symbol must have positive weight")
         object.__setattr__(self, "table", tab)
+        levels = sorted(set(self.int_table))
+        if levels[-1] > _MAX_SPREAD * min(b - a for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"top weight exceeds {_MAX_SPREAD:.0e} times the smallest weight gap")
 
     @classmethod
     def lee(cls, q: int) -> "WeightFunction":
@@ -118,7 +127,7 @@ class WeightFunction:
 
     @cached_property
     def int_table(self) -> tuple[int, ...]:
-        return tuple(int(x * self.denominator) for x in self.table)
+        return tuple(x.numerator * (self.denominator // x.denominator) for x in self.table)
 
     @cached_property
     def _int_array(self) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,15 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     code, _, err = run_cli(capsys, "sphere", "--q", "3", "--exact", "--n", "4", "--w", "1/0")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # a top weight 10^307 times the smallest gap: rejected on load, with no warning
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"q": 5, "table": [0, 1, 1, 1, 10**307]}))
+    for cmd in (("sphere",), ("estimate", "--R", "0.5")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *cmd, "--q", "5", "--weight", str(wide), "--omega", "1")
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "smallest weight gap" in err
     # k > n: rejected before any draw (it used to loop forever)
     code, _, err = run_cli(capsys, "gen", "--q", "3", "--n", "10", "--k", "12", "--w", "2")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1

@@ -14,6 +14,7 @@ from leeisd.cmsd import (
     cmsd_wagner_v2_build,
     _finish_targets,
     _plan,
+    loop_plan,
     _sample_ranks,
     _split_lengths,
     _split_weight,
@@ -555,3 +556,57 @@ def test_wagner2_survivor_rows_match_full_rows():
             seen["populated" if populated else "empty table"] += 1
             seen["rows"] += int(want.any(axis=1).sum())
     assert seen["sampled"] and seen["shared"] and seen["empty table"] and seen["rows"]
+
+
+def _chain(desc):
+    """wagner2's chain nodes, from the leaf up to the root: right children all the way down."""
+    nodes = [desc.root]
+    while nodes[-1].children is not None:
+        nodes.append(nodes[-1].children[1])
+    return nodes[::-1]
+
+
+@pytest.mark.parametrize("a,n,p,cap", [(1, 9, 3, 30), (2, 15, 5, 40), (3, 27, 9, 100)])
+def test_wagner2_level_sizes_end_with_the_chain(a, n, p, cap):
+    # one merge tree: level j holds 2^(a-j) nodes, the chain last, and the
+    # expected output is loop_plan's average-case count for every loop
+    wf, ell, loops = WeightFunction.lee(3), 4, 3
+    rng = np.random.default_rng(a)
+    h2, s2 = rng.integers(0, 3, (loops, ell, n)), rng.integers(0, 3, (loops, ell))
+    desc = cmsd_wagner_v2_build(h2, s2, wf, p, a, cap, rng=random.Random(a))
+    assert desc.overflow is None
+    sizes = desc.meta["level_sizes"]
+    assert [len(level) for level in sizes] == [1 << (a - j) for j in range(a + 1)]
+    assert [level[-1] for level in sizes] == [len(nd.lst) for nd in _chain(desc)]
+    (blocks,), _ = _plan(wf, n, ell, wf.scaled(p), a, True)
+    assert sizes[0][-1] == desc.y == loops * min(blocks[-1].enum.count, cap)  # the chain leaf
+    plan = loop_plan("wagner2", wf, n, ell, p, a, cap)
+    assert desc.meta["expected_solutions"] == pytest.approx(plan.expected * loops, rel=1e-12)
+
+
+def test_wagner2_stack_cut_at_level_2_after_the_chain_merged():
+    # a = 3: the chain merges at level 1 over all four loops, then a level-2
+    # merge of the materialized side overflows for loop 3 and cuts the stack
+    wf, ell, n, p, a, cap, loops = WeightFunction.lee(3), 4, 27, 9, 3, 48, 4
+    q = wf.q
+    plan = _plan(wf, n, ell, wf.scaled(p), a, True)
+    rng = np.random.default_rng(1)
+    h2, s2 = rng.integers(0, q, (loops, ell, n)), rng.integers(0, q, (loops, ell))
+    draw_rng = random.Random(1)
+    draws = [plan.draw(q, draw_rng, lazy_cap=cap) for _ in range(loops)]
+    desc = cmsd_wagner_v2_build(h2, s2, wf, p, a, cap, draws=draws)
+    live = len(desc.starts) - 1
+    assert live == 3 and desc.overflow.loop == 3
+    assert _chain(desc)[1].lst.loop.max() == 3  # the cut loop had merged at level 1
+    with pytest.raises(MergeOverflowError) as err:
+        cmsd_wagner_v2_build(h2[live], s2[live], wf, p, a, cap, draws=draws[live : live + 1])
+    assert str(err.value) == str(desc.overflow)
+    for b in range(live):
+        single = cmsd_wagner_v2_build(h2[b], s2[b], wf, p, a, cap, draws=draws[b : b + 1])
+        want = single.evaluate_many(np.arange(single.y))
+        got = desc.evaluate_many(np.arange(desc.starts[b], desc.starts[b + 1]))
+        assert np.array_equal(got, want), b
+    idx = np.arange(desc.y)
+    want, _ = oracles.wagner2_full_rows(h2, s2, wf, p, a, cap, draws, idx)
+    assert np.array_equal(desc.evaluate_many(idx), want)
+    assert want.any(axis=1).sum() > 0

@@ -464,3 +464,20 @@ def test_sampling_uniformity_chi_square():
     expected = draws / 8
     chi2 = sum((c - expected) ** 2 / expected for c in hits.values())
     assert chi2 < 18.48  # df=7 critical value at p=0.01
+
+
+def test_wide_weight_range_is_exact_up_to_the_bound_and_rejected_past_it():
+    # (0, 1, 1, 1, T) at mean 0.5: the T symbol's share vanishes, so the
+    # exponent is that of (1/2, 1/6, 1/6, 1/6), log_5(12) / 2, for any large T;
+    # past a top weight of 10^18 times the smallest gap the table is rejected
+    limit = math.log(12) / (2 * math.log(5))
+    for k in range(2, 19):
+        wf = WeightFunction(5, (0, 1, 1, 1, 10**k))
+        assert abs(sphere_exponent_many(wf, [0.5])[0] - limit) < 1e-12, k
+    for top in (10**18 + 1, 10**20, 10**25, 10**30, 10**200, 10**307):
+        with pytest.raises(ValueError, match="smallest weight gap"):
+            WeightFunction(5, (0, 1, 1, 1, top))
+    # the gap, not the smallest weight, is what counts
+    with pytest.raises(ValueError, match="smallest weight gap"):
+        WeightFunction(3, (0, 10**18, 10**18 + 1))
+    WeightFunction(3, (0, Fraction(1, 10**9), 10**9))
