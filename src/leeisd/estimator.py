@@ -140,12 +140,14 @@ def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict
     points costs no more entropy work than one level count.
     """
     out_len = 1.0 - rate - L
-    s_out = sphere_exponent_many(wf, (omega - P) / np.maximum(out_len, _EPS))
+    np_rel = rate + L  # N' = R + L, the bottom part's relative length
+    # both entropies in one solve: the outer part's weight, then the bottom's
+    s_out, s0 = sphere_exponent_many(
+        wf, np.stack(np.broadcast_arrays((omega - P) / np.maximum(out_len, _EPS), P / np_rel))
+    )
     num = np.where(out_len > _EPS, out_len * s_out, 0.0)
     pi1 = np.minimum(0.0, num - np.maximum(0.0, np.minimum(s_omega - L, out_len)))
-    np_rel = rate + L  # N' = R + L, the bottom part's relative length
     m0 = L / np_rel
-    s0 = sphere_exponent_many(wf, P / np_rel)
     u = _list_exponent(s0, m0, a, quantum)
     x = m0 - (a - 1) * u
     zeta = np_rel * ((2 + quantum) * u - x)

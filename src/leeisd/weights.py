@@ -186,16 +186,33 @@ def vector_weight(v: FqVector, wf: WeightFunction) -> Fraction:
 # -- exact sphere counting ------------------------------------------------
 
 
-def _kronecker_slots(int_table: tuple[int, ...], n: int) -> tuple[int, int]:
-    """(packed weight enumerator, bytes per slot) for powers up to n.
+# the most bytes the packed counts of one (length, weight) may take: at the
+# limit one exact count takes about 1.5 s (hamming(3), n = 2000, w = 2000)
+_MAX_PACKED_BYTES = 2**20
+
+
+def _kronecker_slots(int_table: tuple[int, ...], n: int, w_scaled: int) -> tuple[int, int, int]:
+    """(packed weight enumerator, bytes per slot, mask) for powers up to n.
 
     Exact counts come from the coefficient lists of (sum_x z^{wt_x})^i by
     Kronecker substitution: the polynomial is packed into one big integer
     with byte-aligned slots wide enough that coefficients (all <= q^n)
-    never carry across slots, and powers are taken on the integer.
+    never carry across slots, and powers are taken on the integer.  A
+    slot of a product depends only on the slots at or below it, so every
+    product is masked to the w_scaled + 1 slots of weights 0..w_scaled and
+    stays exact there.  A packed integer over _MAX_PACKED_BYTES raises
+    ValueError before any big-integer work.
     """
     slot_bytes = (n * max(1, len(int_table).bit_length()) + 8) // 8
-    return sum(1 << (w * 8 * slot_bytes) for w in int_table), slot_bytes
+    size = (w_scaled + 1) * slot_bytes
+    if size > _MAX_PACKED_BYTES:
+        raise ValueError(
+            f"exact counts at length {n} and scaled weight {w_scaled} take {size} bytes,"
+            f" over the limit of {_MAX_PACKED_BYTES}"
+        )
+    bits = 8 * slot_bytes
+    base = sum(1 << (w * bits) for w in int_table if w <= w_scaled)
+    return base, slot_bytes, (1 << (size * 8)) - 1
 
 
 def _unpack(val: int, nslots: int, slot_bytes: int) -> tuple[int, ...]:
@@ -207,10 +224,19 @@ def _unpack(val: int, nslots: int, slot_bytes: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def _count_row(int_table: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Counts of vectors of each scaled weight 0..n*max, length-n, exact."""
-    base, slot_bytes = _kronecker_slots(int_table, n)
-    return _unpack(base**n, n * max(int_table) + 1, slot_bytes)
+def _count_at(int_table: tuple[int, ...], n: int, w_scaled: int) -> int:
+    """Number of length-n vectors of scaled weight w_scaled, exact.
+
+    The power is taken from the top bit of n down, so each step squares and
+    at most once multiplies by the short base.
+    """
+    base, slot_bytes, mask = _kronecker_slots(int_table, n, w_scaled)
+    val = 1
+    for bit in bin(n)[2:]:
+        val = val * val & mask
+        if bit == "1":
+            val = val * base & mask
+    return val >> (8 * slot_bytes * w_scaled)
 
 
 def sphere_count_exact(wf: WeightFunction, n: int, w) -> int:
@@ -218,24 +244,30 @@ def sphere_count_exact(wf: WeightFunction, n: int, w) -> int:
     n = _to_int(n, "length")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    ws, row = wf.scaled(w), _count_row(wf.int_table, n)
-    return row[ws] if ws is not None and 0 <= ws < len(row) else 0
+    ws = wf.scaled(w)
+    if ws is None or not 0 <= ws <= n * max(wf.int_table):
+        return 0
+    return _count_at(wf.int_table, n, ws)
 
 
 # -- sphere enumeration, ranking and sampling ------------------------------
 
 
 @lru_cache(maxsize=64)
-def _count_rows(int_table: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+def _count_rows(int_table: tuple[int, ...], n: int, w_scaled: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n of the suffix-count table: row[i][j] = #length-i vectors of weight j.
 
-    The same Kronecker counts as _count_row, one multiplication per row.
+    Only the weights j <= w_scaled that an unrank at w_scaled reads: the
+    same masked Kronecker counts as _count_at, one multiplication per row.
+    No rows when no length-n vector has weight w_scaled.
     """
-    base, slot_bytes = _kronecker_slots(int_table, n)
-    rows, val = [(1,)], 1
-    for i in range(1, n + 1):
-        val *= base
-        rows.append(_unpack(val, i * max(int_table) + 1, slot_bytes))
+    if not 0 <= w_scaled <= n * max(int_table):
+        return ()
+    base, slot_bytes, mask = _kronecker_slots(int_table, n, w_scaled)
+    rows, val = [_unpack(1, w_scaled + 1, slot_bytes)], 1
+    for _ in range(n):
+        val = val * base & mask
+        rows.append(_unpack(val, w_scaled + 1, slot_bytes))
     return tuple(rows)
 
 
@@ -255,14 +287,12 @@ class SphereEnumerator:
         self.n = n
         ws = wf.scaled(w)
         self.w_scaled = -1 if ws is None or ws < 0 else ws
-        self._rows = _count_rows(wf.int_table, n)
+        self._rows = _count_rows(wf.int_table, n, self.w_scaled)
         self._tab = wf.int_table
 
     @property
     def count(self) -> int:
-        if self.w_scaled < 0 or self.w_scaled >= len(self._rows[self.n]):
-            return 0
-        return self._rows[self.n][self.w_scaled]
+        return self._rows[self.n][self.w_scaled] if self._rows else 0
 
     def unrank(self, r: int) -> np.ndarray:
         r = _to_int(r, "rank")
@@ -271,11 +301,10 @@ class SphereEnumerator:
         out = np.zeros(self.n, dtype=np.int64)
         budget = self.w_scaled
         for i in range(self.n):
-            rem = self.n - i - 1
-            row = self._rows[rem]
+            row = self._rows[self.n - i - 1]
             for x in range(self.wf.q):
                 left = budget - self._tab[x]
-                c = row[left] if 0 <= left < len(row) else 0
+                c = row[left] if left >= 0 else 0
                 if r < c:
                     out[i] = x
                     budget = left
@@ -310,13 +339,9 @@ def _suffix_table(int_table: tuple[int, ...], n: int, w_scaled: int) -> np.ndarr
 
     The entries for weights j in [-w_scaled, w_scaled] are all an unrank at
     weight w_scaled reads (negative weights count 0).  The array is int64
-    when they fit and holds Python ints (dtype object) otherwise; the full
-    _count_rows may overflow int64 even when this slice does not.
+    when they fit and holds Python ints (dtype object) otherwise.
     """
-    cells = [
-        [0] * w_scaled + [row[j] if j < len(row) else 0 for j in range(w_scaled + 1)]
-        for row in _count_rows(int_table, n)
-    ]
+    cells = [[0] * w_scaled + list(row) for row in _count_rows(int_table, n, w_scaled)]
     fits = max(map(max, cells)) < 2**63
     arr = np.array(cells, dtype=np.int64 if fits else object)
     arr.setflags(write=False)
@@ -350,8 +375,8 @@ def _unrank_rows(
 
 @lru_cache(maxsize=64)
 def _sphere_vectors(int_table: tuple[int, ...], n: int, w_scaled: int) -> np.ndarray:
-    rows = _count_rows(int_table, n)
-    count = rows[n][w_scaled] if 0 <= w_scaled < len(rows[n]) else 0
+    rows = _count_rows(int_table, n, w_scaled)
+    count = rows[n][w_scaled] if rows else 0
     if count:
         out = _unrank_rows(int_table, n, w_scaled, np.arange(count))
     else:
@@ -434,23 +459,29 @@ class _Dual:
         _BLOCK elements, each kept in cache through three passes: the
         exponents, by a matmul against the two distance rows with one
         coefficient zero, so each is one exact product; exp in place; and one
-        matmul against mult * [1, wt, gap, wt * gap].  The entropy is the
-        dual value ln Z + |beta| ln q E|wt - w_end|, a sum of two
-        nonnegative terms, so nothing cancels.
+        matmul against mult * [1, wt, gap, wt * gap].  No block is one row,
+        so a row's bits are the same in every batch that holds it.  The
+        entropy is the dual value ln Z + |beta| ln q E|wt - w_end|, a sum of
+        two nonnegative terms, so nothing cancels.
         """
+        n = len(beta)
         up = beta >= 0
         slope = np.abs(beta) * -self.lnq
-        coef = np.zeros((len(beta), 2))  # per row, one coefficient is zero
-        np.copyto(coef[:, 0], slope, where=up)
-        np.copyto(coef[:, 1], slope, where=~up)
-        out = np.empty((len(beta), 4))
-        rows = max(1, _BLOCK // len(self.w))
-        buf = np.empty((min(rows, len(beta)), len(self.w)))
-        for start in range(0, len(beta), rows):
+        rows = max(2, _BLOCK // len(self.w))
+        # a one-row product takes another BLAS kernel, whose sums differ from
+        # a batch's in the last bits: a lone last row gets a zero row beside it
+        pad = n % rows == 1
+        coef = np.zeros((n + pad, 2))  # per row, one coefficient is zero
+        np.copyto(coef[:n, 0], slope, where=up)
+        np.copyto(coef[:n, 1], slope, where=~up)
+        out = np.empty((n + pad, 4))
+        buf = np.empty((min(rows, n + pad), len(self.w)))
+        for start in range(0, n + pad, rows):
             block = coef[start : start + rows]
             z = np.matmul(block, self._dist, out=buf[: len(block)])
             np.exp(z, out=z)
             np.matmul(z, self._columns, out=out[start : start + rows])
+        out = out[:n]
         tot = out[:, 0].copy()
         out /= tot[:, None]
         out[:, 0] = np.log(tot) - slope * np.where(up, out[:, 1], out[:, 2])
@@ -492,42 +523,76 @@ class _Dual:
         ends = np.concatenate([[self.beta_max], beta, [-self.beta_max]])
         return x[keep], np.where(beta >= 0, s, 2.0 - s), ends, dx, dy
 
+    @cached_property
+    def starts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(key, cells) of x and of y: each key of nodes with its _start_cells."""
+        x, y, ends, dx, dy = self.nodes
+        return (x, _start_cells(x, dx, ends)), (y, _start_cells(y, dy, ends))
+
+
+def _start_cells(key, slopes, ends) -> np.ndarray:
+    """(8, len(key) + 1) Hermite start table of one key, a column per searchsorted cell.
+
+    Cell c holds the levels in (key[c - 1], key[c]]; its root lies in
+    [lo, hi] = [ends[c + 1], ends[c]].  It interpolates over the nodes i - 1
+    and i, i = c clamped to [1, len(key) - 1], so an end cell reads its
+    neighbour's nodes.  The rows are key[i - 1], the width h = key[i] -
+    key[i - 1] (inf for a cell of zero width, so that its u is 0), beta =
+    b0 at node i - 1, run = the beta change to node i, the two end bends
+    h * slope - run, lo and hi.  A cell whose bends are not both finite (a
+    nan end slope) gets zero bends: its start is linear.
+    """
+    c = np.arange(len(key) + 1)
+    i = np.minimum(np.maximum(c, 1), len(key) - 1)
+    h = key[i] - key[i - 1]
+    b0, run = ends[i], ends[i + 1] - ends[i]
+    bends = np.stack([h * slopes[i - 1] - run, h * slopes[i] - run])
+    bends[:, ~np.isfinite(bends).all(axis=0)] = 0.0
+    width = np.where(h > 0, h, math.inf)
+    cells = np.stack([key[i - 1], width, b0, run, *bends, ends[c + 1], ends[c]])
+    cells.setflags(write=False)
+    return cells
+
 
 _NEWTON_TOL = 2.0**-26  # about sqrt(eps): a smaller Newton step leaves error ~ eps
 _BRACKET_TOL = 2.0**-48  # a midpoint step this small means the bracket has closed
 
 
-def _newton(d: _Dual, key, slopes, t, target, residual):
-    """Roots in beta of residual, one per level t of key, and their rows.
+def _hermite_start(start, t):
+    """(beta, lo, hi) at each level t: the start and the node cell [lo, hi] of its root.
 
-    key and slopes are a key of d.nodes and its dbeta/dkey.  A point starts
-    at the cubic Hermite interpolant of beta in the node cell [lo, hi] that
-    holds t, clamped to it; a cell with a nan end slope starts from the
-    linear interpolant, and an end cell from its one node.  residual(ev, beta, target) returns
-    (above, num, den) from ev = d.evaluate(beta): where the root lies above
-    beta, and the Newton step num / den.  Each evaluation moves one end of
-    [lo, hi] to the point; a step that leaves it becomes the midpoint.  A
-    point stops after a Newton step below sqrt(eps) of its scale, a
-    midpoint step below rounding, or the 72 steps of a bisection from
-    +-beta_max; from the Hermite start that is one kernel pass.
+    start is one of _Dual.starts, a key and its start table: one
+    searchsorted, one gather of the cell's column and one Hermite step.
+    """
+    key, cells = start
+    k0, h, b0, run, bend0, bend1, lo, hi = cells.take(np.searchsorted(key, t), axis=1)
+    u = np.minimum(np.maximum((t - k0) / h, 0.0), 1.0)
+    v = 1.0 - u
+    return np.minimum(np.maximum(b0 + u * run + u * v * (v * bend0 - u * bend1), lo), hi), lo, hi
+
+
+def _newton(d: _Dual, start, t, target, residual):
+    """Roots in beta of residual, one per level t of a key, and their rows.
+
+    start is one of d.starts: a key of d.nodes and its start table.  A point
+    starts at the cubic Hermite interpolant of beta in the node cell [lo,
+    hi] that holds t, clamped to it (_hermite_start).  residual(ev,
+    beta, target) returns (above, num, den) from ev = d.evaluate(beta):
+    where the root lies above beta, and the Newton step num / den.  Each
+    evaluation moves one end of [lo, hi] to the point; a step that leaves it
+    becomes the midpoint.  A point stops after a Newton step below sqrt(eps)
+    of its scale, a midpoint step below rounding, or the 72 steps of a
+    bisection from +-beta_max; from the Hermite start that is one kernel
+    pass.
 
     Returns beta and the rows [s ln q, mean] of its last pass, carried to
     beta by one first-order term (d(s ln q)/dbeta = -beta (ln q)^2 Var,
     dm/dbeta = -ln q Var), which leaves an error of rounding size after a
     step below sqrt(eps).
     """
-    ends = d.nodes[2]
-    cell = np.searchsorted(key, t)
-    lo, hi = ends[cell + 1], ends[cell]
-    i = np.minimum(np.maximum(cell, 1), len(key) - 1)  # an end cell reads its neighbour's nodes
-    h = key[i] - key[i - 1]
-    u = np.divide(t - key[i - 1], h, out=np.zeros(len(t)), where=h > 0)
-    u = np.minimum(np.maximum(u, 0.0), 1.0)
-    b0, run = ends[i], ends[i + 1] - ends[i]
-    bend = u * (1.0 - u) * ((1.0 - u) * (h * slopes[i - 1] - run) - u * (h * slopes[i] - run))
-    cur = b0 + u * run + np.where(np.isnan(bend), 0.0, bend)
-    cur = np.minimum(np.maximum(cur, lo), hi)
-    beta, rows, live = cur.copy(), np.empty((len(cur), 2)), np.arange(len(cur))
+    cur, lo, hi = _hermite_start(start, t)
+    beta, rows = np.empty(len(t)), np.empty((len(t), 2))
+    live = slice(None)  # every point, until one stops; then their indices
     scale = 1.0 / (d.w[-1] * d.lnq)
     for _ in range(72):
         ev = d.evaluate(cur)
@@ -545,7 +610,8 @@ def _newton(d: _Dual, key, slopes, t, target, residual):
         moving = np.abs(nxt - cur) > tol
         if not moving.any():
             break
-        live, cur, lo, hi, target = (a[moving] for a in (live, nxt, lo, hi, target))
+        live = np.arange(len(t))[live][moving]
+        cur, lo, hi, target = (a[moving] for a in (nxt, lo, hi, target))
     return beta, rows
 
 
@@ -558,6 +624,8 @@ def _solve_dual(wf: WeightFunction, omegas):
     target gets _newton on x = logit(mean) = ln m - ln(w_max - m), which is
     close to linear in beta at both ends: one kernel pass from the Hermite
     start on the _NODES-node table, with the entropy carried from that pass.
+    The end targets are set aside first, so the solve itself gathers and
+    scatters nothing.
     """
     d = wf._dual_solver
     wmax = float(d.w[-1])
@@ -566,10 +634,14 @@ def _solve_dual(wf: WeightFunction, omegas):
         bad = om[~np.isfinite(om)][0]
         raise ValueError(f"target weight {bad} outside [0, {wmax}]")
     om = np.minimum(np.maximum(om, 0.0), wmax)  # np.clip, without its call overhead
-    at_lo, at_hi = om <= 0.0, om >= wmax
-    beta = np.where(at_lo, d.beta_max, -d.beta_max)
-    live = ~(at_lo | at_hi)
-    x = np.log(om[live]) - np.log(wmax - om[live])
+    inner = (om > 0.0) & (om < wmax)
+    if not inner.all():  # the end targets get their exact limits, the others one solve
+        at_lo = om <= 0.0
+        ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, math.log(d.mult[-1]) / d.lnq)
+        beta = np.where(at_lo, math.inf, -math.inf)
+        ent[inner], beta[inner] = _solve_dual(wf, om[inner])
+        return ent, beta
+    x = np.log(om) - np.log(wmax - om)
 
     def residual(ev, beta, x):
         m, gap = ev[:, 1], ev[:, 2]
@@ -581,11 +653,8 @@ def _solve_dual(wf: WeightFunction, omegas):
         # dx/dbeta = -Var ln q w_max / (m gap); Var = m gap - E[wt gap] is <= 0 where pos fails
         return above, f * m * gap, (m * gap - ev[:, 3]) * (d.lnq * wmax)
 
-    ent = np.where(at_lo, math.log(d.mult[0]) / d.lnq, math.log(d.mult[-1]) / d.lnq)
-    beta[live], rows = _newton(d, d.nodes[0], d.nodes[3], x, x, residual)
-    ent[live] = np.minimum(np.maximum(rows[:, 0] / d.lnq, 0.0), 1.0)
-    beta = np.where(at_lo, math.inf, np.where(at_hi, -math.inf, beta))
-    return ent, beta
+    beta, rows = _newton(d, d.starts[0], x, x, residual)
+    return np.minimum(np.maximum(rows[:, 0] / d.lnq, 0.0), 1.0), beta
 
 
 def sphere_exponent(wf: WeightFunction, omega: float) -> EntropyProfile:
@@ -647,7 +716,7 @@ def entropy_crossings(wf: WeightFunction, s: float) -> tuple[float, float]:
 
     y = 1.0 - side * (1.0 - s)  # y = s or 2 - s
     out = np.array([0.0, d.w[-1]])
-    out[live] = _newton(d, d.nodes[1], d.nodes[4], y, side, residual)[1][:, 1]
+    out[live] = _newton(d, d.starts[1], y, side, residual)[1][:, 1]
     return float(out[0]), float(out[1])
 
 

@@ -399,3 +399,59 @@ def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.n
         return out
 
     return evaluate(np.asarray(idx, dtype=np.int64)), every_side_populated
+
+
+def hermite_start(d, key, slopes, t):
+    """(beta, lo, hi): the per-point cubic Hermite start of a _newton solve.
+
+    key and slopes are a key of d.nodes and its dbeta/dkey.  The start is
+    the cubic Hermite interpolant of beta in the node cell [lo, hi] that
+    holds t, clamped to it; a cell with a nan end slope starts from the
+    linear interpolant, and an end cell from its neighbour's nodes.
+    """
+    ends = d.nodes[2]
+    cell = np.searchsorted(key, t)
+    lo, hi = ends[cell + 1], ends[cell]
+    i = np.minimum(np.maximum(cell, 1), len(key) - 1)  # an end cell reads its neighbour's nodes
+    h = key[i] - key[i - 1]
+    u = np.divide(t - key[i - 1], h, out=np.zeros(len(t)), where=h > 0)
+    u = np.minimum(np.maximum(u, 0.0), 1.0)
+    b0, run = ends[i], ends[i + 1] - ends[i]
+    bend = u * (1.0 - u) * ((1.0 - u) * (h * slopes[i - 1] - run) - u * (h * slopes[i] - run))
+    cur = b0 + u * run + np.where(np.isnan(bend), 0.0, bend)
+    return np.minimum(np.maximum(cur, lo), hi), lo, hi
+
+
+# -- exact sphere counts over every weight -------------------------------------
+#
+# The library packs only the weights up to the one asked for; these pack
+# every weight of the row, and unrank from those full rows.
+
+
+def count_row(int_table: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Counts of length-n vectors of each scaled weight 0..n*max, exact."""
+    slot_bytes = (n * max(1, len(int_table).bit_length()) + 8) // 8
+    base = sum(1 << (w * 8 * slot_bytes) for w in int_table)
+    nslots = n * max(int_table) + 1
+    raw = (base**n).to_bytes(nslots * slot_bytes, "little")
+    return tuple(
+        int.from_bytes(raw[j * slot_bytes : (j + 1) * slot_bytes], "little")
+        for j in range(nslots)
+    )
+
+
+def unrank_full_rows(int_table: tuple[int, ...], n: int, w_scaled: int, r: int) -> np.ndarray:
+    """The length-n vector of rank r among those of scaled weight w_scaled, by full rows."""
+    rows = [count_row(int_table, i) for i in range(n + 1)]
+    out = np.zeros(n, dtype=np.int64)
+    budget = w_scaled
+    for i in range(n):
+        row = rows[n - i - 1]
+        for x, cost in enumerate(int_table):
+            left = budget - cost
+            c = row[left] if 0 <= left < len(row) else 0
+            if r < c:
+                out[i], budget = x, left
+                break
+            r -= c
+    return out

@@ -5,10 +5,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from leeisd.cli import main
+from leeisd import estimator
+from leeisd.cli import MAX_SWEEP_POINTS, main
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +163,12 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--q", "3", "--R", "1.5", "--points", "0")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert "--points" in err
+    # an exact count whose packed integer would take 75 MB: rejected before packing
+    code, _, err = run_cli(
+        capsys, "sphere", "--q", "5", "--omega", "0.5", "--exact", "--n", "100000000", "--w", "1"
+    )
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "over the limit" in err
     # a table entry that overflows to infinity in JSON, and a zero denominator
     table = tmp_path / "inf.json"
     table.write_text('{"q": 3, "table": [0, 1e400, 1]}')
@@ -183,6 +191,19 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gen", "--q", "3", "--n", "10", "--k", "12", "--w", "2")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert "0 < k < n" in err
+
+
+def test_sweep_points_over_the_maximum_exit_2_before_allocating(capsys):
+    nothing = AssertionError("allocated a grid")
+    with (
+        mock.patch("leeisd.cli.np.linspace", side_effect=nothing),
+        mock.patch("leeisd.cli._load_weight", side_effect=nothing),
+        mock.patch.object(estimator, "sweep", side_effect=nothing),
+    ):
+        for points in ("100000000000", str(MAX_SWEEP_POINTS + 1)):
+            code, _, err = run_cli(capsys, "sweep", "--q", "5", "--R", "0.5", "--points", points)
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+            assert f"--points must lie in [1, {MAX_SWEEP_POINTS}]" in err
 
 
 def test_non_integer_instance_json_exit_2(tmp_path, capsys):

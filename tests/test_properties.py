@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leeisd import estimator
 from leeisd.estimator import (
     AlgoPoint,
     CodeParams,
     InfeasibleParameterError,
+    _factors,
     hardest_instance,
     local_maxima_weights,
     optimize_point,
@@ -32,14 +34,15 @@ from leeisd.merge import IndexedList, _encode_keys, merge
 from leeisd.weights import (
     SphereEnumerator,
     WeightFunction,
-    _count_row,
     _Dual,
+    _hermite_start,
     _newton,
     _solve_dual,
+    sphere_count_exact,
     sphere_exponent,
     sphere_exponent_many,
 )
-from oracles import bisection_crossings, sphere_rank as rank
+from oracles import bisection_crossings, count_row, hermite_start, sphere_rank as rank
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -273,6 +276,82 @@ def test_one_pass_and_carried_rows_on_random_tables(wf):
     check_carried_rows(wf)
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def check_start_table(d, targets):
+    """The table start equals the per-point oracle bit for bit, on both keys."""
+    x, y, _, dx, dy = d.nodes
+    for start, key, slopes in ((d.starts[0], x, dx), (d.starts[1], y, dy)):
+        for t in targets(key, slopes):
+            for got, want in zip(_hermite_start(start, t), hermite_start(d, key, slopes, t)):
+                assert np.array_equal(bits(got), bits(want))
+
+
+def start_targets(seed):
+    def targets(key, slopes):
+        rng = np.random.default_rng(seed)
+        nan_cells = np.flatnonzero(np.isnan(slopes))  # dy at beta = 0
+        special = np.concatenate([
+            key,  # exactly on every node
+            [key[0] - 1.0, np.nextafter(key[0], -1e300)],  # the low end cell
+            [np.nextafter(key[-1], 1e300), key[-1] + 1.0],  # the high end cell
+            *(rng.uniform(key[max(i - 1, 0)], key[min(i + 1, len(key) - 1)], 8) for i in nan_cells),
+        ])
+        inside = rng.uniform(key[0] - 0.5, key[-1] + 0.5, 4096)
+        return [special[:1], special[-12:], special, inside[:1], inside[:12], inside]
+    return targets
+
+
+@pytest.mark.parametrize("wf", LEE, ids=lambda wf: f"lee{wf.q}")
+def test_start_table_matches_the_per_point_oracle(wf):
+    d = wf._dual_solver
+    assert np.isnan(d.nodes[4]).any()  # the nan-slope cells are covered
+    check_start_table(d, start_targets(wf.q))
+
+
+@FIXED
+@given(random_tables(), st.integers(0, 2**32 - 1))
+def test_start_table_matches_the_oracle_on_random_tables(wf, seed):
+    check_start_table(wf._dual_solver, start_targets(seed))
+
+
+@pytest.mark.parametrize("wf", LEE, ids=lambda wf: f"lee{wf.q}")
+def test_a_target_solves_the_same_in_every_batch(wf):
+    # a lone row goes through another BLAS kernel; evaluate never makes one
+    om = np.random.default_rng(wf.q).uniform(0.0, 1.0, 8192) * float(wf.max_weight)
+    ent, beta = _solve_dual(wf, om)
+    for part in (slice(0, 1), slice(0, 2), slice(5, 5 + 4096), slice(1, 198), slice(0, 4096)):
+        for got, want in zip(_solve_dual(wf, om[part]), (ent[part], beta[part])):
+            assert np.array_equal(bits(got), bits(want))
+    halves = [_solve_dual(wf, om[part]) for part in (slice(0, 4096), slice(4096, None))]
+    for k, whole in enumerate((ent, beta)):
+        assert np.array_equal(bits(np.concatenate([h[k] for h in halves])), bits(whole))
+    one = np.array([_solve_dual(wf, om[i : i + 1])[0][0] for i in range(300)])
+    assert np.array_equal(bits(one), bits(ent[:300]))
+
+
+@pytest.mark.parametrize("wf", LEE, ids=lambda wf: f"lee{wf.q}")
+def test_one_entropy_call_and_one_pass_per_factors_call(wf):
+    # the compass polls and the grids: both weights of every point in one solve
+    cp = CodeParams(wf, 0.45, 0.3 * float(wf.max_weight))
+    wf._dual_solver.nodes
+    unit = np.linspace(0.05, 0.95, 64)
+    wmax = float(wf.max_weight)
+    grid = estimator._unit_to_LP(wmax, cp.rate, cp.omega, np.repeat(unit, 64), np.tile(unit, 64))
+    for L, P, a in ((*grid, np.arange(1, 11)[:, None]), (grid[0][:12], grid[1][:12], 2)):
+        args = (wf, cp.rate, cp.omega, cp.s_omega, False, L, P, a)
+        spy = mock.patch.object(estimator, "sphere_exponent_many", wraps=sphere_exponent_many)
+        with spy as calls:
+            assert kernel_passes(_factors, *args) == 1
+        assert calls.call_count == 1
+        # the same bits as two separate solves
+        s0 = _factors(*args)["s_omega0"]
+        alone = np.broadcast_to(sphere_exponent_many(wf, P / (cp.rate + L)), s0.shape)
+        assert np.array_equal(bits(s0), bits(alone))
+
+
 @settings(FIXED, max_examples=25)
 @given(random_tables())
 def test_exact_counts_converge_to_sphere_exponent(wf):
@@ -283,11 +362,13 @@ def test_exact_counts_converge_to_sphere_exponent(wf):
     for frac in (0.3, 0.5, 0.7):
         gaps = []
         for n in (100, 200):
-            counts = _count_row(wf.int_table, n)
+            counts = count_row(wf.int_table, n)
             reachable = np.flatnonzero([c > 0 for c in counts])
             w = int(reachable[np.abs(reachable - frac * top * n).argmin()])
+            count = sphere_count_exact(wf, n, Fraction(w, wf.denominator))
+            assert count == counts[w]
             s = sphere_exponent_many(wf, [w / (wf.denominator * n)])[0]
-            gaps.append(abs(math.log(counts[w], wf.q) / n - s))
+            gaps.append(abs(math.log(count, wf.q) / n - s))
         assert gaps[1] <= 0.7 * gaps[0], (wf.table, frac, gaps)
 
 

@@ -11,7 +11,6 @@ from leeisd.fieldlin import FqVector, Permutation, apply_permutation
 from leeisd.weights import (
     SphereEnumerator,
     WeightFunction,
-    _count_row,
     _to_fraction,
     normalized_weight,
     sample_uniform_weight_w,
@@ -20,7 +19,7 @@ from leeisd.weights import (
     sphere_exponent_many,
     vector_weight,
 )
-from oracles import sphere_rank as rank
+from oracles import count_row, sphere_rank as rank, unrank_full_rows
 
 
 def brute_counts(wf, n):
@@ -137,7 +136,57 @@ def test_sphere_counts_match_enumeration_small():
 def test_sphere_partition_invariant():
     for q, n in ((3, 9), (5, 6), (7, 5)):
         for wf in (WeightFunction.lee(q), WeightFunction.hamming(q)):
-            assert sum(_count_row(wf.int_table, n)) == q**n
+            top = n * int(wf.int_table_array().max())
+            assert sum(sphere_count_exact(wf, n, w) for w in range(top + 1)) == q**n
+
+
+COUNT_TABLES = (
+    WeightFunction.lee(3),
+    WeightFunction.lee(5),
+    WeightFunction.hamming(3),
+    WeightFunction(5, (0, 0, Fraction(1, 2), Fraction(3, 2), 1)),
+)
+
+
+@pytest.mark.parametrize("wf", COUNT_TABLES, ids=lambda wf: str(wf.int_table))
+def test_counts_and_unranks_match_the_full_row_oracle(wf):
+    # only the weights up to the one asked for are packed; the counts stay exact
+    for n in range(7):
+        full = count_row(wf.int_table, n)
+        for ws in range(len(full) + 2):
+            w = Fraction(ws, wf.denominator)
+            want = full[ws] if ws < len(full) else 0
+            enum = SphereEnumerator(wf, n, w)
+            assert sphere_count_exact(wf, n, w) == enum.count == want
+            ranks = range(0, want, max(1, want // 40))
+            if ranks:
+                oracle = [unrank_full_rows(wf.int_table, n, ws, r) for r in ranks]
+                assert np.array_equal(enum.unrank_many(list(ranks)), oracle)
+                assert np.array_equal([enum.unrank(r) for r in ranks], oracle)
+                assert np.array_equal(enum.all_vectors()[list(ranks)], oracle)
+
+
+def test_exact_counts_pack_only_the_weights_they_read():
+    # lee(5) at n = 1000 packed all 2001 weights of every row: 10 s, 364 MB
+    tracemalloc.start()
+    try:
+        enum = SphereEnumerator(WeightFunction.lee(5), 1000, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.count == sphere_count_exact(WeightFunction.lee(5), 1000, 10)
+    assert peak <= 8_000_000
+    # a weight past n * max weight is empty at any length, with no packing
+    assert sphere_count_exact(WeightFunction.lee(5), 10**8, 3 * 10**8) == 0
+    assert SphereEnumerator(WeightFunction.lee(5), 10**8, 3 * 10**8).count == 0
+
+
+def test_exact_counts_over_the_packed_limit_are_rejected():
+    # two slots of 37.5 MB each: rejected before any big-integer work
+    wf = WeightFunction.lee(5)
+    for build in (sphere_count_exact, SphereEnumerator):
+        with pytest.raises(ValueError, match="over the limit of 1048576"):
+            build(wf, 10**8, 1)
 
 
 def test_rational_table_counts():
