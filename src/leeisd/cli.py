@@ -6,9 +6,9 @@ and weight search), sweep (weight-grid exponent curves as CSV), and
 selftest (quick end-to-end checks).
 
 Exit codes: 0 success, 2 usage or input error (including an infeasible
-estimate, a solve whose lists outgrow --cap, a sweep of more than
-MAX_SWEEP_POINTS weights, or an exact count too large to pack), 3 search
-budget exhausted.
+estimate, a solve whose lists outgrow --cap, a gen whose H would pass
+isd.MAX_H_ENTRIES entries, a sweep of more than MAX_SWEEP_POINTS weights,
+or an exact count too large to pack), 3 search budget exhausted.
 """
 
 from __future__ import annotations

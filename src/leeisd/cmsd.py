@@ -16,8 +16,8 @@ Back ends:
     telescope to s''.  dumer is wagner_v1 at a = 1: one birthday split into
     two support halves, enumerating every left/right weight split so the
     image covers all solutions.  Each half's base list holds the spheres
-    of every split, in split order, and one merge over split groups
-    (_split_merge) pairs entries of the same split only.
+    of every split, in split order, and the merge over split groups pairs
+    entries of the same split only.
   * wagner_v2_build: the checkable-function variant over 2^a + 1 units.
     Its quadratically larger rightmost list, the chain, is a leaf over the
     last block (the shared sphere when it fits the cap, else each loop's
@@ -27,25 +27,24 @@ Back ends:
     match, in order.
 
 One builder body (_build_tree) serves all three merge trees, and one
-level-wise merge loop (_merge_levels) runs every level of wagner_v1 at
-a >= 2 and of wagner_v2_build; dumer's one merge and wagner2's domain are
-the only branches.  Leaves keep their vectors, so a root entry resolves
-to its candidate row by index gathering.  Every description is a root
-list plus dom, the ascending domain index of each root entry: its
-position in (loop, index) order for dumer and wagner_v1, its chain-leaf
-position for wagner2.  Every merge sorts on int64 words that pack the
-loop (or split group), the J-projection and the rest of the syndrome in
-base q.  Neither a leaf sphere, the block layout, the J partition nor the
-random draws depend on H: they are one cached plan per back-end signature
-(_plan), each sphere is built once per (table, length, weight), a build's
-randomness is drawn by _Plan.draw, and only the leaf syndromes, the
-targets and the merges are computed per build.
+level-wise merge loop (_merge_levels) makes every merge of every build;
+wagner2's domain is the one tree-specific branch.  Leaves keep their
+vectors, so a root entry resolves to its candidate row by index
+gathering.  Every description is a root list plus dom, the ascending
+domain index of each root entry: its position in (loop, index) order for
+dumer and wagner_v1, its chain-leaf position for wagner2.  Every merge
+sorts on int64 words that pack the group, the J-projection and the rest
+of the syndrome in base q.  Neither a leaf sphere, the block layout, the
+J partition nor the random draws depend on H: they are one cached plan
+per back-end signature (_plan), each sphere is built once per (table,
+length, weight), a build's randomness is drawn by _Plan.draw, and only
+the leaf syndromes, the targets and the merges are computed per build.
 
 Every builder also takes a stack of B bottom blocks, one per outer loop
 (h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
 them in one pass: the leaf syndromes of all loops come from one product
-per leaf, and every list carries its loop (or, at dumer's split merge, its
-group loop * S + split) as the most significant sort key, so each loop
+per leaf, and every list carries its group b * S + s (loop b, split s of
+S; S = 1 but at dumer) as the most significant sort key, so each loop
 gets exactly the lists, and candidates in exactly the order, that its own
 build would give.  The description of a stack lists loop b's candidates
 at indices starts[b]..starts[b+1]-1.
@@ -415,15 +414,16 @@ def _leaf(h2: np.ndarray, q: int, blocks: tuple[_Block, ...], ranks) -> _Node:
     return _Node(lst, sup, vecs=vecs)
 
 
-def _over_cap(blocks: tuple[_Block, ...], cap: int, ranks) -> MergeOverflowError | None:
-    """The error of the first base list in blocks that holds its whole sphere and exceeds cap.
+def _over_cap(layouts, cap: int, ranks) -> tuple[int, MergeOverflowError | None]:
+    """(S, error): the layouts before the first with a whole base list over cap, and its error.
 
-    ranks[i] is not None where the list of blocks[i] is sampled.
+    ranks[i] is not None where the i-th base list, in layout order, is sampled.
     """
-    for b, r in zip(blocks, ranks):
-        if r is None and b.enum.count > cap:
-            return MergeOverflowError(f"base list of size {b.enum.count} exceeds cap {cap}")
-    return None
+    for i, b in enumerate(b for layout in layouts for b in layout):
+        if ranks[i] is None and b.enum.count > cap:
+            error = MergeOverflowError(f"base list of size {b.enum.count} exceeds cap {cap}")
+            return i // len(layouts[0]), error
+    return len(layouts), None
 
 
 def _leaf_ranks(draws: list[LoopDraws]) -> list[list | None]:
@@ -496,18 +496,37 @@ def _finish_targets(
     return targets
 
 
-def _tree_domain(root: _Node, loops: int):
+def _tree_domain(root: _Node, loops: int, splits: int):
     """(starts, dom, counts) of the root list of a stack of merge trees.
 
-    Loop b lists its entries of root in list order; a loop without entries
-    gets one index, which holds no candidate.  counts[b] is loop b's
-    number of entries.  The root lists its loops in order, as its leaves do.
+    Loop b's entries are those of its splits groups from b * splits on, in
+    list order, as the leaves list them; a loop without entries gets one
+    index, which holds no candidate.  counts[b] is loop b's entry count.
     """
-    firsts = root.lst.loop.searchsorted(np.arange(loops + 1))
+    firsts = root.lst.loop.searchsorted(np.arange(loops + 1) * splits)
     counts = np.diff(firsts)
     starts = np.concatenate([[0], np.cumsum(np.maximum(counts, 1))])
     dom = np.arange(firsts[-1]) + np.repeat(starts[:-1] - firsts[:-1], counts)
     return starts, dom, counts
+
+
+def _cut_loops(root_loop: np.ndarray, groups: _Alive, splits: int, loops: int, cap: int) -> _Alive:
+    """The loops of a merge over S = splits groups per loop that are still built.
+
+    Loop b fails as its S splits built one after another would: where the
+    running total of its solutions passes cap, else at the group g the
+    merge cut (loop g // S).  root_loop holds the root's group ids.  With
+    S = 1, merge already bounds each loop, so only its cut remains.
+    """
+    alive = _Alive(loops)
+    over = np.flatnonzero(np.bincount(root_loop // splits) > cap)
+    if over.size:  # at or before the loop of the merge's cut, if any
+        b = int(over[0])
+        alive.cut(b, MergeOverflowError(f"merged output exceeds cap {cap}", b))
+    elif groups.error is not None:
+        b = groups.loops // splits
+        alive.cut(b, MergeOverflowError(str(groups.error), b))
+    return alive
 
 
 def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Node:
@@ -551,14 +570,15 @@ def _merge_levels(
     alive: _Alive,
     lazy: bool = False,
 ) -> list[list[_Node]]:
-    """Wagner's k-tree, level by level (dumer's one merge is _split_merge).
+    """Wagner's k-tree, level by level: every merge of every build.
 
     levels[0] is nodes.  Level j merges adjacent pairs of level j-1 on J_j,
     pair i against targets[j][i]; an odd last node stays unmerged.  With
     lazy (wagner2) the last node of every level is the chain, which is
     never merged in full: the left side of the last pair, S_j, is first
     reduced to one partner per (loop, J-key), so each chain entry keeps at
-    most one match.  Only the loops still alive are merged; a loop over cap
+    most one match.  The stack's loops are the lists' loop ids (dumer's
+    split groups).  Only the loops still alive are merged; a loop over cap
     is cut from the stack and the merge runs again without it.
     """
     levels = [nodes]
@@ -658,83 +678,22 @@ def cmsd_prange(
     )
 
 
-def _split_merge(h2, s2, q, plan: _Plan, draws, cap: int, alive: _Alive):
-    """dumer's one merge over every weight split (w1, p - w1): (root, pairs, splits).
-
-    Each half's base list holds the sphere of every split, in split order,
-    loop b's entries of split s in group b * S + s of the S splits.  Entries
-    pair within a group only, against loop b's s'', so the root lists loop
-    b's solutions of split 0, then of split 1, and so on.  Overflow is that
-    of the splits built one after another: per split, a whole base list
-    over cap (which fails every loop, so later splits are never built), the
-    merge over cap, then the running total of the loop's solutions over
-    cap.  pairs is one loop's sum of left-by-right list sizes; splits
-    counts the (loop, split) groups with solutions.
-    """
-    loops, n = len(h2), h2.shape[2]
-    ranks = _leaf_ranks(draws)
-    splits, leaf_error = len(plan.layouts), None
-    for s, blocks in enumerate(plan.layouts):
-        leaf_error = _over_cap(blocks, cap, ranks[2 * s : 2 * s + 2])
-        if leaf_error is not None:
-            splits = s
-            break
-    if not splits:
-        raise leaf_error
-    halves = [
-        _leaf(h2, q, tuple(b[h] for b in plan.layouts[:splits]), ranks[h : 2 * splits : 2])
-        for h in (0, 1)
-    ]
-    groups, error = loops * splits, None
-    while True:
-        heads = [_head(nd.lst, groups) for nd in halves]
-        try:
-            merged = merge(*heads, plan.j_groups[0], np.repeat(s2, splits, axis=0)[:groups], cap)
-            break
-        except MergeOverflowError as exc:
-            # group exc.loop is over cap; merge the groups before it, since a
-            # running total may be over cap at an earlier split
-            error = MergeOverflowError(str(exc), exc.loop // splits)
-            if exc.loop == 0:
-                alive.cut(0, error)
-            groups = exc.loop
-    done = -(-groups // splits)  # loops with a merged split
-    per_group = np.zeros(done * splits, dtype=np.int64)
-    per_group[:groups] = np.bincount(merged.loop, minlength=groups)
-    over = np.flatnonzero((per_group.reshape(done, splits).cumsum(axis=1) > cap).any(axis=1))
-    if over.size:  # at or before the loop of error, if any
-        b = int(over[0])
-        alive.cut(b, MergeOverflowError(f"merged output exceeds cap {cap}", b))
-    elif error is not None:
-        alive.cut(error.loop, error)
-    if leaf_error is not None:
-        raise leaf_error
-    merged = _head(merged, alive.loops * splits)
-    root = _Node(
-        IndexedList(q, merged.syndromes, merged.backrefs, loop=merged.loop // splits),
-        (0, n),
-        children=tuple(halves),
-    )
-    # loop 0's entries give each split's list sizes
-    n0, n1 = (np.bincount(nd.lst.loop[: len(nd.lst) // loops], minlength=splits) for nd in halves)
-    pairs = sum(float(x) * float(y) for x, y in zip(n0, n1))
-    return root, pairs, int(np.count_nonzero(per_group[: alive.loops * splits]))
-
-
 def _build_tree(
     h_second, s_second, wf, p, a, cap, rng, base_list_size, draws, lazy=False
 ) -> CmsdDescription:
     """Wagner's k-tree over 2^a support blocks; dumer is the case a = 1.
 
     At a = 1 every weight split (w1, p - w1) that both halves can carry is
-    merged, in one merge over split groups (_split_merge), so the image of
-    f is exactly the solution set of the subproblem; the number of splits
-    is linear in the rescaled weight, so the asymptotics are unchanged.  At
-    a >= 2, and for wagner2 (lazy) at every a, the one balanced split is
-    built, and an infeasible block raises.  wagner2's last leaf is the
-    chain: a root entry's domain index is its chain-leaf position b * y + k,
-    found by walking backrefs[:, 1] down the tree.  Without draws, rng
-    (default Random(0)) draws for each loop in turn.
+    merged, so the image of f is exactly the solution set of the
+    subproblem; the number of splits is linear in the rescaled weight, so
+    the asymptotics are unchanged.  At a >= 2, and for wagner2 (lazy) at
+    every a, the one balanced split is built, and an infeasible block
+    raises.  Every leaf lists the spheres of all S splits, loop b's entries
+    of split s in group b * S + s, so one merge tree over the loops * S
+    groups pairs entries of the same split only.  wagner2's last leaf is
+    the chain: a root entry's domain index is its chain-leaf position
+    b * y + k, found by walking backrefs[:, 1] down the tree.  Without
+    draws, rng (default Random(0)) draws for each loop in turn.
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
@@ -746,42 +705,45 @@ def _build_tree(
     rng = random.Random(0) if rng is None and draws is None else rng
     limits = dict(size_limit=base_list_size, lazy_cap=cap if lazy else None)
     draws = _loop_draws(plan, q, loops, rng, draws, **limits)
-    alive = _Alive(loops)
-    if a == 1 and not lazy:
-        root, pairs, splits = _split_merge(h2, s2, q, plan, draws, cap, alive)
-        starts, dom, counts = _tree_domain(root, alive.loops)
-        # merged entries are exactly the solutions here, so the realized total
-        # is the best prediction; fall back to the average-case ratio if empty
-        per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts]
-        meta = dict(variant="dumer", splits=splits, expected_solutions=max(sum(per_loop), 1e-300))
-        return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive)
-
-    (blocks,) = plan.layouts
     ranks = _leaf_ranks(draws)
-    error = _over_cap(blocks, cap, ranks)
-    if error is not None:
-        raise error
-    leaves = [_leaf(h2, q, (b,), (r,)) for b, r in zip(blocks, ranks)]
+    splits, leaf_error = _over_cap(plan.layouts, cap, ranks)
+    if not splits:
+        raise leaf_error
+    width = len(plan.layouts[0])
+    columns = enumerate(zip(*plan.layouts[:splits]))  # each leaf's blocks, split by split
+    leaves = [_leaf(h2, q, col, ranks[i : width * splits : width]) for i, col in columns]
     coords = np.array([d.targets for d in draws]).reshape(loops, -1)
-    targets = _finish_targets(s2, coords, plan.j_groups, q)
-    levels = _merge_levels(leaves, plan.j_groups, targets, cap, alive, lazy)
+    targets = _finish_targets(*(x.repeat(splits, axis=0) for x in (s2, coords)), plan.j_groups, q)
+    groups = _Alive(loops * splits)
+    levels = _merge_levels(leaves, plan.j_groups, targets, cap, groups, lazy)
     root = levels[a][0]
+    alive = _cut_loops(root.lst.loop, groups, splits, loops, cap)
+    if leaf_error is not None:  # loop 0 reaches it: a cut of loop 0 at an earlier split raised
+        raise leaf_error
+    sizes = [len(nd.lst) // loops for nd in leaves]  # one loop's; level sizes count every loop
     if lazy:
-        y = len(leaves[-1].lst) // loops
         dom, node = np.arange(len(root.lst)), root  # each root entry's chain-leaf position
         while node.children is not None:
             dom, node = node.lst.backrefs[dom, 1], node.children[1]
-        starts = np.arange(alive.loops + 1) * y
+        starts = np.arange(alive.loops + 1) * sizes[-1]
     else:
-        starts, dom, _ = _tree_domain(root, alive.loops)
-    sizes = [len(nd.lst) // loops for nd in leaves]  # one loop's; level sizes count every loop
-    meta = {
-        "variant": "wagner2" if lazy else "wagner1",
-        "levels": a,
-        "j_sizes": [len(g) for g in plan.j_groups],
-        "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
-        "expected_solutions": _expected(sizes, plan.j_groups, q) * alive.loops,
-    }
+        starts, dom, counts = _tree_domain(root, alive.loops, splits)
+    if a == 1 and not lazy:
+        # merged entries are exactly the solutions, so the realized total is the best prediction
+        # (loop 0's pairs over q^ell where a loop has none); splits counts the groups with any
+        n0, n1 = (np.bincount(nd.lst.loop[:m], minlength=splits) for nd, m in zip(leaves, sizes))
+        pairs = sum(float(x) * float(y) for x, y in zip(n0, n1))
+        per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts]
+        solved = int(np.count_nonzero(np.bincount(root.lst.loop[: len(dom)])))
+        meta = dict(variant="dumer", splits=solved, expected_solutions=max(sum(per_loop), 1e-300))
+    else:
+        meta = {
+            "variant": "wagner2" if lazy else "wagner1",
+            "levels": a,
+            "j_sizes": [len(g) for g in plan.j_groups],
+            "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
+            "expected_solutions": _expected(sizes, plan.j_groups, q) * alive.loops,
+        }
     return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive)
 
 

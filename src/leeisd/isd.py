@@ -54,6 +54,9 @@ CANDIDATE_BLOCK = 4096
 # bound work and memory only
 MAX_BATCH = 64
 BATCH_ROWS = 1 << 16
+# the most entries (n - k) * n of a generated H: drawing 2^21 takes about
+# 50 MB and 2 s, and memory grows linearly, time faster, with the entries
+MAX_H_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +204,10 @@ def generate_instance(
     n, k = _to_int(n, "n"), _to_int(k, "k")
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
+    if (n - k) * n > MAX_H_ENTRIES:
+        raise ValueError(
+            f"H would have (n - k) * n = {(n - k) * n} entries, more than {MAX_H_ENTRIES}"
+        )
     w = _to_fraction(w)
     if sphere_count_exact(wf, n, w) == 0:
         raise ValueError(f"empty sphere: no vectors of weight {w} in F_{q}^{n}")

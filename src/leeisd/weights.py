@@ -589,6 +589,13 @@ def _newton(d: _Dual, start, t, target, residual):
     beta by one first-order term (d(s ln q)/dbeta = -beta (ln q)^2 Var,
     dm/dbeta = -ln q Var), which leaves an error of rounding size after a
     step below sqrt(eps).
+
+    The points still moving are a full slice until the first one stops,
+    then an index array.  The slice is kept because the first pass, from
+    the Hermite start usually the only one, then writes its results with
+    no index gather: against indexing from the first pass it measured 2%
+    to 5% less time a solve in 8 of 9 cells (lee(3), lee(43) and lee(163)
+    at 2, 12 and 24 targets) and 0.3% more in the ninth.
     """
     cur, lo, hi = _hermite_start(start, t)
     beta, rows = np.empty(len(t)), np.empty((len(t), 2))

@@ -11,6 +11,7 @@ import pytest
 
 from leeisd import estimator
 from leeisd.cli import MAX_SWEEP_POINTS, main
+from leeisd.isd import MAX_H_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +205,25 @@ def test_sweep_points_over_the_maximum_exit_2_before_allocating(capsys):
             code, _, err = run_cli(capsys, "sweep", "--q", "5", "--R", "0.5", "--points", points)
             assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
             assert f"--points must lie in [1, {MAX_SWEEP_POINTS}]" in err
+
+
+def test_gen_over_the_entry_bound_exit_2_before_allocating(capsys):
+    # (n - k) * n = 5 * 10^9 entries once asked numpy for 37 GiB and exited 1
+    nothing = AssertionError("drew an instance")
+    n = 4096
+    k = n - MAX_H_ENTRIES // n  # (n - k) * n is the bound itself
+    with (
+        mock.patch("leeisd.isd.sphere_count_exact", side_effect=nothing),
+        mock.patch("leeisd.isd.random_full_rank_matrix", side_effect=nothing),
+    ):
+        for big_n, big_k in ((100000, 50000), (n + 1, k + 1)):
+            code, _, err = run_cli(
+                capsys, "gen", "--q", "5", "--n", str(big_n), "--k", str(big_k), "--w", "3"
+            )
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+            assert f"entries, more than {MAX_H_ENTRIES}" in err
+        with pytest.raises(AssertionError, match="drew an instance"):
+            main(["gen", "--q", "5", "--n", str(n), "--k", str(k), "--w", "3"])
 
 
 def test_non_integer_instance_json_exit_2(tmp_path, capsys):

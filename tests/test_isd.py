@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 import leeisd.isd as isd
-from leeisd.cmsd import CmsdInfeasibleError, cmsd_dumer
+from leeisd.cmsd import (
+    CmsdInfeasibleError,
+    _plan,
+    cmsd_dumer,
+    cmsd_wagner_v1,
+    cmsd_wagner_v2_build,
+)
 from leeisd.fieldlin import (
     FqMatrix,
     FqVector,
@@ -24,6 +31,7 @@ from leeisd.isd import (
     isd_solve,
     verify_solution,
 )
+from leeisd.merge import DEFAULT_LIST_CAP, MergeOverflowError
 from leeisd.weights import SphereEnumerator, WeightFunction, vector_weight
 
 
@@ -240,6 +248,48 @@ def test_wrappers_stay_at_the_boundary(monkeypatch):
     assert built["FqMatrix"] == 0
     assert built["FqVector"] == len(verified) == 1
     assert rep.solution is verified[0]
+
+
+def test_stack_meta_sums_the_single_builds_of_its_loops():
+    # isd_solve reads a batch's expected_solutions: a stack's, like its splits,
+    # is the sum over the single builds of the loops it describes, also where
+    # a cap cuts the stack
+    rng = np.random.default_rng(26)
+    seen = Counter()
+    for trial in range(72):
+        variant = ("dumer", "wagner1", "wagner2")[trial % 3]
+        wf = (WeightFunction.hamming(3), WeightFunction.lee(5))[trial // 3 % 2]
+        q, a, lazy = wf.q, 1 if variant == "dumer" else 2, variant == "wagner2"
+        n, ell = int(rng.integers(6 * a, 6 * a + 6)), int(rng.integers(1, 4))
+        p, loops = int(rng.integers(3 * a - 2, 3 * a + 1)), int(rng.integers(2, 6))
+        h2, s2 = rng.integers(0, q, (loops, ell, n)), rng.integers(0, q, (loops, ell))
+        h2[-1], s2[-1] = 0, 0  # with zero level targets, the last loop's merges pair everything
+        plan = _plan(wf, n, ell, wf.scaled(p), a, lazy)
+        # caps from base up, so every whole base list fits; wagner2 samples its chain to the cap
+        base = max(b.enum.count for layout in plan.layouts for b in layout[: 4 - lazy])
+        cap = DEFAULT_LIST_CAP if trial % 4 == 3 else int(base * rng.uniform(1, 2))
+        draw_rng = random.Random(trial)
+        draws = [plan.draw(q, draw_rng, lazy_cap=cap if lazy else None) for _ in range(loops)]
+        draws[-1] = dataclasses.replace(draws[-1], targets=[0] * len(draws[-1].targets))
+
+        def build(h, s, d):
+            if variant == "dumer":
+                return cmsd_dumer(h, s, wf, p, cap)
+            back_end = cmsd_wagner_v2_build if lazy else cmsd_wagner_v1
+            return back_end(h, s, wf, p, a, cap, draws=d)
+
+        try:
+            stack = build(h2, s2, draws)
+        except MergeOverflowError:
+            seen["raised"] += 1
+            continue
+        singles = [build(h2[b], s2[b], draws[b : b + 1]) for b in range(len(stack.starts) - 1)]
+        want = sum(d.meta["expected_solutions"] for d in singles)
+        assert stack.meta["expected_solutions"] == pytest.approx(want, rel=1e-12), trial
+        if variant == "dumer":
+            assert stack.meta["splits"] == sum(d.meta["splits"] for d in singles), trial
+        seen[variant, stack.overflow is not None] += 1
+    assert all(seen[v, cut] for v in ("dumer", "wagner1", "wagner2") for cut in (False, True))
 
 
 def test_one_elimination_per_outer_loop(monkeypatch):

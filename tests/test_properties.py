@@ -10,6 +10,7 @@ run draws the same cases.
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
 
@@ -42,7 +43,15 @@ from leeisd.weights import (
     sphere_exponent,
     sphere_exponent_many,
 )
-from oracles import bisection_crossings, count_row, hermite_start, sphere_rank as rank
+import oracles
+from oracles import bisection_crossings, hermite_start, sphere_rank as rank
+
+# The oracle row depends on (table, n) only, and
+# test_exact_counts_converge_to_sphere_exponent asks for each of its two
+# rows once per fraction.  The cache hoists that work without editing the
+# test: derandomize seeds a test's draw from its source, so an edit there
+# would draw other tables.
+count_row = lru_cache(maxsize=2)(oracles.count_row)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
