@@ -6,8 +6,8 @@ and weight search), sweep (weight-grid exponent curves as CSV), and
 selftest (quick end-to-end checks).
 
 Exit codes: 0 success, 2 usage or input error (including an infeasible
-estimate, a solve whose lists outgrow --cap, a gen whose H would pass
-isd.MAX_H_ENTRIES entries, a sweep of more than MAX_SWEEP_POINTS weights,
+estimate, a solve whose lists outgrow --cap, a gen or solve whose H
+would pass isd.MAX_H_ENTRIES entries, a sweep of more than MAX_SWEEP_POINTS weights,
 or an exact count too large to pack), 3 search budget exhausted.
 """
 

@@ -27,6 +27,7 @@ import numpy as np
 from .fieldlin import _to_int
 from .weights import (
     WeightFunction,
+    _entropy_bounds,
     entropy_crossings,
     normalized_weight,
     sphere_exponent_many,
@@ -37,7 +38,10 @@ ALGORITHMS = ("prange", "dumer", "wagner")
 
 _EPS = 1e-15  # weights (omega, P and the P range) compare relative to the max weight
 _PATTERN_TOL = 1e-5  # compass search stops once its step falls below this
+_MAX_POLLS = 400  # or after this many polls
 _COARSE_STEP = 0.05  # rate grid of the hardest-instance scan
+# rounding slack of a grid total computed from entropy bound midpoints
+_BOUND_MARGIN = 1e-12
 # the most merge-tree levels a point or search may use: past 64 levels the
 # list exponent u <= s0 / 2^a changes no total beyond rounding
 MAX_LEVELS = 64
@@ -128,26 +132,29 @@ def _list_exponent(s0, m0, a, quantum):
     return np.minimum(s0 / (2.0**a + quantum), m0 / a)
 
 
-def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict:
-    """Every exponent of the merge-tree attack at feasible points (L, P).
+def _entropy_targets(rate, omega, L, P) -> np.ndarray:
+    """(2, ...) mean weights of _factors' two entropies: the outer part's, then the bottom's."""
+    out_len = 1.0 - rate - L
+    return np.stack(np.broadcast_arrays((omega - P) / np.maximum(out_len, _EPS), P / (rate + L)))
 
-    The classical model (quantum false) uses the merge tree over 2^a
-    blocks, the quantum model the checkable-function tree over 2^a + 1
-    units.  Rate, omega, s_omega (the entropy exponent at omega), the
-    model flag and a may differ per point, so one call can hold points of
-    many problems on one weight function.  Every argument after wf
-    broadcasts with the others: a column of level counts against rows of
-    points costs no more entropy work than one level count.
-    """
+
+def _restarts(rate, s_omega, L, s_out):
+    """(pi1, N', m0): the half of _factors' arithmetic that no level count enters."""
     out_len = 1.0 - rate - L
     np_rel = rate + L  # N' = R + L, the bottom part's relative length
-    # both entropies in one solve: the outer part's weight, then the bottom's
-    s_out, s0 = sphere_exponent_many(
-        wf, np.stack(np.broadcast_arrays((omega - P) / np.maximum(out_len, _EPS), P / np_rel))
-    )
     num = np.where(out_len > _EPS, out_len * s_out, 0.0)
     pi1 = np.minimum(0.0, num - np.maximum(0.0, np.minimum(s_omega - L, out_len)))
-    m0 = L / np_rel
+    return pi1, np_rel, L / np_rel
+
+
+def _exponents(pi1, np_rel, m0, quantum, s0, a) -> dict:
+    """_factors' exponents from _restarts and the bottom entropy s0.
+
+    total is max(0, -pi1 - zeta) / root + tau, where pi1 moves with s_out
+    by out_len <= 1 and zeta with s0 by at most N' (a + 1 + quantum) /
+    (2^a + quantum) <= 1, so total moves by at most |ds_out| + 1.5 |ds0|
+    when the two entropies move.
+    """
     u = _list_exponent(s0, m0, a, quantum)
     x = m0 - (a - 1) * u
     zeta = np_rel * ((2 + quantum) * u - x)
@@ -157,6 +164,22 @@ def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict
     total = np.maximum(0.0, -pi1 - zeta) / root + np.maximum(tau, y / root)
     return {"pi1": pi1, "zeta": zeta, "tau": tau, "y": y, "u": u, "x": x,
             "s_omega0": s0, "total": total}
+
+
+def _factors(wf: WeightFunction, rate, omega, s_omega, quantum, L, P, a) -> dict:
+    """Every exponent of the merge-tree attack at feasible points (L, P).
+
+    The classical model (quantum false) uses the merge tree over 2^a
+    blocks, the quantum model the checkable-function tree over 2^a + 1
+    units.  Rate, omega, s_omega (the entropy exponent at omega), the
+    model flag and a may differ per point, so one call can hold points of
+    many problems on one weight function.  Every argument after wf
+    broadcasts with the others: a column of level counts against rows of
+    points costs no more entropy work than one level count.  Both
+    entropies come from one solve.
+    """
+    s_out, s0 = sphere_exponent_many(wf, _entropy_targets(rate, omega, L, P))
+    return _exponents(*_restarts(rate, s_omega, L, s_out), quantum, s0, a)
 
 
 def work_factors(cp: CodeParams, model: str, point: AlgoPoint) -> WorkFactors:
@@ -192,9 +215,11 @@ def _compass(wf: WeightFunction, rate, omega, s_omega, quantum, a, L0, P0):
     poll tries +L, -L, +P, -P, clipped to the box; the problem moves to
     the first best of them if it beats its current value by more than
     1e-14, and halves its step otherwise.  It stops once its step falls
-    below _PATTERN_TOL or after 400 polls.  The live problems share one
-    _factors call per poll, and no problem's path depends on the others.
-    Returns the final values, L and P.
+    below _PATTERN_TOL or after _MAX_POLLS polls.  The live problems
+    share one _factors call per two polls: it prices the poll's 4 points
+    and the 4 of each of its 5 outcomes (a move to one of the 4, or a
+    halved step), and the first call prices the starts too.  No problem's
+    path depends on the others.  Returns the final values, L and P.
     """
     wmax = float(wf.max_weight)
 
@@ -205,33 +230,73 @@ def _compass(wf: WeightFunction, rate, omega, s_omega, quantum, a, L0, P0):
     def box(v):  # np.clip(v, 0, 1), without its call overhead
         return np.minimum(np.maximum(v, 0.0), 1.0)
 
+    def poll(l, p, s):  # the 4 points of a poll from each (l, p, s), on a new last axis
+        return (box(np.stack([l + s, l - s, l, l], axis=-1)),
+                box(np.stack([p, p, p + s, p - s], axis=-1)))
+
+    def settle(live, vals, cand_l, cand_p):  # one poll of the live problems, priced
+        polls[live] += 1
+        rows, i = np.arange(len(live)), vals.argmin(axis=1)
+        moves = vals[rows, i] < cur[live] - 1e-14
+        outcome = np.where(moves, i, 4)
+        mv, rows, i = live[moves], rows[moves], i[moves]
+        cur[mv], fl[mv], fp[mv] = vals[rows, i], cand_l[rows, i], cand_p[rows, i]
+        step[live[~moves]] *= 0.5
+        return outcome
+
     fl = box(L0 / (1.0 - rate))
     lo, hi = _feasible_P_range(wmax, rate, omega, fl * (1.0 - rate))
     flat = hi - lo < _EPS * wmax
     fp = np.where(flat, 0.0, box((P0 - lo) / np.where(flat, 1.0, hi - lo)))
-    cur = totals(np.arange(len(fl)), fl, fp)
+    cur = np.empty(len(fl))  # priced by the first call
     step = np.full(len(fl), 1.0 / 63)
     polls = np.zeros(len(fl), dtype=int)
-    while (live := np.flatnonzero((step > _PATTERN_TOL) & (polls < 400))).size:
-        polls[live] += 1
+    first = True
+    while (live := np.flatnonzero((step > _PATTERN_TOL) & (polls < _MAX_POLLS))).size:
         s, l, p = step[live], fl[live], fp[live]
-        cand_l = box(np.stack([l + s, l - s, l, l], axis=1))
-        cand_p = box(np.stack([p, p, p + s, p - s], axis=1))
-        vals = totals(np.repeat(live, 4), cand_l.ravel(), cand_p.ravel()).reshape(-1, 4)
-        rows, i = np.arange(len(live)), vals.argmin(axis=1)
-        moves = vals[rows, i] < cur[live] - 1e-14
-        mv, rows, i = live[moves], rows[moves], i[moves]
-        cur[mv], fl[mv], fp[mv] = vals[rows, i], cand_l[rows, i], cand_p[rows, i]
-        step[live[~moves]] *= 0.5
+        l1, p1 = poll(l, p, s)
+        # the 5 outcomes of the first poll: a move to one of its points, or a halved step
+        s1 = np.concatenate([np.repeat(s[:, None], 4, axis=1), 0.5 * s[:, None]], axis=1)
+        l2, p2 = poll(np.concatenate([l1, l[:, None]], axis=1),
+                      np.concatenate([p1, p[:, None]], axis=1), s1)
+        skip = 0 if first else 1  # only the first call prices the starts
+        pts_l = np.concatenate([l[:, None], l1, l2.reshape(len(live), 20)], axis=1)[:, skip:]
+        pts_p = np.concatenate([p[:, None], p1, p2.reshape(len(live), 20)], axis=1)[:, skip:]
+        vals = totals(np.repeat(live, pts_l.shape[1]), pts_l.ravel(), pts_p.ravel())
+        vals = vals.reshape(len(live), -1)
+        if first:
+            cur[live], vals, first = vals[:, 0], vals[:, 1:], False
+        outcome = settle(live, vals[:, :4], l1, p1)
+        on = (step[live] > _PATTERN_TOL) & (polls[live] < _MAX_POLLS)
+        rows, j = np.flatnonzero(on), outcome[on]
+        cols = 4 + 4 * j[:, None] + np.arange(4)
+        settle(live[on], vals[rows[:, None], cols], l2[rows, j], p2[rows, j])
     return (cur, *_unit_to_LP(wmax, rate, omega, fl, fp))
+
+
+def _total_estimates(cp: CodeParams, quantum, L, P, a_values):
+    """(estimates, err): the total at points (L, P) within err, with no entropy solve.
+
+    estimates yields one row per level count of a_values: the totals at the
+    midpoints of the two _entropy_bounds.  A total moves by at most |ds_out|
+    + 1.5 |ds0| (see _exponents), so each exact total lies within err =
+    h_out + 1.5 h0 + _BOUND_MARGIN of its estimate, h the half-widths of the
+    bounds.  The level-free arithmetic is done once for all level counts.
+    """
+    lower, upper = _entropy_bounds(cp.wf, _entropy_targets(cp.rate, cp.omega, L, P))
+    (mid_out, mid0), (h_out, h0) = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    restarts = _restarts(cp.rate, cp.s_omega, L, mid_out)
+    estimates = (_exponents(*restarts, quantum, mid0, a)["total"] for a in a_values)
+    return estimates, h_out + 1.5 * h0 + _BOUND_MARGIN
 
 
 def _optimize_many(problems, a_max) -> list:
     """optimize_point for each (cp, model, algorithm) of one weight function.
 
     Each problem gets its WorkFactors, or the InfeasibleParameterError its
-    point raised.  Every problem's grid is one _factors call; then all of
-    their compass searches run in one lockstep batch.
+    point raised.  Every problem's grid is one _factors call, on only the
+    points that _entropy_bounds cannot rule out as the minimum of some level
+    count; then all of their compass searches run in one lockstep batch.
     """
     a_max = _to_int(a_max, "a_max")
     if not 1 <= a_max <= MAX_LEVELS:
@@ -252,12 +317,21 @@ def _optimize_many(problems, a_max) -> list:
         L, P = _unit_to_LP(
             float(cp.wf.max_weight), cp.rate, cp.omega, np.repeat(unit, 64), np.tile(unit, 64)
         )
-        family = (cp.rate, cp.omega, cp.s_omega, model == "quantum")
-        totals = _factors(cp.wf, *family, L, P, a_values[:, None])["total"]
+        quantum = model == "quantum"
+        family = (cp.rate, cp.omega, cp.s_omega, quantum)
+        # only the points whose total may be some level count's minimum get an
+        # exact solve; every point of a tie at the minimum is kept
+        estimates, err = _total_estimates(cp, quantum, L, P, a_values)
+        keep = np.zeros(len(L), dtype=bool)
+        for approx in estimates:
+            keep |= approx - err <= np.min(approx + err)
+        kept = np.flatnonzero(keep)
+        totals = _factors(cp.wf, *family, L[kept], P[kept], a_values[:, None])["total"]
         seeds = []
         for a, tot in zip(a_values, totals):
-            i = int(np.argmin(tot))
-            seeds.append((float(tot[i]), int(a), float(L[i]), float(P[i])))
+            j = int(np.argmin(tot))
+            i = kept[j]  # the first grid point at the minimum, since every tie is kept
+            seeds.append((float(tot[j]), int(a), float(L[i]), float(P[i])))
         seeds.sort()
         starts += [(k, a, L0, P0, *family) for _, a, L0, P0 in seeds[:3]]
 
@@ -285,8 +359,10 @@ def optimize_point(
 
     A 64x64 grid over the feasible box seeds a compass refinement (step
     down to 1e-5) for the three most promising level counts; the three
-    searches run in lockstep.  For "prange" the point is pinned to (0, 0);
-    "dumer" fixes a = 1.  a_max lies in [1, MAX_LEVELS].
+    searches run in lockstep.  Only the grid points that entropy bounds
+    cannot rule out are solved exactly, so the seeds are the full grid's.
+    For "prange" the point is pinned to (0, 0); "dumer" fixes a = 1.
+    a_max lies in [1, MAX_LEVELS].
     """
     (res,) = _optimize_many([(cp, model, algorithm)], a_max)
     if isinstance(res, InfeasibleParameterError):

@@ -54,8 +54,8 @@ CANDIDATE_BLOCK = 4096
 # bound work and memory only
 MAX_BATCH = 64
 BATCH_ROWS = 1 << 16
-# the most entries (n - k) * n of a generated H: drawing 2^21 takes about
-# 50 MB and 2 s, and memory grows linearly, time faster, with the entries
+# the most entries (n - k) * n of a generated or read H: drawing 2^21 takes
+# about 50 MB and 2 s, and memory grows linearly, time faster, with the entries
 MAX_H_ENTRIES = 1 << 22
 
 
@@ -111,13 +111,24 @@ class SdInstance:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SdInstance":
-        """Read a to_dict document; a non-integer q, n, k or H, s, e entry is a ValueError."""
+        """Read a to_dict document; a non-integer q, n, k or H, s, e entry is a ValueError.
+
+        n, k and the list shapes of H, s and e are checked first, so an
+        instance over MAX_H_ENTRIES or of the wrong shape fails before any
+        entry is converted or H's rank is taken.
+        """
         q = _to_int(doc["q"], "q")
+        n, k = _to_int(doc["n"], "n"), _to_int(doc["k"], "k")
+        _check_size(n, k)
+        _check_lists(doc, "H", n - k, n)
+        _check_lists(doc, "s", n - k)
+        if "e" in doc:
+            _check_lists(doc, "e", n)
         wf = WeightFunction.from_spec(q, doc["weight"])
         inst = cls(
             q=q,
-            n=doc["n"],
-            k=doc["k"],
+            n=n,
+            k=k,
             w=doc["w"],
             wf=wf,
             h=FqMatrix(q, _int_entries(doc, "H")),
@@ -126,6 +137,27 @@ class SdInstance:
         )
         inst.check_well_formed()
         return inst
+
+
+def _check_size(n: int, k: int) -> None:
+    """0 < k < n and an H of at most MAX_H_ENTRIES entries, before anything grows with n."""
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+    if (n - k) * n > MAX_H_ENTRIES:
+        raise ValueError(
+            f"H would have (n - k) * n = {(n - k) * n} entries, more than {MAX_H_ENTRIES}"
+        )
+
+
+def _check_lists(doc: dict, key: str, rows: int, cols: int | None = None) -> None:
+    """doc[key] is a list of rows entries, or of rows lists of cols entries; no entry is read."""
+    val = doc[key]
+    ok = isinstance(val, list) and len(val) == rows
+    if ok and cols is not None:
+        ok = all(isinstance(row, list) and len(row) == cols for row in val)
+    if not ok:
+        shape = f"{rows} lists of {cols} entries" if cols is not None else f"{rows} entries"
+        raise ValueError(f"{key} must be a list of {shape}")
 
 
 def _int_entries(doc: dict, key: str) -> np.ndarray:
@@ -202,12 +234,7 @@ def generate_instance(
 ) -> SdInstance:
     """Draw (H, s = He) with H uniform of full rank and e uniform of weight w."""
     n, k = _to_int(n, "n"), _to_int(k, "k")
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    if (n - k) * n > MAX_H_ENTRIES:
-        raise ValueError(
-            f"H would have (n - k) * n = {(n - k) * n} entries, more than {MAX_H_ENTRIES}"
-        )
+    _check_size(n, k)
     w = _to_fraction(w)
     if sphere_count_exact(wf, n, w) == 0:
         raise ValueError(f"empty sphere: no vectors of weight {w} in F_{q}^{n}")

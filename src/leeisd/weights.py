@@ -488,22 +488,14 @@ class _Dual:
         return out
 
     @cached_property
-    def nodes(self) -> tuple[np.ndarray, ...]:
-        """(x, y, ends, dx, dy): two keys rising along the nodes, beta at the
-        cell ends, and dbeta/dx and dbeta/dy at each node.
+    def node_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, beta, rows): the logit of the mean weight, the multiplier and
+        the evaluate rows [s ln q, mean, gap, E[wt gap]] of each node.
 
-        x is the logit of the mean weight, y the entropy exponent s mirrored
-        to 2 - s past its peak at beta = 0.  The _NODES = 1,025 multipliers are
-        c * sinh(t), t evenly spaced and c = 1 / (w_max ln q) the table's own
-        scale, so the nodes are dense near beta = 0 and reach +-beta_max.
-        Nodes whose logit is not finite or not increasing (a mean lost to
-        underflow) are dropped.  ends is the node betas between +-beta_max,
-        so a level in node cell i of a key has its root in [ends[i + 1], ends[i]].
-        The slopes come from the same rows, with Var = m gap - E[wt gap]:
-        dbeta/dx = -m gap / (Var ln q w_max) and dbeta/dy = -1 / (|beta| ln q Var).
-        A slope that is not both finite and negative (dy at beta = 0, a Var
-        lost to underflow) is nan.  _newton's Hermite start on this table is
-        within its tolerance, so each solve takes one kernel pass.
+        The _NODES = 1,025 multipliers are c * sinh(t), t evenly spaced and
+        c = 1 / (w_max ln q) the table's own scale, so the nodes are dense
+        near beta = 0 and reach +-beta_max.  Nodes whose logit is not finite
+        or not increasing (a mean lost to underflow) are dropped.
         """
         c = 1.0 / (self.w[-1] * self.lnq)
         t_max = math.asinh(self.beta_max / c)
@@ -514,20 +506,44 @@ class _Dual:
         x[pos] = np.log(ev[pos, 1]) - np.log(ev[pos, 2])
         prev = np.maximum.accumulate(np.concatenate([[-math.inf], x[:-1]]))
         keep = np.isfinite(x) & (x > prev)
-        (s, m, gap, wt_gap), beta = ev[keep].T, beta[keep]
+        return x[keep], beta[keep], ev[keep].T
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, ...]:
+        """(x, y, ends, dx, dy): two keys rising along the nodes, beta at the
+        cell ends, and dbeta/dx and dbeta/dy at each node.
+
+        x is the logit of the mean weight, y the entropy exponent s mirrored
+        to 2 - s past its peak at beta = 0, both at the nodes of node_rows.
+        ends is the node betas between +-beta_max, so a level in node cell i
+        of a key has its root in [ends[i + 1], ends[i]].
+        The slopes come from the same rows, with Var = m gap - E[wt gap]:
+        dbeta/dx = -m gap / (Var ln q w_max) and dbeta/dy = -1 / (|beta| ln q Var).
+        A slope that is not both finite and negative (dy at beta = 0, a Var
+        lost to underflow) is nan.  _newton's Hermite start on this table is
+        within its tolerance, so each solve takes one kernel pass.
+        """
+        x, beta, (s, m, gap, wt_gap) = self.node_rows
         s = s / self.lnq
         dm = (wt_gap - m * gap) * self.lnq  # dm/dbeta = -ln q Var
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dx, dy = m * gap / (dm * self.w[-1]), 1.0 / (np.abs(beta) * dm)
         dx, dy = (np.where(np.isfinite(v) & (v < 0), v, math.nan) for v in (dx, dy))
         ends = np.concatenate([[self.beta_max], beta, [-self.beta_max]])
-        return x[keep], np.where(beta >= 0, s, 2.0 - s), ends, dx, dy
+        return x, np.where(beta >= 0, s, 2.0 - s), ends, dx, dy
 
     @cached_property
     def starts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(key, cells) of x and of y: each key of nodes with its _start_cells."""
         x, y, ends, dx, dy = self.nodes
         return (x, _start_cells(x, dx, ends)), (y, _start_cells(y, dy, ends))
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(key, cells): the x key of node_rows and its _bound_cells."""
+        x, beta, (s, m, gap, _) = self.node_rows
+        s_ends = np.log(self.mult[[0, -1]]) / self.lnq
+        return x, _bound_cells(s / self.lnq, m, gap, beta, s_ends, float(self.w[-1]))
 
 
 def _start_cells(key, slopes, ends) -> np.ndarray:
@@ -552,6 +568,72 @@ def _start_cells(key, slopes, ends) -> np.ndarray:
     cells = np.stack([key[i - 1], width, b0, run, *bends, ends[c + 1], ends[c]])
     cells.setflags(write=False)
     return cells
+
+
+def _bound_cells(s, m, gap, beta, s_ends, wmax: float) -> np.ndarray:
+    """(10, len(s) + 1) table of bounds on s, a column per searchsorted cell of x.
+
+    Cell c lies between nodes c - 1 and c; cell 0 starts at weight 0 and the
+    last cell ends at w_max, where s_ends are the exact limits.  A cell
+    measures t from its own end of the range: the weight, or the gap w_max -
+    weight in the last cell and in every cell above the mean (beta < 0), so
+    that t keeps its digits near either end.  s is concave in t with ds/dt =
+    beta or -beta, so on a cell the chord is a lower bound on s and either
+    node's tangent an upper one; an end cell has no tangent at its end and
+    takes its inner node's twice.  The rows are side (1 where t is the gap),
+    t at the cell's lower-weight end, the chord's base and slope (a cell of
+    zero width gets the lower node value and slope 0), and t, s and ds/dt of
+    the two tangents.
+    """
+    c = np.arange(len(s) + 1)
+    high = np.concatenate([[False], beta[:-1] < 0, [True]])
+    # the nodes, led and closed by the two ends of the range
+    s_p = np.concatenate([s_ends[:1], s, s_ends[1:]])
+    m_p = np.concatenate([[0.0], m, [wmax]])
+    g_p = np.concatenate([[wmax], gap, [0.0]])
+    b_p = np.concatenate([[0.0], beta, [0.0]])
+
+    def node(i):  # (t, s, ds/dt) of node i, in each cell's own t
+        return np.where(high, g_p[i], m_p[i]), s_p[i], np.where(high, -b_p[i], b_p[i])
+
+    (t_a, s_a, _), (t_b, s_b, _) = node(c), node(c + 1)
+    width = t_b - t_a
+    wide = width != 0
+    chord = np.divide(s_b - s_a, width, out=np.zeros(len(c)), where=wide)
+    base = np.where(wide, s_a, np.minimum(s_a, s_b))
+    tangents = (*node(np.maximum(c, 1)), *node(np.minimum(c + 1, len(s))))
+    cells = np.stack([high.astype(float), t_a, base, chord, *tangents])
+    cells.setflags(write=False)
+    return cells
+
+
+# how far sphere_exponent_many may lie outside the chord and tangents of
+# _bound_cells: rounding in the nodes and the solve, measured at most 9.3e-14
+# (the table (0, 1, 1, 1, 10^18)) and at most 2.4e-15 at spreads up to 10^17
+_BOUND_TOL = 1e-12
+_TINY = np.nextafter(0.0, 1.0)  # no positive mean or gap is smaller
+
+
+def _entropy_bounds(wf: WeightFunction, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds on sphere_exponent_many(wf, omegas), elementwise.
+
+    Targets are clipped to [0, max weight] as the solve clips them.  Each
+    target is one lookup in _Dual.bounds by the logit of its weight, then
+    the chord and the lower tangent (capped at 1) of its cell, widened by
+    _BOUND_TOL.  No entropy is solved.
+    """
+    d = wf._dual_solver
+    wmax = float(d.w[-1])
+    om = np.minimum(np.maximum(np.asarray(omegas, dtype=float), 0.0), wmax)
+    gap = wmax - om
+    x = np.log(np.maximum(om, _TINY)) - np.log(np.maximum(gap, _TINY))
+    key, cells = d.bounds
+    side, t_lo, base, chord, t_a, s_a, ds_a, t_b, s_b, ds_b = cells.take(
+        np.searchsorted(key, x), axis=1
+    )
+    t = np.where(side, gap, om)
+    upper = np.minimum(np.minimum(s_a + ds_a * (t - t_a), s_b + ds_b * (t - t_b)), 1.0)
+    return base + chord * (t - t_lo) - _BOUND_TOL, upper + _BOUND_TOL
 
 
 _NEWTON_TOL = 2.0**-26  # about sqrt(eps): a smaller Newton step leaves error ~ eps

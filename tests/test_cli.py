@@ -11,7 +11,7 @@ import pytest
 
 from leeisd import estimator
 from leeisd.cli import MAX_SWEEP_POINTS, main
-from leeisd.isd import MAX_H_ENTRIES
+from leeisd.isd import MAX_H_ENTRIES, SdInstance
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +224,38 @@ def test_gen_over_the_entry_bound_exit_2_before_allocating(capsys):
             assert f"entries, more than {MAX_H_ENTRIES}" in err
         with pytest.raises(AssertionError, match="drew an instance"):
             main(["gen", "--q", "5", "--n", str(n), "--k", str(k), "--w", "3"])
+
+
+def test_solve_over_the_entry_bound_or_misshapen_exit_2_before_converting(tmp_path, capsys):
+    # a 1,500 x 3,000 lee(3) instance once ran 90 s in the entry converters
+    nothing = AssertionError("converted an entry")
+    n = 4096
+    k = n - MAX_H_ENTRIES // n  # (n - k) * n is the bound itself
+    small = {"q": 3, "n": 8, "k": 4, "w": 2, "weight": "lee", "H": [[0] * 8] * 4, "s": [0] * 4}
+    cases = (
+        ({"n": 3000, "k": 1500}, f"entries, more than {MAX_H_ENTRIES}"),
+        ({"n": n + 1, "k": k + 1}, f"entries, more than {MAX_H_ENTRIES}"),
+        ({"H": [[0] * 8] * 3}, "H must be a list of 4 lists of 8 entries"),
+        ({"H": [[0] * 8] * 3 + [[0] * 9]}, "H must be a list of 4 lists of 8 entries"),
+        ({"H": [0] * 4}, "H must be a list of 4 lists of 8 entries"),
+        ({"s": [0] * 5}, "s must be a list of 4 entries"),
+        ({"e": [0] * 7}, "e must be a list of 8 entries"),
+    )
+    path = tmp_path / "inst.json"
+    with (
+        mock.patch("leeisd.isd._int_entries", side_effect=nothing),
+        mock.patch("leeisd.isd.rank", side_effect=nothing),
+    ):
+        for change, msg in cases:
+            path.write_text(json.dumps({**small, **change}))
+            code, _, err = run_cli(capsys, "solve", str(path), "--alg", "prange")
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, change
+            assert msg in err, change
+        # at the bound the checks pass and the entries are converted; the rows
+        # share one list, so the document itself stays small
+        doc = {**small, "n": n, "k": k, "H": [[0] * n] * (n - k), "s": [0] * (n - k)}
+        with pytest.raises(AssertionError, match="converted an entry"):
+            SdInstance.from_dict(doc)
 
 
 def test_non_integer_instance_json_exit_2(tmp_path, capsys):

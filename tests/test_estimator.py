@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import leeisd.estimator as estimator
 from leeisd.estimator import (
     SWEEP_COLUMNS,
     AlgoPoint,
@@ -276,3 +277,33 @@ def test_table_scale_invariance(base, omegas):
         assert s == pytest.approx(ref[0], abs=1e-9)
         assert crossings == pytest.approx(ref[1], rel=1e-9)
         assert totals == pytest.approx(ref[2], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "wf",
+    [
+        WeightFunction.lee(3),
+        WeightFunction.lee(43),
+        WeightFunction.hamming(5),
+        WeightFunction(7, (0, 1, 3, Fraction(1, 2), 7, 2, 2)),
+        WeightFunction(5, (0, 1, 1, 1, 10**15)),
+    ],
+    ids=["lee3", "lee43", "hamming5", "custom7", "spread1e15"],
+)
+def test_grid_totals_lie_within_err_of_their_estimates(wf):
+    # the seed grid solves only the points these estimates cannot rule out
+    rng = np.random.default_rng(3)
+    wmax = float(wf.max_weight)
+    unit = np.linspace(0.0, 1.0, 64)
+    levels = np.arange(1, 11)
+    for _ in range(4):
+        cp = CodeParams(wf, float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.0, wmax)))
+        fl, fp = np.repeat(unit, 64), np.tile(unit, 64)
+        L, P = estimator._unit_to_LP(wmax, cp.rate, cp.omega, fl, fp)
+        for quantum in (False, True):
+            estimates, err = estimator._total_estimates(cp, quantum, L, P, levels)
+            exact = estimator._factors(
+                wf, cp.rate, cp.omega, cp.s_omega, quantum, L, P, levels[:, None]
+            )["total"]
+            for a, approx, total in zip(levels, estimates, exact):
+                assert (np.abs(total - approx) <= err).all(), (cp, quantum, a)

@@ -189,7 +189,7 @@ def _counting(fn, calls):
     return counted
 
 
-def test_one_factors_call_per_poll(monkeypatch):
+def test_one_factors_call_per_two_polls(monkeypatch):
     cp = CodeParams(WeightFunction.lee(5), 0.5, 0.4)
     polls = []
     for a, L0, P0 in reference_seeds(cp, "classical", "wagner"):
@@ -203,8 +203,32 @@ def test_one_factors_call_per_poll(monkeypatch):
     calls = []
     monkeypatch.setattr(estimator, "_factors", _counting(estimator._factors, calls))
     optimize_point(cp, "classical", "wagner")
-    # the grid, the three starts, one per poll of the longest search, the result
-    assert len(calls) == 1 + 1 + max(polls) + 1
+    # the grid's kept points, one per two polls of the longest search (the
+    # first also prices the three starts), the result
+    assert len(calls) == 1 + (max(polls) + 1) // 2 + 1
+    assert len(calls[0][5]) < 64 * 64  # the grid call holds only the kept points
+
+
+@pytest.mark.parametrize("model", ["classical", "quantum"])
+def test_grid_keeps_every_tie_and_seeds_from_the_first(model, monkeypatch):
+    # at omega = w_max every L row of the grid collapses to one P: 64 equal
+    # points, so each level count's minimum is a 64-way tie
+    cp = CodeParams(WeightFunction.lee(5), 0.5, 2.0)
+    calls, starts = [], []
+    compass = estimator._compass
+
+    def recording(wf, rate, omega, s_omega, quantum, a, L0, P0):
+        starts.extend(zip(a.tolist(), L0.tolist(), P0.tolist()))
+        return compass(wf, rate, omega, s_omega, quantum, a, L0, P0)
+
+    monkeypatch.setattr(estimator, "_factors", _counting(estimator._factors, calls))
+    monkeypatch.setattr(estimator, "_compass", recording)
+    optimize_point(cp, model, "wagner")
+    kept_L, kept_P = calls[0][5], calls[0][6]
+    assert len(kept_L) < 64 * 64
+    _, per_row = np.unique(kept_L, return_counts=True)
+    assert (per_row == 64).all() and len(np.unique(kept_P[kept_L == kept_L[0]])) == 1
+    assert repr(starts) == repr(reference_seeds(cp, model, "wagner"))
 
 
 def test_sweep_rows_equal_per_cell_optimization(monkeypatch):

@@ -9,8 +9,10 @@ import pytest
 
 from leeisd.fieldlin import FqVector, Permutation, apply_permutation
 from leeisd.weights import (
+    _BOUND_TOL,
     SphereEnumerator,
     WeightFunction,
+    _entropy_bounds,
     _to_fraction,
     normalized_weight,
     sample_uniform_weight_w,
@@ -339,6 +341,44 @@ def test_sphere_exponent_ends_agree_with_many(wf):
     for om in (-2e-12 * wmax, (1.0 + 2e-12) * wmax):
         with pytest.raises(ValueError, match="target weight"):
             sphere_exponent(wf, om)
+
+
+BOUND_TABLES = {
+    "lee3": WeightFunction.lee(3),
+    "lee43": WeightFunction.lee(43),
+    "lee331": WeightFunction.lee(331),
+    "hamming5": WeightFunction.hamming(5),
+    "custom7": WeightFunction(7, (0, 1, 3, Fraction(1, 2), 7, 2, 2)),
+    "zero-class": WeightFunction(5, (0, 0, 1, 2, 2)),
+    "tiny-unit": WeightFunction(3, (0, Fraction(1, 1000), Fraction(1, 1000))),
+    # spreads up to the bound, wide at the bottom and at the top of the range
+    **{f"low-1e{k}": WeightFunction(5, (0, 1, 1, 1, 10**k)) for k in (12, 15, 18)},
+    **{
+        f"top-1e{k}": WeightFunction(5, (0, 10**k - 10 ** (k - 12), 10**k, 10**k, 1))
+        for k in (12, 15, 18)
+    },
+}
+
+
+@pytest.mark.parametrize("name", BOUND_TABLES)
+def test_entropy_bounds_enclose_the_solve(name):
+    wf = BOUND_TABLES[name]
+    wmax = float(wf.max_weight)
+    _, _, (_, m, gap, _) = wf._dual_solver.node_rows
+    ends = wmax * np.logspace(-300, 0, 601)
+    omegas = np.concatenate([
+        m, wmax - gap, [0.0, wmax],  # every node, read from either end, and both ends
+        np.linspace(0.0, wmax, 4097),
+        np.random.default_rng(7).uniform(0.0, wmax, 4096),
+        ends, wmax - ends,
+    ])
+    lower, upper = _entropy_bounds(wf, omegas)
+    exact = sphere_exponent_many(wf, omegas)
+    # _BOUND_TOL = 1e-12 widens both bounds; the solve stays inside by at
+    # least half of it (the largest excess of the bare bounds is 9.3e-14)
+    slack = 0.5 * _BOUND_TOL
+    assert (lower + slack <= exact).all() and (exact <= upper - slack).all()
+    assert np.median(upper - lower) < 1e-3
 
 
 def test_sphere_exponent_hamming_closed_form():
