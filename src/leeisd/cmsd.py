@@ -33,12 +33,16 @@ vectors, so a root entry resolves to its candidate row by index
 gathering.  Every description is a root list plus dom, the ascending
 domain index of each root entry: its position in (loop, index) order for
 dumer and wagner_v1, its chain-leaf position for wagner2.  Every merge
-sorts on int64 words that pack the group, the J-projection and the rest
-of the syndrome in base q.  Neither a leaf sphere, the block layout, the
-J partition nor the random draws depend on H: they are one cached plan
-per back-end signature (_plan), each sphere is built once per (table,
-length, weight), a build's randomness is drawn by _Plan.draw, and only
-the leaf syndromes, the targets and the merges are computed per build.
+sorts its left list on words that pack the group, the J-projection and
+the rest of the syndrome in base q.  Leaves, partner tables and stack
+heads are built as lists that are valid by construction
+(IndexedList._made), so no list is scanned again after its product or
+merge; the merges go through this module's merge, where a tracer can
+count them.  Neither a leaf sphere, the block layout, the J partition
+nor the random draws depend on H: they are one cached plan per back-end
+signature (_plan), each sphere is built once per (table, length,
+weight), a build's randomness is drawn by _Plan.draw, and only the leaf
+syndromes, the targets and the merges are computed per build.
 
 Every builder also takes a stack of B bottom blocks, one per outer loop
 (h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
@@ -71,7 +75,7 @@ from .merge import (
     DEFAULT_LIST_CAP,
     IndexedList,
     MergeOverflowError,
-    _packed_order,
+    _key_order,
     merge,
 )
 from .weights import (
@@ -410,7 +414,7 @@ def _leaf(h2: np.ndarray, q: int, blocks: tuple[_Block, ...], ranks) -> _Node:
         refs = np.arange(loops * per_loop)
     syn = _product(operand, h2[:, :, sup[0] : sup[1]], q)
     group = (np.arange(0, loops * len(blocks), len(blocks))[:, None] + which).ravel()
-    lst = IndexedList(q, syn.reshape(loops * per_loop, ell), refs, loop=group)
+    lst = IndexedList._made(q, syn.reshape(loops * per_loop, ell), refs, group, loops * len(blocks))
     return _Node(lst, sup, vecs=vecs)
 
 
@@ -434,6 +438,18 @@ def _leaf_ranks(draws: list[LoopDraws]) -> list[list | None]:
     ]
 
 
+# the longest range of sums _product reduces by one lookup in a table of residues
+_RESIDUE_TABLE = 1 << 18
+
+
+@lru_cache(maxsize=64)
+def _residues(q: int, size: int) -> np.ndarray:
+    """x mod q for every x in [0, size), read-only."""
+    out = np.arange(size, dtype=np.int64) % q
+    out.setflags(write=False)
+    return out
+
+
 def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
     """(v @ h^T) mod q for each matrix of the stack h, exactly, as a float64 product.
 
@@ -441,7 +457,9 @@ def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
     makes one product in all, or a stack (B, rows, width).  With entries
     below q < 2^16 every sum of products is below width * q^2 < 2^53 for
     any width below 2^21, so float64 holds it exactly, and the float
-    product runs through BLAS where int64 does not.  Returns (B, rows, ell).
+    product runs through BLAS where int64 does not.  Each sum is reduced
+    by a lookup in a table of residues where the range of sums is short,
+    several times faster than numpy's integer %.  Returns (B, rows, ell).
     """
     loops, ell, width = h.shape
     hf = h.astype(np.float64)
@@ -451,8 +469,8 @@ def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
     else:
         out = np.matmul(v, hf.swapaxes(1, 2))
     out = out.astype(np.int64, order="C")
-    out %= q
-    return out
+    size = width * (q - 1) ** 2 + 1  # every sum lies below
+    return _residues(q, size).take(out) if size <= _RESIDUE_TABLE else out % q
 
 
 def _head(lst: IndexedList, loops: int) -> IndexedList:
@@ -460,7 +478,7 @@ def _head(lst: IndexedList, loops: int) -> IndexedList:
     if not len(lst) or lst.loop[-1] < loops:  # the loop ids ascend
         return lst
     end = int(lst.loop.searchsorted(loops))
-    return IndexedList(lst.q, lst.syndromes[:end], lst.backrefs[:end], loop=lst.loop[:end])
+    return IndexedList._made(lst.q, lst.syndromes[:end], lst.backrefs[:end], lst.loop[:end], loops)
 
 
 def _sample_ranks(count: int, k: int, rng: random.Random) -> list[int]:
@@ -539,12 +557,12 @@ def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Node:
     lst = _head(node.lst, loops)
     syn, loop = lst.syndromes, lst.loop
     part = node.gather(np.arange(len(syn)))
-    order = _packed_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops)
+    order = _key_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops, 0)[0]
     runs = np.column_stack([loop[order], syn.take(order, axis=0)[:, J]])
     first = np.ones(len(order), dtype=bool)  # the first entry of each run of equal (loop, J)
     first[1:] = (runs[1:] != runs[:-1]).any(axis=1)
     pick = order[first]
-    lst = IndexedList(q, syn.take(pick, axis=0), np.arange(len(pick)), loop=loop[pick])
+    lst = IndexedList._made(q, syn.take(pick, axis=0), np.arange(len(pick)), loop.take(pick), loops)
     return _Node(lst, node.sup, vecs=part.take(pick, axis=0))
 
 
@@ -629,8 +647,9 @@ def _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive) -> Cms
     )
 
 
+@lru_cache(maxsize=128)
 def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap: int) -> LoopPlan:
-    """The LoopPlan of a back end on bottom blocks of shape (ell, n).
+    """The LoopPlan of a back end on bottom blocks of shape (ell, n), one per signature.
 
     variant is "prange", "dumer", "wagner1" or "wagner2"; a layout that
     cannot carry p draws nothing and expects nothing here, and its first

@@ -156,8 +156,23 @@ class Permutation:
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "Permutation":
+        """The permutation rng.shuffle(list(range(n))) gives, leaving rng as it would.
+
+        For a plain random.Random the shuffle runs inline: each swap index
+        is the first getrandbits(k) value at most i, k the bit length of
+        i + 1, which is what shuffle's _randbelow(i + 1) draws.
+        """
         imgs = list(range(n))
-        rng.shuffle(imgs)
+        if type(rng) is random.Random:
+            getrandbits = rng.getrandbits
+            for i in range(n - 1, 0, -1):
+                k = (i + 1).bit_length()
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                imgs[i], imgs[j] = imgs[j], imgs[i]
+        else:  # a subclass may draw differently
+            rng.shuffle(imgs)
         perm = object.__new__(cls)  # a shuffle is a permutation: skip the check
         object.__setattr__(perm, "images", _freeze(imgs))
         return perm

@@ -21,6 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,11 +256,17 @@ def verify_solution(inst: SdInstance, e: FqVector) -> bool:
 
 def _exact_p1(inst: SdInstance, ell: int, p: Fraction) -> float:
     """Per-candidate success probability from exact sphere counts."""
-    n, k, q = inst.n, inst.k, inst.q
-    num = sphere_count_exact(inst.wf, n - k - ell, inst.w - p)
+    return _p1(inst.wf, inst.n, inst.k, inst.w, ell, p)
+
+
+@lru_cache(maxsize=256)
+def _p1(wf: WeightFunction, n: int, k: int, w: Fraction, ell: int, p: Fraction) -> float:
+    """_exact_p1 of every instance of one shape."""
+    q = wf.q
+    num = sphere_count_exact(wf, n - k - ell, w - p)
     if num == 0:
         return 0.0
-    s_n_w = sphere_count_exact(inst.wf, n, inst.w)
+    s_n_w = sphere_count_exact(wf, n, w)
     den = max(1, min(s_n_w // q**ell, q ** (n - k - ell)))
     return min(1.0, math.exp(min(math.log(num) - math.log(den), 0.0)))
 
@@ -309,7 +316,9 @@ def _first_hit(inst: SdInstance, desc, ech, perms: list[Permutation], w_rem: int
     """
     q, lead = inst.q, ech.h_prime.shape[1]
     tab = inst.wf.int_table_array()
-    system = np.concatenate([ech.h_prime, ech.h_second], axis=1)
+    # [H'; H'']^T of each loop as float64: with entries below q < 2^16 and
+    # fewer than 2^21 columns every product is an exact integer (cmsd._product)
+    system = np.concatenate([ech.h_prime, ech.h_second], axis=1).swapaxes(1, 2).astype(np.float64)
     target = np.concatenate([ech.s_prime, ech.s_second], axis=1)
     for lo in range(0, desc.y, CANDIDATE_BLOCK):
         idx, e2 = desc.candidates(lo, min(lo + CANDIDATE_BLOCK, desc.y))
@@ -317,10 +326,11 @@ def _first_hit(inst: SdInstance, desc, ech, perms: list[Permutation], w_rem: int
             continue
         loop = np.searchsorted(desc.starts, idx, side="right") - 1
         bounds = [0, *(np.flatnonzero(np.diff(loop)) + 1), len(idx)]  # one run per loop
-        res = np.empty((len(idx), system.shape[1]), dtype=np.int64)
+        e2f = e2.astype(np.float64)
+        prod = np.empty((len(idx), system.shape[2]))
         for i, j in zip(bounds[:-1], bounds[1:]):
-            res[i:j] = e2[i:j] @ system[loop[i]].T
-        res = (target.take(loop, axis=0) - res) % q
+            np.matmul(e2f[i:j], system[loop[i]], out=prod[i:j])
+        res = (target.take(loop, axis=0) - prod.astype(np.int64)) % q
         ok = ~res[:, lead:].any(axis=1) & (tab[res[:, :lead]].sum(axis=1) == w_rem)
         for i in np.flatnonzero(ok):
             e = np.empty(inst.n, dtype=np.int64)

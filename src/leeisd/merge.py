@@ -2,16 +2,22 @@
 
 The central operation combines two lists of vectors in F_q^m into the list
 of all pairwise sums whose projection onto a coordinate subset J equals a
-target vector there.  One input is sorted lexicographically on J and the
-other is streamed against it with binary search, so the cost is
-quasi-linear in the larger of the inputs and the output.  Every output
-entry keeps index references to the pair that produced it.
+target vector there.  One input is sorted on (loop, J-projection, rest of
+the row), packed in base q into as few words as hold them, each in its
+narrowest unsigned dtype; the first word also gives each entry's key.  The
+keys the other input needs are looked up in one bincount of those keys
+when the key space is a small multiple of the lists, else by binary
+search, so the cost is quasi-linear in the inputs and the output.  Every
+output entry keeps index references to the pair that produced it.  A list
+built from outside is validated once; a merge's output is valid by
+construction and is not scanned again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,19 +87,65 @@ def _word_layout(q: int, digits: int, nloops: int) -> tuple[np.ndarray, int]:
     return mult, q ** ends[0]
 
 
-def _packed_order(digits: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.ndarray:
-    """The stable order of the rows of digits by (loop, digits) lexicographically.
+def _narrowest(bound: int) -> type:
+    """The narrowest unsigned dtype that holds every value below bound."""
+    return np.uint16 if bound <= 1 << 16 else np.uint32 if bound <= 1 << 32 else np.uint64
 
-    digits holds base-q digits, most significant column first, and loop
-    ids lie in [0, nloops).  Both are packed into as few int64 words as
-    hold them, and one lexsort (a stable sort, so ties keep insertion
-    order) runs over the words.
+
+class _Layout(NamedTuple):
+    mult: np.ndarray  # (columns, words): each column's multiplier in each word
+    dtypes: tuple[type, ...]  # per word, the narrowest unsigned dtype that holds it
+    top: int  # the loop multiplier of word 0
+    div: int | None  # word 0 // div is the key; None where keys need Python ints
+
+
+@lru_cache(maxsize=1024)
+def _sort_layout(q: int, cols: tuple[int, ...], nloops: int, nkey: int) -> _Layout:
+    """The sort words of rows ordered by (loop, the columns cols in that order).
+
+    cols names every column once, the digit of highest rank first; the
+    key is the loop and the first nkey of them.  The key is an int64 part
+    of word 0 when nloops * q^nkey < 2^62, and then word 0 holds all of it.
     """
-    mult, top = _word_layout(q, digits.shape[1], nloops)
-    words = digits @ mult
+    mult, top = _word_layout(q, len(cols), nloops)
+    by_col = np.zeros_like(mult)
+    by_col[list(cols)] = mult
+    by_col.setflags(write=False)
+    # a word's bound is q times the multiplier of its leading digit (word 0's times the loops)
+    bounds = [nloops * top] + [int(mult[:, w].max()) * q for w in range(1, mult.shape[1])]
+    div = top // q**nkey if nloops * q**nkey < 2**62 else None
+    return _Layout(by_col, tuple(map(_narrowest, bounds)), top, div)
+
+
+def _key_order(rows: np.ndarray, q: int, loop, nloops: int, nkey: int, cols=None):
+    """(order, keys): the stable order of rows by (loop, rows[:, cols]), and each row's key.
+
+    rows holds base-q digits and loop ids lie in [0, nloops) (loop None:
+    all 0); cols defaults to the columns in order.  The loop and the
+    columns are packed into as few words as hold them, each word in its
+    narrowest unsigned dtype (numpy's stable sort is a radix sort up to 16
+    bits), and one stable sort runs over the words, so ties keep insertion
+    order.  keys[i] is row i's (loop, first nkey columns of cols) key, the
+    int64 that _encode_keys would give, taken from word 0; None where
+    that key needs Python ints.
+    """
+    cols = tuple(range(rows.shape[1])) if cols is None else cols
+    lay = _sort_layout(q, cols, nloops, nkey)
+    words = rows @ lay.mult
     if loop is not None and nloops > 1:
-        words[:, 0] += loop * top
-    return np.lexsort(words.T[::-1])
+        words[:, 0] += loop * lay.top
+    first = words[:, 0]
+    keys = None if lay.div is None else first if lay.div == 1 else first // lay.div
+    narrow = [words[:, w].astype(dt) for w, dt in enumerate(lay.dtypes)]
+    order = narrow[0].argsort(kind="stable") if len(narrow) == 1 else np.lexsort(narrow[::-1])
+    return order, keys
+
+
+def _loop_end(loop) -> int:
+    """One past the largest loop id, 0 for none; a negative id reads as a huge one."""
+    if loop is None or not len(loop):
+        return 0
+    return int(np.asarray(loop, dtype=np.int64).view(np.uint64).max()) + 1
 
 
 def _check_J(J, width: int) -> tuple[int, ...]:
@@ -119,6 +171,10 @@ class IndexedList:
     order breaking ties, which makes "first match" well defined.  A stack
     of lists, one per outer loop, is one IndexedList whose loop array gives
     each entry's loop; every order then sorts on the loop first.
+
+    The entries and loop ids are validated once, at construction, which
+    also records the loop-id bound that merge checks.  Lists that merge
+    and the back ends make are valid by construction and skip the scans.
     """
 
     q: int
@@ -142,6 +198,19 @@ class IndexedList:
             self.loop = np.asarray(self.loop, dtype=np.int64)
             if self.loop.shape != (len(self.backrefs),):
                 raise ValueError("loop ids must be one per entry")
+        self._bound = (self.loop, _loop_end(self.loop))
+
+    @classmethod
+    def _made(cls, q, syndromes, backrefs, loop=None, loop_end=0) -> "IndexedList":
+        """An unsorted list that is valid by construction: nothing is scanned or copied.
+
+        syndromes is a C-contiguous int64 array with entries in [0, q), and
+        every loop id lies below loop_end.
+        """
+        lst = cls.__new__(cls)
+        lst.q, lst.syndromes, lst.backrefs, lst.loop = q, syndromes, backrefs, loop
+        lst.sorted_on, lst._keys, lst._bound = None, None, (loop, loop_end)
+        return lst
 
     def __len__(self) -> int:
         return int(self.syndromes.shape[0])
@@ -149,6 +218,14 @@ class IndexedList:
     @property
     def width(self) -> int:
         return int(self.syndromes.shape[1])
+
+    def _loop_bound(self) -> int:
+        """A bound above every loop id: the recorded one, unless loop was replaced since."""
+        ids, end = self._bound
+        if ids is not self.loop:
+            end = _loop_end(self.loop)
+            self._bound = (self.loop, end)
+        return end
 
     def sort_order(self, J: tuple[int, ...]) -> np.ndarray:
         """Stable ordering by (loop, J-projection, full vector, insertion index)."""
@@ -165,11 +242,17 @@ class IndexedList:
         """
         if nloops is None:
             nloops = 1 if self.loop is None or not len(self) else int(self.loop.max()) + 1
+        order, keys = self._order_keys(J, nloops)
+        return order, keys[order]
+
+    def _order_keys(self, J: tuple[int, ...], nloops: int) -> tuple[np.ndarray, np.ndarray]:
+        """(sort_order, the J-key of each entry in list order) for loop ids below nloops."""
         loop = self.loop if nloops > 1 else None
-        rest = [c for c in range(self.width) if c not in J]
-        digits = self.syndromes[:, [*J, *rest]]
-        order = _packed_order(digits, self.q, loop, nloops)
-        return order, _encode_keys(digits[:, : len(J)], self.q, loop, nloops)[order]
+        cols = (*J, *(c for c in range(self.width) if c not in J))
+        order, keys = _key_order(self.syndromes, self.q, loop, nloops, len(J), cols)
+        if keys is None:
+            keys = _encode_keys(self.syndromes[:, list(J)], self.q, loop, nloops)
+        return order, keys
 
     def sort_on(self, J) -> "IndexedList":
         """Return a copy ordered by the J-projection (no-op if already sorted)."""
@@ -203,6 +286,11 @@ def _target_on_J(t, J: tuple[int, ...], width: int, q: int, stacked: bool) -> np
     raise ValueError(f"target must have length {width} or {len(J)}" + " per loop" * stacked)
 
 
+# a join counts L1's entries per key with one bincount when the key space
+# is at most this many times the entries of both lists, else it searches
+_BUCKETS_PER_ENTRY = 8
+
+
 def merge(
     L1: IndexedList,
     L2: IndexedList,
@@ -222,6 +310,11 @@ def merge(
     each loop's entries come out in the order its own merge would give
     them.  cap bounds each loop's output, and the error names the first
     loop over it.
+
+    L1 is sorted on its sort words, whose word 0 also gives its keys.
+    Each L2 entry's match range comes from a bincount of L1's keys where
+    the key space nloops * q^|J| is small, else from a binary search of
+    L1's sorted keys.
     """
     if L1.q != L2.q:
         raise ValueError("modulus mismatch between lists")
@@ -232,34 +325,39 @@ def merge(
         raise ValueError("a stack of lists merges only with another stack")
     q = L1.q
     J = _check_J(J, L1.width)
-    cols = list(J)
     tJ = _target_on_J(t, J, L1.width, q, stacked)
     nloops = len(tJ) if stacked else 1
-    # as for syndromes, a negative loop id reads as a huge unsigned one
-    if stacked and any(len(L) and L.loop.view(np.uint64).max() >= nloops for L in (L1, L2)):
+    if stacked and max(L1._loop_bound(), L2._loop_bound()) > nloops:
         raise ValueError(f"loop ids must lie in [0, {nloops})")
-
-    order, keys1 = L1._sorted(J, nloops)
-    t2 = tJ.take(L2.loop, axis=0) if nloops > 1 else tJ.reshape(1, -1)
     loop2 = L2.loop if nloops > 1 else None  # every id of a stack of one is 0
-    need = t2 - L2.syndromes[:, cols]
+    span = nloops * q ** len(J)  # the key space
+    order, keys1 = L1._order_keys(J, nloops)
+    t2 = tJ.take(loop2, axis=0) if loop2 is not None else tJ.reshape(1, -1)
+    need = t2 - L2.syndromes[:, list(J)]
     need += (need >> 63) & q  # (t - y) mod q: adds q where the difference is negative
     need_keys = _encode_keys(need, q, loop2, nloops)
-    lo = keys1.searchsorted(need_keys, side="left")
-    counts = keys1.searchsorted(need_keys, side="right") - lo
-    totals = np.bincount(L2.loop, counts, nloops) if nloops > 1 else counts.sum(keepdims=True)
-    over = totals > cap
-    if over.any():
-        b = int(over.argmax())
-        raise MergeOverflowError(f"merge would produce {int(totals[b])} > cap {cap} entries", b)
+    if span <= _BUCKETS_PER_ENTRY * (len(L1) + len(L2)):
+        per_key = np.bincount(keys1, minlength=span)  # any order of L1's keys counts alike
+        counts = per_key.take(need_keys)
+        lo = (per_key.cumsum() - per_key).take(need_keys)
+    else:
+        keys1 = keys1[order]
+        lo = keys1.searchsorted(need_keys, side="left")
+        counts = keys1.searchsorted(need_keys, side="right") - lo
     total = int(counts.sum())
+    if total > cap:
+        totals = np.bincount(loop2, counts, nloops) if loop2 is not None else [total]
+        over = np.flatnonzero(np.asarray(totals) > cap)
+        if over.size:
+            b = int(over[0])
+            raise MergeOverflowError(f"merge would produce {int(totals[b])} > cap {cap} entries", b)
 
     # output entry o of L2 row j pairs with sorted L1 row lo[j] + (o - first output of j)
     j_idx = np.arange(len(L2), dtype=np.int64).repeat(counts)
     pos1 = np.arange(total, dtype=np.int64) + (lo - (counts.cumsum() - counts)).repeat(counts)
     refs = np.empty((total, 2), dtype=np.int64)
-    refs[:, 0] = order[pos1]
+    refs[:, 0] = order.take(pos1)
     refs[:, 1] = j_idx
     syn = (L1.syndromes.take(refs[:, 0], axis=0) + L2.syndromes.take(j_idx, axis=0)) % q
-    loop = None if L2.loop is None else L2.loop[j_idx]
-    return IndexedList(q, syn, refs, loop=loop)
+    loop = None if L2.loop is None else L2.loop.take(j_idx)
+    return IndexedList._made(q, syn, refs, loop, L2._loop_bound())

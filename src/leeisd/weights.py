@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -258,15 +259,23 @@ def _count_rows(int_table: tuple[int, ...], n: int, w_scaled: int) -> tuple[tupl
     """Rows 0..n of the suffix-count table: row[i][j] = #length-i vectors of weight j.
 
     Only the weights j <= w_scaled that an unrank at w_scaled reads: the
-    same masked Kronecker counts as _count_at, one multiplication per row.
-    No rows when no length-n vector has weight w_scaled.
+    same masked Kronecker counts as _count_at.  Row i is row i-1 times the
+    packed weight enumerator, taken as one shifted add per weight class c
+    (mult_c symbols of weight wt_c): sum_c mult_c * (row << wt_c * slot),
+    which is linear in the packed size where a product is not.  No rows
+    when no length-n vector has weight w_scaled.
     """
     if not 0 <= w_scaled <= n * max(int_table):
         return ()
-    base, slot_bytes, mask = _kronecker_slots(int_table, n, w_scaled)
+    _, slot_bytes, mask = _kronecker_slots(int_table, n, w_scaled)
+    classes = Counter(w for w in int_table if w <= w_scaled)
+    shifts = [(w * 8 * slot_bytes, mult) for w, mult in sorted(classes.items())]
     rows, val = [_unpack(1, w_scaled + 1, slot_bytes)], 1
     for _ in range(n):
-        val = val * base & mask
+        acc = 0
+        for shift, mult in shifts:
+            acc += (val << shift) * mult if mult > 1 else val << shift
+        val = acc & mask
         rows.append(_unpack(val, w_scaled + 1, slot_bytes))
     return tuple(rows)
 

@@ -32,10 +32,10 @@ from leeisd.merge import (
     MergeOverflowError,
     _check_J,
     _encode_keys,
-    _packed_order,
+    _key_order,
     _target_on_J,
 )
-from leeisd.weights import SphereEnumerator
+from leeisd.weights import SphereEnumerator, _kronecker_slots, _unpack
 
 
 @dataclass(eq=False)
@@ -343,7 +343,7 @@ def partner_table(node, J: np.ndarray, q: int, loops: int) -> Partners:
     lst = cmsd._head(node.lst, loops)
     syn, loop = lst.syndromes, lst.loop
     part = node.gather(np.arange(len(syn)))
-    order = _packed_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops)
+    order = _key_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops, 0)[0]
     keys = _encode_keys(syn[order][:, J], q, loop[order], loops)
     first = np.ones(len(keys), dtype=bool)  # the first entry of each run of equal keys
     first[1:] = keys[1:] != keys[:-1]
@@ -438,6 +438,18 @@ def count_row(int_table: tuple[int, ...], n: int) -> tuple[int, ...]:
         int.from_bytes(raw[j * slot_bytes : (j + 1) * slot_bytes], "little")
         for j in range(nslots)
     )
+
+
+def count_rows_by_product(int_table: tuple[int, ...], n: int, w_scaled: int):
+    """weights._count_rows as one big-integer product per row, masked to weights 0..w_scaled."""
+    if not 0 <= w_scaled <= n * max(int_table):
+        return ()
+    base, slot_bytes, mask = _kronecker_slots(int_table, n, w_scaled)
+    rows, val = [_unpack(1, w_scaled + 1, slot_bytes)], 1
+    for _ in range(n):
+        val = val * base & mask
+        rows.append(_unpack(val, w_scaled + 1, slot_bytes))
+    return tuple(rows)
 
 
 def unrank_full_rows(int_table: tuple[int, ...], n: int, w_scaled: int, r: int) -> np.ndarray:

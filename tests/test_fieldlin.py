@@ -209,6 +209,23 @@ def test_permutation_roundtrip_and_oracle():
     assert there.tolist() == naive
 
 
+def test_random_permutation_is_the_shuffle_of_range():
+    # Permutation.random runs shuffle's loop inline: the same list and the
+    # same stream state after it, draw after draw, on every supported Python
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in [*range(71), 257]:
+            want = list(range(n))
+            ref.shuffle(want)
+            assert Permutation.random(n, rng).images.tolist() == want, (seed, n)
+            assert rng.getstate() == ref.getstate(), (seed, n)
+    # a subclass may draw its own way: it gets its own shuffle
+    Halves = type("Halves", (random.Random,), {"random": lambda self: 0.5})
+    want = list(range(40))
+    Halves(1).shuffle(want)
+    assert Permutation.random(40, Halves(1)).images.tolist() == want
+
+
 def test_permutation_on_matrix_columns():
     rng = random.Random(3)
     m = FqMatrix(5, [[rng.randrange(5) for _ in range(6)] for _ in range(2)])

@@ -476,6 +476,33 @@ def test_solve_reports_pinned(case, expected):
     assert rep.cmsd_calls == rep.outer_loops
 
 
+# (variant, n, k, w, ell, p, a) of the solve_merge_tree benchmark: with lee and
+# hamming and instance (= solver) seeds 0..3 these 24 solves take 152 loops in
+# batches of up to 22, with 4 singular retries; the digest pins every report
+PINNED_BENCHMARK_SHAPES = (
+    ("dumer", 36, 18, 8, 4, 3, 1),
+    ("wagner1", 32, 16, 8, 4, 4, 2),
+    ("wagner2", 32, 16, 9, 4, 3, 2),
+)
+
+
+def test_solve_reports_pinned_on_the_benchmark_shapes():
+    digest = hashlib.sha256()
+    retries = 0
+    for variant, n, k, w, ell, p, a in PINNED_BENCHMARK_SHAPES:
+        for metric in ("lee", "hamming"):
+            wf = getattr(WeightFunction, metric)(3)
+            for seed in range(4):
+                inst = generate_instance(3, n, k, w, wf, random.Random(seed))
+                rep = isd_solve(inst, IsdParams(variant=variant, ell=ell, p=p, a=a, rng_seed=seed))
+                doc = rep.to_dict()
+                del doc["wall_stats"]["elapsed_s"]
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                retries += doc["wall_stats"]["singular_retries"]
+    assert retries == 4
+    assert digest.hexdigest()[:16] == "fec6ab37a3adb1fe"
+
+
 # (n, k, w) of the solve_merge_tree benchmark -> sha256 prefix of (H, s, e)
 # over q = 3, seeds 0..9, lee then hamming: every benchmark task and pinned
 # report starts from generate_instance, so a change to what it draws shows here

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
-from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, MergeOverflowError, _word_layout, merge
+from leeisd.merge import (
+    _BUCKETS_PER_ENTRY,
+    DEFAULT_LIST_CAP,
+    IndexedList,
+    MergeOverflowError,
+    _sort_layout,
+    _word_layout,
+    merge,
+)
 
 
 def random_list(q, m, size, rng, tag=0):
@@ -217,3 +225,82 @@ def test_packed_sort_matches_the_per_column_lexsort(q):
         assert (got.loop is None) == (want.loop is None)
         assert got.loop is None or np.array_equal(got.loop, want.loop)
     assert words_seen >= {1, 2}
+
+
+# (q, width, |J|, loops; loops 0 for a plain list): between them every side
+# of each choice the join makes -- bucket counts or a binary search, 16-, 32-
+# or 64-bit sort words, one word or a multi-word lexsort, int64 or Python-int
+# keys -- and a left list handed over sorted on J or not
+JOIN_SHAPES = (
+    (3, 4, 2, 3),
+    (3, 4, 4, 0),
+    (13, 6, 5, 2),
+    (3, 30, 3, 4),
+    (3, 50, 10, 3),
+    (331, 9, 8, 2),
+    (65521, 5, 4, 0),
+    (2, 70, 65, 2),
+    (65521, 3, 0, 5),
+)
+
+
+def join_paths(L1, J, nloops):
+    """The choices merge makes for a left list L1 joined on J over nloops loops."""
+    span = nloops * L1.q ** len(J)
+    paths = {"object keys" if span >= 2**62 else "int keys"}
+    paths.add("buckets" if span <= _BUCKETS_PER_ENTRY * 2 * len(L1) else "search")
+    cols = (*J, *(c for c in range(L1.width) if c not in J))
+    layout = _sort_layout(L1.q, cols, nloops, len(J))
+    paths |= {np.dtype(dt).name for dt in layout.dtypes}
+    return paths | {"multi-word" if len(layout.dtypes) > 1 else "one word"}
+
+
+def test_join_matches_the_reference_on_every_path():
+    rng = np.random.default_rng(28)
+    seen = set()
+    for q, m, nJ, loops in JOIN_SHAPES:
+        for trial in range(8):
+            size = 0 if trial == 0 else int(rng.integers(1, 40))
+            pool = rng.integers(0, q, (5, m))  # drawn from a pool, rows tie on J and off it
+            L1, L2 = (
+                IndexedList(
+                    q,
+                    pool[rng.integers(0, 5, size)] if trial % 2 else rng.integers(0, q, (size, m)),
+                    np.arange(size),
+                    loop=rng.integers(0, loops, size) if loops else None,
+                )
+                for _ in range(2)
+            )
+            J = tuple(rng.choice(m, nJ, replace=False).tolist())
+            if trial % 3 == 1:  # handed over sorted on J
+                L1 = L1.sort_on(J)
+                seen.add("sorted on J")
+            elif trial % 3 == 2 and nJ:  # or on another J
+                L1 = L1.sort_on(J[1:])
+            t = rng.integers(0, q, (loops, m) if loops else m)
+            seen |= join_paths(L1, J, max(loops, 1))
+            got = merge(L1, L2, J, t)
+            want = oracles.merge_reference(L1, L2, J, t, DEFAULT_LIST_CAP)
+            assert np.array_equal(got.syndromes, want.syndromes)
+            assert np.array_equal(got.backrefs.reshape(-1, 2), want.backrefs.reshape(-1, 2))
+            assert (got.loop is None) == (want.loop is None)
+            assert got.loop is None or np.array_equal(got.loop, want.loop)
+    assert seen == {
+        "buckets", "search", "uint16", "uint32", "uint64", "one word", "multi-word",
+        "int keys", "object keys", "sorted on J",
+    }
+
+
+def test_loop_bound_follows_a_replaced_loop_array():
+    # the bound merge checks is recorded at construction and found again
+    # when the loop array is replaced; ids outside [0, loops) are refused
+    L1 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=[0, 1])
+    L2 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=[0, 0])
+    t = np.zeros((2, 2), int)
+    assert len(merge(L1, L2, (0,), t)) == 2
+    for bad in ([0, 2], [-1, 0]):
+        L1.loop = np.array(bad)
+        with pytest.raises(ValueError, match=r"loop ids must lie in \[0, 2\)"):
+            merge(L1, L2, (0,), t)
+        with pytest.raises(ValueError, match=r"loop ids must lie in \[0, 2\)"):
+            merge(IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=bad), L2, (0,), t)

@@ -12,6 +12,7 @@ from leeisd.weights import (
     _BOUND_TOL,
     SphereEnumerator,
     WeightFunction,
+    _count_rows,
     _entropy_bounds,
     _to_fraction,
     normalized_weight,
@@ -21,7 +22,7 @@ from leeisd.weights import (
     sphere_exponent_many,
     vector_weight,
 )
-from oracles import count_row, sphere_rank as rank, unrank_full_rows
+from oracles import count_row, count_rows_by_product, sphere_rank as rank, unrank_full_rows
 
 
 def brute_counts(wf, n):
@@ -166,6 +167,19 @@ def test_counts_and_unranks_match_the_full_row_oracle(wf):
                 assert np.array_equal(enum.unrank_many(list(ranks)), oracle)
                 assert np.array_equal([enum.unrank(r) for r in ranks], oracle)
                 assert np.array_equal(enum.all_vectors()[list(ranks)], oracle)
+
+
+@pytest.mark.parametrize(
+    "wf",
+    (*COUNT_TABLES, WeightFunction.lee(13), WeightFunction.hamming(7)),
+    ids=lambda wf: str(wf.int_table),
+)
+def test_count_rows_by_shifted_adds_match_the_product(wf):
+    # each row is the last one shifted once per weight class, not multiplied
+    top = max(wf.int_table)
+    for n in (0, 1, 2, 3, 8, 21):
+        for ws in sorted({-1, 0, 1, 2, top, n * top // 2, n * top, n * top + 1}):
+            assert _count_rows(wf.int_table, n, ws) == count_rows_by_product(wf.int_table, n, ws)
 
 
 def test_exact_counts_pack_only_the_weights_they_read():
