@@ -438,18 +438,6 @@ def _leaf_ranks(draws: list[LoopDraws]) -> list[list | None]:
     ]
 
 
-# the longest range of sums _product reduces by one lookup in a table of residues
-_RESIDUE_TABLE = 1 << 18
-
-
-@lru_cache(maxsize=64)
-def _residues(q: int, size: int) -> np.ndarray:
-    """x mod q for every x in [0, size), read-only."""
-    out = np.arange(size, dtype=np.int64) % q
-    out.setflags(write=False)
-    return out
-
-
 def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
     """(v @ h^T) mod q for each matrix of the stack h, exactly, as a float64 product.
 
@@ -457,9 +445,7 @@ def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
     makes one product in all, or a stack (B, rows, width).  With entries
     below q < 2^16 every sum of products is below width * q^2 < 2^53 for
     any width below 2^21, so float64 holds it exactly, and the float
-    product runs through BLAS where int64 does not.  Each sum is reduced
-    by a lookup in a table of residues where the range of sums is short,
-    several times faster than numpy's integer %.  Returns (B, rows, ell).
+    product runs through BLAS where int64 does not.  Returns (B, rows, ell).
     """
     loops, ell, width = h.shape
     hf = h.astype(np.float64)
@@ -469,8 +455,8 @@ def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
     else:
         out = np.matmul(v, hf.swapaxes(1, 2))
     out = out.astype(np.int64, order="C")
-    size = width * (q - 1) ** 2 + 1  # every sum lies below
-    return _residues(q, size).take(out) if size <= _RESIDUE_TABLE else out % q
+    out %= q
+    return out
 
 
 def _head(lst: IndexedList, loops: int) -> IndexedList:

@@ -3,8 +3,9 @@
 The central operation combines two lists of vectors in F_q^m into the list
 of all pairwise sums whose projection onto a coordinate subset J equals a
 target vector there.  One input is sorted on (loop, J-projection, rest of
-the row), packed in base q into as few words as hold them, each in its
-narrowest unsigned dtype; the first word also gives each entry's key.  The
+the row), packed in base q into as few int64 words as hold them (one
+16-bit word where that holds them all, for numpy's radix sort); the
+first word also gives each entry's key.  The
 keys the other input needs are looked up in one bincount of those keys
 when the key space is a small multiple of the lists, else by binary
 search, so the cost is quasi-linear in the inputs and the output.  Every
@@ -87,14 +88,9 @@ def _word_layout(q: int, digits: int, nloops: int) -> tuple[np.ndarray, int]:
     return mult, q ** ends[0]
 
 
-def _narrowest(bound: int) -> type:
-    """The narrowest unsigned dtype that holds every value below bound."""
-    return np.uint16 if bound <= 1 << 16 else np.uint32 if bound <= 1 << 32 else np.uint64
-
-
 class _Layout(NamedTuple):
     mult: np.ndarray  # (columns, words): each column's multiplier in each word
-    dtypes: tuple[type, ...]  # per word, the narrowest unsigned dtype that holds it
+    radix: bool  # one word below 2^16: sorted as uint16, numpy's stable radix sort
     top: int  # the loop multiplier of word 0
     div: int | None  # word 0 // div is the key; None where keys need Python ints
 
@@ -111,10 +107,9 @@ def _sort_layout(q: int, cols: tuple[int, ...], nloops: int, nkey: int) -> _Layo
     by_col = np.zeros_like(mult)
     by_col[list(cols)] = mult
     by_col.setflags(write=False)
-    # a word's bound is q times the multiplier of its leading digit (word 0's times the loops)
-    bounds = [nloops * top] + [int(mult[:, w].max()) * q for w in range(1, mult.shape[1])]
+    radix = mult.shape[1] == 1 and nloops * top <= 1 << 16  # word 0 lies below nloops * top
     div = top // q**nkey if nloops * q**nkey < 2**62 else None
-    return _Layout(by_col, tuple(map(_narrowest, bounds)), top, div)
+    return _Layout(by_col, radix, top, div)
 
 
 def _key_order(rows: np.ndarray, q: int, loop, nloops: int, nkey: int, cols=None):
@@ -122,12 +117,12 @@ def _key_order(rows: np.ndarray, q: int, loop, nloops: int, nkey: int, cols=None
 
     rows holds base-q digits and loop ids lie in [0, nloops) (loop None:
     all 0); cols defaults to the columns in order.  The loop and the
-    columns are packed into as few words as hold them, each word in its
-    narrowest unsigned dtype (numpy's stable sort is a radix sort up to 16
-    bits), and one stable sort runs over the words, so ties keep insertion
-    order.  keys[i] is row i's (loop, first nkey columns of cols) key, the
-    int64 that _encode_keys would give, taken from word 0; None where
-    that key needs Python ints.
+    columns are packed into as few int64 words as hold them, and one
+    stable sort runs over the words, so ties keep insertion order: a
+    lexsort, or numpy's radix sort of one word that fits 16 bits.
+    keys[i] is row i's (loop, first nkey columns of cols) key, the int64
+    that _encode_keys would give, taken from word 0; None where that key
+    needs Python ints.
     """
     cols = tuple(range(rows.shape[1])) if cols is None else cols
     lay = _sort_layout(q, cols, nloops, nkey)
@@ -136,9 +131,9 @@ def _key_order(rows: np.ndarray, q: int, loop, nloops: int, nkey: int, cols=None
         words[:, 0] += loop * lay.top
     first = words[:, 0]
     keys = None if lay.div is None else first if lay.div == 1 else first // lay.div
-    narrow = [words[:, w].astype(dt) for w, dt in enumerate(lay.dtypes)]
-    order = narrow[0].argsort(kind="stable") if len(narrow) == 1 else np.lexsort(narrow[::-1])
-    return order, keys
+    if lay.radix:
+        return first.astype(np.uint16).argsort(kind="stable"), keys
+    return np.lexsort(words.T[::-1]), keys
 
 
 def _loop_end(loop) -> int:
@@ -173,8 +168,10 @@ class IndexedList:
     each entry's loop; every order then sorts on the loop first.
 
     The entries and loop ids are validated once, at construction, which
-    also records the loop-id bound that merge checks.  Lists that merge
-    and the back ends make are valid by construction and skip the scans.
+    also records the loop-id bound that merge checks; the loop ids are
+    kept as a read-only copy, so the bound holds until loop is replaced.
+    Lists that merge and the back ends make are valid by construction and
+    skip the scans.
     """
 
     q: int
@@ -195,7 +192,8 @@ class IndexedList:
         if len(self.backrefs) != self.syndromes.shape[0]:
             raise ValueError("backrefs length must match syndrome count")
         if self.loop is not None:
-            self.loop = np.asarray(self.loop, dtype=np.int64)
+            self.loop = np.array(self.loop, dtype=np.int64)
+            self.loop.setflags(write=False)
             if self.loop.shape != (len(self.backrefs),):
                 raise ValueError("loop ids must be one per entry")
         self._bound = (self.loop, _loop_end(self.loop))
@@ -205,8 +203,10 @@ class IndexedList:
         """An unsorted list that is valid by construction: nothing is scanned or copied.
 
         syndromes is a C-contiguous int64 array with entries in [0, q), and
-        every loop id lies below loop_end.
+        every loop id lies below loop_end; loop is made read-only.
         """
+        if loop is not None:
+            loop.setflags(write=False)
         lst = cls.__new__(cls)
         lst.q, lst.syndromes, lst.backrefs, lst.loop = q, syndromes, backrefs, loop
         lst.sorted_on, lst._keys, lst._bound = None, None, (loop, loop_end)
@@ -220,12 +220,9 @@ class IndexedList:
         return int(self.syndromes.shape[1])
 
     def _loop_bound(self) -> int:
-        """A bound above every loop id: the recorded one, unless loop was replaced since."""
+        """A bound above every loop id: the recorded one, or a scan where loop was replaced."""
         ids, end = self._bound
-        if ids is not self.loop:
-            end = _loop_end(self.loop)
-            self._bound = (self.loop, end)
-        return end
+        return end if ids is self.loop else _loop_end(self.loop)
 
     def sort_order(self, J: tuple[int, ...]) -> np.ndarray:
         """Stable ordering by (loop, J-projection, full vector, insertion index)."""

@@ -228,13 +228,14 @@ def test_packed_sort_matches_the_per_column_lexsort(q):
 
 
 # (q, width, |J|, loops; loops 0 for a plain list): between them every side
-# of each choice the join makes -- bucket counts or a binary search, 16-, 32-
-# or 64-bit sort words, one word or a multi-word lexsort, int64 or Python-int
-# keys -- and a left list handed over sorted on J or not
+# of each choice the join makes -- bucket counts or a binary search, a radix
+# sort of one 16-bit word or a lexsort of one or more int64 words, int64 or
+# Python-int keys -- and a left list handed over sorted on J or not
 JOIN_SHAPES = (
     (3, 4, 2, 3),
     (3, 4, 4, 0),
-    (13, 6, 5, 2),
+    (2, 16, 3, 0),  # one 16-bit word, full
+    (2, 16, 3, 2),  # one word just past 16 bits
     (3, 30, 3, 4),
     (3, 50, 10, 3),
     (331, 9, 8, 2),
@@ -251,8 +252,8 @@ def join_paths(L1, J, nloops):
     paths.add("buckets" if span <= _BUCKETS_PER_ENTRY * 2 * len(L1) else "search")
     cols = (*J, *(c for c in range(L1.width) if c not in J))
     layout = _sort_layout(L1.q, cols, nloops, len(J))
-    paths |= {np.dtype(dt).name for dt in layout.dtypes}
-    return paths | {"multi-word" if len(layout.dtypes) > 1 else "one word"}
+    words = layout.mult.shape[1]
+    return paths | {"16-bit radix" if layout.radix else "one int64 word" if words == 1 else "multi-word"}
 
 
 def test_join_matches_the_reference_on_every_path():
@@ -286,14 +287,15 @@ def test_join_matches_the_reference_on_every_path():
             assert (got.loop is None) == (want.loop is None)
             assert got.loop is None or np.array_equal(got.loop, want.loop)
     assert seen == {
-        "buckets", "search", "uint16", "uint32", "uint64", "one word", "multi-word",
+        "buckets", "search", "16-bit radix", "one int64 word", "multi-word",
         "int keys", "object keys", "sorted on J",
     }
 
 
 def test_loop_bound_follows_a_replaced_loop_array():
     # the bound merge checks is recorded at construction and found again
-    # when the loop array is replaced; ids outside [0, loops) are refused
+    # when the loop array is replaced; ids outside [0, loops) are refused,
+    # and the ids a list keeps cannot be edited in place behind the bound
     L1 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=[0, 1])
     L2 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=[0, 0])
     t = np.zeros((2, 2), int)
@@ -304,3 +306,10 @@ def test_loop_bound_follows_a_replaced_loop_array():
             merge(L1, L2, (0,), t)
         with pytest.raises(ValueError, match=r"loop ids must lie in \[0, 2\)"):
             merge(IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=bad), L2, (0,), t)
+    ids = np.array([0, 1])
+    L1 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=ids)
+    ids[1] = 2  # the caller's array, not the list's copy
+    assert L1.loop.tolist() == [0, 1] and len(merge(L1, L2, (0,), t)) == 2
+    for lst in (L1, merge(L1, L2, (0,), t)):
+        with pytest.raises(ValueError, match="read-only"):
+            lst.loop[0] = 2
