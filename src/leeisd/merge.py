@@ -2,16 +2,16 @@
 
 The central operation combines two lists of vectors in F_q^m into the list
 of all pairwise sums whose projection onto a coordinate subset J equals a
-target vector there.  One input is sorted on (loop, J-projection, rest of
-the row), packed in base q into as few int64 words as hold them (one
-16-bit word where that holds them all, for numpy's radix sort); the
-first word also gives each entry's key.  The
-keys the other input needs are looked up in one bincount of those keys
-when the key space is a small multiple of the lists, else by binary
-search, so the cost is quasi-linear in the inputs and the output.  Every
-output entry keeps index references to the pair that produced it.  A list
-built from outside is validated once; a merge's output is valid by
-construction and is not scanned again.
+target vector there.  The left input is sorted on (loop, J-projection,
+rest of the row), packed in base q into as few int64 words as hold them
+(one 16-bit word where that holds them all, for numpy's radix sort); the
+first word also gives each entry's key.  The keys the right input needs
+are looked up in one bincount of those keys when the key space is a
+small multiple of the lists, else by binary search, so the cost is
+quasi-linear in the inputs and the output.  Every output entry keeps
+index references to the pair that produced it.  Lists are immutable
+values, validated and copied where they enter from outside; a merge's
+output is valid by construction and is neither scanned nor copied.
 """
 
 from __future__ import annotations
@@ -65,29 +65,6 @@ def _encode_keys(proj: np.ndarray, q: int, loop=None, nloops: int = 1) -> np.nda
     return out
 
 
-@lru_cache(maxsize=256)
-def _word_layout(q: int, digits: int, nloops: int) -> tuple[np.ndarray, int]:
-    """(multipliers, loop multiplier) that pack a loop id and base-q digits into int64 words.
-
-    The loop (below nloops) leads word 0 and the digits follow, most
-    significant first, each word taking as many as keep it below 2^63.
-    Column w of the (digits, words) multiplier matrix makes word w; the
-    loop multiplier applies to word 0.
-    """
-    starts, size = [0], nloops  # the first digit of each word
-    for c in range(digits):
-        if size * q > 2**63:
-            starts.append(c)
-            size = 1
-        size *= q
-    ends = starts[1:] + [digits]
-    mult = np.zeros((digits, len(starts)), dtype=np.int64)
-    for w, (lo, hi) in enumerate(zip(starts, ends)):
-        mult[lo:hi, w] = _powers(q, hi - lo)
-    mult.setflags(write=False)
-    return mult, q ** ends[0]
-
-
 class _Layout(NamedTuple):
     mult: np.ndarray  # (columns, words): each column's multiplier in each word
     radix: bool  # one word below 2^16: sorted as uint16, numpy's stable radix sort
@@ -99,17 +76,28 @@ class _Layout(NamedTuple):
 def _sort_layout(q: int, cols: tuple[int, ...], nloops: int, nkey: int) -> _Layout:
     """The sort words of rows ordered by (loop, the columns cols in that order).
 
-    cols names every column once, the digit of highest rank first; the
-    key is the loop and the first nkey of them.  The key is an int64 part
-    of word 0 when nloops * q^nkey < 2^62, and then word 0 holds all of it.
+    cols names every column once, the digit of highest rank first.  The
+    loop (below nloops) leads word 0 and the digits follow in that order,
+    each word taking as many as keep it below 2^63: column w of mult makes
+    word w, and top multiplies the loop in word 0.  The key is the loop and
+    the first nkey columns of cols, an int64 part of word 0 when
+    nloops * q^nkey < 2^62, and then word 0 holds all of it.
     """
-    mult, top = _word_layout(q, len(cols), nloops)
-    by_col = np.zeros_like(mult)
-    by_col[list(cols)] = mult
-    by_col.setflags(write=False)
-    radix = mult.shape[1] == 1 and nloops * top <= 1 << 16  # word 0 lies below nloops * top
+    starts, size = [0], nloops  # the first digit of each word
+    for c in range(len(cols)):
+        if size * q > 2**63:
+            starts.append(c)
+            size = 1
+        size *= q
+    ends = starts[1:] + [len(cols)]
+    mult = np.zeros((len(cols), len(starts)), dtype=np.int64)
+    for w, (lo, hi) in enumerate(zip(starts, ends)):
+        mult[list(cols[lo:hi]), w] = _powers(q, hi - lo)
+    mult.setflags(write=False)
+    top = q ** ends[0]
+    radix = len(starts) == 1 and nloops * top <= 1 << 16  # word 0 lies below nloops * top
     div = top // q**nkey if nloops * q**nkey < 2**62 else None
-    return _Layout(by_col, radix, top, div)
+    return _Layout(mult, radix, top, div)
 
 
 def _key_order(rows: np.ndarray, q: int, loop, nloops: int, nkey: int, cols=None):
@@ -136,13 +124,6 @@ def _key_order(rows: np.ndarray, q: int, loop, nloops: int, nkey: int, cols=None
     return np.lexsort(words.T[::-1]), keys
 
 
-def _loop_end(loop) -> int:
-    """One past the largest loop id, 0 for none; a negative id reads as a huge one."""
-    if loop is None or not len(loop):
-        return 0
-    return int(np.asarray(loop, dtype=np.int64).view(np.uint64).max()) + 1
-
-
 def _check_J(J, width: int) -> tuple[int, ...]:
     if isinstance(J, np.ndarray) and J.dtype.kind in "iu":
         J = tuple(J.tolist())
@@ -155,62 +136,64 @@ def _check_J(J, width: int) -> tuple[int, ...]:
     return J
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IndexedList:
-    """A list of syndrome-space vectors (entries in [0, q)) with opaque preimage references.
+    """An immutable list of syndrome-space vectors (entries in [0, q)) with opaque preimage references.
 
     backrefs[i] identifies how entry i was produced (a sphere rank for a
-    base list, an index pair into the child lists for a merged one).  If
-    sorted_on is set, entries are ordered by the projection onto those
-    coordinates, with full-vector lexicographic order and then insertion
-    order breaking ties, which makes "first match" well defined.  A stack
-    of lists, one per outer loop, is one IndexedList whose loop array gives
-    each entry's loop; every order then sorts on the loop first.
+    base list, an index pair into the child lists for a merged one).  A
+    stack of lists, one per outer loop, is one IndexedList whose loop array
+    gives each entry's loop; every sort orders on the loop first.
 
-    The entries and loop ids are validated once, at construction, which
-    also records the loop-id bound that merge checks; the loop ids are
-    kept as a read-only copy, so the bound holds until loop is replaced.
-    Lists that merge and the back ends make are valid by construction and
-    skip the scans.
+    The constructor reads q as an integer of at least 2, validates the
+    entries and loop ids, keeps read-only int64 copies of both (backrefs
+    as given) and records loop_end, one past the largest loop id, which
+    merge checks; a negative id reads as a huge one.  Lists that merge and
+    the back ends make are valid by construction and skip all that (_made).
     """
 
     q: int
     syndromes: np.ndarray
     backrefs: np.ndarray
-    sorted_on: tuple[int, ...] | None = None
-    _keys: np.ndarray | None = field(default=None, repr=False)
     loop: np.ndarray | None = None
+    loop_end: int = field(init=False, default=0)
+    _keys: np.ndarray | None = field(init=False, default=None, repr=False)  # set by sort_on
 
     def __post_init__(self):
-        self.syndromes = np.ascontiguousarray(self.syndromes, dtype=np.int64)
-        self.backrefs = np.asarray(self.backrefs)
-        if self.syndromes.ndim != 2:
+        q = _to_int(self.q, "q")
+        if q < 2:
+            raise ValueError(f"q must be at least 2, not {q}")
+        syn = np.array(self.syndromes, dtype=np.int64, order="C")
+        backrefs = np.asarray(self.backrefs)
+        if syn.ndim != 2:
             raise ValueError("syndromes must be a 2-D array")
         # sorts pack the entries as base-q digits; a negative one reads as a huge unsigned one
-        if self.syndromes.size and self.syndromes.view(np.uint64).max() >= self.q:
-            raise ValueError(f"syndrome entries must lie in [0, {self.q})")
-        if len(self.backrefs) != self.syndromes.shape[0]:
+        if syn.size and syn.view(np.uint64).max() >= q:
+            raise ValueError(f"syndrome entries must lie in [0, {q})")
+        if len(backrefs) != syn.shape[0]:
             raise ValueError("backrefs length must match syndrome count")
-        if self.loop is not None:
-            self.loop = np.array(self.loop, dtype=np.int64)
-            self.loop.setflags(write=False)
-            if self.loop.shape != (len(self.backrefs),):
-                raise ValueError("loop ids must be one per entry")
-        self._bound = (self.loop, _loop_end(self.loop))
+        loop = None if self.loop is None else np.array(self.loop, dtype=np.int64)
+        if loop is not None and loop.shape != (len(backrefs),):
+            raise ValueError("loop ids must be one per entry")
+        end = int(loop.view(np.uint64).max()) + 1 if loop is not None and len(loop) else 0
+        self._set(q, syn, backrefs, loop, end)
 
     @classmethod
     def _made(cls, q, syndromes, backrefs, loop=None, loop_end=0) -> "IndexedList":
-        """An unsorted list that is valid by construction: nothing is scanned or copied.
+        """A list that is valid by construction: nothing is scanned or copied.
 
         syndromes is a C-contiguous int64 array with entries in [0, q), and
-        every loop id lies below loop_end; loop is made read-only.
+        every loop id lies below loop_end.  Both arrays are made read-only.
         """
-        if loop is not None:
-            loop.setflags(write=False)
-        lst = cls.__new__(cls)
-        lst.q, lst.syndromes, lst.backrefs, lst.loop = q, syndromes, backrefs, loop
-        lst.sorted_on, lst._keys, lst._bound = None, None, (loop, loop_end)
-        return lst
+        return cls.__new__(cls)._set(q, syndromes, backrefs, loop, loop_end)
+
+    def _set(self, q, syndromes, backrefs, loop, loop_end) -> "IndexedList":
+        for arr in (syndromes, loop):
+            if arr is not None:
+                arr.setflags(write=False)
+        # the fields are frozen, so they are set past __setattr__
+        vars(self).update(q=q, syndromes=syndromes, backrefs=backrefs, loop=loop, loop_end=loop_end)
+        return self
 
     def __len__(self) -> int:
         return int(self.syndromes.shape[0])
@@ -219,31 +202,13 @@ class IndexedList:
     def width(self) -> int:
         return int(self.syndromes.shape[1])
 
-    def _loop_bound(self) -> int:
-        """A bound above every loop id: the recorded one, or a scan where loop was replaced."""
-        ids, end = self._bound
-        return end if ids is self.loop else _loop_end(self.loop)
-
-    def sort_order(self, J: tuple[int, ...]) -> np.ndarray:
-        """Stable ordering by (loop, J-projection, full vector, insertion index)."""
-        return self._sorted(_check_J(J, self.width))[0]
-
-    def _sorted(
-        self, J: tuple[int, ...], nloops: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(sort_order, J-keys of the entries in that order), J already checked.
-
-        The keys are encoded for loop ids below nloops (default: this list's).
-        Entries equal on J differ only off J, so the columns after the
-        J-projection are the others alone.
-        """
-        if nloops is None:
-            nloops = 1 if self.loop is None or not len(self) else int(self.loop.max()) + 1
-        order, keys = self._order_keys(J, nloops)
-        return order, keys[order]
-
     def _order_keys(self, J: tuple[int, ...], nloops: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sort_order, the J-key of each entry in list order) for loop ids below nloops."""
+        """(order, the J-key of each entry in list order) for loop ids below nloops.
+
+        The order is by (loop, J-projection, full vector, insertion index);
+        entries equal on J differ only off J, so the columns after the
+        J-projection are the others alone.  J is already checked.
+        """
         loop = self.loop if nloops > 1 else None
         cols = (*J, *(c for c in range(self.width) if c not in J))
         order, keys = _key_order(self.syndromes, self.q, loop, nloops, len(J), cols)
@@ -252,19 +217,13 @@ class IndexedList:
         return order, keys
 
     def sort_on(self, J) -> "IndexedList":
-        """Return a copy ordered by the J-projection (no-op if already sorted)."""
+        """A copy in _order_keys's order on J, whose J-keys match_range searches."""
         J = _check_J(J, self.width)
-        if self.sorted_on == J and self._keys is not None:
-            return self
-        order, keys = self._sorted(J)
-        out = IndexedList(
-            q=self.q,
-            syndromes=self.syndromes.take(order, axis=0),
-            backrefs=self.backrefs.take(order, axis=0),
-            sorted_on=J,
-            loop=None if self.loop is None else self.loop[order],
-        )
-        out._keys = keys
+        order, keys = self._order_keys(J, max(self.loop_end, 1))
+        loop = None if self.loop is None else self.loop.take(order)
+        syn, refs = self.syndromes.take(order, axis=0), self.backrefs.take(order, axis=0)
+        out = IndexedList._made(self.q, syn, refs, loop, self.loop_end)
+        vars(out).update(_keys=keys[order])
         return out
 
     def match_range(self, key) -> tuple[int, int]:
@@ -324,7 +283,7 @@ def merge(
     J = _check_J(J, L1.width)
     tJ = _target_on_J(t, J, L1.width, q, stacked)
     nloops = len(tJ) if stacked else 1
-    if stacked and max(L1._loop_bound(), L2._loop_bound()) > nloops:
+    if stacked and max(L1.loop_end, L2.loop_end) > nloops:
         raise ValueError(f"loop ids must lie in [0, {nloops})")
     loop2 = L2.loop if nloops > 1 else None  # every id of a stack of one is 0
     span = nloops * q ** len(J)  # the key space
@@ -357,4 +316,4 @@ def merge(
     refs[:, 1] = j_idx
     syn = (L1.syndromes.take(refs[:, 0], axis=0) + L2.syndromes.take(j_idx, axis=0)) % q
     loop = None if L2.loop is None else L2.loop.take(j_idx)
-    return IndexedList._made(q, syn, refs, loop, L2._loop_bound())
+    return IndexedList._made(q, syn, refs, loop, L2.loop_end)

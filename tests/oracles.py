@@ -235,10 +235,10 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
 
 # -- the merge layer before packed sort words and survivor evaluation -------------
 #
-# IndexedList._sorted as one lexsort key per column, merge on top of it, the
-# per-split dumer build and wagner2's full-row evaluate with its partner
-# tables, as they were before the merge tree was made leaner and wagner2's
-# chain became merges.  The library must give the same orders, lists, rows
+# IndexedList._order_keys's order as one lexsort key per column, merge on
+# top of it, the per-split dumer build and wagner2's full-row evaluate with
+# its partner tables, as they were before the merge tree was made leaner
+# and wagner2's chain became merges.  The library must give the same orders, lists, rows
 # and overflow errors.
 
 

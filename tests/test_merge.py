@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,6 @@ from leeisd.merge import (
     IndexedList,
     MergeOverflowError,
     _sort_layout,
-    _word_layout,
     merge,
 )
 
@@ -213,10 +214,13 @@ def test_packed_sort_matches_the_per_column_lexsort(q):
         loops = 1
         if trial % 4 == 3:  # a stack
             loops = int(rng.integers(2, 5))
-            L1.loop, L2.loop = (rng.integers(0, loops, len(L)) for L in (L1, L2))
+            L1, L2 = (
+                IndexedList(q, L.syndromes, L.backrefs, loop=rng.integers(0, loops, len(L)))
+                for L in (L1, L2)
+            )
         J = tuple(rng.choice(m, int(rng.integers(0, m + 1)), replace=False).tolist())
-        words_seen.add(_word_layout(q, m, loops)[0].shape[1])
-        assert np.array_equal(L1.sort_order(J), oracles.sorted_reference(L1, J)[0])
+        words_seen.add(_sort_layout(q, tuple(range(m)), loops, 0).mult.shape[1])
+        assert np.array_equal(L1._order_keys(J, loops)[0], oracles.sorted_reference(L1, J)[0])
         t = rng.integers(0, q, (loops, m) if L1.loop is not None else m)
         got = merge(L1, L2, J, t)
         want = oracles.merge_reference(L1, L2, J, t, DEFAULT_LIST_CAP)
@@ -292,24 +296,45 @@ def test_join_matches_the_reference_on_every_path():
     }
 
 
-def test_loop_bound_follows_a_replaced_loop_array():
-    # the bound merge checks is recorded at construction and found again
-    # when the loop array is replaced; ids outside [0, loops) are refused,
-    # and the ids a list keeps cannot be edited in place behind the bound
-    L1 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=[0, 1])
-    L2 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=[0, 0])
+def test_lists_are_immutable_values():
+    # a list keeps read-only copies of its syndromes and loop ids, so no
+    # edit after construction gets past the checks made there
+    a, b, ids = np.array([[0, 1], [1, 2]]), np.array([[2, 1], [1, 0]]), np.array([0, 1])
+    L1, L2 = IndexedList(3, a, [0, 1]), IndexedList(3, b, [0, 1])
+    S1 = IndexedList(3, a, [0, 1], loop=ids)
+    S2 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=[0, 0])
     t = np.zeros((2, 2), int)
-    assert len(merge(L1, L2, (0,), t)) == 2
+    for lst in (S1, merge(S1, S2, (0,), t)):
+        for name, value in (("loop", np.array([0, 2])), ("syndromes", a), ("q", 5)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(lst, name, value)
+        for arr in (lst.syndromes, lst.loop):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2
+    a[1, 0], ids[1] = 7, 2  # the caller's arrays, not the lists' copies
+    assert merge(L1, L2, (0,), [0, 0]).syndromes.tolist() == [[0, 0]]
+    assert S1.loop.tolist() == [0, 1] and len(merge(S1, S2, (0,), t)) == 2
     for bad in ([0, 2], [-1, 0]):
-        L1.loop = np.array(bad)
         with pytest.raises(ValueError, match=r"loop ids must lie in \[0, 2\)"):
-            merge(L1, L2, (0,), t)
-        with pytest.raises(ValueError, match=r"loop ids must lie in \[0, 2\)"):
-            merge(IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=bad), L2, (0,), t)
-    ids = np.array([0, 1])
-    L1 = IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=ids)
-    ids[1] = 2  # the caller's array, not the list's copy
-    assert L1.loop.tolist() == [0, 1] and len(merge(L1, L2, (0,), t)) == 2
-    for lst in (L1, merge(L1, L2, (0,), t)):
-        with pytest.raises(ValueError, match="read-only"):
-            lst.loop[0] = 2
+            merge(IndexedList(3, np.zeros((2, 2), int), [0, 1], loop=bad), S2, (0,), t)
+
+
+def test_the_modulus_is_read_where_it_enters():
+    # a float or bool q was stored as given, its layouts then answered every
+    # later merge at the int q from the caches, and an np.int64 q overflowed
+    def join(q, syn, J):  # every row of syn meets its negation
+        L, R = (IndexedList(q, s, np.arange(len(syn))) for s in (syn, -syn % q))
+        return merge(L, R, J, np.zeros(syn.shape[1], dtype=np.int64)), L, R
+
+    syn = np.random.default_rng(29).integers(0, 3, (20, 7))
+    for q, msg in ((3.0, "an integer, not 3.0"), (True, "an integer, not True"), (1, "at least 2, not 1")):
+        with pytest.raises(ValueError, match=f"^q must be {re.escape(msg)}$"):
+            join(q, syn * 0, (6, 2, 5))
+    got, L, R = join(3, syn, (6, 2, 5))
+    want = oracles.merge_reference(L, R, (6, 2, 5), np.zeros(7, dtype=np.int64), DEFAULT_LIST_CAP)
+    assert type(got.q) is int and np.array_equal(got.backrefs, want.backrefs)
+    syn = np.random.default_rng(331).integers(0, 331, (30, 9))
+    J = (8, 0, 7, 1, 6, 2, 5, 3)
+    got, want = join(np.int64(331), syn, J)[0], join(331, syn, J)[0]
+    assert type(got.q) is int and len(got) >= 30
+    assert np.array_equal(got.syndromes, want.syndromes) and np.array_equal(got.backrefs, want.backrefs)
