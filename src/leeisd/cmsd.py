@@ -34,15 +34,15 @@ gathering.  Every description is a root list plus dom, the ascending
 domain index of each root entry: its position in (loop, index) order for
 dumer and wagner_v1, its chain-leaf position for wagner2.  Every merge
 sorts its left list on words that pack the group, the J-projection and
-the rest of the syndrome in base q.  Leaves, partner tables and stack
-heads are built as lists that are valid by construction
-(IndexedList._made), so no list is scanned again after its product or
-merge; the merges go through this module's merge, where a tracer can
-count them.  Neither a leaf sphere, the block layout, the J partition
-nor the random draws depend on H: they are one cached plan per back-end
-signature (_plan), each sphere is built once per (table, length,
-weight), a build's randomness is drawn by _Plan.draw, and only the leaf
-syndromes, the targets and the merges are computed per build.
+the rest of the syndrome in base q.  Leaves and partner tables are built
+as lists that are valid by construction (IndexedList._made), so no list
+is scanned again after its product or merge; the merges go through this
+module's merge, where a tracer can count them.  Neither a leaf sphere,
+the block layout, the J partition nor the random draws depend on H: they
+are one cached plan per back-end signature (_plan), each sphere is built
+once per (table, length, weight), a build's randomness is drawn by
+_Plan.draw, and only the leaf syndromes, the targets and the merges are
+computed per build.
 
 Every builder also takes a stack of B bottom blocks, one per outer loop
 (h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
@@ -197,25 +197,6 @@ class CmsdDescription:
         syn_ok = ((v @ self.h_second.T) % self.q == self.s_second).all(axis=-1)
         weights = self.wf.int_table_array()[v].sum(axis=-1)
         return syn_ok & (weights == self.wf.scaled(self.weight))
-
-
-class _Alive:
-    """The leading loops of a stack that are still built.
-
-    A loop whose build would overflow a cap ends the stack: a solve that
-    reaches it raises, so the loops after it never run.  Loop 0 raises at
-    once, since no earlier loop can hit first.
-    """
-
-    def __init__(self, loops: int):
-        self.loops = loops
-        self.error: MergeOverflowError | None = None
-
-    def cut(self, loop: int, error: MergeOverflowError) -> None:
-        if loop == 0:
-            raise error
-        if loop < self.loops:
-            self.loops, self.error = loop, error
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,10 +356,16 @@ def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
     return h2, s2, False
 
 
-def _loop_draws(plan: _Plan, q: int, loops: int, rng, draws, **limits) -> list[LoopDraws]:
-    """The given per-loop draws, or each loop's draws taken from rng in turn."""
+def _loop_draws(plan: _Plan, q: int, loops: int, rng, draws, size_limit, lazy_cap):
+    """The given per-loop draws, or each loop's draws taken from rng (default Random(0)) in turn.
+
+    Given draws already hold the sampled ranks, so rng and size_limit must be None.
+    """
     if draws is None:
-        return [plan.draw(q, rng, **limits) for _ in range(loops)]
+        rng = random.Random(0) if rng is None else rng
+        return [plan.draw(q, rng, size_limit, lazy_cap) for _ in range(loops)]
+    if rng is not None or size_limit is not None:
+        raise ValueError("draws fix a build's randomness: give neither rng nor base_list_size")
     if len(draws) != loops:
         raise ValueError(f"need one LoopDraws per loop of the stack, got {len(draws)} for {loops}")
     return list(draws)
@@ -418,16 +405,16 @@ def _leaf(h2: np.ndarray, q: int, blocks: tuple[_Block, ...], ranks) -> _Node:
     return _Node(lst, sup, vecs=vecs)
 
 
-def _over_cap(layouts, cap: int, ranks) -> tuple[int, MergeOverflowError | None]:
-    """(S, error): the layouts before the first with a whole base list over cap, and its error.
+def _over_cap(layouts, cap: int, ranks) -> None:
+    """Raise for the first whole base list, in layout order, over cap.
 
-    ranks[i] is not None where the i-th base list, in layout order, is sampled.
+    Base lists do not depend on H, so such a list fails every loop of a
+    stack, and no loop is built.  ranks[i] is not None where the i-th base
+    list is sampled, which keeps it within its limit.
     """
     for i, b in enumerate(b for layout in layouts for b in layout):
         if ranks[i] is None and b.enum.count > cap:
-            error = MergeOverflowError(f"base list of size {b.enum.count} exceeds cap {cap}")
-            return i // len(layouts[0]), error
-    return len(layouts), None
+            raise MergeOverflowError(f"base list of size {b.enum.count} exceeds cap {cap}")
 
 
 def _leaf_ranks(draws: list[LoopDraws]) -> list[list | None]:
@@ -457,14 +444,6 @@ def _product(v: np.ndarray, h: np.ndarray, q: int) -> np.ndarray:
     out = out.astype(np.int64, order="C")
     out %= q
     return out
-
-
-def _head(lst: IndexedList, loops: int) -> IndexedList:
-    """The entries of the first loops loops of a stack."""
-    if not len(lst) or lst.loop[-1] < loops:  # the loop ids ascend
-        return lst
-    end = int(lst.loop.searchsorted(loops))
-    return IndexedList._made(lst.q, lst.syndromes[:end], lst.backrefs[:end], lst.loop[:end], loops)
 
 
 def _sample_ranks(count: int, k: int, rng: random.Random) -> list[int]:
@@ -514,34 +493,14 @@ def _tree_domain(root: _Node, loops: int, splits: int):
     return starts, dom, counts
 
 
-def _cut_loops(root_loop: np.ndarray, groups: _Alive, splits: int, loops: int, cap: int) -> _Alive:
-    """The loops of a merge over S = splits groups per loop that are still built.
-
-    Loop b fails as its S splits built one after another would: where the
-    running total of its solutions passes cap, else at the group g the
-    merge cut (loop g // S).  root_loop holds the root's group ids.  With
-    S = 1, merge already bounds each loop, so only its cut remains.
-    """
-    alive = _Alive(loops)
-    over = np.flatnonzero(np.bincount(root_loop // splits) > cap)
-    if over.size:  # at or before the loop of the merge's cut, if any
-        b = int(over[0])
-        alive.cut(b, MergeOverflowError(f"merged output exceeds cap {cap}", b))
-    elif groups.error is not None:
-        b = groups.loops // splits
-        alive.cut(b, MergeOverflowError(str(groups.error), b))
-    return alive
-
-
-def _partner_table(node: _Node, J: np.ndarray, q: int, loops: int) -> _Node:
-    """node's first loops loops reduced to one entry per (loop, J-key), as a leaf.
+def _partner_table(node: _Node, J: np.ndarray) -> _Node:
+    """node reduced to one entry per (loop, J-key), as a leaf.
 
     The entry kept has the lexicographically smallest support part, the
     earlier one on ties; equal support parts have equal syndromes, so it
     is also the first of them in the list sorted on J.
     """
-    lst = _head(node.lst, loops)
-    syn, loop = lst.syndromes, lst.loop
+    q, syn, loop, loops = node.lst.q, node.lst.syndromes, node.lst.loop, node.lst.loop_end
     part = node.gather(np.arange(len(syn)))
     order = _key_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops, 0)[0]
     runs = np.column_stack([loop[order], syn.take(order, axis=0)[:, J]])
@@ -571,10 +530,9 @@ def _merge_levels(
     j_groups: tuple[np.ndarray, ...],
     targets: list[list[np.ndarray]],
     cap: int,
-    alive: _Alive,
     lazy: bool = False,
 ) -> list[list[_Node]]:
-    """Wagner's k-tree, level by level: every merge of every build.
+    """Wagner's k-tree, level by level: every merge of every build, one merge a pair.
 
     levels[0] is nodes.  Level j merges adjacent pairs of level j-1 on J_j,
     pair i against targets[j][i]; an odd last node stays unmerged.  With
@@ -582,8 +540,9 @@ def _merge_levels(
     never merged in full: the left side of the last pair, S_j, is first
     reduced to one partner per (loop, J-key), so each chain entry keeps at
     most one match.  The stack's loops are the lists' loop ids (dumer's
-    split groups).  Only the loops still alive are merged; a loop over cap
-    is cut from the stack and the merge runs again without it.
+    split groups).  A merge over cap for some group raises merge's
+    MergeOverflowError, which names the first such group; the caller
+    decides what the stack keeps.
     """
     levels = [nodes]
     for j, J in enumerate(j_groups, 1):
@@ -591,14 +550,8 @@ def _merge_levels(
         for i in range(len(prev) // 2):
             lhs, rhs = prev[2 * i], prev[2 * i + 1]
             if lazy and 2 * i + 2 == len(prev):
-                lhs = _partner_table(lhs, J, lhs.lst.q, alive.loops)
-            while True:
-                try:
-                    lists = (_head(lhs.lst, alive.loops), _head(rhs.lst, alive.loops))
-                    merged = merge(*lists, J, targets[j][i], cap)
-                    break
-                except MergeOverflowError as exc:
-                    alive.cut(exc.loop, exc)
+                lhs = _partner_table(lhs, J)
+            merged = merge(lhs.lst, rhs.lst, J, targets[j][i], cap)
             nxt.append(_Node(merged, (lhs.sup[0], rhs.sup[1]), children=(lhs, rhs)))
         levels.append(nxt)
     return levels
@@ -617,19 +570,18 @@ def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
     return p_frac, p_scaled
 
 
-def _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive) -> CmsdDescription:
-    """The description of the loops still alive, or of the one loop of a single build."""
+def _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom) -> CmsdDescription:
+    """The description of a stack, or of the one loop of a single build."""
     return CmsdDescription(
         weight=p_frac,
         y=int(starts[-1]),
-        h_second=h2[0] if single else h2[: alive.loops],
-        s_second=s2[0] if single else s2[: alive.loops],
+        h_second=h2[0] if single else h2,
+        s_second=s2[0] if single else s2,
         wf=wf,
         meta=meta,
         root=root,
         dom=dom,
         starts=None if single else starts,
-        overflow=alive.error,
     )
 
 
@@ -679,7 +631,6 @@ def cmsd_prange(
         np.arange(loops + 1),
         _Node(zero, (0, k), vecs=np.zeros((1, k), dtype=np.int64)),
         np.arange(loops),
-        _Alive(loops),
     )
 
 
@@ -698,7 +649,15 @@ def _build_tree(
     groups pairs entries of the same split only.  wagner2's last leaf is
     the chain: a root entry's domain index is its chain-leaf position
     b * y + k, found by walking backrefs[:, 1] down the tree.  Without
-    draws, rng (default Random(0)) draws for each loop in turn.
+    draws, rng (default Random(0)) draws for each loop in turn; draws
+    exclude rng and base_list_size.
+
+    A loop fails where a merge passes cap, or, at dumer, where its
+    solutions over all S splits do.  A stack whose first failing loop is
+    b > 0 is the build of its loops 0..b-1 with their draws, which carries
+    the error of loop b as overflow unless it carries an earlier loop's;
+    a single build, or loop 0, raises.  A whole base list over cap raises
+    at once: it fails every loop.
     """
     if a < 1:
         raise ValueError("level count a must be >= 1")
@@ -707,39 +666,43 @@ def _build_tree(
     loops, ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
     plan = _plan(wf, n, ell, p_scaled, a, lazy)
-    rng = random.Random(0) if rng is None and draws is None else rng
-    limits = dict(size_limit=base_list_size, lazy_cap=cap if lazy else None)
-    draws = _loop_draws(plan, q, loops, rng, draws, **limits)
+    draws = _loop_draws(plan, q, loops, rng, draws, base_list_size, cap if lazy else None)
     ranks = _leaf_ranks(draws)
-    splits, leaf_error = _over_cap(plan.layouts, cap, ranks)
-    if not splits:
-        raise leaf_error
-    width = len(plan.layouts[0])
-    columns = enumerate(zip(*plan.layouts[:splits]))  # each leaf's blocks, split by split
-    leaves = [_leaf(h2, q, col, ranks[i : width * splits : width]) for i, col in columns]
+    _over_cap(plan.layouts, cap, ranks)
+    splits, width = len(plan.layouts), len(plan.layouts[0])
+    columns = enumerate(zip(*plan.layouts))  # each leaf's blocks, split by split
+    leaves = [_leaf(h2, q, col, ranks[i::width]) for i, col in columns]
     coords = np.array([d.targets for d in draws]).reshape(loops, -1)
     targets = _finish_targets(*(x.repeat(splits, axis=0) for x in (s2, coords)), plan.j_groups, q)
-    groups = _Alive(loops * splits)
-    levels = _merge_levels(leaves, plan.j_groups, targets, cap, groups, lazy)
-    root = levels[a][0]
-    alive = _cut_loops(root.lst.loop, groups, splits, loops, cap)
-    if leaf_error is not None:  # loop 0 reaches it: a cut of loop 0 at an earlier split raised
-        raise leaf_error
+    try:
+        levels = _merge_levels(leaves, plan.j_groups, targets, cap, lazy)
+        root = levels[a][0]
+        over = np.flatnonzero(np.bincount(root.lst.loop // splits) > cap)
+        if over.size:
+            raise MergeOverflowError(f"merged output exceeds cap {cap}", int(over[0]) * splits)
+    except MergeOverflowError as exc:
+        b = exc.loop // splits  # the group's loop; no loop's lists depend on another's
+        error = MergeOverflowError(str(exc), b)
+        if b == 0:
+            raise error from None
+        head = _build_tree(h2[:b], s2[:b], wf, p, a, cap, None, None, draws[:b], lazy)
+        head.overflow = head.overflow or error
+        return head
     sizes = [len(nd.lst) // loops for nd in leaves]  # one loop's; level sizes count every loop
     if lazy:
         dom, node = np.arange(len(root.lst)), root  # each root entry's chain-leaf position
         while node.children is not None:
             dom, node = node.lst.backrefs[dom, 1], node.children[1]
-        starts = np.arange(alive.loops + 1) * sizes[-1]
+        starts = np.arange(loops + 1) * sizes[-1]
     else:
-        starts, dom, counts = _tree_domain(root, alive.loops, splits)
+        starts, dom, counts = _tree_domain(root, loops, splits)
     if a == 1 and not lazy:
         # merged entries are exactly the solutions, so the realized total is the best prediction
         # (loop 0's pairs over q^ell where a loop has none); splits counts the groups with any
         n0, n1 = (np.bincount(nd.lst.loop[:m], minlength=splits) for nd, m in zip(leaves, sizes))
         pairs = sum(float(x) * float(y) for x, y in zip(n0, n1))
         per_loop = [float(t) if t else pairs / float(q) ** ell for t in counts]
-        solved = int(np.count_nonzero(np.bincount(root.lst.loop[: len(dom)])))
+        solved = int(np.count_nonzero(np.bincount(root.lst.loop)))
         meta = dict(variant="dumer", splits=solved, expected_solutions=max(sum(per_loop), 1e-300))
     else:
         meta = {
@@ -747,9 +710,9 @@ def _build_tree(
             "levels": a,
             "j_sizes": [len(g) for g in plan.j_groups],
             "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
-            "expected_solutions": _expected(sizes, plan.j_groups, q) * alive.loops,
+            "expected_solutions": _expected(sizes, plan.j_groups, q) * loops,
         }
-    return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom, alive)
+    return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom)
 
 
 def cmsd_dumer(

@@ -292,34 +292,36 @@ def merge_reference(L1: IndexedList, L2: IndexedList, J, t, cap: int) -> Indexed
 def dumer_by_split(h2: np.ndarray, s2: np.ndarray, wf, p, cap: int) -> np.ndarray:
     """dumer on one bottom block as one merge per weight split, in split order.
 
-    Returns the solution rows, split (w1, p - w1) by split; raises the
-    MergeOverflowError of the first split whose base list, merge or
-    running total of solutions exceeds cap.
+    Returns the solution rows, split (w1, p - w1) by split.  Raises the
+    MergeOverflowError of the first of: a whole base list over cap (the
+    first in split order), the first split whose merge exceeds cap, and
+    the solutions of all splits together over cap.
     """
     q, (ell, n) = wf.q, h2.shape
     n0 = cmsd._split_lengths(n, 2)[0]
     p_scaled = wf.scaled(p)
-    rows, total = [], 0
+    splits = []
     for w1 in range(p_scaled + 1):
         halves = [
             SphereEnumerator(wf, ln, Fraction(w, wf.denominator))
             for ln, w in ((n0, w1), (n - n0, p_scaled - w1))
         ]
-        if any(e.count == 0 for e in halves):
-            continue
-        for e in halves:
-            if e.count > cap:
-                raise MergeOverflowError(f"base list of size {e.count} exceeds cap {cap}")
+        if all(e.count for e in halves):
+            splits.append(halves)
+    for e in (e for halves in splits for e in halves):
+        if e.count > cap:
+            raise MergeOverflowError(f"base list of size {e.count} exceeds cap {cap}")
+    rows = []
+    for halves in splits:
         vecs = [e.all_vectors() for e in halves]
         lists = [
             IndexedList(q, (v @ h2[:, cols].T) % q, np.arange(len(v)))
             for v, cols in zip(vecs, (slice(0, n0), slice(n0, n)))
         ]
         out = merge_reference(*lists, range(ell), s2, cap)
-        total += len(out)
-        if total > cap:
-            raise MergeOverflowError(f"merged output exceeds cap {cap}")
         rows += [np.concatenate([vecs[0][i], vecs[1][j]]) for i, j in out.backrefs]
+    if len(rows) > cap:
+        raise MergeOverflowError(f"merged output exceeds cap {cap}")
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
@@ -338,10 +340,9 @@ def partner_table(node, J: np.ndarray, q: int, loops: int) -> Partners:
 
     Ties go to the earlier entry.  Equal support parts have equal
     syndromes, so this is also the first of them in the list sorted on J.
-    Only the first loops loops of the stack are tabled.
+    The stack's loop ids lie below loops.
     """
-    lst = cmsd._head(node.lst, loops)
-    syn, loop = lst.syndromes, lst.loop
+    syn, loop = node.lst.syndromes, node.lst.loop
     part = node.gather(np.arange(len(syn)))
     order = _key_order(np.concatenate([syn[:, J], part], axis=1), q, loop, loops, 0)[0]
     keys = _encode_keys(syn[order][:, J], q, loop[order], loops)
@@ -356,7 +357,9 @@ def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.n
 
     The tree and partner tables come from the library's build steps; the
     evaluation is the one that built a full candidate row for every index
-    and zeroed the rows whose chain fails.
+    and zeroed the rows whose chain fails.  Where a merge of the
+    materialized side overflows at loop b > 0, the stack is cut there: f
+    is that of loops 0..b-1, rebuilt.
     """
     q = wf.q
     loops, ell, n = h2.shape
@@ -366,16 +369,20 @@ def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.n
     coords = np.array([d.targets for d in draws]).reshape(loops, -1)
     targets = cmsd._finish_targets(s2, coords, j_groups, q)
     materialized = [cmsd._leaf(h2, q, (b,), (None,)) for b in blocks[:-1]]
-    alive = cmsd._Alive(loops)
-    levels = cmsd._merge_levels(materialized, j_groups, targets, cap, alive)
-    live = alive.loops
+    try:
+        levels = cmsd._merge_levels(materialized, j_groups, targets, cap)
+    except MergeOverflowError as exc:
+        if exc.loop == 0:
+            raise
+        b = exc.loop
+        return wagner2_full_rows(h2[:b], s2[:b], wf, p, a, cap, draws[:b], idx)
     partners = [
-        partner_table(levels[j - 1][-1], j_groups[j - 1], q, live) for j in range(1, a + 1)
+        partner_table(levels[j - 1][-1], j_groups[j - 1], q, loops) for j in range(1, a + 1)
     ]
     y = min(last.enum.count, cap)
-    lazy = [d.leaf_ranks[-1] for d in draws[:live]]
+    lazy = [d.leaf_ranks[-1] for d in draws]
     ranks = None if lazy[0] is None else np.array(lazy)
-    sub_last = h2[:live, :, last.offset : last.offset + last.length]
+    sub_last = h2[:, :, last.offset : last.offset + last.length]
     chain_targets = [targets[j][(1 << (a - j)) - 1] for j in range(1, a + 1)]
     every_side_populated = all(len(pt.keys) for pt in partners)
 
@@ -389,7 +396,7 @@ def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.n
         acc = np.einsum("rw,rlw->rl", tail, sub_last[b]) % q
         ok = np.ones(len(idx), dtype=bool)
         for pt, J, t in zip(partners, j_groups, chain_targets):
-            keys = _encode_keys((t[b][:, J] - acc[:, J]) % q, q, b, live)
+            keys = _encode_keys((t[b][:, J] - acc[:, J]) % q, q, b, loops)
             u = np.minimum(np.searchsorted(pt.keys, keys), len(pt.keys) - 1)
             ok &= pt.keys[u] == keys
             acc = (acc + pt.syn[u]) % q

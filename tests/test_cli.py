@@ -441,3 +441,40 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert out.splitlines()[-1] == "all 7 checks passed"
+
+
+def test_selftest_reports_a_failing_check(capsys):
+    from leeisd import selftest
+
+    def broken():
+        raise AssertionError("planted mismatch")
+
+    checks = (("list merge", selftest._check_merge), ("broken check", broken))
+    with mock.patch.object(selftest, "CHECKS", checks):
+        code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines() == [
+        "ok   list merge",
+        "FAIL broken check: planted mismatch",
+        "1 of 2 checks failed",
+    ]
+
+
+def test_sweep_without_out_writes_its_csv_to_stdout(capsys):
+    argv = ("sweep", "--q", "3", "--R", "0.5", "--points", "2", "--model", "classical")
+    code, out, err = run_cli(capsys, *argv)
+    rows = list(csv.DictReader(out.splitlines()))
+    assert code == 0 and not err
+    assert len(rows) == 2 * sum(m == "classical" for m, _ in estimator.SWEEP_COLUMNS)
+
+
+def test_solve_that_no_permutation_can_finish_exits_3(tmp_path, capsys):
+    # n - k - ell = 1 outer coordinate cannot carry w - p = 3 hamming units, so
+    # P1 is 0: no permutation can succeed, and the solve runs no loop at all
+    inst = tmp_path / "inst.json"
+    gen = ("gen", "--q", "3", "--n", "12", "--k", "6", "--w", "4", "--weight", "hamming")
+    assert run_cli(capsys, *gen, "--out", str(inst))[0] == 0
+    code, out, _ = run_cli(capsys, "solve", str(inst), "--alg", "dumer", "--ell", "5", "--p", "1")
+    doc = json.loads(out)
+    assert code == 3 and doc["solution"] is None and doc["wall_stats"]["loop_budget"] == 0
+    assert doc["outer_loops"] == doc["cmsd_calls"] == doc["tested_candidates"] == 0

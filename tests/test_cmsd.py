@@ -472,8 +472,8 @@ def test_wagner2_partner_tables_match_per_index_walk():
 def test_split_merge_cuts_like_one_merge_per_split():
     # dumer's one merge over all weight splits gives each loop the rows of one
     # merge per split, in split order, and a stack ends where that build would
-    # first overflow: a base list over cap, a split's merge over cap, or the
-    # running total of solutions over cap, whichever comes first
+    # overflow, named in a fixed order: a base list over cap, else the first
+    # split whose merge passes cap, else the solutions of all splits over cap
     rng = np.random.default_rng(5)
     kinds = Counter()
     for trial in range(200):
@@ -597,7 +597,7 @@ def test_wagner2_stack_cut_at_level_2_after_the_chain_merged():
     desc = cmsd_wagner_v2_build(h2, s2, wf, p, a, cap, draws=draws)
     live = len(desc.starts) - 1
     assert live == 3 and desc.overflow.loop == 3
-    assert _chain(desc)[1].lst.loop.max() == 3  # the cut loop had merged at level 1
+    assert np.unique(_chain(desc)[1].lst.loop).tolist() == [0, 1, 2]  # the cut loop is rebuilt away
     with pytest.raises(MergeOverflowError) as err:
         cmsd_wagner_v2_build(h2[live], s2[live], wf, p, a, cap, draws=draws[live : live + 1])
     assert str(err.value) == str(desc.overflow)
@@ -610,3 +610,31 @@ def test_wagner2_stack_cut_at_level_2_after_the_chain_merged():
     want, _ = oracles.wagner2_full_rows(h2, s2, wf, p, a, cap, draws, idx)
     assert np.array_equal(desc.evaluate_many(idx), want)
     assert want.any(axis=1).sum() > 0
+
+
+def test_draws_refuse_the_randomness_options_they_fix():
+    # draws carry a build's targets and sampled ranks, so an rng or a
+    # base_list_size beside them would go unused: the build refuses them
+    wf = WeightFunction.lee(3)
+    rng = np.random.default_rng(8)
+    h2, s2 = rng.integers(0, 3, (2, 2, 12)), rng.integers(0, 3, (2, 2))
+    assert cmsd_wagner_v1(h2, s2, wf, 4, 2, base_list_size=5).meta["level_sizes"][0] == [10] * 4
+    plan = _plan(wf, 12, 2, wf.scaled(4), 2, False)
+    draws = [plan.draw(3, random.Random(b)) for b in range(2)]
+    assert cmsd_wagner_v1(h2, s2, wf, 4, 2, draws=draws).meta["level_sizes"][0] == [12] * 4
+    for extra in ({"base_list_size": 5}, {"rng": random.Random(1)}):
+        with pytest.raises(ValueError, match="^draws fix a build's randomness"):
+            cmsd_wagner_v1(h2, s2, wf, 4, 2, draws=draws, **extra)
+    lazy = _plan(wf, 12, 2, wf.scaled(3), 2, True)
+    draws = [lazy.draw(3, random.Random(b), lazy_cap=DEFAULT_LIST_CAP) for b in range(2)]
+    cmsd_wagner_v2_build(h2, s2, wf, 3, 2, draws=draws)
+    with pytest.raises(ValueError, match="^draws fix a build's randomness"):
+        cmsd_wagner_v2_build(h2, s2, wf, 3, 2, rng=random.Random(1), draws=draws)
+
+
+def test_sample_ranks_past_int64_are_distinct_and_seeded():
+    count = 3 * 2**63  # range() of this size cannot be sampled, so ranks are drawn one by one
+    ranks = _sample_ranks(count, 50, random.Random(5))
+    assert len(set(ranks)) == 50 and all(0 <= r < count for r in ranks)
+    assert ranks == _sample_ranks(count, 50, random.Random(5))
+    assert ranks != _sample_ranks(count, 50, random.Random(6))

@@ -584,3 +584,9 @@ def test_wide_weight_range_is_exact_up_to_the_bound_and_rejected_past_it():
     with pytest.raises(ValueError, match="smallest weight gap"):
         WeightFunction(3, (0, 10**18, 10**18 + 1))
     WeightFunction(3, (0, Fraction(1, 10**9), 10**9))
+
+
+def test_all_vectors_of_an_empty_sphere_has_no_rows():
+    # lee(3) weighs each coordinate at most 1, so weight 5 on 2 coordinates is empty
+    enum = SphereEnumerator(WeightFunction.lee(3), 2, 5)
+    assert enum.count == 0 and enum.all_vectors().shape == (0, 2)
