@@ -34,7 +34,6 @@ from .fieldlin import (
     FqMatrix,
     FqVector,
     Permutation,
-    SingularTopLeftError,
     apply_permutation,
     mat_vec_mul,
     partial_gaussian_elim,

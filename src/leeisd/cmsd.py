@@ -206,11 +206,13 @@ class LoopDraws:
     None of it depends on H, so an outer loop can take it before its
     elimination: the level-target coordinates, then the sampled ranks of
     each base list (None where the list is not sampled), wagner2's lazy
-    list last.
+    list last.  plan records what drew them, the build plan's key and the
+    lazy list's cap, which a build checks against its own.
     """
 
     targets: list[int]
     leaf_ranks: tuple[list[int] | None, ...]
+    plan: tuple
 
 
 class LoopPlan(NamedTuple):
@@ -244,6 +246,7 @@ def _split_weight(w_scaled: int, nblocks: int) -> list[int]:
 class _Plan(NamedTuple):
     layouts: tuple[tuple[_Block, ...], ...]
     j_groups: tuple[np.ndarray, ...]
+    key: tuple  # the arguments of _plan that built it
 
     def draw(
         self,
@@ -273,7 +276,7 @@ class _Plan(NamedTuple):
             else sorted(_sample_ranks(b.enum.count, lim, rng))
             for b, lim in zip(blocks, limits)
         )
-        return LoopDraws(targets, leaf_ranks)
+        return LoopDraws(targets, leaf_ranks, (self.key, lazy_cap))
 
 
 @lru_cache(maxsize=128)
@@ -341,7 +344,8 @@ def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last
         sizes.append(ell - sum(sizes))
     coords = np.arange(ell)
     coords.setflags(write=False)  # the groups are views of it, read-only too
-    return _Plan(tuple(layouts), tuple(np.split(coords, np.cumsum(sizes)[:-1])))
+    groups = tuple(np.split(coords, np.cumsum(sizes)[:-1]))
+    return _Plan(tuple(layouts), groups, (wf, n, ell, p_scaled, a, lazy_last))
 
 
 def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -359,7 +363,9 @@ def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
 def _loop_draws(plan: _Plan, q: int, loops: int, rng, draws, size_limit, lazy_cap):
     """The given per-loop draws, or each loop's draws taken from rng (default Random(0)) in turn.
 
-    Given draws already hold the sampled ranks, so rng and size_limit must be None.
+    Given draws already hold the sampled ranks, so rng and size_limit must
+    be None, and each must come from plan at lazy_cap: another plan's
+    targets and ranks belong to other coordinates and lists.
     """
     if draws is None:
         rng = random.Random(0) if rng is None else rng
@@ -368,6 +374,8 @@ def _loop_draws(plan: _Plan, q: int, loops: int, rng, draws, size_limit, lazy_ca
         raise ValueError("draws fix a build's randomness: give neither rng nor base_list_size")
     if len(draws) != loops:
         raise ValueError(f"need one LoopDraws per loop of the stack, got {len(draws)} for {loops}")
+    if any(d.plan != (plan.key, lazy_cap) for d in draws):
+        raise ValueError("draws were taken for another plan (variant, level count, shape or cap)")
     return list(draws)
 
 

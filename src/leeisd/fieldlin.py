@@ -8,8 +8,8 @@ boundary types: they validate and freeze data where it enters or leaves
 the library (instances, solutions, the CLI), and np.asarray turns either
 into its values.  Permutation and partial elimination work on plain int64
 arrays already reduced mod q; elimination mutates a local scratch copy
-only, and pivots over all rows, so it fails only when the leading columns
-are rank-deficient.
+only, and pivots over all rows, so it flags a matrix singular only when
+its leading columns are rank-deficient.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_MODULUS = 1 << 16
-
-
-class SingularTopLeftError(Exception):
-    """The leading columns are rank-deficient; re-randomize the permutation."""
 
 
 def is_prime(q: int) -> bool:
@@ -291,31 +287,29 @@ class PartialEchelon:
     An invertible row operation S brings the input to the block form
     [[I, h_prime], [0, h_second]] and maps the syndrome to
     (s_prime, s_second).  S itself is not materialized.  For a stack of
-    inputs every block gains the stack as its leading axis, and singular
-    flags the members whose leading columns are rank-deficient; their
-    blocks mean nothing.  A single input has singular None.
+    inputs every block gains the stack's leading shape, and singular, a
+    bool array of that shape (0-d for one matrix), flags the members whose
+    leading columns are rank-deficient; their blocks mean nothing.
     """
 
     h_prime: np.ndarray
     h_second: np.ndarray
     s_prime: np.ndarray
     s_second: np.ndarray
-    singular: np.ndarray | None = None
+    singular: np.ndarray
 
 
 def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> PartialEchelon:
     """Reduce the first (rows - ell) columns of h to the identity.
 
-    Pivoting is plain row swapping over all rows: column c takes its pivot
+    Pivoting is plain row exchange over all rows: column c takes its pivot
     from the first row of c..rows-1 with a nonzero entry there, so the
     reduction fails only when the first (rows - ell) columns do not have
     full rank, and the caller must then pick a new column permutation.
-    Row operations are carried into s simultaneously.
-
-    A stack of B matrices (h of shape (B, rows, n), s of shape (B, rows))
-    is reduced in one pass: each member takes its own pivot row, with the
-    same arithmetic as a call on that member alone, and a member that fails
-    is flagged in singular instead of raising.
+    Row operations are carried into s simultaneously.  h may be one
+    (rows, n) matrix or a stack of any leading shape, with s of h's shape
+    less its last axis; each member takes its own pivot rows, and a failed
+    member is flagged in singular, never raised.
 
     Args:
         h: (n - k) x n int64 array with entries in [0, q), or a stack of them.
@@ -325,51 +319,36 @@ def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> Par
 
     Returns:
         PartialEchelon with blocks of shapes (n-k-ell) x (k+ell) and
-        ell x (k+ell), plus the transformed syndrome halves.
-
-    Raises:
-        SingularTopLeftError: a single h whose leading columns are
-            rank-deficient.
+        ell x (k+ell), plus the transformed syndrome halves, each behind
+        h's leading shape.
     """
-    stacked = h.ndim == 3
     r, n = h.shape[-2:]
     if s.shape != h.shape[:-1]:
         raise ValueError("syndrome length must equal matrix row count")
     if not 0 <= ell <= r:
         raise ValueError(f"ell must lie in [0, {r}]")
-    lead = r - ell
-    a = np.concatenate([h, s[..., None]], axis=-1).astype(np.int64).reshape(-1, r, n + 1)
+    lead, stack = r - ell, h.shape[:-2]
+    out = np.empty(stack + (r, n + 1), dtype=np.int64)
+    out[..., :n], out[..., n] = h, s
+    a = out.reshape(-1, r, n + 1)
+    rows = a.reshape(-1, n + 1)  # member b's row i is rows[b * r + i]
+    starts = np.arange(0, len(rows), r) + np.arange(lead)[:, None]  # row c of each member
     inv = _inverses(q)
-    members = np.arange(len(a))
     # entries are reduced mod q only where a decision reads them (the pivot
     # column) and once at the end; in between each step moves an entry by
     # less than q^2, so |entry| < (lead + 1) q^2 and even a pivot row times
     # an inverse stays below (lead + 1) q^3 < 2^63 for any lead below 2^15
     for c in range(lead):
         col = a[:, :, c] % q
-        off = (col[:, c:] != 0).argmax(axis=1)
-        if off.any():  # swap rows c and piv
-            piv = off + c
-            row = a[members, piv]
-            a[members, piv] = a[:, c]
-            a[:, c] = row
-            col = a[:, :, c] % q
-        # a member without a pivot scales row c by inv[0] = 0 and ends with a zero on the diagonal
-        row = a[:, c, c:] * inv[col[:, c]][:, None] % q
+        piv = starts[c] + (col[:, c:] != 0).argmax(axis=1)
+        # a member without a pivot takes row c, scaled by inv[0] = 0: a zero on the diagonal
+        row = rows.take(piv, axis=0)[:, c:] * inv.take(col.take(piv))[:, None] % q
         a[:, :, c:] -= col[:, :, None] * row[:, None, :]  # columns left of c are zero in row
+        rows[piv, c:] = a[:, c, c:]  # the exchange: reduced row c to the pivot's place
         a[:, c, c:] = row
     a %= q
-    diagonal = a[:, np.arange(lead), np.arange(lead)]
-    singular = (diagonal == 0).any(axis=1)
-    if singular.any() and not stacked:
-        column = int(np.argmax(diagonal[0] == 0))
-        raise SingularTopLeftError(f"no pivot available in column {column}")
-    if not stacked:
-        a = a[0]
+    singular = (a[:, np.arange(lead), np.arange(lead)] == 0).any(axis=1).reshape(stack)
+    top, bottom = out[..., :lead, :], out[..., lead:, :]
     return PartialEchelon(
-        a[..., :lead, lead:n],
-        a[..., lead:, lead:n],
-        a[..., :lead, n],
-        a[..., lead:, n],
-        singular if stacked else None,
+        top[..., lead:n], bottom[..., lead:n], top[..., n], bottom[..., n], singular
     )

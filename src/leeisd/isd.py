@@ -382,7 +382,8 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
         start = rng.getstate()
         perms, draws = _draw_ahead(inst, rng, plan.draw, batch)
         h = np.stack([apply_permutation(inst.h.values, perm) for perm in perms])
-        ech = partial_gaussian_elim(h, params.ell, np.tile(inst.s.values, (batch, 1)), inst.q)
+        syndromes = np.broadcast_to(inst.s.values, h.shape[:-1])
+        ech = partial_gaussian_elim(h, params.ell, syndromes, inst.q)
         # the batch stops before its first singular elimination: the loops
         # before it are built and tested, and that loop draws a new permutation
         cut = int(np.argmax(ech.singular)) if ech.singular.any() else batch

@@ -13,7 +13,6 @@ from leeisd.fieldlin import (
     FqMatrix,
     FqVector,
     Permutation,
-    SingularTopLeftError,
     apply_permutation,
     partial_gaussian_elim,
     validate_modulus,
@@ -113,6 +112,37 @@ def random_full_rank_matrix(q: int, rows: int, cols: int, rng: random.Random) ->
             return m
 
 
+def partial_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int):
+    """(h_prime, h_second, s_prime, s_second) as lists of Python ints, or None when singular.
+
+    One matrix, reduced mod q after every operation: column c takes as its
+    pivot the first row at or below c that is nonzero there, exchanges it
+    with row c, scales it to 1 and eliminates column c from every other
+    row; a column without a pivot makes the matrix singular.
+    """
+    rows, n = h.shape
+    a = [[int(x) % q for x in row] + [int(y) % q] for row, y in zip(h.tolist(), s.tolist())]
+    lead = rows - ell
+    for c in range(lead):
+        piv = next((i for i in range(c, rows) if a[i][c]), None)
+        if piv is None:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        inv = pow(a[c][c], q - 2, q)
+        a[c] = [x * inv % q for x in a[c]]
+        for i in range(rows):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[c])]
+    top, bottom = a[:lead], a[lead:]
+    return (
+        [row[lead:n] for row in top],
+        [row[lead:n] for row in bottom],
+        [row[n] for row in top],
+        [row[n] for row in bottom],
+    )
+
+
 def bisection_crossings(wf, s: float) -> tuple[float, float]:
     """Mean weights below and above the average where the sphere exponent is s.
 
@@ -199,13 +229,13 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
         # q^-(ell+1) for a full-rank H); 256 failures in a row point at H
         for _ in range(256):
             perm = Permutation.random(inst.n, rng)
-            try:
-                ech = partial_gaussian_elim(
-                    apply_permutation(inst.h.values, perm), params.ell, inst.s.values, inst.q
-                )
+            elim = partial_gaussian_elim(
+                apply_permutation(inst.h.values, perm), params.ell, inst.s.values, inst.q
+            )
+            if not elim.singular:
+                ech = elim
                 break
-            except SingularTopLeftError:
-                singular_retries += 1
+            singular_retries += 1
         if ech is None:
             lead = inst.n - inst.k - params.ell
             if rank(inst.h) < lead:
@@ -364,7 +394,7 @@ def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.n
     q = wf.q
     loops, ell, n = h2.shape
     plan = cmsd._plan(wf, n, ell, wf.scaled(p), a, True)
-    (blocks,), j_groups = plan
+    (blocks,), j_groups, _ = plan
     last = blocks[-1]
     coords = np.array([d.targets for d in draws]).reshape(loops, -1)
     targets = cmsd._finish_targets(s2, coords, j_groups, q)

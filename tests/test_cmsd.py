@@ -66,12 +66,12 @@ def test_split_helpers():
 def test_plan_layouts():
     # dumer keeps only the weight splits both halves can carry
     wf = WeightFunction.lee(3)
-    layouts, groups = _plan(wf, 6, 2, 4, 1, False)
+    layouts, groups, _ = _plan(wf, 6, 2, 4, 1, False)
     assert [[b.enum.w_scaled for b in blocks] for blocks in layouts] == [[1, 3], [2, 2], [3, 1]]
     assert all([(b.offset, b.length) for b in blocks] == [(0, 3), (3, 3)] for blocks in layouts)
     assert [g.tolist() for g in groups] == [[0, 1]]
     # wagner2 joins the last two of its 2^a + 1 balanced units into the lazy leaf
-    (blocks,), _ = _plan(wf, 8, 2, 4, 1, True)
+    (blocks,), _, _ = _plan(wf, 8, 2, 4, 1, True)
     assert [(b.offset, b.length, b.enum.w_scaled) for b in blocks] == [(0, 3, 1), (3, 5, 3)]
     # an infeasible wagner layout is not cached away: every identical call raises
     for _ in range(2):
@@ -391,7 +391,7 @@ def wagner2_reference(h2, s2, wf, p, a, cap, seed):
     q, (ell, n) = h2.q, h2.values.shape
     p_scaled = wf.scaled(p)
     plan = _plan(wf, n, ell, p_scaled, a, True)
-    (blocks,), j_groups = plan
+    (blocks,), j_groups, _ = plan
     last = blocks[-1]
     targets = _finish_targets(s2.values, np.array(plan.draw(q, rng).targets), j_groups, q)
 
@@ -578,7 +578,7 @@ def test_wagner2_level_sizes_end_with_the_chain(a, n, p, cap):
     sizes = desc.meta["level_sizes"]
     assert [len(level) for level in sizes] == [1 << (a - j) for j in range(a + 1)]
     assert [level[-1] for level in sizes] == [len(nd.lst) for nd in _chain(desc)]
-    (blocks,), _ = _plan(wf, n, ell, wf.scaled(p), a, True)
+    (blocks,), _, _ = _plan(wf, n, ell, wf.scaled(p), a, True)
     assert sizes[0][-1] == desc.y == loops * min(blocks[-1].enum.count, cap)  # the chain leaf
     plan = loop_plan("wagner2", wf, n, ell, p, a, cap)
     assert desc.meta["expected_solutions"] == pytest.approx(plan.expected * loops, rel=1e-12)

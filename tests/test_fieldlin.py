@@ -8,7 +8,6 @@ from leeisd.fieldlin import (
     FqMatrix,
     FqVector,
     Permutation,
-    SingularTopLeftError,
     apply_permutation,
     mat_vec_mul,
     partial_gaussian_elim,
@@ -252,8 +251,8 @@ def test_partial_elim_singular_top_left():
     q = 3
     h = FqMatrix(q, [[0, 1, 1], [0, 2, 1]])  # zero first column
     s = FqVector(q, [1, 2])
-    with pytest.raises(SingularTopLeftError):
-        partial_gaussian_elim(h.values, 1, s.values, q)
+    ech = partial_gaussian_elim(h.values, 1, s.values, q)
+    assert ech.singular.shape == () and ech.singular
 
 
 def _consistent_pair(q, rows, cols, rng):
@@ -267,9 +266,8 @@ def test_partial_elim_blocks_and_consistency():
     q, rows, cols, ell = 3, 4, 7, 2
     for _ in range(25):
         h, x, s = _consistent_pair(q, rows, cols, rng)
-        try:
-            ech = partial_gaussian_elim(h.values, ell, s.values, q)
-        except SingularTopLeftError:
+        ech = partial_gaussian_elim(h.values, ell, s.values, q)
+        if ech.singular:
             continue
         lead = rows - ell
         assert ech.h_prime.shape == (lead, cols - lead)
@@ -302,12 +300,8 @@ def test_partial_elim_block_form_reconstruction():
     rng = random.Random(31)
     q, rows, cols, ell = 3, 3, 5, 1
     h, _, s = _consistent_pair(q, rows, cols, rng)
-    while True:
-        try:
-            ech = partial_gaussian_elim(h.values, ell, s.values, q)
-            break
-        except SingularTopLeftError:
-            h, _, s = _consistent_pair(q, rows, cols, rng)
+    while (ech := partial_gaussian_elim(h.values, ell, s.values, q)).singular:
+        h, _, s = _consistent_pair(q, rows, cols, rng)
     _assert_same_solution_set(h.values, s.values, ech, ell, q)
 
 
@@ -332,10 +326,60 @@ def test_partial_elim_bad_args():
         partial_gaussian_elim(h.values, 1, FqVector(3, [0, 0]).values, 3)
 
 
+BLOCKS = ("h_prime", "h_second", "s_prime", "s_second")
+
+
+def _assert_matches_reference(ech, h, ell, s, q):
+    """Each member's singular flag, and a regular member's four blocks, equal oracles.partial_elim."""
+    stack = h.shape[:-2]
+    assert ech.singular.shape == stack
+    flagged = 0
+    for b in np.ndindex(stack):
+        ref = oracles.partial_elim(h[b], ell, s[b], q)
+        assert bool(ech.singular[b]) == (ref is None), (q, b)
+        if ref is None:
+            flagged += 1
+            continue
+        for block, want in zip(BLOCKS, ref):
+            assert getattr(ech, block)[b].tolist() == want, (q, b, block)
+    return flagged
+
+
+@pytest.mark.parametrize("q", (2, 3, 331, 65521))
+def test_elimination_matches_the_python_int_reference(q):
+    # sparse members make some stacks partly singular; every member must be
+    # flagged exactly where the reference finds no pivot, and match it elsewhere
+    rng = np.random.default_rng(q)
+    flagged = regular = 0
+    for batch in (1, 5, 16):
+        for _ in range(6):
+            rows = int(rng.integers(1, 9))
+            n, ell = rows + int(rng.integers(0, 6)), int(rng.integers(0, rows + 1))
+            h = rng.integers(0, q, (batch, rows, n)) * (rng.random((batch, rows, n)) < 0.5)
+            s = rng.integers(0, q, (batch, rows))
+            ech = partial_gaussian_elim(h, ell, s, q)
+            found = _assert_matches_reference(ech, h, ell, s, q)
+            flagged, regular = flagged + found, regular + batch - found
+    assert flagged > 0 and regular > 0
+    # a stack of any leading shape is the same members, flagged in that shape
+    ech = partial_gaussian_elim(h.reshape(4, 4, rows, n), ell, s.reshape(4, 4, rows), q)
+    _assert_matches_reference(ech, h.reshape(4, 4, rows, n), ell, s.reshape(4, 4, rows), q)
+
+
+def test_elimination_of_a_wide_lead_at_the_largest_modulus():
+    # 72 lead columns at q = 65521: unreduced entries grow to about 73 q^2
+    # (2^38) and a scaled pivot row to about 2^54, inside the int64 bound
+    q, rows, n, ell = 65521, 76, 100, 4
+    rng = np.random.default_rng(5)
+    h, s = rng.integers(0, q, (rows, n)), rng.integers(0, q, rows)
+    ech = partial_gaussian_elim(h, ell, s, q)
+    assert _assert_matches_reference(ech, h, ell, s, q) == 0
+
+
 @pytest.mark.parametrize("q", (2, 3, 5, 7))
 def test_stacked_elimination_matches_one_matrix_at_a_time(q):
     # sparse random matrices make singular members common; each member of
-    # the stack must equal its own call, and be flagged where that raises
+    # the stack must equal its own call, and be flagged where that is
     rng = np.random.default_rng(q)
     flagged = 0
     for _ in range(40):
@@ -346,9 +390,8 @@ def test_stacked_elimination_matches_one_matrix_at_a_time(q):
         stack = partial_gaussian_elim(h, ell, s, q)
         assert stack.singular.shape == (batch,)
         for b in range(batch):
-            try:
-                one = partial_gaussian_elim(h[b], ell, s[b], q)
-            except SingularTopLeftError:
+            one = partial_gaussian_elim(h[b], ell, s[b], q)
+            if one.singular:
                 assert stack.singular[b]
                 flagged += 1
                 continue

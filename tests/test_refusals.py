@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leeisd.cli import main
-from leeisd.cmsd import _plan, cmsd_dumer, cmsd_wagner_v1
+from leeisd.cmsd import _plan, cmsd_dumer, cmsd_wagner_v1, cmsd_wagner_v2_build
 from leeisd.estimator import (
     AlgoPoint,
     CodeParams,
@@ -44,6 +44,14 @@ def bottom_blocks(loops=2, ell=2, n=12):
 
 def one_draw():
     return [_plan(LEE3, 12, 2, 4, 2, False).draw(3, random.Random(0))]
+
+
+def plan_draws(a, loops=2, lazy_cap=None):
+    """Draws of the wagner1 plan (wagner2's with lazy_cap) at level count a for a
+    (loops, 4, 16) stack, weight 4."""
+    rng = random.Random(0)
+    plan = _plan(LEE3, 16, 4, 4, a, lazy_cap is not None)
+    return [plan.draw(3, rng, lazy_cap=lazy_cap) for _ in range(loops)]
 
 
 def dumer_desc():
@@ -85,6 +93,28 @@ REFUSALS = [  # (label, call, exception type)
     (
         "stack with too few LoopDraws",
         lambda: cmsd_wagner_v1(*bottom_blocks(), LEE3, 4, 2, draws=one_draw()),
+        ValueError,
+    ),
+    (
+        "wagner1 a = 2 with draws of a = 3",
+        lambda: cmsd_wagner_v1(*bottom_blocks(ell=4, n=16), LEE3, 4, 2, draws=plan_draws(3)),
+        ValueError,
+    ),
+    (
+        "wagner2 with draws of wagner1",
+        lambda: cmsd_wagner_v2_build(*bottom_blocks(ell=4, n=16), LEE3, 4, 2, draws=plan_draws(2)),
+        ValueError,
+    ),
+    (
+        "wagner1 a = 3 with draws of a = 2",
+        lambda: cmsd_wagner_v1(*bottom_blocks(ell=4, n=16), LEE3, 4, 3, draws=plan_draws(2)),
+        ValueError,
+    ),
+    (
+        "wagner2 cap 1000 with draws of cap 20",
+        lambda: cmsd_wagner_v2_build(
+            *bottom_blocks(ell=4, n=16), LEE3, 4, 2, 1000, draws=plan_draws(2, lazy_cap=20)
+        ),
         ValueError,
     ),
     ("weight budget -1", lambda: cmsd_dumer(*bottom_blocks(), LEE3, -1), ValueError),
