@@ -8,7 +8,7 @@ selftest (quick end-to-end checks).
 Exit codes: 0 success, 2 usage or input error (including an infeasible
 estimate, a solve whose lists outgrow --cap, a gen or solve whose H
 would pass isd.MAX_H_ENTRIES entries, a sweep of more than MAX_SWEEP_POINTS weights,
-or an exact count too large to pack), 3 search budget exhausted.
+an exact count too large to pack, or an unwritable --out), 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _load_weight(q: int, spec: str) -> WeightFunction:
             return WeightFunction.from_spec(q, json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read weight table {spec!r}: {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise UsageError(f"bad weight table {spec!r}: {exc}") from exc
 
 
@@ -190,7 +190,7 @@ def cmd_solve(args) -> int:
         inst = SdInstance.from_dict(doc)
     except OSError as exc:
         raise UsageError(f"cannot read instance: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"malformed instance JSON: {exc}") from exc
     params = IsdParams(
         variant=args.alg,
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, TypeError) as exc:
+    except (UsageError, ValueError, TypeError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,10 +164,6 @@ class CmsdDescription:
     def __post_init__(self):
         self.y = max(self.y, 1)
 
-    @property
-    def q(self) -> int:
-        return self.wf.q
-
     def evaluate_many(self, idx) -> np.ndarray:
         idx = np.asarray(_integer_array(idx), dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= self.y)]
@@ -187,16 +183,6 @@ class CmsdDescription:
 
     def evaluate(self, i: int) -> np.ndarray:
         return self.evaluate_many([i])[0]
-
-    def is_solution(self, v: np.ndarray) -> np.ndarray:
-        """Per row of v (or for the one vector v): H'' v = s'' and weight exactly p.
-
-        For a single build; a stack's loops each have their own H'' and s''.
-        """
-        v = v % self.q
-        syn_ok = ((v @ self.h_second.T) % self.q == self.s_second).all(axis=-1)
-        weights = self.wf.int_table_array()[v].sum(axis=-1)
-        return syn_ok & (weights == self.wf.scaled(self.weight))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,13 +205,15 @@ class LoopPlan(NamedTuple):
     """What an outer loop knows of its back end before any H is seen.
 
     draw(rng) takes one loop's randomness (a LoopDraws; None for prange);
-    rows counts the rows one loop's build holds (base-list entries, and a
-    lazy list's sampled ranks); expected is one loop's expected_solutions,
-    or None where it depends on H (dumer, and wagner1 at a = 1, count their
-    realized output).
+    draw(rng, size) also subsamples each base list over size to size
+    entries (wagner2's lazy list to the cap), as the list-sizing rule
+    asks.  rows counts the rows one loop's build holds (base-list entries,
+    and a lazy list's sampled ranks); expected is one loop's
+    expected_solutions, or None where it depends on H (dumer, and wagner1
+    at a = 1, count their realized output).
     """
 
-    draw: Callable[[random.Random], LoopDraws | None]
+    draw: Callable[..., LoopDraws | None]
     rows: int
     expected: float | None
 
@@ -360,18 +348,15 @@ def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
     return h2, s2, False
 
 
-def _loop_draws(plan: _Plan, q: int, loops: int, rng, draws, size_limit, lazy_cap):
-    """The given per-loop draws, or each loop's draws taken from rng (default Random(0)) in turn.
+def _loop_draws(plan: _Plan, q: int, loops: int, draws, lazy_cap):
+    """The given per-loop draws, or each loop's draws taken from Random(0) in turn.
 
-    Given draws already hold the sampled ranks, so rng and size_limit must
-    be None, and each must come from plan at lazy_cap: another plan's
+    Each given draw must come from plan at lazy_cap: another plan's
     targets and ranks belong to other coordinates and lists.
     """
     if draws is None:
-        rng = random.Random(0) if rng is None else rng
-        return [plan.draw(q, rng, size_limit, lazy_cap) for _ in range(loops)]
-    if rng is not None or size_limit is not None:
-        raise ValueError("draws fix a build's randomness: give neither rng nor base_list_size")
+        rng = random.Random(0)
+        return [plan.draw(q, rng, lazy_cap=lazy_cap) for _ in range(loops)]
     if len(draws) != loops:
         raise ValueError(f"need one LoopDraws per loop of the stack, got {len(draws)} for {loops}")
     if any(d.plan != (plan.key, lazy_cap) for d in draws):
@@ -642,9 +627,7 @@ def cmsd_prange(
     )
 
 
-def _build_tree(
-    h_second, s_second, wf, p, a, cap, rng, base_list_size, draws, lazy=False
-) -> CmsdDescription:
+def _build_tree(h_second, s_second, wf, p, a, cap, draws, lazy=False) -> CmsdDescription:
     """Wagner's k-tree over 2^a support blocks; dumer is the case a = 1.
 
     At a = 1 every weight split (w1, p - w1) that both halves can carry is
@@ -657,8 +640,7 @@ def _build_tree(
     groups pairs entries of the same split only.  wagner2's last leaf is
     the chain: a root entry's domain index is its chain-leaf position
     b * y + k, found by walking backrefs[:, 1] down the tree.  Without
-    draws, rng (default Random(0)) draws for each loop in turn; draws
-    exclude rng and base_list_size.
+    draws, each loop draws from Random(0) in turn.
 
     A loop fails where a merge passes cap, or, at dumer, where its
     solutions over all S splits do.  A stack whose first failing loop is
@@ -674,7 +656,7 @@ def _build_tree(
     loops, ell, n = h2.shape
     p_frac, p_scaled = _budget(wf, p)
     plan = _plan(wf, n, ell, p_scaled, a, lazy)
-    draws = _loop_draws(plan, q, loops, rng, draws, base_list_size, cap if lazy else None)
+    draws = _loop_draws(plan, q, loops, draws, cap if lazy else None)
     ranks = _leaf_ranks(draws)
     _over_cap(plan.layouts, cap, ranks)
     splits, width = len(plan.layouts), len(plan.layouts[0])
@@ -693,7 +675,7 @@ def _build_tree(
         error = MergeOverflowError(str(exc), b)
         if b == 0:
             raise error from None
-        head = _build_tree(h2[:b], s2[:b], wf, p, a, cap, None, None, draws[:b], lazy)
+        head = _build_tree(h2[:b], s2[:b], wf, p, a, cap, draws[:b], lazy)
         head.overflow = head.overflow or error
         return head
     sizes = [len(nd.lst) // loops for nd in leaves]  # one loop's; level sizes count every loop
@@ -731,7 +713,7 @@ def cmsd_dumer(
     list_size_cap: int = DEFAULT_LIST_CAP,
 ) -> CmsdDescription:
     """Single-level birthday construction over two support halves: wagner_v1 at a = 1."""
-    return _build_tree(h_second, s_second, wf, p, 1, list_size_cap, None, None, None)
+    return _build_tree(h_second, s_second, wf, p, 1, list_size_cap, None)
 
 
 def cmsd_wagner_v1(
@@ -741,8 +723,7 @@ def cmsd_wagner_v1(
     p,
     a: int,
     list_size_cap: int = DEFAULT_LIST_CAP,
-    rng: random.Random | None = None,
-    base_list_size: int | None = None,
+    *,
     draws: list[LoopDraws] | None = None,
 ) -> CmsdDescription:
     """Level-wise pairwise merging over 2^a balanced support blocks.
@@ -750,12 +731,12 @@ def cmsd_wagner_v1(
     With a = 1 this is the same construction as cmsd_dumer.  For a >= 2
     each block carries a fixed balanced share of the weight budget and the
     intermediate merges use fresh random targets that telescope to s''.
-    base_list_size, when given, subsamples every base list to that size
-    (uniformly, without replacement, drawing from rng, default Random(0)),
-    matching the asymptotic sizing rule.  A stack draws for its loops in
-    turn, unless draws gives each loop's randomness (from _Plan.draw).
+    draws gives each loop's randomness, else each loop draws from
+    Random(0) in turn.  Draws from loop_plan("wagner1", ...).draw(rng,
+    size) subsample every base list to size entries, matching the
+    asymptotic sizing rule.
     """
-    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, rng, base_list_size, draws)
+    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, draws)
 
 
 def cmsd_wagner_v2_build(
@@ -765,7 +746,7 @@ def cmsd_wagner_v2_build(
     p,
     a: int,
     list_size_cap: int = DEFAULT_LIST_CAP,
-    rng: random.Random | None = None,
+    *,
     draws: list[LoopDraws] | None = None,
 ) -> CmsdDescription:
     """Checkable-function construction over 2^a + 1 balanced support units.
@@ -778,7 +759,8 @@ def cmsd_wagner_v2_build(
     lexicographically smallest support part (the first one on ties), one
     merge per level against the sibling reduced to that partner per key.
     Index b * y + k is loop b's k-th chain entry; it holds a candidate when
-    every level finds a partner.  A stack draws for its loops in turn,
-    unless draws gives each loop's randomness (from _Plan.draw).
+    every level finds a partner.  draws gives each loop's randomness (from
+    loop_plan("wagner2", ...).draw), else each loop draws from Random(0)
+    in turn.
     """
-    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, rng, None, draws, lazy=True)
+    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, draws, lazy=True)

@@ -37,7 +37,7 @@ def _to_fraction(x) -> Fraction:
     floats as their nearest fraction with denominator at most 10^9."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     try:
         if isinstance(x, str):
@@ -95,8 +95,8 @@ class WeightFunction:
         """Load a custom table from a JSON document {"q": ..., "table": [...]}."""
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        if not isinstance(doc, dict) or "q" not in doc or "table" not in doc:
-            raise ValueError('weight JSON must be an object with "q" and "table"')
+        if not isinstance(doc, dict) or "q" not in doc or not isinstance(doc.get("table"), list):
+            raise ValueError('weight JSON must be an object with "q" and a "table" list')
         q = _to_int(doc["q"], "q")
         return cls(q, tuple(doc["table"]), name=str(doc.get("name", "custom")))
 

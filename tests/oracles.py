@@ -27,6 +27,7 @@ from leeisd.isd import (
     verify_solution,
 )
 from leeisd.merge import (
+    DEFAULT_LIST_CAP,
     IndexedList,
     MergeOverflowError,
     _check_J,
@@ -43,11 +44,38 @@ class CmsdEnumeration:
     observed_z: int
 
 
+def is_solution(desc, v: np.ndarray) -> np.ndarray:
+    """Per row of v (or for the one vector v): H'' v = s'' and weight exactly p.
+
+    For a single build; a stack's loops each have their own H'' and s''.
+    """
+    q = desc.wf.q
+    v = v % q
+    syn_ok = ((v @ desc.h_second.T) % q == desc.s_second).all(axis=-1)
+    weights = desc.wf.int_table_array()[v].sum(axis=-1)
+    return syn_ok & (weights == desc.wf.scaled(desc.weight))
+
+
 def enumerate_f(desc) -> CmsdEnumeration:
     """All values of f that satisfy the solution predicate, with distinct count."""
     vals = desc.evaluate_many(np.arange(desc.y))
-    sols = list(vals[desc.is_solution(vals)])
+    sols = list(vals[is_solution(desc, vals)])
     return CmsdEnumeration(solutions=sols, observed_z=len({v.tobytes() for v in sols}))
+
+
+def loop_draws(variant, h2, wf, p, a, cap=DEFAULT_LIST_CAP, rng=None, size=None) -> list:
+    """Each loop's draws for a build of variant on h2, one bottom block or a stack of them.
+
+    The loops draw from rng (default Random(0)) in turn, through
+    loop_plan(...).draw(rng, size): size, when given, subsamples every base
+    list over it to size entries.  A layout that cannot carry p draws
+    None, and its build raises.
+    """
+    shape = np.shape(h2)
+    draw = cmsd.loop_plan(variant, wf, shape[-1], shape[-2], p, a, cap).draw
+    rng = random.Random(0) if rng is None else rng
+    args = (rng,) if size is None else (rng, size)  # an infeasible layout's draw takes no size
+    return [draw(*args) for _ in range(shape[0] if len(shape) == 3 else 1)]
 
 
 def sphere_rank(enum, v: np.ndarray) -> int:
@@ -179,7 +207,9 @@ def _build_cmsd(inst: SdInstance, params: IsdParams, ech, rng: random.Random):
     if params.variant == "dumer":
         return cmsd.cmsd_dumer(*args, params.list_size_cap)
     build = cmsd.cmsd_wagner_v1 if params.variant == "wagner1" else cmsd.cmsd_wagner_v2_build
-    return build(*args, params.a, params.list_size_cap, rng)
+    cap = params.list_size_cap
+    draws = loop_draws(params.variant, ech.h_second, inst.wf, params.p, params.a, cap, rng)
+    return build(*args, params.a, cap, draws=draws)
 
 
 def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
@@ -197,7 +227,7 @@ def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
     for lo in range(0, desc.y, CANDIDATE_BLOCK):
         e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
         e1 = (s1 - e2 @ h1.T) % q
-        for i in np.flatnonzero(desc.is_solution(e2) & (tab[e1].sum(axis=1) == w_rem)):
+        for i in np.flatnonzero(is_solution(desc, e2) & (tab[e1].sum(axis=1) == w_rem)):
             e = np.empty(inst.n, dtype=np.int64)
             e[perm.images] = np.concatenate([e1[i], e2[i]])
             hit = FqVector(q, e)

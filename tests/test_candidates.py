@@ -100,9 +100,8 @@ def test_wagner1_candidates_keep_the_contract():
         cap = (DEFAULT_LIST_CAP, 6)[trial % 2]
         sample = (None, 5)[trial % 4 // 2]
         try:
-            desc = cmsd_wagner_v1(
-                h2, s2, wf, 4, 2, cap, random.Random(trial), base_list_size=sample
-            )
+            draws = oracles.loop_draws("wagner1", h2, wf, 4, 2, cap, random.Random(trial), sample)
+            desc = cmsd_wagner_v1(h2, s2, wf, 4, 2, cap, draws=draws)
         except MergeOverflowError:
             seen["raised"] += 1
             continue

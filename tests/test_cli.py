@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -478,3 +479,89 @@ def test_solve_that_no_permutation_can_finish_exits_3(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 3 and doc["solution"] is None and doc["wall_stats"]["loop_budget"] == 0
     assert doc["outer_loops"] == doc["cmsd_calls"] == doc["tested_candidates"] == 0
+
+
+# -- the whole CLI surface over a fixed table of bad values ---------------------------
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1.5", "true", "False")
+SPHERE = ("sphere", "--q", "3", "--omega", "0.5")
+EXACT = ("sphere", "--q", "3", "--exact", "--n", "4", "--w", "1")
+GEN = ("gen", "--q", "3", "--n", "10", "--k", "5", "--w", "2")
+SOLVE = ("solve", "{inst}", "--alg", "dumer", "--ell", "1", "--p", "1", "--max-loops", "3")
+ESTIMATE = ("estimate", "--q", "3", "--R", "0.5", "--omega", "0.5", "--a-max", "2")
+HARDEST = ("hardest", "--q", "3", "--alg", "prange", "--a-max", "1")
+SWEEP = ("sweep", "--q", "3", "--R", "0.5", "--points", "2", "--model", "classical", "--a-max", "1")
+FUZZ_FLAGS = [  # (valid command line, flag, the FUZZ_VALUES it accepts): it refuses the rest
+    (SPHERE, "--q", ()),
+    (SPHERE, "--omega", ("0",)),
+    (EXACT, "--n", ("0",)),
+    (EXACT, "--w", ("-1", "0", "1.5")),  # weights no vector has: the count is 0
+    (GEN, "--q", ()),
+    (GEN, "--n", ()),
+    (GEN, "--k", ()),
+    (GEN, "--w", ("0",)),
+    (GEN, "--seed", ("-1", "0")),
+    (SOLVE, "--ell", ("0",)),
+    (SOLVE, "--p", ("0",)),
+    (SOLVE, "--a", ()),
+    (SOLVE, "--seed", ("-1", "0")),
+    (SOLVE, "--max-loops", ()),
+    (SOLVE, "--cap", ()),
+    (ESTIMATE, "--q", ()),
+    (ESTIMATE, "--R", ()),
+    (ESTIMATE, "--omega", ("0",)),
+    (ESTIMATE, "--a-max", ()),
+    (HARDEST, "--q", ()),
+    (HARDEST, "--a-max", ()),
+    (SWEEP, "--q", ()),
+    (SWEEP, "--R", ()),
+    (SWEEP, "--points", ()),
+    (SWEEP, "--a-max", ()),
+]
+FUZZ_FILES = {  # input files that every reader must refuse
+    "empty": "",
+    "truncated": '{"q": 3, "table": [0, 1',
+    "one_class": '{"q": 3, "table": [0, 0, 0]}',
+    "string_table": '{"q": 3, "table": "011"}',  # no list, though it iterates to [0, 1, 1]
+    "bool_weight": '{"q": 3, "table": [0, true, 1]}',  # no weight, though Python reads it as 1
+    "deep": "[" * 100_000 + "]" * 100_000,  # nested past the parser's recursion limit
+}
+FUZZ_REFUSED = [  # command lines refused before anything grows with their sizes
+    ("gen", "--q", "5", "--n", "100000", "--k", "50000", "--w", "3"),
+    ("sweep", "--q", "3", "--R", "0.5", "--points", "10001"),
+    ("sphere", "--q", "5", "--exact", "--n", "100000000", "--w", "1"),
+]
+ARGPARSE_ERROR = re.compile(  # a wrong type or an unknown flag
+    r"^leeisd( \w+)?: error: (argument [-\w]+: invalid (int|float) value|unrecognized arguments): "
+)
+
+
+def test_cli_fuzz_table_refuses_in_one_line(tmp_path, capsys):
+    # every bad value exits 2 with one "error:" line, or argparse's usage and
+    # error for a wrong type or an unknown flag; none warns, and a value the
+    # flag accepts exits 0 or 3 (an exhausted solve) with nothing on stderr
+    paths = {"inst": str(tmp_path / "inst.json"), "nowhere": str(tmp_path / "no" / "out")}
+    assert main([*GEN, "--out", paths["inst"]]) == 0
+    for name, text in FUZZ_FILES.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    cases = [(argv, False) for argv in FUZZ_REFUSED]  # (command line, accepted)
+    for base, flag, ok in FUZZ_FLAGS:
+        cases += [((*base, f"{flag}={value}"), value in ok) for value in FUZZ_VALUES]
+    commands = (SPHERE, GEN, SOLVE, ESTIMATE, HARDEST, SWEEP)
+    cases += [((*base, "--bogus"), False) for base in commands + (("selftest",),)]
+    cases += [((*base, "--out", "{nowhere}"), False) for base in commands]  # no such directory
+    for name in FUZZ_FILES:
+        cases += [((*base, "--weight", "{%s}" % name), False) for base in commands if base != SOLVE]
+        cases.append((("solve", "{%s}" % name), False))
+    for argv, ok in cases:
+        argv = [arg.format(**paths) for arg in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv)
+        if ok:
+            assert code in (0, 3) and not err, (argv, code, err)
+        elif err.startswith("usage: "):
+            assert code == 2 and ARGPARSE_ERROR.match(err.splitlines()[-1]), (argv, err)
+        else:
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)

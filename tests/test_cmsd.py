@@ -170,12 +170,10 @@ def test_wagner_v1_a1_identical_to_dumer():
     assert Counter(tuple(v.tolist()) for v in d.solutions) == Counter(
         tuple(v.tolist()) for v in w.solutions
     )
-    # subsampled base lists without an rng draw from Random(0), as for a >= 2
-    sub = cmsd_wagner_v1(h2, s2, wf, 3, a=1, base_list_size=5)
-    seeded = cmsd_wagner_v1(h2, s2, wf, 3, a=1, rng=random.Random(0), base_list_size=5)
-    assert sub.y == seeded.y > 1
-    every = np.arange(sub.y)
-    assert np.array_equal(sub.evaluate_many(every), seeded.evaluate_many(every))
+    # base lists subsampled by the draws keep a subset of the solutions
+    draws = oracles.loop_draws("wagner1", h2, wf, 3, 1, rng=random.Random(0), size=5)
+    sub = cmsd_wagner_v1(h2, s2, wf, 3, a=1, draws=draws)
+    assert sub.y > 1
     assert {tuple(v.tolist()) for v in enumerate_f(sub).solutions} <= {
         tuple(v.tolist()) for v in d.solutions
     }
@@ -207,7 +205,8 @@ def test_wagner_v1_a2_subset_of_oracle_and_sound():
     found = 0
     for seed in range(4):
         h2, s2 = random_subproblem(3, 2, 12, wf, 4, rng)
-        desc = cmsd_wagner_v1(h2, s2, wf, 4, a=2, rng=random.Random(seed))
+        draws = oracles.loop_draws("wagner1", h2, wf, 4, 2, rng=random.Random(seed))
+        desc = cmsd_wagner_v1(h2, s2, wf, 4, a=2, draws=draws)
         oracle = brute_solutions(h2, s2, wf, 4)
         res = enumerate_f(desc)
         for v in res.solutions:
@@ -226,7 +225,8 @@ def test_wagner_v1_a2_complete_within_profile_when_unfiltered():
     n, p = 8, 4
     for _ in range(5):
         h2, s2 = random_subproblem(q, 1, n, wf, p, rng)
-        desc = cmsd_wagner_v1(h2, s2, wf, p, a=2, rng=random.Random(0))
+        draws = oracles.loop_draws("wagner1", h2, wf, p, 2, rng=random.Random(0))
+        desc = cmsd_wagner_v1(h2, s2, wf, p, a=2, draws=draws)
         assert desc.meta["j_sizes"][0] == 0
         lengths = _split_lengths(n, 4)
         wsplit = _split_weight(wf.scaled(p), 4)
@@ -290,7 +290,8 @@ def test_wagner_v1_level_sizes_follow_prediction():
     for seed in range(20):
         rng = random.Random(seed)
         h2, s2 = random_subproblem(q, ell, N, wf, p, rng0)
-        desc = cmsd_wagner_v1(h2, s2, wf, p, a=a, rng=rng, base_list_size=base)
+        draws = oracles.loop_draws("wagner1", h2, wf, p, a, rng=rng, size=base)
+        desc = cmsd_wagner_v1(h2, s2, wf, p, a=a, draws=draws)
         mid = desc.meta["level_sizes"][1]  # sizes after the first merge level
         for sz in mid:
             if base / 4 <= sz <= base * 4:
@@ -371,7 +372,8 @@ def test_observed_z_slope_matches_prediction():
         for seed in range(6):
             rng = random.Random(1000 * N + seed)
             h2, s2 = random_subproblem(q, ell, N, wf, p, rng)
-            desc = cmsd_wagner_v1(h2, s2, wf, p, a=a, rng=rng, base_list_size=base)
+            draws = oracles.loop_draws("wagner1", h2, wf, p, a, rng=rng, size=base)
+            desc = cmsd_wagner_v1(h2, s2, wf, p, a=a, draws=draws)
             zs.append(max(enumerate_f(desc).observed_z, 1))
         log_z.append(math.log(sum(zs) / len(zs), q))
     slope = np.polyfit(sizes, log_z, 1)[0]
@@ -461,7 +463,8 @@ def test_wagner2_partner_tables_match_per_index_walk():
                 planted.append(enum.unrank(rng.randrange(enum.count)))
             h2 = random_full_rank_matrix(q, ell, n, rng)
             s2 = FqVector(q, (h2.values @ np.concatenate(planted)) % q)
-            desc = cmsd_wagner_v2_build(h2, s2, wf, p, a=a, list_size_cap=cap, rng=random.Random(seed))
+            draws = oracles.loop_draws("wagner2", h2, wf, p, a, cap, random.Random(seed))
+            desc = cmsd_wagner_v2_build(h2, s2, wf, p, a=a, list_size_cap=cap, draws=draws)
             got = desc.evaluate_many(np.arange(desc.y))
             want = wagner2_reference(h2, s2, wf, p, a, cap, seed)
             assert np.array_equal(got, want), (q, ell, n, p, a, cap, seed)
@@ -573,7 +576,8 @@ def test_wagner2_level_sizes_end_with_the_chain(a, n, p, cap):
     wf, ell, loops = WeightFunction.lee(3), 4, 3
     rng = np.random.default_rng(a)
     h2, s2 = rng.integers(0, 3, (loops, ell, n)), rng.integers(0, 3, (loops, ell))
-    desc = cmsd_wagner_v2_build(h2, s2, wf, p, a, cap, rng=random.Random(a))
+    draws = oracles.loop_draws("wagner2", h2, wf, p, a, cap, random.Random(a))
+    desc = cmsd_wagner_v2_build(h2, s2, wf, p, a, cap, draws=draws)
     assert desc.overflow is None
     sizes = desc.meta["level_sizes"]
     assert [len(level) for level in sizes] == [1 << (a - j) for j in range(a + 1)]
@@ -613,23 +617,29 @@ def test_wagner2_stack_cut_at_level_2_after_the_chain_merged():
 
 
 def test_draws_refuse_the_randomness_options_they_fix():
-    # draws carry a build's targets and sampled ranks, so an rng or a
-    # base_list_size beside them would go unused: the build refuses them
+    # draws are a build's only randomness: rng and base_list_size are no
+    # options, subsampled base lists come from loop_plan(...).draw(rng, size),
+    # and a build without draws draws each loop from Random(0) in turn
     wf = WeightFunction.lee(3)
     rng = np.random.default_rng(8)
     h2, s2 = rng.integers(0, 3, (2, 2, 12)), rng.integers(0, 3, (2, 2))
-    assert cmsd_wagner_v1(h2, s2, wf, 4, 2, base_list_size=5).meta["level_sizes"][0] == [10] * 4
-    plan = _plan(wf, 12, 2, wf.scaled(4), 2, False)
-    draws = [plan.draw(3, random.Random(b)) for b in range(2)]
+    for build, p in ((cmsd_wagner_v1, 4), (cmsd_wagner_v2_build, 3)):
+        for extra in ({"base_list_size": 5}, {"rng": random.Random(1)}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                build(h2, s2, wf, p, 2, **extra)
+        with pytest.raises(TypeError, match="positional arguments"):
+            build(h2, s2, wf, p, 2, DEFAULT_LIST_CAP, random.Random(1))
+    plan = loop_plan("wagner1", wf, 12, 2, 4, 2, DEFAULT_LIST_CAP)
+    draws = [plan.draw(random.Random(b), 5) for b in range(2)]
+    assert cmsd_wagner_v1(h2, s2, wf, 4, 2, draws=draws).meta["level_sizes"][0] == [10] * 4
+    draws = [plan.draw(random.Random(b)) for b in range(2)]
     assert cmsd_wagner_v1(h2, s2, wf, 4, 2, draws=draws).meta["level_sizes"][0] == [12] * 4
-    for extra in ({"base_list_size": 5}, {"rng": random.Random(1)}):
-        with pytest.raises(ValueError, match="^draws fix a build's randomness"):
-            cmsd_wagner_v1(h2, s2, wf, 4, 2, draws=draws, **extra)
-    lazy = _plan(wf, 12, 2, wf.scaled(3), 2, True)
-    draws = [lazy.draw(3, random.Random(b), lazy_cap=DEFAULT_LIST_CAP) for b in range(2)]
-    cmsd_wagner_v2_build(h2, s2, wf, 3, 2, draws=draws)
-    with pytest.raises(ValueError, match="^draws fix a build's randomness"):
-        cmsd_wagner_v2_build(h2, s2, wf, 3, 2, rng=random.Random(1), draws=draws)
+    got = cmsd_wagner_v1(h2, s2, wf, 4, 2)
+    want = cmsd_wagner_v1(h2, s2, wf, 4, 2, draws=oracles.loop_draws("wagner1", h2, wf, 4, 2))
+    every = np.arange(want.y)
+    assert got.y == want.y and np.array_equal(got.evaluate_many(every), want.evaluate_many(every))
+    lazy = loop_plan("wagner2", wf, 12, 2, 3, 2, DEFAULT_LIST_CAP)
+    cmsd_wagner_v2_build(h2, s2, wf, 3, 2, draws=[lazy.draw(random.Random(b)) for b in range(2)])
 
 
 def test_sample_ranks_past_int64_are_distinct_and_seeded():
