@@ -39,10 +39,11 @@ as lists that are valid by construction (IndexedList._made), so no list
 is scanned again after its product or merge; the merges go through this
 module's merge, where a tracer can count them.  Neither a leaf sphere,
 the block layout, the J partition nor the random draws depend on H: they
-are one cached plan per back-end signature (_plan), each sphere is built
-once per (table, length, weight), a build's randomness is drawn by
-_Plan.draw, and only the leaf syndromes, the targets and the merges are
-computed per build.
+are one cached LoopPlan per back-end signature (loop_plan), each sphere
+is built once per plan, a build's randomness is drawn by LoopPlan.draw,
+and only the leaf syndromes, the targets and the merges are computed per
+build.  An outer loop meets every back end through its plan alone:
+plan.draw(rng) before the elimination, plan.build(h2, s2, draws) after.
 
 Every builder also takes a stack of B bottom blocks, one per outer loop
 (h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
@@ -64,8 +65,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +85,8 @@ from .weights import (
     sphere_exponent_many,
     vector_weight,  # unused here; bench/tracer.py wraps cmsd.vector_weight by name
 )
+
+VARIANTS = ("prange", "dumer", "wagner1", "wagner2")
 
 
 class CmsdInfeasibleError(ValueError):
@@ -192,8 +194,8 @@ class LoopDraws:
     None of it depends on H, so an outer loop can take it before its
     elimination: the level-target coordinates, then the sampled ranks of
     each base list (None where the list is not sampled), wagner2's lazy
-    list last.  plan records what drew them, the build plan's key and the
-    lazy list's cap, which a build checks against its own.
+    list last.  plan is the key of the LoopPlan that drew them, which a
+    build checks against its own.
     """
 
     targets: list[int]
@@ -201,21 +203,68 @@ class LoopDraws:
     plan: tuple
 
 
-class LoopPlan(NamedTuple):
-    """What an outer loop knows of its back end before any H is seen.
+@dataclass(frozen=True, eq=False)
+class LoopPlan:
+    """What an outer loop knows of its back end before any H is seen (see loop_plan).
 
-    draw(rng) takes one loop's randomness (a LoopDraws; None for prange);
-    draw(rng, size) also subsamples each base list over size to size
-    entries (wagner2's lazy list to the cap), as the list-sizing rule
-    asks.  rows counts the rows one loop's build holds (base-list entries,
-    and a lazy list's sampled ranks); expected is one loop's
-    expected_solutions, or None where it depends on H (dumer, and wagner1
-    at a = 1, count their realized output).
+    key is (variant, wf, n, ell, p, a, cap), p a Fraction.  Each layout is
+    a tuple of consecutive support blocks; j_groups are J_1..J_a.  rows
+    counts the rows one loop's build holds (base-list entries, and a lazy
+    list's sampled ranks); expected is one loop's expected_solutions, or
+    None where it depends on H (dumer, and wagner1 at a = 1, count their
+    realized output).  A plan whose layout cannot carry p has no layouts
+    and says why in infeasible.
     """
 
-    draw: Callable[..., LoopDraws | None]
-    rows: int
-    expected: float | None
+    key: tuple
+    layouts: tuple[tuple[_Block, ...], ...] = ()
+    j_groups: tuple[np.ndarray, ...] = ()
+    rows: int = 0
+    expected: float | None = None
+    infeasible: str | None = None
+
+    def draw(self, rng: random.Random, size: int | None = None) -> LoopDraws | None:
+        """One loop's randomness in stream order; None for prange and an infeasible plan.
+
+        The targets of level j take |J_j| coordinates for each of its
+        first 2^(a-j) - 1 pairs, level by level; then every base list over
+        size samples size ranks, layout by layout, as the list-sizing rule
+        asks.  wagner2's lazy last list samples cap ranks instead, and
+        dumer, which covers every solution, samples none.
+        """
+        if not self.layouts:
+            return None
+        variant, wf, *_, cap = self.key
+        a = len(self.j_groups)
+        coords = sum(((1 << (a - j)) - 1) * len(J) for j, J in enumerate(self.j_groups, 1))
+        targets = [rng.randrange(wf.q) for _ in range(coords)]
+        blocks = [b for layout in self.layouts for b in layout]
+        limits = [None if variant == "dumer" else size] * len(blocks)
+        if variant == "wagner2":
+            limits[-1] = cap
+        leaf_ranks = tuple(
+            None if lim is None or b.enum.count <= lim
+            else sorted(_sample_ranks(b.enum.count, lim, rng))
+            for b, lim in zip(blocks, limits)
+        )
+        return LoopDraws(targets, leaf_ranks, self.key)
+
+    def build(self, h_second, s_second, draws: list[LoopDraws] | None = None) -> CmsdDescription:
+        """The variant's description of one bottom block or a stack, from draws of this plan.
+
+        It calls the variant's public builder by its module name, whose
+        loop_plan call returns this plan: bench/tracer.py counts builds by
+        wrapping the four builder names, until builds are traced here.
+        dumer's builder takes no draws (its draws hold nothing); every build
+        of an infeasible plan raises a new CmsdInfeasibleError.
+        """
+        variant, wf, _, _, p, a, cap = self.key
+        if variant == "prange":
+            return cmsd_prange(h_second, s_second, wf, p)
+        if variant == "dumer":
+            return cmsd_dumer(h_second, s_second, wf, p, cap)
+        builder = cmsd_wagner_v2_build if variant == "wagner2" else cmsd_wagner_v1
+        return builder(h_second, s_second, wf, p, a, cap, draws=draws)
 
 
 # -- block layout helpers ---------------------------------------------------
@@ -231,101 +280,82 @@ def _split_weight(w_scaled: int, nblocks: int) -> list[int]:
     return [cuts[i + 1] - cuts[i] for i in range(nblocks)]
 
 
-class _Plan(NamedTuple):
-    layouts: tuple[tuple[_Block, ...], ...]
-    j_groups: tuple[np.ndarray, ...]
-    key: tuple  # the arguments of _plan that built it
-
-    def draw(
-        self,
-        q: int,
-        rng: random.Random | None,
-        size_limit: int | None = None,
-        lazy_cap: int | None = None,
-    ) -> LoopDraws:
-        """One build's randomness, in the order the sequential build drew it.
-
-        The targets of level j take |J_j| coordinates for each of its
-        first 2^(a-j) - 1 pairs, level by level; then every base list
-        larger than its limit samples that many ranks, layout by layout.
-        The limit is size_limit, except that with lazy_cap (wagner2) the
-        lazy last list has limit lazy_cap.  A plan that draws nothing
-        accepts rng None.
-        """
-        a = len(self.j_groups)
-        coords = sum(((1 << (a - j)) - 1) * len(J) for j, J in enumerate(self.j_groups, 1))
-        targets = [rng.randrange(q) for _ in range(coords)]
-        blocks = [b for layout in self.layouts for b in layout]
-        limits = [size_limit] * len(blocks)
-        if lazy_cap is not None:
-            limits[-1] = lazy_cap
-        leaf_ranks = tuple(
-            None if lim is None or b.enum.count <= lim
-            else sorted(_sample_ranks(b.enum.count, lim, rng))
-            for b, lim in zip(blocks, limits)
-        )
-        return LoopDraws(targets, leaf_ranks, (self.key, lazy_cap))
-
-
 @lru_cache(maxsize=128)
-def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last: bool) -> _Plan:
-    """The part of a build that does not depend on H: (layouts, J groups).
+def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap: int) -> LoopPlan:
+    """The LoopPlan of a back end on bottom blocks of shape (ell, n): one object per signature.
 
-    Each layout is a tuple of consecutive support blocks with their scaled
-    weights.  wagner1 lays out 2^a balanced blocks; at a = 1 (dumer) there
-    is one layout per weight split (w1, p - w1) that both halves can carry.
-    With lazy_last (wagner2) the support is split into 2^a + 1 balanced
-    units and the last two are joined into the one lazy leaf.  A balanced
-    layout with a block that cannot carry its weight raises
-    CmsdInfeasibleError (lru_cache stores no exception, so every call
-    raises).  The level count is bounded by 2^(a-1) <= max(n, 1): beyond
-    it more than half the blocks are empty and a level only adds empty
-    ones, so a larger a is a ValueError before anything grows with 2^a.
+    A variant outside VARIANTS, ell outside [0, n], or a or cap below 1
+    is a ValueError, and a p off the table unit a CmsdInfeasibleError.
+    wagner1 lays out 2^a balanced blocks; at a = 1 (dumer, whatever a it
+    is given) there is one layout per weight split (w1, p - w1) that both
+    halves can carry.  wagner2 splits the support into 2^a + 1 balanced
+    units and joins the last two into the one lazy leaf.  A layout with a
+    block that cannot carry its weight, or dumer's without a split, is an
+    infeasible plan.  The level count is bounded by 2^(a-1) <= max(n, 1):
+    beyond it more than half the blocks are empty and a level only adds
+    empty ones, so a larger a is a ValueError before anything grows.
 
     The J groups J_1..J_a are consecutive, read-only int arrays over the
     ell syndrome coordinates.  The first a-1 take round(n*u) coordinates
     each, following the estimator's list-size law u = _list_exponent(s0,
-    ell/n, a, lazy_last); the last absorbs the remainder.
+    ell/n, a, lazy); the last absorbs the remainder.
     """
+    if variant not in VARIANTS or not 0 <= ell <= n or a < 1 or cap < 1:
+        raise ValueError(
+            f"need a variant of {VARIANTS}, 0 <= ell <= n, a >= 1 and cap >= 1;"
+            f" got {variant!r}, ell={ell}, n={n}, a={a}, cap={cap}"
+        )
+    p = _to_fraction(p)
+    if p < 0:
+        raise ValueError("weight budget must be nonnegative")
+    p_scaled = wf.scaled(p)
+    if p_scaled is None:
+        raise CmsdInfeasibleError(
+            f"weight budget p={p} is not a multiple of the table unit 1/{wf.denominator}"
+        )
+    if variant == "prange" and (ell or p):
+        raise ValueError("prange requires ell = 0 and p = 0")
+    if variant == "dumer" and a != 1:  # one level, so one plan, whatever a is
+        return loop_plan(variant, wf, n, ell, p, 1, cap)
+    key = (variant, wf, n, ell, p, a, cap)
+    if variant == "prange":
+        return LoopPlan(key, expected=1.0)
+    lazy = variant == "wagner2"
     most = max(n, 1).bit_length()
     if a > most:
         raise ValueError(f"level count a={a} is above {most}, the most for {n} columns")
-    units = (1 << a) + lazy_last
+    units = (1 << a) + lazy
     lengths = _split_lengths(n, units)
-    each_split = a == 1 and not lazy_last
+    each_split = a == 1 and not lazy
     if each_split:
         splits = [[w1, p_scaled - w1] for w1 in range(p_scaled + 1)]
     else:
         splits = [_split_weight(p_scaled, units)]
-    if lazy_last:
+    if lazy:
         lengths[-2:] = [lengths[-2] + lengths[-1]]
         splits[0][-2:] = [splits[0][-2] + splits[0][-1]]
     offsets = np.cumsum([0] + lengths).tolist()
-    layouts = []
-    for weights in splits:
-        blocks = tuple(
+    layouts = [
+        tuple(
             _Block(off, ln, SphereEnumerator(wf, ln, Fraction(w, wf.denominator)))
             for off, ln, w in zip(offsets, lengths, weights)
         )
-        empty = [b for b in blocks if b.enum.count == 0]
-        if not empty:
-            layouts.append(blocks)
-        elif not each_split:
-            raise CmsdInfeasibleError(
-                f"no vectors of scaled weight {empty[0].enum.w_scaled}"
-                f" on a block of length {empty[0].length}"
-            )
-    if not layouts:
-        raise CmsdInfeasibleError(
-            f"no split of scaled weight {p_scaled} fits halves of lengths {lengths}"
-        )
+        for weights in splits
+    ]
+    feasible = tuple(blocks for blocks in layouts if all(b.enum.count for b in blocks))
+    if not feasible:
+        empty = next(b for b in layouts[0] if not b.enum.count)
+        why = f"no vectors of scaled weight {empty.enum.w_scaled} on a block of length {empty.length}"
+        if each_split:
+            why = f"no split of scaled weight {p_scaled} fits halves of lengths {lengths}"
+        return LoopPlan(key, infeasible=why)
 
     if a == 1 or ell == 0 or n == 0:
         sizes = [0] * (a - 1) + [ell]
     else:
         omega0 = (p_scaled / wf.denominator) / n
         s0 = float(sphere_exponent_many(wf, [omega0])[0])
-        u = _list_exponent(s0, ell / n, a, lazy_last)
+        u = _list_exponent(s0, ell / n, a, lazy)
         sizes = []
         for _ in range(a - 1):
             sizes.append(max(0, min(int(round(n * u)), ell - sum(sizes))))
@@ -333,7 +363,11 @@ def _plan(wf: WeightFunction, n: int, ell: int, p_scaled: int, a: int, lazy_last
     coords = np.arange(ell)
     coords.setflags(write=False)  # the groups are views of it, read-only too
     groups = tuple(np.split(coords, np.cumsum(sizes)[:-1]))
-    return _Plan(tuple(layouts), groups, (wf, n, ell, p_scaled, a, lazy_last))
+    rows = [b.enum.count for blocks in feasible for b in blocks]
+    if lazy:  # a build holds the lazy list's sampled ranks, or the shared sphere's syndromes
+        rows[-1] = min(rows[-1], cap)
+    expected = None if each_split else _expected(rows, groups, wf.q)
+    return LoopPlan(key, feasible, groups, sum(rows), expected)
 
 
 def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -348,18 +382,18 @@ def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
     return h2, s2, False
 
 
-def _loop_draws(plan: _Plan, q: int, loops: int, draws, lazy_cap):
+def _loop_draws(plan: LoopPlan, loops: int, draws):
     """The given per-loop draws, or each loop's draws taken from Random(0) in turn.
 
-    Each given draw must come from plan at lazy_cap: another plan's
-    targets and ranks belong to other coordinates and lists.
+    Each given draw must come from plan: another plan's targets and ranks
+    belong to other coordinates and lists.
     """
     if draws is None:
         rng = random.Random(0)
-        return [plan.draw(q, rng, lazy_cap=lazy_cap) for _ in range(loops)]
+        return [plan.draw(rng) for _ in range(loops)]
     if len(draws) != loops:
         raise ValueError(f"need one LoopDraws per loop of the stack, got {len(draws)} for {loops}")
-    if any(d.plan != (plan.key, lazy_cap) for d in draws):
+    if any(d.plan != plan.key for d in draws):
         raise ValueError("draws were taken for another plan (variant, level count, shape or cap)")
     return list(draws)
 
@@ -451,7 +485,7 @@ def _sample_ranks(count: int, k: int, rng: random.Random) -> list[int]:
 def _finish_targets(
     s2: np.ndarray, draws: np.ndarray, j_groups: tuple[np.ndarray, ...], q: int
 ) -> list[list[np.ndarray]]:
-    """Level targets t_j^i with sum_i t_j^i = s'' on J_j, from _Plan.draw's coordinates.
+    """Level targets t_j^i with sum_i t_j^i = s'' on J_j, from LoopPlan.draw's coordinates.
 
     targets[j][i] has the shape of s2 (a leading stack axis carries
     through); the last target of each level is the one fixed by s''.
@@ -550,19 +584,6 @@ def _merge_levels(
     return levels
 
 
-def _budget(wf: WeightFunction, p) -> tuple[Fraction, int]:
-    """The weight budget p and its scaled value, which must be a table multiple."""
-    p_frac = _to_fraction(p)
-    if p_frac < 0:
-        raise ValueError("weight budget must be nonnegative")
-    p_scaled = wf.scaled(p_frac)
-    if p_scaled is None:
-        raise CmsdInfeasibleError(
-            f"weight budget p={p_frac} is not a multiple of the table unit 1/{wf.denominator}"
-        )
-    return p_frac, p_scaled
-
-
 def _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom) -> CmsdDescription:
     """The description of a stack, or of the one loop of a single build."""
     return CmsdDescription(
@@ -576,31 +597,6 @@ def _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom) -> CmsdDescri
         dom=dom,
         starts=None if single else starts,
     )
-
-
-@lru_cache(maxsize=128)
-def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap: int) -> LoopPlan:
-    """The LoopPlan of a back end on bottom blocks of shape (ell, n), one per signature.
-
-    variant is "prange", "dumer", "wagner1" or "wagner2"; a layout that
-    cannot carry p draws nothing and expects nothing here, and its first
-    build raises.
-    """
-    if variant == "prange":
-        return LoopPlan(lambda rng: None, 0, 1.0)
-    lazy = variant == "wagner2"
-    levels = 1 if variant == "dumer" else a
-    try:
-        plan = _plan(wf, n, ell, _budget(wf, p)[1], levels, lazy)
-    except CmsdInfeasibleError:
-        return LoopPlan(lambda rng: None, 0, None)
-    lazy_cap = cap if lazy else None
-    sizes = [b.enum.count for blocks in plan.layouts for b in blocks]
-    if lazy:  # a build holds the lazy list's sampled ranks, or the shared sphere's syndromes
-        sizes[-1] = min(sizes[-1], cap)
-    rows = sum(sizes)
-    expected = None if levels == 1 and not lazy else _expected(sizes, plan.j_groups, wf.q)
-    return LoopPlan(partial(plan.draw, wf.q, lazy_cap=lazy_cap), rows, expected)
 
 
 def cmsd_prange(
@@ -627,8 +623,8 @@ def cmsd_prange(
     )
 
 
-def _build_tree(h_second, s_second, wf, p, a, cap, draws, lazy=False) -> CmsdDescription:
-    """Wagner's k-tree over 2^a support blocks; dumer is the case a = 1.
+def _build_tree(plan: LoopPlan, h2, s2, single: bool, draws) -> CmsdDescription:
+    """Wagner's k-tree over the 2^a support blocks of plan; dumer is the case a = 1.
 
     At a = 1 every weight split (w1, p - w1) that both halves can carry is
     merged, so the image of f is exactly the solution set of the
@@ -647,16 +643,14 @@ def _build_tree(h_second, s_second, wf, p, a, cap, draws, lazy=False) -> CmsdDes
     b > 0 is the build of its loops 0..b-1 with their draws, which carries
     the error of loop b as overflow unless it carries an earlier loop's;
     a single build, or loop 0, raises.  A whole base list over cap raises
-    at once: it fails every loop.
+    at once: it fails every loop.  An infeasible plan raises a new
+    CmsdInfeasibleError each build.
     """
-    if a < 1:
-        raise ValueError("level count a must be >= 1")
-    h2, s2, single = _stack(h_second, s_second)
-    q = wf.q
-    loops, ell, n = h2.shape
-    p_frac, p_scaled = _budget(wf, p)
-    plan = _plan(wf, n, ell, p_scaled, a, lazy)
-    draws = _loop_draws(plan, q, loops, draws, cap if lazy else None)
+    if plan.infeasible is not None:
+        raise CmsdInfeasibleError(plan.infeasible)
+    variant, wf, _, ell, p, a, cap = plan.key
+    q, lazy, loops = wf.q, variant == "wagner2", len(h2)
+    draws = _loop_draws(plan, loops, draws)
     ranks = _leaf_ranks(draws)
     _over_cap(plan.layouts, cap, ranks)
     splits, width = len(plan.layouts), len(plan.layouts[0])
@@ -675,7 +669,7 @@ def _build_tree(h_second, s_second, wf, p, a, cap, draws, lazy=False) -> CmsdDes
         error = MergeOverflowError(str(exc), b)
         if b == 0:
             raise error from None
-        head = _build_tree(h2[:b], s2[:b], wf, p, a, cap, draws[:b], lazy)
+        head = _build_tree(plan, h2[:b], s2[:b], False, draws[:b])
         head.overflow = head.overflow or error
         return head
     sizes = [len(nd.lst) // loops for nd in leaves]  # one loop's; level sizes count every loop
@@ -696,13 +690,13 @@ def _build_tree(h_second, s_second, wf, p, a, cap, draws, lazy=False) -> CmsdDes
         meta = dict(variant="dumer", splits=solved, expected_solutions=max(sum(per_loop), 1e-300))
     else:
         meta = {
-            "variant": "wagner2" if lazy else "wagner1",
+            "variant": variant,
             "levels": a,
             "j_sizes": [len(g) for g in plan.j_groups],
             "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
             "expected_solutions": _expected(sizes, plan.j_groups, q) * loops,
         }
-    return _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom)
+    return _describe(p, h2, s2, single, wf, meta, starts, root, dom)
 
 
 def cmsd_dumer(
@@ -713,7 +707,9 @@ def cmsd_dumer(
     list_size_cap: int = DEFAULT_LIST_CAP,
 ) -> CmsdDescription:
     """Single-level birthday construction over two support halves: wagner_v1 at a = 1."""
-    return _build_tree(h_second, s_second, wf, p, 1, list_size_cap, None)
+    h2, s2, single = _stack(h_second, s_second)
+    plan = loop_plan("dumer", wf, h2.shape[2], h2.shape[1], _to_fraction(p), 1, list_size_cap)
+    return _build_tree(plan, h2, s2, single, None)
 
 
 def cmsd_wagner_v1(
@@ -736,7 +732,9 @@ def cmsd_wagner_v1(
     size) subsample every base list to size entries, matching the
     asymptotic sizing rule.
     """
-    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, draws)
+    h2, s2, single = _stack(h_second, s_second)
+    plan = loop_plan("wagner1", wf, h2.shape[2], h2.shape[1], _to_fraction(p), a, list_size_cap)
+    return _build_tree(plan, h2, s2, single, draws)
 
 
 def cmsd_wagner_v2_build(
@@ -763,4 +761,6 @@ def cmsd_wagner_v2_build(
     loop_plan("wagner2", ...).draw), else each loop draws from Random(0)
     in turn.
     """
-    return _build_tree(h_second, s_second, wf, p, a, list_size_cap, draws, lazy=True)
+    h2, s2, single = _stack(h_second, s_second)
+    plan = loop_plan("wagner2", wf, h2.shape[2], h2.shape[1], _to_fraction(p), a, list_size_cap)
+    return _build_tree(plan, h2, s2, single, draws)

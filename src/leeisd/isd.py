@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import cmsd
+from .cmsd import VARIANTS
 from .fieldlin import (
     FqMatrix,
     FqVector,
@@ -45,8 +46,6 @@ from .weights import (
     sphere_count_exact,
     vector_weight,
 )
-
-VARIANTS = ("prange", "dumer", "wagner1", "wagner2")
 
 # candidates evaluated and tested per block: bounds memory, never changes a result
 CANDIDATE_BLOCK = 4096
@@ -271,25 +270,16 @@ def _p1(wf: WeightFunction, n: int, k: int, w: Fraction, ell: int, p: Fraction) 
     return min(1.0, math.exp(min(math.log(num) - math.log(den), 0.0)))
 
 
-def _builder(inst: SdInstance, params: IsdParams):
-    """build(h2, s2, draws) of the variant: builds a stack of loops from their LoopDraws."""
-    wf, p, a, cap, variant = inst.wf, params.p, params.a, params.list_size_cap, params.variant
-    if variant == "prange":
-        return lambda h2, s2, draws: cmsd.cmsd_prange(h2, s2, wf, p)
-    if variant == "dumer":
-        return lambda h2, s2, draws: cmsd.cmsd_dumer(h2, s2, wf, p, cap)
-    builder = cmsd.cmsd_wagner_v2_build if variant == "wagner2" else cmsd.cmsd_wagner_v1
-    return lambda h2, s2, draws: builder(h2, s2, wf, p, a, cap, draws=draws)
-
-
-def _check_params(inst: SdInstance, params: IsdParams) -> None:
+def _loop_plan(inst: SdInstance, params: IsdParams) -> cmsd.LoopPlan:
+    """The back end's plan for bottom blocks of inst, once ell and p fit inst."""
     if not 0 <= params.ell <= inst.n - inst.k:
         raise ValueError(f"ell must lie in [0, {inst.n - inst.k}]")
     if params.p < 0 or params.p > inst.w:
         raise ValueError("weight budget p must lie in [0, w]")
-    cmsd._budget(inst.wf, params.p)
-    if params.variant == "prange" and (params.ell != 0 or params.p != 0):
-        raise ValueError("prange requires ell = 0 and p = 0")
+    return cmsd.loop_plan(
+        params.variant, inst.wf, inst.k + params.ell, params.ell, params.p, params.a,
+        params.list_size_cap,
+    )
 
 
 def _draw_ahead(inst: SdInstance, rng: random.Random, draw, count: int):
@@ -351,18 +341,13 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
     1 is built, from its Z.  A batch cut short by a singular elimination
     is followed by one of the length it reached.
     """
-    _check_params(inst, params)
-    rng = random.Random(params.rng_seed)
     t0 = time.monotonic()
+    plan = _loop_plan(inst, params)
+    rng = random.Random(params.rng_seed)
     p1 = _exact_p1(inst, params.ell, params.p)
     # an empty outer sphere means no permutation can ever succeed
     budget = params.max_outer_loops if p1 > 0.0 else 0
     w_rem = inst.wf.scaled(inst.w - params.p)
-    build = _builder(inst, params)
-    plan = cmsd.loop_plan(
-        params.variant, inst.wf, inst.k + params.ell, params.ell, params.p, params.a,
-        params.list_size_cap,
-    )
     most = max(1, min(MAX_BATCH, BATCH_ROWS // max(plan.rows, 1)))
 
     def per_hit(z: float) -> int:
@@ -388,7 +373,7 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
         # before it are built and tested, and that loop draws a new permutation
         cut = int(np.argmax(ech.singular)) if ech.singular.any() else batch
         if cut:
-            desc = build(ech.h_second[:cut], ech.s_second[:cut], draws[:cut])
+            desc = plan.build(ech.h_second[:cut], ech.s_second[:cut], draws[:cut])
             if loops == 0:  # loop 1 is built: it sets the budget
                 if z_hat is None:
                     z_hat = float(desc.meta.get("expected_solutions", 1.0))

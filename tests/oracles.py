@@ -22,8 +22,8 @@ from leeisd.isd import (
     IsdParams,
     SdInstance,
     SolveReport,
-    _check_params,
     _exact_p1,
+    _loop_plan,
     verify_solution,
 )
 from leeisd.merge import (
@@ -74,8 +74,7 @@ def loop_draws(variant, h2, wf, p, a, cap=DEFAULT_LIST_CAP, rng=None, size=None)
     shape = np.shape(h2)
     draw = cmsd.loop_plan(variant, wf, shape[-1], shape[-2], p, a, cap).draw
     rng = random.Random(0) if rng is None else rng
-    args = (rng,) if size is None else (rng, size)  # an infeasible layout's draw takes no size
-    return [draw(*args) for _ in range(shape[0] if len(shape) == 3 else 1)]
+    return [draw(rng, size) for _ in range(shape[0] if len(shape) == 3 else 1)]
 
 
 def sphere_rank(enum, v: np.ndarray) -> int:
@@ -238,7 +237,7 @@ def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
 
 def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
     """Run the permute / reduce / merge / test loop until a hit or budget end."""
-    _check_params(inst, params)
+    _loop_plan(inst, params)
     rng = random.Random(params.rng_seed)
     t0 = time.monotonic()
     p1 = _exact_p1(inst, params.ell, params.p)
@@ -423,8 +422,8 @@ def wagner2_full_rows(h2, s2, wf, p, a: int, cap: int, draws, idx) -> tuple[np.n
     """
     q = wf.q
     loops, ell, n = h2.shape
-    plan = cmsd._plan(wf, n, ell, wf.scaled(p), a, True)
-    (blocks,), j_groups, _ = plan
+    plan = cmsd.loop_plan("wagner2", wf, n, ell, p, a, cap)
+    (blocks,), j_groups = plan.layouts, plan.j_groups
     last = blocks[-1]
     coords = np.array([d.targets for d in draws]).reshape(loops, -1)
     targets = cmsd._finish_targets(s2, coords, j_groups, q)

@@ -1,13 +1,15 @@
 """The benchmark's per-layer tracer must still find every name it wraps."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import numpy as np
 
 import leeisd.cmsd as cmsd
 import leeisd.isd as isd
-from leeisd.cmsd import CmsdDescription
+from leeisd.cmsd import CmsdDescription, LoopPlan
+from leeisd.isd import IsdParams, generate_instance
 from leeisd.weights import WeightFunction
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -52,3 +54,29 @@ def test_each_public_build_is_one_build_span():
             assert names.count("cmsd.build") == 1, names
     finally:
         tracer.restore()
+
+
+def test_every_build_of_a_solve_is_one_span_under_the_solve(monkeypatch):
+    # the solver builds through LoopPlan.build, which calls the variant's
+    # public builder by its module name so that the tracer sees it: each
+    # build is one cmsd.build span, a child of the solve's span, never of
+    # another build's
+    mod = load_tracer()
+    builds = []
+    build = LoopPlan.build
+    monkeypatch.setattr(LoopPlan, "build", lambda plan, *args: builds.append(1) or build(plan, *args))
+    monkeypatch.setattr(isd, "MAX_BATCH", 4)  # bounds work only: several builds per solve
+    wf = WeightFunction.lee(5)
+    inst = generate_instance(5, 20, 10, 3, wf, random.Random(1))
+    for variant, a in (("dumer", 1), ("wagner1", 2), ("wagner2", 2)):
+        tracer = mod.Tracer()
+        builds.clear()
+        try:
+            mod.install(tracer)
+            isd.isd_solve(inst, IsdParams(variant=variant, ell=2, p=2, a=a, rng_seed=5))
+        finally:
+            tracer.restore()
+        names = [tracer.names[i] for i in tracer.name]
+        spans = [i for i, name in enumerate(names) if name == "cmsd.build"]
+        assert len(builds) > 1 and len(spans) == len(builds), (variant, len(builds), len(spans))
+        assert all(names[tracer.parent[i]] == "isd.isd_solve" for i in spans), variant

@@ -129,11 +129,11 @@ def test_wagner2_candidates_match_the_full_row_oracle(lazy):
         (WeightFunction.lee(3), 4, 20, 6, 2, 10 if sampled else DEFAULT_LIST_CAP, 6),
     ):
         q = wf.q
-        plan = cmsd._plan(wf, n, ell, wf.scaled(p), a, True)
+        plan = cmsd.loop_plan("wagner2", wf, n, ell, p, a, cap)
         for seed in range(6):
             nrng = np.random.default_rng(rng.randrange(2**32))
             h2, s2 = random_stack(q, loops, ell, n, nrng)
-            draws = [plan.draw(q, rng, lazy_cap=cap) for _ in range(loops)]
+            draws = [plan.draw(rng) for _ in range(loops)]
             assert (draws[0].leaf_ranks[-1] is not None) == sampled
             try:
                 desc = cmsd_wagner_v2_build(h2, s2, wf, p, a, cap, draws=draws)

@@ -13,7 +13,6 @@ from leeisd.cmsd import (
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
     _finish_targets,
-    _plan,
     loop_plan,
     _sample_ranks,
     _split_lengths,
@@ -55,9 +54,9 @@ def test_split_helpers():
     assert sum(_split_weight(7, 3)) == 7
     # the plan is cached: a repeated call returns the same object, whose J
     # groups are read-only, so no caller can change the next call's groups
-    plan = _plan(WeightFunction.lee(3), 27, 6, 9, 3, True)
-    assert _plan(WeightFunction.lee(3), 27, 6, 9, 3, True) is plan
-    groups = plan[1]
+    plan = loop_plan("wagner2", WeightFunction.lee(3), 27, 6, 9, 3, DEFAULT_LIST_CAP)
+    assert loop_plan("wagner2", WeightFunction.lee(3), 27, 6, 9, 3, DEFAULT_LIST_CAP) is plan
+    groups = plan.j_groups
     assert [g.tolist() for g in groups] == [[0, 1], [2, 3], [4, 5]]
     with pytest.raises(ValueError):
         groups[0][0] = 5
@@ -66,17 +65,25 @@ def test_split_helpers():
 def test_plan_layouts():
     # dumer keeps only the weight splits both halves can carry
     wf = WeightFunction.lee(3)
-    layouts, groups, _ = _plan(wf, 6, 2, 4, 1, False)
+    plan = loop_plan("dumer", wf, 6, 2, 4, 1, DEFAULT_LIST_CAP)
+    layouts, groups = plan.layouts, plan.j_groups
     assert [[b.enum.w_scaled for b in blocks] for blocks in layouts] == [[1, 3], [2, 2], [3, 1]]
     assert all([(b.offset, b.length) for b in blocks] == [(0, 3), (3, 3)] for blocks in layouts)
     assert [g.tolist() for g in groups] == [[0, 1]]
     # wagner2 joins the last two of its 2^a + 1 balanced units into the lazy leaf
-    (blocks,), _, _ = _plan(wf, 8, 2, 4, 1, True)
+    (blocks,) = loop_plan("wagner2", wf, 8, 2, 4, 1, DEFAULT_LIST_CAP).layouts
     assert [(b.offset, b.length, b.enum.w_scaled) for b in blocks] == [(0, 3, 1), (3, 5, 3)]
-    # an infeasible wagner layout is not cached away: every identical call raises
+    # an infeasible wagner layout is one cached plan, and each of its builds
+    # raises a new error, not one stored instance whose traceback grows
+    signature = ("wagner1", WeightFunction.hamming(3), 8, 2, 12, 2, DEFAULT_LIST_CAP)
+    plan = loop_plan(*signature)
+    assert loop_plan(*signature) is plan and plan.infeasible
+    errors = []
     for _ in range(2):
-        with pytest.raises(CmsdInfeasibleError):
-            _plan(WeightFunction.hamming(3), 8, 2, 12, 2, False)
+        with pytest.raises(CmsdInfeasibleError) as err:
+            plan.build(np.zeros((2, 8), dtype=np.int64), np.zeros(2, dtype=np.int64))
+        errors.append(err.value)
+    assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
 
 
 def test_dumer_solve_plans_once():
@@ -85,11 +92,12 @@ def test_dumer_solve_plans_once():
     wf = WeightFunction.lee(3)
     inst = generate_instance(3, 16, 4, 8, wf, random.Random(2))
     params = IsdParams(variant="dumer", ell=2, p=4, max_outer_loops=8, rng_seed=3)
-    assert _plan(wf, 6, 2, 4, 1, False)[0][0][0].enum.w_scaled == 1  # (0, 4), (4, 0) dropped
-    _plan.cache_clear()
+    plan = loop_plan("dumer", wf, 6, 2, 4, 1, DEFAULT_LIST_CAP)
+    assert plan.layouts[0][0].enum.w_scaled == 1  # (0, 4), (4, 0) dropped
+    loop_plan.cache_clear()
     report = isd_solve(inst, params)
     assert report.cmsd_calls > 1
-    assert _plan.cache_info().misses == 1
+    assert loop_plan.cache_info().misses == 1
 
 
 def test_prange_description():
@@ -391,11 +399,11 @@ def wagner2_reference(h2, s2, wf, p, a, cap, seed):
     """
     rng = random.Random(seed)
     q, (ell, n) = h2.q, h2.values.shape
-    p_scaled = wf.scaled(p)
-    plan = _plan(wf, n, ell, p_scaled, a, True)
-    (blocks,), j_groups, _ = plan
+    plan = loop_plan("wagner2", wf, n, ell, p, a, cap)
+    (blocks,), j_groups = plan.layouts, plan.j_groups
     last = blocks[-1]
-    targets = _finish_targets(s2.values, np.array(plan.draw(q, rng).targets), j_groups, q)
+    draw = plan.draw(rng)  # the level targets, then the chain's ranks where it is sampled
+    targets = _finish_targets(s2.values, np.array(draw.targets), j_groups, q)
 
     def build(lo, size):
         """(list, part) where part(backref) resolves one entry's support block."""
@@ -418,7 +426,7 @@ def wagner2_reference(h2, s2, wf, p, a, cap, seed):
         lst, part = build(nb - (1 << j), 1 << (j - 1))
         sides.append((lst.sort_on(tuple(j_groups[j - 1])), part, blocks[nb - (1 << j)].offset))
     cnt = last.enum.count
-    ranks = sorted(_sample_ranks(cnt, cap, rng)) if cnt > cap else range(cnt)
+    ranks = draw.leaf_ranks[-1] if cnt > cap else range(cnt)
     rows = []
     for r in ranks:
         out = np.zeros(n, dtype=np.int64)
@@ -543,11 +551,11 @@ def test_wagner2_survivor_rows_match_full_rows():
         (WeightFunction.hamming(3), 3, 12, 0, 2, DEFAULT_LIST_CAP, 3),
     ):
         q = wf.q
-        plan = _plan(wf, n, ell, wf.scaled(p), a, True)
+        plan = loop_plan("wagner2", wf, n, ell, p, a, cap)
         for seed in range(8):
             h2 = np.array([random_full_rank_matrix(q, ell, n, rng).values for _ in range(loops)])
             s2 = np.array([[rng.randrange(q) for _ in range(ell)] for _ in range(loops)])
-            draws = [plan.draw(q, rng, lazy_cap=cap) for _ in range(loops)]
+            draws = [plan.draw(rng) for _ in range(loops)]
             single = loops == 1
             args = (h2[0], s2[0]) if single else (h2, s2)
             desc = cmsd_wagner_v2_build(*args, wf, p, a, cap, draws=draws)
@@ -582,9 +590,9 @@ def test_wagner2_level_sizes_end_with_the_chain(a, n, p, cap):
     sizes = desc.meta["level_sizes"]
     assert [len(level) for level in sizes] == [1 << (a - j) for j in range(a + 1)]
     assert [level[-1] for level in sizes] == [len(nd.lst) for nd in _chain(desc)]
-    (blocks,), _, _ = _plan(wf, n, ell, wf.scaled(p), a, True)
-    assert sizes[0][-1] == desc.y == loops * min(blocks[-1].enum.count, cap)  # the chain leaf
     plan = loop_plan("wagner2", wf, n, ell, p, a, cap)
+    (blocks,) = plan.layouts
+    assert sizes[0][-1] == desc.y == loops * min(blocks[-1].enum.count, cap)  # the chain leaf
     assert desc.meta["expected_solutions"] == pytest.approx(plan.expected * loops, rel=1e-12)
 
 
@@ -593,11 +601,11 @@ def test_wagner2_stack_cut_at_level_2_after_the_chain_merged():
     # merge of the materialized side overflows for loop 3 and cuts the stack
     wf, ell, n, p, a, cap, loops = WeightFunction.lee(3), 4, 27, 9, 3, 48, 4
     q = wf.q
-    plan = _plan(wf, n, ell, wf.scaled(p), a, True)
+    plan = loop_plan("wagner2", wf, n, ell, p, a, cap)
     rng = np.random.default_rng(1)
     h2, s2 = rng.integers(0, q, (loops, ell, n)), rng.integers(0, q, (loops, ell))
     draw_rng = random.Random(1)
-    draws = [plan.draw(q, draw_rng, lazy_cap=cap) for _ in range(loops)]
+    draws = [plan.draw(draw_rng) for _ in range(loops)]
     desc = cmsd_wagner_v2_build(h2, s2, wf, p, a, cap, draws=draws)
     live = len(desc.starts) - 1
     assert live == 3 and desc.overflow.loop == 3
@@ -640,6 +648,42 @@ def test_draws_refuse_the_randomness_options_they_fix():
     assert got.y == want.y and np.array_equal(got.evaluate_many(every), want.evaluate_many(every))
     lazy = loop_plan("wagner2", wf, 12, 2, 3, 2, DEFAULT_LIST_CAP)
     cmsd_wagner_v2_build(h2, s2, wf, 3, 2, draws=[lazy.draw(random.Random(b)) for b in range(2)])
+
+
+def test_every_plan_draws_and_builds_through_one_contract():
+    # prange, the three merge trees and an infeasible layout alike take
+    # draw(rng), draw(rng, size) and build(h2, s2, draws)
+    lee, ham, cap = WeightFunction.lee(3), WeightFunction.hamming(3), DEFAULT_LIST_CAP
+    rng = np.random.default_rng(8)
+    h2, s2 = rng.integers(0, 3, (2, 2, 12)), rng.integers(0, 3, (2, 2))
+    prange = loop_plan("prange", lee, 12, 0, 0, 1, cap)
+    assert prange.draw(random.Random(0)) is None and prange.draw(random.Random(0), 5) is None
+    assert prange.build(h2[:, :0], s2[:, :0], [None, None]).y == 2
+    for variant, builder, p, a in (
+        ("dumer", lambda *args, draws: cmsd_dumer(*args[:4]), 4, 1),
+        ("wagner1", cmsd_wagner_v1, 4, 2),
+        ("wagner2", cmsd_wagner_v2_build, 3, 2),
+    ):
+        plan = loop_plan(variant, lee, 12, 2, p, a, cap)
+        for size in (None, 5):
+            draws = [plan.draw(random.Random(b), size) for b in range(2)]
+            got = plan.build(h2, s2, draws)
+            want = builder(h2, s2, lee, p, a, draws=draws)
+            every = np.arange(want.y)
+            assert np.array_equal(got.evaluate_many(every), want.evaluate_many(every)), variant
+            # a sized draw subsamples the base lists over size, but dumer lists every sphere
+            sampled = any(r is not None for r in draws[0].leaf_ranks)
+            assert sampled == (size is not None and variant != "dumer"), (variant, size)
+            if variant == "wagner1":  # each loop's four base lists of 6 entries, or 5 sampled
+                assert got.meta["level_sizes"][0] == [2 * (size or 6)] * 4
+    infeasible = loop_plan("wagner1", ham, 8, 2, 12, 2, cap)
+    assert infeasible.draw(random.Random(0)) is None and infeasible.draw(random.Random(0), 5) is None
+    with pytest.raises(CmsdInfeasibleError) as public:
+        cmsd_wagner_v1(h2[:, :, :8], s2, ham, 12, 2)
+    for _ in range(2):
+        with pytest.raises(CmsdInfeasibleError) as err:
+            infeasible.build(h2[:, :, :8], s2, [None, None])
+        assert str(err.value) == str(public.value)
 
 
 def test_sample_ranks_past_int64_are_distinct_and_seeded():

@@ -11,10 +11,10 @@ import pytest
 import leeisd.isd as isd
 from leeisd.cmsd import (
     CmsdInfeasibleError,
-    _plan,
     cmsd_dumer,
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
+    loop_plan,
 )
 from leeisd.fieldlin import (
     FqMatrix,
@@ -264,12 +264,13 @@ def test_stack_meta_sums_the_single_builds_of_its_loops():
         p, loops = int(rng.integers(3 * a - 2, 3 * a + 1)), int(rng.integers(2, 6))
         h2, s2 = rng.integers(0, q, (loops, ell, n)), rng.integers(0, q, (loops, ell))
         h2[-1], s2[-1] = 0, 0  # with zero level targets, the last loop's merges pair everything
-        plan = _plan(wf, n, ell, wf.scaled(p), a, lazy)
+        layouts = loop_plan(variant, wf, n, ell, p, a, DEFAULT_LIST_CAP).layouts
         # caps from base up, so every whole base list fits; wagner2 samples its chain to the cap
-        base = max(b.enum.count for layout in plan.layouts for b in layout[: 4 - lazy])
+        base = max(b.enum.count for layout in layouts for b in layout[: 4 - lazy])
         cap = DEFAULT_LIST_CAP if trial % 4 == 3 else int(base * rng.uniform(1, 2))
         draw_rng = random.Random(trial)
-        draws = [plan.draw(q, draw_rng, lazy_cap=cap if lazy else None) for _ in range(loops)]
+        plan = loop_plan(variant, wf, n, ell, p, a, cap)
+        draws = [plan.draw(draw_rng) for _ in range(loops)]
         draws[-1] = dataclasses.replace(draws[-1], targets=[0] * len(draws[-1].targets))
 
         def build(h, s, d):

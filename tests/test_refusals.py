@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leeisd.cli import main
-from leeisd.cmsd import _plan, cmsd_dumer, cmsd_wagner_v1, cmsd_wagner_v2_build
+from leeisd.cmsd import cmsd_dumer, cmsd_wagner_v1, cmsd_wagner_v2_build, loop_plan
 from leeisd.estimator import (
     AlgoPoint,
     CodeParams,
@@ -17,7 +17,7 @@ from leeisd.estimator import (
 )
 from leeisd.fieldlin import FqMatrix, FqVector, Permutation, validate_modulus
 from leeisd.isd import IsdParams, SdInstance, generate_instance, verify_solution
-from leeisd.merge import IndexedList, merge
+from leeisd.merge import DEFAULT_LIST_CAP, IndexedList, merge
 from leeisd.weights import SphereEnumerator, WeightFunction
 
 HAM3, LEE3 = WeightFunction.hamming(3), WeightFunction.lee(3)
@@ -43,15 +43,23 @@ def bottom_blocks(loops=2, ell=2, n=12):
 
 
 def one_draw():
-    return [_plan(LEE3, 12, 2, 4, 2, False).draw(3, random.Random(0))]
+    return [loop_plan("wagner1", LEE3, 12, 2, 4, 2, DEFAULT_LIST_CAP).draw(random.Random(0))]
 
 
 def plan_draws(a, loops=2, lazy_cap=None):
     """Draws of the wagner1 plan (wagner2's with lazy_cap) at level count a for a
     (loops, 4, 16) stack, weight 4."""
     rng = random.Random(0)
-    plan = _plan(LEE3, 16, 4, 4, a, lazy_cap is not None)
-    return [plan.draw(3, rng, lazy_cap=lazy_cap) for _ in range(loops)]
+    variant = "wagner1" if lazy_cap is None else "wagner2"
+    plan = loop_plan(variant, LEE3, 16, 4, 4, a, lazy_cap or DEFAULT_LIST_CAP)
+    return [plan.draw(rng) for _ in range(loops)]
+
+
+def bad_plan(**change):
+    """The loop_plan call of a wagner1 signature (lee(3), n = 12, ell = 2, p = 4, a = 2) with
+    change applied."""
+    args = dict(variant="wagner1", wf=LEE3, n=12, ell=2, p=4, a=2, cap=DEFAULT_LIST_CAP)
+    return lambda: loop_plan(**(args | change))
 
 
 def dumer_desc():
@@ -117,6 +125,11 @@ REFUSALS = [  # (label, call, exception type)
         ),
         ValueError,
     ),
+    ("loop_plan a = 0", bad_plan(a=0), ValueError),
+    ("loop_plan variant wagner9", bad_plan(variant="wagner9"), ValueError),
+    ("loop_plan ell = -2", bad_plan(ell=-2), ValueError),
+    ("loop_plan ell = 20 > n = 12", bad_plan(ell=20), ValueError),
+    ("loop_plan cap = 0", bad_plan(cap=0), ValueError),
     ("weight budget -1", lambda: cmsd_dumer(*bottom_blocks(), LEE3, -1), ValueError),
     ("level count 0", lambda: cmsd_wagner_v1(*bottom_blocks(), LEE3, 4, 0), ValueError),
     ("CodeParams rate 1.5", lambda: CodeParams(LEE3, 1.5, 0.5), ValueError),
