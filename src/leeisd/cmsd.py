@@ -234,8 +234,7 @@ class LoopPlan:
         """
         if not self.layouts:
             return None
-        variant, wf, *_, cap = self.key
-        a = len(self.j_groups)
+        variant, wf, _, _, _, a, cap = self.key
         coords = sum(((1 << (a - j)) - 1) * len(J) for j, J in enumerate(self.j_groups, 1))
         targets = [rng.randrange(wf.q) for _ in range(coords)]
         blocks = [b for layout in self.layouts for b in layout]
@@ -730,7 +729,8 @@ def cmsd_wagner_v1(
     draws gives each loop's randomness, else each loop draws from
     Random(0) in turn.  Draws from loop_plan("wagner1", ...).draw(rng,
     size) subsample every base list to size entries, matching the
-    asymptotic sizing rule.
+    asymptotic sizing rule.  Draws of another plan are refused, one taken
+    at another list_size_cap too, though no wagner1 draw depends on it.
     """
     h2, s2, single = _stack(h_second, s_second)
     plan = loop_plan("wagner1", wf, h2.shape[2], h2.shape[1], _to_fraction(p), a, list_size_cap)

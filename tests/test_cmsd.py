@@ -402,8 +402,7 @@ def wagner2_reference(h2, s2, wf, p, a, cap, seed):
     plan = loop_plan("wagner2", wf, n, ell, p, a, cap)
     (blocks,), j_groups = plan.layouts, plan.j_groups
     last = blocks[-1]
-    draw = plan.draw(rng)  # the level targets, then the chain's ranks where it is sampled
-    targets = _finish_targets(s2.values, np.array(draw.targets), j_groups, q)
+    targets = _finish_targets(s2.values, np.array(plan.draw(rng).targets), j_groups, q)
 
     def build(lo, size):
         """(list, part) where part(backref) resolves one entry's support block."""
@@ -426,7 +425,10 @@ def wagner2_reference(h2, s2, wf, p, a, cap, seed):
         lst, part = build(nb - (1 << j), 1 << (j - 1))
         sides.append((lst.sort_on(tuple(j_groups[j - 1])), part, blocks[nb - (1 << j)].offset))
     cnt = last.enum.count
-    ranks = draw.leaf_ranks[-1] if cnt > cap else range(cnt)
+    rng = random.Random(seed)  # replayed: the level targets, then the chain's ranks
+    for _ in range(sum(((1 << (a - j)) - 1) * len(J) for j, J in enumerate(j_groups, 1))):
+        rng.randrange(q)
+    ranks = sorted(_sample_ranks(cnt, cap, rng)) if cnt > cap else range(cnt)
     rows = []
     for r in ranks:
         out = np.zeros(n, dtype=np.int64)

@@ -125,6 +125,11 @@ REFUSALS = [  # (label, call, exception type)
         ),
         ValueError,
     ),
+    (
+        "wagner1 cap 1000 with draws of the default cap",
+        lambda: cmsd_wagner_v1(*bottom_blocks(ell=4, n=16), LEE3, 4, 2, 1000, draws=plan_draws(2)),
+        ValueError,
+    ),
     ("loop_plan a = 0", bad_plan(a=0), ValueError),
     ("loop_plan variant wagner9", bad_plan(variant="wagner9"), ValueError),
     ("loop_plan ell = -2", bad_plan(ell=-2), ValueError),
