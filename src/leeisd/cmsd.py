@@ -70,7 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .estimator import _list_exponent
-from .fieldlin import _integer_array
+from .fieldlin import _integer_array, _to_int
 from .merge import (
     DEFAULT_LIST_CAP,
     IndexedList,
@@ -279,10 +279,12 @@ def _split_weight(w_scaled: int, nblocks: int) -> list[int]:
     return [cuts[i + 1] - cuts[i] for i in range(nblocks)]
 
 
-@lru_cache(maxsize=128)
 def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap: int) -> LoopPlan:
     """The LoopPlan of a back end on bottom blocks of shape (ell, n): one object per signature.
 
+    n, ell, a and cap are read as integers and p as a rational before the
+    cache is consulted, so p = 1, Fraction(1) and "1" share one plan, and
+    a float, bool or unhashable argument is a ValueError, not a cache key.
     A variant outside VARIANTS, ell outside [0, n], or a or cap below 1
     is a ValueError, and a p off the table unit a CmsdInfeasibleError.
     wagner1 lays out 2^a balanced blocks; at a = 1 (dumer, whatever a it
@@ -299,12 +301,18 @@ def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap
     each, following the estimator's list-size law u = _list_exponent(s0,
     ell/n, a, lazy); the last absorbs the remainder.
     """
+    n, ell, a, cap = _to_int(n, "n"), _to_int(ell, "ell"), _to_int(a, "a"), _to_int(cap, "cap")
     if variant not in VARIANTS or not 0 <= ell <= n or a < 1 or cap < 1:
         raise ValueError(
             f"need a variant of {VARIANTS}, 0 <= ell <= n, a >= 1 and cap >= 1;"
             f" got {variant!r}, ell={ell}, n={n}, a={a}, cap={cap}"
         )
-    p = _to_fraction(p)
+    return _cached_plan(variant, wf, n, ell, _to_fraction(p), a, cap)
+
+
+@lru_cache(maxsize=128)
+def _cached_plan(variant, wf: WeightFunction, n: int, ell: int, p: Fraction, a: int, cap: int):
+    """loop_plan of arguments it has read and checked."""
     if p < 0:
         raise ValueError("weight budget must be nonnegative")
     p_scaled = wf.scaled(p)
@@ -315,7 +323,7 @@ def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap
     if variant == "prange" and (ell or p):
         raise ValueError("prange requires ell = 0 and p = 0")
     if variant == "dumer" and a != 1:  # one level, so one plan, whatever a is
-        return loop_plan(variant, wf, n, ell, p, 1, cap)
+        return _cached_plan(variant, wf, n, ell, p, 1, cap)
     key = (variant, wf, n, ell, p, a, cap)
     if variant == "prange":
         return LoopPlan(key, expected=1.0)
@@ -367,6 +375,9 @@ def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap
         rows[-1] = min(rows[-1], cap)
     expected = None if each_split else _expected(rows, groups, wf.q)
     return LoopPlan(key, feasible, groups, sum(rows), expected)
+
+
+loop_plan.cache_info, loop_plan.cache_clear = _cached_plan.cache_info, _cached_plan.cache_clear
 
 
 def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:

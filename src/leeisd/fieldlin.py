@@ -5,11 +5,12 @@ the modulus is restricted to primes below 2**16 so that int64 accumulation
 never overflows for any realistic dimension (partial elimination and
 rank defer their reductions on that bound).  FqVector and FqMatrix are the
 boundary types: they validate and freeze data where it enters or leaves
-the library (instances, solutions, the CLI), and np.asarray turns either
-into its values.  Permutation and partial elimination work on plain int64
-arrays already reduced mod q; elimination mutates a local scratch copy
-only, and pivots over all rows, so it flags a matrix singular only when
-its leading columns are rank-deficient.
+the library (instances, solutions, the CLI), store each residue in one
+byte (two above q = 256), and values or np.asarray gives a read-only
+int64 copy.  Permutation and partial elimination work on plain integer
+arrays already reduced mod q; elimination mutates a local int64 scratch
+copy only, and pivots over all rows, so it flags a matrix singular only
+when its leading columns are rank-deficient.
 """
 
 from __future__ import annotations
@@ -73,45 +74,65 @@ def _to_int(x, name: str) -> int:
     return int(x)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.int64, copy=True)
+def _freeze(arr, dtype=np.int64) -> np.ndarray:
+    out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _FqArray:
-    """Immutable int64 array of a fixed rank (_ndim) with entries in [0, q).
+    """Immutable array of a fixed rank (_ndim) with entries in [0, q).
 
-    An input of lower rank gains leading axes of length one before the one
-    frozen copy is taken, so values is never a view of another array.
+    The entries are stored in the narrowest unsigned type that holds q - 1:
+    uint8 for q <= 256, uint16 below MAX_MODULUS.  They are checked on the
+    input before it is narrowed, and an input of lower rank gains leading
+    axes of length one, so the one frozen copy is never a view of another
+    array.  values and np.asarray give the entries as int64.
     """
 
     q: int
-    values: np.ndarray
+    _stored: np.ndarray
+
+    def __init__(self, q: int, values):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_stored", values)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "q", validate_modulus(self.q))
-        vals = _integer_array(self.values)
-        vals = _freeze(vals.reshape((1,) * (self._ndim - vals.ndim) + vals.shape))
+        vals = _integer_array(self._stored)
+        vals = vals.reshape((1,) * (self._ndim - vals.ndim) + vals.shape)
         if vals.ndim != self._ndim:
             raise ValueError(self._rank_error)
         if vals.size and (vals.min() < 0 or vals.max() >= self.q):
             raise ValueError(f"entries must lie in [0, {self.q})")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_stored", _freeze(vals, np.uint8 if self.q <= 256 else np.uint16))
+
+    @property
+    def residues(self) -> np.ndarray:
+        """The stored entries, read-only: integer type not fixed; do arithmetic on `values`."""
+        return self._stored
+
+    @property
+    def values(self) -> np.ndarray:
+        """The entries as a read-only int64 copy, made on each access."""
+        return _freeze(self._stored)
 
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
             and self.q == other.q
-            and np.array_equal(self.values, other.values)
+            and np.array_equal(self._stored, other._stored)
         )
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the int64 entries of an Fq array are always a copy")
         return np.array(self.values, dtype=dtype, copy=copy)
 
     def tolist(self) -> list:
-        return self.values.tolist()
+        return self._stored.tolist()
 
 
 class FqVector(_FqArray):
@@ -120,7 +141,7 @@ class FqVector(_FqArray):
     _ndim, _rank_error = 1, "vector must be one-dimensional"
 
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return int(self._stored.shape[0])
 
 
 class FqMatrix(_FqArray):
@@ -130,11 +151,11 @@ class FqMatrix(_FqArray):
 
     @property
     def rows(self) -> int:
-        return int(self.values.shape[0])
+        return int(self._stored.shape[0])
 
     @property
     def cols(self) -> int:
-        return int(self.values.shape[1])
+        return int(self._stored.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +243,7 @@ def rank(m: FqMatrix) -> int:
     each step moves an entry by less than q^2, so for fewer than 2^15
     steps and q < 2^16 every product stays below 2^63.
     """
-    a = np.array(m.values, dtype=np.int64)
+    a = np.array(m.residues, dtype=np.int64)
     q, inv = m.q, _inverses(m.q)
     rows, cols = a.shape
     r = 0
@@ -312,7 +333,8 @@ def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> Par
     member is flagged in singular, never raised.
 
     Args:
-        h: (n - k) x n int64 array with entries in [0, q), or a stack of them.
+        h: (n - k) x n array of any integer dtype with entries in [0, q),
+            or a stack of them; it is widened to int64 in the one copy made.
         ell: number of bottom rows left unreduced, 0 <= ell <= n - k.
         s: syndrome of length n - k, entries in [0, q), or a stack of them.
         q: the prime modulus.

@@ -73,6 +73,12 @@ class SdInstance:
     planted: FqVector | None = None
 
     def __post_init__(self):
+        if not (
+            isinstance(self.h, FqMatrix)
+            and isinstance(self.s, FqVector)
+            and isinstance(self.planted, (FqVector, type(None)))
+        ):
+            raise ValueError("h must be an FqMatrix, and s and planted FqVectors or None")
         for name in ("n", "k"):
             object.__setattr__(self, name, _to_int(getattr(self, name), name))
         object.__setattr__(self, "w", _to_fraction(self.w))
@@ -84,6 +90,8 @@ class SdInstance:
             raise ValueError("syndrome must have length n-k")
         if self.q != self.h.q or self.q != self.s.q or self.q != self.wf.q:
             raise ValueError("modulus mismatch within instance")
+        if self.planted is not None and (len(self.planted) != self.n or self.planted.q != self.q):
+            raise ValueError("planted solution must have length n and modulus q")
 
     def check_well_formed(self) -> None:
         """Full invariant check: rank of H, and the planted solution if any."""
@@ -349,6 +357,8 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
     budget = params.max_outer_loops if p1 > 0.0 else 0
     w_rem = inst.wf.scaled(inst.w - params.p)
     most = max(1, min(MAX_BATCH, BATCH_ROWS // max(plan.rows, 1)))
+    # the gather reads the narrow storage; elimination widens its one copy to int64
+    h_stored, s_stored = inst.h.residues, inst.s.residues
 
     def per_hit(z: float) -> int:
         return math.ceil(1.0 / max(p1 * max(z, 1e-300), 1e-12))
@@ -366,8 +376,8 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
         batch = min(size, most, budget - loops)
         start = rng.getstate()
         perms, draws = _draw_ahead(inst, rng, plan.draw, batch)
-        h = np.stack([apply_permutation(inst.h.values, perm) for perm in perms])
-        syndromes = np.broadcast_to(inst.s.values, h.shape[:-1])
+        h = np.stack([apply_permutation(h_stored, perm) for perm in perms])
+        syndromes = np.broadcast_to(s_stored, h.shape[:-1])
         ech = partial_gaussian_elim(h, params.ell, syndromes, inst.q)
         # the batch stops before its first singular elimination: the loops
         # before it are built and tested, and that loop draws a new permutation

@@ -1,8 +1,10 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+import leeisd.isd as isd
 import oracles
 from leeisd.fieldlin import (
     FqMatrix,
@@ -15,6 +17,8 @@ from leeisd.fieldlin import (
     rank,
     validate_modulus,
 )
+from leeisd.isd import SdInstance, verify_solution
+from leeisd.weights import WeightFunction
 
 
 def test_modulus_validation():
@@ -399,3 +403,66 @@ def test_stacked_elimination_matches_one_matrix_at_a_time(q):
             for block in ("h_prime", "h_second", "s_prime", "s_second"):
                 assert np.array_equal(getattr(stack, block)[b], getattr(one, block))
     assert flagged > 0
+
+
+def test_residues_are_stored_in_one_byte_or_two():
+    for q, width in ((3, 1), (251, 1), (257, 2), (65521, 2)):
+        v, m = FqVector(q, [0, q - 1]), FqMatrix(q, [[q - 1], [1]])
+        assert v.residues.itemsize == m.residues.itemsize == width, q
+        assert not v.residues.flags.writeable and not m.residues.flags.writeable
+        assert v.tolist() == [0, q - 1] and m.tolist() == [[q - 1], [1]]
+        assert (len(v), m.rows, m.cols) == (2, 2, 1)
+        assert v == FqVector(q, np.array([0, q - 1])) and m != FqMatrix(q, [[q - 1], [0]])
+
+
+def test_entries_are_checked_before_they_are_narrowed():
+    # each of these wraps to 1 in the storage type of its q
+    for q, x in ((3, 257), (3, -255), (257, 65537)):
+        with pytest.raises(ValueError, match="entries must lie"):
+            FqVector(q, [x])
+
+
+def test_values_and_asarray_are_read_only_int64_copies():
+    v = FqVector(251, [250, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an __array__ without copy= warns under numpy 2
+        for arr in (v.values, np.asarray(v), FqMatrix(3, [[2]]).values):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert v.values is not v.values
+        with pytest.raises(ValueError, match="copy"):
+            np.asarray(v, copy=False)  # the int64 entries never exist without a copy
+        fresh = np.array(v)
+        fresh[0] = 0
+        assert fresh.dtype == np.int64 and v.tolist() == [250, 3]
+        assert np.asarray(v, dtype=np.float64).tolist() == [250.0, 3.0]
+
+
+def test_products_at_the_largest_modulus_match_python_ints(monkeypatch):
+    # entries up to q - 1 are stored in uint16: a product taken before the
+    # widening to int64 would wrap, so each result is checked on Python ints
+    q, n, k, seed = 65521, 100, 60, 3
+    rng = random.Random(7)
+    h = random_full_rank_matrix(q, n - k, n, rng)
+    e = [0] * n
+    for i in rng.sample(range(n), 3):
+        e[i] = q - 1 - rng.randrange(8)
+    rows = h.tolist()
+    s = [sum(x * y for x, y in zip(row, e)) % q for row in rows]
+    assert mat_vec_mul(h, FqVector(q, e)).tolist() == s
+    inst = SdInstance(q, n, k, 3, WeightFunction.hamming(q), h, FqVector(q, s), FqVector(q, e))
+    assert verify_solution(inst, inst.planted)
+    i = next(i for i, x in enumerate(e) if x)
+    assert not verify_solution(inst, FqVector(q, e[:i] + [e[i] - 1] + e[i + 1 :]))
+    seen = []
+
+    def elim(h_stack, ell, s_stack, q):
+        seen.append((h_stack, s_stack))
+        return partial_gaussian_elim(h_stack, ell, s_stack, q)
+
+    monkeypatch.setattr(isd, "partial_gaussian_elim", elim)
+    isd.isd_solve(inst, isd.IsdParams(max_outer_loops=1, rng_seed=seed))
+    h_stack, s_stack = seen[0]
+    images = Permutation.random(n, random.Random(seed)).images.tolist()
+    assert h_stack[0].tolist() == [[row[j] for j in images] for row in rows]
+    assert s_stack[0].tolist() == s
+    _assert_matches_reference(partial_gaussian_elim(h_stack, 0, s_stack, q), h_stack, 0, s_stack, q)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -525,3 +526,21 @@ def test_generated_instances_pinned(shape, expected):
             for arr in (inst.h, inst.s, inst.planted):
                 digest.update(np.asarray(arr, dtype="<i8").tobytes())
     assert digest.hexdigest()[:16] == expected
+
+
+# tracemalloc bytes held per generated (36, 18, 8) instance at q = 3: about
+# 1,520 with one byte per residue and 6,430 with eight; the bound lies between
+HELD_BYTES_PER_INSTANCE = 3000
+
+
+def test_held_instances_store_residues_narrow():
+    wf = WeightFunction.lee(3)
+    generate_instance(3, 36, 18, 8, wf, random.Random(0))  # the caches fill outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [generate_instance(3, 36, 18, 8, wf, random.Random(i)) for i in range(1, 201)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 200 and grown <= 200 * HELD_BYTES_PER_INSTANCE, grown

@@ -1,6 +1,8 @@
 """Every refusal of a bad input is one exception of a stated type with a one-line message."""
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ def instance(n=4, k=2, h_rows=2, s_len=2, wf=HAM3, h=None, planted=None):
     h = np.zeros((h_rows, n), dtype=np.int64) if h is None else np.asarray(h)
     e = None if planted is None else FqVector(3, planted)
     return SdInstance(3, n, k, 1, wf, FqMatrix(3, h), FqVector(3, np.zeros(s_len, int)), e)
+
+
+def swapped(**change):
+    """An SdInstance call with the fields in change replaced."""
+    return lambda: dataclasses.replace(instance(), **change)
 
 
 def pair():
@@ -72,6 +79,11 @@ REFUSALS = [  # (label, call, exception type)
     ("SdInstance H of the wrong shape", lambda: instance(h_rows=3), ValueError),
     ("SdInstance short s", lambda: instance(s_len=1), ValueError),
     ("SdInstance table of another q", lambda: instance(wf=WeightFunction.lee(5)), ValueError),
+    ("SdInstance ndarray H", swapped(h=np.zeros((2, 4), dtype=np.int64)), ValueError),
+    ("SdInstance ndarray s", swapped(s=np.zeros(2, dtype=np.int64)), ValueError),
+    ("SdInstance ndarray planted", swapped(planted=np.zeros(4, dtype=np.int64)), ValueError),
+    ("SdInstance planted of length 3", lambda: instance(planted=[0, 0, 0]), ValueError),
+    ("SdInstance planted over F_5", swapped(planted=FqVector(5, [0] * 4)), ValueError),
     ("check_well_formed zero H", lambda: instance().check_well_formed(), ValueError),
     (
         "check_well_formed planted non-solution",
@@ -135,6 +147,13 @@ REFUSALS = [  # (label, call, exception type)
     ("loop_plan ell = -2", bad_plan(ell=-2), ValueError),
     ("loop_plan ell = 20 > n = 12", bad_plan(ell=20), ValueError),
     ("loop_plan cap = 0", bad_plan(cap=0), ValueError),
+    ("loop_plan p = [1]", bad_plan(p=[1]), ValueError),
+    ("loop_plan p a 0-d array", bad_plan(p=np.array(1)), ValueError),
+    ("loop_plan cap = [100]", bad_plan(cap=[100]), ValueError),
+    ("loop_plan a = 1.5", bad_plan(a=1.5), ValueError),
+    ("loop_plan n = 12.0", bad_plan(n=12.0), ValueError),
+    ("loop_plan cap = 100.5", bad_plan(cap=100.5), ValueError),
+    ("loop_plan ell = True", bad_plan(ell=True), ValueError),
     ("weight budget -1", lambda: cmsd_dumer(*bottom_blocks(), LEE3, -1), ValueError),
     ("level count 0", lambda: cmsd_wagner_v1(*bottom_blocks(), LEE3, 4, 0), ValueError),
     ("CodeParams rate 1.5", lambda: CodeParams(LEE3, 1.5, 0.5), ValueError),
@@ -182,3 +201,10 @@ def test_verify_solution_refuses_a_vector_of_another_length_or_field():
     assert verify_solution(inst, inst.planted)
     assert not verify_solution(inst, FqVector(3, inst.planted.values[:-1]))
     assert not verify_solution(inst, FqVector(5, inst.planted.values))
+
+
+def test_loop_plan_reads_its_arguments_before_its_cache():
+    # equal values are one signature, so one plan builds its spheres once
+    one, *others = (bad_plan(p=p)() for p in (1, Fraction(1), "1", np.int64(1)))
+    assert all(plan is one for plan in others)
+    assert bad_plan(n=np.int64(12), cap=np.int32(DEFAULT_LIST_CAP))() is bad_plan()()
