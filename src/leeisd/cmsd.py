@@ -45,14 +45,15 @@ and only the leaf syndromes, the targets and the merges are computed per
 build.  An outer loop meets every back end through its plan alone:
 plan.draw(rng) before the elimination, plan.build(h2, s2, draws) after.
 
-Every builder also takes a stack of B bottom blocks, one per outer loop
-(h_second of shape (B, ell, n), s_second of shape (B, ell)), and builds
-them in one pass: the leaf syndromes of all loops come from one product
-per leaf, and every list carries its group b * S + s (loop b, split s of
-S; S = 1 but at dumer) as the most significant sort key, so each loop
-gets exactly the lists, and candidates in exactly the order, that its own
-build would give.  The description of a stack lists loop b's candidates
-at indices starts[b]..starts[b+1]-1.
+Every build is of a stack of B >= 1 bottom blocks, one per outer loop
+(h_second of shape (B, ell, n), s_second of shape (B, ell)); one block
+(ell, n) with s'' (ell,) is a stack of one.  The loops are built in one
+pass: the leaf syndromes of all loops come from one product per leaf,
+and every list carries its group b * S + s (loop b, split s of S; S = 1
+but at dumer) as the most significant sort key, so each loop gets
+exactly the lists, and candidates in exactly the order, that its own
+build would give.  Every description lists loop b's candidates at
+indices starts[b]..starts[b+1]-1; it holds no H'' or s''.
 
 Support blocks and per-block weight budgets are balanced to within one
 unit (deterministic left-to-right) when exact divisibility fails.
@@ -135,43 +136,34 @@ class _Node:
 
 @dataclass(eq=False)
 class CmsdDescription:
-    """Evaluable function f over [y) plus the data needed to compute it.
+    """Evaluable function f over [y) of a stack of loops: what the outer loop reads.
 
     The candidates are the entries of root, entry i at domain index dom[i]
-    (ascending); candidates(lo, hi) gives those in [lo, hi) with their
-    rows.  evaluate_many(idx) returns one row of the stated length per
-    index, the zero vector where an index holds no candidate; evaluate(i)
-    is its one-index view.  Every candidate satisfies the syndrome and
-    weight constraints by construction.  A domain is never empty: y is at
-    least 1.
+    (ascending), loop b's at indices starts[b]..starts[b+1]-1, at least one
+    index a loop, so y = starts[-1] >= 1.  candidates(lo, hi) gives those in
+    [lo, hi) with their rows; evaluate_many(idx) gives one row of length
+    root.sup[1] = n per index, the zero vector where an index holds no
+    candidate, and evaluate(i) is its one-index view.  Every candidate meets
+    its loop's syndrome and weight constraints by construction.
 
-    A stack's description has h_second (B, ell, n) and s_second (B, ell)
-    and lists loop b at indices starts[b]..starts[b+1]-1, each loop's part
-    at least 1 long.  It may end before its last loop: when loop B' would
-    overflow list_size_cap, only loops 0..B'-1 are described and overflow
-    holds the error loop B' raises (a single build raises it at once).
+    When loop B' > 0 of the stack would overflow list_size_cap, only loops
+    0..B'-1 are described and overflow holds the error loop B' raises
+    (loop 0 raises it at once).
     """
 
-    weight: Fraction
     y: int
-    h_second: np.ndarray
-    s_second: np.ndarray
-    wf: WeightFunction
     meta: dict
     root: _Node = field(repr=False)
     dom: np.ndarray = field(repr=False)
-    starts: np.ndarray | None = None
+    starts: np.ndarray
     overflow: MergeOverflowError | None = None
-
-    def __post_init__(self):
-        self.y = max(self.y, 1)
 
     def evaluate_many(self, idx) -> np.ndarray:
         idx = np.asarray(_integer_array(idx), dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= self.y)]
         if bad.size:
             raise IndexError(f"index {bad[0]} outside [0, {self.y})")
-        out = np.zeros((len(idx), self.h_second.shape[-1]), dtype=np.int64)
+        out = np.zeros((len(idx), self.root.sup[1]), dtype=np.int64)
         pos = self.dom.searchsorted(idx)
         hit = pos < len(self.dom)
         hit[hit] = self.dom[pos[hit]] == idx[hit]
@@ -284,7 +276,8 @@ def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap
 
     n, ell, a and cap are read as integers and p as a rational before the
     cache is consulted, so p = 1, Fraction(1) and "1" share one plan, and
-    a float, bool or unhashable argument is a ValueError, not a cache key.
+    a float, bool or unhashable argument, or a wf that is not a
+    WeightFunction, is a ValueError, not a cache key.
     A variant outside VARIANTS, ell outside [0, n], or a or cap below 1
     is a ValueError, and a p off the table unit a CmsdInfeasibleError.
     wagner1 lays out 2^a balanced blocks; at a = 1 (dumer, whatever a it
@@ -301,6 +294,8 @@ def loop_plan(variant: str, wf: WeightFunction, n: int, ell: int, p, a: int, cap
     each, following the estimator's list-size law u = _list_exponent(s0,
     ell/n, a, lazy); the last absorbs the remainder.
     """
+    if not isinstance(wf, WeightFunction):
+        raise ValueError(f"wf must be a WeightFunction, not {wf!r}")
     n, ell, a, cap = _to_int(n, "n"), _to_int(ell, "ell"), _to_int(a, "a"), _to_int(cap, "cap")
     if variant not in VARIANTS or not 0 <= ell <= n or a < 1 or cap < 1:
         raise ValueError(
@@ -380,16 +375,18 @@ def _cached_plan(variant, wf: WeightFunction, n: int, ell: int, p: Fraction, a: 
 loop_plan.cache_info, loop_plan.cache_clear = _cached_plan.cache_info, _cached_plan.cache_clear
 
 
-def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(H'' stack, s'' stack, single): one bottom block becomes a stack of one."""
+def _stack(h_second, s_second) -> tuple[np.ndarray, np.ndarray]:
+    """(H'' stack, s'' stack) of B >= 1 loops: one bottom block becomes a stack of one."""
     h2, s2 = np.asarray(h_second), np.asarray(s_second)
     if h2.ndim not in (2, 3) or s2.shape != h2.shape[:-1]:
         raise ValueError(
             "need h_second (ell, n) and s_second (ell,), or stacks (B, ell, n) and (B, ell)"
         )
     if h2.ndim == 2:
-        return h2[None], s2[None], True
-    return h2, s2, False
+        return h2[None], s2[None]
+    if not len(h2):
+        raise ValueError("need a stack of at least one bottom block, got none")
+    return h2, s2
 
 
 def _loop_draws(plan: LoopPlan, loops: int, draws):
@@ -594,46 +591,7 @@ def _merge_levels(
     return levels
 
 
-def _describe(p_frac, h2, s2, single, wf, meta, starts, root, dom) -> CmsdDescription:
-    """The description of a stack, or of the one loop of a single build."""
-    return CmsdDescription(
-        weight=p_frac,
-        y=int(starts[-1]),
-        h_second=h2[0] if single else h2,
-        s_second=s2[0] if single else s2,
-        wf=wf,
-        meta=meta,
-        root=root,
-        dom=dom,
-        starts=None if single else starts,
-    )
-
-
-def cmsd_prange(
-    h_second: np.ndarray, s_second: np.ndarray, wf: WeightFunction, p
-) -> CmsdDescription:
-    """Trivial description: the zero candidate (requires ell = 0 and p = 0)."""
-    h2, s2, single = _stack(h_second, s_second)
-    loops, ell, k = h2.shape
-    if ell != 0:
-        raise ValueError("prange back end requires an empty bottom block (ell = 0)")
-    if _to_fraction(p) != 0:
-        raise ValueError("prange back end requires weight budget p = 0")
-    zero = IndexedList(wf.q, np.zeros((loops, 0)), np.zeros(loops, dtype=np.int64))
-    return _describe(
-        Fraction(0),
-        h2,
-        s2,
-        single,
-        wf,
-        {"variant": "prange", "expected_solutions": float(loops)},
-        np.arange(loops + 1),
-        _Node(zero, (0, k), vecs=np.zeros((1, k), dtype=np.int64)),
-        np.arange(loops),
-    )
-
-
-def _build_tree(plan: LoopPlan, h2, s2, single: bool, draws) -> CmsdDescription:
+def _build_tree(plan: LoopPlan, h2, s2, draws) -> CmsdDescription:
     """Wagner's k-tree over the 2^a support blocks of plan; dumer is the case a = 1.
 
     At a = 1 every weight split (w1, p - w1) that both halves can carry is
@@ -652,9 +610,9 @@ def _build_tree(plan: LoopPlan, h2, s2, single: bool, draws) -> CmsdDescription:
     solutions over all S splits do.  A stack whose first failing loop is
     b > 0 is the build of its loops 0..b-1 with their draws, which carries
     the error of loop b as overflow unless it carries an earlier loop's;
-    a single build, or loop 0, raises.  A whole base list over cap raises
-    at once: it fails every loop.  An infeasible plan raises a new
-    CmsdInfeasibleError each build.
+    loop 0 raises.  A whole base list over cap raises at once: it fails
+    every loop.  An infeasible plan raises a new CmsdInfeasibleError each
+    build.
     """
     if plan.infeasible is not None:
         raise CmsdInfeasibleError(plan.infeasible)
@@ -679,7 +637,7 @@ def _build_tree(plan: LoopPlan, h2, s2, single: bool, draws) -> CmsdDescription:
         error = MergeOverflowError(str(exc), b)
         if b == 0:
             raise error from None
-        head = _build_tree(plan, h2[:b], s2[:b], False, draws[:b])
+        head = _build_tree(plan, h2[:b], s2[:b], draws[:b])
         head.overflow = head.overflow or error
         return head
     sizes = [len(nd.lst) // loops for nd in leaves]  # one loop's; level sizes count every loop
@@ -706,7 +664,28 @@ def _build_tree(plan: LoopPlan, h2, s2, single: bool, draws) -> CmsdDescription:
             "level_sizes": [[len(nd.lst) for nd in lvl] for lvl in levels],
             "expected_solutions": _expected(sizes, plan.j_groups, q) * loops,
         }
-    return _describe(p, h2, s2, single, wf, meta, starts, root, dom)
+    return CmsdDescription(y=int(starts[-1]), meta=meta, root=root, dom=dom, starts=starts)
+
+
+def _build(variant, h_second, s_second, wf, p, a: int, cap: int, draws) -> CmsdDescription:
+    """Every public builder's body: the stack, its plan, then the build (prange's inline)."""
+    h2, s2 = _stack(h_second, s_second)
+    plan = loop_plan(variant, wf, h2.shape[2], h2.shape[1], p, a, cap)
+    if variant != "prange":
+        return _build_tree(plan, h2, s2, draws)
+    loops, _, k = h2.shape
+    zero = IndexedList(wf.q, np.zeros((loops, 0)), np.zeros(loops, dtype=np.int64))
+    root = _Node(zero, (0, k), vecs=np.zeros((1, k), dtype=np.int64))
+    meta = {"variant": "prange", "expected_solutions": float(loops)}
+    dom, starts = np.arange(loops), np.arange(loops + 1)
+    return CmsdDescription(y=loops, meta=meta, root=root, dom=dom, starts=starts)
+
+
+def cmsd_prange(
+    h_second: np.ndarray, s_second: np.ndarray, wf: WeightFunction, p
+) -> CmsdDescription:
+    """Trivial description: the zero candidate (requires ell = 0 and p = 0)."""
+    return _build("prange", h_second, s_second, wf, p, 1, DEFAULT_LIST_CAP, None)
 
 
 def cmsd_dumer(
@@ -717,9 +696,7 @@ def cmsd_dumer(
     list_size_cap: int = DEFAULT_LIST_CAP,
 ) -> CmsdDescription:
     """Single-level birthday construction over two support halves: wagner_v1 at a = 1."""
-    h2, s2, single = _stack(h_second, s_second)
-    plan = loop_plan("dumer", wf, h2.shape[2], h2.shape[1], _to_fraction(p), 1, list_size_cap)
-    return _build_tree(plan, h2, s2, single, None)
+    return _build("dumer", h_second, s_second, wf, p, 1, list_size_cap, None)
 
 
 def cmsd_wagner_v1(
@@ -743,9 +720,7 @@ def cmsd_wagner_v1(
     asymptotic sizing rule.  Draws of another plan are refused, one taken
     at another list_size_cap too, though no wagner1 draw depends on it.
     """
-    h2, s2, single = _stack(h_second, s_second)
-    plan = loop_plan("wagner1", wf, h2.shape[2], h2.shape[1], _to_fraction(p), a, list_size_cap)
-    return _build_tree(plan, h2, s2, single, draws)
+    return _build("wagner1", h_second, s_second, wf, p, a, list_size_cap, draws)
 
 
 def cmsd_wagner_v2_build(
@@ -772,6 +747,4 @@ def cmsd_wagner_v2_build(
     loop_plan("wagner2", ...).draw), else each loop draws from Random(0)
     in turn.
     """
-    h2, s2, single = _stack(h_second, s_second)
-    plan = loop_plan("wagner2", wf, h2.shape[2], h2.shape[1], _to_fraction(p), a, list_size_cap)
-    return _build_tree(plan, h2, s2, single, draws)
+    return _build("wagner2", h_second, s_second, wf, p, a, list_size_cap, draws)

@@ -134,6 +134,9 @@ class _FqArray:
     def tolist(self) -> list:
         return self._stored.tolist()
 
+    def __reduce__(self):  # pickle and deepcopy rebuild through the checks, read-only again
+        return type(self), (self.q, self._stored)
+
 
 class FqVector(_FqArray):
     """Immutable vector with entries in [0, q)."""
@@ -199,6 +202,9 @@ class Permutation:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
+
+    def __reduce__(self):  # pickle and deepcopy rebuild through the checks, read-only again
+        return type(self), (self.images,)
 
 
 def apply_permutation(values: np.ndarray, perm: Permutation) -> np.ndarray:

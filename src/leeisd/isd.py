@@ -256,7 +256,8 @@ def verify_solution(inst: SdInstance, e: FqVector) -> bool:
     """True iff He = s and wt(e) = w, both exact."""
     if len(e) != inst.n or e.q != inst.q:
         return False
-    if not np.array_equal((inst.h.values @ e.values) % inst.q, inst.s.values):
+    # H widens to int64 once; the product widens e, and s is compared as stored
+    if not np.array_equal((inst.h.values @ e.residues) % inst.q, inst.s.residues):
         return False
     return vector_weight(e, inst.wf) == inst.w
 

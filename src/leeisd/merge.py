@@ -195,6 +195,10 @@ class IndexedList:
         vars(self).update(q=q, syndromes=syndromes, backrefs=backrefs, loop=loop, loop_end=loop_end)
         return self
 
+    def __reduce__(self):  # pickle and deepcopy restore through _made, read-only again
+        state = (self.q, self.syndromes, self.backrefs, self.loop, self.loop_end, self._keys)
+        return _restore, state
+
     def __len__(self) -> int:
         return int(self.syndromes.shape[0])
 
@@ -233,6 +237,13 @@ class IndexedList:
         lo = int(np.searchsorted(self._keys, key, side="left"))
         hi = int(np.searchsorted(self._keys, key, side="right"))
         return lo, hi
+
+
+def _restore(q, syndromes, backrefs, loop, loop_end, keys) -> IndexedList:
+    """The IndexedList of a __reduce__ state: its loop_end and sort keys kept."""
+    out = IndexedList._made(q, syndromes, backrefs, loop, loop_end)
+    vars(out).update(_keys=keys)
+    return out
 
 
 def _target_on_J(t, J: tuple[int, ...], width: int, q: int, stacked: bool) -> np.ndarray:

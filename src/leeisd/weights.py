@@ -180,7 +180,7 @@ def vector_weight(v: FqVector, wf: WeightFunction) -> Fraction:
     """Sum of per-symbol weights of v."""
     if v.q != wf.q:
         raise ValueError(f"modulus mismatch: vector q={v.q}, weight table q={wf.q}")
-    total = int(wf.int_table_array()[v.values].sum())
+    total = int(wf.int_table_array()[v.residues].sum())
     return Fraction(total, wf.denominator)
 
 
@@ -422,6 +422,9 @@ class EntropyProfile:
         arr = np.array(self.lam, dtype=float, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "lam", arr)
+
+    def __reduce__(self):  # pickle and deepcopy rebuild through __post_init__, lam read-only again
+        return type(self), (self.lam, self.s, self.beta)
 
 
 _BLOCK = 2**15  # float64 elements per kernel block (256 KiB), so a block stays in cache

@@ -44,22 +44,22 @@ class CmsdEnumeration:
     observed_z: int
 
 
-def is_solution(desc, v: np.ndarray) -> np.ndarray:
+def is_solution(h2, s2, wf, p, v: np.ndarray) -> np.ndarray:
     """Per row of v (or for the one vector v): H'' v = s'' and weight exactly p.
 
-    For a single build; a stack's loops each have their own H'' and s''.
+    h2 and s2 are one bottom block (ell, n) and its s'' (ell,).
     """
-    q = desc.wf.q
+    q = wf.q
     v = v % q
-    syn_ok = ((v @ desc.h_second.T) % q == desc.s_second).all(axis=-1)
-    weights = desc.wf.int_table_array()[v].sum(axis=-1)
-    return syn_ok & (weights == desc.wf.scaled(desc.weight))
+    syn_ok = ((v @ np.asarray(h2).T) % q == np.asarray(s2)).all(axis=-1)
+    weights = wf.int_table_array()[v].sum(axis=-1)
+    return syn_ok & (weights == wf.scaled(p))
 
 
-def enumerate_f(desc) -> CmsdEnumeration:
-    """All values of f that satisfy the solution predicate, with distinct count."""
+def enumerate_f(desc, h2, s2, wf, p) -> CmsdEnumeration:
+    """The values of f that solve the bottom block (h2, s2) at weight p, with distinct count."""
     vals = desc.evaluate_many(np.arange(desc.y))
-    sols = list(vals[is_solution(desc, vals)])
+    sols = list(vals[is_solution(h2, s2, wf, p, vals)])
     return CmsdEnumeration(solutions=sols, observed_z=len({v.tobytes() for v in sols}))
 
 
@@ -211,12 +211,13 @@ def _build_cmsd(inst: SdInstance, params: IsdParams, ech, rng: random.Random):
     return build(*args, params.a, cap, draws=draws)
 
 
-def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
+def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, p, w_rem: int):
     """(first candidate of desc that completes to a solution, candidates tested).
 
-    Candidates go in index order, CANDIDATE_BLOCK at a time; e' = s' - H' e''
-    must carry the remaining scaled weight w_rem.  The count runs up to and
-    including the hit, or over all of desc when there is none.  A hit is
+    Candidates go in index order, CANDIDATE_BLOCK at a time; e'' must meet
+    H'' e'' = s'' at weight p, and e' = s' - H' e'' must carry the
+    remaining scaled weight w_rem.  The count runs up to and including the
+    hit, or over all of desc when there is none.  A hit is
     put back in place (coordinate i of the permuted vector is coordinate
     perm.images[i] of e) and leaves as the one FqVector of the loop.
     """
@@ -226,7 +227,8 @@ def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, w_rem: int):
     for lo in range(0, desc.y, CANDIDATE_BLOCK):
         e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
         e1 = (s1 - e2 @ h1.T) % q
-        for i in np.flatnonzero(is_solution(desc, e2) & (tab[e1].sum(axis=1) == w_rem)):
+        e2_ok = is_solution(ech.h_second, ech.s_second, inst.wf, p, e2)
+        for i in np.flatnonzero(e2_ok & (tab[e1].sum(axis=1) == w_rem)):
             e = np.empty(inst.n, dtype=np.int64)
             e[perm.images] = np.concatenate([e1[i], e2[i]])
             hit = FqVector(q, e)
@@ -277,7 +279,7 @@ def isd_solve(inst: SdInstance, params: IsdParams) -> SolveReport:
             if p1 > 0.0:
                 predicted = 10.0 * math.ceil(1.0 / max(p1 * z_hat, 1e-12))
                 budget = max(1, min(params.max_outer_loops, int(predicted)))
-        solution, n_tested = _first_hit(inst, desc, ech, perm, w_rem)
+        solution, n_tested = _first_hit(inst, desc, ech, perm, params.p, w_rem)
         tested += n_tested
     return SolveReport(
         solution=solution,

@@ -200,7 +200,7 @@ def test_cmsd_oracle_equivalence():
                 cmsd_dumer(h2, s2, wf, p),
                 cmsd_wagner_v1(h2, s2, wf, p, a=1),
             ):
-                got = Counter(tuple(v.tolist()) for v in enumerate_f(desc).solutions)
+                got = Counter(tuple(v.tolist()) for v in enumerate_f(desc, h2, s2, wf, p).solutions)
                 assert got == oracle, (q, metric, ell, n, p)
             cases += 1
     # checkable-function variant: subset, and nonempty on its weight profile

@@ -108,7 +108,7 @@ def test_prange_description():
     desc = cmsd_prange(h2, s2, wf, 0)
     assert desc.y == 1
     assert desc.evaluate(0).tolist() == [0] * 5
-    res = enumerate_f(desc)
+    res = enumerate_f(desc, h2, s2, wf, 0)
     assert res.observed_z == 1 and res.solutions[0].tolist() == [0] * 5
     with pytest.raises(ValueError):
         cmsd_prange(h2, s2, wf, p=1)
@@ -141,7 +141,7 @@ def test_dumer_p0_degenerate():
     # with a nonzero syndrome there is no weight-0 candidate
     s_bad = FqVector(3, [1, 0])
     desc2 = cmsd_dumer(h2, s_bad, wf, 0)
-    assert enumerate_f(desc2).observed_z == 0
+    assert enumerate_f(desc2, h2, s_bad, wf, 0).observed_z == 0
 
 
 def test_dumer_without_a_feasible_split_is_infeasible():
@@ -163,7 +163,7 @@ def test_dumer_matches_exhaustive_oracle(q, metric):
     for ell, n, p in ((2, 8, 2), (1, 7, 3), (3, 9, 2), (2, 10, 3)):
         h2, s2 = random_subproblem(q, ell, n, wf, p, rng)
         desc = cmsd_dumer(h2, s2, wf, p)
-        res = enumerate_f(desc)
+        res = enumerate_f(desc, h2, s2, wf, p)
         got = Counter(tuple(v.tolist()) for v in res.solutions)
         assert got == brute_solutions(h2, s2, wf, p)
         assert res.observed_z == len(got)
@@ -173,8 +173,8 @@ def test_wagner_v1_a1_identical_to_dumer():
     rng = random.Random(5)
     wf = WeightFunction.lee(5)
     h2, s2 = random_subproblem(5, 2, 8, wf, 3, rng)
-    d = enumerate_f(cmsd_dumer(h2, s2, wf, 3))
-    w = enumerate_f(cmsd_wagner_v1(h2, s2, wf, 3, a=1))
+    d = enumerate_f(cmsd_dumer(h2, s2, wf, 3), h2, s2, wf, 3)
+    w = enumerate_f(cmsd_wagner_v1(h2, s2, wf, 3, a=1), h2, s2, wf, 3)
     assert Counter(tuple(v.tolist()) for v in d.solutions) == Counter(
         tuple(v.tolist()) for v in w.solutions
     )
@@ -182,7 +182,7 @@ def test_wagner_v1_a1_identical_to_dumer():
     draws = oracles.loop_draws("wagner1", h2, wf, 3, 1, rng=random.Random(0), size=5)
     sub = cmsd_wagner_v1(h2, s2, wf, 3, a=1, draws=draws)
     assert sub.y > 1
-    assert {tuple(v.tolist()) for v in enumerate_f(sub).solutions} <= {
+    assert {tuple(v.tolist()) for v in enumerate_f(sub, h2, s2, wf, 3).solutions} <= {
         tuple(v.tolist()) for v in d.solutions
     }
 
@@ -216,7 +216,7 @@ def test_wagner_v1_a2_subset_of_oracle_and_sound():
         draws = oracles.loop_draws("wagner1", h2, wf, 4, 2, rng=random.Random(seed))
         desc = cmsd_wagner_v1(h2, s2, wf, 4, a=2, draws=draws)
         oracle = brute_solutions(h2, s2, wf, 4)
-        res = enumerate_f(desc)
+        res = enumerate_f(desc, h2, s2, wf, 4)
         for v in res.solutions:
             assert tuple(v.tolist()) in oracle
             assert vector_weight(FqVector(3, v), wf) == 4
@@ -250,7 +250,7 @@ def test_wagner_v1_a2_complete_within_profile_when_unfiltered():
                 off += ln
             if match:
                 expected[v] = cnt
-        got = Counter(tuple(v.tolist()) for v in enumerate_f(desc).solutions)
+        got = Counter(tuple(v.tolist()) for v in enumerate_f(desc, h2, s2, wf, p).solutions)
         assert got == expected
 
 
@@ -280,7 +280,7 @@ def test_empty_support_block_carries_weight_zero():
     h2, s2 = np.array([[1, 2, 3], [4, 0, 1]]), np.array([0, 0])
     desc = cmsd_wagner_v1(h2, s2, wf, 0, a=2)
     assert desc.meta["level_sizes"][0] == [1, 1, 1, 1]
-    assert enumerate_f(desc).solutions[0].tolist() == [0, 0, 0]
+    assert enumerate_f(desc, h2, s2, wf, 0).solutions[0].tolist() == [0, 0, 0]
 
 
 def test_wagner_v1_level_sizes_follow_prediction():
@@ -359,7 +359,7 @@ def test_wagner_v2_zero_when_no_match():
     s2 = FqVector(q, [1, 2])  # unreachable: H'' e = 0 always
     desc = cmsd_wagner_v2_build(h2, s2, wf, 2, a=1)
     assert all(not desc.evaluate(i).any() for i in range(desc.y))
-    assert enumerate_f(desc).observed_z == 0
+    assert enumerate_f(desc, h2, s2, wf, 2).observed_z == 0
 
 
 def test_observed_z_slope_matches_prediction():
@@ -382,7 +382,7 @@ def test_observed_z_slope_matches_prediction():
             h2, s2 = random_subproblem(q, ell, N, wf, p, rng)
             draws = oracles.loop_draws("wagner1", h2, wf, p, a, rng=rng, size=base)
             desc = cmsd_wagner_v1(h2, s2, wf, p, a=a, draws=draws)
-            zs.append(max(enumerate_f(desc).observed_z, 1))
+            zs.append(max(enumerate_f(desc, h2, s2, wf, p).observed_z, 1))
         log_z.append(math.log(sum(zs) / len(zs), q))
     slope = np.polyfit(sizes, log_z, 1)[0]
     assert abs(slope - zeta_per_n) <= 0.15
@@ -686,6 +686,38 @@ def test_every_plan_draws_and_builds_through_one_contract():
         with pytest.raises(CmsdInfeasibleError) as err:
             infeasible.build(h2[:, :, :8], s2, [None, None])
         assert str(err.value) == str(public.value)
+
+
+def test_a_single_block_builds_as_a_stack_of_one():
+    # one description contract: a bottom block (ell, n) builds as the stack
+    # (1, ell, n) does, and every description, a cut one too, gives each of
+    # its loops one index or more, y = starts[-1] >= 1 in all
+    lee, rng = WeightFunction.lee(3), np.random.default_rng(40)
+    h2, s2 = rng.integers(0, 3, (4, 2, 12)), rng.integers(0, 3, (4, 2))
+    h2[-1], s2[-1] = 0, 0  # the last loop's merges pair everything, so a low cap cuts there
+    for variant, p, a in (("prange", 0, 1), ("dumer", 4, 1), ("wagner1", 4, 2), ("wagner2", 5, 2)):
+        ell = 0 if variant == "prange" else 2
+        plan = loop_plan(variant, lee, 12, ell, p, a, DEFAULT_LIST_CAP)
+        draws = [plan.draw(random.Random(0))]
+        one = plan.build(h2[0, :ell], s2[0, :ell], draws)
+        stack = plan.build(h2[:1, :ell], s2[:1, :ell], draws)
+        assert one.y == stack.y and one.starts.tolist() == stack.starts.tolist() == [0, one.y]
+        assert np.array_equal(one.dom, stack.dom) and one.meta == stack.meta, variant
+        every = np.arange(one.y)
+        assert np.array_equal(one.evaluate_many(every), stack.evaluate_many(every)), variant
+        cuts = 0
+        for cap in [DEFAULT_LIST_CAP] + [2**k for k in range(2, 14) if variant != "prange"]:
+            plan = loop_plan(variant, lee, 12, ell, p, a, cap)
+            draws = [plan.draw(random.Random(b)) for b in range(4)]
+            try:
+                desc = plan.build(h2[:, :ell], s2[:, :ell], draws)
+            except MergeOverflowError:  # loop 0, or a whole base list, overflows
+                continue
+            starts = desc.starts.tolist()
+            assert starts[0] == 0 and desc.y == starts[-1] >= 1, (variant, cap)
+            assert all(hi > lo for lo, hi in zip(starts, starts[1:])), (variant, cap)
+            cuts += desc.overflow is not None
+        assert cuts or variant == "prange", variant
 
 
 def test_sample_ranks_past_int64_are_distinct_and_seeded():

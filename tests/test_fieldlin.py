@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import warnings
 
@@ -18,7 +21,8 @@ from leeisd.fieldlin import (
     validate_modulus,
 )
 from leeisd.isd import SdInstance, verify_solution
-from leeisd.weights import WeightFunction
+from leeisd.merge import IndexedList
+from leeisd.weights import WeightFunction, sphere_exponent
 
 
 def test_modulus_validation():
@@ -466,3 +470,31 @@ def test_products_at_the_largest_modulus_match_python_ints(monkeypatch):
     assert h_stack[0].tolist() == [[row[j] for j in images] for row in rows]
     assert s_stack[0].tolist() == s
     _assert_matches_reference(partial_gaussian_elim(h_stack, 0, s_stack, q), h_stack, 0, s_stack, q)
+
+
+FROZEN = {  # a value of each frozen type, and its arrays that must stay read-only
+    "FqVector": (lambda: FqVector(257, [256, 3]), ("residues",)),
+    "FqMatrix": (lambda: FqMatrix(3, [[2, 0], [1, 1]]), ("residues",)),
+    "Permutation": (lambda: Permutation([2, 0, 1]), ("images",)),
+    "IndexedList": (
+        lambda: IndexedList(3, [[0, 1], [1, 2], [2, 2]], [0, 1, 2], loop=[0, 2, 2]).sort_on((1,)),
+        ("syndromes", "loop"),
+    ),
+    "EntropyProfile": (lambda: sphere_exponent(WeightFunction.lee(5), 0.5), ("lam",)),
+}
+
+
+@pytest.mark.parametrize("make,frozen", FROZEN.values(), ids=FROZEN.keys())
+def test_frozen_values_stay_read_only_through_pickle_and_deepcopy(make, frozen):
+    # numpy's pickles drop the read-only flag, so each type rebuilds through its own checks
+    value = make()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        for f in dataclasses.fields(value):
+            got, want = getattr(twin, f.name), getattr(value, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+        for name in frozen:
+            assert not getattr(twin, name).flags.writeable, name

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from leeisd.cli import main
-from leeisd.cmsd import cmsd_dumer, cmsd_wagner_v1, cmsd_wagner_v2_build, loop_plan
+from leeisd.cmsd import cmsd_dumer, cmsd_prange, cmsd_wagner_v1, cmsd_wagner_v2_build, loop_plan
 from leeisd.estimator import (
     AlgoPoint,
     CodeParams,
@@ -154,6 +154,14 @@ REFUSALS = [  # (label, call, exception type)
     ("loop_plan n = 12.0", bad_plan(n=12.0), ValueError),
     ("loop_plan cap = 100.5", bad_plan(cap=100.5), ValueError),
     ("loop_plan ell = True", bad_plan(ell=True), ValueError),
+    ("loop_plan wf a list", bad_plan(wf=[0, 1, 1]), ValueError),
+    ("loop_plan wf a name", bad_plan(wf="lee"), ValueError),
+    ("loop_plan wf None", bad_plan(wf=None), ValueError),
+    ("prange of 0 loops", lambda: cmsd_prange(*bottom_blocks(0, ell=0), LEE3, 0), ValueError),
+    ("dumer of 0 loops", lambda: cmsd_dumer(*bottom_blocks(0), LEE3, 4), ValueError),
+    ("wagner1 of 0 loops", lambda: cmsd_wagner_v1(*bottom_blocks(0), LEE3, 4, 2), ValueError),
+    ("wagner2 of 0 loops", lambda: cmsd_wagner_v2_build(*bottom_blocks(0), LEE3, 3, 2), ValueError),
+    ("plan.build of 0 loops", lambda: bad_plan()().build(*bottom_blocks(0), []), ValueError),
     ("weight budget -1", lambda: cmsd_dumer(*bottom_blocks(), LEE3, -1), ValueError),
     ("level count 0", lambda: cmsd_wagner_v1(*bottom_blocks(), LEE3, 4, 0), ValueError),
     ("CodeParams rate 1.5", lambda: CodeParams(LEE3, 1.5, 0.5), ValueError),
