@@ -64,14 +64,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .estimator import _list_exponent
-from .fieldlin import _integer_array, _to_int
+from .fieldlin import _Frozen, _integer_array, _to_int
 from .merge import (
     DEFAULT_LIST_CAP,
     IndexedList,
@@ -94,11 +93,14 @@ class CmsdInfeasibleError(ValueError):
     """A support block cannot carry its assigned weight (empty base sphere)."""
 
 
-@dataclass(frozen=True, eq=False)
-class _Block:
-    offset: int
-    length: int
-    enum: SphereEnumerator
+class _Block(_Frozen):
+    """One support block of a layout: columns offset..offset+length-1 and enum, their sphere."""
+
+    _fields = ("offset", "length", "enum")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, offset: int, length: int, enum: SphereEnumerator):
+        self._assign(offset=offset, length=length, enum=enum)
 
 
 @lru_cache(maxsize=128)
@@ -116,14 +118,11 @@ def _spheres(blocks: tuple[_Block, ...]) -> tuple[np.ndarray, np.ndarray, np.nda
     return out
 
 
-@dataclass(eq=False)
 class _Node:
     """Merge-tree node over support columns sup; leaves hold their vectors."""
 
-    lst: IndexedList
-    sup: tuple[int, int]
-    vecs: np.ndarray | None = None
-    children: tuple["_Node", "_Node"] | None = None
+    def __init__(self, lst: IndexedList, sup: tuple[int, int], vecs=None, children=None):
+        self.lst, self.sup, self.vecs, self.children = lst, sup, vecs, children
 
     def gather(self, pos: np.ndarray) -> np.ndarray:
         """(len(pos), width) support parts of the entries at positions pos."""
@@ -134,7 +133,6 @@ class _Node:
         return np.concatenate([lhs.gather(refs[:, 0]), rhs.gather(refs[:, 1])], axis=1)
 
 
-@dataclass(eq=False)
 class CmsdDescription:
     """Evaluable function f over [y) of a stack of loops: what the outer loop reads.
 
@@ -151,12 +149,12 @@ class CmsdDescription:
     (loop 0 raises it at once).
     """
 
-    y: int
-    meta: dict
-    root: _Node = field(repr=False)
-    dom: np.ndarray = field(repr=False)
-    starts: np.ndarray
-    overflow: MergeOverflowError | None = None
+    _fields = ("y", "meta", "starts", "overflow")  # repr shows these
+    __repr__ = _Frozen.__repr__
+
+    def __init__(self, y: int, meta: dict, root: _Node, dom, starts, overflow=None):
+        self.y, self.meta, self.root, self.dom = y, meta, root, dom
+        self.starts, self.overflow = starts, overflow
 
     def evaluate_many(self, idx) -> np.ndarray:
         idx = np.asarray(_integer_array(idx), dtype=np.int64)
@@ -179,8 +177,7 @@ class CmsdDescription:
         return self.evaluate_many([i])[0]
 
 
-@dataclass(frozen=True, eq=False)
-class LoopDraws:
+class LoopDraws(_Frozen):
     """The randomness one build takes from rng, in stream order.
 
     None of it depends on H, so an outer loop can take it before its
@@ -190,13 +187,14 @@ class LoopDraws:
     build checks against its own.
     """
 
-    targets: list[int]
-    leaf_ranks: tuple[list[int] | None, ...]
-    plan: tuple
+    _fields = ("targets", "leaf_ranks", "plan")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, targets: list[int], leaf_ranks: tuple[list[int] | None, ...], plan: tuple):
+        self._assign(targets=targets, leaf_ranks=leaf_ranks, plan=plan)
 
 
-@dataclass(frozen=True, eq=False)
-class LoopPlan:
+class LoopPlan(_Frozen):
     """What an outer loop knows of its back end before any H is seen (see loop_plan).
 
     key is (variant, wf, n, ell, p, a, cap), p a Fraction.  Each layout is
@@ -208,12 +206,12 @@ class LoopPlan:
     and says why in infeasible.
     """
 
-    key: tuple
-    layouts: tuple[tuple[_Block, ...], ...] = ()
-    j_groups: tuple[np.ndarray, ...] = ()
-    rows: int = 0
-    expected: float | None = None
-    infeasible: str | None = None
+    _fields = ("key", "layouts", "j_groups", "rows", "expected", "infeasible")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, key, layouts=(), j_groups=(), rows=0, expected=None, infeasible=None):
+        self._assign(key=key, layouts=layouts, j_groups=j_groups, rows=rows)
+        self._assign(expected=expected, infeasible=infeasible)
 
     def draw(self, rng: random.Random, size: int | None = None) -> LoopDraws | None:
         """One loop's randomness in stream order; None for prange and an infeasible plan.

@@ -19,12 +19,11 @@ searches the candidate domain in y/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .fieldlin import _to_int
+from .fieldlin import _Frozen, _to_int
 from .weights import (
     WeightFunction,
     _entropy_bounds,
@@ -51,20 +50,18 @@ class InfeasibleParameterError(ValueError):
     """No admissible (L, P) point exists for the requested algorithm."""
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(_Frozen):
     """Problem family: weight function, rate R = k/n, relative weight omega = w/n."""
 
-    wf: WeightFunction
-    rate: float
-    omega: float
+    _fields = ("wf", "rate", "omega")
 
-    def __post_init__(self):
-        if not 0.0 < self.rate < 1.0:
+    def __init__(self, wf: WeightFunction, rate: float, omega: float):
+        if not 0.0 < rate < 1.0:
             raise ValueError("rate must lie in (0, 1)")
-        wmax = float(self.wf.max_weight)
-        if not -_EPS * wmax <= self.omega <= (1.0 + _EPS) * wmax:
+        wmax = float(wf.max_weight)
+        if not -_EPS * wmax <= omega <= (1.0 + _EPS) * wmax:
             raise ValueError("omega outside the reachable weight range")
+        self._assign(wf=wf, rate=rate, omega=omega)
 
     @property
     def q(self) -> int:
@@ -76,35 +73,27 @@ class CodeParams:
         return float(sphere_exponent_many(self.wf, [self.omega])[0])
 
 
-@dataclass(frozen=True)
-class AlgoPoint:
+class AlgoPoint(_Frozen):
     """Relative algorithm parameters: L = ell/n, P = p/n, levels a."""
 
-    L: float
-    P: float
-    a: int
+    _fields = ("L", "P", "a")
 
-    def __post_init__(self):
-        if isinstance(self.a, bool) or not isinstance(self.a, (int, np.integer)):
-            raise ValueError(f"level count a must be an integer, not {self.a!r}")
-        if not 1 <= self.a <= MAX_LEVELS:
-            raise ValueError(f"level count a must lie in [1, {MAX_LEVELS}], not {self.a}")
+    def __init__(self, L: float, P: float, a: int):
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+            raise ValueError(f"level count a must be an integer, not {a!r}")
+        if not 1 <= a <= MAX_LEVELS:
+            raise ValueError(f"level count a must lie in [1, {MAX_LEVELS}], not {a}")
+        self._assign(L=L, P=P, a=a)
 
 
-@dataclass(frozen=True)
-class WorkFactors:
+class WorkFactors(_Frozen):
     """Per-coordinate q-ary exponents of one algorithm at one point."""
 
-    pi1: float
-    zeta: float
-    tau: float
-    y: float
-    u: float
-    x: float
-    s_omega0: float
-    total_q: float
-    total_bin: float
-    point: AlgoPoint
+    _fields = ("pi1", "zeta", "tau", "y", "u", "x", "s_omega0", "total_q", "total_bin", "point")
+
+    def __init__(self, pi1, zeta, tau, y, u, x, s_omega0, total_q, total_bin, point: AlgoPoint):
+        self._assign(pi1=pi1, zeta=zeta, tau=tau, y=y, u=u, x=x, s_omega0=s_omega0)
+        self._assign(total_q=total_q, total_bin=total_bin, point=point)
 
 
 def _feasible_P_range(wmax: float, rate, omega, L):
@@ -385,13 +374,15 @@ def local_maxima_weights(wf: WeightFunction, rate: float) -> tuple[float, float]
     return entropy_crossings(wf, 1.0 - rate)
 
 
-@dataclass(frozen=True)
-class HardestResult:
-    rate: float
-    omega: float
-    alpha: float
-    alpha_hat: float
-    factors: WorkFactors
+class HardestResult(_Frozen):
+    """The hardest point hardest_instance found: its rate and omega, the work
+    factor's exponent per coordinate in bits as alpha (2^(alpha n)) and in
+    log_q units as alpha_hat (q^(alpha_hat n)), and the factors it came from."""
+
+    _fields = ("rate", "omega", "alpha", "alpha_hat", "factors")
+
+    def __init__(self, rate: float, omega: float, alpha: float, alpha_hat: float, factors):
+        self._assign(rate=rate, omega=omega, alpha=alpha, alpha_hat=alpha_hat, factors=factors)
 
 
 def _hardness(wf: WeightFunction, rates, model: str, algorithm: str, a_max: int) -> list:
@@ -438,6 +429,15 @@ def hardest_instance(
     per rate; the rate search is a coarse scan refined by golden-section.
     All rates of the coarse scan are optimized in one batch, and each
     golden-section step in one batch of its rate's two weights.
+
+    Where the table has a symbol c with wt(c - x) = w_max - wt(x) for
+    every x (q = 2 Hamming, q = 5 with (0, 1, 1, 1, 2)), the upper
+    crossing is never harder than the lower one, but the prange column,
+    Prange at P = 0, is brute force there and can pick it:
+    hardest_instance(hamming(2), "classical", "prange") gives R 0.22705,
+    omega 0.77288 and alpha_hat 0.77198 (quantum: 0.38599), where the
+    lower crossing peaks at 0.1207 near R 0.454.  Lee at q >= 3 has no
+    such c.
     """
     rates = [float(r) for r in np.arange(0.10, 0.90 + 1e-9, _COARSE_STEP)]
     found = _hardness(wf, rates, model, algorithm, a_max)
@@ -484,13 +484,16 @@ SWEEP_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    omega: float
-    omega_normalized: float
-    model: str
-    algorithm: str
-    factors: WorkFactors | None  # None when the algorithm is infeasible there
+class SweepRow(_Frozen):
+    """One row of sweep: the weight omega and omega_normalized (its fraction of
+    the top weight), the model and algorithm of the column, and the factors
+    of the optimized point, None when the algorithm is infeasible there."""
+
+    _fields = ("omega", "omega_normalized", "model", "algorithm", "factors")
+
+    def __init__(self, omega: float, omega_normalized: float, model: str, algorithm: str, factors):
+        self._assign(omega=omega, omega_normalized=omega_normalized, model=model)
+        self._assign(algorithm=algorithm, factors=factors)
 
 
 def sweep(

@@ -16,7 +16,7 @@ when its leading columns are rank-deficient.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import numpy as np
@@ -80,8 +80,46 @@ def _freeze(arr, dtype=np.int64) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class _FqArray:
+class _Frozen:
+    """Base of the frozen records: each __init__ sets its fields once, with _assign.
+
+    _fields names the fields in constructor order.  repr shows them, and
+    two records of one type are equal, with equal hashes, when their field
+    tuples are; a record compared by identity takes object's __eq__ and
+    __hash__ back.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _assign(self, **fields):
+        # past __setattr__; object.__setattr__ keeps the values inline, where
+        # an update of vars(self) would make each record carry its own dict
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class _FqArray(_Frozen):
     """Immutable array of a fixed rank (_ndim) with entries in [0, q).
 
     The entries are stored in the narrowest unsigned type that holds q - 1:
@@ -91,23 +129,17 @@ class _FqArray:
     array.  values and np.asarray give the entries as int64.
     """
 
-    q: int
-    _stored: np.ndarray
+    _fields = ("q", "_stored")
 
     def __init__(self, q: int, values):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_stored", values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", validate_modulus(self.q))
-        vals = _integer_array(self._stored)
+        q = validate_modulus(q)
+        vals = _integer_array(values)
         vals = vals.reshape((1,) * (self._ndim - vals.ndim) + vals.shape)
         if vals.ndim != self._ndim:
             raise ValueError(self._rank_error)
-        if vals.size and (vals.min() < 0 or vals.max() >= self.q):
-            raise ValueError(f"entries must lie in [0, {self.q})")
-        object.__setattr__(self, "_stored", _freeze(vals, np.uint8 if self.q <= 256 else np.uint16))
+        if vals.size and (vals.min() < 0 or vals.max() >= q):
+            raise ValueError(f"entries must lie in [0, {q})")
+        self._assign(q=q, _stored=_freeze(vals, np.uint8 if q <= 256 else np.uint16))
 
     @property
     def residues(self) -> np.ndarray:
@@ -161,18 +193,17 @@ class FqMatrix(_FqArray):
         return int(self._stored.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class Permutation:
+class Permutation(_Frozen):
     """A bijection on n positions, stored as 0-based images."""
 
-    images: np.ndarray
+    _fields = ("images",)
 
-    def __post_init__(self):
-        imgs = _freeze(_integer_array(self.images))
+    def __init__(self, images: np.ndarray):
+        imgs = _freeze(_integer_array(images))
         n = imgs.shape[0]
         if imgs.ndim != 1 or not np.array_equal(np.sort(imgs), np.arange(n)):
             raise ValueError("images must be a permutation of 0..n-1")
-        object.__setattr__(self, "images", imgs)
+        self._assign(images=imgs)
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "Permutation":
@@ -307,8 +338,7 @@ def random_full_rank_matrix(q: int, rows: int, cols: int, rng: random.Random) ->
             return m
 
 
-@dataclass(frozen=True, eq=False)
-class PartialEchelon:
+class PartialEchelon(_Frozen):
     """Output blocks of partial Gaussian elimination, as int64 arrays.
 
     An invertible row operation S brings the input to the block form
@@ -319,11 +349,12 @@ class PartialEchelon:
     leading columns are rank-deficient; their blocks mean nothing.
     """
 
-    h_prime: np.ndarray
-    h_second: np.ndarray
-    s_prime: np.ndarray
-    s_second: np.ndarray
-    singular: np.ndarray
+    _fields = ("h_prime", "h_second", "s_prime", "s_second", "singular")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, h_prime, h_second, s_prime, s_second, singular):
+        self._assign(h_prime=h_prime, h_second=h_second, s_prime=s_prime)
+        self._assign(s_second=s_second, singular=singular)
 
 
 def partial_gaussian_elim(h: np.ndarray, ell: int, s: np.ndarray, q: int) -> PartialEchelon:

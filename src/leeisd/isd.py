@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,6 +30,7 @@ from .fieldlin import (
     FqMatrix,
     FqVector,
     Permutation,
+    _Frozen,
     _to_int,
     apply_permutation,
     mat_vec_mul,
@@ -59,39 +59,31 @@ BATCH_ROWS = 1 << 16
 MAX_H_ENTRIES = 1 << 22
 
 
-@dataclass(frozen=True, eq=False)
-class SdInstance:
+class SdInstance(_Frozen):
     """A syndrome decoding instance, optionally with its planted solution."""
 
-    q: int
-    n: int
-    k: int
-    w: Fraction
-    wf: WeightFunction
-    h: FqMatrix
-    s: FqVector
-    planted: FqVector | None = None
+    _fields = ("q", "n", "k", "w", "wf", "h", "s", "planted")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, q: int, n: int, k: int, w, wf: WeightFunction, h, s, planted=None):
         if not (
-            isinstance(self.h, FqMatrix)
-            and isinstance(self.s, FqVector)
-            and isinstance(self.planted, (FqVector, type(None)))
+            isinstance(h, FqMatrix)
+            and isinstance(s, FqVector)
+            and isinstance(planted, (FqVector, type(None)))
         ):
             raise ValueError("h must be an FqMatrix, and s and planted FqVectors or None")
-        for name in ("n", "k"):
-            object.__setattr__(self, name, _to_int(getattr(self, name), name))
-        object.__setattr__(self, "w", _to_fraction(self.w))
-        if not 0 < self.k < self.n:
+        n, k, w = _to_int(n, "n"), _to_int(k, "k"), _to_fraction(w)
+        if not 0 < k < n:
             raise ValueError("need 0 < k < n")
-        if self.h.rows != self.n - self.k or self.h.cols != self.n:
+        if h.rows != n - k or h.cols != n:
             raise ValueError("H must be (n-k) x n")
-        if len(self.s) != self.n - self.k:
+        if len(s) != n - k:
             raise ValueError("syndrome must have length n-k")
-        if self.q != self.h.q or self.q != self.s.q or self.q != self.wf.q:
+        if q != h.q or q != s.q or q != wf.q:
             raise ValueError("modulus mismatch within instance")
-        if self.planted is not None and (len(self.planted) != self.n or self.planted.q != self.q):
+        if planted is not None and (len(planted) != n or planted.q != q):
             raise ValueError("planted solution must have length n and modulus q")
+        self._assign(q=q, n=n, k=k, w=w, wf=wf, h=h, s=s, planted=planted)
 
     def check_well_formed(self) -> None:
         """Full invariant check: rank of H, and the planted solution if any."""
@@ -183,8 +175,7 @@ def _weight_out(w: Fraction):
     return w.numerator if w.denominator == 1 else str(w)
 
 
-@dataclass(frozen=True)
-class IsdParams:
+class IsdParams(_Frozen):
     """Algorithm parameters for one solve call.
 
     max_outer_loops caps the loop budget; the default budget itself is
@@ -192,35 +183,44 @@ class IsdParams:
     clamped to this cap.
     """
 
-    variant: str = "prange"
-    ell: int = 0
-    p: Fraction = Fraction(0)
-    a: int = 1
-    list_size_cap: int = DEFAULT_LIST_CAP
-    max_outer_loops: int = 10_000
-    rng_seed: int = 0
+    _fields = ("variant", "ell", "p", "a", "list_size_cap", "max_outer_loops", "rng_seed")
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
+    def __init__(
+        self,
+        variant: str = "prange",
+        ell: int = 0,
+        p: Fraction = Fraction(0),
+        a: int = 1,
+        list_size_cap: int = DEFAULT_LIST_CAP,
+        max_outer_loops: int = 10_000,
+        rng_seed: int = 0,
+    ):
+        if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        object.__setattr__(self, "p", _to_fraction(self.p))
-        for name in ("ell", "a", "list_size_cap", "max_outer_loops", "rng_seed"):
-            object.__setattr__(self, name, _to_int(getattr(self, name), name))
-        if self.ell < 0 or self.a < 1 or self.max_outer_loops < 1:
+        p = _to_fraction(p)
+        ell, a, cap = _to_int(ell, "ell"), _to_int(a, "a"), _to_int(list_size_cap, "list_size_cap")
+        loops, seed = _to_int(max_outer_loops, "max_outer_loops"), _to_int(rng_seed, "rng_seed")
+        if ell < 0 or a < 1 or loops < 1:
             raise ValueError("invalid parameter ranges")
-        if self.list_size_cap < 1:
-            raise ValueError(f"list_size_cap must be at least 1, got {self.list_size_cap}")
+        if cap < 1:
+            raise ValueError(f"list_size_cap must be at least 1, got {cap}")
+        self._assign(variant=variant, ell=ell, p=p, a=a, list_size_cap=cap)
+        self._assign(max_outer_loops=loops, rng_seed=seed)
 
 
-@dataclass(eq=False)
 class SolveReport:
-    """Outcome of one isd_solve call."""
+    """Outcome of one isd_solve call.
 
-    solution: FqVector | None
-    outer_loops: int
-    cmsd_calls: int
-    tested_candidates: int
-    wall_stats: dict = field(default_factory=dict)
+    wall_stats defaults to a new empty dict.
+    """
+
+    _fields = ("solution", "outer_loops", "cmsd_calls", "tested_candidates", "wall_stats")
+    __repr__ = _Frozen.__repr__
+
+    def __init__(self, solution, outer_loops, cmsd_calls, tested_candidates, wall_stats=None):
+        self.solution, self.outer_loops, self.cmsd_calls = solution, outer_loops, cmsd_calls
+        self.tested_candidates = tested_candidates
+        self.wall_stats = {} if wall_stats is None else wall_stats
 
     @property
     def found(self) -> bool:

@@ -16,13 +16,12 @@ output is valid by construction and is neither scanned nor copied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .fieldlin import _to_int
+from .fieldlin import _Frozen, _to_int
 
 DEFAULT_LIST_CAP = 1 << 26
 
@@ -136,8 +135,7 @@ def _check_J(J, width: int) -> tuple[int, ...]:
     return J
 
 
-@dataclass(frozen=True, eq=False)
-class IndexedList:
+class IndexedList(_Frozen):
     """An immutable list of syndrome-space vectors (entries in [0, q)) with opaque preimage references.
 
     backrefs[i] identifies how entry i was produced (a sphere rank for a
@@ -152,19 +150,16 @@ class IndexedList:
     the back ends make are valid by construction and skip all that (_made).
     """
 
-    q: int
-    syndromes: np.ndarray
-    backrefs: np.ndarray
-    loop: np.ndarray | None = None
-    loop_end: int = field(init=False, default=0)
-    _keys: np.ndarray | None = field(init=False, default=None, repr=False)  # set by sort_on
+    _fields = ("q", "syndromes", "backrefs", "loop", "loop_end")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    _keys: np.ndarray | None = None  # set by sort_on
 
-    def __post_init__(self):
-        q = _to_int(self.q, "q")
+    def __init__(self, q: int, syndromes: np.ndarray, backrefs: np.ndarray, loop=None):
+        q = _to_int(q, "q")
         if q < 2:
             raise ValueError(f"q must be at least 2, not {q}")
-        syn = np.array(self.syndromes, dtype=np.int64, order="C")
-        backrefs = np.asarray(self.backrefs)
+        syn = np.array(syndromes, dtype=np.int64, order="C")
+        backrefs = np.asarray(backrefs)
         if syn.ndim != 2:
             raise ValueError("syndromes must be a 2-D array")
         # sorts pack the entries as base-q digits; a negative one reads as a huge unsigned one
@@ -172,7 +167,7 @@ class IndexedList:
             raise ValueError(f"syndrome entries must lie in [0, {q})")
         if len(backrefs) != syn.shape[0]:
             raise ValueError("backrefs length must match syndrome count")
-        loop = None if self.loop is None else np.array(self.loop, dtype=np.int64)
+        loop = None if loop is None else np.array(loop, dtype=np.int64)
         if loop is not None and loop.shape != (len(backrefs),):
             raise ValueError("loop ids must be one per entry")
         end = int(loop.view(np.uint64).max()) + 1 if loop is not None and len(loop) else 0

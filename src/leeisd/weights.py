@@ -17,13 +17,12 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fieldlin import FqVector, _integer_array, _to_int, validate_modulus
+from .fieldlin import FqVector, _Frozen, _integer_array, _to_int, validate_modulus
 
 _WEIGHT_TOL = 1e-12  # relative to the max weight: how far outside [0, w_max] a target may lie
 # the most the top weight may be of the smallest gap between two weights: the
@@ -49,8 +48,7 @@ def _to_fraction(x) -> Fraction:
     raise ValueError(f"cannot interpret {x!r} as a rational weight")
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(_Frozen):
     """Per-symbol weight table wt with wt[0] = 0.
 
     The table fixes the metric: lee uses min(x, q - x), hamming charges 1
@@ -62,22 +60,20 @@ class WeightFunction:
     computed once per instance.
     """
 
-    q: int
-    table: tuple[Fraction, ...]
-    name: str = "custom"
+    _fields = ("q", "table", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", validate_modulus(self.q))
-        tab = tuple(_to_fraction(x) for x in self.table)
-        if len(tab) != self.q:
-            raise ValueError(f"table must have exactly q={self.q} entries")
+    def __init__(self, q: int, table: tuple[Fraction, ...], name: str = "custom"):
+        q = validate_modulus(q)
+        tab = tuple(_to_fraction(x) for x in table)
+        if len(tab) != q:
+            raise ValueError(f"table must have exactly q={q} entries")
         if tab[0] != 0:
             raise ValueError("weight of the zero symbol must be 0")
         if any(x < 0 for x in tab):
             raise ValueError("weights must be nonnegative")
         if not any(x > 0 for x in tab):
             raise ValueError("at least one symbol must have positive weight")
-        object.__setattr__(self, "table", tab)
+        self._assign(q=q, table=tab, name=name)
         levels = sorted(set(self.int_table))
         if levels[-1] > _MAX_SPREAD * min(b - a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"top weight exceeds {_MAX_SPREAD:.0e} times the smallest weight gap")
@@ -405,8 +401,7 @@ def sample_uniform_weight_w(wf: WeightFunction, n: int, w, rng: random.Random) -
 # -- asymptotic sphere exponent (maximum entropy) ---------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class EntropyProfile:
+class EntropyProfile(_Frozen):
     """Maximizer of the sphere-area exponent at mean weight omega.
 
     lam holds the per-symbol frequencies (summing to 1), s the entropy
@@ -414,16 +409,15 @@ class EntropyProfile:
     mean-weight constraint (+-inf at the weight boundaries).
     """
 
-    lam: np.ndarray
-    s: float
-    beta: float
+    _fields = ("lam", "s", "beta")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        arr = np.array(self.lam, dtype=float, copy=True)
+    def __init__(self, lam: np.ndarray, s: float, beta: float):
+        arr = np.array(lam, dtype=float, copy=True)
         arr.setflags(write=False)
-        object.__setattr__(self, "lam", arr)
+        self._assign(lam=arr, s=s, beta=beta)
 
-    def __reduce__(self):  # pickle and deepcopy rebuild through __post_init__, lam read-only again
+    def __reduce__(self):  # pickle and deepcopy rebuild through __init__, lam read-only again
         return type(self), (self.lam, self.s, self.beta)
 
 
@@ -431,8 +425,7 @@ _BLOCK = 2**15  # float64 elements per kernel block (256 KiB), so a block stays 
 _NODES = 1025  # start-table multipliers: a Hermite start then lands within 0.2 _NEWTON_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class _Dual:
+class _Dual(_Frozen):
     """Lagrangian dual of the maximum-entropy problem for one weight table.
 
     Class frequencies are proportional to mult * q^(-beta * wt): the mean
@@ -441,10 +434,12 @@ class _Dual:
     level one on each side of 0.  _newton finds them from the node table.
     """
 
-    w: np.ndarray  # distinct weights, ascending, so w[0] = 0
-    mult: np.ndarray  # symbols per distinct weight
-    lnq: float
-    beta_max: float
+    _fields = ("w", "mult", "lnq", "beta_max")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, w: np.ndarray, mult: np.ndarray, lnq: float, beta_max: float):
+        # w: distinct weights, ascending, so w[0] = 0; mult: symbols per distinct weight
+        self._assign(w=w, mult=mult, lnq=lnq, beta_max=beta_max)
 
     @cached_property
     def _dist(self) -> np.ndarray:

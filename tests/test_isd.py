@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -12,6 +11,7 @@ import pytest
 import leeisd.isd as isd
 from leeisd.cmsd import (
     CmsdInfeasibleError,
+    LoopDraws,
     cmsd_dumer,
     cmsd_wagner_v1,
     cmsd_wagner_v2_build,
@@ -232,11 +232,11 @@ def test_wrappers_stay_at_the_boundary(monkeypatch):
     inst = generate_instance(3, 30, 15, 7, WeightFunction.lee(3), random.Random(211))
     built = Counter()
     for cls in (FqMatrix, FqVector):
-        def counted(self, init=cls.__post_init__, name=cls.__name__):
+        def counted(self, q, values, init=cls.__init__, name=cls.__name__):
             built[name] += 1
-            init(self)
+            init(self, q, values)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     verified = []
 
     def verify(inst, e):
@@ -272,7 +272,8 @@ def test_stack_meta_sums_the_single_builds_of_its_loops():
         draw_rng = random.Random(trial)
         plan = loop_plan(variant, wf, n, ell, p, a, cap)
         draws = [plan.draw(draw_rng) for _ in range(loops)]
-        draws[-1] = dataclasses.replace(draws[-1], targets=[0] * len(draws[-1].targets))
+        last = draws[-1]
+        draws[-1] = LoopDraws([0] * len(last.targets), last.leaf_ranks, last.plan)
 
         def build(h, s, d):
             if variant == "dumer":

@@ -1,6 +1,5 @@
 """Every refusal of a bad input is one exception of a stated type with a one-line message."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -33,7 +32,13 @@ def instance(n=4, k=2, h_rows=2, s_len=2, wf=HAM3, h=None, planted=None):
 
 def swapped(**change):
     """An SdInstance call with the fields in change replaced."""
-    return lambda: dataclasses.replace(instance(), **change)
+
+    def call():
+        i = instance()
+        fields = dict(q=i.q, n=i.n, k=i.k, w=i.w, wf=i.wf, h=i.h, s=i.s, planted=i.planted)
+        return SdInstance(**{**fields, **change})
+
+    return call
 
 
 def pair():
