@@ -70,7 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .estimator import _list_exponent
-from .fieldlin import _Frozen, _integer_array, _to_int
+from .fieldlin import _Frozen, _to_int
 from .merge import (
     DEFAULT_LIST_CAP,
     IndexedList,
@@ -138,11 +138,11 @@ class CmsdDescription:
 
     The candidates are the entries of root, entry i at domain index dom[i]
     (ascending), loop b's at indices starts[b]..starts[b+1]-1, at least one
-    index a loop, so y = starts[-1] >= 1.  candidates(lo, hi) gives those in
-    [lo, hi) with their rows; evaluate_many(idx) gives one row of length
-    root.sup[1] = n per index, the zero vector where an index holds no
-    candidate, and evaluate(i) is its one-index view.  Every candidate meets
-    its loop's syndrome and weight constraints by construction.
+    index a loop, so y = starts[-1] >= 1.  There is one reader:
+    candidates(lo, hi) gives those in [lo, hi) with their rows of length
+    root.sup[1] = n; evaluate(i) is its view of one index, the zero vector
+    where i holds no candidate.  Every candidate meets its loop's syndrome
+    and weight constraints by construction.
 
     When loop B' > 0 of the stack would overflow list_size_cap, only loops
     0..B'-1 are described and overflow holds the error loop B' raises
@@ -156,25 +156,17 @@ class CmsdDescription:
         self.y, self.meta, self.root, self.dom = y, meta, root, dom
         self.starts, self.overflow = starts, overflow
 
-    def evaluate_many(self, idx) -> np.ndarray:
-        idx = np.asarray(_integer_array(idx), dtype=np.int64)
-        bad = idx[(idx < 0) | (idx >= self.y)]
-        if bad.size:
-            raise IndexError(f"index {bad[0]} outside [0, {self.y})")
-        out = np.zeros((len(idx), self.root.sup[1]), dtype=np.int64)
-        pos = self.dom.searchsorted(idx)
-        hit = pos < len(self.dom)
-        hit[hit] = self.dom[pos[hit]] == idx[hit]
-        out[hit] = self.root.gather(pos[hit])
-        return out
-
     def candidates(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """(domain indices, rows) of the candidates at indices lo..hi-1, indices ascending."""
         first, end = self.dom.searchsorted([lo, hi])
         return self.dom[first:end], self.root.gather(np.arange(first, end))
 
     def evaluate(self, i: int) -> np.ndarray:
-        return self.evaluate_many([i])[0]
+        i = _to_int(i, "index")
+        if not 0 <= i < self.y:
+            raise IndexError(f"index {i} outside [0, {self.y})")
+        rows = self.candidates(i, i + 1)[1]
+        return rows[0] if len(rows) else np.zeros(self.root.sup[1], dtype=np.int64)
 
 
 class LoopDraws(_Frozen):
@@ -672,10 +664,10 @@ def _build(variant, h_second, s_second, wf, p, a: int, cap: int, draws) -> CmsdD
     if variant != "prange":
         return _build_tree(plan, h2, s2, draws)
     loops, _, k = h2.shape
-    zero = IndexedList(wf.q, np.zeros((loops, 0)), np.zeros(loops, dtype=np.int64))
+    dom, starts = np.arange(loops), np.arange(loops + 1)  # entry b: loop b's zero candidate, index b
+    zero = IndexedList._made(wf.q, np.zeros((loops, 0), np.int64), np.zeros_like(dom), dom, loops)
     root = _Node(zero, (0, k), vecs=np.zeros((1, k), dtype=np.int64))
     meta = {"variant": "prange", "expected_solutions": float(loops)}
-    dom, starts = np.arange(loops), np.arange(loops + 1)
     return CmsdDescription(y=loops, meta=meta, root=root, dom=dom, starts=starts)
 
 

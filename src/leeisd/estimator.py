@@ -79,8 +79,7 @@ class AlgoPoint(_Frozen):
     _fields = ("L", "P", "a")
 
     def __init__(self, L: float, P: float, a: int):
-        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-            raise ValueError(f"level count a must be an integer, not {a!r}")
+        a = _to_int(a, "level count a")
         if not 1 <= a <= MAX_LEVELS:
             raise ValueError(f"level count a must lie in [1, {MAX_LEVELS}], not {a}")
         self._assign(L=L, P=P, a=a)

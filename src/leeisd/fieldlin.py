@@ -41,7 +41,7 @@ def is_prime(q: int) -> bool:
 
 def validate_modulus(q: int) -> int:
     """Check that q is a prime suitable for this library and return it."""
-    if not isinstance(q, (int, np.integer)):
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
         raise ValueError(f"modulus must be an integer, got {type(q).__name__}")
     q = int(q)
     if q >= MAX_MODULUS:
@@ -86,7 +86,8 @@ class _Frozen:
     _fields names the fields in constructor order.  repr shows them, and
     two records of one type are equal, with equal hashes, when their field
     tuples are; a record compared by identity takes object's __eq__ and
-    __hash__ back.
+    __hash__ back.  pickle, deepcopy and copy rebuild a record by calling
+    its checked __init__ on its field tuple, so arrays come back read-only.
     """
 
     _fields: tuple[str, ...] = ()
@@ -117,6 +118,9 @@ class _Frozen:
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class _FqArray(_Frozen):
@@ -165,9 +169,6 @@ class _FqArray(_Frozen):
 
     def tolist(self) -> list:
         return self._stored.tolist()
-
-    def __reduce__(self):  # pickle and deepcopy rebuild through the checks, read-only again
-        return type(self), (self.q, self._stored)
 
 
 class FqVector(_FqArray):
@@ -233,9 +234,6 @@ class Permutation(_Frozen):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
-
-    def __reduce__(self):  # pickle and deepcopy rebuild through the checks, read-only again
-        return type(self), (self.images,)
 
 
 def apply_permutation(values: np.ndarray, perm: Permutation) -> np.ndarray:

@@ -9,9 +9,10 @@ first word also gives each entry's key.  The keys the right input needs
 are looked up in one bincount of those keys when the key space is a
 small multiple of the lists, else by binary search, so the cost is
 quasi-linear in the inputs and the output.  Every output entry keeps
-index references to the pair that produced it.  Lists are immutable
-values, validated and copied where they enter from outside; a merge's
-output is valid by construction and is neither scanned nor copied.
+index references to the pair that produced it.  Every list is a stack of
+lists, one per outer loop (a list given no ids is a stack of one).  Lists
+are immutable values, validated and copied where they enter from outside;
+a merge's output is valid by construction and is neither scanned nor copied.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ DEFAULT_LIST_CAP = 1 << 26
 class MergeOverflowError(ValueError):
     """Merged output would exceed the configured size cap.
 
-    loop is the first loop of a stack whose output would (0 for one list).
+    loop is the first loop of the stack whose output would.
     """
 
     def __init__(self, message: str, loop: int = 0):
@@ -139,9 +140,10 @@ class IndexedList(_Frozen):
     """An immutable list of syndrome-space vectors (entries in [0, q)) with opaque preimage references.
 
     backrefs[i] identifies how entry i was produced (a sphere rank for a
-    base list, an index pair into the child lists for a merged one).  A
-    stack of lists, one per outer loop, is one IndexedList whose loop array
-    gives each entry's loop; every sort orders on the loop first.
+    base list, an index pair into the child lists for a merged one).  Every
+    IndexedList is a stack of lists, one per outer loop: its loop array
+    gives each entry's loop, and every sort orders on the loop first.  A
+    list given no loop ids is a stack of one, its ids all 0.
 
     The constructor reads q as an integer of at least 2, validates the
     entries and loop ids, keeps read-only int64 copies of both (backrefs
@@ -167,25 +169,24 @@ class IndexedList(_Frozen):
             raise ValueError(f"syndrome entries must lie in [0, {q})")
         if len(backrefs) != syn.shape[0]:
             raise ValueError("backrefs length must match syndrome count")
-        loop = None if loop is None else np.array(loop, dtype=np.int64)
-        if loop is not None and loop.shape != (len(backrefs),):
+        loop = np.zeros(len(backrefs), np.int64) if loop is None else np.array(loop, np.int64)
+        if loop.shape != (len(backrefs),):
             raise ValueError("loop ids must be one per entry")
-        end = int(loop.view(np.uint64).max()) + 1 if loop is not None and len(loop) else 0
+        end = int(loop.view(np.uint64).max()) + 1 if len(loop) else 0
         self._set(q, syn, backrefs, loop, end)
 
     @classmethod
-    def _made(cls, q, syndromes, backrefs, loop=None, loop_end=0) -> "IndexedList":
+    def _made(cls, q, syndromes, backrefs, loop, loop_end) -> "IndexedList":
         """A list that is valid by construction: nothing is scanned or copied.
 
         syndromes is a C-contiguous int64 array with entries in [0, q), and
-        every loop id lies below loop_end.  Both arrays are made read-only.
+        loop holds one int64 id per entry, each below loop_end.  Both are made read-only.
         """
         return cls.__new__(cls)._set(q, syndromes, backrefs, loop, loop_end)
 
     def _set(self, q, syndromes, backrefs, loop, loop_end) -> "IndexedList":
-        for arr in (syndromes, loop):
-            if arr is not None:
-                arr.setflags(write=False)
+        syndromes.setflags(write=False)
+        loop.setflags(write=False)
         # the fields are frozen, so they are set past __setattr__
         vars(self).update(q=q, syndromes=syndromes, backrefs=backrefs, loop=loop, loop_end=loop_end)
         return self
@@ -219,9 +220,8 @@ class IndexedList(_Frozen):
         """A copy in _order_keys's order on J, whose J-keys match_range searches."""
         J = _check_J(J, self.width)
         order, keys = self._order_keys(J, max(self.loop_end, 1))
-        loop = None if self.loop is None else self.loop.take(order)
         syn, refs = self.syndromes.take(order, axis=0), self.backrefs.take(order, axis=0)
-        out = IndexedList._made(self.q, syn, refs, loop, self.loop_end)
+        out = IndexedList._made(self.q, syn, refs, self.loop.take(order), self.loop_end)
         vars(out).update(_keys=keys[order])
         return out
 
@@ -241,11 +241,12 @@ def _restore(q, syndromes, backrefs, loop, loop_end, keys) -> IndexedList:
     return out
 
 
-def _target_on_J(t, J: tuple[int, ...], width: int, q: int, stacked: bool) -> np.ndarray:
+def _target_on_J(t, J: tuple[int, ...], width: int, q: int) -> np.ndarray:
     t = np.asarray(t, dtype=np.int64) % q
-    if t.ndim == 1 + stacked and t.shape[-1] in (width, len(J)):
-        return t[..., list(J)] if t.shape[-1] == width else t
-    raise ValueError(f"target must have length {width} or {len(J)}" + " per loop" * stacked)
+    if t.ndim in (1, 2) and t.shape[-1] in (width, len(J)):
+        t = t[None] if t.ndim == 1 else t
+        return t[:, list(J)] if t.shape[-1] == width else t
+    raise ValueError(f"target must have length {width} or {len(J)} per loop")
 
 
 # a join counts L1's entries per key with one bincount when the key space
@@ -267,11 +268,11 @@ def merge(
     entries.  Raises MergeOverflowError if the output would exceed cap
     entries.
 
-    Two stacks (both lists with loop ids) merge every loop in one pass: t
-    holds one target per loop, entries of different loops never pair, and
-    each loop's entries come out in the order its own merge would give
-    them.  cap bounds each loop's output, and the error names the first
-    loop over it.
+    Every loop of the two stacks merges in one pass: t holds one target
+    row per loop (a 1-D t is the target of a stack of one), entries of
+    different loops never pair, and each loop's entries come out in the
+    order its own merge would give them.  cap bounds each loop's output,
+    and the error names the first loop over it.
 
     L1 is sorted on its sort words, whose word 0 also gives its keys.
     Each L2 entry's match range comes from a bincount of L1's keys where
@@ -282,19 +283,16 @@ def merge(
         raise ValueError("modulus mismatch between lists")
     if L1.width != L2.width:
         raise ValueError(f"syndrome length mismatch: {L1.width} vs {L2.width}")
-    stacked = L1.loop is not None
-    if stacked != (L2.loop is not None):
-        raise ValueError("a stack of lists merges only with another stack")
     q = L1.q
     J = _check_J(J, L1.width)
-    tJ = _target_on_J(t, J, L1.width, q, stacked)
-    nloops = len(tJ) if stacked else 1
-    if stacked and max(L1.loop_end, L2.loop_end) > nloops:
+    tJ = _target_on_J(t, J, L1.width, q)
+    nloops = len(tJ)
+    if max(L1.loop_end, L2.loop_end) > nloops:
         raise ValueError(f"loop ids must lie in [0, {nloops})")
     loop2 = L2.loop if nloops > 1 else None  # every id of a stack of one is 0
     span = nloops * q ** len(J)  # the key space
     order, keys1 = L1._order_keys(J, nloops)
-    t2 = tJ.take(loop2, axis=0) if loop2 is not None else tJ.reshape(1, -1)
+    t2 = tJ.take(loop2, axis=0) if loop2 is not None else tJ
     need = t2 - L2.syndromes[:, list(J)]
     need += (need >> 63) & q  # (t - y) mod q: adds q where the difference is negative
     need_keys = _encode_keys(need, q, loop2, nloops)
@@ -321,5 +319,4 @@ def merge(
     refs[:, 0] = order.take(pos1)
     refs[:, 1] = j_idx
     syn = (L1.syndromes.take(refs[:, 0], axis=0) + L2.syndromes.take(j_idx, axis=0)) % q
-    loop = None if L2.loop is None else L2.loop.take(j_idx)
-    return IndexedList._made(q, syn, refs, loop, L2.loop_end)
+    return IndexedList._made(q, syn, refs, L2.loop.take(j_idx), L2.loop_end)

@@ -38,12 +38,14 @@ def _to_fraction(x) -> Fraction:
         return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
+    if isinstance(x, float) and not math.isfinite(x):  # nan or inf: no ratio to convert
+        raise ValueError(f"weight {x!r} is not a finite rational")
     try:
         if isinstance(x, str):
             return Fraction(x)
         if isinstance(x, float):
             return Fraction(x).limit_denominator(10**9)
-    except (OverflowError, ZeroDivisionError) as exc:  # an infinite float or "a/0"
+    except ZeroDivisionError as exc:  # "a/0"
         raise ValueError(f"weight {x!r} is not a finite rational") from exc
     raise ValueError(f"cannot interpret {x!r} as a rational weight")
 
@@ -416,9 +418,6 @@ class EntropyProfile(_Frozen):
         arr = np.array(lam, dtype=float, copy=True)
         arr.setflags(write=False)
         self._assign(lam=arr, s=s, beta=beta)
-
-    def __reduce__(self):  # pickle and deepcopy rebuild through __init__, lam read-only again
-        return type(self), (self.lam, self.s, self.beta)
 
 
 _BLOCK = 2**15  # float64 elements per kernel block (256 KiB), so a block stays in cache

@@ -14,6 +14,7 @@ from leeisd.fieldlin import (
     FqMatrix,
     FqVector,
     Permutation,
+    _integer_array,
     apply_permutation,
     partial_gaussian_elim,
     validate_modulus,
@@ -57,9 +58,23 @@ def is_solution(h2, s2, wf, p, v: np.ndarray) -> np.ndarray:
     return syn_ok & (weights == wf.scaled(p))
 
 
+def evaluate_many(desc, idx) -> np.ndarray:
+    """One row of f per index of idx: its candidate, or the zero vector where it holds none."""
+    idx = np.asarray(_integer_array(idx), dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= desc.y)]
+    if bad.size:
+        raise IndexError(f"index {bad[0]} outside [0, {desc.y})")
+    out = np.zeros((len(idx), desc.root.sup[1]), dtype=np.int64)
+    pos = desc.dom.searchsorted(idx)
+    hit = pos < len(desc.dom)
+    hit[hit] = desc.dom[pos[hit]] == idx[hit]
+    out[hit] = desc.root.gather(pos[hit])
+    return out
+
+
 def enumerate_f(desc, h2, s2, wf, p) -> CmsdEnumeration:
     """The values of f that solve the bottom block (h2, s2) at weight p, with distinct count."""
-    vals = desc.evaluate_many(np.arange(desc.y))
+    vals = evaluate_many(desc, np.arange(desc.y))
     sols = list(vals[is_solution(h2, s2, wf, p, vals)])
     return CmsdEnumeration(solutions=sols, observed_z=len({v.tobytes() for v in sols}))
 
@@ -240,7 +255,7 @@ def _first_hit(inst: SdInstance, desc, ech, perm: Permutation, p, w_rem: int):
     h1, s1 = ech.h_prime, ech.s_prime
     tab = inst.wf.int_table_array()
     for lo in range(0, desc.y, CANDIDATE_BLOCK):
-        e2 = desc.evaluate_many(np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
+        e2 = evaluate_many(desc, np.arange(lo, min(lo + CANDIDATE_BLOCK, desc.y)))
         e1 = (s1 - e2 @ h1.T) % q
         e2_ok = is_solution(ech.h_second, ech.s_second, inst.wf, p, e2)
         for i in np.flatnonzero(e2_ok & (tab[e1].sum(axis=1) == w_rem)):
@@ -341,9 +356,8 @@ def merge_reference(L1: IndexedList, L2: IndexedList, J, t, cap: int) -> Indexed
     q = L1.q
     J = _check_J(J, L1.width)
     cols = list(J)
-    stacked = L1.loop is not None
-    tJ = _target_on_J(t, J, L1.width, q, stacked)
-    nloops = len(tJ) if stacked else 1
+    tJ = _target_on_J(t, J, L1.width, q)
+    nloops = len(tJ)
     order, keys1 = sorted_reference(L1, J, nloops)
     syn1 = L1.syndromes[order]
     t2 = tJ[L2.loop] if nloops > 1 else tJ.reshape(1, -1)

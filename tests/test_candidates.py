@@ -1,8 +1,8 @@
 """The candidate contract every back end keeps, and block edges in the solver.
 
 A description's candidates are the entries of its root list at ascending
-domain indices; candidates(lo, hi) walks them block by block, and
-evaluate_many is their zero-filled scatter over the domain.
+domain indices; candidates(lo, hi) walks them block by block, and the
+oracle evaluate_many is their zero-filled scatter over the domain.
 """
 
 import json
@@ -37,7 +37,7 @@ def walk(desc, size: int):
 
 def check_contract(desc, p: int) -> np.ndarray:
     """Assert the contract on desc; returns the full-domain scan."""
-    full = desc.evaluate_many(np.arange(desc.y))
+    full = oracles.evaluate_many(desc, np.arange(desc.y))
     idx, rows = walk(desc, desc.y)
     assert (np.diff(idx) > 0).all()
     assert np.array_equal(rows, full[idx])
@@ -241,3 +241,37 @@ def test_cli_rejects_level_counts_above_the_bounds(capsys, tmp_path):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_evaluate_is_the_one_index_view_of_candidates():
+    # evaluate(i) reads candidates(i, i + 1) alone: the oracle's row at every
+    # index, for every variant and for a stack cut by overflow
+    lee = WeightFunction.lee(3)
+    h2, s2 = random_stack(3, 2, 2, 12, np.random.default_rng(5))
+    h3, s3 = random_stack(3, 4, 4, 27, np.random.default_rng(1))  # loop 3 overflows at level 2
+    plan, draw_rng = cmsd.loop_plan("wagner2", lee, 27, 4, 9, 3, 48), random.Random(1)
+    draws = [plan.draw(draw_rng) for _ in range(4)]
+    descs = {
+        "prange": cmsd_prange(h2[:, :0], s2[:, :0], lee, 0),
+        "dumer": cmsd_dumer(h2, s2, lee, 4),
+        "wagner1": cmsd_wagner_v1(h2, s2, lee, 4, 2),
+        "wagner2": cmsd_wagner_v2_build(h2, s2, lee, 3, 2),
+        "cut": cmsd_wagner_v2_build(h3, s3, lee, 9, 3, 48, draws=draws),
+    }
+    assert descs["cut"].overflow.loop == 3
+    for name, desc in descs.items():
+        want = oracles.evaluate_many(desc, np.arange(desc.y))
+        assert want.any(axis=1).any() == (name != "prange"), name
+        if name in ("wagner2", "cut"):  # the chain has indices with a candidate and without
+            assert not want.any(axis=1).all(), name
+        for i in range(desc.y):
+            got = desc.evaluate(np.int64(i) if i % 2 else i)
+            assert got.dtype == want.dtype and np.array_equal(got, want[i]), (name, i)
+        for bad in (-1, desc.y):
+            with pytest.raises(IndexError, match=rf"^index {bad} outside \[0, {desc.y}\)$"):
+                desc.evaluate(bad)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                desc.evaluate(bad)
+    zero = descs["prange"].root.lst  # the zero candidate of each loop
+    assert zero.loop.tolist() == [0, 1] and zero.loop_end == 2 and zero.syndromes.shape == (2, 0)

@@ -126,9 +126,9 @@ def test_evaluate_many_rejects_non_integer_indices():
     desc = cmsd_dumer(h2, s2, wf, 2)
     for bad in ([0.9], np.array([0.0]), [True], [0, True]):
         with pytest.raises(ValueError, match="integers"):
-            desc.evaluate_many(bad)
-    every = desc.evaluate_many(np.arange(desc.y, dtype=np.int32))
-    assert np.array_equal(every[:1], desc.evaluate_many([np.int64(0)]))
+            oracles.evaluate_many(desc, bad)
+    every = oracles.evaluate_many(desc, np.arange(desc.y, dtype=np.int32))
+    assert np.array_equal(every[:1], oracles.evaluate_many(desc, [np.int64(0)]))
 
 
 def test_dumer_p0_degenerate():
@@ -202,7 +202,8 @@ def test_dumer_is_wagner_v1_at_a1():
         w = cmsd_wagner_v1(h2, s2, wf, p, a=1)
         assert d.meta == w.meta and d.meta["variant"] == "dumer"
         every = np.arange(d.y)
-        assert d.y == w.y and np.array_equal(d.evaluate_many(every), w.evaluate_many(every))
+        assert d.y == w.y
+        assert np.array_equal(oracles.evaluate_many(d, every), oracles.evaluate_many(w, every))
 
 
 def test_wagner_v1_a2_subset_of_oracle_and_sound():
@@ -475,7 +476,7 @@ def test_wagner2_partner_tables_match_per_index_walk():
             s2 = FqVector(q, (h2.values @ np.concatenate(planted)) % q)
             draws = oracles.loop_draws("wagner2", h2, wf, p, a, cap, random.Random(seed))
             desc = cmsd_wagner_v2_build(h2, s2, wf, p, a=a, list_size_cap=cap, draws=draws)
-            got = desc.evaluate_many(np.arange(desc.y))
+            got = oracles.evaluate_many(desc, np.arange(desc.y))
             want = wagner2_reference(h2, s2, wf, p, a, cap, seed)
             assert np.array_equal(got, want), (q, ell, n, p, a, cap, seed)
             nonzero += int(want.any(axis=1).sum())
@@ -521,14 +522,14 @@ def test_split_merge_cuts_like_one_merge_per_split():
                 assert str(got.value) == str(want[0])
             continue
         single = cmsd_dumer(h2[0], s2[0], wf, p, cap)
-        rows = single.evaluate_many(np.arange(single.y))
+        rows = oracles.evaluate_many(single, np.arange(single.y))
         assert np.array_equal(rows[rows.any(axis=1)], want[0])
         desc = cmsd_dumer(h2, s2, wf, p, cap)
         cut = want[-1] if isinstance(want[-1], MergeOverflowError) else None
         assert str(desc.overflow) == str(cut)
         assert len(desc.starts) - 1 == len(want) - (cut is not None)
         for b, lo, hi in zip(range(loops), desc.starts[:-1], desc.starts[1:]):
-            rows = desc.evaluate_many(np.arange(lo, hi))
+            rows = oracles.evaluate_many(desc, np.arange(lo, hi))
             assert np.array_equal(rows[rows.any(axis=1)], want[b]), (trial, b)
     # a merge or a running total over cap ends a stack at a later loop, or
     # raises at loop 0; a base list over cap fails every loop, so loop 0 raises
@@ -563,7 +564,7 @@ def test_wagner2_survivor_rows_match_full_rows():
             desc = cmsd_wagner_v2_build(*args, wf, p, a, cap, draws=draws)
             idx = np.arange(desc.y)
             want, populated = oracles.wagner2_full_rows(h2, s2, wf, p, a, cap, draws, idx)
-            got = desc.evaluate_many(idx)
+            got = oracles.evaluate_many(desc, idx)
             assert np.array_equal(got, want), (wf, ell, n, p, a, cap, loops, seed)
             seen["sampled" if draws[0].leaf_ranks[-1] else "shared"] += 1
             seen["populated" if populated else "empty table"] += 1
@@ -617,12 +618,12 @@ def test_wagner2_stack_cut_at_level_2_after_the_chain_merged():
     assert str(err.value) == str(desc.overflow)
     for b in range(live):
         single = cmsd_wagner_v2_build(h2[b], s2[b], wf, p, a, cap, draws=draws[b : b + 1])
-        want = single.evaluate_many(np.arange(single.y))
-        got = desc.evaluate_many(np.arange(desc.starts[b], desc.starts[b + 1]))
+        want = oracles.evaluate_many(single, np.arange(single.y))
+        got = oracles.evaluate_many(desc, np.arange(desc.starts[b], desc.starts[b + 1]))
         assert np.array_equal(got, want), b
     idx = np.arange(desc.y)
     want, _ = oracles.wagner2_full_rows(h2, s2, wf, p, a, cap, draws, idx)
-    assert np.array_equal(desc.evaluate_many(idx), want)
+    assert np.array_equal(oracles.evaluate_many(desc, idx), want)
     assert want.any(axis=1).sum() > 0
 
 
@@ -647,7 +648,8 @@ def test_draws_refuse_the_randomness_options_they_fix():
     got = cmsd_wagner_v1(h2, s2, wf, 4, 2)
     want = cmsd_wagner_v1(h2, s2, wf, 4, 2, draws=oracles.loop_draws("wagner1", h2, wf, 4, 2))
     every = np.arange(want.y)
-    assert got.y == want.y and np.array_equal(got.evaluate_many(every), want.evaluate_many(every))
+    assert got.y == want.y
+    assert np.array_equal(oracles.evaluate_many(got, every), oracles.evaluate_many(want, every))
     lazy = loop_plan("wagner2", wf, 12, 2, 3, 2, DEFAULT_LIST_CAP)
     cmsd_wagner_v2_build(h2, s2, wf, 3, 2, draws=[lazy.draw(random.Random(b)) for b in range(2)])
 
@@ -672,7 +674,8 @@ def test_every_plan_draws_and_builds_through_one_contract():
             got = plan.build(h2, s2, draws)
             want = builder(h2, s2, lee, p, a, draws=draws)
             every = np.arange(want.y)
-            assert np.array_equal(got.evaluate_many(every), want.evaluate_many(every)), variant
+            rows = [oracles.evaluate_many(desc, every) for desc in (got, want)]
+            assert np.array_equal(*rows), variant
             # a sized draw subsamples the base lists over size, but dumer lists every sphere
             sampled = any(r is not None for r in draws[0].leaf_ranks)
             assert sampled == (size is not None and variant != "dumer"), (variant, size)
@@ -704,7 +707,8 @@ def test_a_single_block_builds_as_a_stack_of_one():
         assert one.y == stack.y and one.starts.tolist() == stack.starts.tolist() == [0, one.y]
         assert np.array_equal(one.dom, stack.dom) and one.meta == stack.meta, variant
         every = np.arange(one.y)
-        assert np.array_equal(one.evaluate_many(every), stack.evaluate_many(every)), variant
+        rows = [oracles.evaluate_many(desc, every) for desc in (one, stack)]
+        assert np.array_equal(*rows), variant
         cuts = 0
         for cap in [DEFAULT_LIST_CAP] + [2**k for k in range(2, 14) if variant != "prange"]:
             plan = loop_plan(variant, lee, 12, ell, p, a, cap)

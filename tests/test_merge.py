@@ -338,3 +338,68 @@ def test_the_modulus_is_read_where_it_enters():
     got, want = join(np.int64(331), syn, J)[0], join(331, syn, J)[0]
     assert type(got.q) is int and len(got) >= 30
     assert np.array_equal(got.syndromes, want.syndromes) and np.array_equal(got.backrefs, want.backrefs)
+
+
+def assert_same_list(got, want):
+    """got and want hold equal fields, the sort keys sort_on sets included."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == getattr(got, name).dtype, name
+            assert np.array_equal(value, getattr(got, name)), name
+        else:
+            assert value == getattr(got, name), name
+
+
+def test_a_list_without_loop_ids_is_a_stack_of_one():
+    # the same list with explicit zero ids: the same fields, the same sort
+    # and the same merge, under a 1-D target and under a (1, width) one
+    rng = np.random.default_rng(42)
+    q, m = 5, 3
+    for _ in range(30):
+        syns = [rng.integers(0, q, (int(rng.integers(0, 25)), m)) for _ in "ab"]
+        bare = [IndexedList(q, s, np.arange(len(s))) for s in syns]
+        zero = [IndexedList(q, s, np.arange(len(s)), loop=np.zeros(len(s), int)) for s in syns]
+        J = tuple(rng.choice(m, int(rng.integers(0, m + 1)), replace=False).tolist())
+        for lst, twin in zip(bare, zero):
+            assert_same_list(lst, twin)
+            assert lst.loop.tolist() == [0] * len(lst) and lst.loop_end == min(len(lst), 1)
+            assert_same_list(lst.sort_on(J), twin.sort_on(J))
+        t = rng.integers(0, q, m)
+        want = merge(*zero, J, t[None])
+        ref = oracles.merge_reference(*zero, J, t, DEFAULT_LIST_CAP)
+        for name in ("syndromes", "backrefs", "loop"):  # its loop_end is the largest id + 1
+            assert np.array_equal(getattr(want, name), getattr(ref, name)), name
+        for target in (t, t[None]):
+            for L1, L2 in ((bare[0], bare[1]), (bare[0], zero[1]), (zero[0], bare[1])):
+                assert_same_list(merge(L1, L2, J, target), want)
+
+
+def test_a_list_without_loop_ids_merges_with_a_stack_within_loop_0():
+    # a list without ids is loop 0 of a stack, so it pairs with that loop's
+    # entries of the other list only, on either side
+    rng = np.random.default_rng(17)
+    q, m, loops = 3, 4, 3
+    paired = 0
+    for _ in range(30):
+        n1, n2 = rng.integers(0, 20, 2)
+        bare = IndexedList(q, rng.integers(0, q, (n1, m)), np.arange(n1))
+        ids = rng.integers(0, loops, n2)
+        stack = IndexedList(q, rng.integers(0, q, (n2, m)), np.arange(n2), loop=ids)
+        J = tuple(rng.choice(m, int(rng.integers(0, m + 1)), replace=False).tolist())
+        t = rng.integers(0, q, (loops, m))
+        at0 = np.flatnonzero(ids == 0)
+        head = IndexedList(q, stack.syndromes[at0], at0)  # the stack's loop 0 alone
+        for side, (L1, L2) in enumerate(((bare, stack), (stack, bare))):
+            got = merge(L1, L2, J, t)
+            want = oracles.merge_reference(L1, L2, J, t, DEFAULT_LIST_CAP)
+            for name in ("syndromes", "backrefs", "loop"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            one = merge(*((bare, head) if side == 0 else (head, bare)), J, t[0])
+            refs = one.backrefs.copy()
+            refs[:, 1 - side] = at0[refs[:, 1 - side]]  # head's positions in the stack
+            assert np.array_equal(got.syndromes, one.syndromes)
+            assert np.array_equal(got.backrefs, refs)
+            assert not got.loop.any() and got.loop_end == L2.loop_end
+            paired += len(got)
+    assert paired

@@ -7,9 +7,12 @@ by identity, or unhashable).  The expected values were taken from the
 dataclass versions.  No leeisd class is a dataclass any more.
 """
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import json
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -17,8 +20,16 @@ import numpy as np
 import pytest
 
 import leeisd
-from leeisd.cmsd import CmsdDescription, LoopDraws, LoopPlan, cmsd_prange
-from leeisd.estimator import AlgoPoint, CodeParams, HardestResult, SweepRow, WorkFactors
+from leeisd import cli
+from leeisd.cmsd import CmsdDescription, LoopDraws, LoopPlan, cmsd_prange, loop_plan
+from leeisd.estimator import (
+    AlgoPoint,
+    CodeParams,
+    HardestResult,
+    SweepRow,
+    WorkFactors,
+    work_factors,
+)
 from leeisd.fieldlin import FqMatrix, FqVector, PartialEchelon, Permutation, partial_gaussian_elim
 from leeisd.isd import IsdParams, SdInstance, SolveReport
 from leeisd.merge import DEFAULT_LIST_CAP, IndexedList
@@ -285,6 +296,13 @@ def instance_with(**change):
 
 CHECKS = [  # (label, call, the message of its ValueError)
     ("FqVector q 'a'", lambda: FqVector("a", [0]), "modulus must be an integer, got str"),
+    ("FqVector q True", lambda: FqVector(True, [0]), "modulus must be an integer, got bool"),
+    ("FqMatrix q True", lambda: FqMatrix(True, [[0]]), "modulus must be an integer, got bool"),
+    (
+        "WeightFunction q True",
+        lambda: WeightFunction(True, (0,)),
+        "modulus must be an integer, got bool",
+    ),
     (
         "FqVector q 2^16 + 1",
         lambda: FqVector(65537, [0]),
@@ -374,6 +392,7 @@ CHECKS = [  # (label, call, the message of its ValueError)
     ("SdInstance n 3.0", instance_with(n=3.0), "n must be an integer, not 3.0"),
     ("SdInstance k True", instance_with(k=True), "k must be an integer, not True"),
     ("SdInstance w 'x'", instance_with(w="x"), "Invalid literal for Fraction: 'x'"),
+    ("SdInstance w nan", instance_with(w=float("nan")), "weight nan is not a finite rational"),
     ("SdInstance k = n", instance_with(k=3), "need 0 < k < n"),
     ("SdInstance n = 4", instance_with(n=4, k=2), "H must be (n-k) x n"),
     ("SdInstance s of 3", instance_with(s=FqVector(3, [0, 0, 0])), "syndrome must have length n-k"),
@@ -395,6 +414,12 @@ CHECKS = [  # (label, call, the message of its ValueError)
         "variant must be one of ('prange', 'dumer', 'wagner1', 'wagner2')",
     ),
     ("IsdParams p 'x'", lambda: IsdParams(p="x"), "Invalid literal for Fraction: 'x'"),
+    ("IsdParams p nan", lambda: IsdParams(p=float("nan")), "weight nan is not a finite rational"),
+    (
+        "loop_plan p nan",
+        lambda: loop_plan("wagner1", H3, 12, 2, float("nan"), 2, DEFAULT_LIST_CAP),
+        "weight nan is not a finite rational",
+    ),
     ("IsdParams ell 1.5", lambda: IsdParams(ell=1.5), "ell must be an integer, not 1.5"),
     ("IsdParams a True", lambda: IsdParams(a=True), "a must be an integer, not True"),
     (
@@ -465,3 +490,25 @@ def test_no_leeisd_class_is_a_dataclass():
                 assert not dataclasses.is_dataclass(obj), obj.__qualname__
                 seen += 1
     assert seen >= 20
+
+
+def test_a_numpy_level_count_reads_as_an_int():
+    # a kept np.int64 showed in the repr and broke the JSON document
+    pt = AlgoPoint(0.05, 0.05, np.int64(2))
+    assert type(pt.a) is int and repr(pt) == "AlgoPoint(L=0.05, P=0.05, a=2)"
+    doc = cli._factors_doc(work_factors(CodeParams(L5, 0.5, 0.3), "classical", pt))
+    assert json.loads(json.dumps(doc))["a"] == 2
+
+
+def test_records_rebuild_through_their_constructor_on_every_copy():
+    # pickle, deepcopy and copy all call the checked __init__ again
+    params = IsdParams("wagner2", 4, "1/2", 3, 99, 5, 6)
+    values = [H3, L5, params, CodeParams(L5, 0.5, 0.3), point(), factors()]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+    inst = instance()
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+        assert type(twin) is SdInstance and twin != inst  # compared by identity
+        for name in SdInstance._fields:
+            assert getattr(twin, name) == getattr(inst, name), name

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from leeisd.cli import main
 from leeisd.cmsd import cmsd_dumer, cmsd_prange, cmsd_wagner_v1, cmsd_wagner_v2_build, loop_plan
 from leeisd.estimator import (
@@ -43,10 +44,6 @@ def swapped(**change):
 
 def pair():
     return IndexedList(3, [[0, 1], [1, 2]], [0, 1])
-
-
-def stack():
-    return IndexedList(3, [[0, 1], [1, 2]], [0, 1], loop=[0, 1])
 
 
 def bottom_blocks(loops=2, ell=2, n=12):
@@ -101,7 +98,6 @@ REFUSALS = [  # (label, call, exception type)
     ("IndexedList loop length", lambda: IndexedList(3, [[0], [1]], [0, 1], loop=[0]), ValueError),
     ("merge repeated J", lambda: merge(pair(), pair(), (0, 0), [0, 0]), ValueError),
     ("merge target length", lambda: merge(pair(), pair(), (0,), [0, 0, 0]), ValueError),
-    ("merge stack with a list", lambda: merge(stack(), pair(), (0,), [[0, 0]] * 2), ValueError),
     ("match_range before sort_on", lambda: pair().match_range(0), ValueError),
     ("from_json of a list", lambda: WeightFunction.from_json("[1, 2]"), ValueError),
     ("from_spec unknown name", lambda: WeightFunction.from_spec(3, "taxicab"), ValueError),
@@ -114,7 +110,7 @@ REFUSALS = [  # (label, call, exception type)
     ("validate_modulus 9", lambda: validate_modulus(9), ValueError),
     ("FqVector of a 2-D list", lambda: FqVector(3, [[0, 1]]), ValueError),
     ("Permutation repeats", lambda: Permutation([0, 0]), ValueError),
-    ("evaluate_many at y", lambda: (d := dumer_desc()).evaluate_many([d.y]), IndexError),
+    ("evaluate_many at y", lambda: oracles.evaluate_many(d := dumer_desc(), [d.y]), IndexError),
     (
         "stack with too few LoopDraws",
         lambda: cmsd_wagner_v1(*bottom_blocks(), LEE3, 4, 2, draws=one_draw()),
